@@ -9,7 +9,6 @@ import (
 
 	"reticle/internal/cache"
 	"reticle/internal/faults"
-	"reticle/internal/ir"
 	"reticle/internal/place"
 	"reticle/internal/rerr"
 )
@@ -19,7 +18,6 @@ const testKey = "ab12cd34ab12cd34ab12cd34ab12cd34ab12cd34ab12cd34ab12cd34ab12cd3
 func anchors(sig string, sol ...int) *place.Anchors {
 	return &place.Anchors{
 		Signature: sig,
-		Prims:     make([]ir.Resource, len(sol)),
 		Sol:       sol,
 		ColdSteps: 42,
 	}

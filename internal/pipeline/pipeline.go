@@ -21,16 +21,13 @@ import (
 
 	"reticle/internal/asm"
 	"reticle/internal/cascade"
-	"reticle/internal/codegen"
 	"reticle/internal/device"
 	"reticle/internal/faults"
 	"reticle/internal/ir"
 	"reticle/internal/isel"
 	"reticle/internal/place"
-	"reticle/internal/refine"
 	"reticle/internal/rerr"
 	"reticle/internal/tdl"
-	"reticle/internal/timing"
 	"reticle/internal/verilog"
 )
 
@@ -89,15 +86,11 @@ type Config struct {
 	// so the cache can accelerate a compile but never change its output.
 	HintCache HintCache
 
-	// StageCache, when set, memoizes each stage boundary under the
-	// content-addressed per-stage keys of stagecache.go (DESIGN.md §15):
-	// selection and cascade outputs are reused byte-for-byte, whole
-	// placements are adopted on an exact stage-key match (skipping the
-	// solver and the hint cache entirely), and codegen+timing are served
-	// fused off the placed assembly. Excluded from Fingerprint like
-	// HintCache: every adopted payload is validated before use and
-	// degraded results are never stored, so the memo can accelerate a
-	// compile but never change its output.
+	// StageCache, when set, memoizes each row of the stage table
+	// (stages.go, DESIGN.md §15) under a content-addressed per-stage key.
+	// Excluded from Fingerprint like HintCache: every adopted payload is
+	// validated before use and degraded results are never stored, so the
+	// memo can accelerate a compile but never change its output.
 	StageCache StageCache
 }
 
@@ -244,6 +237,11 @@ type Artifact struct {
 	Asm *asm.Func
 	// Placed is the device-specific program with resolved locations.
 	Placed *asm.Func
+	// AsmText and PlacedText are the canonical printed forms of Asm and
+	// Placed. Compile prints each program once and threads the text
+	// through stage keys, memo payloads, and the wire rendering, so
+	// nothing downstream calls String on them again.
+	AsmText, PlacedText string
 	// Module is the structural Verilog AST; Verilog its rendering.
 	Module  *verilog.Module
 	Verilog string
@@ -255,7 +253,8 @@ type Artifact struct {
 	FMaxMHz    float64
 	// CriticalPath lists instruction destinations along the worst path.
 	CriticalPath []string
-	// CompileDur measures select + cascade + place + codegen.
+	// CompileDur measures select + cascade + place + codegen: the whole
+	// compile minus Stages.Timing.
 	CompileDur time.Duration
 	// Stages breaks the compilation into per-stage wall time (including
 	// timing analysis, which CompileDur excludes for historical reasons).
@@ -293,304 +292,27 @@ type Artifact struct {
 	DegradedReason string
 }
 
-// checkCtx turns a cancelled or expired context into a stage-labelled
-// typed error: deadline expiry classifies resource-exhausted, caller
+// stageBoundary gates one stage: an armed fault point or a dead context
+// stops the compile with a stage-labelled typed error before the stage
+// runs. Deadline expiry classifies resource-exhausted, caller
 // cancellation transient (errors.Is still matches the context sentinel
-// through the wrap). Cancellation is observed at stage boundaries and —
-// since the solver polls the context mid-search — inside placement.
-func checkCtx(ctx context.Context, stage string) error {
+// through the wrap). Cancellation is observed here and — since the
+// solver polls the context mid-search — inside placement.
+func stageBoundary(ctx context.Context, stage string, fp faults.Point) error {
 	err := ctx.Err()
+	// A context whose deadline has passed but whose timer has not fired
+	// yet (scheduler lag) is already dead for our purposes: the
+	// cross-tier budget is an absolute wall-clock instant, and work
+	// started past it can only be thrown away upstream.
+	if dl, ok := ctx.Deadline(); err == nil && ok && !time.Now().Before(dl) {
+		err = context.DeadlineExceeded
+	}
 	if err == nil {
-		// A context whose deadline has passed but whose timer has not
-		// fired yet (scheduler lag) is already dead for our purposes: the
-		// cross-tier budget is an absolute wall-clock instant, and work
-		// started past it can only be thrown away upstream.
-		if dl, ok := ctx.Deadline(); ok && !time.Now().Before(dl) {
-			err = context.DeadlineExceeded
-		} else {
-			return nil
-		}
+		return fp.Fire(ctx)
 	}
 	msg := "compile canceled during " + stage
 	if err == context.DeadlineExceeded {
 		msg = "compile deadline exceeded during " + stage
 	}
 	return rerr.Wrap(rerr.ClassOf(err), rerr.CodeOf(err), msg, err)
-}
-
-// stageBoundary gates one stage: a dead context or an armed fault point
-// stops the compile with a typed error before the stage runs.
-func stageBoundary(ctx context.Context, stage string, fp faults.Point) error {
-	if err := checkCtx(ctx, stage); err != nil {
-		return err
-	}
-	return fp.Fire(ctx)
-}
-
-// Compile runs the full pipeline on one IR function. It never mutates f,
-// cfg, or anything reachable from them; all scratch state is per-call.
-func Compile(ctx context.Context, cfg *Config, f *ir.Func) (*Artifact, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if f == nil {
-		return nil, fmt.Errorf("pipeline: nil function")
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-
-	// The stage memo, when wired. Every stage below keeps the same
-	// shape: fire the stage boundary (fault point + context check)
-	// first — so an armed chaos plan hits the memoized path exactly
-	// like the recompute path — then consult the memo, and only then
-	// recompute. Degraded results are never stored.
-	sc := cfg.StageCache
-	skipped := 0
-
-	var stages StageTimes
-	t0 := time.Now()
-	if err := stageBoundary(ctx, "selection", FaultSelect); err != nil {
-		return nil, err
-	}
-	var af *asm.Func
-	selKey := ""
-	if sc != nil {
-		selKey = SelectKeyFor(cfg, f)
-		if fn, ok := lookupAsm(ctx, sc, StageSelect, selKey); ok {
-			af = fn
-			skipped++
-		}
-	}
-	if af == nil {
-		var err error
-		af, err = isel.SelectWithLibrary(f, cfg.Lib, isel.Options{Greedy: cfg.Greedy})
-		if err != nil {
-			return nil, rerr.Wrap(rerr.Permanent, "select_failed", "instruction selection failed", err)
-		}
-		if sc != nil {
-			sc.Store(ctx, StageSelect, selKey, []byte(af.String()))
-		}
-	}
-	stages.Select = time.Since(t0)
-
-	chains := 0
-	tc := time.Now()
-	if !cfg.NoCascade && len(cfg.Cascades) > 0 {
-		if err := stageBoundary(ctx, "layout optimization", FaultCascade); err != nil {
-			return nil, err
-		}
-		cascaded := false
-		casKey := ""
-		if sc != nil {
-			casKey = CascadeKeyFor(cfg, af)
-			var ce cascadeEntry
-			if lookupJSON(ctx, sc, StageCascade, casKey, &ce) {
-				if fn, err := asm.Parse(ce.Asm); err == nil && fn != nil {
-					af = fn
-					chains = ce.Chains
-					cascaded = true
-					skipped++
-				}
-			}
-		}
-		if !cascaded {
-			opt, st, err := cascade.Apply(af, cfg.Target, cascade.Options{
-				Cascades: cfg.Cascades,
-				AccPort:  "c",
-				MaxChain: cfg.Device.Height,
-			})
-			if err != nil {
-				return nil, rerr.Wrap(rerr.Permanent, "cascade_failed", "layout optimization failed", err)
-			}
-			if sc != nil {
-				storeJSON(ctx, sc, StageCascade, casKey, cascadeEntry{Asm: opt.String(), Chains: st.Chains})
-			}
-			af = opt
-			chains = st.Chains
-		}
-	}
-	stages.Cascade = time.Since(tc)
-
-	if err := stageBoundary(ctx, "placement", FaultPlace); err != nil {
-		return nil, err
-	}
-	tp := time.Now()
-	var placedFn *asm.Func
-	var placeStats PlaceStats
-	warmStart := ""
-	degraded := false
-	degradedReason := ""
-	placeKey := ""
-	if sc != nil {
-		// Whole-placement adoption: an exact stage-key match means the
-		// placement problem (layout-optimized assembly + device + every
-		// output-relevant option) is byte-identical to one already
-		// solved, so the recorded layout is taken outright — no solver,
-		// no hint lookup, zero steps. place.Verify revalidates the
-		// adopted layout against the current input, so a stale or
-		// hand-corrupted entry degrades to a cold solve, never to a
-		// wrong artifact.
-		placeKey = PlaceKeyFor(cfg, af)
-		if fn, ok := lookupAsm(ctx, sc, StagePlace, placeKey); ok {
-			if place.Verify(af, fn, cfg.Device) == nil {
-				placedFn = fn
-				warmStart = "stage"
-				skipped++
-			}
-		}
-	}
-	if placedFn == nil {
-		popts := place.Options{
-			Shrink:        cfg.Shrink,
-			MaxSteps:      cfg.MaxSolverSteps,
-			SolverTimeout: cfg.SolverTimeout,
-		}
-		// Cross-request warm start: look up recorded anchors under the
-		// structural key. Note HintSeed stays false — the pipeline only
-		// accepts the exact-adoption path, never best-effort seeding, so a
-		// cached artifact is byte-identical whether or not the hint cache
-		// held anything (see internal/place/hints.go).
-		hintKey := ""
-		if cfg.HintCache != nil {
-			hintKey = HintKeyFor(cfg, f)
-			popts.Hints = cfg.HintCache.Lookup(ctx, hintKey)
-		}
-		var anchors *place.Anchors
-		if cfg.TimingDriven {
-			ref, err := refine.PlaceContext(ctx, af, cfg.Target, cfg.Device, refine.Options{Place: popts})
-			if err != nil {
-				// Placement errors arrive typed from place.PlaceContext
-				// (capacity exhausted, unsat permanent, deadline); keep the
-				// classification, just add the stage label.
-				return nil, fmt.Errorf("reticle: placement: %w", err)
-			}
-			placedFn = ref.Placed
-			placeStats = PlaceStats{
-				SolverSteps:   ref.SolverSteps,
-				ShrinkProbes:  ref.ShrinkProbes,
-				ProbesSkipped: ref.ProbesSkipped,
-				HintHits:      ref.HintHits,
-				HintTried:     ref.HintTried,
-			}
-			anchors, warmStart = ref.Anchors, ref.WarmStart
-			degraded, degradedReason = ref.Degraded, ref.DegradedReason
-		} else {
-			placed, err := place.PlaceContext(ctx, af, cfg.Device, popts)
-			if err != nil {
-				return nil, fmt.Errorf("reticle: placement: %w", err)
-			}
-			placedFn = placed.Fn
-			placeStats = PlaceStats{
-				SolverSteps:   placed.SolverSteps,
-				ShrinkProbes:  placed.ShrinkIters,
-				ProbesSkipped: placed.ProbesSkipped,
-				HintHits:      placed.HintHits,
-				HintTried:     placed.HintTried,
-			}
-			anchors, warmStart = placed.Anchors, placed.WarmStart
-			degraded, degradedReason = placed.Degraded, placed.DegradedReason
-		}
-		if warmStart == "adopted" && anchors != nil {
-			placeStats.HintCacheHits = 1
-			placeStats.HintCacheStepsSaved = anchors.ColdSteps
-		}
-		// Record only fresh cold solutions: degraded placements carry no
-		// anchors (place never records them), and an adoption would just
-		// re-store the entry it was served from.
-		if cfg.HintCache != nil && anchors != nil && warmStart != "adopted" {
-			cfg.HintCache.Record(ctx, hintKey, anchors)
-		}
-		// Memoize only non-degraded layouts: a degraded placement is
-		// wall-clock-dependent, so storing it would let one slow compile
-		// pin a bad layout on every future exact-key match.
-		if sc != nil && !degraded {
-			sc.Store(ctx, StagePlace, placeKey, []byte(placedFn.String()))
-		}
-	}
-	stages.Place = time.Since(tp)
-
-	if err := stageBoundary(ctx, "code generation", FaultCodegen); err != nil {
-		return nil, err
-	}
-	tg := time.Now()
-	outKey := ""
-	var out *outputEntry
-	if sc != nil {
-		outKey = OutputKeyFor(cfg, placedFn)
-		var oe outputEntry
-		if lookupJSON(ctx, sc, StageOutput, outKey, &oe) && oe.Verilog != "" {
-			out = &oe
-		}
-	}
-	art := &Artifact{
-		IR:             f,
-		Asm:            af,
-		Placed:         placedFn,
-		CascadeChains:  chains,
-		SolverSteps:    placeStats.SolverSteps,
-		Place:          placeStats,
-		WarmStart:      warmStart,
-		Degraded:       degraded,
-		DegradedReason: degradedReason,
-	}
-	if out != nil {
-		// Fused codegen+timing memo hit: both stages are pure functions
-		// of the placed assembly under (target, device), so the stored
-		// entry carries everything they would recompute. The timing
-		// boundary still fires so an armed pipeline/timing fault hits
-		// memoized compiles too. Module stays nil on this path — only
-		// in-process callers that wired a StageCache themselves can see
-		// the difference (the wire form carries rendered Verilog only).
-		stages.Codegen = time.Since(tg)
-		art.CompileDur = time.Since(t0)
-		if err := stageBoundary(ctx, "timing analysis", FaultTiming); err != nil {
-			return nil, err
-		}
-		skipped += 2
-		art.Verilog = out.Verilog
-		art.LUTs, art.DSPs, art.FFs, art.Carries = out.LUTs, out.DSPs, out.FFs, out.Carries
-		art.CriticalNs, art.FMaxMHz = out.CriticalNs, out.FMaxMHz
-		art.CriticalPath = out.CriticalPath
-		art.Stages = stages
-		art.StagesSkipped = skipped
-		return art, nil
-	}
-	mod, stats, err := codegen.Generate(placedFn, cfg.Target)
-	if err != nil {
-		return nil, rerr.Wrap(rerr.Permanent, "codegen_failed", "code generation failed", err)
-	}
-	stages.Codegen = time.Since(tg)
-	art.CompileDur = time.Since(t0)
-
-	if err := stageBoundary(ctx, "timing analysis", FaultTiming); err != nil {
-		return nil, err
-	}
-	tt := time.Now()
-	rep, err := timing.Analyze(placedFn, cfg.Target, cfg.Device, timing.DefaultOptions())
-	if err != nil {
-		return nil, rerr.Wrap(rerr.Permanent, "timing_failed", "timing analysis failed", err)
-	}
-	stages.Timing = time.Since(tt)
-
-	art.Module = mod
-	art.Verilog = mod.String()
-	art.LUTs, art.DSPs, art.FFs, art.Carries = stats.Luts, stats.Dsps, stats.FFs, stats.Carries
-	art.CriticalNs, art.FMaxMHz = rep.CriticalNs, rep.FMaxMHz
-	art.CriticalPath = rep.Path
-	art.Stages = stages
-	art.StagesSkipped = skipped
-	if sc != nil && !degraded {
-		storeJSON(ctx, sc, StageOutput, outKey, outputEntry{
-			Verilog:      art.Verilog,
-			LUTs:         art.LUTs,
-			DSPs:         art.DSPs,
-			FFs:          art.FFs,
-			Carries:      art.Carries,
-			CriticalNs:   art.CriticalNs,
-			FMaxMHz:      art.FMaxMHz,
-			CriticalPath: art.CriticalPath,
-		})
-	}
-	return art, nil
 }

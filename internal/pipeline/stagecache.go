@@ -10,19 +10,14 @@
 //
 // The concrete store lives in internal/stagecache (it cannot live here:
 // internal/cache imports pipeline for the artifact key, and the store
-// is built on internal/cache). The contract mirrors HintCache: the memo
-// is strictly an accelerator — every payload is decoded and validated
-// before adoption, anything undecodable is a miss, degraded stage
-// results are never stored, and the per-stage fault points still fire
-// before the memo is consulted, so an armed chaos plan hits the
-// memoized path exactly like the recompute path.
+// is built on internal/cache). The memo is strictly an accelerator; the
+// rules that keep it one are the driver's (stages.go).
 package pipeline
 
 import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 
 	"reticle/internal/asm"
@@ -158,39 +153,4 @@ type outputEntry struct {
 	CriticalNs   float64  `json:"critical_ns"`
 	FMaxMHz      float64  `json:"fmax_mhz"`
 	CriticalPath []string `json:"critical_path,omitempty"`
-}
-
-// lookupAsm fetches and parses an assembly-text payload (the select and
-// place stages store raw canonical text). A payload that fails to parse
-// is a miss — the recompute overwrites it, healing the entry.
-func lookupAsm(ctx context.Context, sc StageCache, stage, key string) (*asm.Func, bool) {
-	raw, ok := sc.Lookup(ctx, stage, key)
-	if !ok {
-		return nil, false
-	}
-	fn, err := asm.Parse(string(raw))
-	if err != nil || fn == nil {
-		return nil, false
-	}
-	return fn, true
-}
-
-// lookupJSON fetches and unmarshals a JSON payload into dst.
-func lookupJSON(ctx context.Context, sc StageCache, stage, key string, dst any) bool {
-	raw, ok := sc.Lookup(ctx, stage, key)
-	if !ok {
-		return false
-	}
-	return json.Unmarshal(raw, dst) == nil
-}
-
-// storeJSON marshals and stores a JSON payload; marshal failures are
-// impossible for the entry types (strings and numbers) but dropped
-// silently regardless — the memo is an accelerator, never a failure.
-func storeJSON(ctx context.Context, sc StageCache, stage, key string, v any) {
-	raw, err := json.Marshal(v)
-	if err != nil {
-		return
-	}
-	sc.Store(ctx, stage, key, raw)
 }

@@ -39,16 +39,11 @@ func randProg(r *rand.Rand) string {
 }
 
 // garbageAnchors builds a deliberately wrong anchor set: bogus
-// signature, random primitive tags, random (possibly out-of-range)
-// anchor slice ids. Nothing about it matches any real problem.
+// signature, random (possibly out-of-range) anchor slice ids. Nothing
+// about it matches any real problem.
 func garbageAnchors(r *rand.Rand, n int) *Anchors {
 	a := &Anchors{Signature: "not-a-real-signature", ColdSteps: r.Intn(1000)}
 	for i := 0; i < n; i++ {
-		if r.Intn(2) == 0 {
-			a.Prims = append(a.Prims, ir.ResDsp)
-		} else {
-			a.Prims = append(a.Prims, ir.ResLut)
-		}
 		a.Sol = append(a.Sol, r.Intn(64)-8)
 	}
 	return a
@@ -65,15 +60,12 @@ func bboxEqual(a, b *Result) bool {
 	return true
 }
 
-// TestHintEquivalenceProperty is the satellite-2 property suite: over
-// 200+ seeded random programs, placement seeded from stale or
-// wrong-structure anchors (HintSeed on) must still reach a
-// satcheck-valid solution with the same bounding-box cost as the
-// unhinted solve. Hints may only speed the search up — never change,
-// degrade, or break the result. Donor anchors rotate between the
-// previous program's real record (the realistic stale case: the user
-// edited the program and its structure drifted) and pure garbage (the
-// hostile case: a corrupt cache entry).
+// TestHintEquivalenceProperty: over 200+ seeded random programs, hints
+// that solve a different problem are ignored — the placement is
+// byte-identical to the unhinted solve, never adopted, never degraded.
+// Donor anchors rotate between the previous program's real record (the
+// realistic stale case: the user edited the program and its structure
+// drifted) and pure garbage (the hostile case: a corrupt cache entry).
 func TestHintEquivalenceProperty(t *testing.T) {
 	d := dev4(t)
 	const iters = 210
@@ -93,12 +85,10 @@ func TestHintEquivalenceProperty(t *testing.T) {
 			donors["stale"] = stale
 		}
 		for label, hints := range donors {
-			hinted := placeOn(t, d, src, Options{Shrink: true, Hints: hints, HintSeed: true})
-			// placeOn already ran the satcheck oracle (Verify); the
-			// property left to check is cost equivalence.
-			if !bboxEqual(cold, hinted) {
-				t.Fatalf("seed %d (%s hints): bbox diverged\ncold:  x=%v y=%v\nhinted: x=%v y=%v\nprogram:\n%s",
-					i, label, cold.MaxX, cold.MaxY, hinted.MaxX, hinted.MaxY, src)
+			// placeOn runs the satcheck oracle (Verify) on every result.
+			hinted := placeOn(t, d, src, Options{Shrink: true, Hints: hints})
+			if hinted.Fn.String() != cold.Fn.String() || !bboxEqual(cold, hinted) {
+				t.Fatalf("seed %d (%s hints): placement diverged from the unhinted solve\nprogram:\n%s", i, label, src)
 			}
 			// Two random programs can coincide structurally — then the
 			// donor legitimately solves this exact problem and adoption
@@ -148,19 +138,18 @@ func TestAnchorAdoptionExact(t *testing.T) {
 }
 
 // TestAdoptionRequiresExactSignature: anchors recorded under different
-// options (Shrink differs, so the signature differs) are never adopted —
-// and with HintSeed off they are ignored entirely, so the result is the
-// plain cold result.
+// options (Shrink differs, so the signature differs) are never adopted:
+// they are ignored entirely, so the result is the plain cold result.
 func TestAdoptionRequiresExactSignature(t *testing.T) {
 	d := dev4(t)
 	shrunk := placeOn(t, d, chainProg(3, 2), Options{Shrink: true})
 	cold := placeOn(t, d, chainProg(3, 2), Options{})
 	warm := placeOn(t, d, chainProg(3, 2), Options{Hints: shrunk.Anchors})
 	if warm.WarmStart != "" {
-		t.Fatalf("WarmStart = %q, want empty (signature mismatch, seeding off)", warm.WarmStart)
+		t.Fatalf("WarmStart = %q, want empty (signature mismatch)", warm.WarmStart)
 	}
 	if warm.Fn.String() != cold.Fn.String() {
-		t.Errorf("mismatched hints changed the placement without HintSeed")
+		t.Errorf("mismatched hints changed the placement")
 	}
 }
 
@@ -172,7 +161,6 @@ func TestAdoptionRevalidates(t *testing.T) {
 	cold := placeOn(t, d, chainProg(2, 2), Options{})
 	corrupt := &Anchors{
 		Signature: cold.Anchors.Signature,
-		Prims:     append([]ir.Resource(nil), cold.Anchors.Prims...),
 		Sol:       make([]int, len(cold.Anchors.Sol)),
 		ColdSteps: cold.Anchors.ColdSteps,
 	}
@@ -195,8 +183,8 @@ func TestAdoptionRevalidates(t *testing.T) {
 }
 
 // TestDegradedRecordsNoAnchors: a budget-truncated placement (greedy
-// fallback) must not produce anchors — a degraded layout seeding or
-// being adopted by future compiles would make degradation sticky.
+// fallback) must not produce anchors — a degraded layout adopted by
+// future compiles would make degradation sticky.
 func TestDegradedRecordsNoAnchors(t *testing.T) {
 	f, err := asm.Parse(chainProg(4, 3))
 	if err != nil {

@@ -2,29 +2,15 @@
 // final anchor solution as an Anchors value, and a later placement of a
 // structurally identical program (same clusters, same device, same
 // options — checked by an explicit problem signature, never assumed)
-// adopts that solution outright, spending zero solver steps. When the
-// signature does not match, the anchors can still seed the solver's
-// warm start (csp.SetHints) as a best-effort accelerator, behind an
-// explicit opt-in.
+// adopts that solution outright, spending zero solver steps. Hints
+// whose signature does not match are ignored.
 //
-// The split exists because the two paths make different promises:
-//
-//   - Adoption is exact. The signature pins every input of the search —
-//     cluster geometry and order, device, bounds, step budget — so by
-//     determinism the recorded solution IS the solution a cold solve
-//     would find, and the placed program is byte-identical to a cold
-//     compile. The pipeline's hint cache relies on this: cached
-//     artifacts must not depend on what happened to be in the hint
-//     cache.
-//
-//   - Seeding is best-effort. Hints only reorder the solver's value
-//     selection, so a seeded solve is always valid and (with Shrink)
-//     compacts to the same bounding box, but it may settle on a
-//     different equally-good assignment than a cold solve. That trade
-//     is fine for direct callers chasing speed; it is not fine for a
-//     content-addressed cache, so Options.HintSeed defaults to off and
-//     the pipeline never sets it. The hint-equivalence property test
-//     locks in the "valid, same bbox cost" contract.
+// Adoption is exact. The signature pins every input of the search —
+// cluster geometry and order, device, bounds, step budget — so by
+// determinism the recorded solution IS the solution a cold solve would
+// find, and the placed program is byte-identical to a cold compile. The
+// pipeline's hint cache relies on this: cached artifacts must not
+// depend on what happened to be in the hint cache.
 package place
 
 import (
@@ -32,7 +18,6 @@ import (
 	"encoding/hex"
 	"strconv"
 
-	"reticle/internal/csp"
 	"reticle/internal/device"
 	"reticle/internal/ir"
 )
@@ -46,10 +31,6 @@ type Anchors struct {
 	// Signature identifies the exact placement problem the solution
 	// solves; see problemSignature.
 	Signature string `json:"signature"`
-	// Prims holds each cluster's primitive, parallel to Sol. Seeding a
-	// different-structure problem maps anchors to clusters positionally
-	// per primitive, so the primitive sequence must survive the cache.
-	Prims []ir.Resource `json:"prims"`
 	// Sol holds the anchor slice id chosen for each cluster.
 	Sol []int `json:"sol"`
 	// ColdSteps is the solver steps the compile that recorded this
@@ -93,20 +74,6 @@ func problemSignature(dev *device.Device, opts Options, clusters []*cluster) str
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// anchorsFor builds the record for a successful, non-degraded placement.
-func anchorsFor(sig string, clusters []*cluster, sol []int, steps int) *Anchors {
-	a := &Anchors{
-		Signature: sig,
-		Prims:     make([]ir.Resource, len(clusters)),
-		Sol:       append([]int(nil), sol...),
-		ColdSteps: steps,
-	}
-	for i, c := range clusters {
-		a.Prims[i] = c.prim
-	}
-	return a
-}
-
 // adoptable reports whether hints may be adopted as this problem's
 // solution outright: exact signature match, a solution of the right
 // shape, and — belt and braces, since a cache can serve anything — the
@@ -116,32 +83,4 @@ func adoptable(hints *Anchors, sig string, clusters []*cluster, dev *device.Devi
 		return false
 	}
 	return revalidate(clusters, dev, hints.Sol, bounds)
-}
-
-// seedPrev maps recorded anchors onto a different-structure cluster list
-// for the solver's warm start: the j-th recorded anchor of a primitive
-// seeds the j-th cluster of that primitive, and clusters beyond the
-// recorded count carry no hint (csp.NoHint). The mapping is positional
-// and unvalidated on purpose — the solver tries a hint only while it is
-// live in the variable's domain, so a stale or out-of-range anchor
-// degrades to the normal ascending order, never to an invalid solution.
-func seedPrev(hints *Anchors, clusters []*cluster) []int {
-	if hints == nil || len(hints.Sol) == 0 || len(hints.Sol) != len(hints.Prims) {
-		return nil
-	}
-	byPrim := map[ir.Resource][]int{}
-	for i, p := range hints.Prims {
-		byPrim[p] = append(byPrim[p], hints.Sol[i])
-	}
-	prev := make([]int, len(clusters))
-	taken := map[ir.Resource]int{}
-	for ci, c := range clusters {
-		if pool := byPrim[c.prim]; taken[c.prim] < len(pool) {
-			prev[ci] = pool[taken[c.prim]]
-			taken[c.prim]++
-		} else {
-			prev[ci] = csp.NoHint
-		}
-	}
-	return prev
 }

@@ -75,14 +75,13 @@ type Result struct {
 	// anchor) and HintHits of them kept it in the new solution.
 	HintHits, HintTried int
 	// Anchors is the recorded final solution (nil when the placement is
-	// Degraded — a budget-truncated layout must never seed future
-	// placements). The pipeline's hint cache stores it keyed by the
+	// Degraded — a budget-truncated layout must never be adopted by
+	// future placements). The pipeline's hint cache stores it keyed by the
 	// kernel's structural hash.
 	Anchors *Anchors
 	// WarmStart reports how Options.Hints were used: "adopted" (exact
-	// signature match, solution taken verbatim, zero solver steps),
-	// "seeded" (csp.SetHints warm start, best-effort), or "" (no hints,
-	// or hints unusable).
+	// signature match, solution taken verbatim, zero solver steps) or ""
+	// (no hints, or hints ignored).
 	WarmStart string
 	// MaxX and MaxY record the final per-primitive bounding box.
 	MaxX, MaxY map[ir.Resource]int
@@ -116,15 +115,8 @@ type Options struct {
 	// Hints, when non-nil, is a previously recorded solution (see
 	// Anchors). On an exact problem-signature match the solution is
 	// adopted outright — zero solver steps, byte-identical to the cold
-	// solve by determinism. On a mismatch the hints are ignored unless
-	// HintSeed is set.
+	// solve by determinism. On a mismatch the hints are ignored.
 	Hints *Anchors
-	// HintSeed permits best-effort csp.SetHints seeding from Hints when
-	// the problem signature does NOT match. A seeded solve is always
-	// valid and reaches the same bounding-box cost, but may settle on a
-	// different equally-good assignment than a cold solve — so the
-	// content-addressed pipeline never sets it; direct callers may.
-	HintSeed bool
 }
 
 // member is one instruction within a placement cluster.
@@ -224,15 +216,8 @@ func PlaceContext(ctx context.Context, f *asm.Func, dev *device.Device, opts Opt
 		res.Anchors = opts.Hints
 		return res, nil
 	}
-	warm := ""
-	var seed []int
-	if opts.Hints != nil && opts.HintSeed {
-		if seed = seedPrev(opts.Hints, clusters); seed != nil {
-			warm = "seeded"
-		}
-	}
 
-	sol, steps, err := solve(clusters, dev, full, opts.MaxSteps, interrupt, seed)
+	sol, steps, err := solve(clusters, dev, full, opts.MaxSteps, interrupt)
 	totalSteps := steps
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
@@ -370,7 +355,6 @@ func PlaceContext(ctx context.Context, f *asm.Func, dev *device.Device, opts Opt
 	res.ProbesSkipped = probesSkipped
 	res.HintHits = hintHits
 	res.HintTried = hintTried
-	res.WarmStart = warm
 	if interrupted {
 		res.Degraded = true
 		res.DegradedReason = fmt.Sprintf(
@@ -378,9 +362,9 @@ func PlaceContext(ctx context.Context, f *asm.Func, dev *device.Device, opts Opt
 			opts.SolverTimeout, shrinkIters)
 	} else {
 		// Only full-quality solutions become hints: a time-truncated
-		// layout is wall-clock-dependent and must never seed (or be
-		// adopted by) a future placement.
-		res.Anchors = anchorsFor(sig, clusters, sol, totalSteps)
+		// layout is wall-clock-dependent and must never be adopted by a
+		// future placement.
+		res.Anchors = &Anchors{Signature: sig, Sol: append([]int(nil), sol...), ColdSteps: totalSteps}
 	}
 	return res, nil
 }
@@ -566,10 +550,9 @@ func makeCluster(group []placeInfo) (*cluster, error) {
 // solve runs one CSP over every cluster under the given per-primitive
 // bounds, returning the anchor slice id chosen for each cluster.
 // interrupt (nil = never) is polled mid-search so deadlines abort long
-// solves promptly. seed, when non-nil, warm-starts the search
-// (csp.SetHints; csp.NoHint entries carry no hint).
-func solve(clusters []*cluster, dev *device.Device, bounds map[ir.Resource][2]int, maxSteps int, interrupt func() bool, seed []int) ([]int, int, error) {
-	sol, st, err := solveSubset(clusters, nil, dev, bounds, maxSteps, interrupt, seed, nil)
+// solves promptly.
+func solve(clusters []*cluster, dev *device.Device, bounds map[ir.Resource][2]int, maxSteps int, interrupt func() bool) ([]int, int, error) {
+	sol, st, err := solveSubset(clusters, nil, dev, bounds, maxSteps, interrupt, nil, nil)
 	return sol, st.steps, err
 }
 

@@ -45,26 +45,13 @@ type Result struct {
 	AfterNs  float64
 	// Moves counts accepted relocations.
 	Moves int
-	// SolverSteps, ShrinkProbes, ProbesSkipped, HintHits, and HintTried
-	// propagate the placement solver's work counters (see place.Result;
-	// ShrinkProbes is place.Result.ShrinkIters) so the timing-driven path
-	// reports them like the plain path does.
-	SolverSteps   int
-	ShrinkProbes  int
-	ProbesSkipped int
-	HintHits      int
-	HintTried     int
-	// Degraded and DegradedReason propagate the placement stage's
-	// greedy-fallback marker (see place.Result).
-	Degraded       bool
-	DegradedReason string
-	// Anchors and WarmStart propagate the placement stage's recorded
-	// solution and warm-start mode (see place.Result). Refinement moves
-	// instructions after the fact, but the anchors describe the solver
-	// placement the refiner started from — exactly what a future
-	// structurally identical compile wants to adopt.
-	Anchors   *place.Anchors
-	WarmStart string
+	// Solver is the solver placement refinement started from: its work
+	// counters, degradation marker, warm-start mode, and recorded anchors
+	// (which describe the solver's layout — exactly what a future
+	// structurally identical compile wants to adopt). Refinement relocates
+	// instructions in place, so Solver.Fn is Placed; Solver.Slots, MaxX
+	// and MaxY still describe the layout before any move.
+	Solver *place.Result
 }
 
 // Place runs solver placement followed by timing-driven refinement.
@@ -125,13 +112,7 @@ func PlaceContext(ctx context.Context, f *asm.Func, target *tdl.Target, dev *dev
 	if err != nil {
 		return nil, err
 	}
-	out := &Result{
-		Placed: cur, BeforeNs: rep.CriticalNs, AfterNs: rep.CriticalNs,
-		SolverSteps: res.SolverSteps, ShrinkProbes: res.ShrinkIters,
-		ProbesSkipped: res.ProbesSkipped, HintHits: res.HintHits, HintTried: res.HintTried,
-		Degraded: res.Degraded, DegradedReason: res.DegradedReason,
-		Anchors: res.Anchors, WarmStart: res.WarmStart,
-	}
+	out := &Result{Placed: cur, BeforeNs: rep.CriticalNs, AfterNs: rep.CriticalNs, Solver: res}
 
 	for iter := 0; iter < opts.MaxIters; iter++ {
 		improved := false

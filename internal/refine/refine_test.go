@@ -79,6 +79,11 @@ func TestRefineKeepsPlacementValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The pipeline reads the refined program off the carried solver
+	// result, so the two must be one program.
+	if res.Solver == nil || res.Solver.Fn != res.Placed || res.Solver.Anchors == nil {
+		t.Fatalf("result does not carry the solver placement it refined: %+v", res.Solver)
+	}
 	seen := map[[3]int]string{}
 	for _, in := range res.Placed.Body {
 		if in.IsWire() {

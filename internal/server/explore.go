@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"sync"
 
+	"reticle/internal/cache"
 	"reticle/internal/explore"
 	"reticle/internal/ir"
 	"reticle/internal/pipeline"
@@ -127,7 +128,7 @@ func (s *Server) exploreJobs(requested int) int {
 // cross-check keeps equal to a fresh compile's.
 func (s *Server) variantCompiler() explore.CompileFunc {
 	return func(ctx context.Context, vcfg *pipeline.Config, v explore.Variant) (*pipeline.Artifact, bool, error) {
-		ca, hit, _, err := s.compileKernel(ctx, vcfg, v.Func)
+		ca, hit, err := s.compileKernel(ctx, vcfg, cache.KeyFor(vcfg, v.Func), v.Func)
 		if err != nil {
 			return nil, false, err
 		}

@@ -408,8 +408,8 @@ func DiskStatsJSONFrom(ds cache.DiskStats) DiskStatsJSON {
 // artifactJSON renders an artifact for the wire.
 func artifactJSON(a *pipeline.Artifact) ArtifactJSON {
 	return ArtifactJSON{
-		Asm:            a.Asm.String(),
-		Placed:         a.Placed.String(),
+		Asm:            a.AsmText,
+		Placed:         a.PlacedText,
 		Verilog:        a.Verilog,
 		LUTs:           a.LUTs,
 		DSPs:           a.DSPs,

@@ -202,7 +202,11 @@ func render(art *pipeline.Artifact) cachedArtifact {
 		// ArtifactJSON is strings and numbers; Marshal cannot fail.
 		panic(fmt.Sprintf("server: marshal artifact: %v", err))
 	}
-	return cachedArtifact{art: art, rendered: raw}
+	// The rendering carries the program text from here on; the cache
+	// keeps a copy of the artifact without it rather than hold both.
+	slim := *art
+	slim.AsmText, slim.PlacedText = "", ""
+	return cachedArtifact{art: &slim, rendered: raw}
 }
 
 // New builds a Server over one pipeline config per family name. Every
@@ -540,10 +544,20 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) (int, e
 	return 0, nil
 }
 
-// compileKernel runs one kernel through cache + pipeline, maintaining
-// the in-flight gauge and cumulative stage times.
-func (s *Server) compileKernel(ctx context.Context, cfg *pipeline.Config, f *ir.Func) (cachedArtifact, bool, cache.Key, error) {
-	key := cache.KeyFor(cfg, f)
+// countCompile folds finished pipeline work — one compile or a batch's
+// totals — into the cumulative /stats counters.
+func (s *Server) countCompile(stages pipeline.StageTimes, ps pipeline.PlaceStats, skipped int) {
+	s.stageMu.Lock()
+	s.stages.Add(stages)
+	s.place.Add(ps)
+	s.stageMu.Unlock()
+	s.stageSkips.Add(int64(skipped))
+}
+
+// compileKernel runs one kernel through cache + pipeline under its
+// artifact key (cache.KeyFor(cfg, f), hashed once by the caller),
+// maintaining the in-flight gauge and cumulative stage times.
+func (s *Server) compileKernel(ctx context.Context, cfg *pipeline.Config, key cache.Key, f *ir.Func) (cachedArtifact, bool, error) {
 	// A degraded (fallback-placed or shrink-truncated) artifact is served
 	// to the requester that paid for it but never published to the cache:
 	// the next request gets a fresh shot at the full solver. The keep
@@ -573,18 +587,14 @@ func (s *Server) compileKernel(ctx context.Context, cfg *pipeline.Config, f *ir.
 		if err != nil {
 			return cachedArtifact{}, err
 		}
-		s.stageMu.Lock()
-		s.stages.Add(art.Stages)
-		s.place.Add(art.Place)
-		s.stageMu.Unlock()
-		s.stageSkips.Add(int64(art.StagesSkipped))
+		s.countCompile(art.Stages, art.Place, art.StagesSkipped)
 		ca := render(art)
 		if !art.Degraded {
 			s.diskPut(ctx, key, ca.rendered)
 		}
 		return ca, nil
 	}, keep)
-	return ca, hit || diskServed, key, err
+	return ca, hit || diskServed, err
 }
 
 // compileStatus maps a typed pipeline/cache error to an HTTP status.
@@ -664,8 +674,9 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	}
 	defer cancel()
 
-	s.texts.Add(tk, textEntry{key: cache.KeyFor(cfg, f), name: f.Name})
-	ca, hit, key, err := s.compileKernel(ctx, cfg, f)
+	key := cache.KeyFor(cfg, f)
+	s.texts.Add(tk, textEntry{key: key, name: f.Name})
+	ca, hit, err := s.compileKernel(ctx, cfg, key, f)
 	if err != nil {
 		writeTypedError(w, err)
 		return
@@ -743,11 +754,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			writeTypedError(w, err)
 			return
 		}
-		s.stageMu.Lock()
-		s.stages.Add(stats.Stages)
-		s.place.Add(stats.Place)
-		s.stageMu.Unlock()
-		s.stageSkips.Add(int64(stats.StagesSkipped))
+		s.countCompile(stats.Stages, stats.Place, stats.StagesSkipped)
 	}
 
 	results := prep.results

@@ -77,11 +77,7 @@ func (s *Server) streamBatch(ctx context.Context, w http.ResponseWriter, famName
 				complete(j, results[j])
 			}
 			stats = st
-			s.stageMu.Lock()
-			s.stages.Add(st.Stages)
-			s.place.Add(st.Place)
-			s.stageMu.Unlock()
-			s.stageSkips.Add(int64(st.StagesSkipped))
+			s.countCompile(st.Stages, st.Place, st.StagesSkipped)
 		}()
 	} else {
 		close(batchDone)
