@@ -8,6 +8,7 @@
 //	BenchmarkReticleCompile*    — the Reticle pipeline alone
 //	BenchmarkBaselineCompile*   — the baseline toolchain alone
 //	BenchmarkAblation*          — design-choice ablations (DESIGN.md §5)
+//	BenchmarkPlace*             — the placement stage alone (DESIGN.md §10)
 //
 // Each Figure-13 benchmark reports the paper's headline metrics as custom
 // units: compile-speedup(x), run-speedup(x) vs the base configuration.
@@ -22,13 +23,16 @@ import (
 	"os"
 	"testing"
 
+	"reticle/internal/asm"
 	"reticle/internal/bench"
+	"reticle/internal/device"
 	"reticle/internal/eval"
 	"reticle/internal/hintcache"
 	"reticle/internal/ir"
 	"reticle/internal/isel"
 	"reticle/internal/place"
 	"reticle/internal/stagecache"
+	"reticle/internal/target/agilex"
 	"reticle/internal/target/ultrascale"
 	"reticle/internal/vivado"
 )
@@ -259,6 +263,31 @@ func BenchmarkPlaceShrink(b *testing.B) {
 		b.ReportMetric(float64(ps.HintHits)/float64(ps.HintTried), "hint-hit-rate")
 	}
 	b.ReportMetric(float64(art.Stages.Place.Nanoseconds()), "place-ns")
+}
+
+// BenchmarkPlaceWide measures placement alone on the LUT-class shape that
+// dominates a random-logic or FSM compile: bench.WidePlacement's 320 LUT
+// singletons plus four macros, on both bundled devices. solver-steps is
+// the determinism guard (it must repeat to the digit); B/op and allocs/op
+// are what sharing one anchor domain per cluster shape bought — with a
+// domain per cluster this was ~490 MB/op.
+func BenchmarkPlaceWide(b *testing.B) {
+	f, err := asm.Parse(bench.WidePlacement())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, dev := range []*device.Device{ultrascale.Device(), agilex.Device()} {
+		b.Run(dev.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			var res *place.Result
+			for i := 0; i < b.N; i++ {
+				if res, err = place.Place(f, dev, place.Options{Shrink: true}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(res.SolverSteps), "solver-steps")
+		})
+	}
 }
 
 // tweakEditConstants bumps every const and reg-init value by delta —

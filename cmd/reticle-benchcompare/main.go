@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	reticle-benchcompare [-threshold 0.20] [-filter regexp] base.json head.json
+//	reticle-benchcompare [-threshold 0.20] [-filter regexp] [-metrics regexp] base.json head.json
 //
 // Only benchmarks whose name matches -filter (default: the placement
 // and CSP-solver benchmarks plus BenchmarkEditReplay, BenchmarkExplore,
@@ -18,6 +18,11 @@
 // explore-ns-per-variant. Rate metrics where higher is better
 // (hint-hit-rate, hint-cache-hit-rate, probes-skipped) are never
 // treated as regressions.
+//
+// -metrics narrows the comparison to the metric names it matches, so one
+// tool serves two CI gates: the machine-independent counts (solver-steps,
+// steps-per-probe, steps-per-edit, allocs/op, B/op) block a merge, the
+// timings (ns_per_op, place-ns, ...) stay advisory.
 //
 // Exit status: 0 when no compared metric regressed, 1 on regression,
 // 2 on usage or parse errors.
@@ -79,9 +84,10 @@ func (d delta) regressed(threshold float64) bool {
 }
 
 // compare pairs benchmarks by pkg+name and diffs every lower-is-better
-// metric present on both sides. Benchmarks present only in one file are
-// ignored: the tool guards metrics, not benchmark-set churn.
-func compare(base, head *Baseline, filter *regexp.Regexp) []delta {
+// metric present on both sides whose name matches metrics. Benchmarks
+// present only in one file are ignored: the tool guards metrics, not
+// benchmark-set churn.
+func compare(base, head *Baseline, filter, metrics *regexp.Regexp) []delta {
 	byKey := map[string]Benchmark{}
 	for _, b := range base.Benchmarks {
 		byKey[b.Pkg+"/"+b.Name] = b
@@ -95,7 +101,7 @@ func compare(base, head *Baseline, filter *regexp.Regexp) []delta {
 		if !ok {
 			continue
 		}
-		out = append(out, diffOne(b, h)...)
+		out = append(out, diffOne(b, h, metrics)...)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].bench != out[j].bench {
@@ -106,9 +112,12 @@ func compare(base, head *Baseline, filter *regexp.Regexp) []delta {
 	return out
 }
 
-func diffOne(b, h Benchmark) []delta {
+func diffOne(b, h Benchmark, metrics *regexp.Regexp) []delta {
 	var out []delta
 	add := func(metric string, bv, hv float64) {
+		if !metrics.MatchString(metric) {
+			return
+		}
 		d := delta{bench: h.Name, metric: metric, base: bv, head: hv}
 		switch {
 		case bv != 0:
@@ -144,8 +153,10 @@ func main() {
 		"fail when head exceeds base by more than this fraction")
 	filterStr := flag.String("filter", `PlaceShrink|Solve|Shrink|Place|EditReplay|Explore|CompileBatch`,
 		"regexp of benchmark names to compare (placement-stage by default)")
+	metricsStr := flag.String("metrics", "",
+		"regexp of metric names to compare (ns_per_op, B/op, solver-steps, ...); empty compares all")
 	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: reticle-benchcompare [-threshold 0.20] [-filter regexp] base.json head.json")
+		fmt.Fprintln(os.Stderr, "usage: reticle-benchcompare [-threshold 0.20] [-filter regexp] [-metrics regexp] base.json head.json")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -157,6 +168,10 @@ func main() {
 	if err != nil {
 		fail(fmt.Errorf("bad -filter: %w", err))
 	}
+	metrics, err := regexp.Compile(*metricsStr)
+	if err != nil {
+		fail(fmt.Errorf("bad -metrics: %w", err))
+	}
 	base, err := load(flag.Arg(0))
 	if err != nil {
 		fail(err)
@@ -166,10 +181,10 @@ func main() {
 		fail(err)
 	}
 
-	deltas := compare(base, head, filter)
+	deltas := compare(base, head, filter, metrics)
 	if len(deltas) == 0 {
-		fmt.Printf("benchcompare: no overlapping placement benchmarks between %s and %s (filter %q)\n",
-			short(base.SHA), short(head.SHA), *filterStr)
+		fmt.Printf("benchcompare: no overlapping placement benchmarks between %s and %s (filter %q, metrics %q)\n",
+			short(base.SHA), short(head.SHA), *filterStr, *metricsStr)
 		return
 	}
 

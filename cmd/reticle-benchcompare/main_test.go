@@ -29,7 +29,10 @@ func baselines() (*Baseline, *Baseline) {
 	return base, head
 }
 
-var placeFilter = regexp.MustCompile(`PlaceShrink|Solve|Shrink|Place`)
+var (
+	placeFilter = regexp.MustCompile(`PlaceShrink|Solve|Shrink|Place`)
+	allMetrics  = regexp.MustCompile("")
+)
 
 func countRegressed(ds []delta, threshold float64) int {
 	n := 0
@@ -45,7 +48,7 @@ func countRegressed(ds []delta, threshold float64) int {
 // unrelated BenchmarkCompile 10x slowdown is filtered out entirely.
 func TestCompareWithinThreshold(t *testing.T) {
 	base, head := baselines()
-	ds := compare(base, head, placeFilter)
+	ds := compare(base, head, placeFilter, allMetrics)
 	if len(ds) == 0 {
 		t.Fatal("no deltas compared")
 	}
@@ -66,7 +69,7 @@ func TestCompareWithinThreshold(t *testing.T) {
 func TestCompareFlagsStepRegression(t *testing.T) {
 	base, head := baselines()
 	head.Benchmarks[0].Metrics["solver-steps"] = 13 // +30%
-	ds := compare(base, head, placeFilter)
+	ds := compare(base, head, placeFilter, allMetrics)
 	found := false
 	for _, d := range ds {
 		if d.metric == "solver-steps" && d.regressed(0.20) {
@@ -95,7 +98,35 @@ func TestCompareZeroBase(t *testing.T) {
 func TestCompareDisjointSets(t *testing.T) {
 	base := &Baseline{Benchmarks: []Benchmark{{Pkg: "p", Name: "BenchmarkPlaceOld", NsPerOp: 1}}}
 	head := &Baseline{Benchmarks: []Benchmark{{Pkg: "p", Name: "BenchmarkPlaceNew", NsPerOp: 2}}}
-	if ds := compare(base, head, placeFilter); len(ds) != 0 {
+	if ds := compare(base, head, placeFilter, allMetrics); len(ds) != 0 {
 		t.Errorf("disjoint sets produced deltas: %+v", ds)
+	}
+}
+
+// -metrics splits one pair of baselines into two gates: a 10x ns_per_op
+// blow-up is invisible to the machine-independent gate, and a step-count
+// regression is invisible to the timing gate.
+func TestCompareMetricsFilter(t *testing.T) {
+	base, head := baselines()
+	head.Benchmarks[0].NsPerOp = 10_000_000         // 10x slower
+	head.Benchmarks[0].Metrics["solver-steps"] = 13 // +30%
+	counts := regexp.MustCompile(`^(solver-steps|steps-per-probe|steps-per-edit|allocs/op|B/op)$`)
+	timings := regexp.MustCompile(`ns`)
+	for _, d := range compare(base, head, placeFilter, counts) {
+		if d.metric == "ns_per_op" || d.metric == "place-ns" {
+			t.Errorf("count gate compared timing metric %s", d.metric)
+		}
+	}
+	if n := countRegressed(compare(base, head, placeFilter, counts), 0.20); n != 1 {
+		t.Errorf("count gate flagged %d regressions, want exactly the solver-steps one", n)
+	}
+	ds := compare(base, head, placeFilter, timings)
+	for _, d := range ds {
+		if d.metric == "solver-steps" || d.metric == "allocs/op" {
+			t.Errorf("timing gate compared count metric %s", d.metric)
+		}
+	}
+	if n := countRegressed(ds, 0.20); n != 1 {
+		t.Errorf("timing gate flagged %d regressions, want exactly the ns_per_op one", n)
 	}
 }

@@ -35,12 +35,15 @@ type Benchmark struct {
 
 // Baseline is the whole converted run.
 type Baseline struct {
-	SHA         string      `json:"sha,omitempty"`
-	GeneratedAt string      `json:"generated_at"`
-	GoOS        string      `json:"goos,omitempty"`
-	GoArch      string      `json:"goarch,omitempty"`
-	CPU         string      `json:"cpu,omitempty"`
-	Benchmarks  []Benchmark `json:"benchmarks"`
+	SHA         string `json:"sha,omitempty"`
+	GeneratedAt string `json:"generated_at"`
+	GoOS        string `json:"goos,omitempty"`
+	GoArch      string `json:"goarch,omitempty"`
+	CPU         string `json:"cpu,omitempty"`
+	// GoMaxProcs is the -P suffix `go test` put on every benchmark name,
+	// moved here by stripProcSuffix (0 when the run had none).
+	GoMaxProcs int         `json:"gomaxprocs,omitempty"`
+	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
 // Parse converts `go test -bench` output into a Baseline. Lines that are
@@ -116,6 +119,30 @@ func parseBenchLine(line string) (*Benchmark, error) {
 	return b, nil
 }
 
+// stripProcSuffix removes the "-P" GOMAXPROCS suffix from the benchmark
+// names when every name carries the same one, and returns P (0 when it
+// left the names alone). Baselines recorded on runners with different
+// core counts then pair up by name in reticle-benchcompare instead of
+// sharing no benchmark at all.
+func stripProcSuffix(bs []Benchmark) int {
+	procs := 0
+	for i, b := range bs {
+		at := strings.LastIndexByte(b.Name, '-')
+		if at < 0 {
+			return 0
+		}
+		p, err := strconv.Atoi(b.Name[at+1:])
+		if err != nil || p < 1 || (i > 0 && p != procs) {
+			return 0
+		}
+		procs = p
+	}
+	for i := range bs {
+		bs[i].Name = bs[i].Name[:strings.LastIndexByte(bs[i].Name, '-')]
+	}
+	return procs
+}
+
 func main() {
 	sha := flag.String("sha", "", "commit hash to embed in the baseline")
 	out := flag.String("o", "", "output file (default stdout)")
@@ -126,6 +153,7 @@ func main() {
 		fail(err)
 	}
 	base.SHA = *sha
+	base.GoMaxProcs = stripProcSuffix(base.Benchmarks)
 	base.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
 	if len(base.Benchmarks) == 0 {
 		fail(fmt.Errorf("no benchmark results on stdin"))

@@ -87,3 +87,22 @@ func TestParseRejectsBadValue(t *testing.T) {
 		t.Error("malformed metric value accepted")
 	}
 }
+
+// The GOMAXPROCS suffix moves off the names only when every benchmark
+// carries the same one; a mixed or suffix-free run is left as it is.
+func TestStripProcSuffix(t *testing.T) {
+	bs := []Benchmark{{Name: "BenchmarkSolve-2"}, {Name: "BenchmarkTensorDot/5x36-2"}}
+	if p := stripProcSuffix(bs); p != 2 || bs[0].Name != "BenchmarkSolve" || bs[1].Name != "BenchmarkTensorDot/5x36" {
+		t.Errorf("procs %d, names %+v", p, bs)
+	}
+	for _, mixed := range [][]Benchmark{
+		{{Name: "BenchmarkSolve-2"}, {Name: "BenchmarkFigure4"}},
+		{{Name: "BenchmarkSolve-2"}, {Name: "BenchmarkSolveWarm-4"}},
+		{{Name: "BenchmarkPlace-wide"}},
+	} {
+		before := mixed[0].Name
+		if p := stripProcSuffix(mixed); p != 0 || mixed[0].Name != before {
+			t.Errorf("stripped %q to %q (procs %d) from a run without a common suffix", before, mixed[0].Name, p)
+		}
+	}
+}

@@ -16,6 +16,7 @@ package bench
 
 import (
 	"fmt"
+	"strings"
 
 	"reticle/internal/ir"
 )
@@ -143,4 +144,41 @@ func FSM(states int) (*ir.Func, error) {
 	b.Id("y", i8, state)
 	b.Output("y", i8)
 	return b.Build()
+}
+
+// WidePlacement is the assembly text of a placement-only stress shaped
+// like a large LUT-class kernel: 320 independent LUT instructions (eight
+// of them pinned to a column or a row, so they carry their own anchor
+// domains), two 3-row LUT macros and two 4-row DSP chains. It is already
+// selected — callers parse it with asm.Parse and hand it to place.Place —
+// so what it measures is the placer: one domain per LUT singleton used to
+// mean ~320 copies of every LUT slice id on the device.
+func WidePlacement() string {
+	var b strings.Builder
+	b.WriteString("def wide(a:i8, b:i8) -> (s319:i8) {\n")
+	for i := 0; i < 320; i++ {
+		loc := "??, ??"
+		switch i % 80 {
+		case 20:
+			loc = "2, ??"
+		case 60:
+			loc = "??, 5"
+		}
+		fmt.Fprintf(&b, "    s%d:i8 = lutadd(a, b) @lut(%s);\n", i, loc)
+	}
+	for m := 0; m < 2; m++ {
+		for r := 0; r < 3; r++ {
+			fmt.Fprintf(&b, "    l%d_%d:i8 = lutadd(a, b) @lut(lx%d, ly%d+%d);\n", m, r, m, m, r)
+		}
+	}
+	for m := 0; m < 2; m++ {
+		prev := "a"
+		for r := 0; r < 4; r++ {
+			dest := fmt.Sprintf("d%d_%d", m, r)
+			fmt.Fprintf(&b, "    %s:i8 = muladd(a, b, %s) @dsp(dx%d, dy%d+%d);\n", dest, prev, m, m, r)
+			prev = dest
+		}
+	}
+	b.WriteString("}\n")
+	return b.String()
 }

@@ -11,7 +11,8 @@ package csp
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 )
 
 // Var identifies a problem variable.
@@ -44,8 +45,10 @@ func (b *binary) holds(v, w int) bool {
 // Problem is a constraint satisfaction problem under construction.
 // The zero value is an empty problem ready for use.
 type Problem struct {
-	names   []string
-	domains []*domain
+	names []string
+	// vars[v] is v's candidate set and, during a solve, which of its
+	// candidates are still live.
+	vars []liveSet
 	// adj[v] lists binary constraints propagated when v is assigned.
 	adj [][]binary
 	// groups lists all-different groups; member[v] lists group indices.
@@ -74,16 +77,22 @@ type Problem struct {
 // enough that the poll never shows up in solver profiles.
 const interruptStride = 1024
 
-// NewVar adds a variable with the given domain (copied). The solver
-// tries values in ascending order (deterministic low-first packing); the
-// sorted order is computed once here rather than per search node.
+// NewVar adds a variable over the given candidate values (copied; any
+// order, duplicates collapse). The solver tries values in ascending order
+// (deterministic low-first packing).
 func (p *Problem) NewVar(name string, values []int) Var {
-	d := newDomain(values)
+	return p.NewVarIn(name, NewDomain(slices.Clone(values)))
+}
+
+// NewVarIn adds a variable over a prebuilt candidate set. Any number of
+// variables, in any number of problems, may share one Domain: a variable
+// owns only the record of which candidates it still has.
+func (p *Problem) NewVarIn(name string, d *Domain) Var {
 	p.names = append(p.names, name)
-	p.domains = append(p.domains, d)
+	p.vars = append(p.vars, liveSet{dom: d})
 	p.adj = append(p.adj, nil)
 	p.member = append(p.member, nil)
-	return Var(len(p.domains) - 1)
+	return Var(len(p.vars) - 1)
 }
 
 // AddBinary adds a constraint allow(a, b) that must hold between the two
@@ -170,17 +179,23 @@ func (e *ErrInterrupted) Error() string {
 
 // Scratch holds reusable solver buffers. Shrink-pass probe solves build
 // a fresh Problem per probe but recycle one Scratch across all of them,
-// keeping the assignment, bookkeeping, and trail allocations out of the
-// placement hot loop. The zero value is ready for use; a Scratch must
-// not be shared between concurrent solves.
+// keeping the assignment, bookkeeping, liveness and trail allocations out
+// of the placement hot loop. The zero value is ready for use; a Scratch
+// must not be shared between concurrent solves.
 type Scratch struct {
 	assign   []int
 	assigned []bool
 	trail    []trailEntry
+	live     []uint64 // every variable's liveness words, back to back
 }
 
-// grow sizes the buffers for n variables, reusing capacity.
-func (sc *Scratch) grow(n int) {
+// grow sizes the buffers for n variables and words liveness words,
+// reusing capacity.
+func (sc *Scratch) grow(n, words int) {
+	if cap(sc.live) < words {
+		sc.live = make([]uint64, words)
+	}
+	sc.live = sc.live[:words]
 	if cap(sc.assign) < n {
 		sc.assign = make([]int, n)
 	}
@@ -203,7 +218,9 @@ func (p *Problem) Solve() ([]int, error) {
 
 // SolveScratch is Solve with caller-provided scratch buffers (nil is
 // allowed and allocates fresh ones). The returned assignment is always a
-// private copy, so reusing sc for a later solve never clobbers it.
+// private copy, so reusing sc for a later solve never clobbers it. Every
+// solve starts from full domains: liveness lives in the scratch, not in
+// the (shared, immutable) Domains.
 func (p *Problem) SolveScratch(sc *Scratch) ([]int, error) {
 	if p.maxSteps == 0 {
 		p.maxSteps = 2_000_000
@@ -212,15 +229,24 @@ func (p *Problem) SolveScratch(sc *Scratch) ([]int, error) {
 	p.interrupted = false
 	p.hintsTried, p.hintHits = 0, 0
 	// Empty domains are unsatisfiable before search starts.
-	for i, d := range p.domains {
-		if d.size == 0 {
+	words := 0
+	for i := range p.vars {
+		n := p.vars[i].dom.Len()
+		if n == 0 {
 			return nil, &ErrUnsat{Reason: fmt.Sprintf("variable %s has empty domain", p.names[i])}
 		}
+		words += wordsFor(n)
 	}
 	if sc == nil {
 		sc = &Scratch{}
 	}
-	sc.grow(len(p.domains))
+	sc.grow(len(p.vars), words)
+	for i, at := 0, 0; i < len(p.vars); i++ {
+		ls := &p.vars[i]
+		n := wordsFor(ls.dom.Len())
+		ls.reset(sc.live[at : at+n : at+n])
+		at += n
+	}
 	if p.search(sc.assign, sc.assigned, &sc.trail) {
 		out := make([]int, len(sc.assign))
 		copy(out, sc.assign)
@@ -245,9 +271,10 @@ func (p *Problem) SolveScratch(sc *Scratch) ([]int, error) {
 	return nil, &ErrUnsat{Reason: "search exhausted"}
 }
 
+// trailEntry records one pruning: position pos left variable v's live
+// set. Positions, not values, so undo is one bit set with no lookup.
 type trailEntry struct {
-	v   Var
-	val int
+	v, pos int32
 }
 
 func (p *Problem) search(assign []int, assigned []bool, trail *[]trailEntry) bool {
@@ -255,14 +282,13 @@ func (p *Problem) search(assign []int, assigned []bool, trail *[]trailEntry) boo
 	if !ok {
 		return true // all assigned
 	}
-	d := p.domains[v]
-	// Iterate the presorted full domain, skipping values pruned from the
-	// live set. No value can be pruned from v's own domain while v is the
-	// variable being assigned (undo restores all propagation effects
-	// between tries), so the live values seen here are exactly the live
-	// set at node entry — the same values, in the same ascending order,
-	// the old per-node snapshot-and-sort produced, with identical step
-	// accounting and zero allocation.
+	d := &p.vars[v]
+	// Walk the live positions in ascending order. No value can be pruned
+	// from v's own domain while v is the variable being assigned (undo
+	// restores all propagation effects between tries), so the positions
+	// seen here are exactly the live set at node entry — the same values,
+	// in the same ascending order, a per-node snapshot-and-sort would
+	// produce, with zero allocation.
 	hint, hasHint := p.hintFor(v)
 	if hasHint && d.has(hint) {
 		if done, solved := p.tryValue(v, hint, assign, assigned, trail); done {
@@ -271,12 +297,10 @@ func (p *Problem) search(assign []int, assigned []bool, trail *[]trailEntry) boo
 	} else {
 		hasHint = false
 	}
-	for _, val := range d.sorted {
+	for i := d.next(0); i >= 0; i = d.next(i + 1) {
+		val := d.dom.vals[i]
 		if hasHint && val == hint {
 			continue // already tried first
-		}
-		if !d.has(val) {
-			continue
 		}
 		if done, solved := p.tryValue(v, val, assign, assigned, trail); done {
 			return solved
@@ -315,11 +339,11 @@ func (p *Problem) tryValue(v Var, val int, assign []int, assigned []bool, trail 
 func (p *Problem) pickVar(assigned []bool) (Var, bool) {
 	best := -1
 	bestSize := 1 << 62
-	for i := range p.domains {
+	for i := range p.vars {
 		if assigned[i] {
 			continue
 		}
-		if s := p.domains[i].size; s < bestSize {
+		if s := p.vars[i].size; s < bestSize {
 			best, bestSize = i, s
 			if s <= 1 {
 				break
@@ -344,7 +368,7 @@ func (p *Problem) propagate(v Var, val int, assigned []bool, trail *[]trailEntry
 			if assigned[w] {
 				continue // consistency with assigned peers was enforced when they were assigned
 			}
-			if p.remove(w, val, trail) && p.domains[w].size == 0 {
+			if p.remove(w, val, trail) && p.vars[w].size == 0 {
 				return false
 			}
 		}
@@ -356,11 +380,15 @@ func (p *Problem) propagate(v Var, val int, assigned []bool, trail *[]trailEntry
 		if assigned[w] {
 			continue
 		}
-		d := p.domains[w]
-		// Iterate backwards over the live prefix so removals are safe.
-		for i := d.size - 1; i >= 0; i-- {
-			if !bc.holds(val, d.vals[i]) {
-				p.removeAt(w, i, trail)
+		d := &p.vars[w]
+		// Word by word over a copy of each word, so clearing bits in the
+		// live set underneath is safe: O(words + live) per constraint.
+		for k, word := range d.live {
+			for ; word != 0; word &= word - 1 {
+				i := k<<6 + bits.TrailingZeros64(word)
+				if !bc.holds(val, d.dom.vals[i]) {
+					p.removeAt(w, i, trail)
+				}
 			}
 		}
 		if d.size == 0 {
@@ -371,9 +399,9 @@ func (p *Problem) propagate(v Var, val int, assigned []bool, trail *[]trailEntry
 }
 
 func (p *Problem) remove(v Var, val int, trail *[]trailEntry) bool {
-	d := p.domains[v]
-	i, ok := d.idx[val]
-	if !ok || i >= d.size {
+	d := &p.vars[v]
+	i := d.dom.index(val)
+	if i < 0 || !d.hasAt(i) {
 		return false
 	}
 	p.removeAt(v, i, trail)
@@ -381,71 +409,129 @@ func (p *Problem) remove(v Var, val int, trail *[]trailEntry) bool {
 }
 
 func (p *Problem) removeAt(v Var, i int, trail *[]trailEntry) {
-	d := p.domains[v]
-	val := d.vals[i]
-	d.swapOut(i)
-	*trail = append(*trail, trailEntry{v: v, val: val})
+	p.vars[v].clear(i)
+	*trail = append(*trail, trailEntry{v: int32(v), pos: int32(i)})
 }
 
 func (p *Problem) undo(trail *[]trailEntry, mark int) {
 	t := *trail
-	for len(t) > mark {
-		e := t[len(t)-1]
-		t = t[:len(t)-1]
-		p.domains[e.v].restore(e.val)
+	for _, e := range t[mark:] {
+		p.vars[e.v].set(int(e.pos))
 	}
-	*trail = t
+	*trail = t[:mark]
 }
 
-// domain is a set of ints with O(1) removal and restoration via the
-// swap-to-back trick. sorted is the full domain in ascending order,
-// computed once at construction: the search walks it (skipping pruned
-// values) instead of snapshotting and sorting the live set per node.
-type domain struct {
-	vals   []int
-	sorted []int
-	idx    map[int]int
-	size   int
+// Domain is an immutable set of candidate values, built once and shared:
+// the values in ascending order, plus an index from value to position.
+// It carries no solver state, so one Domain may back any number of
+// variables in any number of concurrently solved problems — placement
+// builds one per cluster shape rather than one per cluster.
+type Domain struct {
+	vals []int // ascending, distinct
+	// dense[val-vals[0]] is val's position in vals, or -1. nil when the
+	// values are too spread out for a table; index then binary-searches.
+	dense []int32
 }
 
-func newDomain(values []int) *domain {
-	d := &domain{
-		vals:   append([]int(nil), values...),
-		sorted: append([]int(nil), values...),
-		idx:    make(map[int]int, len(values)),
-		size:   len(values),
+// denseSpan is the widest value range that always gets a dense index;
+// wider ranges get one only while it stays within 8 entries per value.
+const denseSpan = 1 << 16
+
+// NewDomain builds the candidate set of the given values (any order,
+// duplicates collapse). It takes ownership of the slice: the caller must
+// not touch it afterwards.
+func NewDomain(values []int) *Domain {
+	if !slices.IsSorted(values) {
+		slices.Sort(values)
 	}
-	sort.Ints(d.sorted)
+	d := &Domain{vals: slices.Compact(values)}
+	n := len(d.vals)
+	if n == 0 {
+		return d
+	}
+	span := uint(d.vals[n-1]-d.vals[0]) + 1 // 0 when the range overflows
+	if span == 0 || span > uint(max(denseSpan, 8*n)) {
+		return d
+	}
+	d.dense = make([]int32, span)
+	for i := range d.dense {
+		d.dense[i] = -1
+	}
 	for i, v := range d.vals {
-		d.idx[v] = i
+		d.dense[v-d.vals[0]] = int32(i)
 	}
 	return d
 }
 
-func (d *domain) has(v int) bool {
-	i, ok := d.idx[v]
-	return ok && i < d.size
-}
+// Len reports how many candidates the domain holds.
+func (d *Domain) Len() int { return len(d.vals) }
 
-// swapOut moves the value at live index i past the live boundary.
-func (d *domain) swapOut(i int) {
-	last := d.size - 1
-	a, b := d.vals[i], d.vals[last]
-	d.vals[i], d.vals[last] = b, a
-	d.idx[a], d.idx[b] = last, i
-	d.size--
-}
-
-// restore brings back the most recently removed value val. Restorations
-// happen in reverse removal order (LIFO trail), so val sits exactly at
-// index d.size.
-func (d *domain) restore(val int) {
-	if d.vals[d.size] != val {
-		// Defensive: locate and swap into position.
-		i := d.idx[val]
-		a, b := d.vals[d.size], d.vals[i]
-		d.vals[d.size], d.vals[i] = b, a
-		d.idx[a], d.idx[b] = i, d.size
+// index returns val's position in the ascending order, or -1.
+func (d *Domain) index(val int) int {
+	if d.dense != nil {
+		if off := uint(val - d.vals[0]); off < uint(len(d.dense)) {
+			return int(d.dense[off])
+		}
+		return -1
 	}
-	d.size++
+	if i, ok := slices.BinarySearch(d.vals, val); ok {
+		return i
+	}
+	return -1
+}
+
+// liveSet is one variable's state: which positions of its Domain are
+// still candidates (bit i of live = dom.vals[i] is live) and how many.
+// Pruning clears a bit, undo sets it back; nothing is moved or copied.
+type liveSet struct {
+	dom  *Domain
+	live []uint64
+	size int
+}
+
+func wordsFor(n int) int { return (n + 63) >> 6 }
+
+// reset makes every candidate live, taking words as the bit storage.
+func (s *liveSet) reset(words []uint64) {
+	n := s.dom.Len()
+	for i := range words {
+		words[i] = ^uint64(0)
+	}
+	if tail := n & 63; tail != 0 {
+		words[len(words)-1] = 1<<tail - 1
+	}
+	s.live, s.size = words, n
+}
+
+func (s *liveSet) hasAt(i int) bool { return s.live[i>>6]&(1<<(i&63)) != 0 }
+
+func (s *liveSet) has(val int) bool {
+	i := s.dom.index(val)
+	return i >= 0 && s.hasAt(i)
+}
+
+func (s *liveSet) clear(i int) {
+	s.live[i>>6] &^= 1 << (i & 63)
+	s.size--
+}
+
+func (s *liveSet) set(i int) {
+	s.live[i>>6] |= 1 << (i & 63)
+	s.size++
+}
+
+// next returns the lowest live position >= from, or -1.
+func (s *liveSet) next(from int) int {
+	k := from >> 6
+	if k >= len(s.live) {
+		return -1
+	}
+	word := s.live[k] &^ (1<<(from&63) - 1)
+	for word == 0 {
+		if k++; k == len(s.live) {
+			return -1
+		}
+		word = s.live[k]
+	}
+	return k<<6 + bits.TrailingZeros64(word)
 }

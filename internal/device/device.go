@@ -29,8 +29,24 @@ type Device struct {
 	// UltraScale-like parts).
 	LutsPerSlice int
 
-	cols   []Column
-	byPrim map[ir.Resource][]int // per-prim column index -> global column index
+	cols []Column
+	// byPrim[p] maps a per-prim column index to the global column index.
+	// An array, not a map: NumCols/Capacity/SliceID sit on placement's
+	// hottest paths, and hashing a one-byte key there was the top frame
+	// of a LUT-class compile.
+	byPrim [numPrims][]int
+}
+
+// numPrims sizes tables indexed by ir.Resource (ResDsp is the last kind).
+const numPrims = int(ir.ResDsp) + 1
+
+// colsOf lists the global columns of the given primitive kind (nil for a
+// kind no column can hold).
+func (d *Device) colsOf(p ir.Resource) []int {
+	if int(p) >= numPrims {
+		return nil
+	}
+	return d.byPrim[p]
 }
 
 // New builds a device from an explicit global column arrangement.
@@ -46,7 +62,6 @@ func New(name string, height, lutsPerSlice int, cols []Column) (*Device, error) 
 		Height:       height,
 		LutsPerSlice: lutsPerSlice,
 		cols:         append([]Column(nil), cols...),
-		byPrim:       make(map[ir.Resource][]int),
 	}
 	for gi, c := range cols {
 		if c.Prim != ir.ResLut && c.Prim != ir.ResDsp {
@@ -92,17 +107,17 @@ func XCZU3EG() *Device {
 }
 
 // NumCols returns the number of columns of the given primitive kind.
-func (d *Device) NumCols(p ir.Resource) int { return len(d.byPrim[p]) }
+func (d *Device) NumCols(p ir.Resource) int { return len(d.colsOf(p)) }
 
 // Capacity returns the total number of slices of the given kind.
-func (d *Device) Capacity(p ir.Resource) int { return len(d.byPrim[p]) * d.Height }
+func (d *Device) Capacity(p ir.Resource) int { return d.NumCols(p) * d.Height }
 
 // LutCapacity returns the total number of LUTs on the device.
 func (d *Device) LutCapacity() int { return d.Capacity(ir.ResLut) * d.LutsPerSlice }
 
 // GlobalX maps a per-primitive column index to the global die column.
 func (d *Device) GlobalX(p ir.Resource, x int) (int, error) {
-	cols := d.byPrim[p]
+	cols := d.colsOf(p)
 	if x < 0 || x >= len(cols) {
 		return 0, fmt.Errorf("device %s: %s column %d out of range [0,%d)",
 			d.Name, p, x, len(cols))

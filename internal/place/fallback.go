@@ -58,6 +58,7 @@ func greedySolve(clusters []*cluster, dev *device.Device, bounds map[ir.Resource
 	})
 
 	occupied := map[ir.Resource]map[[2]int]bool{}
+	domains := map[shape][]int{} // one anchor list per cluster shape
 	sol := make([]int, len(clusters))
 	for _, ci := range order {
 		c := clusters[ci]
@@ -66,8 +67,14 @@ func greedySolve(clusters []*cluster, dev *device.Device, bounds map[ir.Resource
 			taken = map[[2]int]bool{}
 			occupied[c.prim] = taken
 		}
+		sh := c.shape()
+		dom, ok := domains[sh]
+		if !ok {
+			dom = anchorDomain(dev, sh, bounds[c.prim])
+			domains[sh] = dom
+		}
 		placed := false
-		for _, anchor := range anchorDomain(dev, c, bounds[c.prim]) {
+		for _, anchor := range dom {
 			ax, ay := dev.SliceCoords(anchor)
 			free := true
 			for _, m := range c.members {

@@ -217,7 +217,11 @@ func PlaceContext(ctx context.Context, f *asm.Func, dev *device.Device, opts Opt
 		return res, nil
 	}
 
-	sol, steps, err := solve(clusters, dev, full, opts.MaxSteps, interrupt)
+	// Every solve of this placement — the full one and the shrink probes,
+	// which cover only the probed primitive's clusters (constraints never
+	// couple primitives) — recycles one scratch.
+	var scratch csp.Scratch
+	sol, steps, err := solve(clusters, dev, full, opts.MaxSteps, interrupt, &scratch)
 	totalSteps := steps
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
@@ -258,10 +262,7 @@ func PlaceContext(ctx context.Context, f *asm.Func, dev *device.Device, opts Opt
 			interrupted = true
 			interruptCause = ferr
 		}
-		// Probe solves recycle one scratch across the whole pass and
-		// cover only the probed primitive's clusters (constraints never
-		// couple primitives), warm-started from the current solution.
-		var scratch csp.Scratch
+		// Probes are warm-started from the current solution.
 		for _, prim := range []ir.Resource{ir.ResDsp, ir.ResLut} {
 			if counts[prim] == 0 || interrupted {
 				continue
@@ -551,8 +552,8 @@ func makeCluster(group []placeInfo) (*cluster, error) {
 // bounds, returning the anchor slice id chosen for each cluster.
 // interrupt (nil = never) is polled mid-search so deadlines abort long
 // solves promptly.
-func solve(clusters []*cluster, dev *device.Device, bounds map[ir.Resource][2]int, maxSteps int, interrupt func() bool) ([]int, int, error) {
-	sol, st, err := solveSubset(clusters, nil, dev, bounds, maxSteps, interrupt, nil, nil)
+func solve(clusters []*cluster, dev *device.Device, bounds map[ir.Resource][2]int, maxSteps int, interrupt func() bool, sc *csp.Scratch) ([]int, int, error) {
+	sol, st, err := solveSubset(clusters, nil, dev, bounds, maxSteps, interrupt, nil, sc)
 	return sol, st.steps, err
 }
 
@@ -600,20 +601,30 @@ func solveSubset(clusters []*cluster, subset []int, dev *device.Device, bounds m
 	}
 	vars := make([]csp.Var, len(clusters))
 	inSubset := make([]bool, len(clusters))
+	isMacro := make([]bool, len(clusters))
 	singles := map[ir.Resource][]csp.Var{}
 	var macros []int
 	var hints []int
+	// One candidate set per distinct cluster shape, shared by every cluster
+	// of that shape: a kernel's hundreds of unconstrained LUT singletons all
+	// range over the same slices.
+	domains := map[shape]*csp.Domain{}
 
 	for _, ci := range subset {
 		c := clusters[ci]
 		inSubset[ci] = true
-		dom := anchorDomain(dev, c, bounds[c.prim])
-		if len(dom) == 0 {
+		sh := c.shape()
+		dom, ok := domains[sh]
+		if !ok {
+			dom = csp.NewDomain(anchorDomain(dev, sh, bounds[c.prim]))
+			domains[sh] = dom
+		}
+		if dom.Len() == 0 {
 			return nil, solveStats{}, &csp.ErrUnsat{Reason: fmt.Sprintf(
 				"cluster at %s has no feasible anchor within bounds %dx%d on %s",
 				c.members[0].dest, bounds[c.prim][0], bounds[c.prim][1], c.prim)}
 		}
-		vars[ci] = p.NewVar(c.members[0].dest, dom)
+		vars[ci] = p.NewVarIn(c.members[0].dest, dom)
 		if prev != nil {
 			hints = append(hints, prev[ci])
 		}
@@ -621,6 +632,7 @@ func solveSubset(clusters []*cluster, subset []int, dev *device.Device, bounds m
 			singles[c.prim] = append(singles[c.prim], vars[ci])
 		} else {
 			macros = append(macros, ci)
+			isMacro[ci] = true
 		}
 	}
 	if prev != nil {
@@ -643,7 +655,7 @@ func solveSubset(clusters []*cluster, subset []int, dev *device.Device, bounds m
 			if cj == mi || oc.prim != mc.prim {
 				continue
 			}
-			if cj < mi && containsInt(macros, cj) {
+			if cj < mi && isMacro[cj] {
 				continue // macro-macro pairs added once
 			}
 			a, b := mc, oc
@@ -711,31 +723,42 @@ func revalidate(clusters []*cluster, dev *device.Device, sol []int, bounds map[i
 	return true
 }
 
-// anchorDomain enumerates the anchor slices keeping every member of the
-// cluster within the device and the active bounds.
-func anchorDomain(dev *device.Device, c *cluster, b [2]int) []int {
-	maxX, maxY := b[0], b[1]
-	if maxX > dev.NumCols(c.prim) {
-		maxX = dev.NumCols(c.prim)
+// shape is everything about a cluster that decides which anchors are
+// feasible for it: clusters of equal shape have equal anchor domains under
+// equal bounds.
+type shape struct {
+	prim                   ir.Resource
+	minX, maxX, minY, maxY int
+	xlit, ylit             int // a singleton's literal coordinate, or -1
+}
+
+func (c *cluster) shape() shape {
+	m0 := c.members[0] // only a singleton's member carries literals
+	return shape{c.prim, c.minX, c.maxX, c.minY, c.maxY, m0.xlit, m0.ylit}
+}
+
+// anchorDomain enumerates, in ascending slice-id order, the anchor slices
+// keeping every member of a cluster of the given shape within the device
+// and the active bounds.
+func anchorDomain(dev *device.Device, sh shape, b [2]int) []int {
+	cols, height := dev.NumCols(sh.prim), dev.Height
+	maxX, maxY := min(b[0], cols), min(b[1], height)
+	// The anchor itself must name a slice, whatever the offsets around it.
+	x0, x1 := max(-sh.minX, 0), min(maxX-sh.maxX, cols)
+	y0, y1 := max(-sh.minY, 0), min(maxY-sh.maxY, height)
+	if sh.xlit >= 0 {
+		x0, x1 = max(x0, sh.xlit), min(x1, sh.xlit+1)
 	}
-	if maxY > dev.Height {
-		maxY = dev.Height
+	if sh.ylit >= 0 {
+		y0, y1 = max(y0, sh.ylit), min(y1, sh.ylit+1)
 	}
-	m0 := c.members[0]
-	var dom []int
-	for x := -c.minX; x+c.maxX < maxX; x++ {
-		if c.singleton() && m0.xlit >= 0 && x != m0.xlit {
-			continue
-		}
-		for y := -c.minY; y+c.maxY < maxY; y++ {
-			if c.singleton() && m0.ylit >= 0 && y != m0.ylit {
-				continue
-			}
-			id, err := dev.SliceID(c.prim, x, y)
-			if err != nil {
-				continue
-			}
-			dom = append(dom, id)
+	if x0 >= x1 || y0 >= y1 {
+		return nil
+	}
+	dom := make([]int, 0, (x1-x0)*(y1-y0))
+	for x := x0; x < x1; x++ {
+		for y := y0; y < y1; y++ {
+			dom = append(dom, x*height+y) // device.SliceID, bounds already checked
 		}
 	}
 	return dom
@@ -758,15 +781,6 @@ func clustersOverlap(a, b *cluster, av, bv int, height int) bool {
 			if ax+ma.xoff == bx+mb.xoff && ay+ma.yoff == by+mb.yoff {
 				return true
 			}
-		}
-	}
-	return false
-}
-
-func containsInt(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
 		}
 	}
 	return false

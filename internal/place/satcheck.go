@@ -106,7 +106,7 @@ func PlaceSAT(f *asm.Func, dev *device.Device) (map[string]Slot, error) {
 	domains := make([][]int, len(clusters))
 
 	for ci, c := range clusters {
-		dom := anchorDomain(dev, c, bounds[c.prim])
+		dom := anchorDomain(dev, c.shape(), bounds[c.prim])
 		if len(dom) == 0 {
 			return nil, fmt.Errorf("place: cluster at %s has no feasible anchor", c.members[0].dest)
 		}

@@ -119,7 +119,7 @@ func TestRevalidateAgreesWithOracle(t *testing.T) {
 		ir.ResLut: {d.NumCols(ir.ResLut), d.Height},
 		ir.ResDsp: {d.NumCols(ir.ResDsp), d.Height},
 	}
-	sol, _, err := solve(clusters, d, full, 0, nil)
+	sol, _, err := solve(clusters, d, full, 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,6 +28,7 @@ package shard
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -66,6 +67,9 @@ type attemptResult struct {
 	body       []byte
 	retryAfter string
 	err        error
+	// ownBudget: the deadline stamped on this attempt was the request's
+	// own, not the tighter per-attempt ProxyTimeout.
+	ownBudget bool
 }
 
 // proxyWalk is the per-request state of one proxyKernel ring walk.
@@ -90,7 +94,10 @@ type proxyWalk struct {
 // feeds its breaker, and re-hashes onto the next peer; only when every
 // pass is exhausted does the request fail with a typed transient error
 // the client can retry. Backend 502/503/504 answers count as refusals
-// too (a draining or overloaded peer re-hashes); every other status,
+// too (a draining or overloaded peer re-hashes) — except a backend's
+// typed 504 deadline_exceeded on the request's own budget, which ends
+// the walk as the router's typed 504 deadline_exhausted, penalty-free
+// (see classify); every other status,
 // including 429 (relayed with its Retry-After — re-hashing a shed would
 // amplify load on an overloaded ring) and per-kernel 4xx/422/500, is
 // the backend's authoritative answer and is relayed as-is.
@@ -316,6 +323,16 @@ func (w *proxyWalk) classify(res attemptResult) (proxyOutcome, bool) {
 		w.lastErr = res.err
 		return proxyOutcome{}, false
 	}
+	if res.ownBudget && backendDeadlineExceeded(res) {
+		// A healthy backend reporting that the budget this router stamped
+		// on the attempt ran out: the client's story, like a request that
+		// died in flight. No breaker sample, no re-hash — a peer would
+		// only say the same — and never an outage: the walk ends in the
+		// typed 504.
+		w.budgetErr = rerr.DeadlineBudget("deadline_exhausted",
+			"deadline budget exhausted while a backend was serving the request")
+		return proxyOutcome{}, false
+	}
 	if res.status == http.StatusBadGateway || res.status == http.StatusServiceUnavailable ||
 		res.status == http.StatusGatewayTimeout {
 		b.br.Record(false)
@@ -334,6 +351,17 @@ func (w *proxyWalk) classify(res attemptResult) (proxyOutcome, bool) {
 		return proxyOutcome{status: res.status, body: res.body, retryAfter: res.retryAfter}, true
 	}
 	return proxyOutcome{status: res.status, body: res.body}, true
+}
+
+// backendDeadlineExceeded reports whether res is a backend's typed 504
+// deadline_exceeded: its own fail-fast on the X-Reticle-Deadline it was
+// handed, as opposed to a bare 504 from a proxy or a wedged process.
+func backendDeadlineExceeded(res attemptResult) bool {
+	if res.status != http.StatusGatewayTimeout {
+		return false
+	}
+	var er server.ErrorResponse
+	return json.Unmarshal(res.body, &er) == nil && er.ErrorCode == "deadline_exceeded"
 }
 
 // postAttempt performs one proxy attempt against backend bi, stamping
@@ -364,6 +392,8 @@ func (rt *Router) postAttempt(ctx context.Context, bi int, hedged bool, path str
 	req.Header.Set("Content-Type", "application/json")
 	if dl, ok := actx.Deadline(); ok {
 		req.Header.Set(server.DeadlineHeader, strconv.FormatInt(dl.UnixMilli(), 10))
+		cdl, cok := ctx.Deadline()
+		res.ownBudget = cok && !dl.Before(cdl)
 	}
 	resp, err := rt.client.Do(req)
 	if err != nil {

@@ -524,22 +524,74 @@ func TestDeadlineExhaustedFailsFast(t *testing.T) {
 	}
 }
 
-// TestDeadlinePropagatesToBackend: end to end across real tiers — the
-// router's stamped header becomes the backend's context deadline, so an
-// already-expired budget comes back as the backend's typed 504, relayed
-// verbatim (504 is a refusal: the router re-hashes, then runs out of
-// peers — but the client's error stays typed, never a panic or a hang).
-func TestDeadlinePropagatesToBackend(t *testing.T) {
-	_, urls := newBackends(t, 1)
-	rt := newRouter(t, reticle.ShardOptions{Backends: urls})
+// deadline504 answers like a healthy backend whose X-Reticle-Deadline
+// budget ran out: the server's typed fail-fast 504.
+func deadline504(w http.ResponseWriter, r *http.Request) {
+	io.Copy(io.Discard, r.Body)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusGatewayTimeout)
+	json.NewEncoder(w).Encode(server.ErrorResponse{
+		Error:     "cross-tier deadline budget exhausted before the request could start",
+		Code:      http.StatusGatewayTimeout,
+		ErrorCode: "deadline_exceeded",
+		Class:     "transient",
+	})
+}
 
-	// A 3ms budget admits the dispatch (above the 2ms floor) but is
-	// almost certainly gone by the time the backend derives its compile
-	// context; either tier may be the one that calls it, but the client
-	// must see a typed 504 or the compile must win the race and be 200.
+// TestDeadlinePropagatesToBackend: a backend's typed 504
+// deadline_exceeded — the budget the router itself stamped running out —
+// is the client's story, not a refusal. The router used to score it
+// against the backend's breaker, re-hash, run out of peers and answer a
+// 503 no_live_backends outage on a perfectly healthy ring. A stub that
+// always answers the typed 504 makes that deterministic; the second half
+// runs the same budget race end to end across real tiers.
+func TestDeadlinePropagatesToBackend(t *testing.T) {
+	const minSamples = 2
+	a := newStub(t, deadline504)
+	rt := newRouter(t, reticle.ShardOptions{
+		Backends: []string{a.srv.URL},
+		Breaker: breaker.Options{
+			Window: 8, MinSamples: minSamples, FailureRate: 0.5, OpenFor: time.Hour,
+		},
+	})
+	for i := 0; i < 6; i++ {
+		var er server.ErrorResponse
+		code := post(t, rt, "/compile", server.CompileRequest{IR: maccSrc, TimeoutMS: 5000}, &er)
+		if code != http.StatusGatewayTimeout || er.ErrorCode != "deadline_exhausted" {
+			t.Fatalf("request %d: status %d %+v, want the typed 504 deadline_exhausted", i, code, er)
+		}
+	}
+	st := routerStats(t, rt)
+	if st.Router.Outages != 0 || st.Router.Rehashes != 0 {
+		t.Fatalf("typed backend 504s counted as %d outages, %d rehashes; want none",
+			st.Router.Outages, st.Router.Rehashes)
+	}
+	if br := st.Backends[0].Breaker; br.State != "closed" || br.Trips != 0 {
+		t.Fatalf("breaker %+v after typed 504s, want closed and never tripped", br)
+	}
+	// The same answer to a request that carries no deadline of its own can
+	// only mean the per-attempt proxy timeout ran out on the backend: still
+	// a refusal, still scored. That the breaker trips after exactly
+	// minSamples of them also shows the window above was left untouched,
+	// not merely kept under the failure rate: six recorded successes would
+	// make this 2 failures in 8.
+	for i := 0; i < minSamples; i++ {
+		if code := post(t, rt, "/compile", server.CompileRequest{IR: maccSrc}, nil); code != http.StatusServiceUnavailable {
+			t.Fatalf("typed 504 without a request deadline: status %d, want the 503 outage of a refusing ring", code)
+		}
+	}
+	if br := routerStats(t, rt).Backends[0].Breaker; br.Trips != 1 {
+		t.Fatalf("breaker %+v after %d refusals, want exactly one trip", br, minSamples)
+	}
+
+	// Real tiers: a 3ms budget admits the dispatch (above the 2ms floor)
+	// but is almost certainly gone by the time the backend derives its
+	// compile context. Either tier may be the one that calls it, but the
+	// client must see a typed 504, or the compile wins the race with a 200.
+	_, urls := newBackends(t, 1)
+	real := newRouter(t, reticle.ShardOptions{Backends: urls})
 	var er server.ErrorResponse
-	code := post(t, rt, "/compile", server.CompileRequest{IR: maccSrc, TimeoutMS: 3}, &er)
-	switch code {
+	switch code := post(t, real, "/compile", server.CompileRequest{IR: maccSrc, TimeoutMS: 3}, &er); code {
 	case http.StatusOK:
 		// The compile beat a 3ms budget — legal, just unhelpful.
 	case http.StatusGatewayTimeout:
@@ -548,6 +600,9 @@ func TestDeadlinePropagatesToBackend(t *testing.T) {
 		}
 	default:
 		t.Fatalf("tiny budget: status %d, want 200 or 504: %s", code, er.Error)
+	}
+	if n := routerStats(t, real).Router.Outages; n != 0 {
+		t.Fatalf("tiny budget counted as %d outages on a healthy ring", n)
 	}
 }
 

@@ -2,37 +2,92 @@ package verilog
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
 // String renders the module as Verilog source.
 func (m *Module) String() string {
-	var b strings.Builder
-	p := printer{b: &b}
+	var p printer
 	p.module(m)
-	return b.String()
+	return p.b.String()
 }
 
+// ExprString renders an expression.
+func ExprString(e Expr) string {
+	var p printer
+	p.expr(e)
+	return p.b.String()
+}
+
+// printer appends Verilog text to one builder. Nothing on the way goes
+// through fmt or an intermediate string: once placement stopped copying
+// domains, formatting every connection of every instance with Sprintf and
+// Join was the largest frame of a LUT-class compile. Only the "unknown
+// node" fallbacks, which no well-formed module reaches, still use fmt.
 type printer struct {
-	b      *strings.Builder
+	b      strings.Builder
 	indent int
+	num    [32]byte // scratch for strconv.Append*
 }
 
-func (p *printer) line(format string, args ...interface{}) {
-	p.b.WriteString(strings.Repeat("    ", p.indent))
-	fmt.Fprintf(p.b, format, args...)
-	p.b.WriteByte('\n')
+func (p *printer) str(s string)   { p.b.WriteString(s) }
+func (p *printer) int(v int64)    { p.b.Write(strconv.AppendInt(p.num[:0], v, 10)) }
+func (p *printer) quote(s string) { p.b.Write(strconv.AppendQuote(p.num[:0], s)) }
+
+// open starts a line at the current indent; nl ends it.
+func (p *printer) open() {
+	for i := 0; i < p.indent; i++ {
+		p.b.WriteString("    ")
+	}
+}
+
+func (p *printer) nl() { p.b.WriteByte('\n') }
+
+// line writes one indented line of fixed text.
+func (p *printer) line(s string) {
+	p.open()
+	p.str(s)
+	p.nl()
+}
+
+// block writes the statements one level in, then tail (if any) on a line
+// of its own at the outer level.
+func (p *printer) block(stmts []Stmt, tail string) {
+	p.indent++
+	for _, s := range stmts {
+		p.stmt(s)
+	}
+	p.indent--
+	if tail != "" {
+		p.line(tail)
+	}
 }
 
 func (p *printer) module(m *Module) {
 	if len(m.Attrs) > 0 {
-		p.line("%s", attrText(m.Attrs))
+		p.open()
+		p.attrs(m.Attrs)
+		p.nl()
 	}
-	var ports []string
-	for _, port := range m.Ports {
-		ports = append(ports, portText(port))
+	p.open()
+	p.str("module ")
+	p.str(m.Name)
+	p.str("(")
+	for i, port := range m.Ports {
+		if i > 0 {
+			p.str(", ")
+		}
+		p.str(port.Dir.String())
+		if port.Reg {
+			p.str(" reg")
+		}
+		p.width(port.Width)
+		p.str(" ")
+		p.str(port.Name)
 	}
-	p.line("module %s(%s);", m.Name, strings.Join(ports, ", "))
+	p.str(");")
+	p.nl()
 	p.indent++
 	for _, item := range m.Items {
 		p.item(item)
@@ -41,202 +96,256 @@ func (p *printer) module(m *Module) {
 	p.line("endmodule")
 }
 
-func portText(port Port) string {
-	var b strings.Builder
-	b.WriteString(port.Dir.String())
-	if port.Reg {
-		b.WriteString(" reg")
+// attrs writes (* k = "v", ... *).
+func (p *printer) attrs(attrs []Attr) {
+	p.str("(* ")
+	for i, a := range attrs {
+		if i > 0 {
+			p.str(", ")
+		}
+		p.str(a.Key)
+		p.str(" = ")
+		p.quote(a.Value)
 	}
-	if port.Width > 1 {
-		fmt.Fprintf(&b, " [%d:0]", port.Width-1)
-	}
-	b.WriteByte(' ')
-	b.WriteString(port.Name)
-	return b.String()
+	p.str(" *)")
 }
 
-func attrText(attrs []Attr) string {
-	var parts []string
-	for _, a := range attrs {
-		parts = append(parts, fmt.Sprintf("%s = %q", a.Key, a.Value))
-	}
-	return "(* " + strings.Join(parts, ", ") + " *)"
-}
-
-func widthText(width int) string {
+// width writes " [w-1:0]" for vectors and nothing for single bits.
+func (p *printer) width(width int) {
 	if width > 1 {
-		return fmt.Sprintf(" [%d:0]", width-1)
+		p.str(" [")
+		p.int(int64(width - 1))
+		p.str(":0]")
 	}
-	return ""
 }
 
 func (p *printer) item(item Item) {
 	switch it := item.(type) {
 	case Wire:
-		p.line("wire%s %s;", widthText(it.Width), it.Name)
+		p.open()
+		p.str("wire")
+		p.width(it.Width)
+		p.str(" ")
+		p.str(it.Name)
+		p.str(";")
+		p.nl()
 	case Reg:
+		p.open()
+		p.str("reg")
+		p.width(it.Width)
+		p.str(" ")
+		p.str(it.Name)
 		if it.HasInit {
-			p.line("reg%s %s = %s;", widthText(it.Width), it.Name,
-				ExprString(HexLit(it.Width, uint64(it.Init))))
-		} else {
-			p.line("reg%s %s;", widthText(it.Width), it.Name)
+			p.str(" = ")
+			p.expr(HexLit(it.Width, uint64(it.Init)))
 		}
+		p.str(";")
+		p.nl()
 	case Assign:
-		p.line("assign %s = %s;", ExprString(it.LHS), ExprString(it.RHS))
+		p.open()
+		p.str("assign ")
+		p.assign(it.LHS, " = ", it.RHS)
 	case Instance:
 		p.instance(it)
 	case AlwaysFF:
-		p.line("always @(posedge %s) begin", it.Clock)
-		p.indent++
-		for _, s := range it.Stmts {
-			p.stmt(s)
-		}
-		p.indent--
-		p.line("end")
+		p.open()
+		p.str("always @(posedge ")
+		p.str(it.Clock)
+		p.str(") begin")
+		p.nl()
+		p.block(it.Stmts, "end")
 	case AlwaysComb:
 		p.line("always @* begin")
-		p.indent++
-		for _, s := range it.Stmts {
-			p.stmt(s)
-		}
-		p.indent--
-		p.line("end")
+		p.block(it.Stmts, "end")
 	case Comment:
-		p.line("// %s", string(it))
+		p.open()
+		p.str("// ")
+		p.str(string(it))
+		p.nl()
 	case Raw:
-		for _, ln := range strings.Split(strings.TrimRight(string(it), "\n"), "\n") {
-			p.line("%s", ln)
+		rest, more := strings.TrimRight(string(it), "\n"), true
+		for more {
+			var ln string
+			ln, rest, more = strings.Cut(rest, "\n")
+			p.line(ln)
 		}
 	default:
-		p.line("// verilog: unknown item %T", item)
+		p.line(fmt.Sprintf("// verilog: unknown item %T", item))
 	}
+}
+
+// assign finishes an already opened line with `lhs op rhs;`.
+func (p *printer) assign(lhs Expr, op string, rhs Expr) {
+	p.expr(lhs)
+	p.str(op)
+	p.expr(rhs)
+	p.str(";")
+	p.nl()
 }
 
 func (p *printer) instance(it Instance) {
 	if len(it.Attrs) > 0 {
-		p.line("%s", attrText(it.Attrs))
+		p.open()
+		p.attrs(it.Attrs)
+		p.nl()
 	}
-	head := it.Module
+	p.open()
+	p.str(it.Module)
 	if len(it.Params) > 0 {
-		head += " # (" + connText(it.Params) + ")"
+		p.str(" # (")
+		p.conns(it.Params)
+		p.str(")")
 	}
-	p.line("%s", head)
+	p.nl()
 	p.indent++
-	p.line("%s (%s);", it.Name, connText(it.Ports))
+	p.open()
+	p.str(it.Name)
+	p.str(" (")
+	p.conns(it.Ports)
+	p.str(");")
+	p.nl()
 	p.indent--
 }
 
-func connText(conns []Connection) string {
-	var parts []string
-	for _, c := range conns {
-		parts = append(parts, fmt.Sprintf(".%s(%s)", c.Name, ExprString(c.Expr)))
+// conns writes .name(expr), ...
+func (p *printer) conns(conns []Connection) {
+	for i, c := range conns {
+		if i > 0 {
+			p.str(", ")
+		}
+		p.str(".")
+		p.str(c.Name)
+		p.str("(")
+		p.expr(c.Expr)
+		p.str(")")
 	}
-	return strings.Join(parts, ", ")
 }
 
 func (p *printer) stmt(s Stmt) {
 	switch st := s.(type) {
 	case NonBlocking:
-		p.line("%s <= %s;", ExprString(st.LHS), ExprString(st.RHS))
+		p.open()
+		p.assign(st.LHS, " <= ", st.RHS)
 	case Blocking:
-		p.line("%s = %s;", ExprString(st.LHS), ExprString(st.RHS))
+		p.open()
+		p.assign(st.LHS, " = ", st.RHS)
 	case If:
-		p.line("if (%s) begin", ExprString(st.Cond))
-		p.indent++
-		for _, t := range st.Then {
-			p.stmt(t)
-		}
-		p.indent--
+		p.open()
+		p.str("if (")
+		p.expr(st.Cond)
+		p.str(") begin")
+		p.nl()
+		p.block(st.Then, "")
 		if len(st.Else) > 0 {
 			p.line("end else begin")
-			p.indent++
-			for _, e := range st.Else {
-				p.stmt(e)
-			}
-			p.indent--
+			p.block(st.Else, "")
 		}
 		p.line("end")
 	case Case:
-		p.line("case (%s)", ExprString(st.Subject))
+		p.open()
+		p.str("case (")
+		p.expr(st.Subject)
+		p.str(")")
+		p.nl()
 		p.indent++
 		for _, arm := range st.Arms {
-			p.line("%s: begin", ExprString(arm.Match))
-			p.indent++
-			for _, t := range arm.Stmts {
-				p.stmt(t)
-			}
-			p.indent--
-			p.line("end")
+			p.open()
+			p.expr(arm.Match)
+			p.str(": begin")
+			p.nl()
+			p.block(arm.Stmts, "end")
 		}
 		if len(st.Default) > 0 {
 			p.line("default: begin")
-			p.indent++
-			for _, t := range st.Default {
-				p.stmt(t)
-			}
-			p.indent--
-			p.line("end")
+			p.block(st.Default, "end")
 		}
 		p.indent--
 		p.line("endcase")
 	default:
-		p.line("// verilog: unknown stmt %T", s)
+		p.line(fmt.Sprintf("// verilog: unknown stmt %T", s))
 	}
 }
 
-// ExprString renders an expression.
-func ExprString(e Expr) string {
+func (p *printer) expr(e Expr) {
 	switch ex := e.(type) {
 	case Ref:
-		return string(ex)
+		p.str(string(ex))
 	case Lit:
-		if ex.Width == 0 {
-			return fmt.Sprintf("%d", ex.Value)
+		if ex.Width != 0 {
+			p.int(int64(ex.Width))
+			p.str("'h")
+			p.b.Write(strconv.AppendUint(p.num[:0], ex.Value, 16))
+		} else {
+			p.b.Write(strconv.AppendUint(p.num[:0], ex.Value, 10))
 		}
-		return fmt.Sprintf("%d'h%x", ex.Width, ex.Value)
 	case Int:
-		return fmt.Sprintf("%d", int64(ex))
+		p.int(int64(ex))
 	case Str:
-		return fmt.Sprintf("%q", string(ex))
+		p.quote(string(ex))
 	case Unary:
+		p.str(ex.Op)
 		if len(ex.Op) > 1 { // function-like operators such as $signed
-			return ex.Op + "(" + ExprString(ex.X) + ")"
+			p.str("(")
+			p.expr(ex.X)
+			p.str(")")
+		} else {
+			p.paren(ex.X)
 		}
-		return ex.Op + paren(ex.X)
 	case Binary:
-		return paren(ex.A) + " " + ex.Op + " " + paren(ex.B)
+		p.paren(ex.A)
+		p.str(" ")
+		p.str(ex.Op)
+		p.str(" ")
+		p.paren(ex.B)
 	case Ternary:
-		return paren(ex.Cond) + " ? " + paren(ex.Then) + " : " + paren(ex.Else)
+		p.paren(ex.Cond)
+		p.str(" ? ")
+		p.paren(ex.Then)
+		p.str(" : ")
+		p.paren(ex.Else)
 	case Concat:
-		var parts []string
-		for _, p := range ex.Parts {
-			parts = append(parts, ExprString(p))
+		p.str("{")
+		for i, part := range ex.Parts {
+			if i > 0 {
+				p.str(", ")
+			}
+			p.expr(part)
 		}
-		return "{" + strings.Join(parts, ", ") + "}"
+		p.str("}")
 	case Slice:
-		if ex.Single {
-			return fmt.Sprintf("%s[%d]", paren(ex.X), ex.Hi)
+		p.paren(ex.X)
+		p.str("[")
+		p.int(int64(ex.Hi))
+		if !ex.Single {
+			p.str(":")
+			p.int(int64(ex.Lo))
 		}
-		return fmt.Sprintf("%s[%d:%d]", paren(ex.X), ex.Hi, ex.Lo)
+		p.str("]")
 	case Repeat:
-		return fmt.Sprintf("{%d{%s}}", ex.N, ExprString(ex.X))
+		p.str("{")
+		p.int(int64(ex.N))
+		p.str("{")
+		p.expr(ex.X)
+		p.str("}}")
 	default:
-		return fmt.Sprintf("/* unknown expr %T */", e)
+		p.str(fmt.Sprintf("/* unknown expr %T */", e))
 	}
 }
 
 // paren wraps compound subexpressions so the printer never depends on
 // Verilog precedence.
-func paren(e Expr) string {
+func (p *printer) paren(e Expr) {
 	switch ex := e.(type) {
 	case Ref, Lit, Int, Concat, Slice, Repeat:
-		return ExprString(e)
+		p.expr(e)
+		return
 	case Unary:
 		if len(ex.Op) > 1 { // $signed(x) is already self-delimiting
-			return ExprString(e)
+			p.expr(e)
+			return
 		}
-		return "(" + ExprString(e) + ")"
-	default:
-		return "(" + ExprString(e) + ")"
 	}
+	p.str("(")
+	p.expr(e)
+	p.str(")")
 }

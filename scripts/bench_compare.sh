@@ -17,7 +17,12 @@
 # allocs/op is gated, so the hot paths cannot silently start churning
 # the GC.
 #
-# Usage: scripts/bench_compare.sh base.json head.json [threshold]
+# An optional fourth argument is a regexp of metric names (passed as
+# reticle-benchcompare -metrics): CI runs the comparison twice, once over
+# the machine-independent counts (blocking) and once over the timings
+# (advisory).
+#
+# Usage: scripts/bench_compare.sh base.json head.json [threshold] [metrics-regexp]
 #
 # Exit: 0 no regression, 1 regression or missing base baseline (a
 # repo-committed BENCH_<sha>.json always exists, so an absent base
@@ -27,12 +32,13 @@ set -eu
 cd "$(dirname "$0")/.."
 
 if [ $# -lt 2 ]; then
-  echo "usage: scripts/bench_compare.sh base.json head.json [threshold]" >&2
+  echo "usage: scripts/bench_compare.sh base.json head.json [threshold] [metrics-regexp]" >&2
   exit 2
 fi
 base="$1"
 head="$2"
 threshold="${3:-0.20}"
+metrics="${4:-}"
 
 if [ ! -f "$base" ]; then
   echo "bench_compare: base baseline $base not found (expected a committed or downloaded BENCH_*.json); failing" >&2
@@ -43,4 +49,4 @@ if [ ! -f "$head" ]; then
   exit 2
 fi
 
-go run ./cmd/reticle-benchcompare -threshold "$threshold" "$base" "$head"
+go run ./cmd/reticle-benchcompare -threshold "$threshold" -metrics "$metrics" "$base" "$head"
