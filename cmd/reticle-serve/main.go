@@ -7,9 +7,7 @@
 //
 //	reticle-serve [-addr :8080] [-cache 512] [-jobs 0] [-timeout 30s] [-max-body 1048576]
 //	              [-max-inflight 0] [-disk DIR] [-disk-bytes N]
-//	              [-hint-cache 512] [-no-hint-cache] [-explore-variants 0]
-//	              [-stage-cache 512] [-no-stage-cache]
-//	              [-scrub-on-start] [-pprof ADDR]
+//	              [-explore-variants 0] [-scrub-on-start] [-pprof ADDR]
 //
 // Endpoints (all JSON; see README "Compile service"):
 //
@@ -47,13 +45,9 @@ func main() {
 	maxBody := flag.Int64("max-body", 1<<20, "request body size limit in bytes")
 	drain := flag.Duration("drain", 30*time.Second, "shutdown drain bound for in-flight requests")
 	maxInFlight := flag.Int("max-inflight", 0, "admitted concurrent compile/batch requests before shedding 429s (0 = unlimited)")
-	diskDir := flag.String("disk", "", "persistent second-level artifact cache directory (empty = disabled)")
+	diskDir := flag.String("disk", "", "persistent second level for the artifact, hint and stage stores (empty = disabled)")
 	diskBytes := flag.Int64("disk-bytes", 0, "disk cache size bound in bytes (0 = default)")
-	hintEntries := flag.Int("hint-cache", 0, "placement hint cache entries (0 = default); with -disk, hints persist under DIR/hints")
-	noHints := flag.Bool("no-hint-cache", false, "disable the placement hint cache (every compile solves cold)")
 	exploreVariants := flag.Int("explore-variants", 0, "per-request /explore variant cap (0 = hard default)")
-	stageEntries := flag.Int("stage-cache", 0, "per-stage compilation memo entries (0 = default); with -disk, stage results persist under DIR/stages")
-	noStages := flag.Bool("no-stage-cache", false, "disable the per-stage compilation memo (every artifact-cache miss recomputes all stages)")
 	scrubOnStart := flag.Bool("scrub-on-start", false, "verify the disk cache's checksums in the background on startup, quarantining corrupt entries")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof (/debug/pprof) on this side address (empty = disabled)")
 	flag.Parse()
@@ -66,11 +60,7 @@ func main() {
 		MaxInFlight:        *maxInFlight,
 		DiskDir:            *diskDir,
 		DiskMaxBytes:       *diskBytes,
-		HintCacheEntries:   *hintEntries,
-		NoHintCache:        *noHints,
 		MaxExploreVariants: *exploreVariants,
-		StageCacheEntries:  *stageEntries,
-		NoStageCache:       *noStages,
 	})
 	if err != nil {
 		log.Fatal("reticle-serve: ", err)

@@ -31,7 +31,7 @@ import (
 	"reticle/internal/rerr"
 )
 
-// FaultFill fires on the leader's fill path of GetOrCompute, after the
+// FaultFill fires on the leader's fill path of GetOrComputeKeep, after the
 // flight is registered but before the compute function runs — the spot
 // where a real compile failure (or crash) would land, so chaos tests can
 // prove waiters are released and errors are never cached.
@@ -98,10 +98,10 @@ type entry[V any] struct {
 	val V
 }
 
-// Cache is a bounded LRU of compiled artifacts with singleflight
-// de-duplication, generic over the stored value so callers can attach
-// derived data (the HTTP tier stores the artifact plus its rendered
-// JSON). All methods are safe for concurrent use.
+// Cache is a bounded LRU with singleflight de-duplication, generic over
+// the stored value: the memory level of every Store, and on its own the
+// facade's artifact cache and the server's exact-text memo. All methods
+// are safe for concurrent use.
 type Cache[V any] struct {
 	mu       sync.Mutex
 	max      int
@@ -142,9 +142,9 @@ func (c *Cache[V]) Get(key Key) (V, bool) {
 	return el.Value.(*entry[V]).val, true
 }
 
-// Peek is Get for fast paths that fall through to GetOrCompute on a
+// Peek is Get for fast paths that fall through to GetOrComputeKeep on a
 // miss: a found entry is refreshed and counted as a hit, but a miss is
-// not counted (GetOrCompute will account for the lookup), so each
+// not counted (GetOrComputeKeep will account for the lookup), so each
 // logical request lands on exactly one counter.
 func (c *Cache[V]) Peek(key Key) (V, bool) {
 	c.mu.Lock()
@@ -160,8 +160,7 @@ func (c *Cache[V]) Peek(key Key) (V, bool) {
 }
 
 // Add inserts a value under key (replacing any existing entry) and
-// evicts from the LRU tail as needed. The batch endpoint uses it to
-// publish artifacts compiled through the worker pool.
+// evicts from the LRU tail as needed.
 func (c *Cache[V]) Add(key Key, val V) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -183,7 +182,7 @@ func (c *Cache[V]) insertLocked(key Key, val V) {
 	}
 }
 
-// GetOrCompute returns the value for key, computing it with compute
+// GetOrComputeKeep returns the value for key, computing it with compute
 // on a miss. Concurrent calls for the same key share one compute: the
 // first caller becomes the leader and runs it; the rest wait for the
 // leader's result (or their own context's cancellation, whichever comes
@@ -195,16 +194,12 @@ func (c *Cache[V]) insertLocked(key Key, val V) {
 // panic inside compute is converted to an error (so waiters cannot hang)
 // and propagated the same way, mirroring the batch tier's per-kernel
 // recovery semantics.
-func (c *Cache[V]) GetOrCompute(ctx context.Context, key Key, compute func() (V, error)) (val V, hit bool, err error) {
-	return c.GetOrComputeKeep(ctx, key, compute, nil)
-}
-
-// GetOrComputeKeep is GetOrCompute with a keep predicate: a successfully
-// computed value for which keep returns false is returned to the leader
-// and any waiters coalesced onto the same flight, but is never published
-// to the LRU, so later requests cannot be served it as a cache hit. The
-// service tier uses it to keep degraded (fallback-placed or
-// shrink-truncated) artifacts out of the cache — publishing and then
+//
+// A successfully computed value for which keep returns false is returned
+// to the leader and any waiters coalesced onto the same flight, but is
+// never published to the LRU, so later requests cannot be served it as a
+// cache hit. The service tier uses it to keep degraded (fallback-placed
+// or shrink-truncated) artifacts out of the cache — publishing and then
 // removing them would leave a window in which concurrent requests replay
 // the degraded answer. A nil keep publishes every successful value.
 func (c *Cache[V]) GetOrComputeKeep(ctx context.Context, key Key, compute func() (V, error), keep func(V) bool) (val V, hit bool, err error) {
@@ -263,34 +258,11 @@ func (c *Cache[V]) GetOrComputeKeep(ctx context.Context, key Key, compute func()
 	return val, false, err
 }
 
-// Remove drops key from the cache if resident, reporting whether it was.
-// (Degraded artifacts no longer need it: the service tier keeps them out
-// of the cache via GetOrComputeKeep instead of evicting after the fact.)
-func (c *Cache[V]) Remove(key Key) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return false
-	}
-	c.ll.Remove(el)
-	delete(c.items, key)
-	return true
-}
-
 // Len returns the number of resident values.
 func (c *Cache[V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
-}
-
-// Purge empties the cache (counters are preserved).
-func (c *Cache[V]) Purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ll.Init()
-	clear(c.items)
 }
 
 // Stats snapshots the counters.

@@ -160,11 +160,11 @@ func TestGetOrComputeCachesSuccess(t *testing.T) {
 	calls := 0
 	compute := func() (*pipeline.Artifact, error) { calls++; return want, nil }
 
-	got, hit, err := c.GetOrCompute(ctx, "k", compute)
+	got, hit, err := c.GetOrComputeKeep(ctx, "k", compute, nil)
 	if err != nil || hit || got != want {
 		t.Fatalf("first call: got=%p hit=%v err=%v", got, hit, err)
 	}
-	got, hit, err = c.GetOrCompute(ctx, "k", compute)
+	got, hit, err = c.GetOrComputeKeep(ctx, "k", compute, nil)
 	if err != nil || !hit || got != want {
 		t.Fatalf("second call: got=%p hit=%v err=%v", got, hit, err)
 	}
@@ -183,16 +183,16 @@ func TestGetOrComputeErrorNotCached(t *testing.T) {
 	c := cache.New[*pipeline.Artifact](8)
 	ctx := context.Background()
 	boom := fmt.Errorf("no placement")
-	if _, hit, err := c.GetOrCompute(ctx, "k", func() (*pipeline.Artifact, error) {
+	if _, hit, err := c.GetOrComputeKeep(ctx, "k", func() (*pipeline.Artifact, error) {
 		return nil, boom
-	}); err != boom || hit {
+	}, nil); err != boom || hit {
 		t.Fatalf("got hit=%v err=%v, want the compute error", hit, err)
 	}
 	if c.Len() != 0 {
 		t.Fatal("error was cached")
 	}
 	want := art()
-	got, hit, err := c.GetOrCompute(ctx, "k", func() (*pipeline.Artifact, error) { return want, nil })
+	got, hit, err := c.GetOrComputeKeep(ctx, "k", func() (*pipeline.Artifact, error) { return want, nil }, nil)
 	if err != nil || hit || got != want {
 		t.Fatalf("retry after error: got=%p hit=%v err=%v", got, hit, err)
 	}
@@ -203,9 +203,9 @@ func TestGetOrComputeErrorNotCached(t *testing.T) {
 // the batch tier's per-kernel recovery.
 func TestGetOrComputePanicIsolated(t *testing.T) {
 	c := cache.New[*pipeline.Artifact](8)
-	_, _, err := c.GetOrCompute(context.Background(), "k", func() (*pipeline.Artifact, error) {
+	_, _, err := c.GetOrComputeKeep(context.Background(), "k", func() (*pipeline.Artifact, error) {
 		panic("solver went sideways")
-	})
+	}, nil)
 	if err == nil || !strings.Contains(err.Error(), "panic") {
 		t.Fatalf("err = %v, want panic-derived error", err)
 	}
@@ -235,17 +235,17 @@ func TestSingleflightComputesOnce(t *testing.T) {
 	wg.Add(1)
 	go func() { // leader
 		defer wg.Done()
-		arts[0], _, errs[0] = c.GetOrCompute(context.Background(), "k", compute)
+		arts[0], _, errs[0] = c.GetOrComputeKeep(context.Background(), "k", compute, nil)
 	}()
 	<-started // leader is inside compute; everyone else must coalesce
 	for i := 1; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			arts[i], _, errs[i] = c.GetOrCompute(context.Background(), "k", func() (*pipeline.Artifact, error) {
+			arts[i], _, errs[i] = c.GetOrComputeKeep(context.Background(), "k", func() (*pipeline.Artifact, error) {
 				t.Error("second compute ran despite in-flight leader")
 				return art(), nil
-			})
+			}, nil)
 		}(i)
 	}
 	// Wait until all 31 stragglers are registered as coalesced, then
@@ -284,11 +284,11 @@ func TestWaiterHonorsContext(t *testing.T) {
 	release := make(chan struct{})
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, _, err := c.GetOrCompute(context.Background(), "k", func() (*pipeline.Artifact, error) {
+		_, _, err := c.GetOrComputeKeep(context.Background(), "k", func() (*pipeline.Artifact, error) {
 			close(started)
 			<-release
 			return art(), nil
-		})
+		}, nil)
 		leaderDone <- err
 	}()
 	<-started
@@ -296,7 +296,7 @@ func TestWaiterHonorsContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	waiterDone := make(chan error, 1)
 	go func() {
-		_, _, err := c.GetOrCompute(ctx, "k", func() (*pipeline.Artifact, error) { return art(), nil })
+		_, _, err := c.GetOrComputeKeep(ctx, "k", func() (*pipeline.Artifact, error) { return art(), nil }, nil)
 		waiterDone <- err
 	}()
 	// The waiter must be coalesced before we cancel, or it would race to
@@ -403,32 +403,12 @@ func TestHitRate(t *testing.T) {
 	c := cache.New[*pipeline.Artifact](8)
 	ctx := context.Background()
 	for i := 0; i < 4; i++ {
-		c.GetOrCompute(ctx, "k", func() (*pipeline.Artifact, error) { return art(), nil })
+		c.GetOrComputeKeep(ctx, "k", func() (*pipeline.Artifact, error) { return art(), nil }, nil)
 	}
 	if got, want := c.Stats().HitRate(), 0.75; got != want {
 		t.Errorf("hit rate = %v, want %v", got, want)
 	}
 	if (cache.Stats{}).HitRate() != 0 {
 		t.Error("empty stats should report rate 0")
-	}
-}
-
-// TestPurge: purging empties residency but preserves counters.
-func TestPurge(t *testing.T) {
-	c := cache.New[*pipeline.Artifact](8)
-	c.Add("a", art())
-	c.Add("b", art())
-	c.Get("a")
-	before := c.Stats()
-	c.Purge()
-	st := c.Stats()
-	if st.Entries != 0 || c.Len() != 0 {
-		t.Errorf("entries = %d after purge", st.Entries)
-	}
-	if st.Hits != before.Hits {
-		t.Error("purge reset counters")
-	}
-	if _, ok := c.Get("a"); ok {
-		t.Error("purged entry still resident")
 	}
 }

@@ -10,10 +10,10 @@
 //     cache root and renamed into place, so a crash mid-write can leave
 //     a stray *.tmp (swept on the next Open) but never a truncated
 //     artifact under a live name.
-//   - Reads verify an embedded header (magic + full key) and, for the
-//     current frame version, a SHA-256 checksum of the payload before
-//     serving a byte, so a corrupt, truncated, or foreign file is
-//     reported as a miss, never served as a wrong answer.
+//   - Reads verify an embedded header (magic + full key) and a SHA-256
+//     checksum of the payload before serving a byte, so a corrupt,
+//     truncated, or foreign file is reported as a miss, never served as
+//     a wrong answer.
 //   - Corrupt entries self-heal: instead of tripping over the same bad
 //     file forever, a failed decode atomically moves the file into
 //     DIR/quarantine/ (preserved for postmortem, capped in count) and
@@ -69,15 +69,11 @@ var (
 // non-positive budget.
 const DefaultDiskBytes int64 = 256 << 20
 
-// diskMagic heads every artifact file; a file without a known magic
-// (foreign, truncated, corrupt) is quarantined on read instead of
-// served. Version 2 embeds a SHA-256 payload checksum after the key;
-// version 1 files (written by older builds) are still readable and are
-// verified by header + key only.
-const (
-	diskMagicV1 = "RTDC1\n"
-	diskMagic   = "RTDC2\n"
-)
+// diskMagic heads every artifact file; a file without it (foreign,
+// truncated, corrupt, or a checksum-less RTDC1 frame from a build that
+// predates checksums) is quarantined on read instead of served. The
+// frame embeds a SHA-256 payload checksum after the key.
+const diskMagic = "RTDC2\n"
 
 // diskSumLen is the length of the embedded payload checksum (SHA-256).
 const diskSumLen = sha256.Size
@@ -95,31 +91,36 @@ const (
 	maxQuarantine = 64
 )
 
-// DiskStats is a point-in-time snapshot of disk-cache counters. Entries,
-// Bytes, and MaxBytes describe occupancy; the uint64s count operations
-// since Open (they do not survive restarts — only the artifacts do).
+// DiskStats is a point-in-time snapshot of disk-cache counters, and the
+// disk section of GET /stats on both service tiers. Entries, Bytes, and
+// MaxBytes describe occupancy; the uint64s count operations since Open
+// (they do not survive restarts — only the artifacts do).
 type DiskStats struct {
-	Entries  int
-	Bytes    int64
-	MaxBytes int64
+	Entries  int   `json:"entries"`
+	Bytes    int64 `json:"bytes"`
+	MaxBytes int64 `json:"max_bytes"`
 	// Hits / Misses count Get outcomes.
-	Hits, Misses uint64
+	Hits   uint64 `json:"hits"`
+	Misses uint64 `json:"misses"`
 	// Writes counts successful Puts; WriteErrors counts failed ones
 	// (including injected cache/disk-write faults).
-	Writes, WriteErrors uint64
+	Writes      uint64 `json:"writes"`
+	WriteErrors uint64 `json:"write_errors"`
 	// ReadErrors counts Gets that found an entry but could not serve it
 	// (I/O error, corruption, injected fault); each also counts as a miss.
-	ReadErrors uint64
+	ReadErrors uint64 `json:"read_errors"`
 	// Evictions counts entries dropped by the byte bound.
-	Evictions uint64
+	Evictions uint64 `json:"evictions"`
 	// Corrupt counts entries whose decode failed (bad magic, truncated
 	// frame, checksum mismatch, foreign key) in Get or Scrub; Quarantined
 	// counts the subset successfully moved into DIR/quarantine/ (a move
 	// can fail on a sick filesystem, in which case the file is removed).
-	Corrupt, Quarantined uint64
+	Corrupt     uint64 `json:"disk_corrupt"`
+	Quarantined uint64 `json:"disk_quarantined"`
 	// ScrubRuns counts completed or cancelled Scrub walks; ScrubScanned
 	// counts entries verified across all of them.
-	ScrubRuns, ScrubScanned uint64
+	ScrubRuns    uint64 `json:"scrub_runs"`
+	ScrubScanned uint64 `json:"scrub_scanned"`
 }
 
 // diskEntry is one resident artifact file in the LRU index.
@@ -223,9 +224,6 @@ func OpenDisk(dir string, maxBytes int64) (*Disk, error) {
 	return d, nil
 }
 
-// Root returns the cache directory.
-func (d *Disk) Root() string { return d.root }
-
 // diskFileName derives the artifact file name for a key. Real keys are
 // lowercase-hex SHA-256 strings and keep their own name (readable for
 // operators); anything else — arbitrary bytes, path fragments, the
@@ -270,16 +268,10 @@ func encodeDiskFile(key Key, data []byte) []byte {
 	return buf
 }
 
-// splitDiskFile parses a frame of either version, returning the
-// embedded key and payload. For v2 frames the payload checksum is
-// verified; v1 frames (older builds) carry none, so the header + key
-// checks are all the protection they get.
+// splitDiskFile parses a frame, returning the embedded key and the
+// payload once its checksum has been verified.
 func splitDiskFile(raw []byte) (Key, []byte, error) {
-	if len(raw) < len(diskMagic)+4 {
-		return "", nil, fmt.Errorf("cache: disk file has no header")
-	}
-	magic := string(raw[:len(diskMagic)])
-	if magic != diskMagic && magic != diskMagicV1 {
+	if len(raw) < len(diskMagic)+4 || string(raw[:len(diskMagic)]) != diskMagic {
 		return "", nil, fmt.Errorf("cache: disk file has no header")
 	}
 	rest := raw[len(diskMagic):]
@@ -290,9 +282,6 @@ func splitDiskFile(raw []byte) (Key, []byte, error) {
 	}
 	key := Key(rest[:klen])
 	rest = rest[klen:]
-	if magic == diskMagicV1 {
-		return key, rest, nil
-	}
 	if len(rest) < diskSumLen {
 		return "", nil, fmt.Errorf("cache: disk file has truncated checksum")
 	}
@@ -443,23 +432,23 @@ func (d *Disk) trimQuarantineLocked(qdir string) {
 // memory.
 func (d *Disk) Put(ctx context.Context, key Key, data []byte) error {
 	if err := FaultDiskWrite.Fire(ctx); err != nil {
-		return d.failPut(rerr.Wrap(rerr.Transient, "disk_cache_write", "disk cache write failed", err))
+		return d.failPut(err)
 	}
 	name := diskFileName(key)
 	path := filepath.Join(d.root, name)
 	framed := encodeDiskFile(key, data)
 	tmp, err := os.CreateTemp(d.root, name+".*.tmp")
 	if err != nil {
-		return d.failPut(rerr.Wrap(rerr.Transient, "disk_cache_write", "disk cache write failed", err))
+		return d.failPut(err)
 	}
 	if _, err := tmp.Write(framed); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
-		return d.failPut(rerr.Wrap(rerr.Transient, "disk_cache_write", "disk cache write failed", err))
+		return d.failPut(err)
 	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmp.Name())
-		return d.failPut(rerr.Wrap(rerr.Transient, "disk_cache_write", "disk cache write failed", err))
+		return d.failPut(err)
 	}
 	// CreateTemp opens 0600; artifacts are world-readable like before.
 	os.Chmod(tmp.Name(), 0o644)
@@ -486,27 +475,13 @@ func (d *Disk) Put(ctx context.Context, key Key, data []byte) error {
 	return nil
 }
 
-// failPut counts a write failure under the lock and passes the error
-// through, for Put paths that run outside the index mutex.
+// failPut counts a write failure under the lock and types the error,
+// for Put paths that run outside the index mutex.
 func (d *Disk) failPut(err error) error {
 	d.mu.Lock()
 	d.writeErrors++
 	d.mu.Unlock()
-	return err
-}
-
-// Remove drops key from the disk cache if present.
-func (d *Disk) Remove(key Key) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	name := diskFileName(key)
-	el, ok := d.items[name]
-	if !ok {
-		return false
-	}
-	d.removeLocked(el)
-	os.Remove(filepath.Join(d.root, name))
-	return true
+	return rerr.Wrap(rerr.Transient, "disk_cache_write", "disk cache write failed", err)
 }
 
 // evictLocked enforces the byte bound from the LRU tail.

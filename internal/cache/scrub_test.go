@@ -118,41 +118,49 @@ func TestDiskCacheTruncate(t *testing.T) {
 	}
 }
 
-// TestDiskCacheLegacyV1Readable: an RTDC1 file written by an older
-// build (no checksum) must still be served — the format upgrade cannot
-// invalidate a warm store.
-func TestDiskCacheLegacyV1Readable(t *testing.T) {
+// TestDiskCacheLegacyV1Quarantined: an RTDC1 frame carries no checksum,
+// so serving one would be the single unverified byte path in the disk
+// tier. No build writes them; a file left by one that did is a corrupt
+// frame like any other — a miss, quarantined, healed by the next Put —
+// on the Get path and on the scrub path alike.
+func TestDiskCacheLegacyV1Quarantined(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
-	key := Key(strings.Repeat("ef", 32))
 	payload := []byte(`{"asm":"legacy"}`)
-
-	var buf []byte
-	buf = append(buf, diskMagicV1...)
-	var klen [4]byte
-	binary.BigEndian.PutUint32(klen[:], uint32(len(key)))
-	buf = append(buf, klen[:]...)
-	buf = append(buf, key...)
-	buf = append(buf, payload...)
-	if err := os.WriteFile(filepath.Join(dir, diskFileName(key)), buf, 0o644); err != nil {
-		t.Fatal(err)
+	writeV1 := func(key Key) {
+		t.Helper()
+		buf := []byte("RTDC1\n")
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(key)))
+		buf = append(buf, key...)
+		buf = append(buf, payload...)
+		if err := os.WriteFile(filepath.Join(dir, diskFileName(key)), buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
+	read, scrubbed := Key(strings.Repeat("ef", 32)), Key(strings.Repeat("ab", 32))
+	writeV1(read)
+	writeV1(scrubbed)
 
 	d := mustOpen(t, dir, 1<<20)
-	got, ok := d.Get(ctx, key)
-	if !ok || !bytes.Equal(got, payload) {
-		t.Fatalf("legacy v1 artifact not served: %q %v", got, ok)
+	if got, ok := d.Get(ctx, read); ok {
+		t.Fatalf("checksum-less v1 frame served: %q", got)
 	}
-	// A rewrite upgrades it to the checksummed frame.
-	if err := d.Put(ctx, key, payload); err != nil {
+	rep, err := d.Scrub(ctx, 0)
+	if err != nil || rep.Scanned != 1 || rep.Corrupt != 1 {
+		t.Fatalf("scrub over the remaining v1 frame: %+v, %v", rep, err)
+	}
+	if st := d.Stats(); st.Corrupt != 2 || st.Quarantined != 2 || st.Entries != 0 {
+		t.Fatalf("v1 frames not quarantined: %+v", st)
+	}
+	if q := quarantined(t, dir); len(q) != 2 {
+		t.Fatalf("quarantine holds %v, want both v1 files", q)
+	}
+	// The slot heals: the recompute's Put writes the checksummed frame.
+	if err := d.Put(ctx, read, payload); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(filepath.Join(dir, diskFileName(key)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(raw[:len(diskMagic)]) != diskMagic {
-		t.Fatalf("rewrite kept magic %q, want %q", raw[:len(diskMagic)], diskMagic)
+	if got, ok := d.Get(ctx, read); !ok || !bytes.Equal(got, payload) {
+		t.Fatalf("healed slot not served: %q %v", got, ok)
 	}
 }
 

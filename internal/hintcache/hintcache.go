@@ -1,14 +1,13 @@
-// Package hintcache is the cross-request placement hint store: a
-// bounded LRU from structural key (pipeline.HintKeyFor — structural IR
-// hash + config fingerprint) to the placement anchors of the most
-// recent successful non-degraded compile with that structure, with an
-// optional JSON-on-disk second level beside the artifact disk cache so
-// hints survive restarts.
+// Package hintcache is the cross-request placement hint store: the
+// hint namespace of the two-level store (cache.Store, DESIGN.md §8),
+// from structural key (pipeline.HintKeyFor — structural IR hash +
+// config fingerprint) to the placement anchors of the most recent
+// successful non-degraded compile with that structure.
 //
 // The store implements pipeline.HintCache. It is strictly an
-// accelerator: Lookup degrades to nil — a plain cold solve — on every
-// internal failure (armed fault point, missing entry, disk error,
-// corrupt JSON), and adoption is signature-checked inside
+// accelerator: cache.Store degrades Lookup to nil — a plain cold solve —
+// on every internal failure (armed fault point, missing entry, disk
+// error, corrupt JSON, panic), and adoption is signature-checked inside
 // internal/place, so nothing this package serves can change a compile's
 // output.
 package hintcache
@@ -28,115 +27,97 @@ import (
 // failing hint cache degrades to cold solves with zero 5xx.
 var FaultLookup = faults.Register("hintcache/lookup", "hint cache lookup: degrade to a cold solve")
 
-// shield detaches the context's fault plan before the store's inner
-// cache.Disk calls. The disk level shares the cache/disk-read and
-// cache/disk-write fault points with the artifact disk cache; without
-// the shield a Times-capped injection aimed at the artifact tier gets
-// consumed by whichever hint persist happens to run first, making the
-// artifact chaos tests order-dependent. The hint store's own designated
-// chaos point is hintcache/lookup, fired above with the real context.
-func shield(ctx context.Context) context.Context {
-	return faults.WithPlan(ctx, nil)
+// Store is the hint namespace of the two-level store (cache.Store):
+// placement anchors under the pipeline's structural hint keys, JSON on
+// disk. All methods are safe for concurrent use; the zero value is not
+// valid, use New or Open.
+type Store struct {
+	st *cache.Store[*place.Anchors]
+
+	hits, misses, records atomic.Uint64
 }
 
-// Store is a bounded in-memory hint cache with an optional disk level.
-// All methods are safe for concurrent use; the zero value is not valid,
-// use New.
-type Store struct {
-	mem  *cache.Cache[*place.Anchors]
-	disk *cache.Disk
-
-	hits, misses, records uint64
+// namespace: only an anchor set place could adopt is stored or served —
+// the pipeline never records degraded placements, and the guard keeps a
+// buggy caller from poisoning the store with entries Lookup would serve
+// and place would reject.
+var namespace = cache.Namespace[*place.Anchors]{
+	Encode: func(a *place.Anchors) []byte {
+		raw, _ := json.Marshal(a) // ints and strings: cannot fail
+		return raw
+	},
+	Decode: func(raw []byte) (*place.Anchors, bool) {
+		a := new(place.Anchors)
+		if err := json.Unmarshal(raw, a); err != nil || len(a.Sol) == 0 {
+			return nil, false
+		}
+		return a, true
+	},
+	Keep: func(a *place.Anchors) bool {
+		return a != nil && len(a.Sol) > 0 && a.Signature != ""
+	},
+	LookupFault: FaultLookup,
+	Shield:      true,
 }
 
 // New returns a memory-only store bounded to maxEntries anchor sets
 // (cache.DefaultEntries if maxEntries <= 0).
 func New(maxEntries int) *Store {
-	return &Store{mem: cache.New[*place.Anchors](maxEntries)}
+	return &Store{st: cache.NewStore(maxEntries, nil, namespace)}
 }
 
-// AttachDisk adds a persistent level rooted at dir (created if needed),
-// byte-bounded like the artifact disk cache. Callers put it under the
-// artifact cache root's "hints" subdirectory — cache.OpenDisk skips
-// subdirectories when indexing, so the two stores share a -disk tree
-// without seeing each other's files.
-func (s *Store) AttachDisk(dir string, maxBytes int64) error {
+// Open returns a default-sized store over a persistent level rooted at
+// dir (created if needed), byte-bounded like the artifact disk cache.
+// Callers put it under the artifact cache root's "hints" subdirectory —
+// cache.OpenDisk skips subdirectories when indexing, so the stores share
+// a -disk tree without seeing each other's files.
+func Open(dir string, maxBytes int64) (*Store, error) {
 	d, err := cache.OpenDisk(dir, maxBytes)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	s.disk = d
-	return nil
+	return &Store{st: cache.NewStore(0, d, namespace)}, nil
 }
 
-// Lookup returns the anchors recorded under key, consulting memory then
-// disk (a disk hit is promoted into memory). Any failure is a nil
-// return: the caller runs the cold solve it would have run anyway. That
-// contract extends to panics (an armed panic fault, a bug): a cache
-// whose only job is to speed compiles up must never take one down.
-func (s *Store) Lookup(ctx context.Context, key string) (a *place.Anchors) {
+// Lookup returns the anchors recorded under key, nil on any failure: the
+// caller runs the cold solve it would have run anyway.
+func (s *Store) Lookup(ctx context.Context, key string) *place.Anchors {
 	if s == nil {
 		return nil
 	}
-	defer func() {
-		if rec := recover(); rec != nil {
-			atomic.AddUint64(&s.misses, 1)
-			a = nil
-		}
-	}()
-	if err := FaultLookup.Fire(ctx); err != nil {
-		atomic.AddUint64(&s.misses, 1)
-		return nil
+	a, ok := s.st.Lookup(ctx, cache.Key(key))
+	if ok {
+		s.hits.Add(1)
+	} else {
+		s.misses.Add(1)
 	}
-	if a, ok := s.mem.Peek(cache.Key(key)); ok && a != nil {
-		atomic.AddUint64(&s.hits, 1)
-		return a
-	}
-	if s.disk != nil {
-		if raw, ok := s.disk.Get(shield(ctx), cache.Key(key)); ok {
-			a := new(place.Anchors)
-			if err := json.Unmarshal(raw, a); err == nil && len(a.Sol) > 0 {
-				s.mem.Add(cache.Key(key), a)
-				atomic.AddUint64(&s.hits, 1)
-				return a
-			}
-		}
-	}
-	atomic.AddUint64(&s.misses, 1)
-	return nil
+	return a
 }
 
 // Record stores the anchors of a successful non-degraded placement under
-// key, in memory and (best-effort) on disk. A nil or empty anchor set is
-// dropped — the pipeline never records degraded placements, and this
-// guard keeps a buggy caller from poisoning the store with entries
-// Lookup would serve and place would reject.
+// key.
 func (s *Store) Record(ctx context.Context, key string, a *place.Anchors) {
-	if s == nil || a == nil || len(a.Sol) == 0 || a.Signature == "" {
-		return
-	}
-	atomic.AddUint64(&s.records, 1)
-	s.mem.Add(cache.Key(key), a)
-	if s.disk != nil {
-		if raw, err := json.Marshal(a); err == nil {
-			// A failed persist (disk full) costs only restart warmth;
-			// the in-memory record above already serves this process.
-			_ = s.disk.Put(shield(ctx), cache.Key(key), raw)
-		}
+	if s != nil && s.st.Put(ctx, cache.Key(key), a) {
+		s.records.Add(1)
 	}
 }
 
-// Stats is a point-in-time snapshot of the store's counters.
+// Stats is a point-in-time snapshot of the store's counters, and the
+// hint_cache section of GET /stats. Lookups happen only on artifact-cache
+// misses, so Hits + Misses tracks compiled kernels, not requests.
 type Stats struct {
 	// Entries / MaxEntries describe in-memory occupancy.
-	Entries, MaxEntries int
+	Entries    int `json:"entries"`
+	MaxEntries int `json:"max_entries"`
 	// Hits / Misses count Lookup outcomes (a disk promotion is a hit;
 	// an armed hintcache/lookup fault is a miss).
-	Hits, Misses uint64
+	Hits   uint64 `json:"hits"`
+	Misses uint64 `json:"misses"`
 	// Records counts accepted Record calls.
-	Records uint64
-	// Disk snapshots the persistent level, nil when memory-only.
-	Disk *cache.DiskStats
+	Records uint64 `json:"records"`
+	// Disk snapshots the persistent level (DiskDir/hints), nil when
+	// memory-only.
+	Disk *cache.DiskStats `json:"disk,omitempty"`
 }
 
 // Stats returns a snapshot of the store's counters.
@@ -144,17 +125,13 @@ func (s *Store) Stats() Stats {
 	if s == nil {
 		return Stats{}
 	}
-	ms := s.mem.Stats()
-	st := Stats{
+	ms := s.st.Stats()
+	return Stats{
 		Entries:    ms.Entries,
 		MaxEntries: ms.MaxEntries,
-		Hits:       atomic.LoadUint64(&s.hits),
-		Misses:     atomic.LoadUint64(&s.misses),
-		Records:    atomic.LoadUint64(&s.records),
+		Hits:       s.hits.Load(),
+		Misses:     s.misses.Load(),
+		Records:    s.records.Load(),
+		Disk:       s.st.DiskStats(),
 	}
-	if s.disk != nil {
-		ds := s.disk.Stats()
-		st.Disk = &ds
-	}
-	return st
 }

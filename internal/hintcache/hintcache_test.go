@@ -2,8 +2,6 @@ package hintcache
 
 import (
 	"context"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -14,6 +12,20 @@ import (
 )
 
 const testKey = "ab12cd34ab12cd34ab12cd34ab12cd34ab12cd34ab12cd34ab12cd34ab12cd34"
+
+// The two-level mechanics (promotion, quarantine, write-through, panic
+// containment) are pinned once for every namespace by the contract suite
+// in internal/cache/store_test.go; the disk tests here cover what the
+// hint namespace adds: anchor validation on both sides of the codec, its
+// shield, its counters.
+func mustOpen(t *testing.T, dir string) *Store {
+	t.Helper()
+	s, err := Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
 
 func anchors(sig string, sol ...int) *place.Anchors {
 	return &place.Anchors{
@@ -84,63 +96,42 @@ func TestBounded(t *testing.T) {
 func TestDiskPersistsAcrossReopen(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
-	s := New(8)
-	if err := s.AttachDisk(dir, 0); err != nil {
-		t.Fatal(err)
-	}
-	s.Record(ctx, testKey, anchors("sig", 7, 2))
+	mustOpen(t, dir).Record(ctx, testKey, anchors("sig", 7, 2))
 
 	// A fresh store over the same directory — the restart case.
-	s2 := New(8)
-	if err := s2.AttachDisk(dir, 0); err != nil {
-		t.Fatal(err)
-	}
+	s2 := mustOpen(t, dir)
 	got := s2.Lookup(ctx, testKey)
 	if got == nil || got.Signature != "sig" || len(got.Sol) != 2 || got.ColdSteps != 42 {
 		t.Fatalf("reopened Lookup = %+v, want the persisted anchors", got)
 	}
-	// The disk hit was promoted: a second lookup is a memory hit even
-	// if the file vanishes.
-	ents, err := os.ReadDir(dir)
-	if err != nil || len(ents) != 1 {
-		t.Fatalf("disk dir: %v entries, err %v", len(ents), err)
-	}
-	os.Remove(filepath.Join(dir, ents[0].Name()))
-	if got := s2.Lookup(ctx, testKey); got == nil {
-		t.Error("promoted entry lost after disk file removal")
+	if st := s2.Stats(); st.Hits != 1 || st.Disk == nil || st.Disk.Hits != 1 {
+		t.Errorf("disk promotion not counted as a hit: %+v", st)
 	}
 }
 
+// TestCorruptDiskEntryIsAMiss: an intact frame whose payload is not an
+// adoptable anchor set (another build's schema, an empty solution) is
+// rejected by the codec, not handed to place.
 func TestCorruptDiskEntryIsAMiss(t *testing.T) {
 	ctx := context.Background()
-	dir := t.TempDir()
-	s := New(8)
-	if err := s.AttachDisk(dir, 0); err != nil {
-		t.Fatal(err)
-	}
-	s.Record(ctx, testKey, anchors("sig", 1))
-	ents, _ := os.ReadDir(dir)
-	if len(ents) != 1 {
-		t.Fatalf("expected one persisted hint, got %d", len(ents))
-	}
-	name := filepath.Join(dir, ents[0].Name())
-
-	for label, body := range map[string]string{
+	for label, payload := range map[string]string{
 		"not-json":  "{corrupt",
 		"empty-sol": `{"signature":"sig","prims":[],"sol":[],"cold_steps":0}`,
 	} {
-		if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
+		dir := t.TempDir()
+		d, err := cache.OpenDisk(dir, 0)
+		if err != nil {
 			t.Fatal(err)
 		}
-		s2 := New(8)
-		if err := s2.AttachDisk(dir, 0); err != nil {
+		if err := d.Put(ctx, testKey, []byte(payload)); err != nil {
 			t.Fatal(err)
 		}
-		if got := s2.Lookup(ctx, testKey); got != nil {
-			t.Errorf("%s: corrupt disk entry served: %+v", label, got)
+		s := mustOpen(t, dir)
+		if got := s.Lookup(ctx, testKey); got != nil {
+			t.Errorf("%s: unusable disk entry served: %+v", label, got)
 		}
-		if st := s2.Stats(); st.Misses != 1 {
-			t.Errorf("%s: corrupt entry not counted as a miss: %+v", label, st)
+		if st := s.Stats(); st.Misses != 1 || st.Entries != 0 {
+			t.Errorf("%s: unusable entry not a miss, or promoted: %+v", label, st)
 		}
 	}
 }
@@ -172,10 +163,7 @@ func TestLookupFaultDegradesToMiss(t *testing.T) {
 // make the artifact chaos tests order-dependent.
 func TestDiskFaultsShielded(t *testing.T) {
 	dir := t.TempDir()
-	s := New(8)
-	if err := s.AttachDisk(dir, 0); err != nil {
-		t.Fatal(err)
-	}
+	s := mustOpen(t, dir)
 	plan := faults.NewPlan(map[faults.Point]faults.Injection{
 		cache.FaultDiskWrite: {Class: rerr.Transient, Times: 1},
 		cache.FaultDiskRead:  {Class: rerr.Transient, Times: 1},
@@ -183,10 +171,7 @@ func TestDiskFaultsShielded(t *testing.T) {
 	ctx := faults.WithPlan(context.Background(), plan)
 	s.Record(ctx, testKey, anchors("sig", 5))
 
-	s2 := New(8)
-	if err := s2.AttachDisk(dir, 0); err != nil {
-		t.Fatal(err)
-	}
+	s2 := mustOpen(t, dir)
 	if got := s2.Lookup(ctx, testKey); got == nil {
 		t.Fatal("hint disk read consumed an artifact-tier fault injection")
 	}

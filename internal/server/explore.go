@@ -22,35 +22,34 @@ import (
 func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	release, err := s.admit(r.Context())
 	if err != nil {
-		writeTypedError(w, err)
+		WriteTypedError(w, err)
 		return
 	}
 	defer release()
 	if err := FaultExplore.Fire(r.Context()); err != nil {
-		writeTypedError(w, err)
+		WriteTypedError(w, err)
 		return
 	}
 	var req ExploreRequest
-	if code, err := s.decode(w, r, &req); err != nil {
-		writeError(w, code, err.Error())
+	if !DecodeJSON(w, r, s.opts.MaxBodyBytes, &req) {
 		return
 	}
-	famName, cfg, err := s.family(req.Family)
+	famName, cfg, err := s.Family(req.Family)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if req.Jobs < 0 {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("jobs must be >= 0, got %d", req.Jobs))
+		WriteError(w, http.StatusBadRequest, fmt.Sprintf("jobs must be >= 0, got %d", req.Jobs))
 		return
 	}
 	if req.MaxVariants < 0 {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("max_variants must be >= 0, got %d", req.MaxVariants))
+		WriteError(w, http.StatusBadRequest, fmt.Sprintf("max_variants must be >= 0, got %d", req.MaxVariants))
 		return
 	}
 	f, err := ir.Parse(req.IR)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("parse: %v", err))
+		WriteError(w, http.StatusBadRequest, fmt.Sprintf("parse: %v", err))
 		return
 	}
 	ctx, cancel, err := s.deadline(r, req.TimeoutMS)
@@ -70,18 +69,18 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		Compile:     s.variantCompiler(),
 	}
 
-	if req.Stream || r.Header.Get("Accept") == ndjsonContentType {
+	if req.Stream || r.Header.Get("Accept") == NDJSONContentType {
 		s.streamExplore(ctx, w, famName, name, cfg, f, opts)
 		return
 	}
 
 	res, err := explore.Run(ctx, cfg, f, opts)
 	if err != nil {
-		writeTypedError(w, err)
+		WriteTypedError(w, err)
 		return
 	}
 	s.countExplore(res)
-	writeJSON(w, http.StatusOK, ExploreResponse{
+	WriteJSON(w, http.StatusOK, ExploreResponse{
 		Name:     name,
 		Family:   famName,
 		Variants: exploreVariantsJSON(res.Variants),
@@ -122,42 +121,17 @@ func (s *Server) exploreJobs(requested int) int {
 }
 
 // variantCompiler routes one variant through compileKernel — the same
-// cache-checked, counted, coalesced path /compile uses. Artifacts
-// served from the disk tier carry no in-memory form; they are
-// reconstructed from the wire rendering, whose counters the estimator
-// cross-check keeps equal to a fresh compile's.
+// cache-checked, counted, coalesced path /compile and /batch use. The
+// variant is scored from the rendered artifact's recorded counters, which
+// the estimator cross-check keeps equal to a fresh compile's.
 func (s *Server) variantCompiler() explore.CompileFunc {
 	return func(ctx context.Context, vcfg *pipeline.Config, v explore.Variant) (*pipeline.Artifact, bool, error) {
 		ca, hit, err := s.compileKernel(ctx, vcfg, cache.KeyFor(vcfg, v.Func), v.Func)
 		if err != nil {
 			return nil, false, err
 		}
-		if ca.art != nil {
-			return ca.art, hit, nil
-		}
-		art, err := artifactFromWire(ca.rendered)
-		return art, hit, err
+		return ca.artifact(hit), hit, nil
 	}
-}
-
-// artifactFromWire rebuilds the scoring-relevant fields of an artifact
-// from its cached rendering.
-func artifactFromWire(raw json.RawMessage) (*pipeline.Artifact, error) {
-	var aj ArtifactJSON
-	if err := json.Unmarshal(raw, &aj); err != nil {
-		return nil, rerr.Wrap(rerr.Permanent, "cache_corrupt",
-			"cached artifact could not be decoded", err)
-	}
-	return &pipeline.Artifact{
-		Verilog:    aj.Verilog,
-		LUTs:       aj.LUTs,
-		DSPs:       aj.DSPs,
-		FFs:        aj.FFs,
-		Carries:    aj.Carries,
-		CriticalNs: aj.CriticalNs,
-		FMaxMHz:    aj.FMaxMHz,
-		Degraded:   aj.Degraded,
-	}, nil
 }
 
 // countExplore folds one finished sweep into the /stats totals.
@@ -252,7 +226,7 @@ type exploreFooter struct {
 func (s *Server) streamExplore(ctx context.Context, w http.ResponseWriter, famName, name string, cfg *pipeline.Config, f *ir.Func, opts explore.Options) {
 	variants, err := explore.Enumerate(f, opts.MaxVariants)
 	if err != nil {
-		writeTypedError(w, err)
+		WriteTypedError(w, err)
 		return
 	}
 	type state struct {
@@ -286,7 +260,7 @@ func (s *Server) streamExplore(ctx context.Context, w http.ResponseWriter, famNa
 		res, runErr = explore.Run(ctx, cfg, f, opts)
 	}()
 
-	w.Header().Set("Content-Type", ndjsonContentType)
+	w.Header().Set("Content-Type", NDJSONContentType)
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)

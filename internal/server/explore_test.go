@@ -123,6 +123,34 @@ func TestExploreDeterministicColdWarmParallel(t *testing.T) {
 	}
 }
 
+// TestExploreScoresFromDisk: after a restart every variant is decoded
+// from the disk level, where the artifact namespace reads the scored
+// counters back off the tail of the wire bytes. The sweep must score
+// exactly as the compiles did, without one pipeline run.
+func TestExploreScoresFromDisk(t *testing.T) {
+	dir := t.TempDir()
+	cold := postBody(t, newTestServer(t, reticle.ServerOptions{DiskDir: dir}),
+		"/explore", server.ExploreRequest{IR: maccSrc}, nil)
+	restarted := newTestServer(t, reticle.ServerOptions{DiskDir: dir})
+	warm := postBody(t, restarted, "/explore", server.ExploreRequest{IR: maccSrc}, nil)
+	if cold.Code != http.StatusOK || warm.Code != http.StatusOK {
+		t.Fatalf("status cold %d, restarted %d: %s", cold.Code, warm.Code, warm.Body.String())
+	}
+	if got, want := exploreDeterministic(t, warm.Body.Bytes()), exploreDeterministic(t, cold.Body.Bytes()); got != want {
+		t.Fatalf("sweep scored from disk differs from the cold sweep\ncold:\n%s\nrestarted:\n%s", want, got)
+	}
+	var ws server.ExploreResponse
+	if err := json.Unmarshal(warm.Body.Bytes(), &ws); err != nil {
+		t.Fatal(err)
+	}
+	var st server.StatsResponse
+	get(t, restarted, "/stats", &st)
+	if ws.Stats.CacheHits != ws.Stats.Variants || st.Kernels != 0 || st.Disk.Hits == 0 {
+		t.Fatalf("restarted sweep: %d/%d cache hits, %d kernels compiled, disk %+v",
+			ws.Stats.CacheHits, ws.Stats.Variants, st.Kernels, st.Disk)
+	}
+}
+
 // TestExploreStreamSplicesToBuffered: on a warm server, the NDJSON
 // stream carries one line per variant, byte-identical to the buffered
 // body's variants elements, and the footer completes the splice

@@ -98,11 +98,12 @@ type CompileResponse struct {
 	Artifact ArtifactJSON `json:"artifact"`
 }
 
-// compileResponseWire is the server-side mirror of CompileResponse: the
+// CompileResponseWire is the serving-side mirror of CompileResponse: the
 // artifact rides as pre-rendered bytes (marshaled once at cache-insert
-// time), so hits skip re-encoding. The emitted JSON is identical to
+// time), so hits skip re-encoding and the shard router relays and
+// persists backend bytes untouched. The emitted JSON is identical to
 // marshaling a CompileResponse.
-type compileResponseWire struct {
+type CompileResponseWire struct {
 	Name     string          `json:"name"`
 	Family   string          `json:"family"`
 	Cache    string          `json:"cache"`
@@ -147,23 +148,17 @@ type BatchKernelResult struct {
 	Artifact  ArtifactJSON `json:"artifact,omitempty"`
 }
 
-// batchKernelResultWire / batchResponseWire mirror their exported
-// counterparts with pre-rendered artifact bytes; kernels that failed
-// (no artifact) omit the field, which clients decode as a zero
-// ArtifactJSON.
-type batchKernelResultWire struct {
+// BatchKernelResultWire mirrors BatchKernelResult with pre-rendered
+// artifact bytes; kernels that failed (no artifact) omit the field, which
+// clients decode as a zero ArtifactJSON. BatchFrame writes the response
+// around these, in either framing.
+type BatchKernelResultWire struct {
 	Name      string          `json:"name"`
 	OK        bool            `json:"ok"`
 	Cache     string          `json:"cache,omitempty"`
 	Error     string          `json:"error,omitempty"`
 	ErrorCode string          `json:"error_code,omitempty"`
 	Artifact  json.RawMessage `json:"artifact,omitempty"`
-}
-
-type batchResponseWire struct {
-	Family  string                  `json:"family"`
-	Results []batchKernelResultWire `json:"results"`
-	Stats   BatchStatsJSON          `json:"stats"`
 }
 
 // BatchStatsJSON aggregates a /batch run.
@@ -226,29 +221,15 @@ type CacheStatsJSON struct {
 	HitRate    float64 `json:"hit_rate"`
 }
 
-// DiskStatsJSON is the persistent second-level cache section of GET
-// /stats, present only when the server runs with a disk cache. The
-// counters reset with the process; the artifacts do not.
-type DiskStatsJSON struct {
-	Entries     int    `json:"entries"`
-	Bytes       int64  `json:"bytes"`
-	MaxBytes    int64  `json:"max_bytes"`
-	Hits        uint64 `json:"hits"`
-	Misses      uint64 `json:"misses"`
-	Writes      uint64 `json:"writes"`
-	WriteErrors uint64 `json:"write_errors"`
-	ReadErrors  uint64 `json:"read_errors"`
-	Evictions   uint64 `json:"evictions"`
-	// Corrupt counts entries whose decode failed (checksum mismatch,
-	// truncation, foreign key); Quarantined counts the subset preserved
-	// under DIR/quarantine/ for postmortem.
-	Corrupt     uint64 `json:"disk_corrupt"`
-	Quarantined uint64 `json:"disk_quarantined"`
-	// ScrubRuns / ScrubScanned count Scrub() walks and the entries they
-	// verified (see POST /scrub and -scrub-on-start).
-	ScrubRuns    uint64 `json:"scrub_runs"`
-	ScrubScanned uint64 `json:"scrub_scanned"`
-}
+// The store sections of GET /stats are the stores' own counter
+// snapshots: a namespace's counters are declared once, where they are
+// counted. DiskStatsJSON is present only when the server runs with a
+// disk cache; its counters reset with the process, the artifacts do not.
+type (
+	DiskStatsJSON      = cache.DiskStats
+	HintCacheStatsJSON = hintcache.Stats
+	StageCounterJSON   = stagecache.StageStats
+)
 
 // ScrubResponse is the POST /scrub body: one completed integrity walk.
 type ScrubResponse struct {
@@ -273,32 +254,6 @@ type PlaceStatsJSON struct {
 	// skip the pipeline and count in neither (no double-count).
 	HintCacheHits       int `json:"hint_cache_hits"`
 	HintCacheStepsSaved int `json:"hint_cache_steps_saved"`
-}
-
-// HintCacheStatsJSON is the placement hint store section of GET /stats,
-// present when the server runs with the hint cache enabled (the
-// default). Lookups happen only on artifact-cache misses, so Hits +
-// Misses tracks compiled kernels, not requests.
-type HintCacheStatsJSON struct {
-	Entries    int    `json:"entries"`
-	MaxEntries int    `json:"max_entries"`
-	Hits       uint64 `json:"hits"`
-	Misses     uint64 `json:"misses"`
-	Records    uint64 `json:"records"`
-	// Disk describes the persistent hint level (DiskDir/hints), present
-	// only when the server runs with -disk.
-	Disk *DiskStatsJSON `json:"disk,omitempty"`
-}
-
-// StageCounterJSON is one pipeline stage's memo counters inside the
-// stage_cache section of GET /stats.
-type StageCounterJSON struct {
-	Hits   uint64 `json:"hits"`
-	Misses uint64 `json:"misses"`
-	Stores uint64 `json:"stores"`
-	// Bytes totals payload bytes accepted by Store for this stage
-	// (cumulative; LRU evictions do not subtract).
-	Bytes int64 `json:"bytes"`
 }
 
 // StageCacheStatsJSON is the per-stage compilation memo section of GET
@@ -385,26 +340,6 @@ type StatsResponse struct {
 	Explore ExploreTotalsJSON `json:"explore"`
 }
 
-// DiskStatsJSONFrom renders disk-cache counters for the wire; the shard
-// router reuses it for its local disk section.
-func DiskStatsJSONFrom(ds cache.DiskStats) DiskStatsJSON {
-	return DiskStatsJSON{
-		Entries:      ds.Entries,
-		Bytes:        ds.Bytes,
-		MaxBytes:     ds.MaxBytes,
-		Hits:         ds.Hits,
-		Misses:       ds.Misses,
-		Writes:       ds.Writes,
-		WriteErrors:  ds.WriteErrors,
-		ReadErrors:   ds.ReadErrors,
-		Evictions:    ds.Evictions,
-		Corrupt:      ds.Corrupt,
-		Quarantined:  ds.Quarantined,
-		ScrubRuns:    ds.ScrubRuns,
-		ScrubScanned: ds.ScrubScanned,
-	}
-}
-
 // artifactJSON renders an artifact for the wire.
 func artifactJSON(a *pipeline.Artifact) ArtifactJSON {
 	return ArtifactJSON{
@@ -448,51 +383,21 @@ func placeJSON(ps pipeline.PlaceStats) PlaceStatsJSON {
 	}
 }
 
-// hintCacheJSON renders the hint store snapshot for the wire.
-func hintCacheJSON(hs hintcache.Stats) HintCacheStatsJSON {
-	out := HintCacheStatsJSON{
-		Entries:    hs.Entries,
-		MaxEntries: hs.MaxEntries,
-		Hits:       hs.Hits,
-		Misses:     hs.Misses,
-		Records:    hs.Records,
-	}
-	if hs.Disk != nil {
-		dj := DiskStatsJSONFrom(*hs.Disk)
-		out.Disk = &dj
-	}
-	return out
-}
-
-// stageCounterJSON renders one stage's memo counters for the wire.
-func stageCounterJSON(st stagecache.StageStats) StageCounterJSON {
-	return StageCounterJSON{
-		Hits:   st.Hits,
-		Misses: st.Misses,
-		Stores: st.Stores,
-		Bytes:  st.Bytes,
-	}
-}
-
 // stageCacheJSON renders the stage memo snapshot for the wire. skips is
 // the server-side stages-skipped accumulator (compileKernel fill paths
 // plus /batch and /explore aggregation), not a store counter: the store
 // counts lookups, the server counts stages it did not recompute.
 func stageCacheJSON(st stagecache.Stats, skips int64) StageCacheStatsJSON {
-	out := StageCacheStatsJSON{
+	return StageCacheStatsJSON{
 		Entries:       st.Entries,
 		MaxEntries:    st.MaxEntries,
 		StagesSkipped: skips,
-		Select:        stageCounterJSON(st.Select),
-		Cascade:       stageCounterJSON(st.Cascade),
-		Place:         stageCounterJSON(st.Place),
-		Output:        stageCounterJSON(st.Output),
+		Select:        st.Select,
+		Cascade:       st.Cascade,
+		Place:         st.Place,
+		Output:        st.Output,
+		Disk:          st.Disk,
 	}
-	if st.Disk != nil {
-		dj := DiskStatsJSONFrom(*st.Disk)
-		out.Disk = &dj
-	}
-	return out
 }
 
 // MemStatsJSONNow snapshots the Go runtime for the wire; the shard

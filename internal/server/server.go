@@ -21,6 +21,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -30,7 +31,6 @@ import (
 	"net"
 	"net/http"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -94,35 +94,25 @@ type Options struct {
 	// 429 + Retry-After instead of queuing unboundedly. 0 means
 	// unlimited.
 	MaxInFlight int
-	// DiskDir, when non-empty, enables the persistent second-level
-	// artifact cache rooted there: checked after the in-memory LRU and
-	// before compute, written through on every non-degraded compile, and
-	// durable across restarts (see cache.Disk).
+	// DiskDir, when non-empty, gives every store a persistent second
+	// level: artifacts at the root, placement hints under DiskDir/hints,
+	// stage results under DiskDir/stages — checked after memory and before
+	// compute, written through on every non-degraded result, and durable
+	// across restarts (see cache.Store, cache.Disk).
 	DiskDir string
 	// DiskMaxBytes bounds the disk cache; <=0 means cache.DefaultDiskBytes.
 	DiskMaxBytes int64
-	// HintCacheEntries bounds the placement hint store (anchors of the
-	// most recent successful compile per structural key, adopted on an
-	// artifact-cache miss with an unchanged placement problem); <=0
-	// means cache.DefaultEntries. With DiskDir set, hints also persist
-	// under DiskDir/hints and survive restarts.
-	HintCacheEntries int
-	// NoHintCache disables the placement hint store: every compile
-	// solves cold, exactly the pre-hint-cache behavior.
+	// NoHintCache runs without the placement hint store: every compile
+	// solves cold. It exists as the reference side of TestEditReplay*; no
+	// binary sets it.
 	NoHintCache bool
 	// MaxExploreVariants caps the per-request /explore max_variants
 	// (requests past the cap are clamped); <=0 means
 	// explore.HardMaxVariants.
 	MaxExploreVariants int
-	// StageCacheEntries bounds the per-stage compilation memo
-	// (internal/stagecache — selected assembly, layout-optimized
-	// assembly, whole placements, fused codegen+timing output, shared
-	// across /compile, /batch, and /explore); <=0 means
-	// cache.DefaultEntries. With DiskDir set, stage results also
-	// persist under DiskDir/stages and survive restarts.
-	StageCacheEntries int
-	// NoStageCache disables the stage memo: every artifact-cache miss
-	// recomputes all five stages, exactly the pre-stage-cache behavior.
+	// NoStageCache runs without the per-stage compilation memo: every
+	// artifact-cache miss recomputes all five stages. It exists as the
+	// reference side of TestStageCache*; no binary sets it.
 	NoStageCache bool
 }
 
@@ -131,17 +121,18 @@ type Options struct {
 // httptest directly; Start/Shutdown manage a real listener with graceful
 // drain.
 type Server struct {
-	opts    Options
-	configs map[string]*pipeline.Config
-	cache   *cache.Cache[cachedArtifact]
-	texts   *cache.Cache[textEntry]
-	disk    *cache.Disk       // persistent second level; nil when disabled
-	hints   *hintcache.Store  // placement hint store; nil when disabled
-	stagec  *stagecache.Store // per-stage compilation memo; nil when disabled
-	mux     *http.ServeMux
-	hs      *http.Server
-	start   time.Time
-	sem     chan struct{} // admission semaphore; nil = unlimited
+	FamilySet // one pipeline config per family, memo stores wired in
+	DiskTier  // the artifact store's persistent level; zero when disabled
+
+	opts   Options
+	cache  *cache.Store[cachedArtifact]
+	texts  *cache.Cache[textEntry]
+	hints  *hintcache.Store  // placement hint store; nil when disabled
+	stagec *stagecache.Store // per-stage compilation memo; nil when disabled
+	mux    *http.ServeMux
+	hs     *http.Server
+	start  time.Time
+	sem    chan struct{} // admission semaphore; nil = unlimited
 
 	requests atomic.Int64 // HTTP requests accepted
 	kernels  atomic.Int64 // kernels entering the pipeline (not cache hits)
@@ -165,13 +156,84 @@ type Server struct {
 // in-flight request; it must be set before the server receives traffic.
 var onCompileStart func()
 
-// cachedArtifact is the cache's unit of storage: the compiled artifact
-// plus its wire rendering, marshaled once at insert time so cache hits
-// serve pre-encoded bytes instead of re-rendering multi-kilobyte
-// Verilog on every request.
+// cachedArtifact is the artifact store's unit of storage: the wire
+// rendering, marshaled once so every hit serves pre-encoded bytes, plus
+// the fixed-size summary the server still reads afterwards. The compiled
+// ASM functions and Verilog AST are not kept.
 type cachedArtifact struct {
-	art      *pipeline.Artifact
-	rendered json.RawMessage // json.Marshal(artifactJSON(art))
+	wire json.RawMessage // json.Marshal(artifactJSON(art))
+	sum  summary
+}
+
+// summary is what the server reads of an artifact once it is rendered:
+// the counters /explore scores, the degraded mark the store's Keep and
+// the /batch stats read, and — not on the wire, so zero for an entry
+// decoded from disk — the stage-memo skips of the compile that produced
+// it. The tagged fields are ArtifactJSON's own.
+type summary struct {
+	LUTs          int     `json:"luts"`
+	DSPs          int     `json:"dsps"`
+	FFs           int     `json:"ffs"`
+	Carries       int     `json:"carries"`
+	CriticalNs    float64 `json:"critical_ns"`
+	FMaxMHz       float64 `json:"fmax_mhz"`
+	Degraded      bool    `json:"degraded"`
+	StagesSkipped int     `json:"-"`
+}
+
+// render is the one place an artifact becomes wire bytes.
+func render(art *pipeline.Artifact) cachedArtifact {
+	wire, err := json.Marshal(artifactJSON(art))
+	if err != nil {
+		// ArtifactJSON is strings and numbers; Marshal cannot fail.
+		panic(fmt.Sprintf("server: marshal artifact: %v", err))
+	}
+	return cachedArtifact{wire: wire, sum: summary{
+		LUTs: art.LUTs, DSPs: art.DSPs, FFs: art.FFs, Carries: art.Carries,
+		CriticalNs: art.CriticalNs, FMaxMHz: art.FMaxMHz,
+		Degraded: art.Degraded, StagesSkipped: art.StagesSkipped,
+	}}
+}
+
+// summaryStart is where ArtifactJSON's fixed-size fields begin. Quotes
+// inside a JSON string are escaped, so the unescaped sequence cannot
+// occur in the program text before it or the reason string after it.
+var summaryStart = []byte(`,"luts":`)
+
+// artifactNamespace is the artifact tier's instance of the two-level
+// store: the wire bytes are the disk payload, and a degraded
+// (fallback-placed or shrink-truncated) artifact is served to the
+// requests that paid for it but stored at neither level — the next
+// request gets a fresh shot at the full solver. Decoding reads the
+// summary off the tail of the payload instead of re-scanning the
+// kilobytes of program text in front of it on every disk hit.
+var artifactNamespace = cache.Namespace[cachedArtifact]{
+	Encode: func(ca cachedArtifact) []byte { return ca.wire },
+	Decode: func(wire []byte) (cachedArtifact, bool) {
+		ca := cachedArtifact{wire: wire}
+		i := bytes.LastIndex(wire, summaryStart)
+		if i < 0 {
+			return ca, false
+		}
+		err := json.Unmarshal(append([]byte{'{'}, wire[i+1:]...), &ca.sum)
+		return ca, err == nil
+	},
+	Keep: func(ca cachedArtifact) bool { return !ca.sum.Degraded },
+}
+
+// artifact rebuilds, for the batch pool's and /explore's accounting, the
+// part of the compiled artifact the summary kept. The stage-memo skips
+// belong to the request whose compile ran, not to one served a hit.
+func (ca cachedArtifact) artifact(hit bool) *pipeline.Artifact {
+	art := &pipeline.Artifact{
+		LUTs: ca.sum.LUTs, DSPs: ca.sum.DSPs, FFs: ca.sum.FFs, Carries: ca.sum.Carries,
+		CriticalNs: ca.sum.CriticalNs, FMaxMHz: ca.sum.FMaxMHz,
+		Degraded: ca.sum.Degraded,
+	}
+	if !hit {
+		art.StagesSkipped = ca.sum.StagesSkipped
+	}
+	return art
 }
 
 // textEntry is the exact-text fast path: a memo from the SHA-256 of
@@ -195,108 +257,73 @@ func textKey(family, src string) cache.Key {
 	return cache.Key(hex.EncodeToString(h.Sum(nil)))
 }
 
-// render builds a cachedArtifact, marshaling the wire form eagerly.
-func render(art *pipeline.Artifact) cachedArtifact {
-	raw, err := json.Marshal(artifactJSON(art))
-	if err != nil {
-		// ArtifactJSON is strings and numbers; Marshal cannot fail.
-		panic(fmt.Sprintf("server: marshal artifact: %v", err))
-	}
-	// The rendering carries the program text from here on; the cache
-	// keeps a copy of the artifact without it rather than hold both.
-	slim := *art
-	slim.AsmText, slim.PlacedText = "", ""
-	return cachedArtifact{art: &slim, rendered: raw}
-}
-
 // New builds a Server over one pipeline config per family name. Every
 // config must validate; at least one family is required.
 func New(opts Options, configs map[string]*pipeline.Config) (*Server, error) {
-	if len(configs) == 0 {
-		return nil, fmt.Errorf("server: no pipeline configs")
-	}
-	for name, cfg := range configs {
-		if err := cfg.Validate(); err != nil {
-			return nil, fmt.Errorf("server: family %q: %w", name, err)
-		}
-	}
 	if opts.MaxBodyBytes <= 0 {
 		opts.MaxBodyBytes = 1 << 20
 	}
-	if opts.DefaultFamily == "" && len(configs) == 1 {
-		for name := range configs {
-			opts.DefaultFamily = name
-		}
-	}
-	if opts.DefaultFamily != "" {
-		if _, ok := configs[opts.DefaultFamily]; !ok {
-			return nil, fmt.Errorf("server: default family %q has no config", opts.DefaultFamily)
-		}
-	}
 	s := &Server{
-		opts:    opts,
-		configs: configs,
-		cache:   cache.New[cachedArtifact](opts.CacheEntries),
-		texts:   cache.New[textEntry](opts.CacheEntries),
-		mux:     http.NewServeMux(),
-		start:   time.Now(),
+		opts:  opts,
+		texts: cache.New[textEntry](opts.CacheEntries),
+		mux:   http.NewServeMux(),
+		start: time.Now(),
 	}
 	if opts.MaxInFlight > 0 {
 		s.sem = make(chan struct{}, opts.MaxInFlight)
 	}
-	if opts.DiskDir != "" {
-		disk, err := cache.OpenDisk(opts.DiskDir, opts.DiskMaxBytes)
-		if err != nil {
-			return nil, fmt.Errorf("server: disk cache: %w", err)
-		}
-		s.disk = disk
+	var err error
+	if s.DiskTier, err = OpenDiskTier(opts.DiskDir, opts.DiskMaxBytes); err != nil {
+		return nil, fmt.Errorf("server: %w", err)
 	}
-	if !opts.NoHintCache {
-		s.hints = hintcache.New(opts.HintCacheEntries)
-		if opts.DiskDir != "" {
-			// Hints live in a subdirectory of the artifact disk root:
-			// OpenDisk skips directories when indexing, so the stores
-			// share one -disk tree without colliding.
-			if err := s.hints.AttachDisk(filepath.Join(opts.DiskDir, "hints"), opts.DiskMaxBytes); err != nil {
-				return nil, fmt.Errorf("server: hint cache disk: %w", err)
-			}
-		}
-	}
-	if !opts.NoStageCache {
-		s.stagec = stagecache.New(opts.StageCacheEntries)
-		if opts.DiskDir != "" {
-			// Stage results live under DIR/stages, beside DIR/hints.
-			if err := s.stagec.AttachDisk(filepath.Join(opts.DiskDir, "stages"), opts.DiskMaxBytes); err != nil {
-				return nil, fmt.Errorf("server: stage cache disk: %w", err)
-			}
+	s.cache = cache.NewStore(opts.CacheEntries, s.Disk(), artifactNamespace)
+	// The memo stores persist in subdirectories of the artifact disk root:
+	// OpenDisk skips directories when indexing, so the three namespaces
+	// share one -disk tree without colliding.
+	switch {
+	case opts.NoHintCache:
+	case opts.DiskDir == "":
+		s.hints = hintcache.New(0)
+	default:
+		if s.hints, err = hintcache.Open(filepath.Join(opts.DiskDir, "hints"), opts.DiskMaxBytes); err != nil {
+			return nil, fmt.Errorf("server: hint cache disk: %w", err)
 		}
 	}
-	if s.hints != nil || s.stagec != nil {
-		// Both memos ride inside the pipeline config, so clone each
-		// family config rather than mutate the caller's. Fingerprint
-		// ignores HintCache and StageCache (adoption cannot change
-		// output), so every artifact cache key is identical with or
-		// without them — and one shared store per server means /explore
-		// variants and /batch kernels fork off each other's stages.
-		wired := make(map[string]*pipeline.Config, len(configs))
-		for name, cfg := range configs {
-			cc := *cfg
-			if s.hints != nil {
-				cc.HintCache = s.hints
-			}
-			if s.stagec != nil {
-				cc.StageCache = s.stagec
-			}
-			wired[name] = &cc
+	switch {
+	case opts.NoStageCache:
+	case opts.DiskDir == "":
+		s.stagec = stagecache.New(0)
+	default:
+		if s.stagec, err = stagecache.Open(filepath.Join(opts.DiskDir, "stages"), opts.DiskMaxBytes); err != nil {
+			return nil, fmt.Errorf("server: stage cache disk: %w", err)
 		}
-		s.configs = wired
 	}
-	s.mux.HandleFunc("POST /compile", s.recovered(s.handleCompile))
-	s.mux.HandleFunc("POST /batch", s.recovered(s.handleBatch))
-	s.mux.HandleFunc("POST /explore", s.recovered(s.handleExplore))
-	s.mux.HandleFunc("POST /scrub", s.recovered(s.handleScrub))
-	s.mux.HandleFunc("GET /healthz", s.recovered(s.handleHealthz))
-	s.mux.HandleFunc("GET /stats", s.recovered(s.handleStats))
+	// Both memos ride inside the pipeline config, so clone each family
+	// config rather than mutate the caller's. Fingerprint ignores
+	// HintCache and StageCache (adoption cannot change output), so every
+	// artifact cache key is identical with or without them — and one
+	// shared store per server means /explore variants and /batch kernels
+	// fork off each other's stages.
+	wired := make(map[string]*pipeline.Config, len(configs))
+	for name, cfg := range configs {
+		cc := *cfg
+		if s.hints != nil {
+			cc.HintCache = s.hints
+		}
+		if s.stagec != nil {
+			cc.StageCache = s.stagec
+		}
+		wired[name] = &cc
+	}
+	if s.FamilySet, err = NewFamilySet(wired, opts.DefaultFamily); err != nil {
+		return nil, fmt.Errorf("server: %w", err)
+	}
+	s.mux.HandleFunc("POST /compile", Recovered(s.handleCompile))
+	s.mux.HandleFunc("POST /batch", Recovered(s.handleBatch))
+	s.mux.HandleFunc("POST /explore", Recovered(s.handleExplore))
+	s.mux.HandleFunc("POST /scrub", Recovered(s.HandleScrub))
+	s.mux.HandleFunc("GET /healthz", Recovered(s.handleHealthz))
+	s.mux.HandleFunc("GET /stats", Recovered(s.handleStats))
 	return s, nil
 }
 
@@ -337,101 +364,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return s.hs.Shutdown(ctx)
 }
 
-// Families lists the configured family names, sorted.
-func (s *Server) Families() []string {
-	out := make([]string, 0, len(s.configs))
-	for name := range s.configs {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // CacheStats snapshots the artifact cache counters.
 func (s *Server) CacheStats() cache.Stats { return s.cache.Stats() }
-
-// Disk exposes the persistent second-level cache (nil when disabled);
-// the crash-restart suite and the stats endpoint read it.
-func (s *Server) Disk() *cache.Disk { return s.disk }
-
-// Hints exposes the placement hint store (nil when disabled); the
-// edit-replay and crash-restart suites read it.
-func (s *Server) Hints() *hintcache.Store { return s.hints }
-
-// StageCache exposes the per-stage compilation memo (nil when
-// disabled); the memoization and crash-restart suites read it.
-func (s *Server) StageCache() *stagecache.Store { return s.stagec }
-
-// ScrubDisk runs one integrity walk over the persistent disk cache at
-// the given I/O rate (<=0 means the cache default). It reports ok=false
-// without walking when the server runs with no disk tier. The
-// -scrub-on-start flag and the POST /scrub endpoint both land here.
-func (s *Server) ScrubDisk(ctx context.Context, bytesPerSec int64) (cache.ScrubReport, bool, error) {
-	if s.disk == nil {
-		return cache.ScrubReport{}, false, nil
-	}
-	rep, err := s.disk.Scrub(ctx, bytesPerSec)
-	return rep, true, err
-}
-
-// handleScrub triggers a synchronous disk-cache integrity walk: 404
-// when no disk tier is configured, otherwise the walk's report. Corrupt
-// entries found are quarantined exactly as a corrupt Get would.
-func (s *Server) handleScrub(w http.ResponseWriter, r *http.Request) {
-	rep, ok, err := s.ScrubDisk(r.Context(), 0)
-	if !ok {
-		writeError(w, http.StatusNotFound, "no disk cache configured")
-		return
-	}
-	if err != nil {
-		writeTypedError(w, rerr.Wrap(rerr.Transient, "scrub_cancelled",
-			"scrub walk cancelled before completion", err))
-		return
-	}
-	writeJSON(w, http.StatusOK, ScrubResponse{
-		Scanned: rep.Scanned, Corrupt: rep.Corrupt,
-		Bytes: rep.Bytes, ElapsedMS: rep.Elapsed.Milliseconds(),
-	})
-}
-
-// diskGet reads the second-level cache, if enabled. A read failure
-// (including an injected cache/disk-read fault) is already degraded to a
-// miss inside cache.Disk.
-func (s *Server) diskGet(ctx context.Context, key cache.Key) (json.RawMessage, bool) {
-	if s.disk == nil {
-		return nil, false
-	}
-	return s.disk.Get(ctx, key)
-}
-
-// diskPut persists a rendered artifact, if the second level is enabled.
-// Write failures (including injected cache/disk-write faults) are
-// counted inside cache.Disk and never fail the compile that produced
-// the artifact.
-func (s *Server) diskPut(ctx context.Context, key cache.Key, rendered json.RawMessage) {
-	if s.disk == nil {
-		return
-	}
-	_ = s.disk.Put(ctx, key, rendered)
-}
-
-// recovered wraps a handler with panic isolation: a panic becomes a 500
-// JSON error response instead of a dead connection, the same "one bad
-// kernel never takes down the process" semantics the batch tier gives
-// each worker. The body carries only the stable typed message — the
-// panic value and stack stay in the process, never on the wire.
-func (s *Server) recovered(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				writeTypedError(w, rerr.Wrap(rerr.Permanent, "internal_panic",
-					"internal panic while handling the request",
-					fmt.Errorf("panic: %v", rec)))
-			}
-		}()
-		h(w, r)
-	}
-}
 
 // admit applies admission control: a non-blocking semaphore acquire that
 // sheds load past Options.MaxInFlight with a typed resource-exhausted
@@ -454,21 +388,6 @@ func (s *Server) admit(ctx context.Context) (release func(), err error) {
 		return nil, rerr.New(rerr.Exhausted, "admission_rejected",
 			"server at capacity, retry later")
 	}
-}
-
-// family resolves a request's family name to its config.
-func (s *Server) family(name string) (string, *pipeline.Config, error) {
-	if name == "" {
-		name = s.opts.DefaultFamily
-	}
-	if name == "" {
-		return "", nil, fmt.Errorf("no family requested and no default configured (have %v)", s.Families())
-	}
-	cfg, ok := s.configs[name]
-	if !ok {
-		return "", nil, fmt.Errorf("unknown family %q (have %v)", name, s.Families())
-	}
-	return name, cfg, nil
 }
 
 // deadline derives the compile context for a request: the request's own
@@ -521,62 +440,20 @@ func (s *Server) deadline(r *http.Request, timeoutMS int64) (context.Context, co
 func writeDeadlineError(w http.ResponseWriter, err error) {
 	var te *rerr.Error
 	if errors.As(err, &te) {
-		writeTypedError(w, err)
+		WriteTypedError(w, err)
 		return
 	}
-	writeError(w, http.StatusBadRequest, err.Error())
+	WriteError(w, http.StatusBadRequest, err.Error())
 }
 
-// decode reads a size-limited JSON body into dst, distinguishing
-// oversized bodies (413) from malformed ones (400).
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) (int, error) {
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", tooBig.Limit)
-		}
-		return http.StatusBadRequest, fmt.Errorf("request: %w", err)
-	}
-	return 0, nil
-}
-
-// countCompile folds finished pipeline work — one compile or a batch's
-// totals — into the cumulative /stats counters.
-func (s *Server) countCompile(stages pipeline.StageTimes, ps pipeline.PlaceStats, skipped int) {
-	s.stageMu.Lock()
-	s.stages.Add(stages)
-	s.place.Add(ps)
-	s.stageMu.Unlock()
-	s.stageSkips.Add(int64(skipped))
-}
-
-// compileKernel runs one kernel through cache + pipeline under its
-// artifact key (cache.KeyFor(cfg, f), hashed once by the caller),
-// maintaining the in-flight gauge and cumulative stage times.
+// compileKernel is the one way a kernel is resolved, whichever endpoint
+// carries it: through the artifact store under its key
+// (cache.KeyFor(cfg, f), hashed once by the caller) — memory, then disk,
+// then one pipeline run shared by every concurrent request for the key —
+// maintaining the in-flight gauge and the cumulative /stats counters.
+// hit is false only for the request whose compile ran.
 func (s *Server) compileKernel(ctx context.Context, cfg *pipeline.Config, key cache.Key, f *ir.Func) (cachedArtifact, bool, error) {
-	// A degraded (fallback-placed or shrink-truncated) artifact is served
-	// to the requester that paid for it but never published to the cache:
-	// the next request gets a fresh shot at the full solver. The keep
-	// predicate enforces that atomically inside the fill path — an
-	// add-then-remove would briefly serve the degraded artifact as a hit
-	// to concurrent requests.
-	keep := func(ca cachedArtifact) bool { return ca.art == nil || !ca.art.Degraded }
-	diskServed := false
-	ca, hit, err := s.cache.GetOrComputeKeep(ctx, key, func() (cachedArtifact, error) {
-		// Second level: an artifact persisted by an earlier run (or an
-		// earlier process — the disk cache survives restarts) is promoted
-		// back into the LRU without touching the pipeline. Disk-served
-		// entries carry no in-memory Artifact (art == nil), which the keep
-		// predicate treats as publishable: only non-degraded artifacts are
-		// ever persisted.
-		if data, ok := s.diskGet(ctx, key); ok {
-			diskServed = true
-			return cachedArtifact{rendered: data}, nil
-		}
+	return s.cache.Resolve(ctx, key, func() (cachedArtifact, error) {
 		if onCompileStart != nil {
 			onCompileStart()
 		}
@@ -587,56 +464,33 @@ func (s *Server) compileKernel(ctx context.Context, cfg *pipeline.Config, key ca
 		if err != nil {
 			return cachedArtifact{}, err
 		}
-		s.countCompile(art.Stages, art.Place, art.StagesSkipped)
-		ca := render(art)
-		if !art.Degraded {
-			s.diskPut(ctx, key, ca.rendered)
-		}
-		return ca, nil
-	}, keep)
-	return ca, hit || diskServed, err
-}
-
-// compileStatus maps a typed pipeline/cache error to an HTTP status.
-// The policy lives in rerr.HTTPStatus so the shard router renders the
-// same taxonomy the same way.
-func compileStatus(err error) int { return rerr.HTTPStatus(err) }
-
-// writeTypedError renders err through the taxonomy: stable message and
-// machine-readable code only (never internal fmt chains or paths), with
-// Retry-After set on the statuses a client should back off and retry.
-func writeTypedError(w http.ResponseWriter, err error) {
-	status := compileStatus(err)
-	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", "1")
-	}
-	writeJSON(w, status, ErrorResponse{
-		Error:     rerr.Message(err),
-		Code:      status,
-		ErrorCode: rerr.CodeOf(err),
-		Class:     rerr.ClassOf(err).String(),
+		s.stageMu.Lock()
+		s.stages.Add(art.Stages)
+		s.place.Add(art.Place)
+		s.stageMu.Unlock()
+		s.stageSkips.Add(int64(art.StagesSkipped))
+		return render(art), nil
 	})
 }
 
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	release, err := s.admit(r.Context())
 	if err != nil {
-		writeTypedError(w, err)
+		WriteTypedError(w, err)
 		return
 	}
 	defer release()
 	if err := FaultCompile.Fire(r.Context()); err != nil {
-		writeTypedError(w, err)
+		WriteTypedError(w, err)
 		return
 	}
 	var req CompileRequest
-	if code, err := s.decode(w, r, &req); err != nil {
-		writeError(w, code, err.Error())
+	if !DecodeJSON(w, r, s.opts.MaxBodyBytes, &req) {
 		return
 	}
-	famName, cfg, err := s.family(req.Family)
+	famName, cfg, err := s.Family(req.Family)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 
@@ -651,12 +505,12 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 			if name == "" {
 				name = te.name
 			}
-			writeJSON(w, http.StatusOK, compileResponseWire{
+			WriteJSON(w, http.StatusOK, CompileResponseWire{
 				Name:     name,
 				Family:   famName,
 				Cache:    "hit",
 				Key:      string(te.key),
-				Artifact: ca.rendered,
+				Artifact: ca.wire,
 			})
 			return
 		}
@@ -664,7 +518,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 
 	f, err := ir.Parse(req.IR)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("parse: %v", err))
+		WriteError(w, http.StatusBadRequest, fmt.Sprintf("parse: %v", err))
 		return
 	}
 	ctx, cancel, err := s.deadline(r, req.TimeoutMS)
@@ -678,45 +532,67 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	s.texts.Add(tk, textEntry{key: key, name: f.Name})
 	ca, hit, err := s.compileKernel(ctx, cfg, key, f)
 	if err != nil {
-		writeTypedError(w, err)
+		WriteTypedError(w, err)
 		return
 	}
-	resp := compileResponseWire{
+	resp := CompileResponseWire{
 		Name:     req.Name,
 		Family:   famName,
 		Cache:    cacheStatus(hit),
 		Key:      string(key),
-		Artifact: ca.rendered,
+		Artifact: ca.wire,
 	}
 	if resp.Name == "" {
 		resp.Name = f.Name
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
+// batchMiss is one deduped kernel of a /batch request on its way through
+// the worker pool, shared by every kernel of the request with its key.
+type batchMiss struct {
+	once sync.Once
+	done chan struct{} // closed once res is final
+	ca   cachedArtifact
+	res  batch.Result
+}
+
+func (m *batchMiss) finish(res batch.Result) {
+	m.once.Do(func() {
+		m.res = res
+		close(m.done)
+	})
+}
+
+// handleBatch parses every kernel (per-kernel errors never fail the
+// batch), serves what the artifact store already holds, dedupes the rest
+// by key, and sends each distinct miss through the worker pool (per-kernel
+// timeout, retries, panic isolation) into compileKernel — so a kernel
+// costs one compile however many requests of whatever kind carry it at
+// once. Results leave in submission order through one loop, in either
+// framing (see BatchFrame).
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	release, err := s.admit(r.Context())
 	if err != nil {
-		writeTypedError(w, err)
+		WriteTypedError(w, err)
 		return
 	}
 	defer release()
 	if err := FaultBatch.Fire(r.Context()); err != nil {
-		writeTypedError(w, err)
+		WriteTypedError(w, err)
 		return
 	}
 	var req BatchRequest
-	if code, err := s.decode(w, r, &req); err != nil {
-		writeError(w, code, err.Error())
+	if !DecodeJSON(w, r, s.opts.MaxBodyBytes, &req) {
 		return
 	}
-	famName, cfg, err := s.family(req.Family)
+	famName, cfg, err := s.Family(req.Family)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if len(req.Kernels) == 0 {
-		writeError(w, http.StatusBadRequest, "batch: no kernels")
+		WriteError(w, http.StatusBadRequest, "batch: no kernels")
 		return
 	}
 	jobs := req.Jobs
@@ -725,10 +601,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	opts := batch.Options{Jobs: jobs, KernelTimeout: time.Duration(req.TimeoutMS) * time.Millisecond}
 	if err := opts.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-
 	ctx, cancel, err := s.deadline(r, 0) // overall deadline: server default
 	if err != nil {
 		writeDeadlineError(w, err)
@@ -736,138 +611,111 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer cancel()
 
-	prep := s.prepBatch(ctx, cfg, req.Kernels)
-
-	if req.Stream || r.Header.Get("Accept") == ndjsonContentType {
-		s.streamBatch(ctx, w, famName, cfg, prep, opts)
-		return
+	results := make([]BatchKernelResultWire, len(req.Kernels))
+	missOf := make([]*batchMiss, len(req.Kernels)) // nil once resolved
+	byKey := map[cache.Key]*batchMiss{}
+	var misses []*batchMiss
+	var poolJobs []batch.Job
+	for i, k := range req.Kernels {
+		results[i].Name = k.Name
+		f, perr := ir.Parse(k.IR)
+		if perr != nil {
+			results[i].Error = fmt.Sprintf("parse: %v", perr)
+			results[i].ErrorCode = "parse_failed"
+			continue
+		}
+		if k.Name == "" {
+			results[i].Name = f.Name
+		}
+		key := cache.KeyFor(cfg, f)
+		if ca, ok := s.cache.Lookup(ctx, key); ok {
+			results[i].Cache = "hit"
+			results[i].OK = true
+			results[i].Artifact = ca.wire
+			continue
+		}
+		results[i].Cache = "miss"
+		m, queued := byKey[key]
+		if !queued {
+			m = &batchMiss{done: make(chan struct{})}
+			byKey[key] = m
+			misses = append(misses, m)
+			poolJobs = append(poolJobs, batch.Job{Name: results[i].Name, Func: f,
+				Compile: func(kctx context.Context) (*pipeline.Artifact, error) {
+					ca, hit, err := s.compileKernel(kctx, cfg, key, f)
+					if err != nil {
+						return nil, err
+					}
+					m.ca = ca
+					return ca.artifact(hit), nil
+				}})
+		}
+		missOf[i] = m
 	}
 
 	var stats batch.Stats
-	var batchResults []batch.Result
-	if len(prep.missJobs) > 0 {
-		s.inflight.Add(int64(len(prep.missJobs)))
-		s.kernels.Add(int64(len(prep.missJobs)))
-		batchResults, stats, err = batch.Compile(ctx, cfg, prep.missJobs, opts)
-		s.inflight.Add(-int64(len(prep.missJobs)))
-		if err != nil {
-			writeTypedError(w, err)
-			return
-		}
-		s.countCompile(stats.Stages, stats.Place, stats.StagesSkipped)
+	poolDone := make(chan struct{})
+	if len(misses) == 0 {
+		close(poolDone) // an all-hit batch reports zero wall time
+	} else {
+		opts.OnResult = func(res batch.Result) { misses[res.Index].finish(res) }
+		go func() {
+			defer close(poolDone)
+			pooled, st, err := batch.Compile(ctx, cfg, poolJobs, opts)
+			// OnResult skips kernels a cancelled dispatch never handed to a
+			// worker, and everything when the pool rejects the batch.
+			for j, m := range misses {
+				if err != nil {
+					m.finish(batch.Result{Index: j, Err: err})
+				} else {
+					m.finish(pooled[j])
+				}
+			}
+			stats = st
+		}()
 	}
 
-	results := prep.results
-	published := make(map[cache.Key]bool, len(prep.missJobs))
-	succeeded, failed, degraded := 0, 0, 0
+	frame := NewBatchFrame(w, req.Stream || r.Header.Get("Accept") == NDJSONContentType, famName)
+	succeeded, degraded := 0, 0
 	for i := range results {
-		if results[i].Cache == "miss" {
-			br := batchResults[prep.missIdx[prep.keys[i]]]
-			if br.Ok() {
-				ca := render(br.Artifact)
-				// Degraded artifacts go to the requester, not the cache —
-				// neither tier of it (see handleCompile).
-				if !br.Artifact.Degraded {
-					if !published[prep.keys[i]] {
-						published[prep.keys[i]] = true
-						s.cache.Add(prep.keys[i], ca)
-						s.diskPut(ctx, prep.keys[i], ca.rendered)
-					}
-				} else {
+		if m := missOf[i]; m != nil {
+			<-m.done
+			if m.res.Ok() {
+				results[i].OK = true
+				results[i].Artifact = m.ca.wire
+				if m.ca.sum.Degraded {
 					degraded++
 				}
-				results[i].OK = true
-				results[i].Artifact = ca.rendered
 			} else {
 				// Per-kernel failures cross the wire as the typed stable
 				// message and code only — never raw fmt.Errorf chains.
-				results[i].Error = rerr.Message(br.Err)
-				results[i].ErrorCode = rerr.CodeOf(br.Err)
+				results[i].Error = rerr.Message(m.res.Err)
+				results[i].ErrorCode = rerr.CodeOf(m.res.Err)
 			}
 		}
 		if results[i].OK {
 			succeeded++
-		} else {
-			failed++
+		}
+		if frame.Result(results[i]) != nil {
+			return // client gone; the pool is bounded by the request context
 		}
 	}
-	writeJSON(w, http.StatusOK, batchResponseWire{
-		Family:  famName,
-		Results: results,
-		Stats: BatchStatsJSON{
-			Kernels:       len(results),
-			Succeeded:     succeeded,
-			Failed:        failed,
-			Compiled:      len(prep.missJobs),
-			WallNS:        stats.Wall.Nanoseconds(),
-			KernelsPerSec: stats.KernelsPerSec,
-			Degraded:      degraded,
-			Retried:       stats.Retried,
-			StagesSkipped: stats.StagesSkipped,
-		},
+	<-poolDone
+	frame.Close(BatchStatsJSON{
+		Kernels:       len(results),
+		Succeeded:     succeeded,
+		Failed:        len(results) - succeeded,
+		Compiled:      len(misses),
+		WallNS:        stats.Wall.Nanoseconds(),
+		KernelsPerSec: stats.KernelsPerSec,
+		Degraded:      degraded,
+		Retried:       stats.Retried,
+		StagesSkipped: stats.StagesSkipped,
 	})
 }
 
-// batchPrep is the cache-checked plan for one /batch request, shared by
-// the buffered and streaming emitters: per-kernel wire results with
-// parse failures and cache hits already resolved, plus the deduped list
-// of kernels that must actually compile.
-type batchPrep struct {
-	results  []batchKernelResultWire
-	keys     []cache.Key
-	missJobs []batch.Job
-	missIdx  map[cache.Key]int // key -> index into missJobs
-}
-
-// prepBatch parses every kernel (per-kernel errors never fail the
-// batch), resolves cache hits through both tiers (memory LRU first,
-// then the persistent disk cache, promoting disk hits into the LRU),
-// and dedupes the remaining misses by key, so a batch of N identical
-// kernels compiles once, like N concurrent /compile calls would.
-func (s *Server) prepBatch(ctx context.Context, cfg *pipeline.Config, kernels []BatchKernel) batchPrep {
-	prep := batchPrep{
-		results: make([]batchKernelResultWire, len(kernels)),
-		keys:    make([]cache.Key, len(kernels)),
-		missIdx: map[cache.Key]int{},
-	}
-	for i, k := range kernels {
-		name := k.Name
-		f, perr := ir.Parse(k.IR)
-		if perr == nil && name == "" {
-			name = f.Name
-		}
-		prep.results[i] = batchKernelResultWire{Name: name}
-		if perr != nil {
-			prep.results[i].Error = fmt.Sprintf("parse: %v", perr)
-			prep.results[i].ErrorCode = "parse_failed"
-			continue
-		}
-		key := cache.KeyFor(cfg, f)
-		prep.keys[i] = key
-		if ca, ok := s.cache.Get(key); ok {
-			prep.results[i].Cache = "hit"
-			prep.results[i].OK = true
-			prep.results[i].Artifact = ca.rendered
-			continue
-		}
-		if data, ok := s.diskGet(ctx, key); ok {
-			s.cache.Add(key, cachedArtifact{rendered: data})
-			prep.results[i].Cache = "hit"
-			prep.results[i].OK = true
-			prep.results[i].Artifact = data
-			continue
-		}
-		prep.results[i].Cache = "miss"
-		if _, queued := prep.missIdx[key]; !queued {
-			prep.missIdx[key] = len(prep.missJobs)
-			prep.missJobs = append(prep.missJobs, batch.Job{Name: name, Func: f})
-		}
-	}
-	return prep
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, HealthResponse{
+	WriteJSON(w, http.StatusOK, HealthResponse{
 		Status:   "ok",
 		UptimeMS: time.Since(s.start).Milliseconds(),
 		Families: s.Families(),
@@ -880,14 +728,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st := s.stages
 	ps := s.place
 	s.stageMu.Unlock()
-	var disk *DiskStatsJSON
-	if s.disk != nil {
-		dj := DiskStatsJSONFrom(s.disk.Stats())
-		disk = &dj
-	}
 	var hints *HintCacheStatsJSON
 	if s.hints != nil {
-		hj := hintCacheJSON(s.hints.Stats())
+		hj := s.hints.Stats()
 		hints = &hj
 	}
 	var stagec *StageCacheStatsJSON
@@ -895,7 +738,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		sj := stageCacheJSON(s.stagec.Stats(), s.stageSkips.Load())
 		stagec = &sj
 	}
-	writeJSON(w, http.StatusOK, StatsResponse{
+	WriteJSON(w, http.StatusOK, StatsResponse{
 		Requests:        s.requests.Load(),
 		Kernels:         s.kernels.Load(),
 		InFlightKernels: s.inflight.Load(),
@@ -912,7 +755,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			InFlight:   cs.InFlight,
 			HitRate:    cs.HitRate(),
 		},
-		Disk:       disk,
+		Disk:       s.cache.DiskStats(),
 		Stages:     stageJSON(st),
 		Place:      placeJSON(ps),
 		HintCache:  hints,
@@ -932,15 +775,4 @@ func cacheStatus(hit bool) string {
 		return "hit"
 	}
 	return "miss"
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, ErrorResponse{Error: msg, Code: code})
 }

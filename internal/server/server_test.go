@@ -385,6 +385,85 @@ func TestBatchEndpoint(t *testing.T) {
 	}
 }
 
+// TestBatchCoalescesWithCompile: a /batch miss goes through the same
+// singleflight as /compile. With a /compile leader held inside the
+// pipeline, a /batch carrying the same cold kernel must wait for that
+// compile rather than run its own: one kernel in the pipeline, one
+// artifact, byte for byte.
+func TestBatchCoalescesWithCompile(t *testing.T) {
+	s := newTestServer(t, reticle.ServerOptions{})
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	server.SetOnCompileStart(func() {
+		once.Do(func() {
+			close(entered)
+			<-release
+		})
+	})
+	defer server.SetOnCompileStart(nil)
+
+	compileDone := make(chan *httptest.ResponseRecorder, 1)
+	go func() {
+		compileDone <- postBody(t, s, "/compile", server.CompileRequest{IR: maccSrc}, nil)
+	}()
+	<-entered // the /compile leader is inside the pipeline
+
+	batched := make(chan *httptest.ResponseRecorder, 1)
+	go func() {
+		batched <- postBody(t, s, "/batch", server.BatchRequest{Kernels: []server.BatchKernel{{IR: maccSrc}}}, nil)
+	}()
+	// Release the leader once the batch kernel is parked on its flight.
+	// (Before the fix it never parks: the batch compiles on its own and
+	// returns, which also ends the wait — and fails the asserts below.)
+	var w *httptest.ResponseRecorder
+	for w == nil {
+		var st server.StatsResponse
+		get(t, s, "/stats", &st)
+		if st.Cache.Coalesced >= 1 {
+			break
+		}
+		select {
+		case w = <-batched:
+		case <-time.After(time.Millisecond):
+		}
+	}
+	close(release)
+	if w == nil {
+		w = <-batched
+	}
+	cw := <-compileDone
+	if cw.Code != http.StatusOK || w.Code != http.StatusOK {
+		t.Fatalf("status: /compile %d, /batch %d: %s", cw.Code, w.Code, w.Body.String())
+	}
+	var compiled rawCompileResponse
+	if err := json.Unmarshal(cw.Body.Bytes(), &compiled); err != nil {
+		t.Fatal(err)
+	}
+
+	var br struct {
+		Results []struct {
+			OK       bool            `json:"ok"`
+			Cache    string          `json:"cache"`
+			Artifact json.RawMessage `json:"artifact"`
+		} `json:"results"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &br); err != nil || len(br.Results) != 1 || !br.Results[0].OK {
+		t.Fatalf("batch body: %v\n%s", err, w.Body.String())
+	}
+	if !bytes.Equal(br.Results[0].Artifact, compiled.Artifact) {
+		t.Error("/batch and /compile served different artifact bytes for one kernel")
+	}
+	var st server.StatsResponse
+	get(t, s, "/stats", &st)
+	if st.Kernels != 1 || st.Cache.Computes != 1 {
+		t.Errorf("kernels = %d, computes = %d; want one compile shared by both requests", st.Kernels, st.Cache.Computes)
+	}
+	if st.Cache.Coalesced < 1 {
+		t.Errorf("coalesced = %d, want the batch kernel counted on the leader's flight", st.Cache.Coalesced)
+	}
+}
+
 // TestHealthzAndStats: liveness and observability endpoints carry the
 // documented fields.
 func TestHealthzAndStats(t *testing.T) {

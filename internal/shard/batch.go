@@ -13,31 +13,6 @@ import (
 	"reticle/internal/server"
 )
 
-const ndjsonContentType = "application/x-ndjson"
-
-// batchResult is one kernel's outcome on the router's /batch wire —
-// the same shape a backend emits, with the artifact kept raw so the
-// router never re-encodes backend bytes.
-type batchResult struct {
-	Name      string          `json:"name"`
-	OK        bool            `json:"ok"`
-	Cache     string          `json:"cache,omitempty"`
-	Error     string          `json:"error,omitempty"`
-	ErrorCode string          `json:"error_code,omitempty"`
-	Artifact  json.RawMessage `json:"artifact,omitempty"`
-}
-
-type batchFooter struct {
-	Family string                `json:"family"`
-	Stats  server.BatchStatsJSON `json:"stats"`
-}
-
-type batchBody struct {
-	Family  string                `json:"family"`
-	Results []batchResult         `json:"results"`
-	Stats   server.BatchStatsJSON `json:"stats"`
-}
-
 // routeJob is one deduped kernel to proxy: its forward body, and the
 // shared outcome every duplicate kernel copies once done is closed.
 type routeJob struct {
@@ -46,15 +21,15 @@ type routeJob struct {
 	fwd      []byte
 	done     chan struct{}
 	// Written before done closes, read only after.
-	res      batchResult // Name left empty; per-kernel names overlay it
-	compiled bool        // backend answered 200 with cache "miss"
+	res      server.BatchKernelResultWire // Name left empty; per-kernel names overlay it
+	compiled bool                         // backend answered 200 with cache "miss"
 }
 
 // batchPlan is the routed plan for one /batch request: per-kernel
 // results with parse failures and router-disk hits already resolved,
 // plus the deduped jobs that must cross the network.
 type batchPlan struct {
-	results []batchResult
+	results []server.BatchKernelResultWire
 	jobIdx  []int // per kernel: index into jobs, or -1 when resolved
 	jobs    []*routeJob
 }
@@ -63,10 +38,9 @@ type batchPlan struct {
 // batch, matching the backend contract), serves router-disk hits
 // locally, and dedupes the remaining kernels by cache key so a sweep
 // with duplicates crosses the network once per unique kernel.
-func (rt *Router) planBatch(r *http.Request, famName string, req server.BatchRequest) batchPlan {
-	cfg := rt.configs[famName]
+func (rt *Router) planBatch(r *http.Request, famName string, cfg *pipeline.Config, req server.BatchRequest) batchPlan {
 	plan := batchPlan{
-		results: make([]batchResult, len(req.Kernels)),
+		results: make([]server.BatchKernelResultWire, len(req.Kernels)),
 		jobIdx:  make([]int, len(req.Kernels)),
 	}
 	jobByKey := map[cache.Key]int{}
@@ -77,7 +51,7 @@ func (rt *Router) planBatch(r *http.Request, famName string, req server.BatchReq
 		if perr == nil && name == "" {
 			name = f.Name
 		}
-		plan.results[i] = batchResult{Name: name}
+		plan.results[i] = server.BatchKernelResultWire{Name: name}
 		if perr != nil {
 			plan.results[i].Error = fmt.Sprintf("parse: %v", perr)
 			plan.results[i].ErrorCode = "parse_failed"
@@ -124,7 +98,7 @@ func (rt *Router) runJob(r *http.Request, timeoutMS int64, j *routeJob) {
 	defer close(j.done)
 	defer func() {
 		if rec := recover(); rec != nil {
-			j.res = batchResult{
+			j.res = server.BatchKernelResultWire{
 				Error:     "internal panic while routing the kernel",
 				ErrorCode: "internal_panic",
 			}
@@ -139,7 +113,7 @@ func (rt *Router) runJob(r *http.Request, timeoutMS int64, j *routeJob) {
 		return
 	}
 	if out.status == http.StatusOK {
-		var cw compileWire
+		var cw server.CompileResponseWire
 		if err := json.Unmarshal(out.body, &cw); err != nil {
 			j.res.Error = "backend returned an unreadable response"
 			j.res.ErrorCode = "backend_error"
@@ -203,25 +177,24 @@ func (plan *batchPlan) stats(wall time.Duration) server.BatchStatsJSON {
 
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req server.BatchRequest
-	if code, err := rt.decode(w, r, &req); err != nil {
-		writeError(w, code, err.Error())
+	if !server.DecodeJSON(w, r, rt.opts.MaxBodyBytes, &req) {
 		return
 	}
-	famName, _, err := rt.family(req.Family)
+	famName, cfg, err := rt.Family(req.Family)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		server.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if len(req.Kernels) == 0 {
-		writeError(w, http.StatusBadRequest, "batch: no kernels")
+		server.WriteError(w, http.StatusBadRequest, "batch: no kernels")
 		return
 	}
 	if req.Jobs < 0 {
-		writeError(w, http.StatusBadRequest, "batch: jobs must be >= 0")
+		server.WriteError(w, http.StatusBadRequest, "batch: jobs must be >= 0")
 		return
 	}
 	if req.TimeoutMS < 0 {
-		writeError(w, http.StatusBadRequest, "batch: timeout_ms must be >= 0")
+		server.WriteError(w, http.StatusBadRequest, "batch: timeout_ms must be >= 0")
 		return
 	}
 	jobs := req.Jobs
@@ -230,7 +203,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	start := time.Now()
-	plan := rt.planBatch(r, famName, req)
+	plan := rt.planBatch(r, famName, cfg, req)
 
 	// Bounded fan-out: `jobs` proxy workers pull deduped kernels off a
 	// queue; each job's outcome is published exactly once via its done
@@ -269,49 +242,19 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}()
 
-	if req.Stream || r.Header.Get("Accept") == ndjsonContentType {
-		rt.streamBatch(w, famName, plan, start)
-		return
-	}
-
-	for _, j := range plan.jobs {
-		<-j.done
-	}
-	for i := range plan.results {
-		plan.overlay(i)
-	}
-	writeJSON(w, http.StatusOK, batchBody{
-		Family:  famName,
-		Results: plan.results,
-		Stats:   plan.stats(time.Since(start)),
-	})
-}
-
-// streamBatch emits the NDJSON framing: one result line per kernel in
-// submission order, flushed as soon as that kernel's proxy answers,
-// then a footer line with the family and aggregate stats — the same
-// framing the backends speak, so a client cannot tell which tier it
-// streamed from.
-func (rt *Router) streamBatch(w http.ResponseWriter, famName string, plan batchPlan, start time.Time) {
-	w.Header().Set("Content-Type", ndjsonContentType)
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
+	// One ordered result loop; the framing (NDJSON lines as each kernel's
+	// proxy answers, or their buffered splice) is the backends' own, so a
+	// client cannot tell which tier it is talking to. Every job has a
+	// kernel waiting on it, so the footer is written after the last one.
+	frame := server.NewBatchFrame(w, req.Stream || r.Header.Get("Accept") == server.NDJSONContentType, famName)
 	for i := range plan.results {
 		if j := plan.jobIdx[i]; j >= 0 {
 			<-plan.jobs[j].done
 			plan.overlay(i)
 		}
-		enc.Encode(plan.results[i])
-		if flusher != nil {
-			flusher.Flush()
+		if frame.Result(plan.results[i]) != nil {
+			return // client gone; the workers are bounded by the request context
 		}
 	}
-	for _, j := range plan.jobs {
-		<-j.done
-	}
-	enc.Encode(batchFooter{Family: famName, Stats: plan.stats(time.Since(start))})
-	if flusher != nil {
-		flusher.Flush()
-	}
+	frame.Close(plan.stats(time.Since(start)))
 }

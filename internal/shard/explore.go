@@ -25,18 +25,17 @@ import (
 // matters, and frontier bodies are not addressable by artifact key.
 func (rt *Router) handleExplore(w http.ResponseWriter, r *http.Request) {
 	var req server.ExploreRequest
-	if code, err := rt.decode(w, r, &req); err != nil {
-		writeError(w, code, err.Error())
+	if !server.DecodeJSON(w, r, rt.opts.MaxBodyBytes, &req) {
 		return
 	}
-	famName, cfg, err := rt.family(req.Family)
+	famName, cfg, err := rt.Family(req.Family)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		server.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	f, err := ir.Parse(req.IR)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("parse: %v", err))
+		server.WriteError(w, http.StatusBadRequest, fmt.Sprintf("parse: %v", err))
 		return
 	}
 	routeKey := cache.Key(pipeline.HintKeyFor(cfg, f))
@@ -46,24 +45,24 @@ func (rt *Router) handleExplore(w http.ResponseWriter, r *http.Request) {
 	}
 	// Fold the Accept-header streaming trigger into the forwarded body:
 	// the proxy does not forward request headers.
-	stream := req.Stream || r.Header.Get("Accept") == ndjsonContentType
+	stream := req.Stream || r.Header.Get("Accept") == server.NDJSONContentType
 
 	fwd, err := json.Marshal(server.ExploreRequest{
 		Name: name, Family: famName, IR: req.IR, TimeoutMS: req.TimeoutMS,
 		Jobs: req.Jobs, MaxVariants: req.MaxVariants, Stream: stream,
 	})
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "marshal forward request")
+		server.WriteError(w, http.StatusInternalServerError, "marshal forward request")
 		return
 	}
 	out := rt.proxyKernel(r.Context(), routeKey, "/explore", fwd)
 	if out.err != nil {
-		writeTypedError(w, out.err)
+		server.WriteTypedError(w, out.err)
 		return
 	}
 	ct := "application/json"
 	if stream && out.status == http.StatusOK {
-		ct = ndjsonContentType
+		ct = server.NDJSONContentType
 	}
 	w.Header().Set("Content-Type", ct)
 	w.WriteHeader(out.status)

@@ -3,12 +3,10 @@ package shard
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,7 +16,6 @@ import (
 	"reticle/internal/faults"
 	"reticle/internal/ir"
 	"reticle/internal/pipeline"
-	"reticle/internal/rerr"
 	"reticle/internal/server"
 )
 
@@ -113,11 +110,12 @@ type backend struct {
 // POST /batch incl. NDJSON streaming, GET /healthz, GET /stats), so
 // clients cannot tell a router from a backend — except that it scales.
 type Router struct {
+	server.FamilySet // the same configs the backends run, so cache keys agree across the tier
+	server.DiskTier  // the router-local persistent cache; zero when disabled
+
 	opts     Options
-	configs  map[string]*pipeline.Config
 	ring     *Ring
 	backends []*backend
-	disk     *cache.Disk
 	client   *http.Client
 	mux      *http.ServeMux
 	hs       *http.Server
@@ -143,39 +141,27 @@ func New(opts Options, configs map[string]*pipeline.Config) (*Router, error) {
 	if len(opts.Backends) == 0 {
 		return nil, fmt.Errorf("shard: no backends")
 	}
-	if len(configs) == 0 {
-		return nil, fmt.Errorf("shard: no pipeline configs")
-	}
-	for name, cfg := range configs {
-		if err := cfg.Validate(); err != nil {
-			return nil, fmt.Errorf("shard: family %q: %w", name, err)
-		}
-	}
 	if opts.MaxBodyBytes <= 0 {
 		opts.MaxBodyBytes = 1 << 20
 	}
 	if opts.Jobs <= 0 {
 		opts.Jobs = 8
 	}
-	if opts.DefaultFamily == "" && len(configs) == 1 {
-		for name := range configs {
-			opts.DefaultFamily = name
-		}
-	}
-	if opts.DefaultFamily != "" {
-		if _, ok := configs[opts.DefaultFamily]; !ok {
-			return nil, fmt.Errorf("shard: default family %q has no config", opts.DefaultFamily)
-		}
-	}
 	rt := &Router{
 		opts:       opts,
-		configs:    configs,
 		ring:       NewRing(len(opts.Backends), opts.Replicas),
 		client:     opts.Client,
 		mux:        http.NewServeMux(),
 		start:      time.Now(),
 		stopHealth: make(chan struct{}),
 		healthDone: make(chan struct{}),
+	}
+	var err error
+	if rt.FamilySet, err = server.NewFamilySet(configs, opts.DefaultFamily); err != nil {
+		return nil, fmt.Errorf("shard: %w", err)
+	}
+	if rt.DiskTier, err = server.OpenDiskTier(opts.DiskDir, opts.DiskMaxBytes); err != nil {
+		return nil, fmt.Errorf("shard: %w", err)
 	}
 	if rt.client == nil {
 		rt.client = &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 16}}
@@ -185,19 +171,12 @@ func New(opts Options, configs map[string]*pipeline.Config) (*Router, error) {
 		b.alive.Store(true)
 		rt.backends = append(rt.backends, b)
 	}
-	if opts.DiskDir != "" {
-		disk, err := cache.OpenDisk(opts.DiskDir, opts.DiskMaxBytes)
-		if err != nil {
-			return nil, fmt.Errorf("shard: disk cache: %w", err)
-		}
-		rt.disk = disk
-	}
-	rt.mux.HandleFunc("POST /compile", rt.recovered(rt.handleCompile))
-	rt.mux.HandleFunc("POST /batch", rt.recovered(rt.handleBatch))
-	rt.mux.HandleFunc("POST /explore", rt.recovered(rt.handleExplore))
-	rt.mux.HandleFunc("POST /scrub", rt.recovered(rt.handleScrub))
-	rt.mux.HandleFunc("GET /healthz", rt.recovered(rt.handleHealthz))
-	rt.mux.HandleFunc("GET /stats", rt.recovered(rt.handleStats))
+	rt.mux.HandleFunc("POST /compile", server.Recovered(rt.handleCompile))
+	rt.mux.HandleFunc("POST /batch", server.Recovered(rt.handleBatch))
+	rt.mux.HandleFunc("POST /explore", server.Recovered(rt.handleExplore))
+	rt.mux.HandleFunc("POST /scrub", server.Recovered(rt.HandleScrub))
+	rt.mux.HandleFunc("GET /healthz", server.Recovered(rt.handleHealthz))
+	rt.mux.HandleFunc("GET /stats", server.Recovered(rt.handleStats))
 	return rt, nil
 }
 
@@ -313,67 +292,8 @@ func (rt *Router) Shutdown(ctx context.Context) error {
 	return rt.hs.Shutdown(ctx)
 }
 
-// Families lists the configured family names, sorted.
-func (rt *Router) Families() []string {
-	out := make([]string, 0, len(rt.configs))
-	for name := range rt.configs {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Disk exposes the router-local persistent cache (nil when disabled).
-func (rt *Router) Disk() *cache.Disk { return rt.disk }
-
 // BackendAlive reports backend i's current liveness.
 func (rt *Router) BackendAlive(i int) bool { return rt.backends[i].alive.Load() }
-
-// recovered gives router handlers the same panic blast radius as the
-// compile server: a typed 500, never a dead connection.
-func (rt *Router) recovered(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				writeTypedError(w, rerr.Wrap(rerr.Permanent, "internal_panic",
-					"internal panic while handling the request",
-					fmt.Errorf("panic: %v", rec)))
-			}
-		}()
-		h(w, r)
-	}
-}
-
-// family resolves a request's family name to its config.
-func (rt *Router) family(name string) (string, *pipeline.Config, error) {
-	if name == "" {
-		name = rt.opts.DefaultFamily
-	}
-	if name == "" {
-		return "", nil, fmt.Errorf("no family requested and no default configured (have %v)", rt.Families())
-	}
-	cfg, ok := rt.configs[name]
-	if !ok {
-		return "", nil, fmt.Errorf("unknown family %q (have %v)", name, rt.Families())
-	}
-	return name, cfg, nil
-}
-
-// decode reads a size-limited JSON body into dst.
-func (rt *Router) decode(w http.ResponseWriter, r *http.Request, dst any) (int, error) {
-	body := http.MaxBytesReader(w, r.Body, rt.opts.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", tooBig.Limit)
-		}
-		return http.StatusBadRequest, fmt.Errorf("request: %w", err)
-	}
-	return 0, nil
-}
 
 // proxyOutcome is one routed kernel's terminal proxy result: an HTTP
 // answer from some live backend, or a typed total-outage error. A 429
@@ -390,16 +310,6 @@ type proxyOutcome struct {
 // buffers (artifacts are large; unbounded trust is still wrong).
 const maxProxyResponse = 64 << 20
 
-// compileWire mirrors the backend /compile response with the artifact
-// kept raw, so the router can persist it without re-encoding.
-type compileWire struct {
-	Name     string          `json:"name"`
-	Family   string          `json:"family"`
-	Cache    string          `json:"cache"`
-	Key      string          `json:"key"`
-	Artifact json.RawMessage `json:"artifact"`
-}
-
 // artifactDegraded reports whether a raw artifact carries the degraded
 // marker (degraded artifacts are never persisted, matching the compile
 // server's cache policy).
@@ -413,34 +323,37 @@ func artifactDegraded(raw json.RawMessage) bool {
 	return probe.Degraded
 }
 
+// diskGet and diskPut are the router's disk-only tier: there is no
+// memory level to promote into, so it reads and writes cache.Disk
+// directly. Failures are counted inside Disk and degrade to a miss or a
+// dropped persist.
 func (rt *Router) diskGet(ctx context.Context, key cache.Key) (json.RawMessage, bool) {
-	if rt.disk == nil {
+	if rt.Disk() == nil {
 		return nil, false
 	}
-	return rt.disk.Get(ctx, key)
+	return rt.Disk().Get(ctx, key)
 }
 
 func (rt *Router) diskPut(ctx context.Context, key cache.Key, raw json.RawMessage) {
-	if rt.disk == nil || len(raw) == 0 || artifactDegraded(raw) {
+	if rt.Disk() == nil || len(raw) == 0 || artifactDegraded(raw) {
 		return
 	}
-	_ = rt.disk.Put(ctx, key, raw)
+	_ = rt.Disk().Put(ctx, key, raw)
 }
 
 func (rt *Router) handleCompile(w http.ResponseWriter, r *http.Request) {
 	var req server.CompileRequest
-	if code, err := rt.decode(w, r, &req); err != nil {
-		writeError(w, code, err.Error())
+	if !server.DecodeJSON(w, r, rt.opts.MaxBodyBytes, &req) {
 		return
 	}
-	famName, cfg, err := rt.family(req.Family)
+	famName, cfg, err := rt.Family(req.Family)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		server.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	f, err := ir.Parse(req.IR)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("parse: %v", err))
+		server.WriteError(w, http.StatusBadRequest, fmt.Sprintf("parse: %v", err))
 		return
 	}
 	// Two keys per kernel: the canonical artifact key addresses the
@@ -458,7 +371,7 @@ func (rt *Router) handleCompile(w http.ResponseWriter, r *http.Request) {
 	// crossing the network, and without showing up in any backend's
 	// counters — /stats aggregation depends on that disjointness.
 	if raw, ok := rt.diskGet(r.Context(), key); ok {
-		writeJSON(w, http.StatusOK, compileWire{
+		server.WriteJSON(w, http.StatusOK, server.CompileResponseWire{
 			Name: name, Family: famName, Cache: "hit", Key: string(key), Artifact: raw,
 		})
 		return
@@ -468,7 +381,7 @@ func (rt *Router) handleCompile(w http.ResponseWriter, r *http.Request) {
 		Name: name, Family: famName, IR: req.IR, TimeoutMS: req.TimeoutMS,
 	})
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "marshal forward request")
+		server.WriteError(w, http.StatusInternalServerError, "marshal forward request")
 		return
 	}
 	// The client's timeout becomes a real context deadline here, so the
@@ -479,11 +392,11 @@ func (rt *Router) handleCompile(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	out := rt.proxyKernel(ctx, routeKey, "/compile", fwd)
 	if out.err != nil {
-		writeTypedError(w, out.err)
+		server.WriteTypedError(w, out.err)
 		return
 	}
 	if out.status == http.StatusOK {
-		var cw compileWire
+		var cw server.CompileResponseWire
 		if err := json.Unmarshal(out.body, &cw); err == nil {
 			rt.diskPut(r.Context(), key, cw.Artifact)
 		}
@@ -506,39 +419,6 @@ func (rt *Router) requestCtx(r *http.Request, timeoutMS int64) (context.Context,
 	return context.WithCancel(r.Context())
 }
 
-// ScrubDisk walks the router-local disk cache verifying every entry's
-// embedded checksum, quarantining corrupt files (see cache.Disk.Scrub).
-// The bool reports whether a disk tier is configured at all;
-// bytesPerSec <= 0 means cache.DefaultScrubBytesPerSec.
-// cmd/reticle-shard's -scrub-on-start runs this before serving traffic.
-func (rt *Router) ScrubDisk(ctx context.Context, bytesPerSec int64) (cache.ScrubReport, bool, error) {
-	if rt.disk == nil {
-		return cache.ScrubReport{}, false, nil
-	}
-	rep, err := rt.disk.Scrub(ctx, bytesPerSec)
-	return rep, true, err
-}
-
-// handleScrub triggers a synchronous integrity walk over the router's
-// local disk cache (404 when no disk tier is configured), mirroring the
-// backend's POST /scrub so operators drive either tier the same way.
-func (rt *Router) handleScrub(w http.ResponseWriter, r *http.Request) {
-	if rt.disk == nil {
-		writeError(w, http.StatusNotFound, "no disk cache configured")
-		return
-	}
-	rep, err := rt.disk.Scrub(r.Context(), 0)
-	if err != nil {
-		writeTypedError(w, rerr.Wrap(rerr.Transient, "scrub_cancelled",
-			"scrub walk cancelled before completion", err))
-		return
-	}
-	writeJSON(w, http.StatusOK, server.ScrubResponse{
-		Scanned: rep.Scanned, Corrupt: rep.Corrupt,
-		Bytes: rep.Bytes, ElapsedMS: rep.Elapsed.Milliseconds(),
-	})
-}
-
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	resp := HealthResponse{
 		Status:   "ok",
@@ -550,31 +430,5 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			URL: b.url, Alive: b.alive.Load(), Breaker: b.br.State().String(),
 		})
 	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// writeJSON / writeError / writeTypedError mirror the compile server's
-// wire discipline: every response is JSON, error bodies carry only the
-// typed stable message and code, and retryable statuses get Retry-After.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, server.ErrorResponse{Error: msg, Code: code})
-}
-
-func writeTypedError(w http.ResponseWriter, err error) {
-	status := rerr.HTTPStatus(err)
-	if rerr.Retryable(err) {
-		w.Header().Set("Retry-After", "1")
-	}
-	writeJSON(w, status, server.ErrorResponse{
-		Error:     rerr.Message(err),
-		Code:      status,
-		ErrorCode: rerr.CodeOf(err),
-		Class:     rerr.ClassOf(err).String(),
-	})
+	server.WriteJSON(w, http.StatusOK, resp)
 }

@@ -194,12 +194,12 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 			resp.Aggregate.StageCache.StagesSkipped += t.StagesSkipped
 		}
 	}
-	if rt.disk != nil {
-		ds := server.DiskStatsJSONFrom(rt.disk.Stats())
+	if rt.Disk() != nil {
+		ds := rt.Disk().Stats()
 		resp.Router.Disk = &ds
 		resp.Aggregate.DiskHits = ds.Hits
 	}
 	resp.Aggregate.TotalHits = resp.Aggregate.BackendCacheHits + resp.Aggregate.DiskHits
 	resp.Mem = server.MemStatsJSONNow()
-	writeJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }

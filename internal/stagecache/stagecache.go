@@ -1,17 +1,17 @@
 // Package stagecache is the cross-request per-stage compilation memo
-// (DESIGN.md §15): a bounded LRU from content-addressed stage key
+// (DESIGN.md §15): the stage namespace of the two-level store
+// (cache.Store, DESIGN.md §8), from content-addressed stage key
 // (pipeline.SelectKeyFor and friends — stage tag + exact stage input
 // text + stage-relevant config fingerprint slice) to the stage's
-// serialized result, with an optional checksummed on-disk second level
-// beside the artifact disk cache so memoized stages survive restarts.
+// serialized result.
 //
 // The store implements pipeline.StageCache. It is strictly an
-// accelerator: Lookup degrades to a miss on every internal failure
-// (armed fault point, missing entry, disk error, corrupt frame), Store
-// degrades to a no-op, and the pipeline validates every payload before
-// adopting it (asm parse, JSON decode, place.Verify for placements), so
-// nothing this package serves can change a compile's output — only how
-// much of it had to be recomputed.
+// accelerator: cache.Store degrades Lookup to a miss on every internal
+// failure (armed fault point, missing entry, disk error, corrupt frame,
+// panic) and Store to a no-op, and the pipeline validates every payload
+// before adopting it (asm parse, JSON decode, place.Verify for
+// placements), so nothing this package serves can change a compile's
+// output — only how much of it had to be recomputed.
 package stagecache
 
 import (
@@ -32,26 +32,17 @@ var (
 	FaultStore  = faults.Register("stagecache/store", "stage cache store: drop the memo write")
 )
 
-// shield detaches the context's fault plan before the store's inner
-// cache.Disk calls, for the same reason hintcache shields: the disk
-// level shares the cache/disk-read and cache/disk-write fault points
-// with the artifact disk cache, and a Times-capped injection aimed at
-// the artifact tier must not be consumed by whichever stage persist
-// happens to run first. The store's own designated chaos points are
-// stagecache/lookup and stagecache/store, fired with the real context.
-func shield(ctx context.Context) context.Context {
-	return faults.WithPlan(ctx, nil)
-}
-
-// StageStats is one stage's counter snapshot.
+// StageStats is one stage's counter snapshot, and its entry in the
+// stage_cache section of GET /stats.
 type StageStats struct {
 	// Hits / Misses count Lookup outcomes (a disk promotion is a hit;
 	// an armed stagecache/lookup fault is a miss).
-	Hits, Misses uint64
+	Hits   uint64 `json:"hits"`
+	Misses uint64 `json:"misses"`
 	// Stores counts accepted Store calls; Bytes totals their payload
 	// bytes (cumulative — LRU evictions do not subtract).
-	Stores uint64
-	Bytes  int64
+	Stores uint64 `json:"stores"`
+	Bytes  int64  `json:"bytes"`
 }
 
 // counters is the internal atomic form of StageStats.
@@ -69,13 +60,13 @@ func (c *counters) snapshot() StageStats {
 	}
 }
 
-// Store is a bounded in-memory per-stage memo with an optional disk
-// level. All methods are safe for concurrent use; the zero value is not
-// valid, use New. Payloads handed to Store must not be mutated
-// afterwards (the memory level shares the slice with future Lookups).
+// Store is the stage namespace of the two-level store (cache.Store):
+// raw payload bytes under the pipeline's stage keys, plus one counter set
+// per stage. All methods are safe for concurrent use; the zero value is
+// not valid, use New or Open. Payloads handed to Store must not be
+// mutated afterwards.
 type Store struct {
-	mem  *cache.Cache[[]byte]
-	disk *cache.Disk
+	st *cache.Store[[]byte]
 
 	// One counter set per pipeline stage. Stage keys embed the stage
 	// tag in the hash, so the four stages share one LRU without
@@ -84,33 +75,40 @@ type Store struct {
 	other             counters // unknown stage names, future-proofing
 }
 
+// namespace: payloads are their own disk form; an empty one is never
+// stored or served — the pipeline never stores degraded stage results,
+// and the guard keeps a buggy caller from poisoning the memo with
+// entries Lookup would serve and the pipeline would reject.
+var namespace = cache.Namespace[[]byte]{
+	Encode:      func(p []byte) []byte { return p },
+	Decode:      func(p []byte) ([]byte, bool) { return p, len(p) > 0 },
+	Keep:        func(p []byte) bool { return len(p) > 0 },
+	LookupFault: FaultLookup,
+	StoreFault:  FaultStore,
+	Shield:      true,
+}
+
 // New returns a memory-only store bounded to maxEntries stage payloads
 // (cache.DefaultEntries if maxEntries <= 0). The four stages share the
 // bound; payloads are small (kilobytes of assembly/Verilog text), so
 // entry count is the natural unit.
 func New(maxEntries int) *Store {
-	return &Store{mem: cache.New[[]byte](maxEntries)}
+	return &Store{st: cache.NewStore(maxEntries, nil, namespace)}
 }
 
-// AttachDisk adds a persistent level rooted at dir (created if needed),
-// byte-bounded and checksummed like the artifact disk cache — the RTDC2
-// frame, quarantine, and scrub machinery are all inherited from
-// cache.Disk. Callers put it under the artifact cache root's "stages"
-// subdirectory: cache.OpenDisk skips subdirectories when indexing, so
-// the artifact, hint, and stage stores share one -disk tree without
-// seeing each other's files.
-func (s *Store) AttachDisk(dir string, maxBytes int64) error {
+// Open returns a default-sized store over a persistent level rooted at
+// dir (created if needed), byte-bounded and checksummed like the
+// artifact disk cache. Callers put it under the artifact cache root's
+// "stages" subdirectory: cache.OpenDisk skips subdirectories when
+// indexing, so the artifact, hint, and stage stores share one -disk tree
+// without seeing each other's files.
+func Open(dir string, maxBytes int64) (*Store, error) {
 	d, err := cache.OpenDisk(dir, maxBytes)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	s.disk = d
-	return nil
+	return &Store{st: cache.NewStore(0, d, namespace)}, nil
 }
-
-// Disk exposes the persistent level (nil when memory-only); the
-// crash-restart suite and the scrubber read it.
-func (s *Store) Disk() *cache.Disk { return s.disk }
 
 // stage maps a pipeline stage name to its counter set.
 func (s *Store) stage(name string) *counters {
@@ -127,64 +125,31 @@ func (s *Store) stage(name string) *counters {
 	return &s.other
 }
 
-// Lookup returns the payload stored under (stage, key), consulting
-// memory then disk (a disk hit is promoted into memory). Any failure is
+// Lookup returns the payload stored under (stage, key). Any failure is
 // a miss: the caller recomputes the stage it would have recomputed
-// anyway. That contract extends to panics (an armed panic fault, a
-// bug): a memo whose only job is to skip work must never take a
-// compile down.
-func (s *Store) Lookup(ctx context.Context, stage, key string) (payload []byte, ok bool) {
+// anyway.
+func (s *Store) Lookup(ctx context.Context, stage, key string) ([]byte, bool) {
 	if s == nil {
 		return nil, false
 	}
-	c := s.stage(stage)
-	defer func() {
-		if rec := recover(); rec != nil {
-			c.misses.Add(1)
-			payload, ok = nil, false
-		}
-	}()
-	if err := FaultLookup.Fire(ctx); err != nil {
-		c.misses.Add(1)
-		return nil, false
-	}
-	if raw, ok := s.mem.Peek(cache.Key(key)); ok && len(raw) > 0 {
+	payload, ok := s.st.Lookup(ctx, cache.Key(key))
+	if c := s.stage(stage); ok {
 		c.hits.Add(1)
-		return raw, true
+	} else {
+		c.misses.Add(1)
 	}
-	if s.disk != nil {
-		if raw, ok := s.disk.Get(shield(ctx), cache.Key(key)); ok && len(raw) > 0 {
-			s.mem.Add(cache.Key(key), raw)
-			c.hits.Add(1)
-			return raw, true
-		}
-	}
-	c.misses.Add(1)
-	return nil, false
+	return payload, ok
 }
 
-// Store records a stage result under (stage, key), in memory and
-// (best-effort) on disk. Empty keys and payloads are dropped — the
-// pipeline never stores degraded stage results, and this guard keeps a
-// buggy caller from poisoning the memo with entries Lookup would serve
-// and the pipeline would reject.
+// Store records a stage result under (stage, key).
 func (s *Store) Store(ctx context.Context, stage, key string, payload []byte) {
-	if s == nil || key == "" || len(payload) == 0 {
+	if s == nil || key == "" {
 		return
 	}
-	defer func() { recover() }()
-	if err := FaultStore.Fire(ctx); err != nil {
-		return
-	}
-	c := s.stage(stage)
-	c.stores.Add(1)
-	c.bytes.Add(int64(len(payload)))
-	s.mem.Add(cache.Key(key), payload)
-	if s.disk != nil {
-		// A failed persist (disk full, injected write fault) costs only
-		// restart warmth; the in-memory record above already serves
-		// this process.
-		_ = s.disk.Put(shield(ctx), cache.Key(key), payload)
+	if s.st.Put(ctx, cache.Key(key), payload) {
+		c := s.stage(stage)
+		c.stores.Add(1)
+		c.bytes.Add(int64(len(payload)))
 	}
 }
 
@@ -211,18 +176,14 @@ func (s *Store) Stats() Stats {
 	if s == nil {
 		return Stats{}
 	}
-	ms := s.mem.Stats()
-	st := Stats{
+	ms := s.st.Stats()
+	return Stats{
 		Entries:    ms.Entries,
 		MaxEntries: ms.MaxEntries,
 		Select:     s.sel.snapshot(),
 		Cascade:    s.cas.snapshot(),
 		Place:      s.pl.snapshot(),
 		Output:     s.out.snapshot(),
+		Disk:       s.st.DiskStats(),
 	}
-	if s.disk != nil {
-		ds := s.disk.Stats()
-		st.Disk = &ds
-	}
-	return st
 }
