@@ -188,6 +188,17 @@ func (s *treeSelector) inTreeInterior(n *dfg.Node) bool {
 
 // match attempts to place pattern pat with its root at subject node n.
 func (s *treeSelector) match(pat *Pattern, n *dfg.Node) (*choice, bool, error) {
+	// Most candidates fail at the root, on the tests matchNode opens with:
+	// apply those before paying for a choice and its two maps.
+	if p := pat.Root; p.Leaf == "" {
+		if n.Kind != dfg.KindInstr {
+			return nil, false, nil
+		}
+		if in := n.Instr; in.Op != p.Op || in.Type != p.Type ||
+			in.Op.IsCompute() && in.Res != ir.ResAny && in.Res != pat.Def.Prim {
+			return nil, false, nil
+		}
+	}
 	ch := &choice{
 		pat:  pat,
 		bind: make(map[string]*dfg.Node),

@@ -1,13 +1,15 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
+	"strconv"
+	"sync"
 
 	"reticle/internal/cache"
 	"reticle/internal/pipeline"
@@ -147,13 +149,19 @@ func Recovered(h http.HandlerFunc) http.HandlerFunc {
 
 // DecodeJSON reads a JSON body of at most maxBytes into dst, answering
 // the 413 (oversized) or 400 (malformed) itself: false means the
-// response is written.
+// response is written. The body is one request object; anything after it
+// but whitespace is malformed too.
 func DecodeJSON(w http.ResponseWriter, r *http.Request, maxBytes int64, dst any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBytes))
 	dec.DisallowUnknownFields()
 	err := dec.Decode(dst)
 	if err == nil {
-		return true
+		if _, err = dec.Token(); err == io.EOF {
+			return true
+		}
+		if err == nil {
+			err = errors.New("unexpected data after the request object")
+		}
 	}
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {
@@ -166,11 +174,39 @@ func DecodeJSON(w http.ResponseWriter, r *http.Request, maxBytes int64, dst any)
 }
 
 // WriteJSON writes v as the whole response body: every response of
-// either tier, success or failure, is JSON.
+// either tier, success or failure, is JSON. It serves the small bodies;
+// anything carrying an artifact leaves through WriteFrame.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(v)
+}
+
+// WriteFrame writes body, a complete JSON document assembled by its
+// caller, as the whole response: its length announced, one Write.
+func WriteFrame(w http.ResponseWriter, code int, body []byte) {
+	h := w.Header()
+	h["Content-Type"] = jsonContentType
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(code)
+	w.Write(body)
+}
+
+// jsonContentType is the one value every frame's Content-Type carries;
+// headers are read and cloned, never edited in place, so frames share it.
+var jsonContentType = []string{"application/json"}
+
+// framePool recycles the buffers responses are assembled in, so serving an
+// artifact costs a copy into a warm buffer, not an allocation its size. A
+// ResponseWriter does not keep what Write was handed.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// WriteCompileFrame writes r as the /compile success body.
+func WriteCompileFrame(w http.ResponseWriter, r CompileResponseWire) {
+	buf := framePool.Get().(*[]byte)
+	*buf = append(r.AppendJSON((*buf)[:0]), '\n')
+	WriteFrame(w, http.StatusOK, *buf)
+	framePool.Put(buf)
 }
 
 // WriteError writes an untyped (request validation) failure.
@@ -209,67 +245,62 @@ type BatchFrame struct {
 	w       http.ResponseWriter
 	stream  bool
 	family  string
-	buf     bytes.Buffer  // the buffered body under construction
-	enc     *json.Encoder // onto w when streaming, buf when buffered
+	buf     *[]byte // pooled: the line in hand when streaming, the body so far when buffered
 	results int
 }
 
 // NewBatchFrame starts a response; when streaming, the status line and
 // headers go out now.
 func NewBatchFrame(w http.ResponseWriter, stream bool, family string) *BatchFrame {
-	f := &BatchFrame{w: w, stream: stream, family: family}
+	f := &BatchFrame{w: w, stream: stream, family: family, buf: framePool.Get().(*[]byte)}
 	if stream {
 		w.Header().Set("Content-Type", NDJSONContentType)
 		w.WriteHeader(http.StatusOK)
-		f.enc = json.NewEncoder(w)
 		return f
 	}
-	f.enc = json.NewEncoder(&f.buf)
-	f.buf.WriteString(`{"family":`)
-	f.line(family)
-	f.buf.WriteString(`,"results":[`)
+	*f.buf = append(appendString(append((*f.buf)[:0], `{"family":`...), family), `,"results":[`...)
 	return f
 }
 
 // Result emits the next kernel's result. A non-nil error means the
 // client is gone.
 func (f *BatchFrame) Result(res BatchKernelResultWire) error {
-	if !f.stream && f.results > 0 {
-		f.buf.WriteByte(',')
+	if f.stream {
+		return f.line(res.AppendJSON((*f.buf)[:0]))
+	}
+	if f.results > 0 {
+		*f.buf = append(*f.buf, ',')
 	}
 	f.results++
-	return f.line(res)
+	*f.buf = res.AppendJSON(*f.buf)
+	return nil
 }
 
-// line encodes v as one NDJSON line, or splices it into the buffered
-// body without the newline Encode appends.
-func (f *BatchFrame) line(v any) error {
-	err := f.enc.Encode(v)
-	switch {
-	case f.stream:
-		if fl, ok := f.w.(http.Flusher); ok {
-			fl.Flush()
-		}
-	case err == nil:
-		f.buf.Truncate(f.buf.Len() - 1)
+// line writes and flushes one NDJSON line, keeping its buffer for the next.
+func (f *BatchFrame) line(b []byte) error {
+	*f.buf = append(b, '\n')
+	_, err := f.w.Write(*f.buf)
+	if fl, ok := f.w.(http.Flusher); ok {
+		fl.Flush()
 	}
 	return err
 }
 
 // Close emits the batch-level fields only known once every kernel has
-// finished, and for the buffered framing writes the body.
+// finished, and for the buffered framing writes the body. Neither holds an
+// artifact, so both stay on encoding/json (numbers and a name: Marshal
+// cannot fail).
 func (f *BatchFrame) Close(stats BatchStatsJSON) {
 	if f.stream {
-		f.line(struct {
+		foot, _ := json.Marshal(struct {
 			Family string         `json:"family"`
 			Stats  BatchStatsJSON `json:"stats"`
 		}{f.family, stats})
-		return
+		f.line(append((*f.buf)[:0], foot...))
+	} else {
+		st, _ := json.Marshal(stats)
+		*f.buf = append(append(append(*f.buf, `],"stats":`...), st...), "}\n"...)
+		WriteFrame(f.w, http.StatusOK, *f.buf)
 	}
-	f.buf.WriteString(`],"stats":`)
-	f.line(stats)
-	f.buf.WriteString("}\n")
-	f.w.Header().Set("Content-Type", "application/json")
-	f.w.WriteHeader(http.StatusOK)
-	f.w.Write(f.buf.Bytes())
+	framePool.Put(f.buf)
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"runtime"
 
 	"reticle/internal/cache"
@@ -100,15 +99,16 @@ type CompileResponse struct {
 
 // CompileResponseWire is the serving-side mirror of CompileResponse: the
 // artifact rides as pre-rendered bytes (marshaled once at cache-insert
-// time), so hits skip re-encoding and the shard router relays and
-// persists backend bytes untouched. The emitted JSON is identical to
-// marshaling a CompileResponse.
+// time), which AppendJSON copies into the envelope, so hits skip
+// re-encoding and the shard router relays and persists backend bytes
+// untouched. The emitted JSON is identical to marshaling a
+// CompileResponse; encoding/json itself cannot see the artifact.
 type CompileResponseWire struct {
-	Name     string          `json:"name"`
-	Family   string          `json:"family"`
-	Cache    string          `json:"cache"`
-	Key      string          `json:"key"`
-	Artifact json.RawMessage `json:"artifact"`
+	Name     string `json:"name"`
+	Family   string `json:"family"`
+	Cache    string `json:"cache"`
+	Key      string `json:"key"`
+	Artifact []byte `json:"-"`
 }
 
 // BatchKernel is one kernel in a POST /batch body.
@@ -151,14 +151,14 @@ type BatchKernelResult struct {
 // BatchKernelResultWire mirrors BatchKernelResult with pre-rendered
 // artifact bytes; kernels that failed (no artifact) omit the field, which
 // clients decode as a zero ArtifactJSON. BatchFrame writes the response
-// around these, in either framing.
+// around these, in either framing, through AppendJSON.
 type BatchKernelResultWire struct {
-	Name      string          `json:"name"`
-	OK        bool            `json:"ok"`
-	Cache     string          `json:"cache,omitempty"`
-	Error     string          `json:"error,omitempty"`
-	ErrorCode string          `json:"error_code,omitempty"`
-	Artifact  json.RawMessage `json:"artifact,omitempty"`
+	Name      string `json:"name"`
+	OK        bool   `json:"ok"`
+	Cache     string `json:"cache,omitempty"`
+	Error     string `json:"error,omitempty"`
+	ErrorCode string `json:"error_code,omitempty"`
+	Artifact  []byte `json:"-"`
 }
 
 // BatchStatsJSON aggregates a /batch run.

@@ -21,7 +21,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -161,7 +160,7 @@ var onCompileStart func()
 // the fixed-size summary the server still reads afterwards. The compiled
 // ASM functions and Verilog AST are not kept.
 type cachedArtifact struct {
-	wire json.RawMessage // json.Marshal(artifactJSON(art))
+	wire []byte // json.Marshal(artifactJSON(art))
 	sum  summary
 }
 
@@ -195,28 +194,18 @@ func render(art *pipeline.Artifact) cachedArtifact {
 	}}
 }
 
-// summaryStart is where ArtifactJSON's fixed-size fields begin. Quotes
-// inside a JSON string are escaped, so the unescaped sequence cannot
-// occur in the program text before it or the reason string after it.
-var summaryStart = []byte(`,"luts":`)
-
 // artifactNamespace is the artifact tier's instance of the two-level
 // store: the wire bytes are the disk payload, and a degraded
 // (fallback-placed or shrink-truncated) artifact is served to the
 // requests that paid for it but stored at neither level — the next
 // request gets a fresh shot at the full solver. Decoding reads the
-// summary off the tail of the payload instead of re-scanning the
-// kilobytes of program text in front of it on every disk hit.
+// summary off the tail of the payload (decodeSummary) instead of decoding
+// the kilobytes of program text in front of it on every disk hit.
 var artifactNamespace = cache.Namespace[cachedArtifact]{
 	Encode: func(ca cachedArtifact) []byte { return ca.wire },
 	Decode: func(wire []byte) (cachedArtifact, bool) {
-		ca := cachedArtifact{wire: wire}
-		i := bytes.LastIndex(wire, summaryStart)
-		if i < 0 {
-			return ca, false
-		}
-		err := json.Unmarshal(append([]byte{'{'}, wire[i+1:]...), &ca.sum)
-		return ca, err == nil
+		sum, ok := decodeSummary(wire)
+		return cachedArtifact{wire: wire, sum: sum}, ok
 	},
 	Keep: func(ca cachedArtifact) bool { return !ca.sum.Degraded },
 }
@@ -505,7 +494,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 			if name == "" {
 				name = te.name
 			}
-			WriteJSON(w, http.StatusOK, CompileResponseWire{
+			WriteCompileFrame(w, CompileResponseWire{
 				Name:     name,
 				Family:   famName,
 				Cache:    "hit",
@@ -545,7 +534,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	if resp.Name == "" {
 		resp.Name = f.Name
 	}
-	WriteJSON(w, http.StatusOK, resp)
+	WriteCompileFrame(w, resp)
 }
 
 // batchMiss is one deduped kernel of a /batch request on its way through

@@ -223,6 +223,9 @@ func TestErrorPaths(t *testing.T) {
 		{"malformed-json", `{"ir": `, http.StatusBadRequest},
 		{"unknown-field", `{"ir": "x", "bogus": 1}`, http.StatusBadRequest},
 		{"empty-body", ``, http.StatusBadRequest},
+		{"second-object", `{"ir": "def f(a:i8) -> (y:i8) { y:i8 = id(a); }"}{"ir": "garbage"}`, http.StatusBadRequest},
+		{"trailing-junk", `{"ir": "def f(a:i8) -> (y:i8) { y:i8 = id(a); }"} trailing junk`, http.StatusBadRequest},
+		{"stray-brace", `{"ir": "def f(a:i8) -> (y:i8) { y:i8 = id(a); }"}}`, http.StatusBadRequest},
 		{"malformed-ir", `{"ir": "def broken("}`, http.StatusBadRequest},
 		{"unknown-family", `{"ir": "def f(a:i8) -> (y:i8) { y:i8 = id(a); }", "family": "ice40"}`, http.StatusBadRequest},
 		{"negative-timeout", `{"ir": "def f(a:i8) -> (y:i8) { y:i8 = id(a); }", "timeout_ms": -5}`, http.StatusBadRequest},
@@ -239,6 +242,11 @@ func TestErrorPaths(t *testing.T) {
 		if errResp.Code != code {
 			t.Errorf("%s: body code %d != status %d", tc.name, errResp.Code, code)
 		}
+	}
+
+	// Whitespace after the request object is not trailing data.
+	if code := postRaw(t, s, "/compile", []byte(`{"ir": "def f(a:i8) -> (y:i8) { y:i8 = id(a); }"}`+" \r\n\t"), nil); code != http.StatusOK {
+		t.Errorf("trailing whitespace: status %d, want 200", code)
 	}
 
 	// A kernel that parses but cannot compile (vector width capacity) is

@@ -113,17 +113,19 @@ func (rt *Router) runJob(r *http.Request, timeoutMS int64, j *routeJob) {
 		return
 	}
 	if out.status == http.StatusOK {
-		var cw server.CompileResponseWire
-		if err := json.Unmarshal(out.body, &cw); err != nil {
+		// The artifact is a slice of the backend's own bytes, spliced into
+		// this batch's framing as it stands.
+		mark, artifact, ok := server.ParseCompileFrame(out.body)
+		if !ok {
 			j.res.Error = "backend returned an unreadable response"
 			j.res.ErrorCode = "backend_error"
 			return
 		}
 		j.res.OK = true
-		j.res.Cache = cw.Cache
-		j.res.Artifact = cw.Artifact
-		j.compiled = cw.Cache == "miss"
-		rt.diskPut(r.Context(), j.key, cw.Artifact)
+		j.res.Cache = mark
+		j.res.Artifact = artifact
+		j.compiled = mark == "miss"
+		rt.diskPut(r.Context(), j.key, artifact)
 		return
 	}
 	var er server.ErrorResponse
@@ -157,7 +159,7 @@ func (plan *batchPlan) stats(wall time.Duration) server.BatchStatsJSON {
 	for i := range plan.results {
 		if plan.results[i].OK {
 			st.Succeeded++
-			if artifactDegraded(plan.results[i].Artifact) {
+			if server.ArtifactDegraded(plan.results[i].Artifact) {
 				st.Degraded++
 			}
 		} else {

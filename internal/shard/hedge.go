@@ -403,18 +403,23 @@ func (rt *Router) postAttempt(ctx context.Context, bi int, hedged bool, path str
 	defer resp.Body.Close()
 	// Read one byte past the cap so an over-limit body is detected and
 	// refused as a transport failure (re-hash onto the next peer) instead
-	// of being truncated and relayed as a well-formed success.
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, maxProxyResponse+1))
-	if err != nil {
+	// of being truncated and relayed as a well-formed success. A backend
+	// that announced its length (every /compile 200 does) is read into a
+	// buffer of that size, not one grown by doubling.
+	var respBody bytes.Buffer
+	if n := resp.ContentLength; n > 0 && n <= maxProxyResponse {
+		respBody.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := respBody.ReadFrom(io.LimitReader(resp.Body, maxProxyResponse+1)); err != nil {
 		res.err = err
 		return res
 	}
-	if len(respBody) > maxProxyResponse {
+	if respBody.Len() > maxProxyResponse {
 		res.err = fmt.Errorf("backend %s response exceeds %d bytes", b.url, maxProxyResponse)
 		return res
 	}
 	res.status = resp.StatusCode
-	res.body = respBody
+	res.body = respBody.Bytes()
 	res.retryAfter = resp.Header.Get("Retry-After")
 	return res
 }

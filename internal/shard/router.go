@@ -310,35 +310,23 @@ type proxyOutcome struct {
 // buffers (artifacts are large; unbounded trust is still wrong).
 const maxProxyResponse = 64 << 20
 
-// artifactDegraded reports whether a raw artifact carries the degraded
-// marker (degraded artifacts are never persisted, matching the compile
-// server's cache policy).
-func artifactDegraded(raw json.RawMessage) bool {
-	var probe struct {
-		Degraded bool `json:"degraded"`
-	}
-	if err := json.Unmarshal(raw, &probe); err != nil {
-		return true // unparseable artifact: do not persist it
-	}
-	return probe.Degraded
-}
-
 // diskGet and diskPut are the router's disk-only tier: there is no
 // memory level to promote into, so it reads and writes cache.Disk
 // directly. Failures are counted inside Disk and degrade to a miss or a
-// dropped persist.
-func (rt *Router) diskGet(ctx context.Context, key cache.Key) (json.RawMessage, bool) {
+// dropped persist. A degraded artifact is never persisted, matching the
+// compile server's cache policy.
+func (rt *Router) diskGet(ctx context.Context, key cache.Key) ([]byte, bool) {
 	if rt.Disk() == nil {
 		return nil, false
 	}
 	return rt.Disk().Get(ctx, key)
 }
 
-func (rt *Router) diskPut(ctx context.Context, key cache.Key, raw json.RawMessage) {
-	if rt.Disk() == nil || len(raw) == 0 || artifactDegraded(raw) {
+func (rt *Router) diskPut(ctx context.Context, key cache.Key, artifact []byte) {
+	if rt.Disk() == nil || server.ArtifactDegraded(artifact) {
 		return
 	}
-	_ = rt.Disk().Put(ctx, key, raw)
+	_ = rt.Disk().Put(ctx, key, artifact)
 }
 
 func (rt *Router) handleCompile(w http.ResponseWriter, r *http.Request) {
@@ -371,7 +359,7 @@ func (rt *Router) handleCompile(w http.ResponseWriter, r *http.Request) {
 	// crossing the network, and without showing up in any backend's
 	// counters — /stats aggregation depends on that disjointness.
 	if raw, ok := rt.diskGet(r.Context(), key); ok {
-		server.WriteJSON(w, http.StatusOK, server.CompileResponseWire{
+		server.WriteCompileFrame(w, server.CompileResponseWire{
 			Name: name, Family: famName, Cache: "hit", Key: string(key), Artifact: raw,
 		})
 		return
@@ -395,18 +383,18 @@ func (rt *Router) handleCompile(w http.ResponseWriter, r *http.Request) {
 		server.WriteTypedError(w, out.err)
 		return
 	}
-	if out.status == http.StatusOK {
-		var cw server.CompileResponseWire
-		if err := json.Unmarshal(out.body, &cw); err == nil {
-			rt.diskPut(r.Context(), key, cw.Artifact)
+	// The answer is relayed as the bytes the backend sent; only a router
+	// with a disk tier of its own looks inside a 200, and then only to
+	// slice the artifact out of it.
+	if out.status == http.StatusOK && rt.Disk() != nil {
+		if _, artifact, ok := server.ParseCompileFrame(out.body); ok {
+			rt.diskPut(r.Context(), key, artifact)
 		}
 	}
 	if out.retryAfter != "" {
 		w.Header().Set("Retry-After", out.retryAfter)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(out.status)
-	w.Write(out.body)
+	server.WriteFrame(w, out.status, out.body)
 }
 
 // requestCtx derives the proxy context for one routed request: the

@@ -73,6 +73,17 @@ func TestRouterRejectsBadRequests(t *testing.T) {
 	if code := post(t, rt, "/batch", server.BatchRequest{Jobs: -1, Kernels: sweep(1)}, &er); code != http.StatusBadRequest {
 		t.Fatalf("negative jobs: status %d", code)
 	}
+	// One request object per body, at the router as at a backend: a valid
+	// kernel followed by anything but whitespace is refused, not compiled.
+	good, _ := json.Marshal(server.CompileRequest{IR: maccSrc})
+	for _, tail := range []string{`{"ir":"garbage"}`, ` trailing junk`, `}`} {
+		req := httptest.NewRequest("POST", "/compile", strings.NewReader(string(good)+tail))
+		w := httptest.NewRecorder()
+		rt.ServeHTTP(w, req)
+		if w.Code != http.StatusBadRequest {
+			t.Fatalf("trailing %q: status %d, want 400", tail, w.Code)
+		}
+	}
 	for _, b := range backends {
 		// The stats poll itself counts as a request, so pin the compile
 		// counters: no malformed kernel ever reached a backend pipeline.

@@ -4,7 +4,8 @@
 # Builds and starts reticle-serve on a local port, then drives the real
 # HTTP surface the way a client would: /healthz must answer, the first
 # /compile of a kernel must be a cache miss, the second must be a cache
-# hit with byte-identical Verilog, and SIGTERM must drain cleanly. CI
+# hit with the same bytes apart from the cache mark (each one frame with
+# its Content-Length), and SIGTERM must drain cleanly. CI
 # runs this so "the service binary actually serves" is checked per PR,
 # not just the in-process httptest suites.
 #
@@ -52,12 +53,19 @@ cat >"$tmp/req.json" <<'JSON'
 {"ir": "def macc(a:i8, b:i8, c:i8, en:bool) -> (y:i8) {\n    t0:i8 = mul(a, b) @??;\n    t1:i8 = add(t0, c) @??;\n    y:i8 = reg[0](t1, en) @??;\n}", "family": "ultrascale"}
 JSON
 
-curl -fsS -X POST --data-binary @"$tmp/req.json" "$base/compile" >"$tmp/first.json" \
+curl -fsS -D "$tmp/first.hdr" -X POST --data-binary @"$tmp/req.json" "$base/compile" >"$tmp/first.json" \
     || fail "first /compile failed"
 curl -fsS -X POST --data-binary @"$tmp/first.json" "$base/compile" >/dev/null 2>&1 \
     && fail "garbage request accepted" || true
-curl -fsS -X POST --data-binary @"$tmp/req.json" "$base/compile" >"$tmp/second.json" \
+curl -fsS -D "$tmp/second.hdr" -X POST --data-binary @"$tmp/req.json" "$base/compile" >"$tmp/second.json" \
     || fail "second /compile failed"
+# A /compile 200 is one frame with its length announced, miss or hit, and
+# the hit is the miss's bytes apart from the cache mark.
+for hdr in first second; do
+    grep -qi '^content-length:' "$tmp/$hdr.hdr" || fail "$hdr /compile 200 without Content-Length: $(cat "$tmp/$hdr.hdr")"
+done
+sed 's/"cache":"miss"/"cache":"hit"/' "$tmp/first.json" | cmp -s - "$tmp/second.json" \
+    || fail "hit body differs from the miss body in more than the cache field"
 
 extract() { # extract <field> <file> <out>
     python3 -c '
