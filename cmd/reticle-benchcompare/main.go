@@ -11,7 +11,8 @@
 // Only benchmarks whose name matches -filter (default: the placement
 // and CSP-solver benchmarks plus BenchmarkEditReplay, BenchmarkExplore,
 // BenchmarkCompileBatch, the service hit path (BenchmarkServeCached,
-// BenchmarkServeBatchCached) and BenchmarkAblationSelector) are compared,
+// BenchmarkServeBatchCached), the cold path (BenchmarkServeCold) and
+// BenchmarkAblationSelector) are compared,
 // and only on metrics where
 // lower is better: ns_per_op, B/op, and allocs/op (recorded when the
 // baseline ran with -benchmem) plus the counter metrics the placement
@@ -153,8 +154,8 @@ func inf() float64 {
 func main() {
 	threshold := flag.Float64("threshold", 0.20,
 		"fail when head exceeds base by more than this fraction")
-	filterStr := flag.String("filter", `PlaceShrink|Solve|Shrink|Place|EditReplay|Explore|CompileBatch|ServeCached|ServeBatchCached|AblationSelector`,
-		"regexp of benchmark names to compare (placement-stage, hit-path and selector by default)")
+	filterStr := flag.String("filter", `PlaceShrink|Solve|Shrink|Place|EditReplay|Explore|CompileBatch|ServeCached|ServeBatchCached|ServeCold|AblationSelector`,
+		"regexp of benchmark names to compare (placement-stage, hit-path, cold-path and selector by default)")
 	metricsStr := flag.String("metrics", "",
 		"regexp of metric names to compare (ns_per_op, B/op, solver-steps, ...); empty compares all")
 	flag.Usage = func() {

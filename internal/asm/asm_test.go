@@ -123,6 +123,8 @@ func TestParseRejects(t *testing.T) {
         }`},
 		{"missing output", `def f(a:i8) -> (z:i8) { y:i8 = thing(a) @dsp(0, 0); }`},
 		{"output type mismatch", `def f(a:i8) -> (y:i16) { y:i8 = thing(a) @dsp(0, 0); }`},
+		{"duplicate output", `def f(a:i8) -> (y:i8, y:i8) { y:i8 = thing(a) @dsp(0, 0); }`},
+		{"output names an input", `def f(a:i8) -> (a:i8) {}`},
 		{"wildcard plus var", `def f(a:i8) -> (y:i8) { y:i8 = thing(a) @dsp(?? + x, 0); }`},
 	}
 	for _, tt := range bad {

@@ -13,15 +13,9 @@ import (
 // part of the language" property (§3): unsatisfiable programs are rejected,
 // never silently adjusted.
 func CheckTarget(f *Func, target *tdl.Target) error {
-	if err := Check(f); err != nil {
+	types, err := check(f)
+	if err != nil {
 		return err
-	}
-	types := make(map[string]ir.Type)
-	for _, p := range f.Inputs {
-		types[p.Name] = p.Type
-	}
-	for _, in := range f.Body {
-		types[in.Dest] = in.Type
 	}
 	for _, in := range f.Body {
 		if in.IsWire() {

@@ -1,8 +1,7 @@
 package asm
 
 import (
-	"fmt"
-	"strings"
+	"strconv"
 
 	"reticle/internal/ir"
 )
@@ -28,43 +27,74 @@ type Instr struct {
 func (in Instr) IsWire() bool { return in.Op != ir.OpInvalid }
 
 // String renders the instruction in source syntax.
-func (in Instr) String() string {
-	var b strings.Builder
-	b.WriteString(in.Dest)
-	b.WriteByte(':')
-	b.WriteString(in.Type.String())
-	b.WriteString(" = ")
+func (in Instr) String() string { return string(in.appendTo(nil)) }
+
+// appendTo appends the instruction in source syntax. The printer is
+// fmt-free: the pipeline prints every stage's assembly for its key and
+// payload, so this runs once per instruction per stage.
+func (in Instr) appendTo(b []byte) []byte {
+	b = append(b, in.Dest...)
+	b = append(b, ':')
+	b = appendType(b, in.Type)
+	b = append(b, " = "...)
 	if in.IsWire() {
-		b.WriteString(in.Op.String())
+		b = append(b, in.Op.String()...)
 	} else {
-		b.WriteString(in.Name)
+		b = append(b, in.Name...)
 	}
 	if len(in.Attrs) > 0 {
-		b.WriteByte('[')
+		b = append(b, '[')
 		for i, a := range in.Attrs {
 			if i > 0 {
-				b.WriteString(", ")
+				b = append(b, ", "...)
 			}
-			fmt.Fprintf(&b, "%d", a)
+			b = strconv.AppendInt(b, a, 10)
 		}
-		b.WriteByte(']')
+		b = append(b, ']')
 	}
 	if !(in.IsWire() && in.Op == ir.OpConst) {
-		b.WriteByte('(')
+		b = append(b, '(')
 		for i, a := range in.Args {
 			if i > 0 {
-				b.WriteString(", ")
+				b = append(b, ", "...)
 			}
-			b.WriteString(a)
+			b = append(b, a...)
 		}
-		b.WriteByte(')')
+		b = append(b, ')')
 	}
 	if !in.IsWire() {
-		b.WriteString(" @")
-		b.WriteString(in.Loc.String())
+		b = append(b, " @"...)
+		b = in.Loc.appendTo(b)
 	}
-	b.WriteByte(';')
-	return b.String()
+	return append(b, ';')
+}
+
+// appendType appends t as ir.Type.String renders it.
+func appendType(b []byte, t ir.Type) []byte {
+	switch t.Kind() {
+	case ir.KindBool:
+		return append(b, "bool"...)
+	case ir.KindInt:
+		return strconv.AppendInt(append(b, 'i'), int64(t.Width()), 10)
+	case ir.KindVector:
+		b = strconv.AppendInt(append(b, 'i'), int64(t.Width()), 10)
+		b = strconv.AppendInt(append(b, '<'), int64(t.Lanes()), 10)
+		return append(b, '>')
+	default:
+		return append(b, t.String()...)
+	}
+}
+
+func appendPorts(b []byte, ports []ir.Port) []byte {
+	for i, p := range ports {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = append(b, p.Name...)
+		b = append(b, ':')
+		b = appendType(b, p.Type)
+	}
+	return b
 }
 
 // Clone returns a deep copy of the instruction.
@@ -127,33 +157,24 @@ func (f *Func) Clone() *Func {
 	return out
 }
 
-// String renders the function in source syntax.
+// String renders the function in source syntax, appending into one buffer
+// sized for the body up front.
 func (f *Func) String() string {
-	var b strings.Builder
-	b.WriteString("def ")
-	b.WriteString(f.Name)
-	b.WriteByte('(')
-	for i, p := range f.Inputs {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(p.String())
-	}
-	b.WriteString(") -> (")
-	for i, p := range f.Outputs {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(p.String())
-	}
-	b.WriteString(") {\n")
+	b := make([]byte, 0, 64+16*(len(f.Inputs)+len(f.Outputs))+80*len(f.Body))
+	b = append(b, "def "...)
+	b = append(b, f.Name...)
+	b = append(b, '(')
+	b = appendPorts(b, f.Inputs)
+	b = append(b, ") -> ("...)
+	b = appendPorts(b, f.Outputs)
+	b = append(b, ") {\n"...)
 	for _, in := range f.Body {
-		b.WriteString("    ")
-		b.WriteString(in.String())
-		b.WriteByte('\n')
+		b = append(b, "    "...)
+		b = in.appendTo(b)
+		b = append(b, '\n')
 	}
-	b.WriteString("}\n")
-	return b.String()
+	b = append(b, "}\n"...)
+	return string(b)
 }
 
 // AsmCount returns the number of assembly (non-wire) instructions.

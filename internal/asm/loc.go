@@ -12,7 +12,6 @@
 package asm
 
 import (
-	"fmt"
 	"strconv"
 
 	"reticle/internal/ir"
@@ -40,18 +39,20 @@ func VarPlus(v string, off int64) Coord { return Coord{Var: v, Off: off} }
 func (c Coord) IsLiteral() bool { return !c.Wild && c.Var == "" }
 
 // String renders the coordinate in source syntax.
-func (c Coord) String() string {
+func (c Coord) String() string { return string(c.appendTo(nil)) }
+
+func (c Coord) appendTo(b []byte) []byte {
 	switch {
 	case c.Wild:
-		return "??"
+		return append(b, "??"...)
 	case c.Var == "":
-		return strconv.FormatInt(c.Off, 10)
+		return strconv.AppendInt(b, c.Off, 10)
 	case c.Off == 0:
-		return c.Var
+		return append(b, c.Var...)
 	case c.Off < 0:
-		return fmt.Sprintf("%s%d", c.Var, c.Off)
+		return strconv.AppendInt(append(b, c.Var...), c.Off, 10) // "y-1"
 	default:
-		return fmt.Sprintf("%s+%d", c.Var, c.Off)
+		return strconv.AppendInt(append(append(b, c.Var...), '+'), c.Off, 10)
 	}
 }
 
@@ -63,8 +64,12 @@ type Loc struct {
 }
 
 // String renders the location in source syntax: "dsp(x, y+1)".
-func (l Loc) String() string {
-	return fmt.Sprintf("%s(%s, %s)", l.Prim, l.X, l.Y)
+func (l Loc) String() string { return string(l.appendTo(nil)) }
+
+func (l Loc) appendTo(b []byte) []byte {
+	b = append(append(b, l.Prim.String()...), '(')
+	b = append(l.X.appendTo(b), ", "...)
+	return append(l.Y.appendTo(b), ')')
 }
 
 // Resolved reports whether both coordinates are integer literals.

@@ -200,39 +200,39 @@ func parseCoord(p *ir.Parser) (Coord, error) {
 // resolved argument names, and typed outputs. Operation signatures against
 // a target are validated separately by CheckTarget.
 func Check(f *Func) error {
+	_, err := check(f)
+	return err
+}
+
+// check is Check, handing back the name -> type map it built so that
+// CheckTarget does not build it a second time.
+func check(f *Func) (map[string]ir.Type, error) {
 	if len(f.Outputs) == 0 {
-		return fmt.Errorf("asm: function %s has no outputs", f.Name)
+		return nil, fmt.Errorf("asm: function %s has no outputs", f.Name)
 	}
 	types := make(map[string]ir.Type, len(f.Inputs)+len(f.Body))
 	for _, p := range f.Inputs {
 		if _, dup := types[p.Name]; dup {
-			return fmt.Errorf("asm: function %s: duplicate input %q", f.Name, p.Name)
+			return nil, fmt.Errorf("asm: function %s: duplicate input %q", f.Name, p.Name)
 		}
 		types[p.Name] = p.Type
 	}
 	for _, in := range f.Body {
 		if _, dup := types[in.Dest]; dup {
-			return fmt.Errorf("asm: function %s: %q defined more than once", f.Name, in.Dest)
+			return nil, fmt.Errorf("asm: function %s: %q defined more than once", f.Name, in.Dest)
 		}
 		types[in.Dest] = in.Type
 	}
 	for _, in := range f.Body {
 		for _, a := range in.Args {
 			if _, ok := types[a]; !ok {
-				return fmt.Errorf("asm: function %s: %s: argument %q is undefined",
+				return nil, fmt.Errorf("asm: function %s: %s: argument %q is undefined",
 					f.Name, in.Dest, a)
 			}
 		}
 	}
-	for _, out := range f.Outputs {
-		typ, ok := types[out.Name]
-		if !ok {
-			return fmt.Errorf("asm: function %s: output %q is never defined", f.Name, out.Name)
-		}
-		if typ != out.Type {
-			return fmt.Errorf("asm: function %s: output %q has type %s, declared %s",
-				f.Name, out.Name, typ, out.Type)
-		}
+	if err := ir.CheckOutputs(f.Inputs, f.Outputs, types); err != nil {
+		return nil, fmt.Errorf("asm: function %s: %w", f.Name, err)
 	}
-	return nil
+	return types, nil
 }

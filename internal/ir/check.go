@@ -32,14 +32,35 @@ func Check(f *Func) error {
 			return fmt.Errorf("ir: function %s: instruction %d (%s): %w", f.Name, i, in.Dest, err)
 		}
 	}
-	for _, out := range f.Outputs {
+	if err := CheckOutputs(f.Inputs, f.Outputs, types); err != nil {
+		return fmt.Errorf("ir: function %s: %w", f.Name, err)
+	}
+	return nil
+}
+
+// CheckOutputs validates output ports against types, the declared type of
+// every input and instruction destination: each output names a distinct
+// instruction result of its declared type. An output that repeats another
+// or names an input would become a port declared twice in the generated
+// module. Package asm shares the rule.
+func CheckOutputs(inputs, outputs []Port, types map[string]Type) error {
+	seen := make(map[string]bool, len(outputs))
+	for _, out := range outputs {
 		t, ok := types[out.Name]
 		if !ok {
-			return fmt.Errorf("ir: function %s: output %q is never defined", f.Name, out.Name)
+			return fmt.Errorf("output %q is never defined", out.Name)
 		}
 		if t != out.Type {
-			return fmt.Errorf("ir: function %s: output %q has type %s, declared %s",
-				f.Name, out.Name, t, out.Type)
+			return fmt.Errorf("output %q has type %s, declared %s", out.Name, t, out.Type)
+		}
+		if seen[out.Name] {
+			return fmt.Errorf("duplicate output %q", out.Name)
+		}
+		seen[out.Name] = true
+	}
+	for _, p := range inputs {
+		if seen[p.Name] {
+			return fmt.Errorf("output %q names an input; use id", p.Name)
 		}
 	}
 	return nil
@@ -138,6 +159,9 @@ func checkLaneAttrs(in Instr, what string) error {
 	case in.Type.Lanes():
 		return nil
 	default:
+		if in.Type.Lanes() == 1 {
+			return fmt.Errorf("%s takes 1 %s attribute, got %d", in.Op, what, len(in.Attrs))
+		}
 		return fmt.Errorf("%s takes 1 or %d %s attributes, got %d",
 			in.Op, in.Type.Lanes(), what, len(in.Attrs))
 	}

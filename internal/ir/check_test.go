@@ -49,6 +49,16 @@ func TestCheckRejects(t *testing.T) {
 			"declared i16",
 		},
 		{
+			"duplicate output",
+			`def f(x:i8, en:bool) -> (y:i8, y:i8) { y:i8 = reg[0](x, en) @??; }`,
+			`duplicate output "y"`,
+		},
+		{
+			"output names an input",
+			`def f(a:i8, en:bool) -> (a:i8) {}`,
+			`output "a" names an input; use id`,
+		},
+		{
 			"add type mismatch",
 			`def f(a:i8, b:i16) -> (y:i8) { y:i8 = add(a, b) @??; }`,
 			"want i8",
@@ -82,6 +92,11 @@ func TestCheckRejects(t *testing.T) {
 			"reg bad init count",
 			`def f(a:i8<4>, en:bool) -> (y:i8<4>) { y:i8<4> = reg[0, 0](a, en) @??; }`,
 			"attributes",
+		},
+		{
+			"scalar reg bad init count",
+			`def f(a:i8, en:bool) -> (y:i8) { y:i8 = reg[0, 0](a, en) @??; }`,
+			"reg takes 1 initial value attribute, got 2",
 		},
 		{
 			"shift too far",

@@ -64,6 +64,9 @@ func (l *Lexer) peekRune() (rune, int) {
 	if l.pos >= len(l.src) {
 		return 0, 0
 	}
+	if c := l.src[l.pos]; c < utf8.RuneSelf {
+		return rune(c), 1
+	}
 	return utf8.DecodeRuneInString(l.src[l.pos:])
 }
 
@@ -96,11 +99,17 @@ func (l *Lexer) skipSpaceAndComments() {
 }
 
 func isIdentStart(r rune) bool {
-	return r == '_' || unicode.IsLetter(r)
+	if r < utf8.RuneSelf {
+		return r == '_' || 'a' <= r && r <= 'z' || 'A' <= r && r <= 'Z'
+	}
+	return unicode.IsLetter(r)
 }
 
 func isIdentCont(r rune) bool {
-	return r == '_' || unicode.IsLetter(r) || unicode.IsDigit(r)
+	if r < utf8.RuneSelf {
+		return isIdentStart(r) || '0' <= r && r <= '9'
+	}
+	return unicode.IsLetter(r) || unicode.IsDigit(r)
 }
 
 // Next scans and returns the next token.
@@ -140,6 +149,10 @@ func (l *Lexer) Next() Token {
 	case r == '?' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '?':
 		l.advance(2)
 		return Token{Kind: TokPunct, Text: "??", Line: line, Col: col}
+	case r < utf8.RuneSelf:
+		// The same text as string(r) below, as a substring: no allocation.
+		l.advance(1)
+		return Token{Kind: TokPunct, Text: l.src[l.pos-1 : l.pos], Line: line, Col: col}
 	default:
 		l.advance(size)
 		return Token{Kind: TokPunct, Text: string(r), Line: line, Col: col}
@@ -154,7 +167,9 @@ func (l *Lexer) hasDigitAt(pos int) bool {
 // EOF token, or the first lexical error.
 func Tokens(src string) ([]Token, error) {
 	l := NewLexer(src)
-	var toks []Token
+	// Dense Reticle text (a printed tensordot) runs at 2.5 bytes per token;
+	// sizing for two up front keeps the scan out of growslice.
+	toks := make([]Token, 0, len(src)/2+16)
 	for {
 		t := l.Next()
 		toks = append(toks, t)

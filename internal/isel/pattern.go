@@ -26,8 +26,10 @@ type PNode struct {
 	Op    ir.Op
 	Type  ir.Type
 	Attrs []int64
-	Body  int // index into the definition body, for register-init capture
 	Args  []*PNode
+
+	input int // leaf: ordinal of the input in Def.Inputs
+	reg   int // stateful interior node: its slot in Pattern.RegBodies
 }
 
 // Pattern is a target definition compiled to a matchable tree.
@@ -42,15 +44,30 @@ type Pattern struct {
 // CompilePattern converts a TDL definition into a tree pattern. The body
 // must form a tree: every intermediate value is consumed exactly once.
 // (Definition inputs may be referenced multiple times; matching then
-// requires the bound subject nodes to coincide.)
+// requires the bound subject nodes to coincide.) Leaf names and stateful
+// body indices are resolved to ordinals here, once, so matching binds by
+// slice and never by name.
 func CompilePattern(def *tdl.Def) (*Pattern, error) {
+	p := &Pattern{Def: def}
 	byDest := make(map[string]int, len(def.Body))
 	uses := make(map[string]int)
+	regSlot := make([]int, len(def.Body)) // body index -> slot in RegBodies
 	for i, in := range def.Body {
 		byDest[in.Dest] = i
 		for _, a := range in.Args {
 			uses[a]++
 		}
+		if in.Op.IsStateful() {
+			regSlot[i] = len(p.RegBodies)
+			p.RegBodies = append(p.RegBodies, i)
+		}
+	}
+	inputOrd := make(map[string]int, len(def.Inputs))
+	for i, in := range def.Inputs {
+		if uses[in.Name] == 0 {
+			return nil, fmt.Errorf("isel: definition %s: input %q is never used", def.Name, in.Name)
+		}
+		inputOrd[in.Name] = i
 	}
 	for _, in := range def.Body {
 		if in.Dest != def.Output.Name && uses[in.Dest] != 1 {
@@ -72,7 +89,7 @@ func CompilePattern(def *tdl.Def) (*Pattern, error) {
 				Op:    in.Op,
 				Type:  in.Type,
 				Attrs: append([]int64(nil), in.Attrs...),
-				Body:  i,
+				reg:   regSlot[i],
 			}
 			for _, a := range in.Args {
 				c, err := build(a)
@@ -83,12 +100,12 @@ func CompilePattern(def *tdl.Def) (*Pattern, error) {
 			}
 			return n, nil
 		}
-		t, ok := def.InputType(name)
+		ord, ok := inputOrd[name]
 		if !ok {
 			return nil, fmt.Errorf("isel: definition %s: %q is neither input nor intermediate",
 				def.Name, name)
 		}
-		return &PNode{Leaf: name, Type: t}, nil
+		return &PNode{Leaf: name, Type: def.Inputs[ord].Type, input: ord}, nil
 	}
 	root, err := build(def.Output.Name)
 	if err != nil {
@@ -97,12 +114,7 @@ func CompilePattern(def *tdl.Def) (*Pattern, error) {
 	if root.Leaf != "" {
 		return nil, fmt.Errorf("isel: definition %s: output is a bare input", def.Name)
 	}
-	p := &Pattern{Def: def, Root: root}
-	for i, in := range def.Body {
-		if in.Op.IsStateful() {
-			p.RegBodies = append(p.RegBodies, i)
-		}
-	}
+	p.Root = root
 	return p, nil
 }
 

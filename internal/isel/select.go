@@ -1,6 +1,7 @@
 package isel
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -39,7 +40,7 @@ func Select(f *ir.Func, target *tdl.Target, opts Options) (*asm.Func, error) {
 
 // SelectWithLibrary is Select with a pre-compiled pattern library, for
 // callers compiling many programs against one target. The library is
-// read-only here: all selection scratch (tree partitions, cover tables)
+// read-only here: all selection scratch (tree partitions, the shape table)
 // is allocated per call, so concurrent selections may share one library.
 func SelectWithLibrary(f *ir.Func, lib *Library, opts Options) (*asm.Func, error) {
 	if opts.Cost == nil {
@@ -54,16 +55,15 @@ func SelectWithLibrary(f *ir.Func, lib *Library, opts Options) (*asm.Func, error
 		Name:    f.Name,
 		Inputs:  append([]ir.Port(nil), f.Inputs...),
 		Outputs: append([]ir.Port(nil), f.Outputs...),
+		Body:    make([]asm.Instr, 0, len(f.Body)),
 	}
 	// Emit trees in ascending root body order for readable, stable output.
 	sort.Slice(trees, func(i, j int) bool { return trees[i].Root.Index < trees[j].Root.Index })
+	s := newSelector(lib, opts, len(g.Nodes))
 	for _, tree := range trees {
-		sel := &treeSelector{lib: lib, tree: tree, opts: opts, choices: make(map[int]*choice)}
-		instrs, err := sel.run()
-		if err != nil {
+		if out.Body, err = s.selectTree(tree, out.Body); err != nil {
 			return nil, fmt.Errorf("isel: function %s: %w", f.Name, err)
 		}
-		out.Body = append(out.Body, instrs...)
 	}
 	if err := asm.CheckTarget(out, lib.Target); err != nil {
 		return nil, fmt.Errorf("isel: produced invalid assembly: %w", err)
@@ -71,47 +71,127 @@ func SelectWithLibrary(f *ir.Func, lib *Library, opts Options) (*asm.Func, error
 	return out, nil
 }
 
-// choice is the selected cover for one in-tree node.
-type choice struct {
-	pat  *Pattern             // nil for the wire-instruction default cover
-	bind map[string]*dfg.Node // pattern leaf name -> subject node
-	caps map[int][]int64      // pattern body index -> captured register init
-	cost int64
+// selector is the scratch of one SelectWithLibrary call: the shape table,
+// and the buffers that the walk, the covering DP and the emit reuse from
+// tree to tree. Nodes of the tree at hand are addressed by local index,
+// their first-visit position in the preorder walk (the root is 0), which
+// is what lets trees of one shape share a cover.
+type selector struct {
+	lib    *Library
+	opts   Options
+	covers map[string]*cover // shape signature -> solved cover
+
+	local    []int32     // node ID -> local index + 1; 0 outside the walk
+	nodes    []*dfg.Node // local index -> node
+	interior []bool      // local index -> in the tree and not its root
+	emitted  []bool      // local index -> already emitted
+	sig      []byte
+	cov      *cover // the cover being solved
 }
 
-type treeSelector struct {
-	lib     *Library
-	tree    *dfg.Tree
-	opts    Options
-	choices map[int]*choice
+func newSelector(lib *Library, opts Options, graphNodes int) *selector {
+	return &selector{
+		lib:    lib,
+		opts:   opts,
+		covers: make(map[string]*cover),
+		local:  make([]int32, graphNodes),
+	}
+}
+
+// cover is the solved DP of one tree shape, in local indices: replayed
+// over any tree with the same signature it yields that tree's selection.
+type cover struct {
+	choices []choice // by local index; set for the root and interior nodes
+	refs    []int32  // backing store of every choice's bindings
+}
+
+// choice is the selected cover for one in-tree node.
+type choice struct {
+	pat  *Pattern // nil for the wire-instruction default cover
+	cost int64
+	done bool
+	// refs[off:] holds the local index bound to each of pat.Def.Inputs,
+	// then the register node captured for each of pat.RegBodies; for the
+	// wire default, the local index of each argument.
+	off int
 }
 
 const infCost = int64(math.MaxInt64 / 4)
 
-// run computes covers bottom-up and emits assembly instructions for the
-// tree root.
-func (s *treeSelector) run() ([]asm.Instr, error) {
-	if err := s.cover(s.tree.Root); err != nil {
-		return nil, err
+// Signature tags. Every field after a tag is fixed-width or a varint, so
+// the encoding is prefix-free and equal signatures mean equal shapes.
+const (
+	sigNode = iota // in-tree node: everything matchNode reads, then its children
+	sigLeaf        // node outside the tree, first visit: matched by type alone
+	sigRef         // node visited before: an operand used twice, or the root through feedback
+)
+
+// selectTree appends the tree's instructions to out: it walks the tree,
+// solves its shape unless an earlier tree of this call had the same one,
+// and replays the cover over the tree's own nodes.
+func (s *selector) selectTree(t *dfg.Tree, out []asm.Instr) ([]asm.Instr, error) {
+	for _, n := range s.nodes {
+		s.local[n.ID] = 0 // the previous tree's
 	}
-	var instrs []asm.Instr
-	emitted := make(map[int]bool)
-	if err := s.emit(s.tree.Root, &instrs, emitted); err != nil {
-		return nil, err
+	s.nodes, s.interior, s.sig = s.nodes[:0], s.interior[:0], s.sig[:0]
+	s.walk(t, t.Root)
+	c, ok := s.covers[string(s.sig)]
+	if !ok {
+		c = &cover{choices: make([]choice, len(s.nodes)), refs: make([]int32, 0, 4*len(s.nodes))}
+		s.cov = c
+		if err := s.cover(0); err != nil {
+			return nil, err // not cached: the message names this tree's node
+		}
+		s.covers[string(s.sig)] = c
 	}
-	return instrs, nil
+	s.emitted = append(s.emitted[:0], make([]bool, len(s.nodes))...)
+	return s.emit(c, 0, out)
 }
 
-// cover computes the best cover for node n (which must be in the tree) and
-// recursively for every node its cover exposes as a boundary.
-func (s *treeSelector) cover(n *dfg.Node) error {
-	if _, done := s.choices[n.ID]; done {
+// walk visits n in preorder, assigns it a local index and appends to the
+// signature exactly what cover, match and matchNode read of it. A node
+// outside the tree is a leaf to every pattern (its type and identity are
+// all that is read); a stateful node's init values are captured at emit,
+// not matched, so only their count is part of the shape.
+func (s *selector) walk(t *dfg.Tree, n *dfg.Node) {
+	if li := s.local[n.ID]; li != 0 {
+		s.sig = binary.AppendUvarint(append(s.sig, sigRef), uint64(li-1))
+		return
+	}
+	s.nodes = append(s.nodes, n)
+	s.local[n.ID] = int32(len(s.nodes))
+	inTree := t.Contains(n)
+	s.interior = append(s.interior, inTree && n != t.Root)
+	typ := [...]byte{byte(n.Type.Kind()), byte(n.Type.Width()), byte(n.Type.Lanes()), byte(n.Type.Lanes() >> 8)}
+	if !inTree {
+		s.sig = append(append(s.sig, sigLeaf), typ[:]...)
+		return
+	}
+	in := n.Instr
+	s.sig = append(append(s.sig, sigNode, byte(in.Op), byte(in.Res)), typ[:]...)
+	s.sig = binary.AppendUvarint(s.sig, uint64(len(n.Args)))
+	s.sig = binary.AppendUvarint(s.sig, uint64(len(in.Attrs)))
+	if !in.Op.IsStateful() {
+		for _, a := range in.Attrs {
+			s.sig = binary.AppendVarint(s.sig, a)
+		}
+	}
+	for _, a := range n.Args {
+		s.walk(t, a)
+	}
+}
+
+// cover computes the best cover for in-tree node li and recursively for
+// every node its cover exposes as a boundary.
+func (s *selector) cover(li int32) error {
+	if s.cov.choices[li].done {
 		return nil
 	}
 	// Mark in progress defensively; trees are acyclic so this never recurs.
-	s.choices[n.ID] = &choice{cost: infCost}
+	s.cov.choices[li] = choice{cost: infCost, done: true}
 
-	best := &choice{cost: infCost}
+	n := s.nodes[li]
+	best := choice{cost: infCost}
 
 	// Default cover for wire nodes: emit the wire instruction itself,
 	// at zero cost, paying only for in-tree children.
@@ -119,7 +199,7 @@ func (s *treeSelector) cover(n *dfg.Node) error {
 		cost := int64(0)
 		ok := true
 		for _, a := range n.Args {
-			c, err := s.childCost(a)
+			c, err := s.childCost(s.local[a.ID] - 1)
 			if err != nil {
 				return err
 			}
@@ -130,25 +210,26 @@ func (s *treeSelector) cover(n *dfg.Node) error {
 			cost += c
 		}
 		if ok {
-			best = &choice{cost: cost}
+			best = choice{cost: cost, off: len(s.cov.refs)}
+			for _, a := range n.Args {
+				s.cov.refs = append(s.cov.refs, s.local[a.ID]-1)
+			}
 		}
 	}
 
-	if n.Kind == dfg.KindInstr && !n.IsWire() || n.IsWire() {
-		for _, pat := range s.lib.Candidates(instrOp(n)) {
-			ch, ok, err := s.match(pat, n)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				continue
-			}
-			if ch.cost < best.cost {
-				best = ch
-			}
-			if s.opts.Greedy && best.pat != nil {
-				break
-			}
+	for _, pat := range s.lib.Candidates(n.Instr.Op) {
+		ch, ok, err := s.match(pat, li)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			continue
+		}
+		if ch.cost < best.cost {
+			best = ch
+		}
+		if s.opts.Greedy && best.pat != nil {
+			break
 		}
 	}
 
@@ -158,90 +239,73 @@ func (s *treeSelector) cover(n *dfg.Node) error {
 			"the target does not support this operation at this type",
 			res, n.Name, n.Instr.Op, n.Type)
 	}
-	s.choices[n.ID] = best
+	best.done = true
+	s.cov.choices[li] = best
 	return nil
-}
-
-func instrOp(n *dfg.Node) ir.Op {
-	if n.Kind == dfg.KindInstr {
-		return n.Instr.Op
-	}
-	return ir.OpInvalid
 }
 
 // childCost returns the cost of producing a node consumed at a pattern
 // boundary: zero if it lives outside the tree (an input or another tree's
 // root), else the node's own best cover cost.
-func (s *treeSelector) childCost(n *dfg.Node) (int64, error) {
-	if !s.inTreeInterior(n) {
+func (s *selector) childCost(li int32) (int64, error) {
+	if !s.interior[li] {
 		return 0, nil
 	}
-	if err := s.cover(n); err != nil {
+	if err := s.cover(li); err != nil {
 		return 0, err
 	}
-	return s.choices[n.ID].cost, nil
+	return s.cov.choices[li].cost, nil
 }
 
-func (s *treeSelector) inTreeInterior(n *dfg.Node) bool {
-	return n != s.tree.Root && s.tree.Contains(n)
-}
-
-// match attempts to place pattern pat with its root at subject node n.
-func (s *treeSelector) match(pat *Pattern, n *dfg.Node) (*choice, bool, error) {
-	// Most candidates fail at the root, on the tests matchNode opens with:
-	// apply those before paying for a choice and its two maps.
-	if p := pat.Root; p.Leaf == "" {
-		if n.Kind != dfg.KindInstr {
-			return nil, false, nil
-		}
-		if in := n.Instr; in.Op != p.Op || in.Type != p.Type ||
-			in.Op.IsCompute() && in.Res != ir.ResAny && in.Res != pat.Def.Prim {
-			return nil, false, nil
-		}
+// match attempts to place pattern pat with its root at in-tree node at.
+// Bindings go straight into the cover's backing store; those of a
+// candidate that matched and then lost on cost are left behind unused.
+func (s *selector) match(pat *Pattern, at int32) (choice, bool, error) {
+	off := len(s.cov.refs)
+	for i := len(pat.Def.Inputs) + len(pat.RegBodies); i > 0; i-- {
+		s.cov.refs = append(s.cov.refs, -1)
 	}
-	ch := &choice{
-		pat:  pat,
-		bind: make(map[string]*dfg.Node),
-		caps: make(map[int][]int64),
-	}
-	if !s.matchNode(pat.Root, n, n, ch) {
-		return nil, false, nil
+	if !s.matchNode(pat.Root, s.nodes[at], at, pat, s.cov.refs[off:]) {
+		s.cov.refs = s.cov.refs[:off]
+		return choice{}, false, nil
 	}
 	cost := s.opts.Cost(pat.Def)
-	for _, leaf := range pat.Def.Inputs {
-		b := ch.bind[leaf.Name]
-		c, err := s.childCost(b)
+	for i := range pat.Def.Inputs {
+		// Covering a child appends to refs, so index it afresh each time.
+		c, err := s.childCost(s.cov.refs[off+i])
 		if err != nil {
-			return nil, false, err
+			return choice{}, false, err
 		}
 		if c >= infCost {
-			return nil, false, nil
+			return choice{}, false, nil
 		}
 		cost += c
 	}
-	ch.cost = cost
-	return ch, true, nil
+	return choice{pat: pat, cost: cost, off: off}, true, nil
 }
 
-// matchNode structurally matches pattern node p against subject node n.
-// root is the subject node the pattern root is placed at; interior pattern
-// nodes may only consume nodes interior to this tree (their values are
-// fused away and must not be needed elsewhere).
-func (s *treeSelector) matchNode(p *PNode, n *dfg.Node, root *dfg.Node, ch *choice) bool {
+// matchNode structurally matches pattern node p against subject node n,
+// recording leaf and register bindings in bind (laid out as choice.off
+// describes). at is the node the pattern root is placed at; interior
+// pattern nodes may only consume it (the tree root reached again through
+// register feedback) or nodes interior to this tree: their values are
+// fused away and must not be needed elsewhere.
+func (s *selector) matchNode(p *PNode, n *dfg.Node, at int32, pat *Pattern, bind []int32) bool {
+	li := s.local[n.ID] - 1
 	if p.Leaf != "" {
 		if n.Type != p.Type {
 			return false
 		}
-		if prev, seen := ch.bind[p.Leaf]; seen {
-			return prev == n // repeated input: must be the very same value
+		if prev := bind[p.input]; prev >= 0 {
+			return prev == li // repeated input: must be the very same value
 		}
-		ch.bind[p.Leaf] = n
+		bind[p.input] = li
 		return true
 	}
 	if n.Kind != dfg.KindInstr {
 		return false
 	}
-	if n != root && !s.inTreeInterior(n) {
+	if li != at && !s.interior[li] {
 		return false // fusing would hide a value that others consume
 	}
 	in := n.Instr
@@ -249,11 +313,11 @@ func (s *treeSelector) matchNode(p *PNode, n *dfg.Node, root *dfg.Node, ch *choi
 		return false
 	}
 	// Resource annotations are hard constraints on compute instructions.
-	if in.Op.IsCompute() && in.Res != ir.ResAny && in.Res != ch.pat.Def.Prim {
+	if in.Op.IsCompute() && in.Res != ir.ResAny && in.Res != pat.Def.Prim {
 		return false
 	}
 	if in.Op.IsStateful() {
-		ch.caps[p.Body] = asm.NormalizeRegAttrs(*in)
+		bind[len(pat.Def.Inputs)+p.reg] = li
 	} else if !attrsEqual(in.Attrs, p.Attrs) {
 		return false
 	}
@@ -261,7 +325,7 @@ func (s *treeSelector) matchNode(p *PNode, n *dfg.Node, root *dfg.Node, ch *choi
 		return false
 	}
 	for i, pa := range p.Args {
-		if !s.matchNode(pa, n.Args[i], root, ch) {
+		if !s.matchNode(pa, n.Args[i], at, pat, bind) {
 			return false
 		}
 	}
@@ -280,57 +344,58 @@ func attrsEqual(a, b []int64) bool {
 	return true
 }
 
-// emit writes the chosen cover of node n (and, first, of every boundary
-// node it consumes) as assembly instructions.
-func (s *treeSelector) emit(n *dfg.Node, out *[]asm.Instr, emitted map[int]bool) error {
-	if emitted[n.ID] {
-		return nil
+// emit appends the cover of node li (and, first, of every boundary node it
+// consumes) as assembly instructions. The cover says which pattern and
+// which local indices; names and register inits come from the tree at
+// hand, so trees that share a cover keep their own.
+func (s *selector) emit(c *cover, li int32, out []asm.Instr) ([]asm.Instr, error) {
+	if s.emitted[li] {
+		return out, nil
 	}
-	emitted[n.ID] = true
-	ch := s.choices[n.ID]
-	if ch == nil {
-		return fmt.Errorf("internal: no cover recorded for %s", n.Name)
+	s.emitted[li] = true
+	ch, n := c.choices[li], s.nodes[li]
+	if !ch.done {
+		return nil, fmt.Errorf("internal: no cover recorded for %s", n.Name)
+	}
+	bound := len(n.Args) // wire default cover
+	if ch.pat != nil {
+		bound = len(ch.pat.Def.Inputs)
+	}
+	var err error
+	for _, b := range c.refs[ch.off : ch.off+bound] {
+		if s.interior[b] {
+			if out, err = s.emit(c, b, out); err != nil {
+				return nil, err
+			}
+		}
 	}
 	if ch.pat == nil {
-		// Wire default cover.
-		for _, a := range n.Args {
-			if s.inTreeInterior(a) {
-				if err := s.emit(a, out, emitted); err != nil {
-					return err
-				}
-			}
-		}
-		*out = append(*out, asm.WireInstr(*n.Instr))
-		return nil
+		return append(out, asm.WireInstr(*n.Instr)), nil
 	}
-	args := make([]string, len(ch.pat.Def.Inputs))
-	for i, leaf := range ch.pat.Def.Inputs {
-		b := ch.bind[leaf.Name]
-		if s.inTreeInterior(b) {
-			if err := s.emit(b, out, emitted); err != nil {
-				return err
-			}
-		}
-		args[i] = b.Name
+	args := make([]string, bound)
+	for i, b := range c.refs[ch.off : ch.off+bound] {
+		args[i] = s.nodes[b].Name
 	}
 	var attrs []int64
-	for _, bi := range ch.pat.RegBodies {
-		caps, ok := ch.caps[bi]
-		if !ok {
-			return fmt.Errorf("internal: pattern %s matched without capturing register %d",
-				ch.pat.Def.Name, bi)
+	for i, r := range c.refs[ch.off+bound : ch.off+bound+len(ch.pat.RegBodies)] {
+		if r < 0 {
+			return nil, fmt.Errorf("internal: pattern %s matched without capturing register %d",
+				ch.pat.Def.Name, ch.pat.RegBodies[i])
 		}
-		attrs = append(attrs, caps...)
+		if init := asm.NormalizeRegAttrs(*s.nodes[r].Instr); attrs == nil {
+			attrs = init
+		} else {
+			attrs = append(attrs, init...)
+		}
 	}
-	*out = append(*out, asm.Instr{
+	return append(out, asm.Instr{
 		Dest:  n.Name,
 		Type:  n.Type,
 		Name:  ch.pat.Def.Name,
 		Attrs: attrs,
 		Args:  args,
 		Loc:   asm.Unplaced(ch.pat.Def.Prim),
-	})
-	return nil
+	}), nil
 }
 
 // Stats summarizes a selection result for reporting.

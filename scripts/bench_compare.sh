@@ -15,10 +15,11 @@
 # cannot silently start re-solving; explore-ns-per-variant is gated, so
 # memoized sweeps cannot silently start recompiling stages; and
 # allocs/op is gated, so the hot paths cannot silently start churning
-# the GC. BenchmarkServeCached, BenchmarkServeBatchCached and
-# BenchmarkAblationSelector are compared too, so an artifact-sized
-# allocation on the hit path or a choice per rejected selector candidate
-# shows up in the blocking count gate.
+# the GC. BenchmarkServeCached, BenchmarkServeBatchCached,
+# BenchmarkServeCold and BenchmarkAblationSelector are compared too, so
+# an artifact-sized allocation on the hit path, a parser or printer that
+# starts allocating per token on the cold path, or a covering DP per
+# tree instead of per shape shows up in the blocking count gate.
 #
 # An optional fourth argument is a regexp of metric names (passed as
 # reticle-benchcompare -metrics): CI runs the comparison twice, once over
