@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"reticle/internal/faults"
@@ -67,14 +66,6 @@ type Options struct {
 	// negatives are rejected (ErrInvalidRetries). Each retry backs off
 	// with capped exponential delay plus deterministic jitter.
 	Retries int
-	// OnResult, when non-nil, is invoked with each kernel's Result as its
-	// worker finishes it — before Compile returns, in completion order,
-	// possibly concurrently from several workers. The streaming /batch
-	// tier uses it to flush results as they complete instead of buffering
-	// the whole sweep. Kernels the cancelled dispatch loop never handed
-	// to a worker are not delivered through OnResult; they appear only in
-	// the returned slice.
-	OnResult func(Result)
 }
 
 // DefaultRetries is the transient-failure retry budget applied when
@@ -164,11 +155,31 @@ type Stats struct {
 // config or invalid options (see Options.Validate); per-kernel failures
 // (including a cancelled context) are reported in the results.
 func Compile(ctx context.Context, cfg *pipeline.Config, jobs []Job, opts Options) ([]Result, Stats, error) {
-	if err := cfg.Validate(); err != nil {
+	run, err := Begin(ctx, cfg, jobs, opts)
+	if err != nil {
 		return nil, Stats{}, err
 	}
+	results, st := run.Finish()
+	return results, st, nil
+}
+
+// Run is a batch in flight: Compile for callers that emit results in
+// submission order while later kernels are still compiling.
+type Run struct {
+	fan *Fan[Result]
+	t0  time.Time
+}
+
+// Begin validates like Compile, starts the workers and returns at once.
+// Every Begin must be followed by Finish; a caller giving up early
+// cancels ctx first, which resolves each kernel no worker has taken with
+// the typed context error while finished results stay intact.
+func Begin(ctx context.Context, cfg *pipeline.Config, jobs []Job, opts Options) (*Run, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	if err := opts.Validate(); err != nil {
-		return nil, Stats{}, err
+		return nil, err
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -177,76 +188,42 @@ func Compile(ctx context.Context, cfg *pipeline.Config, jobs []Job, opts Options
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-
 	retries := opts.Retries
 	if retries == 0 {
 		retries = DefaultRetries
 	} else if retries == NoRetries {
 		retries = 0
 	}
+	return &Run{t0: time.Now(), fan: FanOut(ctx, len(jobs), workers,
+		func(i int) Result { return compileOne(ctx, cfg, jobs[i], i, opts.KernelTimeout, retries) },
+		func(i int, cause error) Result {
+			return Result{Index: i, Name: jobs[i].label(), Err: rerr.Wrap(rerr.ClassOf(cause), rerr.CodeOf(cause),
+				"batch canceled before kernel started", cause)}
+		})}, nil
+}
 
-	t0 := time.Now()
-	results := make([]Result, len(jobs))
-	if len(jobs) > 0 {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					results[i] = compileOne(ctx, cfg, jobs[i], i, opts.KernelTimeout, retries)
-					if opts.OnResult != nil {
-						opts.OnResult(results[i])
-					}
-				}
-			}()
-		}
-		// The dispatch loop watches the batch context: on cancellation it
-		// stops feeding and marks every not-yet-dispatched kernel with the
-		// typed context error, so results the workers already finished are
-		// flushed to the caller instead of being raced against abandoned
-		// dispatch.
-	feed:
-		for i := range jobs {
-			select {
-			case idx <- i:
-			case <-ctx.Done():
-				cerr := ctx.Err()
-				for j := i; j < len(jobs); j++ {
-					name := jobs[j].Name
-					if name == "" && jobs[j].Func != nil {
-						name = jobs[j].Func.Name
-					}
-					results[j] = Result{
-						Index: j,
-						Name:  name,
-						Err: rerr.Wrap(rerr.ClassOf(cerr), rerr.CodeOf(cerr),
-							"batch canceled before kernel started", cerr),
-					}
-				}
-				break feed
-			}
-		}
-		close(idx)
-		wg.Wait()
+// Result blocks until kernel i is final and returns its outcome.
+func (r *Run) Result(i int) Result { return r.fan.Wait(i) }
+
+// Finish waits for every kernel and every worker, then returns the
+// results in submission order with the aggregate.
+func (r *Run) Finish() ([]Result, Stats) {
+	results := r.fan.Drain()
+	st := Stats{Kernels: len(results)}
+	if len(results) > 0 { // an empty batch ran nothing: zero wall, as an all-hit /batch reports
+		st.Wall = time.Since(r.t0)
 	}
-
-	st := Stats{Kernels: len(jobs), Wall: time.Since(t0)}
-	for _, r := range results {
-		if r.Attempts > 1 {
-			st.Retried += r.Attempts - 1
+	for _, res := range results {
+		if res.Attempts > 1 {
+			st.Retried += res.Attempts - 1
 		}
-		if r.Ok() {
+		if res.Ok() {
 			st.Succeeded++
-			if r.Artifact != nil {
-				st.Stages.Add(r.Artifact.Stages)
-				st.Place.Add(r.Artifact.Place)
-				st.StagesSkipped += r.Artifact.StagesSkipped
-				if r.Artifact.Degraded {
+			if res.Artifact != nil {
+				st.Stages.Add(res.Artifact.Stages)
+				st.Place.Add(res.Artifact.Place)
+				st.StagesSkipped += res.Artifact.StagesSkipped
+				if res.Artifact.Degraded {
 					st.Degraded++
 				}
 			}
@@ -257,7 +234,15 @@ func Compile(ctx context.Context, cfg *pipeline.Config, jobs []Job, opts Options
 	if secs := st.Wall.Seconds(); secs > 0 {
 		st.KernelsPerSec = float64(st.Kernels) / secs
 	}
-	return results, st, nil
+	return results, st
+}
+
+// label is the job's result name: its own, or the function's.
+func (j Job) label() string {
+	if j.Name == "" && j.Func != nil {
+		return j.Func.Name
+	}
+	return j.Name
 }
 
 // onKernel, when non-nil, brackets each kernel compile. Tests use it to
@@ -268,10 +253,7 @@ var onKernel func(index int, done bool)
 // errors so a pathological input cannot take down the whole batch, and
 // retrying transient failures with capped exponential backoff.
 func compileOne(ctx context.Context, cfg *pipeline.Config, job Job, index int, timeout time.Duration, retries int) (res Result) {
-	res = Result{Index: index, Name: job.Name}
-	if res.Name == "" && job.Func != nil {
-		res.Name = job.Func.Name
-	}
+	res = Result{Index: index, Name: job.label()}
 	t0 := time.Now()
 	defer func() {
 		if r := recover(); r != nil {

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"reticle/internal/bench"
-	"reticle/internal/cascade"
 	"reticle/internal/ir"
 	"reticle/internal/isel"
 	"reticle/internal/pipeline"
@@ -26,10 +25,7 @@ func testConfig(t testing.TB) *pipeline.Config {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cascades := map[string]cascade.Variants{}
-	for base, v := range ultrascale.Cascades() {
-		cascades[base] = cascade.Variants{Co: v.Co, Ci: v.Ci, CoCi: v.CoCi}
-	}
+	cascades := ultrascale.Cascades()
 	return &pipeline.Config{
 		Target:   ultrascale.Target(),
 		Device:   ultrascale.Device(),

@@ -15,16 +15,14 @@ import (
 	"fmt"
 
 	"reticle/internal/asm"
+	"reticle/internal/target"
 	"reticle/internal/tdl"
 )
 
-// Variants names the cascade forms of a base operation. It mirrors
-// ultrascale.CascadeVariants without importing the target package.
-type Variants struct {
-	Co   string
-	Ci   string
-	CoCi string
-}
+// Variants names the cascade forms of a base operation: the metadata the
+// family packages publish (ultrascale.Cascades, agilex.Cascades) is the
+// map this pass consumes.
+type Variants = target.CascadeVariants
 
 // Options configures the pass.
 type Options struct {

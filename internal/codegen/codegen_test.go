@@ -333,10 +333,7 @@ def dot(a0:i8, b0:i8, a1:i8, b1:i8, in:i8) -> (y:i8) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cas := map[string]cascade.Variants{}
-	for base, vv := range ultrascale.Cascades() {
-		cas[base] = cascade.Variants{Co: vv.Co, Ci: vv.Ci, CoCi: vv.CoCi}
-	}
+	cas := ultrascale.Cascades()
 	af, _, err = cascade.Apply(af, ultrascale.Target(), cascade.Options{Cascades: cas})
 	if err != nil {
 		t.Fatal(err)

@@ -106,10 +106,7 @@ var toolbox struct {
 func loadToolbox() (*isel.Library, map[string]cascade.Variants, error) {
 	toolbox.once.Do(func() {
 		toolbox.lib, toolbox.err = isel.NewLibrary(ultrascale.Target())
-		toolbox.cas = map[string]cascade.Variants{}
-		for base, v := range ultrascale.Cascades() {
-			toolbox.cas[base] = cascade.Variants{Co: v.Co, Ci: v.Ci, CoCi: v.CoCi}
-		}
+		toolbox.cas = ultrascale.Cascades()
 	})
 	return toolbox.lib, toolbox.cas, toolbox.err
 }

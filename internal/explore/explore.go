@@ -40,10 +40,6 @@ type Options struct {
 	// Compile overrides how one variant is compiled; nil means
 	// pipeline.Compile.
 	Compile CompileFunc
-	// OnResult, when non-nil, receives each variant's scored result as
-	// it completes, from worker goroutines (batch.Options.OnResult
-	// semantics). The streaming endpoint uses this.
-	OnResult func(VariantResult)
 }
 
 // Metrics is the deterministic score of one variant: critical path
@@ -161,6 +157,27 @@ type Result struct {
 // variant failures mark the result Partial; Run errors only when the
 // sweep as a whole is invalid or nothing survived.
 func Run(ctx context.Context, cfg *pipeline.Config, f *ir.Func, opts Options) (*Result, error) {
+	sw, err := Begin(ctx, cfg, f, opts)
+	if err != nil {
+		return nil, err
+	}
+	return sw.Finish()
+}
+
+// Sweep is a sweep in flight: Run for callers that emit variants in
+// lattice order while later ones are still compiling.
+type Sweep struct {
+	cfg       *pipeline.Config
+	variants  []Variant
+	cacheHits []bool // written by variant i's worker before its result is final
+	run       *batch.Run
+}
+
+// Begin enumerates the lattice, starts every variant through the batch
+// pool and returns at once; it errors when the sweep as a whole is
+// invalid. Every Begin must be followed by Finish (batch.Begin's
+// contract: cancel ctx first to give up early).
+func Begin(ctx context.Context, cfg *pipeline.Config, f *ir.Func, opts Options) (*Sweep, error) {
 	if cfg == nil {
 		return nil, fmt.Errorf("explore: nil config")
 	}
@@ -176,8 +193,7 @@ func Run(ctx context.Context, cfg *pipeline.Config, f *ir.Func, opts Options) (*
 		}
 	}
 
-	t0 := time.Now()
-	cacheHits := make([]bool, len(variants))
+	sw := &Sweep{cfg: cfg, variants: variants, cacheHits: make([]bool, len(variants))}
 	jobs := make([]batch.Job, len(variants))
 	for i, v := range variants {
 		vcfg := cfg
@@ -186,7 +202,6 @@ func Run(ctx context.Context, cfg *pipeline.Config, f *ir.Func, opts Options) (*
 			cc.NoCascade = v.NoCascade
 			vcfg = &cc
 		}
-		i, v, vcfg := i, v, vcfg
 		jobs[i] = batch.Job{
 			Name: v.ID,
 			Func: v.Func,
@@ -198,51 +213,58 @@ func Run(ctx context.Context, cfg *pipeline.Config, f *ir.Func, opts Options) (*
 				if err != nil {
 					return nil, err
 				}
-				cacheHits[i] = hit
+				sw.cacheHits[i] = hit
 				return art, nil
 			},
 		}
 	}
-
-	finish := func(br batch.Result) VariantResult {
-		vr := VariantResult{
-			Variant:  variants[br.Index],
-			Index:    br.Index,
-			Artifact: br.Artifact,
-			CacheHit: cacheHits[br.Index],
-			Err:      br.Err,
-			Attempts: br.Attempts,
-			Dur:      br.Dur,
-		}
-		if vr.Err == nil && vr.Artifact != nil {
-			vr.Degraded = vr.Artifact.Degraded
-			if m, serr := Score(vr.Artifact, cfg.Target); serr != nil {
-				vr.Err = rerr.Wrap(rerr.Permanent, "score_failed", "variant scoring failed", serr)
-			} else {
-				vr.Metrics = m
-			}
-		}
-		return vr
-	}
-	bopts := batch.Options{
+	sw.run, err = batch.Begin(ctx, cfg, jobs, batch.Options{
 		Jobs:          opts.Jobs,
 		KernelTimeout: opts.KernelTimeout,
 		Retries:       opts.Retries,
-	}
-	if opts.OnResult != nil {
-		onResult := opts.OnResult
-		bopts.OnResult = func(br batch.Result) { onResult(finish(br)) }
-	}
-	results, bst, err := batch.Compile(ctx, cfg, jobs, bopts)
+	})
 	if err != nil {
 		return nil, err
 	}
+	return sw, nil
+}
 
+// Len is the number of variants in the sweep.
+func (sw *Sweep) Len() int { return len(sw.variants) }
+
+// Result blocks until variant i is final and returns it scored.
+func (sw *Sweep) Result(i int) VariantResult { return sw.scored(sw.run.Result(i)) }
+
+func (sw *Sweep) scored(br batch.Result) VariantResult {
+	vr := VariantResult{
+		Variant:  sw.variants[br.Index],
+		Index:    br.Index,
+		Artifact: br.Artifact,
+		CacheHit: sw.cacheHits[br.Index],
+		Err:      br.Err,
+		Attempts: br.Attempts,
+		Dur:      br.Dur,
+	}
+	if vr.Err == nil && vr.Artifact != nil {
+		vr.Degraded = vr.Artifact.Degraded
+		if m, serr := Score(vr.Artifact, sw.cfg.Target); serr != nil {
+			vr.Err = rerr.Wrap(rerr.Permanent, "score_failed", "variant scoring failed", serr)
+		} else {
+			vr.Metrics = m
+		}
+	}
+	return vr
+}
+
+// Finish waits for every variant and worker, then folds the survivors
+// into the frontier. It errors when nothing survived.
+func (sw *Sweep) Finish() (*Result, error) {
+	results, bst := sw.run.Finish()
 	res := &Result{Variants: make([]VariantResult, len(results))}
 	arch := NewArchive()
 	var firstErr error
 	for i, br := range results {
-		vr := finish(br)
+		vr := sw.scored(br)
 		res.Variants[i] = vr
 		switch {
 		case !vr.Ok():
@@ -276,7 +298,7 @@ func Run(ctx context.Context, cfg *pipeline.Config, f *ir.Func, opts Options) (*
 	}
 	res.Stats.Variants = len(results)
 	res.Stats.Retried = bst.Retried
-	res.Stats.Wall = time.Since(t0)
+	res.Stats.Wall = bst.Wall
 	if secs := res.Stats.Wall.Seconds(); secs > 0 {
 		res.Stats.VariantsPerSec = float64(res.Stats.Variants) / secs
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"testing"
 
-	"reticle/internal/cascade"
 	"reticle/internal/faults"
 	"reticle/internal/ir"
 	"reticle/internal/isel"
@@ -35,10 +34,7 @@ func testConfig(t testing.TB) *pipeline.Config {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cascades := map[string]cascade.Variants{}
-	for base, v := range ultrascale.Cascades() {
-		cascades[base] = cascade.Variants{Co: v.Co, Ci: v.Ci, CoCi: v.CoCi}
-	}
+	cascades := ultrascale.Cascades()
 	return &pipeline.Config{
 		Target:   ultrascale.Target(),
 		Device:   ultrascale.Device(),
@@ -288,28 +284,32 @@ func TestRunAllVariantsFailed(t *testing.T) {
 	}
 }
 
-// TestRunOnResultStreams: OnResult sees every variant exactly once
-// with the same scored metrics the buffered result carries.
+// TestRunOnResultStreams: a Sweep's Result(i), read in lattice order
+// while the pool is still running, sees every variant exactly once with
+// the same scored metrics Finish's buffered result carries.
 func TestRunOnResultStreams(t *testing.T) {
 	cfg := testConfig(t)
-	seen := make(chan VariantResult, 64)
-	res, err := Run(context.Background(), cfg, parse(t, maccSrc), Options{
-		Jobs:     4,
-		OnResult: func(vr VariantResult) { seen <- vr },
-	})
+	sw, err := Begin(context.Background(), cfg, parse(t, maccSrc), Options{Jobs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	close(seen)
 	got := map[string]VariantResult{}
-	for vr := range seen {
+	for i := 0; i < sw.Len(); i++ {
+		vr := sw.Result(i)
+		if vr.Index != i {
+			t.Fatalf("Result(%d) returned lattice position %d", i, vr.Index)
+		}
 		if _, dup := got[vr.ID]; dup {
 			t.Fatalf("variant %s delivered twice", vr.ID)
 		}
 		got[vr.ID] = vr
 	}
+	res, err := sw.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(got) != len(res.Variants) {
-		t.Fatalf("OnResult saw %d variants, want %d", len(got), len(res.Variants))
+		t.Fatalf("streamed %d variants, want %d", len(got), len(res.Variants))
 	}
 	for _, vr := range res.Variants {
 		if got[vr.ID].Metrics != vr.Metrics {

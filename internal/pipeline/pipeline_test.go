@@ -14,7 +14,6 @@ import (
 
 	"reticle/internal/asm"
 	"reticle/internal/bench"
-	"reticle/internal/cascade"
 	"reticle/internal/device"
 	"reticle/internal/faults"
 	"reticle/internal/ir"
@@ -31,18 +30,14 @@ var update = flag.Bool("update", false, "rewrite the golden stage-key file under
 // familyConfig builds a full config for one bundled family.
 func familyConfig(t testing.TB, family string) *Config {
 	t.Helper()
-	cfg := &Config{Cascades: map[string]cascade.Variants{}}
+	cfg := &Config{}
 	switch family {
 	case "ultrascale":
 		cfg.Target, cfg.Device = ultrascale.Target(), ultrascale.Device()
-		for base, v := range ultrascale.Cascades() {
-			cfg.Cascades[base] = cascade.Variants{Co: v.Co, Ci: v.Ci, CoCi: v.CoCi}
-		}
+		cfg.Cascades = ultrascale.Cascades()
 	case "agilex":
 		cfg.Target, cfg.Device = agilex.Target(), agilex.Device()
-		for base, v := range agilex.Cascades() {
-			cfg.Cascades[base] = cascade.Variants{Co: v.Co, Ci: v.Ci, CoCi: v.CoCi}
-		}
+		cfg.Cascades = agilex.Cascades()
 	default:
 		t.Fatalf("unknown family %q", family)
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sync"
 
 	"reticle/internal/cache"
 	"reticle/internal/explore"
@@ -70,7 +69,7 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if req.Stream || r.Header.Get("Accept") == NDJSONContentType {
-		s.streamExplore(ctx, w, famName, name, cfg, f, opts)
+		s.streamExplore(ctx, cancel, w, famName, name, cfg, f, opts)
 		return
 	}
 
@@ -223,75 +222,34 @@ type exploreFooter struct {
 // variant before it) has a result, then the footer. Each line is
 // byte-identical to the corresponding element of the buffered
 // response's variants array.
-func (s *Server) streamExplore(ctx context.Context, w http.ResponseWriter, famName, name string, cfg *pipeline.Config, f *ir.Func, opts explore.Options) {
-	variants, err := explore.Enumerate(f, opts.MaxVariants)
+func (s *Server) streamExplore(ctx context.Context, cancel context.CancelFunc, w http.ResponseWriter, famName, name string, cfg *pipeline.Config, f *ir.Func, opts explore.Options) {
+	sw, err := explore.Begin(ctx, cfg, f, opts)
 	if err != nil {
 		WriteTypedError(w, err)
 		return
 	}
-	type state struct {
-		once sync.Once
-		done chan struct{}
-		res  explore.VariantResult
-	}
-	states := make([]*state, len(variants))
-	for i := range states {
-		states[i] = &state{done: make(chan struct{})}
-	}
-	complete := func(i int, vr explore.VariantResult) {
-		if i < 0 || i >= len(states) {
-			return
-		}
-		st := states[i]
-		st.once.Do(func() {
-			st.res = vr
-			close(st.done)
-		})
-	}
-	opts.OnResult = func(vr explore.VariantResult) { complete(vr.Index, vr) }
-
-	var (
-		res     *explore.Result
-		runErr  error
-		runDone = make(chan struct{})
-	)
-	go func() {
-		defer close(runDone)
-		res, runErr = explore.Run(ctx, cfg, f, opts)
-	}()
-
 	w.Header().Set("Content-Type", NDJSONContentType)
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
-	for i := range states {
-		var vr explore.VariantResult
-		select {
-		case <-states[i].done:
-			vr = states[i].res
-		case <-runDone:
-			// Run returned before this variant reached a worker (batch
-			// cancel) or the sweep as a whole failed: the authoritative
-			// per-variant result — or the sweep error — stands in.
-			switch {
-			case runErr == nil && res != nil && i < len(res.Variants):
-				vr = res.Variants[i]
-			case runErr != nil:
-				vr = explore.VariantResult{Variant: variants[i], Index: i, Err: runErr}
-			default:
-				vr = explore.VariantResult{Variant: variants[i], Index: i,
-					Err: rerr.New(rerr.Unknown, "internal_error", "variant result missing")}
-			}
-		}
-		enc.Encode(exploreVariantJSON(vr))
+	line := func(v any) error {
+		err := enc.Encode(v)
 		if flusher != nil {
 			flusher.Flush()
 		}
+		return err
 	}
-	<-runDone
+	for i := 0; i < sw.Len(); i++ {
+		if line(exploreVariantJSON(sw.Result(i))) != nil {
+			cancel() // client gone: stop the sweep and wait it out
+			sw.Finish()
+			return
+		}
+	}
+	res, err := sw.Finish()
 
 	footer := exploreFooter{Name: name, Family: famName}
-	if runErr == nil && res != nil {
+	if err == nil {
 		s.countExplore(res)
 		footer.Frontier = exploreFrontierJSON(res.Frontier)
 		footer.Partial = res.Partial
@@ -300,10 +258,7 @@ func (s *Server) streamExplore(ctx context.Context, w http.ResponseWriter, famNa
 		// The status line is long gone; the footer carries the failure
 		// marker (every line already has the typed code).
 		footer.Partial = true
-		footer.Stats = ExploreStatsJSON{Variants: len(variants), Failed: len(variants)}
+		footer.Stats = ExploreStatsJSON{Variants: sw.Len(), Failed: sw.Len()}
 	}
-	enc.Encode(footer)
-	if flusher != nil {
-		flusher.Flush()
-	}
+	line(footer)
 }

@@ -10,16 +10,19 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"time"
 
+	"reticle/internal/batch"
 	"reticle/internal/cache"
+	"reticle/internal/ir"
 	"reticle/internal/pipeline"
 	"reticle/internal/rerr"
 )
 
 // The HTTP front end the compile service and the shard router share:
 // family resolution, body decoding, panic isolation, the JSON and typed
-// error writers, the disk tier's operator surface, and the /batch
-// framings. The router serves the same endpoint surface as a backend, so
+// error writers, the disk tier's operator surface, and the /batch plan
+// and framings. The router serves the same endpoint surface as a backend, so
 // it uses these rather than keeping copies.
 
 // FamilySet is the configured family → pipeline config table and the
@@ -233,6 +236,94 @@ func WriteTypedError(w http.ResponseWriter, err error) {
 // NDJSONContentType selects (via the Accept header) and labels (via
 // Content-Type) the streaming /batch and /explore framing.
 const NDJSONContentType = "application/x-ndjson"
+
+// BatchPlan is one /batch request after everything the two tiers do alike:
+// decoded and validated, every kernel parsed, named and keyed, local hits
+// served, and the rest deduped by key so a kernel costs one compile (or
+// one proxy call) however often the request repeats it. What resolving a
+// miss means, and the footer, are the tier's own.
+type BatchPlan struct {
+	Family  string
+	Config  *pipeline.Config
+	Stream  bool          // NDJSON framing asked for, by field or Accept header
+	Options batch.Options // validated: the request's jobs (else the tier's) and per-kernel timeout
+	// Results has one entry per kernel, in submission order; parse
+	// failures and local hits are already final.
+	Results []BatchKernelResultWire
+	MissOf  []int       // per kernel: its index in Misses, or -1 when final
+	Misses  []BatchMiss // one per distinct key, in order of first appearance
+}
+
+// BatchMiss is one distinct kernel the local store does not hold, named
+// by the first kernel of the request that carries it.
+type BatchMiss struct {
+	Name, IR string
+	Func     *ir.Func
+	Key      cache.Key
+}
+
+// PlanBatch reads and plans a /batch request against the tier's local
+// store (lookup). It answers every whole-request failure itself — with
+// the same status and body on either tier — and then returns false;
+// per-kernel parse errors never fail the batch.
+func PlanBatch(w http.ResponseWriter, r *http.Request, fs FamilySet, maxBodyBytes int64, defaultJobs int,
+	lookup func(context.Context, cache.Key) ([]byte, bool)) (*BatchPlan, bool) {
+	var req BatchRequest
+	if !DecodeJSON(w, r, maxBodyBytes, &req) {
+		return nil, false
+	}
+	famName, cfg, err := fs.Family(req.Family)
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, err.Error())
+		return nil, false
+	}
+	if len(req.Kernels) == 0 {
+		WriteError(w, http.StatusBadRequest, "batch: no kernels")
+		return nil, false
+	}
+	p := &BatchPlan{
+		Family:  famName,
+		Config:  cfg,
+		Stream:  req.Stream || r.Header.Get("Accept") == NDJSONContentType,
+		Options: batch.Options{Jobs: req.Jobs, KernelTimeout: time.Duration(req.TimeoutMS) * time.Millisecond},
+		Results: make([]BatchKernelResultWire, len(req.Kernels)),
+		MissOf:  make([]int, len(req.Kernels)),
+	}
+	if p.Options.Jobs == 0 {
+		p.Options.Jobs = defaultJobs
+	}
+	if err := p.Options.Validate(); err != nil {
+		WriteError(w, http.StatusBadRequest, err.Error())
+		return nil, false
+	}
+	byKey := map[cache.Key]int{}
+	for i, k := range req.Kernels {
+		res := &p.Results[i]
+		res.Name, p.MissOf[i] = k.Name, -1
+		f, perr := ir.Parse(k.IR)
+		if perr != nil {
+			res.Error, res.ErrorCode = fmt.Sprintf("parse: %v", perr), "parse_failed"
+			continue
+		}
+		if res.Name == "" {
+			res.Name = f.Name
+		}
+		key := cache.KeyFor(cfg, f)
+		if raw, ok := lookup(r.Context(), key); ok {
+			res.OK, res.Cache, res.Artifact = true, "hit", raw
+			continue
+		}
+		res.Cache = "miss"
+		j, queued := byKey[key]
+		if !queued {
+			j = len(p.Misses)
+			byKey[key] = j
+			p.Misses = append(p.Misses, BatchMiss{Name: res.Name, IR: k.IR, Func: f, Key: key})
+		}
+		p.MissOf[i] = j
+	}
+	return p, true
+}
 
 // BatchFrame writes a /batch response in one of its two framings from
 // one ordered sequence of per-kernel results. Streaming emits one NDJSON

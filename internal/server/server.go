@@ -417,7 +417,8 @@ func (s *Server) deadline(r *http.Request, timeoutMS int64) (context.Context, co
 		}
 	}
 	if dl.IsZero() {
-		return r.Context(), func() {}, nil
+		ctx, cancel := context.WithCancel(r.Context())
+		return ctx, cancel, nil
 	}
 	ctx, cancel := context.WithDeadline(r.Context(), dl)
 	return ctx, cancel, nil
@@ -537,29 +538,13 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	WriteCompileFrame(w, resp)
 }
 
-// batchMiss is one deduped kernel of a /batch request on its way through
-// the worker pool, shared by every kernel of the request with its key.
-type batchMiss struct {
-	once sync.Once
-	done chan struct{} // closed once res is final
-	ca   cachedArtifact
-	res  batch.Result
-}
-
-func (m *batchMiss) finish(res batch.Result) {
-	m.once.Do(func() {
-		m.res = res
-		close(m.done)
-	})
-}
-
-// handleBatch parses every kernel (per-kernel errors never fail the
-// batch), serves what the artifact store already holds, dedupes the rest
-// by key, and sends each distinct miss through the worker pool (per-kernel
-// timeout, retries, panic isolation) into compileKernel — so a kernel
-// costs one compile however many requests of whatever kind carry it at
-// once. Results leave in submission order through one loop, in either
-// framing (see BatchFrame).
+// handleBatch plans the request (PlanBatch: per-kernel parse errors never
+// fail the batch, what the artifact store holds is served, the rest is
+// deduped by key) and sends each distinct miss through the worker pool
+// (per-kernel timeout, retries, panic isolation) into compileKernel — so
+// a kernel costs one compile however many requests of whatever kind carry
+// it at once. Results leave in submission order through one loop, in
+// either framing (see BatchFrame).
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	release, err := s.admit(r.Context())
 	if err != nil {
@@ -571,26 +556,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		WriteTypedError(w, err)
 		return
 	}
-	var req BatchRequest
-	if !DecodeJSON(w, r, s.opts.MaxBodyBytes, &req) {
-		return
-	}
-	famName, cfg, err := s.Family(req.Family)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if len(req.Kernels) == 0 {
-		WriteError(w, http.StatusBadRequest, "batch: no kernels")
-		return
-	}
-	jobs := req.Jobs
-	if jobs == 0 {
-		jobs = s.opts.Jobs
-	}
-	opts := batch.Options{Jobs: jobs, KernelTimeout: time.Duration(req.TimeoutMS) * time.Millisecond}
-	if err := opts.Validate(); err != nil {
-		WriteError(w, http.StatusBadRequest, err.Error())
+	plan, ok := PlanBatch(w, r, s.FamilySet, s.opts.MaxBodyBytes, s.opts.Jobs,
+		func(ctx context.Context, key cache.Key) ([]byte, bool) {
+			ca, ok := s.cache.Lookup(ctx, key)
+			return ca.wire, ok
+		})
+	if !ok {
 		return
 	}
 	ctx, cancel, err := s.deadline(r, 0) // overall deadline: server default
@@ -600,101 +571,56 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer cancel()
 
-	results := make([]BatchKernelResultWire, len(req.Kernels))
-	missOf := make([]*batchMiss, len(req.Kernels)) // nil once resolved
-	byKey := map[cache.Key]*batchMiss{}
-	var misses []*batchMiss
-	var poolJobs []batch.Job
-	for i, k := range req.Kernels {
-		results[i].Name = k.Name
-		f, perr := ir.Parse(k.IR)
-		if perr != nil {
-			results[i].Error = fmt.Sprintf("parse: %v", perr)
-			results[i].ErrorCode = "parse_failed"
-			continue
-		}
-		if k.Name == "" {
-			results[i].Name = f.Name
-		}
-		key := cache.KeyFor(cfg, f)
-		if ca, ok := s.cache.Lookup(ctx, key); ok {
-			results[i].Cache = "hit"
-			results[i].OK = true
-			results[i].Artifact = ca.wire
-			continue
-		}
-		results[i].Cache = "miss"
-		m, queued := byKey[key]
-		if !queued {
-			m = &batchMiss{done: make(chan struct{})}
-			byKey[key] = m
-			misses = append(misses, m)
-			poolJobs = append(poolJobs, batch.Job{Name: results[i].Name, Func: f,
-				Compile: func(kctx context.Context) (*pipeline.Artifact, error) {
-					ca, hit, err := s.compileKernel(kctx, cfg, key, f)
-					if err != nil {
-						return nil, err
-					}
-					m.ca = ca
-					return ca.artifact(hit), nil
-				}})
-		}
-		missOf[i] = m
-	}
-
-	var stats batch.Stats
-	poolDone := make(chan struct{})
-	if len(misses) == 0 {
-		close(poolDone) // an all-hit batch reports zero wall time
-	} else {
-		opts.OnResult = func(res batch.Result) { misses[res.Index].finish(res) }
-		go func() {
-			defer close(poolDone)
-			pooled, st, err := batch.Compile(ctx, cfg, poolJobs, opts)
-			// OnResult skips kernels a cancelled dispatch never handed to a
-			// worker, and everything when the pool rejects the batch.
-			for j, m := range misses {
+	compiled := make([]cachedArtifact, len(plan.Misses)) // [j] is written by miss j's worker, read once its result is final
+	jobs := make([]batch.Job, len(plan.Misses))
+	for j, m := range plan.Misses {
+		jobs[j] = batch.Job{Name: m.Name, Func: m.Func,
+			Compile: func(kctx context.Context) (*pipeline.Artifact, error) {
+				ca, hit, err := s.compileKernel(kctx, plan.Config, m.Key, m.Func)
 				if err != nil {
-					m.finish(batch.Result{Index: j, Err: err})
-				} else {
-					m.finish(pooled[j])
+					return nil, err
 				}
-			}
-			stats = st
-		}()
+				compiled[j] = ca
+				return ca.artifact(hit), nil
+			}}
+	}
+	run, err := batch.Begin(ctx, plan.Config, jobs, plan.Options)
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, err.Error())
+		return
 	}
 
-	frame := NewBatchFrame(w, req.Stream || r.Header.Get("Accept") == NDJSONContentType, famName)
+	frame := NewBatchFrame(w, plan.Stream, plan.Family)
 	succeeded, degraded := 0, 0
-	for i := range results {
-		if m := missOf[i]; m != nil {
-			<-m.done
-			if m.res.Ok() {
-				results[i].OK = true
-				results[i].Artifact = m.ca.wire
-				if m.ca.sum.Degraded {
+	for i := range plan.Results {
+		res := &plan.Results[i]
+		if j := plan.MissOf[i]; j >= 0 {
+			if br := run.Result(j); br.Ok() {
+				res.OK, res.Artifact = true, compiled[j].wire
+				if compiled[j].sum.Degraded {
 					degraded++
 				}
 			} else {
 				// Per-kernel failures cross the wire as the typed stable
 				// message and code only — never raw fmt.Errorf chains.
-				results[i].Error = rerr.Message(m.res.Err)
-				results[i].ErrorCode = rerr.CodeOf(m.res.Err)
+				res.Error, res.ErrorCode = rerr.Message(br.Err), rerr.CodeOf(br.Err)
 			}
 		}
-		if results[i].OK {
+		if res.OK {
 			succeeded++
 		}
-		if frame.Result(results[i]) != nil {
-			return // client gone; the pool is bounded by the request context
+		if frame.Result(*res) != nil {
+			cancel() // client gone: stop the pool and wait it out
+			run.Finish()
+			return
 		}
 	}
-	<-poolDone
+	_, stats := run.Finish()
 	frame.Close(BatchStatsJSON{
-		Kernels:       len(results),
+		Kernels:       len(plan.Results),
 		Succeeded:     succeeded,
-		Failed:        len(results) - succeeded,
-		Compiled:      len(misses),
+		Failed:        len(plan.Results) - succeeded,
+		Compiled:      len(plan.Misses),
 		WallNS:        stats.Wall.Nanoseconds(),
 		KernelsPerSec: stats.KernelsPerSec,
 		Degraded:      degraded,

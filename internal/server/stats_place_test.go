@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"reticle"
-	"reticle/internal/cascade"
 	"reticle/internal/isel"
 	"reticle/internal/pipeline"
 	"reticle/internal/server"
@@ -33,10 +32,7 @@ func shrinkServer(t *testing.T) *server.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cascades := map[string]cascade.Variants{}
-	for base, v := range ultrascale.Cascades() {
-		cascades[base] = cascade.Variants{Co: v.Co, Ci: v.Ci, CoCi: v.CoCi}
-	}
+	cascades := ultrascale.Cascades()
 	cfg := &pipeline.Config{
 		Target: tgt, Device: dev, Lib: lib, Cascades: cascades, Shrink: true,
 	}

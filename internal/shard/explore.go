@@ -55,9 +55,8 @@ func (rt *Router) handleExplore(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, http.StatusInternalServerError, "marshal forward request")
 		return
 	}
-	out := rt.proxyKernel(r.Context(), routeKey, "/explore", fwd)
-	if out.err != nil {
-		server.WriteTypedError(w, out.err)
+	out, ok := rt.relay(w, r, req.TimeoutMS, routeKey, "/explore", fwd)
+	if !ok {
 		return
 	}
 	ct := "application/json"

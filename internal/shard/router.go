@@ -372,15 +372,8 @@ func (rt *Router) handleCompile(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, http.StatusInternalServerError, "marshal forward request")
 		return
 	}
-	// The client's timeout becomes a real context deadline here, so the
-	// whole downstream chain — proxy attempts, retries, hedges, and the
-	// backend pipeline via the stamped deadline header — shares one
-	// budget instead of each tier inventing its own.
-	ctx, cancel := rt.requestCtx(r, req.TimeoutMS)
-	defer cancel()
-	out := rt.proxyKernel(ctx, routeKey, "/compile", fwd)
-	if out.err != nil {
-		server.WriteTypedError(w, out.err)
+	out, ok := rt.relay(w, r, req.TimeoutMS, routeKey, "/compile", fwd)
+	if !ok {
 		return
 	}
 	// The answer is relayed as the bytes the backend sent; only a router
@@ -391,20 +384,38 @@ func (rt *Router) handleCompile(w http.ResponseWriter, r *http.Request) {
 			rt.diskPut(r.Context(), key, artifact)
 		}
 	}
-	if out.retryAfter != "" {
-		w.Header().Set("Retry-After", out.retryAfter)
-	}
 	server.WriteFrame(w, out.status, out.body)
 }
 
-// requestCtx derives the proxy context for one routed request: the
-// handler context bounded by the client-requested timeout, which the
-// proxy layer also stamps downstream as the X-Reticle-Deadline header.
-func (rt *Router) requestCtx(r *http.Request, timeoutMS int64) (context.Context, context.CancelFunc) {
-	if timeoutMS > 0 {
-		return context.WithTimeout(r.Context(), time.Duration(timeoutMS)*time.Millisecond)
+// relay routes one request for a handler that passes the backend's answer
+// through (/compile, /explore). The client's timeout becomes a real
+// context deadline here, so the whole downstream chain — proxy attempts,
+// retries, hedges, and the backend pipeline via the stamped deadline
+// header — shares one budget instead of each tier inventing its own; a
+// relayed shed keeps the backend's Retry-After. A routing failure is
+// answered typed and reported as false.
+func (rt *Router) relay(w http.ResponseWriter, r *http.Request, timeoutMS int64, routeKey cache.Key, path string, fwd []byte) (proxyOutcome, bool) {
+	ctx, cancel := requestCtx(r.Context(), timeoutMS)
+	defer cancel()
+	out := rt.proxyKernel(ctx, routeKey, path, fwd)
+	if out.err != nil {
+		server.WriteTypedError(w, out.err)
+		return out, false
 	}
-	return context.WithCancel(r.Context())
+	if out.retryAfter != "" {
+		w.Header().Set("Retry-After", out.retryAfter)
+	}
+	return out, true
+}
+
+// requestCtx derives the proxy context for one routed kernel: ctx bounded
+// by the client-requested timeout, which the proxy layer also stamps
+// downstream as the X-Reticle-Deadline header.
+func requestCtx(ctx context.Context, timeoutMS int64) (context.Context, context.CancelFunc) {
+	if timeoutMS > 0 {
+		return context.WithTimeout(ctx, time.Duration(timeoutMS)*time.Millisecond)
+	}
+	return context.WithCancel(ctx)
 }
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -5,9 +5,9 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"sync"
 	"time"
 
+	"reticle/internal/batch"
 	"reticle/internal/server"
 )
 
@@ -147,7 +147,6 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		Requests: rt.requests.Load(),
 		UptimeMS: time.Since(rt.start).Milliseconds(),
 		Families: rt.Families(),
-		Backends: make([]BackendStats, len(rt.backends)),
 		Router: RouterStatsJSON{
 			Proxied:       rt.proxied.Load(),
 			Rehashes:      rt.rehashes.Load(),
@@ -158,19 +157,21 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 			ShedForwarded: rt.shedForwarded.Load(),
 		},
 	}
-	var wg sync.WaitGroup
-	for i, b := range rt.backends {
-		wg.Add(1)
-		go func(i int, b *backend) {
-			defer wg.Done()
-			resp.Backends[i] = rt.pollBackendStats(r.Context(), b)
-			bs := b.br.Stats()
-			resp.Backends[i].Breaker = &BreakerStatsJSON{
-				State: bs.State.String(), Trips: bs.Trips, Recoveries: bs.Recoveries,
-			}
-		}(i, b)
-	}
-	wg.Wait()
+	// One poll per backend, all at once; a backend is only skipped when the
+	// client has already gone (or its poll panicked).
+	n := len(rt.backends)
+	resp.Backends = batch.FanOut(r.Context(), n, n, func(i int) BackendStats {
+		b := rt.backends[i]
+		out := rt.pollBackendStats(r.Context(), b)
+		bs := b.br.Stats()
+		out.Breaker = &BreakerStatsJSON{
+			State: bs.State.String(), Trips: bs.Trips, Recoveries: bs.Recoveries,
+		}
+		return out
+	}, func(i int, _ error) BackendStats {
+		b := rt.backends[i]
+		return BackendStats{URL: b.url, Alive: b.alive.Load(), Error: "backend unreachable"}
+	}).Drain()
 	for _, bs := range resp.Backends {
 		if bs.Stats == nil {
 			continue

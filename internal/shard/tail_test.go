@@ -425,40 +425,48 @@ func TestShedForwarded(t *testing.T) {
 		w.Header().Set("Retry-After", "7")
 		writeStubError(w, http.StatusTooManyRequests, "at capacity")
 	}
-	a := newStub(t, shed)
-	b := newStub(t, shed)
-	rt := newRouter(t, reticle.ShardOptions{Backends: []string{a.srv.URL, b.srv.URL}})
+	for path, body := range relayed(0) {
+		a := newStub(t, shed)
+		b := newStub(t, shed)
+		rt := newRouter(t, reticle.ShardOptions{Backends: []string{a.srv.URL, b.srv.URL}})
 
-	data, err := json.Marshal(server.CompileRequest{IR: maccSrc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := httptest.NewRequest("POST", "/compile", bytes.NewReader(data))
-	w := httptest.NewRecorder()
-	rt.ServeHTTP(w, req)
-	if w.Code != http.StatusTooManyRequests {
-		t.Fatalf("shed: status %d, want 429: %s", w.Code, w.Body.String())
-	}
-	if ra := w.Header().Get("Retry-After"); ra != "7" {
-		t.Fatalf("shed Retry-After %q, want the backend's %q", ra, "7")
-	}
-	st := routerStats(t, rt)
-	if st.Router.ShedForwarded != 1 {
-		t.Fatalf("shed_forwarded %d, want 1", st.Router.ShedForwarded)
-	}
-	if st.Router.Rehashes != 0 {
-		t.Fatalf("a shed was re-hashed %d times — load amplification on an overloaded ring", st.Router.Rehashes)
-	}
-	if a.hits.Load()+b.hits.Load() != 1 {
-		t.Fatalf("shed touched %d backends, want exactly 1", a.hits.Load()+b.hits.Load())
-	}
-	// The shedding backend is healthy: its breaker stays closed.
-	for _, s := range []*stub{a, b} {
-		if s.hits.Load() > 0 {
-			if state := breakerStateOf(t, rt, s.srv.URL); state != "closed" {
-				t.Fatalf("breaker %q after a shed, want closed — 429 is not a failure", state)
+		req := httptest.NewRequest("POST", path, bytes.NewReader(mustJSON(t, body)))
+		w := httptest.NewRecorder()
+		rt.ServeHTTP(w, req)
+		if w.Code != http.StatusTooManyRequests {
+			t.Fatalf("%s shed: status %d, want 429: %s", path, w.Code, w.Body.String())
+		}
+		if ra := w.Header().Get("Retry-After"); ra != "7" {
+			t.Fatalf("%s shed Retry-After %q, want the backend's %q", path, ra, "7")
+		}
+		st := routerStats(t, rt)
+		if st.Router.ShedForwarded != 1 {
+			t.Fatalf("%s: shed_forwarded %d, want 1", path, st.Router.ShedForwarded)
+		}
+		if st.Router.Rehashes != 0 {
+			t.Fatalf("%s: a shed was re-hashed %d times — load amplification on an overloaded ring", path, st.Router.Rehashes)
+		}
+		if a.hits.Load()+b.hits.Load() != 1 {
+			t.Fatalf("%s: shed touched %d backends, want exactly 1", path, a.hits.Load()+b.hits.Load())
+		}
+		// The shedding backend is healthy: its breaker stays closed.
+		for _, s := range []*stub{a, b} {
+			if s.hits.Load() > 0 {
+				if state := breakerStateOf(t, rt, s.srv.URL); state != "closed" {
+					t.Fatalf("%s: breaker %q after a shed, want closed — 429 is not a failure", path, state)
+				}
 			}
 		}
+	}
+}
+
+// relayed is one request per endpoint the router answers with a backend's
+// own response (handleCompile, handleExplore), each carrying timeout_ms:
+// the two must treat the deadline budget and a relayed shed alike.
+func relayed(timeoutMS int64) map[string]any {
+	return map[string]any{
+		"/compile": server.CompileRequest{IR: maccSrc, TimeoutMS: timeoutMS},
+		"/explore": server.ExploreRequest{IR: maccSrc, TimeoutMS: timeoutMS},
 	}
 }
 
@@ -466,37 +474,39 @@ func TestShedForwarded(t *testing.T) {
 // X-Reticle-Deadline header on the proxied request, so the backend
 // inherits the remaining cross-tier budget.
 func TestDeadlineStamped(t *testing.T) {
-	seen := make(chan string, 1)
-	capture := func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case seen <- r.Header.Get(server.DeadlineHeader):
-		default:
+	for path, body := range relayed(3000) {
+		seen := make(chan string, 1)
+		capture := func(w http.ResponseWriter, r *http.Request) {
+			select {
+			case seen <- r.Header.Get(server.DeadlineHeader):
+			default:
+			}
+			cannedOK("ok")(w, r)
 		}
-		cannedOK("ok")(w, r)
-	}
-	a := newStub(t, capture)
-	rt := newRouter(t, reticle.ShardOptions{Backends: []string{a.srv.URL}})
+		a := newStub(t, capture)
+		rt := newRouter(t, reticle.ShardOptions{Backends: []string{a.srv.URL}})
 
-	before := time.Now()
-	if code := post(t, rt, "/compile", server.CompileRequest{IR: maccSrc, TimeoutMS: 3000}, nil); code != http.StatusOK {
-		t.Fatalf("compile: status %d", code)
-	}
-	var h string
-	select {
-	case h = <-seen:
-	default:
-		t.Fatal("backend never saw the request")
-	}
-	if h == "" {
-		t.Fatalf("proxied request missing %s header", server.DeadlineHeader)
-	}
-	var ms int64
-	if _, err := fmt.Sscanf(h, "%d", &ms); err != nil {
-		t.Fatalf("unparseable deadline header %q", h)
-	}
-	dl := time.UnixMilli(ms)
-	if dl.Before(before) || dl.After(before.Add(3500*time.Millisecond)) {
-		t.Fatalf("stamped deadline %s is not ~3s from dispatch (%s)", dl, before)
+		before := time.Now()
+		if code := post(t, rt, path, body, nil); code != http.StatusOK {
+			t.Fatalf("%s: status %d", path, code)
+		}
+		var h string
+		select {
+		case h = <-seen:
+		default:
+			t.Fatalf("%s: backend never saw the request", path)
+		}
+		if h == "" {
+			t.Fatalf("proxied %s request missing %s header", path, server.DeadlineHeader)
+		}
+		var ms int64
+		if _, err := fmt.Sscanf(h, "%d", &ms); err != nil {
+			t.Fatalf("%s: unparseable deadline header %q", path, h)
+		}
+		dl := time.UnixMilli(ms)
+		if dl.Before(before) || dl.After(before.Add(3500*time.Millisecond)) {
+			t.Fatalf("%s: stamped deadline %s is not ~3s from dispatch (%s)", path, dl, before)
+		}
 	}
 }
 
@@ -504,23 +514,25 @@ func TestDeadlineStamped(t *testing.T) {
 // one attempt fails typed as a 504 before any backend is touched — a
 // budget problem is not an outage.
 func TestDeadlineExhaustedFailsFast(t *testing.T) {
-	a := newStub(t, cannedOK("ok"))
-	rt := newRouter(t, reticle.ShardOptions{Backends: []string{a.srv.URL}})
+	for path, body := range relayed(1) {
+		a := newStub(t, cannedOK("ok"))
+		rt := newRouter(t, reticle.ShardOptions{Backends: []string{a.srv.URL}})
 
-	var er server.ErrorResponse
-	code := post(t, rt, "/compile", server.CompileRequest{IR: maccSrc, TimeoutMS: 1}, &er)
-	if code != http.StatusGatewayTimeout {
-		t.Fatalf("exhausted budget: status %d, want 504", code)
-	}
-	if er.ErrorCode != "deadline_exhausted" {
-		t.Fatalf("exhausted budget error %+v", er)
-	}
-	if a.hits.Load() != 0 {
-		t.Fatal("an attempt was dispatched with no budget to cover it")
-	}
-	st := routerStats(t, rt)
-	if st.Router.Outages != 0 {
-		t.Fatalf("budget exhaustion counted as %d outages", st.Router.Outages)
+		var er server.ErrorResponse
+		code := post(t, rt, path, body, &er)
+		if code != http.StatusGatewayTimeout {
+			t.Fatalf("%s exhausted budget: status %d, want 504", path, code)
+		}
+		if er.ErrorCode != "deadline_exhausted" {
+			t.Fatalf("%s exhausted budget error %+v", path, er)
+		}
+		if a.hits.Load() != 0 {
+			t.Fatalf("%s: an attempt was dispatched with no budget to cover it", path)
+		}
+		st := routerStats(t, rt)
+		if st.Router.Outages != 0 {
+			t.Fatalf("%s: budget exhaustion counted as %d outages", path, st.Router.Outages)
+		}
 	}
 }
 

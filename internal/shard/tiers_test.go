@@ -1,0 +1,109 @@
+package shard_test
+
+import (
+	"bytes"
+	"errors"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"strconv"
+	"testing"
+	"time"
+
+	"reticle"
+	"reticle/internal/server"
+)
+
+// TestBatchTiersIndistinguishableOnBadInput: a malformed /batch earns the
+// same status and the same JSON body from a bare backend and from a
+// router in front of one — both tiers answer through server.PlanBatch, so
+// a client cannot tell them apart by how they refuse.
+func TestBatchTiersIndistinguishableOnBadInput(t *testing.T) {
+	backend, err := reticle.NewServer(reticle.ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, urls := newBackends(t, 1)
+	router := newRouter(t, reticle.ShardOptions{Backends: urls})
+
+	kernel := `{"ir":` + strconv.Quote(maccSrc) + `}`
+	for _, tc := range []struct {
+		name, body string
+		status     int
+	}{
+		{"negative-jobs", `{"jobs":-1,"kernels":[` + kernel + `]}`, http.StatusBadRequest},
+		{"negative-timeout", `{"timeout_ms":-1,"kernels":[` + kernel + `]}`, http.StatusBadRequest},
+		{"no-kernels", `{"kernels":[]}`, http.StatusBadRequest},
+		{"unknown-family", `{"family":"stratix","kernels":[` + kernel + `]}`, http.StatusBadRequest},
+		{"unknown-field", `{"bogus":1,"kernels":[` + kernel + `]}`, http.StatusBadRequest},
+		{"trailing-data", `{"kernels":[` + kernel + `]} {}`, http.StatusBadRequest},
+		{"unparseable-kernel", `{"kernels":[{"name":"broken","ir":"def broken( {"}]}`, http.StatusOK},
+	} {
+		answer := func(h http.Handler) (int, string) {
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, httptest.NewRequest("POST", "/batch", bytes.NewReader([]byte(tc.body))))
+			return w.Code, string(wallFields.ReplaceAll(w.Body.Bytes(), nil))
+		}
+		bCode, bBody := answer(backend)
+		rCode, rBody := answer(router)
+		if bCode != tc.status {
+			t.Errorf("%s: backend status %d, want %d: %s", tc.name, bCode, tc.status, bBody)
+		}
+		if rCode != bCode || rBody != bBody {
+			t.Errorf("%s: the tiers can be told apart\nbackend %d %s\nrouter  %d %s", tc.name, bCode, bBody, rCode, rBody)
+		}
+	}
+}
+
+// goneAfterFirstLine is a client that takes the status line and one NDJSON
+// line and then disappears: every later Write fails.
+type goneAfterFirstLine struct {
+	header http.Header
+	writes int
+}
+
+func (g *goneAfterFirstLine) Header() http.Header { return g.header }
+func (g *goneAfterFirstLine) WriteHeader(int)     {}
+func (g *goneAfterFirstLine) Flush()              {}
+func (g *goneAfterFirstLine) Write(p []byte) (int, error) {
+	if g.writes++; g.writes > 1 {
+		return 0, errors.New("client gone")
+	}
+	return len(p), nil
+}
+
+// TestShardBatchClientGoneLeavesNoGoroutine: a routed streaming /batch
+// whose client vanishes after the first line cancels its proxy fan-out
+// and waits it out — no proxy worker outlives the handler, and the
+// kernels still queued never reach a backend.
+func TestShardBatchClientGoneLeavesNoGoroutine(t *testing.T) {
+	_, urls := newBackends(t, 2)
+	transport := &http.Transport{}
+	rt := newRouter(t, reticle.ShardOptions{Backends: urls, Client: &http.Client{Transport: transport}})
+	base := runtime.NumGoroutine() // before any connection exists
+	const n = 20
+	kernels := sweep(n)
+	w := &goneAfterFirstLine{header: http.Header{}}
+	rt.ServeHTTP(w, httptest.NewRequest("POST", "/batch",
+		bytes.NewReader(mustJSON(t, server.BatchRequest{Kernels: kernels, Jobs: 1, Stream: true}))))
+	if w.writes < 2 {
+		t.Fatalf("handler wrote %d times, want it to run into the dropped client", w.writes)
+	}
+	// Idle keep-alive connections hold goroutines on both ends: close them,
+	// and give the finished goroutines a moment to leave the count.
+	got := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); got > base && time.Now().Before(deadline); got = runtime.NumGoroutine() {
+		transport.CloseIdleConnections()
+		time.Sleep(time.Millisecond)
+	}
+	if got > base {
+		t.Errorf("%d goroutines after the handler returned, %d before the request", got, base)
+	}
+	var compiled int64
+	for _, u := range urls {
+		compiled += backendStats(t, u).Kernels
+	}
+	if compiled >= n {
+		t.Errorf("%d of %d kernels reached a backend for a client that left after the first", compiled, n)
+	}
+}

@@ -23,8 +23,8 @@ import (
 
 // CascadeVariants names the cascade rewrites of a base accumulator
 // opcode: Co drives the dedicated column route, Ci consumes it, and CoCi
-// does both (chain middles). internal/cascade mirrors this struct to stay
-// independent of the target packages.
+// does both (chain middles). cascade.Variants and the family packages'
+// CascadeVariants are aliases of this one declaration.
 type CascadeVariants struct {
 	Co   string
 	Ci   string

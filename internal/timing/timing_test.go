@@ -25,10 +25,7 @@ func analyzeIR(t *testing.T, src string, useCascade bool) Report {
 		t.Fatal(err)
 	}
 	if useCascade {
-		cas := make(map[string]cascade.Variants)
-		for base, v := range ultrascale.Cascades() {
-			cas[base] = cascade.Variants{Co: v.Co, Ci: v.Ci, CoCi: v.CoCi}
-		}
+		cas := ultrascale.Cascades()
 		af, _, err = cascade.Apply(af, ultrascale.Target(), cascade.Options{Cascades: cas})
 		if err != nil {
 			t.Fatal(err)

@@ -172,13 +172,9 @@ func NewCompilerWith(opts Options) (*Compiler, error) {
 	// skip the pass or extend this map.
 	switch opts.Target {
 	case ultrascale.Target():
-		for base, v := range ultrascale.Cascades() {
-			cascades[base] = cascade.Variants{Co: v.Co, Ci: v.Ci, CoCi: v.CoCi}
-		}
+		cascades = ultrascale.Cascades()
 	case agilex.Target():
-		for base, v := range agilex.Cascades() {
-			cascades[base] = cascade.Variants{Co: v.Co, Ci: v.Ci, CoCi: v.CoCi}
-		}
+		cascades = agilex.Cascades()
 	}
 	return &Compiler{
 		opts: opts,
