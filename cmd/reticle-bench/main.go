@@ -1,281 +1,39 @@
 // Command reticle-bench regenerates the paper's evaluation figures (§7):
 // Figure 4 (DSP/LUT utilization of behavioral vs hand-optimized structural
 // code) and Figure 13 (compile speedup, run-time speedup, and utilization
-// for tensoradd, tensordot, and fsm under base/hint/reticle).
+// for tensoradd, tensordot, and fsm under base/hint/reticle), as the
+// Markdown sections EXPERIMENTS.md embeds between its generated markers.
 //
 // Usage:
 //
-//	reticle-bench [-fig 4|13|all] [-bench tensoradd|tensordot|fsm] [-fast]
-//	reticle-bench -ablate
-//	reticle-bench -profile-place [-profile-iters N] [-cpuprofile out.pprof]
+//	reticle-bench [-fig 4|13|all] [-bench tensoradd|tensordot|fsm] [-shrink]
 //
-// -fast shortens the baseline's annealing schedule for quick smoke runs;
-// the full schedule is what the compile-speedup figures are about.
-// -ablate prints the design-choice ablation table instead of figures.
-// -profile-place runs the placement shrink hot loop (tensordot 5x36, the
-// ROADMAP profiling target) and, with -cpuprofile, writes a pprof CPU
-// profile of it. -cpuprofile also works with the figure and ablation
-// modes.
+// Every panel runs the full baseline annealing schedule five times;
+// compile-time cells are the median with the range, the rest repeats to
+// the digit (`go test -run TestExperimentsTablesCurrent -update .`
+// pastes the output into EXPERIMENTS.md).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime/pprof"
-	"time"
 
-	"reticle"
-	"reticle/internal/bench"
 	"reticle/internal/eval"
-	"reticle/internal/ir"
-	"reticle/internal/isel"
-	"reticle/internal/place"
-	"reticle/internal/target/ultrascale"
-	"reticle/internal/vivado"
 )
 
 func main() {
 	fig := flag.String("fig", "all", "which figure to regenerate: 4, 13, or all")
 	benchName := flag.String("bench", "", "restrict figure 13 to one benchmark")
-	fast := flag.Bool("fast", false, "shorten the baseline annealing schedule")
 	shrink := flag.Bool("shrink", false, "enable Reticle's shrinking passes")
-	ablate := flag.Bool("ablate", false, "also print the design-choice ablation table")
-	profilePlace := flag.Bool("profile-place", false,
-		"run the placement shrink hot loop (tensordot 5x36) instead of figures")
-	profileIters := flag.Int("profile-iters", 20, "iterations for -profile-place")
-	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	flag.Parse()
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fail(err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fail(err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-
-	cfg := eval.Config{Shrink: *shrink}
-	if *fast {
-		cfg.Anneal = vivado.AnnealOptions{Seed: 1, MovesPerCell: 100, MinMoves: 20_000}
-	}
-
-	if *profilePlace {
-		if err := profilePlaceShrink(*profileIters); err != nil {
-			fail(err)
-		}
-		return
-	}
-
-	if *ablate {
-		if err := ablations(); err != nil {
-			fail(err)
-		}
-		return
-	}
-
-	if *fig == "4" || *fig == "all" {
-		if err := figure4(cfg); err != nil {
-			fail(err)
-		}
-	}
-	if *fig == "13" || *fig == "all" {
-		benches := []struct {
-			name  string
-			sizes []int
-		}{
-			{"tensoradd", eval.TensorAddSizes},
-			{"tensordot", eval.TensorDotSizes},
-			{"fsm", eval.FSMSizes},
-		}
-		for _, b := range benches {
-			if *benchName != "" && b.name != *benchName {
-				continue
-			}
-			if err := figure13(b.name, b.sizes, cfg); err != nil {
-				fail(err)
-			}
-		}
-	}
-}
-
-func figure4(cfg eval.Config) error {
-	fmt.Println("== Figure 4: resource utilization, behavioral+hint vs structural vectorized ==")
-	rows, err := eval.Figure4(eval.Figure4Sizes, cfg)
+	secs, err := eval.Sections(*fig, *benchName, eval.Config{Shrink: *shrink}, eval.Runs)
 	if err != nil {
-		return err
+		fmt.Fprintln(os.Stderr, "reticle-bench:", err)
+		os.Exit(1)
 	}
-	fmt.Print(eval.FormatFig4(rows))
-	fmt.Println()
-	return nil
-}
-
-func figure13(name string, sizes []int, cfg eval.Config) error {
-	fmt.Printf("== Figure 13: %s ==\n", name)
-	rows, err := eval.Figure13(name, sizes, cfg)
-	if err != nil {
-		return err
+	for _, s := range secs {
+		fmt.Println(s)
 	}
-	fmt.Print(eval.FormatRows(rows))
-	fmt.Println()
-	sp := eval.Summarize(rows)
-	fmt.Print(eval.FormatSpeedups(sp))
-	fmt.Println()
-	fmt.Print(eval.FormatChart(sp))
-	fmt.Println()
-	return nil
-}
-
-// profilePlaceShrink drives the shrink-enabled pipeline over tensordot
-// 5x36 — the placement workload the ROADMAP names for solver profiling —
-// and prints the solver counters per iteration. Under -cpuprofile the
-// loop is what dominates the profile, so `go tool pprof` lands straight
-// in the CSP search.
-func profilePlaceShrink(iters int) error {
-	f, err := bench.TensorDot(5, 36)
-	if err != nil {
-		return err
-	}
-	c, err := reticle.NewCompilerWith(reticle.Options{Shrink: true})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("== Placement shrink profile: tensordot 5x36, %d iterations ==\n", iters)
-	t0 := time.Now()
-	var art *reticle.Artifact
-	for i := 0; i < iters; i++ {
-		art, err = c.Compile(f)
-		if err != nil {
-			return err
-		}
-	}
-	wall := time.Since(t0)
-	ps := art.Place
-	fmt.Printf("place stage:    %s/iter (total wall %s)\n", art.Stages.Place, wall)
-	fmt.Printf("solver steps:   %d\n", ps.SolverSteps)
-	fmt.Printf("shrink probes:  %d solved, %d revalidated (skipped)\n", ps.ShrinkProbes, ps.ProbesSkipped)
-	if ps.HintTried > 0 {
-		fmt.Printf("warm start:     %d/%d hints kept (%.0f%%)\n",
-			ps.HintHits, ps.HintTried, 100*float64(ps.HintHits)/float64(ps.HintTried))
-	}
-	fmt.Printf("dsp bbox:       %d x %d\n",
-		maxLoc(art, 0)+1, maxLoc(art, 1)+1)
-	return nil
-}
-
-// maxLoc scans the placed program for the maximum DSP x (axis 0) or y
-// (axis 1) coordinate.
-func maxLoc(art *reticle.Artifact, axis int) int {
-	best := 0
-	for _, in := range art.Placed.Body {
-		if in.IsWire() || in.Loc.Prim != ir.ResDsp {
-			continue
-		}
-		v := int(in.Loc.X.Off)
-		if axis == 1 {
-			v = int(in.Loc.Y.Off)
-		}
-		if v > best {
-			best = v
-		}
-	}
-	return best
-}
-
-// ablations prints the DESIGN.md §5 design-choice comparisons.
-func ablations() error {
-	fmt.Println("== Ablations: design choices (DESIGN.md §5) ==")
-
-	// 1. Optimal tree covering vs greedy maximal munch.
-	f, err := bench.TensorDot(5, 18)
-	if err != nil {
-		return err
-	}
-	lib, err := isel.NewLibrary(ultrascale.Target())
-	if err != nil {
-		return err
-	}
-	opt, err := isel.SelectWithLibrary(f, lib, isel.Options{})
-	if err != nil {
-		return err
-	}
-	greedy, err := isel.SelectWithLibrary(f, lib, isel.Options{Greedy: true})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("selection (tensordot 5x18):  optimal %d instructions, greedy %d\n",
-		opt.AsmCount(), greedy.AsmCount())
-
-	// 2. Cascade layout optimization on/off.
-	for _, noCascade := range []bool{false, true} {
-		c, err := reticle.NewCompilerWith(reticle.Options{NoCascade: noCascade})
-		if err != nil {
-			return err
-		}
-		art, err := c.Compile(f)
-		if err != nil {
-			return err
-		}
-		label := "cascade on "
-		if noCascade {
-			label = "cascade off"
-		}
-		fmt.Printf("layout (tensordot 5x18):     %s -> %.3f ns (%d chains)\n",
-			label, art.CriticalNs, art.CascadeChains)
-	}
-
-	// 3. Shrinking passes on/off.
-	small, err := bench.TensorDot(5, 9)
-	if err != nil {
-		return err
-	}
-	af, err := isel.SelectWithLibrary(small, lib, isel.Options{})
-	if err != nil {
-		return err
-	}
-	for _, shrink := range []bool{false, true} {
-		res, err := place.Place(af, ultrascale.Device(), place.Options{Shrink: shrink})
-		if err != nil {
-			return err
-		}
-		label := "shrink off"
-		if shrink {
-			label = "shrink on "
-		}
-		fmt.Printf("placement (tensordot 5x9):   %s -> DSP bbox (%d x %d), %d solver steps\n",
-			label, res.MaxX[ir.ResDsp]+1, res.MaxY[ir.ResDsp]+1, res.SolverSteps)
-	}
-
-	// 4. Timing-driven refinement on/off.
-	dot, err := bench.TensorDot(2, 6)
-	if err != nil {
-		return err
-	}
-	for _, td := range []bool{false, true} {
-		c, err := reticle.NewCompilerWith(reticle.Options{TimingDriven: td})
-		if err != nil {
-			return err
-		}
-		art, err := c.Compile(dot)
-		if err != nil {
-			return err
-		}
-		label := "refine off"
-		if td {
-			label = "refine on "
-		}
-		fmt.Printf("timing-driven (tensordot):   %s -> %.3f ns, compiled in %s\n",
-			label, art.CriticalNs, art.CompileDur)
-	}
-	fmt.Println()
-	return nil
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "reticle-bench:", err)
-	os.Exit(1)
 }

@@ -1,15 +1,21 @@
-// Command reticle-benchjson converts `go test -bench` text output into a
-// machine-readable JSON baseline, so CI can record a perf trajectory per
-// commit and placement/selection regressions are a diff away instead of
-// an anecdote.
+// Command reticle-benchjson keeps the per-commit trajectory of
+// machine-independent benchmark counts: what the code does (solver
+// steps, allocations), never how long the runner took. Wall clock and
+// throughput belong to benchmark/reticle-load.
 //
 // Usage:
 //
-//	go test -bench=. -benchtime=1x -run='^$' ./... | reticle-benchjson -sha $(git rev-parse HEAD) -o BENCH_<sha>.json
+//	reticle-benchjson record
+//	reticle-benchjson compare [-threshold 0.20] base.json head.json
 //
-// Custom benchmark metrics (compile-speedup(x), reticle-DSPs, ...) are
-// preserved under "metrics"; context lines (goos/goarch/cpu/pkg) are
-// carried onto each benchmark entry.
+// record runs every benchmark of the module once (`go test -bench=.
+// -benchtime=1x -benchmem ./...`) and writes BENCH_<short sha>.json into
+// the current directory; ns/op and MB/s are dropped on the way in.
+//
+// compare pairs the benchmarks of two such files by package and name and
+// fails when a gated metric (see gated) grew past the threshold on any
+// benchmark present in both. Exit status: 0 no regression, 1 regression
+// or nothing to compare, 2 usage or unreadable input.
 package main
 
 import (
@@ -18,22 +24,30 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"os/exec"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
 )
 
+// gated is the one list that decides what blocks a merge: counts where
+// lower is better and that repeat on any machine. Every other metric a
+// benchmark reports (hit rates, resource counts, critical-ns) is recorded
+// and never compared.
+var gated = []string{"solver-steps", "shrink-probes", "steps-per-probe", "steps-per-edit", "allocs/op", "B/op"}
+
 // Benchmark is one `Benchmark...` result line.
 type Benchmark struct {
 	Pkg     string             `json:"pkg,omitempty"`
 	Name    string             `json:"name"`
-	N       int64              `json:"n"`
-	NsPerOp float64            `json:"ns_per_op"`
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
-// Baseline is the whole converted run.
+// Baseline is one recorded run. Points recorded before the tools merged
+// also carry n and ns_per_op per benchmark; nothing reads them.
 type Baseline struct {
 	SHA         string `json:"sha,omitempty"`
 	GeneratedAt string `json:"generated_at"`
@@ -89,6 +103,7 @@ func Parse(r io.Reader) (*Baseline, error) {
 //
 //	BenchmarkName[-P]   N   V unit   [V unit ...]
 //
+// keeping every unit but the two `go test` derives from wall clock.
 // Returns (nil, nil) for lines that merely start with "Benchmark" but do
 // not follow the result shape.
 func parseBenchLine(line string) (*Benchmark, error) {
@@ -96,19 +111,17 @@ func parseBenchLine(line string) (*Benchmark, error) {
 	if len(fields) < 4 || len(fields)%2 != 0 {
 		return nil, nil
 	}
-	n, err := strconv.ParseInt(fields[1], 10, 64)
-	if err != nil {
+	if _, err := strconv.ParseInt(fields[1], 10, 64); err != nil {
 		return nil, nil
 	}
-	b := &Benchmark{Name: fields[0], N: n}
+	b := &Benchmark{Name: fields[0]}
 	for i := 2; i+1 < len(fields); i += 2 {
 		val, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
 			return nil, fmt.Errorf("bad value %q: %w", fields[i], err)
 		}
 		unit := fields[i+1]
-		if unit == "ns/op" {
-			b.NsPerOp = val
+		if unit == "ns/op" || unit == "MB/s" {
 			continue
 		}
 		if b.Metrics == nil {
@@ -122,8 +135,8 @@ func parseBenchLine(line string) (*Benchmark, error) {
 // stripProcSuffix removes the "-P" GOMAXPROCS suffix from the benchmark
 // names when every name carries the same one, and returns P (0 when it
 // left the names alone). Baselines recorded on runners with different
-// core counts then pair up by name in reticle-benchcompare instead of
-// sharing no benchmark at all.
+// core counts then pair up by name in compare instead of sharing no
+// benchmark at all.
 func stripProcSuffix(bs []Benchmark) int {
 	procs := 0
 	for i, b := range bs {
@@ -143,38 +156,183 @@ func stripProcSuffix(bs []Benchmark) int {
 	return procs
 }
 
-func main() {
-	sha := flag.String("sha", "", "commit hash to embed in the baseline")
-	out := flag.String("o", "", "output file (default stdout)")
-	flag.Parse()
-
-	base, err := Parse(os.Stdin)
-	if err != nil {
-		fail(err)
+// record runs the module's benchmarks and writes the point for HEAD.
+func record(stdout, stderr io.Writer) error {
+	// Full and abbreviated hash: the first is recorded, the second names
+	// the file the way `git rev-parse --short HEAD` does in CI.
+	rev, err := exec.Command("git", "log", "-1", "--format=%H %h").Output()
+	sha := strings.Fields(string(rev))
+	if err != nil || len(sha) != 2 {
+		return fmt.Errorf("git log -1: %q, %v", rev, err)
 	}
-	base.SHA = *sha
+	bench := exec.Command("go", "test", "-bench=.", "-benchtime=1x", "-benchmem", "-run=^$", "./...")
+	bench.Stderr = stderr
+	out, err := bench.Output()
+	if err != nil {
+		stderr.Write(out)
+		return fmt.Errorf("go test -bench: %w", err)
+	}
+	base, err := Parse(strings.NewReader(string(out)))
+	if err != nil {
+		return err
+	}
+	if len(base.Benchmarks) == 0 {
+		return fmt.Errorf("go test -bench printed no benchmark results")
+	}
+	base.SHA = sha[0]
 	base.GoMaxProcs = stripProcSuffix(base.Benchmarks)
 	base.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
-	if len(base.Benchmarks) == 0 {
-		fail(fmt.Errorf("no benchmark results on stdin"))
-	}
-
 	data, err := json.MarshalIndent(base, "", "  ")
 	if err != nil {
-		fail(err)
+		return err
 	}
-	data = append(data, '\n')
-	if *out == "" {
-		os.Stdout.Write(data)
-		return
+	path := "BENCH_" + sha[1] + ".json"
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		return err
 	}
-	if err := os.WriteFile(*out, data, 0o644); err != nil {
-		fail(err)
-	}
-	fmt.Fprintf(os.Stderr, "reticle-benchjson: wrote %d benchmarks to %s\n", len(base.Benchmarks), *out)
+	fmt.Fprintf(stdout, "reticle-benchjson: wrote %d benchmarks to %s\n", len(base.Benchmarks), path)
+	return nil
 }
 
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "reticle-benchjson:", err)
-	os.Exit(1)
+// delta is one gated metric of one benchmark present on both sides.
+type delta struct {
+	bench  string
+	metric string
+	base   float64
+	head   float64
 }
+
+// ratio is head/base; +Inf when a zero base became nonzero.
+func (d delta) ratio() float64 {
+	switch {
+	case d.base != 0:
+		return d.head / d.base
+	case d.head > 0:
+		return math.Inf(1)
+	}
+	return 1
+}
+
+func (d delta) regressed(threshold float64) bool { return d.ratio() > 1+threshold }
+
+// compare pairs benchmarks by pkg+name and diffs every gated metric both
+// sides report. missing names the base benchmarks that carried a gated
+// metric and are absent from head: they left the gate, which a rename
+// must not do silently.
+func compare(base, head *Baseline) (deltas []delta, missing []string) {
+	heads := map[string]Benchmark{}
+	for _, h := range head.Benchmarks {
+		heads[h.Pkg+"/"+h.Name] = h
+	}
+	for _, b := range base.Benchmarks {
+		h, paired := heads[b.Pkg+"/"+b.Name]
+		for _, metric := range gated {
+			bv, ok := b.Metrics[metric]
+			if !ok {
+				continue
+			}
+			if !paired {
+				missing = append(missing, b.Name)
+				break
+			}
+			if hv, ok := h.Metrics[metric]; ok {
+				deltas = append(deltas, delta{bench: b.Name, metric: metric, base: bv, head: hv})
+			}
+		}
+	}
+	sort.Slice(deltas, func(i, j int) bool {
+		if deltas[i].bench != deltas[j].bench {
+			return deltas[i].bench < deltas[j].bench
+		}
+		return deltas[i].metric < deltas[j].metric
+	})
+	sort.Strings(missing)
+	return deltas, missing
+}
+
+// runCompare is the compare subcommand; it returns the exit status.
+func runCompare(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("compare", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	threshold := fs.Float64("threshold", 0.20, "fail when head exceeds base by more than this fraction")
+	if err := fs.Parse(args); err != nil || fs.NArg() != 2 {
+		fmt.Fprintln(stderr, "usage: reticle-benchjson compare [-threshold 0.20] base.json head.json")
+		return 2
+	}
+	var points [2]*Baseline
+	for i := range points {
+		var err error
+		if points[i], err = load(fs.Arg(i)); err != nil {
+			fmt.Fprintln(stderr, "reticle-benchjson:", err)
+			return 2
+		}
+	}
+	base, head := points[0], points[1]
+
+	deltas, missing := compare(base, head)
+	fmt.Fprintf(stdout, "benchjson: %s -> %s, gating %s at +%.0f%%\n",
+		short(base.SHA), short(head.SHA), strings.Join(gated, ", "), 100**threshold)
+	regressions := 0
+	for _, d := range deltas {
+		mark := "  "
+		if d.regressed(*threshold) {
+			mark = "!!"
+			regressions++
+		}
+		fmt.Fprintf(stdout, "%s %-44s %-16s %14.2f -> %14.2f  (%+.1f%%)\n",
+			mark, d.bench, d.metric, d.base, d.head, 100*(d.ratio()-1))
+	}
+	for _, name := range missing {
+		fmt.Fprintf(stdout, "-- %-44s gated in base, absent from head\n", name)
+	}
+	switch {
+	case len(deltas) == 0:
+		fmt.Fprintln(stdout, "benchjson: FAIL: no gated metric is present on both sides; the gate compared nothing")
+		return 1
+	case regressions > 0:
+		fmt.Fprintf(stdout, "benchjson: FAIL: %d gated metric(s) regressed > %.0f%%\n", regressions, 100**threshold)
+		return 1
+	}
+	fmt.Fprintln(stdout, "benchjson: OK")
+	return 0
+}
+
+func load(path string) (*Baseline, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var b Baseline
+	if err := json.Unmarshal(data, &b); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return &b, nil
+}
+
+func short(sha string) string {
+	if len(sha) > 7 {
+		return sha[:7]
+	}
+	if sha == "" {
+		return "?"
+	}
+	return sha
+}
+
+// run dispatches the subcommand and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	switch {
+	case len(args) == 1 && args[0] == "record":
+		if err := record(stdout, stderr); err != nil {
+			fmt.Fprintln(stderr, "reticle-benchjson:", err)
+			return 1
+		}
+		return 0
+	case len(args) > 0 && args[0] == "compare":
+		return runCompare(args[1:], stdout, stderr)
+	}
+	fmt.Fprintln(stderr, "usage: reticle-benchjson record | compare [-threshold 0.20] base.json head.json")
+	return 2
+}
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }

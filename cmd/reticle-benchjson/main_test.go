@@ -1,6 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -9,17 +13,17 @@ const sample = `goos: linux
 goarch: amd64
 pkg: reticle
 cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
-BenchmarkFigure4              	       1	  15180144 ns/op
-BenchmarkTensorAdd/n64-8      	       1	  13429797 ns/op	        12.97 compile-speedup-base(x)	         1.363 run-speedup-base(x)
+BenchmarkCompile/fsm9         	       1	    537375 ns/op	  346336 B/op	    3100 allocs/op
+BenchmarkPlaceShrink-8        	       1	   4728574 ns/op	        10.00 solver-steps	         0.4000 hint-hit-rate	  12.5 MB/s
 BenchmarkAblationSelector/optimal            	       2	   1403290 ns/op	        90.00 instructions
 PASS
 ok  	reticle	0.672s
-pkg: reticle/internal/sat
+pkg: reticle/internal/csp
 BenchmarkSolve 	     100	     12345 ns/op
-ok  	reticle/internal/sat	0.1s
+ok  	reticle/internal/csp	0.1s
 pkg: reticle/internal/server
-BenchmarkServeCold   	      30	   1238234 ns/op
-BenchmarkServeCached 	      30	     67359 ns/op
+BenchmarkServeCold   	      30	   1238234 ns/op	  321432 B/op	    2048 allocs/op
+BenchmarkServeCached 	      30	     67359 ns/op	   30264 B/op	      55 allocs/op
 ok  	reticle/internal/server	0.3s
 `
 
@@ -34,36 +38,42 @@ func TestParse(t *testing.T) {
 	if len(base.Benchmarks) != 6 {
 		t.Fatalf("got %d benchmarks, want 6", len(base.Benchmarks))
 	}
-	fig4 := base.Benchmarks[0]
-	if fig4.Name != "BenchmarkFigure4" || fig4.N != 1 || fig4.NsPerOp != 15180144 || fig4.Pkg != "reticle" {
-		t.Errorf("fig4 = %+v", fig4)
+	fsm := base.Benchmarks[0]
+	if fsm.Name != "BenchmarkCompile/fsm9" || fsm.Pkg != "reticle" || fsm.Metrics["allocs/op"] != 3100 || fsm.Metrics["B/op"] != 346336 {
+		t.Errorf("fsm9 = %+v", fsm)
 	}
-	ta := base.Benchmarks[1]
-	if ta.Name != "BenchmarkTensorAdd/n64-8" {
-		t.Errorf("name = %q", ta.Name)
+	ps := base.Benchmarks[1]
+	if ps.Name != "BenchmarkPlaceShrink-8" {
+		t.Errorf("name = %q", ps.Name)
 	}
-	if ta.Metrics["compile-speedup-base(x)"] != 12.97 || ta.Metrics["run-speedup-base(x)"] != 1.363 {
-		t.Errorf("metrics = %v", ta.Metrics)
+	if ps.Metrics["solver-steps"] != 10 || ps.Metrics["hint-hit-rate"] != 0.4 {
+		t.Errorf("metrics = %v", ps.Metrics)
 	}
-	sel := base.Benchmarks[2]
-	if sel.N != 2 || sel.Metrics["instructions"] != 90 {
+	if sel := base.Benchmarks[2]; sel.Metrics["instructions"] != 90 {
 		t.Errorf("sel = %+v", sel)
 	}
-	sat := base.Benchmarks[3]
-	if sat.Pkg != "reticle/internal/sat" || sat.N != 100 || sat.NsPerOp != 12345 {
-		t.Errorf("sat = %+v", sat)
+	// A result with nothing but a timing is still a benchmark that ran.
+	if solve := base.Benchmarks[3]; solve.Pkg != "reticle/internal/csp" || solve.Name != "BenchmarkSolve" || solve.Metrics != nil {
+		t.Errorf("solve = %+v", solve)
 	}
-	// The compile-service pair rides in the same baseline so the cache's
-	// cold/hit leverage is recorded per commit.
 	cold, cached := base.Benchmarks[4], base.Benchmarks[5]
 	if cold.Name != "BenchmarkServeCold" || cold.Pkg != "reticle/internal/server" {
 		t.Errorf("cold = %+v", cold)
 	}
-	if cached.Name != "BenchmarkServeCached" || cached.NsPerOp != 67359 {
+	if cached.Name != "BenchmarkServeCached" || cached.Metrics["allocs/op"] != 55 {
 		t.Errorf("cached = %+v", cached)
 	}
-	if ratio := cold.NsPerOp / cached.NsPerOp; ratio < 2 {
-		t.Errorf("sample cold/cached ratio %.1f implausibly low", ratio)
+
+	// A recorded point carries no wall clock: no ns/op, no MB/s, under
+	// any spelling.
+	data, err := json.Marshal(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, timing := range []string{"ns_per_op", "ns/op", "MB/s", `"n"`} {
+		if bytes.Contains(data, []byte(timing)) {
+			t.Errorf("recorded point carries %s: %s", timing, data)
+		}
 	}
 }
 
@@ -104,5 +114,157 @@ func TestStripProcSuffix(t *testing.T) {
 		if p := stripProcSuffix(mixed); p != 0 || mixed[0].Name != before {
 			t.Errorf("stripped %q to %q (procs %d) from a run without a common suffix", before, mixed[0].Name, p)
 		}
+	}
+}
+
+func baselines() (*Baseline, *Baseline) {
+	base := &Baseline{SHA: "aaaa", Benchmarks: []Benchmark{
+		{Pkg: "reticle", Name: "BenchmarkPlaceShrink",
+			Metrics: map[string]float64{
+				"solver-steps": 10, "shrink-probes": 1, "place-ns": 800_000,
+				"hint-hit-rate": 0.4,
+			}},
+		{Pkg: "reticle/internal/csp", Name: "BenchmarkSolve",
+			Metrics: map[string]float64{"allocs/op": 261}},
+		{Pkg: "reticle", Name: "BenchmarkInterpreter"},
+	}}
+	head := &Baseline{SHA: "bbbb", Benchmarks: []Benchmark{
+		{Pkg: "reticle", Name: "BenchmarkPlaceShrink",
+			Metrics: map[string]float64{
+				"solver-steps": 10, "shrink-probes": 1, "place-ns": 8_000_000,
+				"hint-hit-rate": 0.1, // worse, but higher-is-better: never a failure
+			}},
+		{Pkg: "reticle/internal/csp", Name: "BenchmarkSolve",
+			Metrics: map[string]float64{"allocs/op": 270}},
+		{Pkg: "reticle", Name: "BenchmarkInterpreter"},
+	}}
+	return base, head
+}
+
+func countRegressed(ds []delta, threshold float64) int {
+	n := 0
+	for _, d := range ds {
+		if d.regressed(threshold) {
+			n++
+		}
+	}
+	return n
+}
+
+// Within threshold on every gated metric: no regression, and a
+// benchmark that reports no gated metric is neither compared nor missed.
+func TestCompareWithinThreshold(t *testing.T) {
+	base, head := baselines()
+	ds, missing := compare(base, head)
+	if len(ds) != 3 || len(missing) != 0 {
+		t.Fatalf("deltas %+v, missing %v; want solver-steps, shrink-probes, allocs/op", ds, missing)
+	}
+	if n := countRegressed(ds, 0.20); n != 0 {
+		t.Errorf("regressions = %d, want 0: %+v", n, ds)
+	}
+}
+
+// A >20% jump in solver-steps must be flagged.
+func TestCompareFlagsStepRegression(t *testing.T) {
+	base, head := baselines()
+	head.Benchmarks[0].Metrics["solver-steps"] = 13 // +30%
+	ds, _ := compare(base, head)
+	found := false
+	for _, d := range ds {
+		if d.metric == "solver-steps" && d.regressed(0.20) {
+			found = true
+		}
+	}
+	if !found || countRegressed(ds, 0.20) != 1 {
+		t.Errorf("solver-steps 10 -> 13 not the one regression at 20%%: %+v", ds)
+	}
+}
+
+// A zero base that becomes nonzero is a regression (e.g. probes that
+// were all revalidated away starting to hit the solver again).
+func TestCompareZeroBase(t *testing.T) {
+	if d := (delta{base: 0, head: 5}); !d.regressed(0.20) {
+		t.Error("0 -> 5 not flagged")
+	}
+	if d := (delta{base: 0, head: 0}); d.regressed(0.20) {
+		t.Error("0 -> 0 flagged")
+	}
+}
+
+// Benchmarks present in only one file produce no delta; the ones that
+// left the gate are named.
+func TestCompareDisjointSets(t *testing.T) {
+	base := &Baseline{Benchmarks: []Benchmark{{Pkg: "p", Name: "BenchmarkPlaceOld", Metrics: map[string]float64{"allocs/op": 1}}}}
+	head := &Baseline{Benchmarks: []Benchmark{{Pkg: "p", Name: "BenchmarkPlaceNew", Metrics: map[string]float64{"allocs/op": 2}}}}
+	ds, missing := compare(base, head)
+	if len(ds) != 0 {
+		t.Errorf("disjoint sets produced deltas: %+v", ds)
+	}
+	if len(missing) != 1 || missing[0] != "BenchmarkPlaceOld" {
+		t.Errorf("missing = %v, want the renamed benchmark", missing)
+	}
+}
+
+// The gate table is the only thing that decides what is compared: every
+// entry gates on every benchmark that reports it on both sides, and
+// nothing outside it does — a 10x place-ns blow-up and a collapsed
+// higher-is-better rate are invisible.
+func TestGateTable(t *testing.T) {
+	want := []string{"solver-steps", "shrink-probes", "steps-per-probe", "steps-per-edit", "allocs/op", "B/op"}
+	if strings.Join(gated, " ") != strings.Join(want, " ") {
+		t.Fatalf("gated = %v, want %v", gated, want)
+	}
+	for _, metric := range gated {
+		base := &Baseline{Benchmarks: []Benchmark{{Pkg: "p", Name: "BenchmarkAnything", Metrics: map[string]float64{metric: 100}}}}
+		head := &Baseline{Benchmarks: []Benchmark{{Pkg: "p", Name: "BenchmarkAnything", Metrics: map[string]float64{metric: 130}}}}
+		if ds, _ := compare(base, head); countRegressed(ds, 0.20) != 1 {
+			t.Errorf("%s 100 -> 130 on an arbitrary benchmark not flagged: %+v", metric, ds)
+		}
+	}
+	base, head := baselines()
+	ds, _ := compare(base, head)
+	for _, d := range ds {
+		if d.metric == "place-ns" || d.metric == "hint-hit-rate" {
+			t.Errorf("ungated metric %s compared", d.metric)
+		}
+	}
+	if n := countRegressed(ds, 0.20); n != 0 {
+		t.Errorf("ungated changes flagged %d regressions: %+v", n, ds)
+	}
+}
+
+// A gate that compared nothing must fail: two points sharing no gated
+// metric exit 1, not 0, and the benchmarks that fell out are printed.
+func TestCompareVacuousPassFails(t *testing.T) {
+	write := func(name string, b *Baseline) string {
+		data, err := json.Marshal(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	base, head := baselines()
+	renamed := &Baseline{SHA: "cccc", Benchmarks: []Benchmark{
+		{Pkg: "reticle", Name: "BenchmarkPlaceShrink-8", Metrics: head.Benchmarks[0].Metrics},
+	}}
+	var out, errOut bytes.Buffer
+	if code := run([]string{"compare", write("base.json", base), write("head.json", renamed)}, &out, &errOut); code != 1 {
+		t.Errorf("vacuous compare exited %d, want 1\n%s%s", code, out.String(), errOut.String())
+	}
+	for _, want := range []string{"compared nothing", "BenchmarkPlaceShrink", "BenchmarkSolve"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output lacks %q:\n%s", want, out.String())
+		}
+	}
+	out.Reset()
+	if code := run([]string{"compare", write("base.json", base), write("head.json", head)}, &out, &errOut); code != 0 {
+		t.Errorf("healthy compare exited %d, want 0\n%s%s", code, out.String(), errOut.String())
+	}
+	if code := run([]string{"compare", "-filter", "x", "a", "b"}, &out, &errOut); code != 2 {
+		t.Errorf("a deleted flag exited %d, want usage status 2", code)
 	}
 }

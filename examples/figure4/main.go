@@ -15,14 +15,14 @@ import (
 )
 
 func main() {
-	rows, err := eval.Figure4(eval.Figure4Sizes, eval.Config{})
+	secs, err := eval.Sections("4", "", eval.Config{}, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("Figure 4: DSP and LUT utilization, behavioral+hint vs structural vectorized")
 	fmt.Println("(device: xczu3eg-like, 360 DSPs)")
 	fmt.Println()
-	fmt.Print(eval.FormatFig4(rows))
+	fmt.Print(secs[0].Tables[0])
 	fmt.Println()
 	fmt.Println("behavioral saturates the DSPs at N=512 and resorts to LUTs;")
 	fmt.Println("the vectorized structural program would fit N=1440 (360 x 4 lanes).")

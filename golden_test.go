@@ -7,7 +7,11 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite golden Verilog files under testdata/golden")
+var update = flag.Bool("update", false, "rewrite golden Verilog files under testdata/golden and the generated sections of EXPERIMENTS.md")
+
+// Update hands the flag to experiments_test.go, which lives in package
+// reticle_test because internal/eval imports this package.
+var Update = update
 
 // TestGoldenVerilog pins the structural Verilog of the bundled example
 // programs on the default (ultrascale/xczu3eg) pipeline. Any codegen,

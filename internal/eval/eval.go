@@ -4,29 +4,25 @@
 //
 //	base:    behavioral translation through the baseline toolchain
 //	hint:    the same with (* use_dsp *) directives
-//	reticle: the full Reticle pipeline
+//	reticle: the compiler the repo serves (reticle.Compiler → pipeline.Compile)
 //
 // — and records compile time (measured wall clock), run-time (critical
-// path from the shared timing model), and LUT/DSP utilization.
+// path from the shared timing model), and LUT/DSP utilization. Sections
+// renders the result as the Markdown tables EXPERIMENTS.md embeds.
 package eval
 
 import (
 	"fmt"
-	"math"
+	"sort"
+	"strconv"
 	"strings"
-	"sync"
 	"time"
 
+	"reticle"
 	"reticle/internal/behav"
 	"reticle/internal/bench"
-	"reticle/internal/cascade"
-	"reticle/internal/codegen"
-	"reticle/internal/device"
 	"reticle/internal/ir"
-	"reticle/internal/isel"
-	"reticle/internal/place"
 	"reticle/internal/target/ultrascale"
-	"reticle/internal/timing"
 	"reticle/internal/vfront"
 	"reticle/internal/vivado"
 )
@@ -51,24 +47,27 @@ type Config struct {
 	Anneal vivado.AnnealOptions
 	// Shrink enables Reticle's optional area compaction.
 	Shrink bool
-	// Device overrides the evaluation part.
-	Device *device.Device
 }
 
-func (c Config) device() *device.Device {
-	if c.Device != nil {
-		return c.Device
-	}
-	return ultrascale.Device()
+// compiler builds the Reticle side of every comparison: the bundled
+// UltraScale-like target and evaluation part, as the service compiles.
+func (cfg Config) compiler() (*reticle.Compiler, error) {
+	return reticle.NewCompilerWith(reticle.Options{Shrink: cfg.Shrink})
 }
 
-// TensorAddSizes, TensorDotSizes, and FSMSizes are the x-axes of Fig. 13.
-var (
-	TensorAddSizes = []int{64, 128, 256, 512}
-	TensorDotSizes = []int{3, 9, 18, 36}
-	FSMSizes       = []int{3, 5, 7, 9}
-	Figure4Sizes   = []int{8, 16, 32, 64, 128, 256, 512, 1024}
-)
+// Figure4Sizes is the x-axis of Fig. 4.
+var Figure4Sizes = []int{8, 16, 32, 64, 128, 256, 512, 1024}
+
+// Panels are the benchmarks of Fig. 13 with their x-axes, in the paper's
+// order.
+var Panels = []struct {
+	Name  string
+	Sizes []int
+}{
+	{"tensoradd", []int{64, 128, 256, 512}},
+	{"tensordot", []int{3, 9, 18, 36}},
+	{"fsm", []int{3, 5, 7, 9}},
+}
 
 // Program builds the benchmark program for a benchmark name and size.
 func Program(benchName string, size int) (*ir.Func, error) {
@@ -94,61 +93,20 @@ func SizeLabel(benchName string, size int) string {
 	return fmt.Sprintf("%d", size)
 }
 
-// toolbox caches the compiled pattern library and cascade metadata: the
-// compiler loads its target description once, not once per program.
-var toolbox struct {
-	once sync.Once
-	lib  *isel.Library
-	cas  map[string]cascade.Variants
-	err  error
-}
-
-func loadToolbox() (*isel.Library, map[string]cascade.Variants, error) {
-	toolbox.once.Do(func() {
-		toolbox.lib, toolbox.err = isel.NewLibrary(ultrascale.Target())
-		toolbox.cas = ultrascale.Cascades()
-	})
-	return toolbox.lib, toolbox.cas, toolbox.err
-}
-
-// ReticleCompile runs the measured Reticle pipeline on a program.
-func ReticleCompile(f *ir.Func, cfg Config) (Row, error) {
-	dev := cfg.device()
-	target := ultrascale.Target()
-	lib, cas, err := loadToolbox()
-	if err != nil {
-		return Row{}, err
-	}
-
-	t0 := time.Now()
-	af, err := isel.SelectWithLibrary(f, lib, isel.Options{})
-	if err != nil {
-		return Row{}, err
-	}
-	af, _, err = cascade.Apply(af, target, cascade.Options{Cascades: cas, MaxChain: dev.Height})
-	if err != nil {
-		return Row{}, err
-	}
-	placed, err := place.Place(af, dev, place.Options{Shrink: cfg.Shrink})
-	if err != nil {
-		return Row{}, err
-	}
-	_, stats, err := codegen.Generate(placed.Fn, target)
-	if err != nil {
-		return Row{}, err
-	}
-	dur := time.Since(t0)
-
-	rep, err := timing.Analyze(placed.Fn, target, dev, timing.DefaultOptions())
+// ReticleCompile measures one served compile of a program: the row is
+// read off the artifact, so Compile covers selection through rendered
+// Verilog (Artifact.CompileDur).
+func ReticleCompile(c *reticle.Compiler, f *ir.Func) (Row, error) {
+	art, err := c.Compile(f)
 	if err != nil {
 		return Row{}, err
 	}
 	return Row{
 		Lang:    "reticle",
-		Compile: dur,
-		RunNs:   rep.CriticalNs,
-		Luts:    stats.Luts,
-		Dsps:    stats.Dsps,
+		Compile: art.CompileDur,
+		RunNs:   art.CriticalNs,
+		Luts:    art.LUTs,
+		Dsps:    art.DSPs,
 	}, nil
 }
 
@@ -179,7 +137,7 @@ func BaselineCompile(f *ir.Func, hint bool, cfg Config) (Row, error) {
 	}
 	parseDur := time.Since(t0)
 
-	res, err := vivado.Compile(bf, cfg.device(), vivado.Options{Hint: hint, Anneal: cfg.Anneal})
+	res, err := vivado.Compile(bf, ultrascale.Device(), vivado.Options{Hint: hint, Anneal: cfg.Anneal})
 	if err != nil {
 		return Row{}, err
 	}
@@ -194,6 +152,10 @@ func BaselineCompile(f *ir.Func, hint bool, cfg Config) (Row, error) {
 
 // Figure13 produces all rows for one benchmark's panel of Fig. 13.
 func Figure13(benchName string, sizes []int, cfg Config) ([]Row, error) {
+	c, err := cfg.compiler()
+	if err != nil {
+		return nil, err
+	}
 	var rows []Row
 	for _, size := range sizes {
 		f, err := Program(benchName, size)
@@ -204,7 +166,7 @@ func Figure13(benchName string, sizes []int, cfg Config) ([]Row, error) {
 			var row Row
 			switch lang {
 			case "reticle":
-				row, err = ReticleCompile(f, cfg)
+				row, err = ReticleCompile(c, f)
 			default:
 				row, err = BaselineCompile(f, lang == "hint", cfg)
 			}
@@ -230,7 +192,10 @@ type Fig4Row struct {
 
 // Figure4 sweeps the Fig. 3 program over loop bounds.
 func Figure4(sizes []int, cfg Config) ([]Fig4Row, error) {
-	dev := cfg.device()
+	c, err := cfg.compiler()
+	if err != nil {
+		return nil, err
+	}
 	var rows []Fig4Row
 	for _, n := range sizes {
 		behavF, err := bench.DspAdd(n)
@@ -238,7 +203,7 @@ func Figure4(sizes []int, cfg Config) ([]Fig4Row, error) {
 			return nil, err
 		}
 		// Utilization needs synthesis only, not placement.
-		net, err := vivado.Synthesize(behavF, dev, true)
+		net, err := vivado.Synthesize(behavF, ultrascale.Device(), true)
 		if err != nil {
 			return nil, err
 		}
@@ -247,12 +212,7 @@ func Figure4(sizes []int, cfg Config) ([]Fig4Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		target := ultrascale.Target()
-		af, err := isel.Select(structF, target, isel.Options{})
-		if err != nil {
-			return nil, err
-		}
-		st, err := isel.Summarize(af, target)
+		st, err := ReticleCompile(c, structF)
 		if err != nil {
 			return nil, err
 		}
@@ -260,23 +220,23 @@ func Figure4(sizes []int, cfg Config) ([]Fig4Row, error) {
 			N:          n,
 			BehavDsps:  net.DspsUsed,
 			BehavLuts:  net.LutsUsed,
-			StructDsps: st.DspInstrs,
-			StructLuts: 0, // the vectorized structural version needs no LUTs
+			StructDsps: st.Dsps,
+			StructLuts: st.Luts,
 		})
 	}
 	return rows, nil
 }
 
-// Speedups summarizes one benchmark size: baseline-over-Reticle compile
-// and run-time ratios, as Fig. 13's left two plots report.
+// Speedups summarizes one benchmark size: the three rows and the
+// baseline-over-Reticle compile and run-time ratios, as Fig. 13's left
+// two plots report.
 type Speedups struct {
-	Bench, Size   string
-	CompileVsBase float64
-	CompileVsHint float64
-	RunVsBase     float64
-	RunVsHint     float64
-	ReticleLuts   int
-	ReticleDsps   int
+	Bench, Size         string
+	Base, Hint, Reticle Row
+	CompileVsBase       float64
+	CompileVsHint       float64
+	RunVsBase           float64
+	RunVsHint           float64
 }
 
 // Summarize folds rows (one benchmark) into per-size speedups.
@@ -300,94 +260,158 @@ func Summarize(rows []Row) []Speedups {
 			continue
 		}
 		out = append(out, Speedups{
-			Bench:         k.bench,
-			Size:          k.size,
+			Bench: k.bench, Size: k.size,
+			Base: base, Hint: hint, Reticle: ret,
 			CompileVsBase: float64(base.Compile) / float64(ret.Compile),
 			CompileVsHint: float64(hint.Compile) / float64(ret.Compile),
 			RunVsBase:     base.RunNs / ret.RunNs,
 			RunVsHint:     hint.RunNs / ret.RunNs,
-			ReticleLuts:   ret.Luts,
-			ReticleDsps:   ret.Dsps,
 		})
 	}
 	return out
 }
 
-// FormatRows renders rows as an aligned table, one line per measurement.
-func FormatRows(rows []Row) string {
+// Table is one generated Markdown table. Timed marks a table of
+// wall-clock cells: it is regenerated with every run and never diffed;
+// every other table repeats to the digit and is pinned by
+// TestExperimentsTablesCurrent.
+type Table struct {
+	Title string
+	Timed bool
+	Head  []string
+	Rows  [][]string
+}
+
+// String renders the table: a title line, then header, rule and rows.
+func (t Table) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-10s %-6s %-8s %12s %10s %8s %6s\n",
-		"bench", "size", "lang", "compile", "run(ns)", "LUTs", "DSPs")
+	line := func(cells []string) { b.WriteString("| " + strings.Join(cells, " | ") + " |\n") }
+	b.WriteString(t.Title + ":\n\n")
+	line(t.Head)
+	b.WriteString(strings.Repeat("|---", len(t.Head)) + "|\n")
+	for _, r := range t.Rows {
+		line(r)
+	}
+	return b.String()
+}
+
+// Section is one generated block of EXPERIMENTS.md, delimited by Begin
+// and End; Args are the reticle-bench arguments that print it.
+type Section struct {
+	Args   string
+	Tables []Table
+}
+
+// End closes every generated block.
+const End = "<!-- end generated -->\n"
+
+// Begin is the marker line that opens the section.
+func (s Section) Begin() string {
+	return "<!-- generated by: go run ./cmd/reticle-bench " + s.Args + " -->\n"
+}
+
+// String renders the section, markers included, ready to paste.
+func (s Section) String() string {
+	var b strings.Builder
+	b.WriteString(s.Begin())
+	for _, t := range s.Tables {
+		b.WriteString("\n" + t.String())
+	}
+	b.WriteString("\n" + End)
+	return b.String()
+}
+
+// Runs is how many times a published panel is compiled.
+const Runs = 5
+
+// Sections measures the requested figures — fig is "4", "13" or "all",
+// and a non-empty benchName keeps one panel of Fig. 13 — and renders one
+// section per figure panel. Each panel is compiled runs times: timed
+// cells are the median with the range, everything else is the first run.
+func Sections(fig, benchName string, cfg Config, runs int) ([]Section, error) {
+	if fig != "4" && fig != "13" && fig != "all" {
+		return nil, fmt.Errorf("eval: unknown figure %q (want 4, 13 or all)", fig)
+	}
+	suffix := ""
+	if cfg.Shrink {
+		suffix = " -shrink"
+	}
+	var out []Section
+	if fig != "13" {
+		rows, err := Figure4(Figure4Sizes, cfg)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, Section{Args: "-fig 4" + suffix, Tables: []Table{fig4Table(rows)}})
+	}
+	known := benchName == ""
+	for _, p := range Panels {
+		known = known || p.Name == benchName
+		if fig == "4" || (benchName != "" && p.Name != benchName) {
+			continue
+		}
+		var sp [][]Speedups
+		for i := 0; i < runs; i++ {
+			rows, err := Figure13(p.Name, p.Sizes, cfg)
+			if err != nil {
+				return nil, err
+			}
+			sp = append(sp, Summarize(rows))
+		}
+		out = append(out, Section{Args: "-fig 13 -bench " + p.Name + suffix, Tables: fig13Tables(p.Name, sp)})
+	}
+	if !known {
+		return nil, fmt.Errorf("eval: unknown Fig. 13 benchmark %q", benchName)
+	}
+	return out, nil
+}
+
+func fig4Table(rows []Fig4Row) Table {
+	t := Table{
+		Title: "Figure 4, utilization",
+		Head:  []string{"N", "behav DSPs", "behav LUTs", "struct DSPs", "struct LUTs"},
+	}
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-10s %-6s %-8s %12s %10.3f %8d %6d\n",
-			r.Bench, r.Size, r.Lang, r.Compile.Round(time.Microsecond),
-			r.RunNs, r.Luts, r.Dsps)
+		t.Rows = append(t.Rows, []string{strconv.Itoa(r.N), strconv.Itoa(r.BehavDsps), strconv.Itoa(r.BehavLuts), strconv.Itoa(r.StructDsps), strconv.Itoa(r.StructLuts)})
 	}
-	return b.String()
+	return t
 }
 
-// FormatSpeedups renders the Fig. 13 left-plot summaries.
-func FormatSpeedups(sp []Speedups) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-10s %-6s %14s %14s %12s %12s\n",
-		"bench", "size", "compile/base", "compile/hint", "run/base", "run/hint")
-	for _, s := range sp {
-		fmt.Fprintf(&b, "%-10s %-6s %13.1fx %13.1fx %11.2fx %11.2fx\n",
-			s.Bench, s.Size, s.CompileVsBase, s.CompileVsHint, s.RunVsBase, s.RunVsHint)
+// fig13Tables renders one panel from its runs (each the Summarize of one
+// Figure13 call): run time and utilization from the first, compile time
+// across all of them.
+func fig13Tables(name string, runs [][]Speedups) []Table {
+	shape := Table{
+		Title: name + ", run time and utilization",
+		Head: []string{"size", "run ×base", "run ×hint", "reticle ns", "base ns", "hint ns",
+			"reticle LUT/DSP", "base LUT/DSP", "hint LUT/DSP"},
 	}
-	return b.String()
-}
-
-// FormatFig4 renders the Figure 4 table.
-func FormatFig4(rows []Fig4Row) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-6s %12s %12s %12s %12s\n",
-		"N", "behav DSPs", "behav LUTs", "struct DSPs", "struct LUTs")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-6d %12d %12d %12d %12d\n",
-			r.N, r.BehavDsps, r.BehavLuts, r.StructDsps, r.StructLuts)
+	timed := Table{
+		Title: fmt.Sprintf("%s, compile time: median of %d runs (min–max)", name, len(runs)),
+		Timed: true,
+		Head:  []string{"size", "compile ×base", "compile ×hint", "reticle ms", "base ms", "hint ms"},
 	}
-	return b.String()
-}
-
-// FormatChart renders the Fig. 13 left plots as ASCII bar charts: compile
-// and run-time speedup over Reticle, log scale for compile (as the paper
-// plots it), linear for run-time.
-func FormatChart(sp []Speedups) string {
-	var b strings.Builder
-	const width = 44
-	logBar := func(x float64) string {
-		if x <= 1 {
-			return "|"
+	util := func(r Row) string { return fmt.Sprintf("%d / %d", r.Luts, r.Dsps) }
+	ms := func(r Row) float64 { return float64(r.Compile) / float64(time.Millisecond) }
+	for i, s := range runs[0] {
+		shape.Rows = append(shape.Rows, []string{s.Size,
+			fmt.Sprintf("%.2f", s.RunVsBase), fmt.Sprintf("%.2f", s.RunVsHint),
+			fmt.Sprintf("%.3f", s.Reticle.RunNs), fmt.Sprintf("%.3f", s.Base.RunNs), fmt.Sprintf("%.3f", s.Hint.RunNs),
+			util(s.Reticle), util(s.Base), util(s.Hint)})
+		across := func(of func(Speedups) float64, format string) string {
+			xs := make([]float64, len(runs))
+			for r := range runs {
+				xs[r] = of(runs[r][i])
+			}
+			sort.Float64s(xs)
+			return fmt.Sprintf(format+" ("+format+"–"+format+")", xs[len(xs)/2], xs[0], xs[len(xs)-1])
 		}
-		n := int(math.Log10(x) / 3.0 * width) // full width at 1000x
-		if n < 1 {
-			n = 1
-		}
-		if n > width {
-			n = width
-		}
-		return strings.Repeat("#", n)
+		timed.Rows = append(timed.Rows, []string{s.Size,
+			across(func(s Speedups) float64 { return s.CompileVsBase }, "%.1f"),
+			across(func(s Speedups) float64 { return s.CompileVsHint }, "%.1f"),
+			across(func(s Speedups) float64 { return ms(s.Reticle) }, "%.2f"),
+			across(func(s Speedups) float64 { return ms(s.Base) }, "%.1f"),
+			across(func(s Speedups) float64 { return ms(s.Hint) }, "%.1f")})
 	}
-	linBar := func(x float64) string {
-		n := int(x / 3.0 * width) // full width at 3x
-		if n < 1 {
-			n = 1
-		}
-		if n > width {
-			n = width
-		}
-		return strings.Repeat("#", n)
-	}
-	b.WriteString("compile speedup over reticle (log scale, full bar = 1000x)\n")
-	for _, s := range sp {
-		fmt.Fprintf(&b, "  %-6s base %-*s %6.1fx\n", s.Size, width, logBar(s.CompileVsBase), s.CompileVsBase)
-		fmt.Fprintf(&b, "  %-6s hint %-*s %6.1fx\n", "", width, logBar(s.CompileVsHint), s.CompileVsHint)
-	}
-	b.WriteString("run-time speedup over reticle (linear, full bar = 3x; <1 means reticle slower)\n")
-	for _, s := range sp {
-		fmt.Fprintf(&b, "  %-6s base %-*s %6.2fx\n", s.Size, width, linBar(s.RunVsBase), s.RunVsBase)
-		fmt.Fprintf(&b, "  %-6s hint %-*s %6.2fx\n", "", width, linBar(s.RunVsHint), s.RunVsHint)
-	}
-	return b.String()
+	return []Table{shape, timed}
 }

@@ -1,9 +1,16 @@
 package eval
 
 import (
+	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
+	"reticle"
+	"reticle/internal/bench"
 	"reticle/internal/ir"
 	"reticle/internal/vivado"
 )
@@ -202,25 +209,39 @@ func TestProgramDispatch(t *testing.T) {
 	}
 }
 
+// TestFormatters pins the one table writer: the Markdown of a table, the
+// markers around a section, and which tables a figure selection yields.
 func TestFormatters(t *testing.T) {
-	rows, err := Figure13("fsm", []int{3}, fastCfg())
+	tb := Table{Title: "T", Head: []string{"a", "b"}, Rows: [][]string{{"1", "2"}, {"3", "4"}}}
+	if got, want := tb.String(), "T:\n\n| a | b |\n|---|---|\n| 1 | 2 |\n| 3 | 4 |\n"; got != want {
+		t.Errorf("table:\n%s\nwant:\n%s", got, want)
+	}
+	secs, err := Sections("all", "fsm", fastCfg(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	table := FormatRows(rows)
-	if !strings.Contains(table, "fsm") || !strings.Contains(table, "reticle") {
-		t.Errorf("table:\n%s", table)
+	if len(secs) != 2 || secs[0].Args != "-fig 4" || secs[1].Args != "-fig 13 -bench fsm" {
+		t.Fatalf("sections = %+v", secs)
 	}
-	sp := FormatSpeedups(Summarize(rows))
-	if !strings.Contains(sp, "x") {
-		t.Errorf("speedups:\n%s", sp)
+	out := secs[1].String()
+	if !strings.HasPrefix(out, "<!-- generated by: go run ./cmd/reticle-bench -fig 13 -bench fsm -->\n") ||
+		!strings.HasSuffix(out, End) {
+		t.Errorf("section markers:\n%s", out)
 	}
-	f4, err := Figure4([]int{8}, fastCfg())
-	if err != nil {
-		t.Fatal(err)
+	shape, timed := secs[1].Tables[0], secs[1].Tables[1]
+	if shape.Timed || !timed.Timed || len(shape.Rows) != len(Panels[2].Sizes) || len(timed.Rows) != len(Panels[2].Sizes) {
+		t.Errorf("fsm tables = %+v", secs[1].Tables)
 	}
-	if !strings.Contains(FormatFig4(f4), "behav DSPs") {
-		t.Error("fig4 header missing")
+	if !strings.Contains(timed.Title, "median of 3 runs") || !strings.Contains(timed.Rows[0][1], "–") {
+		t.Errorf("timed table carries no median and range: %+v", timed)
+	}
+	if !strings.Contains(secs[0].String(), "| 1024 | 360 | 5312 | 256 | 0 |") {
+		t.Errorf("fig 4 section:\n%s", secs[0])
+	}
+	for _, bad := range [][2]string{{"13a", ""}, {"13", "nope"}} {
+		if _, err := Sections(bad[0], bad[1], fastCfg(), 1); err == nil {
+			t.Errorf("Sections(%q, %q) accepted", bad[0], bad[1])
+		}
 	}
 }
 
@@ -230,17 +251,69 @@ func TestSizeLabel(t *testing.T) {
 	}
 }
 
-func TestFormatChart(t *testing.T) {
-	sp := []Speedups{{
-		Bench: "x", Size: "64",
-		CompileVsBase: 100, CompileVsHint: 10,
-		RunVsBase: 1.5, RunVsHint: 0.8,
-	}}
-	chart := FormatChart(sp)
-	if !strings.Contains(chart, "100.0x") || !strings.Contains(chart, "0.80x") {
-		t.Errorf("chart:\n%s", chart)
+// TestEvalRowsComeFromPipeline: every Reticle number the figures publish
+// is read off an artifact of the compiler the repo serves, and neither
+// this package nor any command re-sequences the stages by hand.
+func TestEvalRowsComeFromPipeline(t *testing.T) {
+	c, err := reticle.NewCompiler()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(chart, "#") {
-		t.Error("no bars")
+	compile := func(name string, f *ir.Func, luts, dsps int) *reticle.Artifact {
+		t.Helper()
+		art, err := c.Compile(f)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if luts != art.LUTs || dsps != art.DSPs {
+			t.Errorf("%s: row %d LUTs %d DSPs, artifact %d %d", name, luts, dsps, art.LUTs, art.DSPs)
+		}
+		return art
+	}
+	for _, p := range Panels {
+		rows, err := Figure13(p.Name, p.Sizes, fastCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, sp := range Summarize(rows) {
+			f, err := Program(p.Name, p.Sizes[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if art := compile(p.Name+" "+sp.Size, f, sp.Reticle.Luts, sp.Reticle.Dsps); art.CriticalNs != sp.Reticle.RunNs {
+				t.Errorf("%s %s: row runs in %.3f ns, artifact in %.3f", p.Name, sp.Size, sp.Reticle.RunNs, art.CriticalNs)
+			}
+		}
+	}
+	f4, err := Figure4(Figure4Sizes, fastCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range f4 {
+		f, err := bench.DspAddVectorized(r.N)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compile(fmt.Sprintf("dspadd %d", r.N), f, r.StructLuts, r.StructDsps)
+	}
+
+	stage := regexp.MustCompile(`isel\.Select|cascade\.Apply|place\.Place|codegen\.Generate|timing\.Analyze|reticle/internal/(isel|cascade|place|codegen)"`)
+	for _, root := range []string{".", "../../cmd"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			src, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			if m := stage.Find(src); m != nil {
+				t.Errorf("%s sequences the pipeline by hand: %s", path, m)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }

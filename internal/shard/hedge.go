@@ -121,49 +121,35 @@ func (rt *Router) proxyKernel(ctx context.Context, routeKey cache.Key, path stri
 		order:   rt.ring.Pick(string(routeKey)),
 		hedgeOK: path == "/compile" && rt.opts.HedgeAfter > 0,
 	}
-	// First pass: backends believed alive whose breaker admits traffic,
-	// in ring preference order.
-	for _, bi := range w.order {
-		b := rt.backends[bi]
-		if !b.alive.Load() {
-			continue
-		}
-		allowed, probe := b.br.AllowDetail()
-		if !allowed {
-			continue
-		}
-		if out, done := w.attempt(bi, probe); done {
-			return out
-		}
-		if w.stop() {
-			break
+	// Three passes over the ring's preference order, differing only in
+	// who is admitted: backends believed alive whose breaker admits
+	// traffic; then dead-marked ones (breaker still consulted); then, only
+	// if nothing was attempted at all because every breaker refused,
+	// everyone — availability beats breaker hygiene, and an open breaker
+	// swallows the Records, so that walk teaches it nothing.
+	breakerAdmits := func(alive bool) func(*backend) (bool, bool) {
+		return func(b *backend) (bool, bool) {
+			if b.alive.Load() != alive {
+				return false, false
+			}
+			return b.br.AllowDetail()
 		}
 	}
-	// Second pass: dead-marked backends (breaker still consulted).
-	if !w.stop() {
+	passes := [...]func(*backend) (allowed, probe bool){
+		breakerAdmits(true),
+		breakerAdmits(false),
+		func(*backend) (bool, bool) { return true, false },
+	}
+	for pass, admit := range passes {
+		if pass > 0 && w.stop() || pass == len(passes)-1 && w.attempts > 0 {
+			break
+		}
 		for _, bi := range w.order {
-			b := rt.backends[bi]
-			if b.alive.Load() {
-				continue
-			}
-			allowed, probe := b.br.AllowDetail()
+			allowed, probe := admit(rt.backends[bi])
 			if !allowed {
 				continue
 			}
 			if out, done := w.attempt(bi, probe); done {
-				return out
-			}
-			if w.stop() {
-				break
-			}
-		}
-	}
-	// Last resort: nothing was attempted at all — every breaker refused.
-	// Availability beats breaker hygiene: walk once ignoring them (an
-	// open breaker swallows the Records, so this teaches it nothing).
-	if w.attempts == 0 && !w.stop() {
-		for _, bi := range w.order {
-			if out, done := w.attempt(bi, false); done {
 				return out
 			}
 			if w.stop() {
