@@ -20,14 +20,13 @@ func Parse(src string) (*Func, error) {
 
 // ParseAll parses every assembly function in the source text.
 func ParseAll(src string) ([]*Func, error) {
-	toks, err := ir.Tokens(src)
-	if err != nil {
-		return nil, err
-	}
-	p := ir.NewParser(toks)
+	p := ir.NewParser(src)
 	var fns []*Func
-	for p.Peek().Kind != ir.TokEOF {
+	for !p.AtEOF() {
 		f, err := parseFunc(p)
+		if lexErr := p.Err(); lexErr != nil {
+			return nil, lexErr
+		}
 		if err != nil {
 			return nil, fmt.Errorf("asm: %w", err)
 		}

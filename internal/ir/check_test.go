@@ -7,12 +7,11 @@ import (
 
 func mustParseNoCheck(t *testing.T, src string) *Func {
 	t.Helper()
-	toks, err := Tokens(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := NewParser(toks)
+	p := NewParser(src)
 	f, err := p.parseFunc()
+	if err == nil {
+		err = p.Err()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func FuzzLexer(f *testing.F) {
 	f.Add("?? -> - > [ ] -12 i8<4>")
 	f.Add(strings.Repeat("(", 100))
 	f.Fuzz(func(t *testing.T, src string) {
-		toks, err := Tokens(src)
+		toks, err := lexAll(src)
 		if err != nil {
 			return
 		}

@@ -162,20 +162,3 @@ func (l *Lexer) Next() Token {
 func (l *Lexer) hasDigitAt(pos int) bool {
 	return pos < len(l.src) && l.src[pos] >= '0' && l.src[pos] <= '9'
 }
-
-// Tokens scans the whole input. It returns the token stream ending with an
-// EOF token, or the first lexical error.
-func Tokens(src string) ([]Token, error) {
-	l := NewLexer(src)
-	// Dense Reticle text (a printed tensordot) runs at 2.5 bytes per token;
-	// sizing for two up front keeps the scan out of growslice.
-	toks := make([]Token, 0, len(src)/2+16)
-	for {
-		t := l.Next()
-		toks = append(toks, t)
-		if t.Kind == TokEOF {
-			break
-		}
-	}
-	return toks, l.Err()
-}

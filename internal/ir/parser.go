@@ -4,45 +4,56 @@ import (
 	"fmt"
 )
 
-// Parser consumes a token stream. It is shared machinery for the IR parser
-// here and reused (via the exported cursor methods) by the assembly and
-// target-description parsers, which share the token grammar.
+// Parser parses straight off a Lexer with one token of lookahead. It is
+// shared machinery for the IR parser here and reused (via the exported
+// cursor methods) by the assembly and target-description parsers, which
+// share the token grammar.
 type Parser struct {
-	toks []Token
-	pos  int
+	lex Lexer
+	tok Token // the current token
 }
 
-// NewParser returns a parser over a scanned token stream.
-func NewParser(toks []Token) *Parser { return &Parser{toks: toks} }
+// NewParser returns a parser over source text.
+func NewParser(src string) *Parser {
+	p := &Parser{lex: *NewLexer(src)}
+	p.tok = p.lex.Next()
+	return p
+}
+
+// Err returns the first lexical error among the tokens scanned so far. It
+// takes precedence over any parse or check error: what the parser made of
+// a bad token is not worth reporting.
+func (p *Parser) Err() error { return p.lex.err }
 
 // Peek returns the current token without consuming it.
-func (p *Parser) Peek() Token { return p.toks[p.pos] }
+func (p *Parser) Peek() Token { return p.tok }
 
 // Take consumes and returns the current token.
 func (p *Parser) Take() Token {
-	t := p.toks[p.pos]
-	if t.Kind != TokEOF {
-		p.pos++
-	}
+	t := p.tok
+	p.next()
 	return t
 }
 
+func (p *Parser) next() { p.tok = p.lex.Next() }
+
+// AtEOF reports whether the input is exhausted.
+func (p *Parser) AtEOF() bool { return p.tok.Kind == TokEOF }
+
 // AtPunct reports whether the current token is the punctuation text.
 func (p *Parser) AtPunct(text string) bool {
-	t := p.Peek()
-	return t.Kind == TokPunct && t.Text == text
+	return p.tok.Kind == TokPunct && p.tok.Text == text
 }
 
 // AtIdent reports whether the current token is the given identifier.
 func (p *Parser) AtIdent(text string) bool {
-	t := p.Peek()
-	return t.Kind == TokIdent && t.Text == text
+	return p.tok.Kind == TokIdent && p.tok.Text == text
 }
 
 // EatPunct consumes the punctuation token if present.
 func (p *Parser) EatPunct(text string) bool {
 	if p.AtPunct(text) {
-		p.pos++
+		p.next()
 		return true
 	}
 	return false
@@ -50,42 +61,39 @@ func (p *Parser) EatPunct(text string) bool {
 
 // ExpectPunct consumes the punctuation token or fails.
 func (p *Parser) ExpectPunct(text string) error {
-	t := p.Peek()
-	if t.Kind == TokPunct && t.Text == text {
-		p.pos++
+	if p.EatPunct(text) {
 		return nil
 	}
-	return fmt.Errorf("line %d: expected %q, found %s", t.Line, text, t)
+	return fmt.Errorf("line %d: expected %q, found %s", p.tok.Line, text, p.tok)
 }
 
 // ExpectIdent consumes an identifier token and returns its text.
 func (p *Parser) ExpectIdent() (string, error) {
-	t := p.Peek()
-	if t.Kind != TokIdent {
-		return "", fmt.Errorf("line %d: expected identifier, found %s", t.Line, t)
+	if p.tok.Kind != TokIdent {
+		return "", fmt.Errorf("line %d: expected identifier, found %s", p.tok.Line, p.tok)
 	}
-	p.pos++
-	return t.Text, nil
+	text := p.tok.Text
+	p.next()
+	return text, nil
 }
 
 // ExpectKeyword consumes the given identifier or fails.
 func (p *Parser) ExpectKeyword(kw string) error {
-	t := p.Peek()
-	if t.Kind == TokIdent && t.Text == kw {
-		p.pos++
+	if p.AtIdent(kw) {
+		p.next()
 		return nil
 	}
-	return fmt.Errorf("line %d: expected %q, found %s", t.Line, kw, t)
+	return fmt.Errorf("line %d: expected %q, found %s", p.tok.Line, kw, p.tok)
 }
 
 // ExpectInt consumes an integer token and returns its value.
 func (p *Parser) ExpectInt() (int64, error) {
-	t := p.Peek()
-	if t.Kind != TokInt {
-		return 0, fmt.Errorf("line %d: expected integer, found %s", t.Line, t)
+	if p.tok.Kind != TokInt {
+		return 0, fmt.Errorf("line %d: expected integer, found %s", p.tok.Line, p.tok)
 	}
-	p.pos++
-	return t.Int, nil
+	v := p.tok.Int
+	p.next()
+	return v, nil
 }
 
 // ParseTypeTok parses a type: "bool", "i8", or "i8<4>". The lexer splits
@@ -205,7 +213,7 @@ func (p *Parser) parseInstr() (Instr, error) {
 	}
 	op, err := ParseOp(opName)
 	if err != nil {
-		return in, fmt.Errorf("line %d: %v", p.Peek().Line, err)
+		return in, fmt.Errorf("line %d: %v", p.tok.Line, err)
 	}
 	attrs, err := p.ParseAttrs()
 	if err != nil {
@@ -278,14 +286,13 @@ func Parse(src string) (*Func, error) {
 
 // ParseAll parses every function in the source text and checks each.
 func ParseAll(src string) ([]*Func, error) {
-	toks, err := Tokens(src)
-	if err != nil {
-		return nil, err
-	}
-	p := NewParser(toks)
+	p := NewParser(src)
 	var fns []*Func
-	for p.Peek().Kind != TokEOF {
+	for !p.AtEOF() {
 		f, err := p.parseFunc()
+		if lexErr := p.Err(); lexErr != nil {
+			return nil, lexErr
+		}
 		if err != nil {
 			return nil, fmt.Errorf("ir: %w", err)
 		}

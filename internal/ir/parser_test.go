@@ -147,6 +147,64 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseErrorMessages pins the parse-error contract: the exact message,
+// line number included, for every case of TestParseErrors, every failing
+// FuzzParse seed, and one case per kind of position-dependent error.
+func TestParseErrorMessages(t *testing.T) {
+	const big = "99999999999999999999"
+	const bigErr = `bad integer "` + big + `": strconv.ParseInt: parsing "` + big + `": value out of range`
+	cases := []struct{ src, want string }{
+		{`fn f() -> (y:bool) {}`, `ir: line 1: expected "def", found "fn"`},
+		{`def f(a:bool) (y:bool) {}`, `ir: line 1: expected "->", found "("`},
+		{`def f(a:bool) -> () { t:bool = id(a); }`, `ir: function f has no outputs`},
+		{`def f(a:bool) -> (y:bool) { y:bool = bogus(a); }`, `ir: line 1: ir: unknown operation "bogus"`},
+		{`def f(a:i8,b:i8) -> (y:i8) { y:i8 = add(a,b) @bram; }`, `ir: line 1: ir: unknown resource "bram"`},
+		{`def f(a:bool) -> (y:bool) { y:bool = id(a) }`, `ir: line 1: expected ";", found "}"`},
+		{`def f(a:bool) -> (y:bool) { y:bool = id(a);`, `ir: line 1: expected identifier, found end of input`},
+		{`def f(a:u8) -> (y:u8) { y:u8 = id(a); }`, `ir: ir: unknown type "u8"`},
+		{``, `ir: no functions in input`},
+		{`def f(a:bool) -> (y:i8) { y:i8 = const[x]; }`, `ir: line 1: expected integer, found "x"`},
+		{`def broken(`, `ir: line 1: expected identifier, found end of input`},
+		{`def f() -> () {}`, `ir: function f has no outputs`},
+		{"def \x00 bogus", `ir: line 1: expected identifier, found "\x00"`},
+		{`def f(a:i8) -> (y:i8) { y:i8 = sll[99](a); }`,
+			`ir: function f: instruction 0 (y): sll shift amount 99 out of range for i8`},
+		{"def f(a:bool) -> (y:bool) { y:bool = id(a); }\ndef g(a:bool) -> (y:bool) { y:bool = id(a); }",
+			`ir: expected exactly one function, found 2`},
+		// Line numbers: the line of the offending token, or for an unknown
+		// operation the line of the token after it.
+		{"// c\ndef f(a:bool)\n  -> (y:bool) {\n  y:bool = id(a);\n  z:bool = id(a)\n}\n", `ir: line 6: expected ";", found "}"`},
+		{"def f(a:bool) -> (y:bool) {\n  y:bool = id(a);\n}\n\ndef g(a:bool) -> (y:bool) {\n  y:bool = nope(a);\n}\n",
+			`ir: line 6: ir: unknown operation "nope"`},
+		{`def f(a:i8<4>) -> (y:i8<0>) { y:i8<0> = id(a); }`, `ir: ir: vector lane count 0 out of range`},
+		{`def f(a:i8<4) -> (y:i8) { y:i8 = slice[0](a); }`, `ir: line 1: expected ">", found ")"`},
+		{"def f(a:i8) -> (y:i8) {\n  y:i8 = add(a, a) @;\n}", `ir: line 2: ir: unknown resource ";"`},
+		{"def f(a:i8) -> (y:i8) {\n  y:i8 = add(a a) @??;\n}", `ir: line 2: expected ",", found "a"`},
+		{"def f(a:i8) -> (y:i8) {\n  y:i8 = sll[1 2](a);\n}", `ir: line 2: expected ",", found integer 2`},
+		// An out-of-range integer is a lexical error. It wins over whatever
+		// the parser or the checker makes of the same function ...
+		{"def f(a:i8) -> (y:i8) {\n  y:i8 = sll[" + big + "](a);\n}", "ir: line 2: " + bigErr},
+		{"def f(a:i8) -> (y:i8) {\n  y:i8 = sll[" + big + "](b);\n}", "ir: line 2: " + bigErr},
+		{"def f(a:i8) -> (y:i8) {\n  y:i8 = add(a, a) " + big + " @??;\n}", "ir: line 2: " + bigErr},
+		// ... including when it is the token right after the function ...
+		{"def f(a:i8) -> (y:i8) {\n  y:i8 = add(a, b) @??;\n} " + big, "ir: line 3: " + bigErr},
+		// ... but an error that comes earlier in the text than the integer is
+		// now reported first: the parser no longer scans to the end of input
+		// before it starts. (The token-slice parser reported line 4's integer
+		// for both of these.)
+		{"def f(a:i8) -> (y:i8) {\n  y:i8 = add(a, a) @??\n}\ndef g(a:i8) -> (y:i8) { y:i8 = sll[" + big + "](a); }",
+			`ir: line 3: expected ";", found "}"`},
+		{"def f(a:i8) -> (y:i8) {\n  y:i8 = add(a, b) @??;\n}\ndef g(a:i8) -> (y:i8) { y:i8 = sll[" + big + "](a); }",
+			`ir: function f: instruction 0 (y): argument "b" is undefined`},
+	}
+	for _, tt := range cases {
+		_, err := Parse(tt.src)
+		if err == nil || err.Error() != tt.want {
+			t.Errorf("Parse(%q)\n got  %v\n want %s", tt.src, err, tt.want)
+		}
+	}
+}
+
 func TestPrintParseRoundTrip(t *testing.T) {
 	srcs := []string{
 		fig6,
@@ -216,7 +274,7 @@ func TestCloneIsDeep(t *testing.T) {
 }
 
 func TestLexerTwoRuneTokens(t *testing.T) {
-	toks, err := Tokens("-> ?? - > ?")
+	toks, err := lexAll("-> ?? - > ?")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +297,7 @@ func TestLexerTwoRuneTokens(t *testing.T) {
 }
 
 func TestLexerNegativeNumberVsArrow(t *testing.T) {
-	toks, err := Tokens("[-5]")
+	toks, err := lexAll("[-5]")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -128,14 +128,7 @@ def mixed(a:i8, en:bool) -> (r:i8) {
     t1:i8 = add(t0, a) @??;
 }
 `
-	toks, err := Tokens(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := NewParser(toks).parseFunc()
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := mustParseNoCheck(t, src)
 	if WellFormed(f) {
 		t.Error("combinational cycle accepted because an unrelated reg exists")
 	}

@@ -15,14 +15,13 @@ import (
 //
 // Comments run from "//" to end of line.
 func Parse(name, src string) (*Target, error) {
-	toks, err := ir.Tokens(src)
-	if err != nil {
-		return nil, err
-	}
-	p := ir.NewParser(toks)
+	p := ir.NewParser(src)
 	var defs []*Def
-	for p.Peek().Kind != ir.TokEOF {
+	for !p.AtEOF() {
 		d, err := parseDef(p)
+		if lexErr := p.Err(); lexErr != nil {
+			return nil, lexErr
+		}
 		if err != nil {
 			return nil, fmt.Errorf("tdl: %w", err)
 		}
