@@ -3,6 +3,7 @@ package ir
 import (
 	"fmt"
 	"strconv"
+	"strings"
 	"unicode"
 	"unicode/utf8"
 )
@@ -47,56 +48,27 @@ func (t Token) String() string {
 type Lexer struct {
 	src  string
 	pos  int
-	line int
-	col  int
+	line int // 1-based line of pos
+	bol  int // offset of that line's first byte; no token spans a newline
 	err  error
 }
 
 // NewLexer returns a lexer over src.
 func NewLexer(src string) *Lexer {
-	return &Lexer{src: src, line: 1, col: 1}
+	return &Lexer{src: src, line: 1}
 }
 
 // Err returns the first error encountered while scanning, if any.
 func (l *Lexer) Err() error { return l.err }
 
-func (l *Lexer) peekRune() (rune, int) {
-	if l.pos >= len(l.src) {
-		return 0, 0
+// asciiIdentCont marks the ASCII bytes that continue an identifier. Bytes
+// from utf8.RuneSelf up are unmarked: they take the general rune path.
+var asciiIdentCont = func() (t [256]bool) {
+	for c := 0; c < utf8.RuneSelf; c++ {
+		t[c] = isIdentCont(rune(c))
 	}
-	if c := l.src[l.pos]; c < utf8.RuneSelf {
-		return rune(c), 1
-	}
-	return utf8.DecodeRuneInString(l.src[l.pos:])
-}
-
-func (l *Lexer) advance(size int) {
-	for i := 0; i < size; i++ {
-		if l.src[l.pos+i] == '\n' {
-			l.line++
-			l.col = 1
-		} else {
-			l.col++
-		}
-	}
-	l.pos += size
-}
-
-func (l *Lexer) skipSpaceAndComments() {
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		switch {
-		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
-			l.advance(1)
-		case c == '/' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '/':
-			for l.pos < len(l.src) && l.src[l.pos] != '\n' {
-				l.advance(1)
-			}
-		default:
-			return
-		}
-	}
-}
+	return t
+}()
 
 func isIdentStart(r rune) bool {
 	if r < utf8.RuneSelf {
@@ -114,51 +86,78 @@ func isIdentCont(r rune) bool {
 
 // Next scans and returns the next token.
 func (l *Lexer) Next() Token {
-	l.skipSpaceAndComments()
-	line, col := l.line, l.col
-	if l.pos >= len(l.src) {
-		return Token{Kind: TokEOF, Line: line, Col: col}
+	src, pos := l.src, l.pos
+skip:
+	for pos < len(src) {
+		switch c := src[pos]; {
+		case c == '\n':
+			pos++
+			l.line, l.bol = l.line+1, pos
+		case c == ' ' || c == '\t' || c == '\r':
+			pos++
+		case c == '/' && pos+1 < len(src) && src[pos+1] == '/':
+			if eol := strings.IndexByte(src[pos:], '\n'); eol >= 0 {
+				pos += eol
+			} else {
+				pos = len(src)
+			}
+		default:
+			break skip
+		}
 	}
-	r, size := l.peekRune()
+	start := pos
+	tok := Token{Line: l.line, Col: start - l.bol + 1} // columns count bytes
+	if pos >= len(src) {
+		l.pos = pos
+		return tok
+	}
+	r, size := rune(src[pos]), 1
+	if r >= utf8.RuneSelf {
+		r, size = utf8.DecodeRuneInString(src[pos:])
+	}
+	pos += size
 	switch {
 	case isIdentStart(r):
-		start := l.pos
-		for l.pos < len(l.src) {
-			r2, s2 := l.peekRune()
+		tok.Kind = TokIdent
+		for pos < len(src) {
+			c := src[pos]
+			if asciiIdentCont[c] {
+				pos++
+				continue
+			}
+			if c < utf8.RuneSelf {
+				break
+			}
+			r2, s2 := utf8.DecodeRuneInString(src[pos:])
 			if !isIdentCont(r2) {
 				break
 			}
-			l.advance(s2)
+			pos += s2
 		}
-		return Token{Kind: TokIdent, Text: l.src[start:l.pos], Line: line, Col: col}
-	case unicode.IsDigit(r) || (r == '-' && l.hasDigitAt(l.pos+size)):
-		start := l.pos
-		l.advance(size)
-		for l.pos < len(l.src) && l.src[l.pos] >= '0' && l.src[l.pos] <= '9' {
-			l.advance(1)
+	case unicode.IsDigit(r) || (r == '-' && pos < len(src) && isDigit(src[pos])):
+		tok.Kind = TokInt
+		for pos < len(src) && isDigit(src[pos]) {
+			pos++
 		}
-		text := l.src[start:l.pos]
-		v, err := strconv.ParseInt(text, 10, 64)
+		v, err := strconv.ParseInt(src[start:pos], 10, 64)
 		if err != nil && l.err == nil {
-			l.err = fmt.Errorf("ir: line %d: bad integer %q: %v", line, text, err)
+			l.err = fmt.Errorf("ir: line %d: bad integer %q: %v", tok.Line, src[start:pos], err)
 		}
-		return Token{Kind: TokInt, Text: text, Int: v, Line: line, Col: col}
-	case r == '-' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '>':
-		l.advance(2)
-		return Token{Kind: TokPunct, Text: "->", Line: line, Col: col}
-	case r == '?' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '?':
-		l.advance(2)
-		return Token{Kind: TokPunct, Text: "??", Line: line, Col: col}
-	case r < utf8.RuneSelf:
-		// The same text as string(r) below, as a substring: no allocation.
-		l.advance(1)
-		return Token{Kind: TokPunct, Text: l.src[l.pos-1 : l.pos], Line: line, Col: col}
+		tok.Int = v
 	default:
-		l.advance(size)
-		return Token{Kind: TokPunct, Text: string(r), Line: line, Col: col}
+		tok.Kind = TokPunct
+		if pos < len(src) && (r == '-' && src[pos] == '>' || r == '?' && src[pos] == '?') {
+			pos++
+		} else if r == utf8.RuneError && size == 1 {
+			// An invalid byte reads as U+FFFD, not as the byte itself.
+			tok.Text = string(r)
+		}
 	}
+	if tok.Text == "" {
+		tok.Text = src[start:pos]
+	}
+	l.pos = pos
+	return tok
 }
 
-func (l *Lexer) hasDigitAt(pos int) bool {
-	return pos < len(l.src) && l.src[pos] >= '0' && l.src[pos] <= '9'
-}
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }

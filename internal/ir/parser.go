@@ -15,7 +15,7 @@ type Parser struct {
 
 // NewParser returns a parser over source text.
 func NewParser(src string) *Parser {
-	p := &Parser{lex: *NewLexer(src)}
+	p := &Parser{lex: Lexer{src: src, line: 1}}
 	p.tok = p.lex.Next()
 	return p
 }
