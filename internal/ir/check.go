@@ -70,13 +70,14 @@ func checkInstr(f *Func, in Instr, types map[string]Type) error {
 	if want := in.Op.Arity(); want >= 0 && len(in.Args) != want {
 		return fmt.Errorf("%s takes %d arguments, got %d", in.Op, want, len(in.Args))
 	}
-	argT := make([]Type, len(in.Args))
-	for i, a := range in.Args {
+	var buf [4]Type // no op takes more than three arguments
+	argT := buf[:0]
+	for _, a := range in.Args {
 		t, ok := types[a]
 		if !ok {
 			return fmt.Errorf("argument %q is undefined", a)
 		}
-		argT[i] = t
+		argT = append(argT, t)
 	}
 	switch in.Op {
 	case OpAdd, OpSub, OpMul:

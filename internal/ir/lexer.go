@@ -86,6 +86,14 @@ func isIdentCont(r rune) bool {
 
 // Next scans and returns the next token.
 func (l *Lexer) Next() Token {
+	var tok Token
+	l.scan(&tok)
+	return tok
+}
+
+// scan is Next into a token the caller owns: the parser scans straight
+// into its lookahead slot.
+func (l *Lexer) scan(tok *Token) {
 	src, pos := l.src, l.pos
 skip:
 	for pos < len(src) {
@@ -106,10 +114,10 @@ skip:
 		}
 	}
 	start := pos
-	tok := Token{Line: l.line, Col: start - l.bol + 1} // columns count bytes
+	*tok = Token{Line: l.line, Col: start - l.bol + 1} // columns count bytes
 	if pos >= len(src) {
 		l.pos = pos
-		return tok
+		return
 	}
 	r, size := rune(src[pos]), 1
 	if r >= utf8.RuneSelf {
@@ -157,7 +165,6 @@ skip:
 		tok.Text = src[start:pos]
 	}
 	l.pos = pos
-	return tok
 }
 
 func isDigit(c byte) bool { return '0' <= c && c <= '9' }

@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"strings"
 )
 
 // Parser parses straight off a Lexer with one token of lookahead. It is
@@ -11,12 +12,17 @@ import (
 type Parser struct {
 	lex Lexer
 	tok Token // the current token
+
+	// Argument and attribute lists are carved from chunks shared by the
+	// whole parse rather than allocated one by one; see push.
+	args  []string
+	attrs []int64
 }
 
 // NewParser returns a parser over source text.
 func NewParser(src string) *Parser {
 	p := &Parser{lex: Lexer{src: src, line: 1}}
-	p.tok = p.lex.Next()
+	p.next()
 	return p
 }
 
@@ -35,7 +41,7 @@ func (p *Parser) Take() Token {
 	return t
 }
 
-func (p *Parser) next() { p.tok = p.lex.Next() }
+func (p *Parser) next() { p.lex.scan(&p.tok) }
 
 // AtEOF reports whether the input is exhausted.
 func (p *Parser) AtEOF() bool { return p.tok.Kind == TokEOF }
@@ -96,6 +102,40 @@ func (p *Parser) ExpectInt() (int64, error) {
 	return v, nil
 }
 
+// push appends v to the list under construction at slab[start:]. Lists are
+// carved from chunks sized for the whole input, so a parse allocates a
+// handful of chunks, not a slice per instruction. A full chunk stays with
+// the lists already carved from it; the unfinished one moves to a new chunk.
+func push[T any](slab []T, start int, v T, chunk int) ([]T, int) {
+	if len(slab) == cap(slab) {
+		fresh := make([]T, len(slab)-start, max(chunk, 2*(len(slab)-start)+2))
+		copy(fresh, slab[start:])
+		slab, start = fresh, 0
+	}
+	return append(slab, v), start
+}
+
+// carved returns the finished list slab[start:], nil when empty, with its
+// capacity clamped so that an append by a later pass reallocates instead of
+// writing over the next list in the chunk.
+func carved[T any](slab []T, start int) []T {
+	if start == len(slab) {
+		return nil
+	}
+	return slab[start:len(slab):len(slab)]
+}
+
+// countUpTo counts sep in the unscanned text before the next occurrence of
+// end: a cheap size estimate for the list or body the parser is entering,
+// bounded by the text's length so that garbage cannot inflate it.
+func (p *Parser) countUpTo(sep string, end byte) int {
+	rest := p.lex.src[p.lex.pos:]
+	if i := strings.IndexByte(rest, end); i >= 0 {
+		rest = rest[:i]
+	}
+	return min(strings.Count(rest, sep), len(rest)/8) + 1
+}
+
 // ParseTypeTok parses a type: "bool", "i8", or "i8<4>". The lexer splits
 // "i8<4>" into ident, '<', int, '>', so the parser reassembles it.
 func (p *Parser) ParseTypeTok() (Type, error) {
@@ -125,7 +165,7 @@ func (p *Parser) ParsePorts() ([]Port, error) {
 	if err := p.ExpectPunct("("); err != nil {
 		return nil, err
 	}
-	var ports []Port
+	ports := make([]Port, 0, p.countUpTo(":", ')'))
 	for !p.AtPunct(")") {
 		if len(ports) > 0 {
 			if err := p.ExpectPunct(","); err != nil {
@@ -153,9 +193,9 @@ func (p *Parser) ParseAttrs() ([]int64, error) {
 	if !p.EatPunct("[") {
 		return nil, nil
 	}
-	var attrs []int64
+	start := len(p.attrs)
 	for !p.AtPunct("]") {
-		if len(attrs) > 0 {
+		if len(p.attrs) > start {
 			if err := p.ExpectPunct(","); err != nil {
 				return nil, err
 			}
@@ -164,9 +204,9 @@ func (p *Parser) ParseAttrs() ([]int64, error) {
 		if err != nil {
 			return nil, err
 		}
-		attrs = append(attrs, v)
+		p.attrs, start = push(p.attrs, start, v, len(p.lex.src)/64+16)
 	}
-	return attrs, p.ExpectPunct("]")
+	return carved(p.attrs, start), p.ExpectPunct("]")
 }
 
 // ParseArgs parses an optional argument list "(" name ("," name)* ")".
@@ -174,9 +214,9 @@ func (p *Parser) ParseArgs() ([]string, error) {
 	if !p.EatPunct("(") {
 		return nil, nil
 	}
-	var args []string
+	start := len(p.args)
 	for !p.AtPunct(")") {
-		if len(args) > 0 {
+		if len(p.args) > start {
 			if err := p.ExpectPunct(","); err != nil {
 				return nil, err
 			}
@@ -185,9 +225,9 @@ func (p *Parser) ParseArgs() ([]string, error) {
 		if err != nil {
 			return nil, err
 		}
-		args = append(args, name)
+		p.args, start = push(p.args, start, name, len(p.lex.src)/16+16)
 	}
-	return args, p.ExpectPunct(")")
+	return carved(p.args, start), p.ExpectPunct(")")
 }
 
 // parseInstr parses one IR instruction terminated by ";".
@@ -261,7 +301,7 @@ func (p *Parser) parseFunc() (*Func, error) {
 	if err := p.ExpectPunct("{"); err != nil {
 		return nil, err
 	}
-	f := &Func{Name: name, Inputs: inputs, Outputs: outputs}
+	f := &Func{Name: name, Inputs: inputs, Outputs: outputs, Body: make([]Instr, 0, p.countUpTo(";", '}'))}
 	for !p.AtPunct("}") {
 		in, err := p.parseInstr()
 		if err != nil {

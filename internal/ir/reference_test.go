@@ -758,6 +758,10 @@ func sameFuncs(got, want []*ir.Func) error {
 				len(gi.Args) != len(wi.Args) {
 				return fmt.Errorf("function %d instruction %d: %+v, reference %+v", i, j, gi, wi)
 			}
+			// A later pass may append to any list without touching a neighbour.
+			if cap(gi.Args) != len(gi.Args) || cap(gi.Attrs) != len(gi.Attrs) {
+				return fmt.Errorf("function %d instruction %d: list capacity not clamped", i, j)
+			}
 		}
 	}
 	return nil
