@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"strconv"
+	"sync"
 )
 
 // CanonicalHash returns a hex-encoded SHA-256 over a canonical rendering
@@ -27,67 +28,86 @@ import (
 // significant — the pipeline preserves body order, so order is part of
 // the artifact's identity.
 func CanonicalHash(f *Func) string {
-	h := sha256.New()
-	buf := make([]byte, 0, 256)
-	emit := func(parts ...string) {
-		buf = buf[:0]
-		for _, p := range parts {
-			buf = append(buf, p...)
-			buf = append(buf, 0) // unambiguous field separator
-		}
-		h.Write(buf)
-	}
+	bp := scratch.Get().(*[]byte)
+	b := append((*bp)[:0], "func\x00"...)
+	b = append(append(b, f.Name...), 0)
 
-	emit("func", f.Name)
-	ports := make(map[string]bool, len(f.Inputs)+len(f.Outputs))
+	// One numbering for every name: -1 marks a port, k >= 0 the k-th
+	// temporary in definition order; a name that is absent is free. The
+	// "p:"/"t:"/"f:" tags keep the three namespaces disjoint.
+	num := make(map[string]int32, len(f.Inputs)+len(f.Outputs)+len(f.Body))
 	for _, p := range f.Inputs {
-		ports[p.Name] = true
-		emit("in", p.Name, p.Type.String())
+		num[p.Name] = -1
+		b = append(append(append(b, "in\x00"...), p.Name...), 0)
+		b = append(p.Type.AppendTo(b), 0)
 	}
 	for _, p := range f.Outputs {
-		ports[p.Name] = true
-		emit("out", p.Name, p.Type.String())
+		num[p.Name] = -1
+		b = append(append(append(b, "out\x00"...), p.Name...), 0)
+		b = append(p.Type.AppendTo(b), 0)
 	}
+	next := int32(0)
+	for i := range f.Body {
+		if _, ok := num[f.Body[i].Dest]; !ok {
+			num[f.Body[i].Dest] = next
+			next++
+		}
+	}
+	b = appendHashBody(b, f, false, func(b []byte, n string) []byte {
+		switch k, ok := num[n]; {
+		case !ok:
+			return append(append(b, "f:"...), n...)
+		case k < 0:
+			return append(append(b, "p:"...), n...)
+		default:
+			return strconv.AppendInt(append(b, "t:"...), int64(k), 10)
+		}
+	})
+	return hexSum(bp, b)
+}
 
-	// Canonical names for temporaries, assigned in definition order. The
-	// "p:"/"t:"/"f:" tags keep port names, canonical temporaries, and free
-	// (undefined) names in disjoint namespaces.
-	canon := make(map[string]string, len(f.Body))
-	next := 0
-	for _, in := range f.Body {
-		if !ports[in.Dest] {
-			if _, ok := canon[in.Dest]; !ok {
-				canon[in.Dest] = "t:" + strconv.Itoa(next)
-				next++
+// scratch recycles the append buffers of the printer and the two hashes.
+// Each renders a whole function, so a buffer per call would be among the
+// largest allocations of a cold request.
+var scratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// hexSum returns the lowercase hex SHA-256 of b and hands b back to the
+// scratch pool through bp.
+func hexSum(bp *[]byte, b []byte) string {
+	sum := sha256.Sum256(b)
+	*bp = b
+	scratch.Put(bp)
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return string(out[:])
+}
+
+// appendHashBody appends one NUL-separated record per instruction, the part
+// the two hashes share: "ins", the destination as name renders it, type,
+// opcode, attributes, "|", the arguments as name renders them, and the
+// resource of a compute instruction (empty for a wire). With maskValues the
+// attribute values of const and reg are reduced to "#" and their count.
+func appendHashBody(b []byte, f *Func, maskValues bool, name func(b []byte, n string) []byte) []byte {
+	for i := range f.Body {
+		in := &f.Body[i]
+		b = append(name(append(b, "ins\x00"...), in.Dest), 0)
+		b = append(in.Type.AppendTo(b), 0)
+		b = append(append(b, in.Op.String()...), 0)
+		if maskValues && (in.Op == OpConst || in.Op == OpReg) {
+			b = append(strconv.AppendInt(append(b, '#'), int64(len(in.Attrs)), 10), 0)
+		} else {
+			for _, a := range in.Attrs {
+				b = append(strconv.AppendInt(b, a, 10), 0)
 			}
 		}
-	}
-	name := func(n string) string {
-		if ports[n] {
-			return "p:" + n
-		}
-		if c, ok := canon[n]; ok {
-			return c
-		}
-		return "f:" + n
-	}
-
-	for _, in := range f.Body {
-		res := ""
-		if in.IsCompute() {
-			res = in.Res.String()
-		}
-		parts := make([]string, 0, 5+len(in.Attrs)+len(in.Args))
-		parts = append(parts, "ins", name(in.Dest), in.Type.String(), in.Op.String())
-		for _, a := range in.Attrs {
-			parts = append(parts, strconv.FormatInt(a, 10))
-		}
-		parts = append(parts, "|")
+		b = append(b, "|\x00"...)
 		for _, a := range in.Args {
-			parts = append(parts, name(a))
+			b = append(name(b, a), 0)
 		}
-		parts = append(parts, res)
-		emit(parts...)
+		if in.IsCompute() {
+			b = append(b, in.Res.String()...)
+		}
+		b = append(b, 0)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return b
 }

@@ -1,10 +1,6 @@
 package ir
 
-import (
-	"crypto/sha256"
-	"encoding/hex"
-	"strconv"
-)
+import "strconv"
 
 // StructuralHash returns a hex-encoded SHA-256 over the *shape* of the
 // function: everything that survives a small interactive edit is in the
@@ -34,74 +30,50 @@ import (
 // ranges (they select bits). Any op swap, width change, or edge rewire
 // therefore changes the hash, which FuzzStructuralHash locks in.
 func StructuralHash(f *Func) string {
-	h := sha256.New()
-	buf := make([]byte, 0, 256)
-	emit := func(parts ...string) {
-		buf = buf[:0]
-		for _, p := range parts {
-			buf = append(buf, p...)
-			buf = append(buf, 0) // unambiguous field separator
-		}
-		h.Write(buf)
-	}
+	bp := scratch.Get().(*[]byte)
+	b := append((*bp)[:0], "sfunc\x00"...)
 
-	emit("sfunc")
 	// Every name is canonical-positional: ports in declaration order,
 	// temporaries in definition order, free (undefined) names in first-use
-	// order. The "p:"/"t:"/"f:" tags keep the namespaces disjoint.
-	canon := make(map[string]string, len(f.Inputs)+len(f.Outputs)+len(f.Body))
-	ports := 0
+	// order. One numbering holds all three, the class in the low two bits;
+	// the "p:"/"t:"/"f:" tags keep the namespaces disjoint.
+	const port, temp, free = 0, 1, 2
+	num := make(map[string]int32, len(f.Inputs)+len(f.Outputs)+len(f.Body))
+	var next [3]int32
+	number := func(n string, class int32) int32 {
+		k := next[class]<<2 | class
+		next[class]++
+		num[n] = k
+		return k
+	}
+	render := func(b []byte, k int32) []byte {
+		return strconv.AppendInt(append(b, "ptf"[k&3], ':'), int64(k>>2), 10)
+	}
 	for _, p := range f.Inputs {
-		canon[p.Name] = "p:" + strconv.Itoa(ports)
-		ports++
-		emit("in", p.Type.String())
+		number(p.Name, port)
+		b = append(p.Type.AppendTo(append(b, "in\x00"...)), 0)
 	}
 	for _, p := range f.Outputs {
-		if _, ok := canon[p.Name]; !ok {
-			canon[p.Name] = "p:" + strconv.Itoa(ports)
-			ports++
+		k, ok := num[p.Name]
+		if !ok {
+			k = number(p.Name, port)
 		}
-		emit("out", canon[p.Name], p.Type.String())
+		b = append(render(append(b, "out\x00"...), k), 0)
+		b = append(p.Type.AppendTo(b), 0)
 	}
-	temps, frees := 0, 0
-	for _, in := range f.Body {
-		if _, ok := canon[in.Dest]; !ok {
-			canon[in.Dest] = "t:" + strconv.Itoa(temps)
-			temps++
+	for i := range f.Body {
+		if _, ok := num[f.Body[i].Dest]; !ok {
+			number(f.Body[i].Dest, temp)
 		}
 	}
-	name := func(n string) string {
-		if c, ok := canon[n]; ok {
-			return c
+	// Constant values are exactly what a small edit tweaks; only the lane
+	// shape of a const's or reg's attribute list is structural.
+	b = appendHashBody(b, f, true, func(b []byte, n string) []byte {
+		k, ok := num[n]
+		if !ok {
+			k = number(n, free)
 		}
-		c := "f:" + strconv.Itoa(frees)
-		frees++
-		canon[n] = c
-		return c
-	}
-
-	for _, in := range f.Body {
-		res := ""
-		if in.IsCompute() {
-			res = in.Res.String()
-		}
-		parts := make([]string, 0, 6+len(in.Attrs)+len(in.Args))
-		parts = append(parts, "ins", name(in.Dest), in.Type.String(), in.Op.String())
-		if in.Op == OpConst || in.Op == OpReg {
-			// Constant values are exactly what a small edit tweaks; only
-			// the lane shape of the attribute list is structural.
-			parts = append(parts, "#"+strconv.Itoa(len(in.Attrs)))
-		} else {
-			for _, a := range in.Attrs {
-				parts = append(parts, strconv.FormatInt(a, 10))
-			}
-		}
-		parts = append(parts, "|")
-		for _, a := range in.Args {
-			parts = append(parts, name(a))
-		}
-		parts = append(parts, res)
-		emit(parts...)
-	}
-	return hex.EncodeToString(h.Sum(nil))
+		return render(b, k)
+	})
+	return hexSum(bp, b)
 }

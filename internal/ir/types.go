@@ -101,15 +101,26 @@ func (t Type) Bits() int { return int(t.width) * int(t.lanes) }
 
 // String renders the type in source syntax: "bool", "i8", "i8<4>".
 func (t Type) String() string {
+	if t.kind == KindBool {
+		return "bool"
+	}
+	var buf [16]byte
+	return string(t.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the type as String renders it.
+func (t Type) AppendTo(b []byte) []byte {
 	switch t.kind {
 	case KindBool:
-		return "bool"
+		return append(b, "bool"...)
 	case KindInt:
-		return "i" + strconv.Itoa(int(t.width))
+		return strconv.AppendUint(append(b, 'i'), uint64(t.width), 10)
 	case KindVector:
-		return fmt.Sprintf("i%d<%d>", t.width, t.lanes)
+		b = strconv.AppendUint(append(b, 'i'), uint64(t.width), 10)
+		b = strconv.AppendUint(append(b, '<'), uint64(t.lanes), 10)
+		return append(b, '>')
 	default:
-		return fmt.Sprintf("ir.Type(%d)", t.kind)
+		return fmt.Appendf(b, "ir.Type(%d)", t.kind)
 	}
 }
 
