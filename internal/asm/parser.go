@@ -230,7 +230,8 @@ func check(f *Func) (map[string]ir.Type, error) {
 			}
 		}
 	}
-	if err := ir.CheckOutputs(f.Inputs, f.Outputs, types); err != nil {
+	typeOf := func(name string) (ir.Type, bool) { t, ok := types[name]; return t, ok }
+	if err := ir.CheckOutputs(f.Inputs, f.Outputs, typeOf); err != nil {
 		return nil, fmt.Errorf("asm: function %s: %w", f.Name, err)
 	}
 	return types, nil

@@ -34,8 +34,9 @@ type Node struct {
 	Index int       // body index for instruction nodes, -1 for inputs
 	Args  []*Node   // operand nodes, in argument order
 
-	fanout   int  // number of instruction arguments consuming this node
-	isOutput bool // defines a function output port
+	fanout   int   // number of instruction arguments consuming this node
+	isOutput bool  // defines a function output port
+	tree     int32 // id of the Partition tree that holds an instruction node
 }
 
 // Fanout returns the number of instruction arguments that consume the node.
@@ -52,58 +53,45 @@ func (n *Node) IsReg() bool { return n.Kind == KindInstr && n.Instr.Op.IsStatefu
 
 // Graph is the dataflow graph of one function.
 type Graph struct {
-	Fn     *ir.Func
-	Nodes  []*Node // inputs first, then instructions in body order
-	byName map[string]*Node
+	Fn    *ir.Func
+	Nodes []*Node // inputs first, then instructions in body order
 }
 
-// Build constructs the dataflow graph. The function must be well formed;
-// Build rejects ill-formed programs (§6.1) so downstream passes can assume
-// trees exist.
+// Build constructs the dataflow graph. The function must check and be well
+// formed; Build rejects programs that are not (§6.1), so downstream passes
+// can assume trees exist. Node IDs are the value indices of ir.Symbols, so
+// the table ir.Resolve returns is the graph's edge list: the nodes, the
+// pointers to them and every Args list are three slabs, filled in one pass.
 func Build(f *ir.Func) (*Graph, error) {
-	if err := ir.Check(f); err != nil {
+	syms, err := ir.Resolve(f)
+	if err != nil {
 		return nil, err
 	}
-	if _, _, err := ir.CheckWellFormed(f); err != nil {
-		return nil, err
+	nin := len(f.Inputs)
+	nodes := make([]Node, nin+len(f.Body))
+	ptrs := make([]*Node, len(nodes)+len(syms.Args))
+	g := &Graph{Fn: f, Nodes: ptrs[:len(nodes):len(nodes)]}
+	for i := range nodes {
+		g.Nodes[i] = &nodes[i]
 	}
-	g := &Graph{Fn: f, byName: make(map[string]*Node)}
-	for _, p := range f.Inputs {
-		n := &Node{ID: len(g.Nodes), Kind: KindInput, Name: p.Name, Type: p.Type, Index: -1}
-		g.Nodes = append(g.Nodes, n)
-		g.byName[p.Name] = n
+	for i, p := range f.Inputs {
+		nodes[i] = Node{ID: i, Kind: KindInput, Name: p.Name, Type: p.Type, Index: -1}
 	}
+	args := ptrs[len(nodes):]
 	for i := range f.Body {
 		in := &f.Body[i]
-		n := &Node{ID: len(g.Nodes), Kind: KindInstr, Name: in.Dest, Type: in.Type, Instr: in, Index: i}
-		g.Nodes = append(g.Nodes, n)
-		g.byName[in.Dest] = n
+		n := len(in.Args)
+		nodes[nin+i] = Node{ID: nin + i, Kind: KindInstr, Name: in.Dest, Type: in.Type, Instr: in, Index: i, Args: args[:n:n]}
+		args = args[n:]
 	}
-	for _, n := range g.Nodes {
-		if n.Kind != KindInstr {
-			continue
-		}
-		for _, a := range n.Instr.Args {
-			arg, ok := g.byName[a]
-			if !ok {
-				return nil, fmt.Errorf("dfg: %s: argument %q undefined", n.Name, a)
-			}
-			n.Args = append(n.Args, arg)
-			arg.fanout++
-		}
+	for i, v := range syms.Args {
+		ptrs[len(nodes)+i] = &nodes[v]
+		nodes[v].fanout++
 	}
-	for _, p := range f.Outputs {
-		if n, ok := g.byName[p.Name]; ok {
-			n.isOutput = true
-		}
+	for _, v := range syms.Outputs {
+		nodes[v].isOutput = true
 	}
 	return g, nil
-}
-
-// Lookup returns the node defining the named variable.
-func (g *Graph) Lookup(name string) (*Node, bool) {
-	n, ok := g.byName[name]
-	return n, ok
 }
 
 // IsRoot reports whether the node anchors a selection tree.
@@ -114,76 +102,72 @@ func (g *Graph) IsRoot(n *Node) bool {
 	return n.isOutput || n.fanout != 1 || n.IsReg()
 }
 
-// Tree is one selection tree: a root instruction node and the set of nodes
-// reachable from it without crossing another root or an input.
+// Tree is one selection tree: a root instruction node and the nodes
+// reachable from it without crossing another root or an input. Leaves
+// (inputs and other roots) are not part of it.
 type Tree struct {
 	Root *Node
-	// Interior holds every non-root node belonging to this tree, keyed by
-	// node ID. Leaves (inputs and other roots) are not included.
-	Interior map[int]*Node
+	id   int32 // what Node.tree says of the root and every interior node
+	size int
 }
 
 // Contains reports whether the node is the root or interior to the tree.
-func (t *Tree) Contains(n *Node) bool {
-	if n == t.Root {
-		return true
-	}
-	_, ok := t.Interior[n.ID]
-	return ok
-}
+func (t *Tree) Contains(n *Node) bool { return n.tree == t.id }
 
 // Size returns the number of instruction nodes in the tree.
-func (t *Tree) Size() int { return 1 + len(t.Interior) }
+func (t *Tree) Size() int { return t.size }
 
 // Partition splits the graph into trees, one per root, in body order.
 // Every instruction node belongs to exactly one tree.
 func (g *Graph) Partition() []*Tree {
-	var trees []*Tree
+	roots := 0
+	for _, n := range g.Nodes {
+		if g.IsRoot(n) {
+			roots++
+		}
+	}
+	slab, trees := make([]Tree, roots), make([]*Tree, 0, roots)
 	for _, n := range g.Nodes {
 		if !g.IsRoot(n) {
 			continue
 		}
-		t := &Tree{Root: n, Interior: make(map[int]*Node)}
+		t := &slab[len(trees)]
+		*t = Tree{Root: n, id: int32(len(trees) + 1), size: 1}
+		n.tree = t.id
 		g.grow(t, n)
 		trees = append(trees, t)
 	}
 	return trees
 }
 
+// grow claims for t everything below n that is neither an input nor a root.
+// Such a node has exactly one consumer, so it is reached exactly once.
 func (g *Graph) grow(t *Tree, n *Node) {
 	for _, a := range n.Args {
-		if a.Kind != KindInstr || g.IsRoot(a) {
-			continue // leaf: input or another tree's root
+		if a.Kind == KindInstr && !g.IsRoot(a) {
+			a.tree = t.id
+			t.size++
+			g.grow(t, a)
 		}
-		if _, seen := t.Interior[a.ID]; seen {
-			continue
-		}
-		t.Interior[a.ID] = a
-		g.grow(t, a)
 	}
 }
 
 // CheckPartition verifies the partition invariant: every instruction node
 // appears in exactly one tree. It exists for tests and debugging.
 func CheckPartition(g *Graph, trees []*Tree) error {
-	seen := make(map[int]int)
-	for ti, t := range trees {
-		seen[t.Root.ID]++
-		for id := range t.Interior {
-			seen[id]++
-		}
-		_ = ti
-	}
+	sizes := make([]int, len(trees)+1)
 	for _, n := range g.Nodes {
 		if n.Kind != KindInstr {
 			continue
 		}
-		switch seen[n.ID] {
-		case 1:
-		case 0:
+		if n.tree < 1 || int(n.tree) > len(trees) {
 			return fmt.Errorf("dfg: node %s missing from partition", n.Name)
-		default:
-			return fmt.Errorf("dfg: node %s appears in %d trees", n.Name, seen[n.ID])
+		}
+		sizes[n.tree]++
+	}
+	for _, t := range trees {
+		if t.Root.tree != t.id || sizes[t.id] != t.size {
+			return fmt.Errorf("dfg: tree at %s holds %d nodes, claims %d", t.Root.Name, sizes[t.id], t.size)
 		}
 	}
 	return nil

@@ -1,6 +1,9 @@
 package dfg
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"reticle/internal/ir"
@@ -19,6 +22,16 @@ func mustGraph(t *testing.T, src string) *Graph {
 	return g
 }
 
+// lookup returns the node defining the named variable.
+func lookup(g *Graph, name string) *Node {
+	for _, n := range g.Nodes {
+		if n.Name == name {
+			return n
+		}
+	}
+	return nil
+}
+
 func TestBuildSimple(t *testing.T) {
 	g := mustGraph(t, `
 def f(a:i8, b:i8, c:i8) -> (t1:i8) {
@@ -29,9 +42,9 @@ def f(a:i8, b:i8, c:i8) -> (t1:i8) {
 	if len(g.Nodes) != 5 {
 		t.Fatalf("nodes = %d", len(g.Nodes))
 	}
-	t0, _ := g.Lookup("t0")
-	t1, _ := g.Lookup("t1")
-	a, _ := g.Lookup("a")
+	t0 := lookup(g, "t0")
+	t1 := lookup(g, "t1")
+	a := lookup(g, "a")
 	if t0.Fanout() != 1 || a.Fanout() != 1 {
 		t.Errorf("fanouts: t0=%d a=%d", t0.Fanout(), a.Fanout())
 	}
@@ -131,14 +144,14 @@ def fig12b(x:bool) -> (t3:i8) {
 	if regTree == nil {
 		t.Fatal("no tree rooted at t3")
 	}
-	t2, _ := g.Lookup("t2")
+	t2 := lookup(g, "t2")
 	if !regTree.Contains(t2) {
 		t.Error("t2 not interior to the reg tree")
 	}
 	// The cycle edge t3 -> t2 terminates at the root boundary, not a loop.
-	t3, _ := g.Lookup("t3")
-	if regTree.Interior[t3.ID] != nil {
-		t.Error("root also interior")
+	// t3, t2, t0 and t1, each once.
+	if regTree.Size() != 4 {
+		t.Errorf("reg tree size = %d, want 4: root also interior?", regTree.Size())
 	}
 }
 
@@ -199,7 +212,7 @@ def f(a:i8, b:i8) -> (y:i8, t1:i8) {
     t1:i8 = mul(y, a) @??;
 }
 `)
-	y, _ := g.Lookup("y")
+	y := lookup(g, "y")
 	if !g.IsRoot(y) {
 		t.Error("output with one use not a root")
 	}
@@ -212,9 +225,9 @@ def f(a:i8, en:bool) -> (y:i8) {
     y:i8 = reg[0](t0, en) @??;
 }
 `)
-	t0, _ := g.Lookup("t0")
-	y, _ := g.Lookup("y")
-	a, _ := g.Lookup("a")
+	t0 := lookup(g, "t0")
+	y := lookup(g, "y")
+	a := lookup(g, "a")
 	if !t0.IsWire() || t0.IsReg() {
 		t.Error("t0 predicates wrong")
 	}
@@ -223,5 +236,82 @@ def f(a:i8, en:bool) -> (y:i8) {
 	}
 	if a.Kind != KindInput || g.IsRoot(a) {
 		t.Error("input misclassified")
+	}
+}
+
+// chain builds n multiply-add-register stages in a row.
+func chain(n int) *ir.Func {
+	i8 := ir.Int(8)
+	b := ir.NewBuilder("chain")
+	en := b.Input("en", ir.Bool())
+	acc := b.Const(i8, 1)
+	for j := 0; j < n; j++ {
+		m := b.Mul(i8, b.Input(fmt.Sprintf("a%d", j), i8), b.Input(fmt.Sprintf("b%d", j), i8), ir.ResAny)
+		acc = b.Reg(i8, b.Add(i8, m, acc, ir.ResAny), en, nil, ir.ResAny)
+	}
+	b.Id("y", i8, acc)
+	b.Output("y", i8)
+	return b.MustBuild()
+}
+
+// TestPartitionInBodyOrder: trees come out in ascending root body order,
+// which is the order selection emits them in without sorting.
+func TestPartitionInBodyOrder(t *testing.T) {
+	funcs := []*ir.Func{chain(40)}
+	paths, err := filepath.Glob("../../examples/programs/*.ret")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no bundled programs: %v", err)
+	}
+	for _, p := range paths {
+		src, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := ir.Parse(string(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		funcs = append(funcs, f)
+	}
+	for _, f := range funcs {
+		g, err := Build(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trees := g.Partition()
+		if err := CheckPartition(g, trees); err != nil {
+			t.Error(err)
+		}
+		for i := 1; i < len(trees); i++ {
+			if trees[i-1].Root.Index >= trees[i].Root.Index {
+				t.Errorf("%s: tree %d rooted at body index %d follows one rooted at %d",
+					f.Name, i, trees[i].Root.Index, trees[i-1].Root.Index)
+			}
+		}
+	}
+}
+
+// TestBuildAllocationBudget: Build allocates a fixed set of slabs per call
+// — the symbol table, the sort scratch, the nodes, the pointers to them,
+// the graph — and nothing per node, Partition two slabs and nothing per
+// tree. The one thing that scales is the runtime's own name map, which adds
+// a table per ~900 names: 1,282 names make it 10 allocations instead of 8.
+func TestBuildAllocationBudget(t *testing.T) {
+	build := func(stages int) (build, partition float64) {
+		f := chain(stages)
+		g, err := Build(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() { Build(f) }), testing.AllocsPerRun(20, func() { g.Partition() })
+	}
+	b16, p16 := build(16)
+	b64, p64 := build(64)
+	b256, p256 := build(256)
+	if b16 != b64 || b256 > 10 {
+		t.Errorf("Build: %v, %v, %v allocations for 16, 64, 256 stages; want the first two equal and the last at most 10", b16, b64, b256)
+	}
+	if p16 != 2 || p64 != 2 || p256 != 2 {
+		t.Errorf("Partition: %v, %v, %v allocations; want 2 each", p16, p64, p256)
 	}
 }

@@ -6,47 +6,87 @@ import (
 
 // Check validates a function: unique names, resolved arguments, per-op type
 // rules, and attribute shapes. It does not check well-formedness (absence of
-// combinational cycles); use CheckWellFormed for that.
+// combinational cycles); Resolve and CheckWellFormed do.
 func Check(f *Func) error {
-	if f.Name == "" {
-		return fmt.Errorf("ir: function has no name")
-	}
-	if len(f.Outputs) == 0 {
-		return fmt.Errorf("ir: function %s has no outputs", f.Name)
-	}
-	types := make(map[string]Type, len(f.Inputs)+len(f.Body))
-	for _, p := range f.Inputs {
-		if _, dup := types[p.Name]; dup {
-			return fmt.Errorf("ir: function %s: duplicate input %q", f.Name, p.Name)
-		}
-		types[p.Name] = p.Type
-	}
-	for _, in := range f.Body {
-		if _, dup := types[in.Dest]; dup {
-			return fmt.Errorf("ir: function %s: %q defined more than once", f.Name, in.Dest)
-		}
-		types[in.Dest] = in.Type
-	}
-	for i, in := range f.Body {
-		if err := checkInstr(f, in, types); err != nil {
-			return fmt.Errorf("ir: function %s: instruction %d (%s): %w", f.Name, i, in.Dest, err)
-		}
-	}
-	if err := CheckOutputs(f.Inputs, f.Outputs, types); err != nil {
-		return fmt.Errorf("ir: function %s: %w", f.Name, err)
-	}
-	return nil
+	_, err := check(f)
+	return err
 }
 
-// CheckOutputs validates output ports against types, the declared type of
-// every input and instruction destination: each output names a distinct
-// instruction result of its declared type. An output that repeats another
-// or names an input would become a port declared twice in the generated
-// module. Package asm shares the rule.
-func CheckOutputs(inputs, outputs []Port, types map[string]Type) error {
+// Symbols is the symbol table Check builds: every name an instruction or an
+// output port uses, resolved to the value it denotes. Value v is input v
+// when v < len(f.Inputs), and instruction v-len(f.Inputs) otherwise.
+type Symbols struct {
+	Args    []int32 // the value behind each argument, instruction by instruction
+	Outputs []int32 // the value behind each output port
+}
+
+// Resolve is Check and the well-formedness criterion of §6.1 in one pass
+// over one symbol table, which it returns: what a consumer that needs the
+// definition–use edges (package dfg) would otherwise look up all over again.
+func Resolve(f *Func) (Symbols, error) {
+	syms, err := check(f)
+	if err == nil {
+		_, err = topoOrder(f, syms.Args)
+	}
+	if err != nil {
+		return Symbols{}, err
+	}
+	return syms, nil
+}
+
+func check(f *Func) (Symbols, error) {
+	if f.Name == "" {
+		return Symbols{}, fmt.Errorf("ir: function has no name")
+	}
+	if len(f.Outputs) == 0 {
+		return Symbols{}, fmt.Errorf("ir: function %s has no outputs", f.Name)
+	}
+	nin, nargs := len(f.Inputs), 0
+	index := make(map[string]int32, nin+len(f.Body))
+	for i, p := range f.Inputs {
+		if _, dup := index[p.Name]; dup {
+			return Symbols{}, fmt.Errorf("ir: function %s: duplicate input %q", f.Name, p.Name)
+		}
+		index[p.Name] = int32(i)
+	}
+	for i := range f.Body {
+		in := &f.Body[i]
+		if _, dup := index[in.Dest]; dup {
+			return Symbols{}, fmt.Errorf("ir: function %s: %q defined more than once", f.Name, in.Dest)
+		}
+		index[in.Dest] = int32(nin + i)
+		nargs += len(in.Args)
+	}
+	refs := make([]int32, 0, nargs+len(f.Outputs))
+	for i := range f.Body {
+		in := &f.Body[i]
+		var err error
+		if refs, err = checkInstr(f, in, index, refs); err != nil {
+			return Symbols{}, fmt.Errorf("ir: function %s: instruction %d (%s): %w", f.Name, i, in.Dest, err)
+		}
+	}
+	err := CheckOutputs(f.Inputs, f.Outputs, func(name string) (Type, bool) {
+		v, ok := index[name]
+		return f.valueType(v), ok
+	})
+	if err != nil {
+		return Symbols{}, fmt.Errorf("ir: function %s: %w", f.Name, err)
+	}
+	for _, out := range f.Outputs {
+		refs = append(refs, index[out.Name])
+	}
+	return Symbols{Args: refs[:nargs:nargs], Outputs: refs[nargs:]}, nil
+}
+
+// CheckOutputs validates output ports against typeOf, which reports the
+// declared type of an input or instruction destination: each output names a
+// distinct instruction result of its declared type. An output that repeats
+// another or names an input would become a port declared twice in the
+// generated module. Package asm shares the rule.
+func CheckOutputs(inputs, outputs []Port, typeOf func(name string) (Type, bool)) error {
 	seen := make(map[string]bool, len(outputs))
 	for _, out := range outputs {
-		t, ok := types[out.Name]
+		t, ok := typeOf(out.Name)
 		if !ok {
 			return fmt.Errorf("output %q is never defined", out.Name)
 		}
@@ -66,19 +106,35 @@ func CheckOutputs(inputs, outputs []Port, types map[string]Type) error {
 	return nil
 }
 
-func checkInstr(f *Func, in Instr, types map[string]Type) error {
+// valueType returns the declared type of value v (see Symbols).
+func (f *Func) valueType(v int32) Type {
+	if nin := len(f.Inputs); int(v) >= nin {
+		return f.Body[int(v)-nin].Type
+	}
+	return f.Inputs[v].Type
+}
+
+// checkInstr resolves the instruction's arguments through index, appending
+// the value behind each to refs, and applies the per-op rules.
+func checkInstr(f *Func, in *Instr, index map[string]int32, refs []int32) ([]int32, error) {
 	if want := in.Op.Arity(); want >= 0 && len(in.Args) != want {
-		return fmt.Errorf("%s takes %d arguments, got %d", in.Op, want, len(in.Args))
+		return refs, fmt.Errorf("%s takes %d arguments, got %d", in.Op, want, len(in.Args))
 	}
 	var buf [4]Type // no op takes more than three arguments
 	argT := buf[:0]
 	for _, a := range in.Args {
-		t, ok := types[a]
+		v, ok := index[a]
 		if !ok {
-			return fmt.Errorf("argument %q is undefined", a)
+			return refs, fmt.Errorf("argument %q is undefined", a)
 		}
-		argT = append(argT, t)
+		refs, argT = append(refs, v), append(argT, f.valueType(v))
 	}
+	return refs, checkTypes(in, argT)
+}
+
+// checkTypes applies the per-op type and attribute rules to an instruction
+// of the right arity whose arguments have types argT.
+func checkTypes(in *Instr, argT []Type) error {
 	switch in.Op {
 	case OpAdd, OpSub, OpMul:
 		if in.Type.IsBool() {
@@ -139,7 +195,7 @@ func checkInstr(f *Func, in Instr, types map[string]Type) error {
 	return fmt.Errorf("unhandled op %s", in.Op)
 }
 
-func wantSameTypes(in Instr, argT []Type, want ...Type) error {
+func wantSameTypes(in *Instr, argT []Type, want ...Type) error {
 	if len(argT) != len(want) {
 		return fmt.Errorf("%s takes %d arguments, got %d", in.Op, len(want), len(argT))
 	}
@@ -153,7 +209,7 @@ func wantSameTypes(in Instr, argT []Type, want ...Type) error {
 
 // checkLaneAttrs validates const/reg attributes: either one splat value or
 // one value per lane.
-func checkLaneAttrs(in Instr, what string) error {
+func checkLaneAttrs(in *Instr, what string) error {
 	switch len(in.Attrs) {
 	case 1:
 		return nil
@@ -168,7 +224,7 @@ func checkLaneAttrs(in Instr, what string) error {
 	}
 }
 
-func checkSlice(in Instr, src Type) error {
+func checkSlice(in *Instr, src Type) error {
 	if src.IsVector() {
 		// Lane extraction: slice[lane](v) with scalar result.
 		if len(in.Attrs) != 1 {
@@ -198,7 +254,7 @@ func checkSlice(in Instr, src Type) error {
 	return nil
 }
 
-func checkCat(in Instr, argT []Type) error {
+func checkCat(in *Instr, argT []Type) error {
 	a, b := argT[0], argT[1]
 	// Vector-building concatenation: when the result is declared as a
 	// vector, scalars act as one-lane vectors of their width. This is how

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 
 	"reticle/internal/asm"
 	"reticle/internal/dfg"
@@ -50,17 +49,16 @@ func SelectWithLibrary(f *ir.Func, lib *Library, opts Options) (*asm.Func, error
 	if err != nil {
 		return nil, err
 	}
-	trees := g.Partition()
 	out := &asm.Func{
 		Name:    f.Name,
 		Inputs:  append([]ir.Port(nil), f.Inputs...),
 		Outputs: append([]ir.Port(nil), f.Outputs...),
 		Body:    make([]asm.Instr, 0, len(f.Body)),
 	}
-	// Emit trees in ascending root body order for readable, stable output.
-	sort.Slice(trees, func(i, j int) bool { return trees[i].Root.Index < trees[j].Root.Index })
+	// Partition emits trees in ascending root body order: readable, stable
+	// output without sorting.
 	s := newSelector(lib, opts, len(g.Nodes))
-	for _, tree := range trees {
+	for _, tree := range g.Partition() {
 		if out.Body, err = s.selectTree(tree, out.Body); err != nil {
 			return nil, fmt.Errorf("isel: function %s: %w", f.Name, err)
 		}

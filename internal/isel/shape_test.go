@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
 	"testing"
 
 	"reticle/internal/asm"
@@ -26,9 +25,7 @@ func sortedTrees(t testing.TB, f *ir.Func) (*dfg.Graph, []*dfg.Tree) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trees := g.Partition()
-	sort.Slice(trees, func(i, j int) bool { return trees[i].Root.Index < trees[j].Root.Index })
-	return g, trees
+	return g, g.Partition()
 }
 
 // selectShared selects every tree of f through one selector, as
