@@ -35,7 +35,7 @@ func (in Instr) String() string { return string(in.appendTo(nil)) }
 func (in Instr) appendTo(b []byte) []byte {
 	b = append(b, in.Dest...)
 	b = append(b, ':')
-	b = appendType(b, in.Type)
+	b = in.Type.AppendTo(b)
 	b = append(b, " = "...)
 	if in.IsWire() {
 		b = append(b, in.Op.String()...)
@@ -67,34 +67,6 @@ func (in Instr) appendTo(b []byte) []byte {
 		b = in.Loc.appendTo(b)
 	}
 	return append(b, ';')
-}
-
-// appendType appends t as ir.Type.String renders it.
-func appendType(b []byte, t ir.Type) []byte {
-	switch t.Kind() {
-	case ir.KindBool:
-		return append(b, "bool"...)
-	case ir.KindInt:
-		return strconv.AppendInt(append(b, 'i'), int64(t.Width()), 10)
-	case ir.KindVector:
-		b = strconv.AppendInt(append(b, 'i'), int64(t.Width()), 10)
-		b = strconv.AppendInt(append(b, '<'), int64(t.Lanes()), 10)
-		return append(b, '>')
-	default:
-		return append(b, t.String()...)
-	}
-}
-
-func appendPorts(b []byte, ports []ir.Port) []byte {
-	for i, p := range ports {
-		if i > 0 {
-			b = append(b, ", "...)
-		}
-		b = append(b, p.Name...)
-		b = append(b, ':')
-		b = appendType(b, p.Type)
-	}
-	return b
 }
 
 // Clone returns a deep copy of the instruction.
@@ -164,9 +136,9 @@ func (f *Func) String() string {
 	b = append(b, "def "...)
 	b = append(b, f.Name...)
 	b = append(b, '(')
-	b = appendPorts(b, f.Inputs)
+	b = ir.AppendPorts(b, f.Inputs)
 	b = append(b, ") -> ("...)
-	b = appendPorts(b, f.Outputs)
+	b = ir.AppendPorts(b, f.Outputs)
 	b = append(b, ") {\n"...)
 	for _, in := range f.Body {
 		b = append(b, "    "...)

@@ -2,7 +2,7 @@ package ir
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 )
 
 // Resource is the optional binding annotation on compute instructions:
@@ -52,6 +52,17 @@ type Port struct {
 // String renders the port as "name:type".
 func (p Port) String() string { return p.Name + ":" + p.Type.String() }
 
+// AppendPorts appends a comma-separated port list in source syntax.
+func AppendPorts(b []byte, ports []Port) []byte {
+	for i, p := range ports {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = p.Type.AppendTo(append(append(b, p.Name...), ':'))
+	}
+	return b
+}
+
 // Instr is one A-normal-form instruction: dest:type = op[attrs](args) @res.
 //
 // Wire instructions ignore Res. The attribute slice is shared, not copied;
@@ -73,38 +84,39 @@ func (in Instr) IsCompute() bool { return in.Op.IsCompute() }
 
 // String renders the instruction in source syntax.
 func (in Instr) String() string {
-	var b strings.Builder
-	b.WriteString(in.Dest)
-	b.WriteByte(':')
-	b.WriteString(in.Type.String())
-	b.WriteString(" = ")
-	b.WriteString(in.Op.String())
+	var buf [96]byte
+	return string(in.appendTo(buf[:0]))
+}
+
+// appendTo appends the instruction in source syntax.
+func (in *Instr) appendTo(b []byte) []byte {
+	b = append(append(b, in.Dest...), ':')
+	b = append(in.Type.AppendTo(b), " = "...)
+	b = append(b, in.Op.String()...)
 	if len(in.Attrs) > 0 {
-		b.WriteByte('[')
+		b = append(b, '[')
 		for i, a := range in.Attrs {
 			if i > 0 {
-				b.WriteString(", ")
+				b = append(b, ", "...)
 			}
-			fmt.Fprintf(&b, "%d", a)
+			b = strconv.AppendInt(b, a, 10)
 		}
-		b.WriteByte(']')
+		b = append(b, ']')
 	}
 	if in.Op.Arity() != 0 {
-		b.WriteByte('(')
+		b = append(b, '(')
 		for i, a := range in.Args {
 			if i > 0 {
-				b.WriteString(", ")
+				b = append(b, ", "...)
 			}
-			b.WriteString(a)
+			b = append(b, a...)
 		}
-		b.WriteByte(')')
+		b = append(b, ')')
 	}
 	if in.IsCompute() {
-		b.WriteString(" @")
-		b.WriteString(in.Res.String())
+		b = append(append(b, " @"...), in.Res.String()...)
 	}
-	b.WriteByte(';')
-	return b.String()
+	return append(b, ';')
 }
 
 // Clone returns a deep copy of the instruction.
@@ -142,31 +154,19 @@ func (f *Func) Clone() *Func {
 
 // String renders the function in source syntax.
 func (f *Func) String() string {
-	var b strings.Builder
-	b.WriteString("def ")
-	b.WriteString(f.Name)
-	b.WriteByte('(')
-	for i, p := range f.Inputs {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(p.String())
+	bp := scratch.Get().(*[]byte)
+	b := append(append((*bp)[:0], "def "...), f.Name...)
+	b = AppendPorts(append(b, '('), f.Inputs)
+	b = AppendPorts(append(b, ") -> ("...), f.Outputs)
+	b = append(b, ") {\n"...)
+	for i := range f.Body {
+		b = append(f.Body[i].appendTo(append(b, "    "...)), '\n')
 	}
-	b.WriteString(") -> (")
-	for i, p := range f.Outputs {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(p.String())
-	}
-	b.WriteString(") {\n")
-	for _, in := range f.Body {
-		b.WriteString("    ")
-		b.WriteString(in.String())
-		b.WriteByte('\n')
-	}
-	b.WriteString("}\n")
-	return b.String()
+	b = append(b, "}\n"...)
+	s := string(b)
+	*bp = b
+	scratch.Put(bp)
+	return s
 }
 
 // Defs returns a map from destination name to the index of its defining

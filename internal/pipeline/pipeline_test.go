@@ -2,6 +2,8 @@ package pipeline
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"flag"
 	"fmt"
@@ -409,6 +411,21 @@ func TestGoldenStageKeys(t *testing.T) {
 	if got.String() != string(want) {
 		t.Errorf("stage key schema drifted from %s — this orphans every deployed stage entry; "+
 			"rerun with -update only if the change is intentional\ngot:\n%swant:\n%s", goldenPath, got.String(), want)
+	}
+}
+
+// TestStageKeyIsOneHashOfOneBuffer: the key is the SHA-256 of
+// tag NUL input NUL fingerprint, and deriving it copies the input once into
+// a recycled buffer instead of once per field into fresh ones — the only
+// allocation is the returned string.
+func TestStageKeyIsOneHashOfOneBuffer(t *testing.T) {
+	input, fp := tensordot(t).String(), familyConfig(t, "ultrascale").placeFingerprint()
+	sum := sha256.Sum256([]byte(StagePlace + "\x00" + input + "\x00" + fp))
+	if got, want := stageKey(StagePlace, input, fp), hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("stageKey = %s, want %s", got, want)
+	}
+	if got := testing.AllocsPerRun(50, func() { stageKey(StagePlace, input, fp) }); got > 2 {
+		t.Errorf("stageKey: %v allocations per call, budget 2", got)
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"sync"
 
 	"reticle/internal/asm"
 	"reticle/internal/ir"
@@ -99,14 +100,21 @@ func (cfg *Config) outputFingerprint() string {
 // still coalesce one level up, in the artifact cache. Lowercase hex, so
 // the key doubles as an on-disk filename under DIR/stages.
 func stageKey(stage, input, fp string) string {
-	h := sha256.New()
-	h.Write([]byte(stage))
-	h.Write([]byte{0})
-	h.Write([]byte(input))
-	h.Write([]byte{0})
-	h.Write([]byte(fp))
-	return hex.EncodeToString(h.Sum(nil))
+	bp := keyBufs.Get().(*[]byte)
+	b := append(append((*bp)[:0], stage...), 0)
+	b = append(append(b, input...), 0)
+	b = append(b, fp...)
+	sum := sha256.Sum256(b)
+	*bp = b
+	keyBufs.Put(bp)
+	var key [2 * sha256.Size]byte
+	hex.Encode(key[:], sum[:])
+	return string(key[:])
 }
+
+// keyBufs recycles the buffers stageKey assembles its preimage in: the
+// input is a whole printed program, and every compile asks for four keys.
+var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // SelectKeyFor returns the selection-stage memo key for compiling f
 // under cfg. Exported for the key-stability golden tests.
