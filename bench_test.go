@@ -6,7 +6,7 @@
 //	BenchmarkEditReplay, BenchmarkCompileBatch, BenchmarkExplore
 //
 // Their machine-independent counts (solver-steps, allocs/op, ...) are
-// what `reticle-benchjson record` commits as BENCH_<sha>.json and
+// what `reticle-benchjson record` writes to BENCH_baseline.json and
 // `reticle-benchjson compare` gates. The paper's figures are not
 // measured here: `go run ./cmd/reticle-bench` prints them, with the full
 // baseline schedule, into EXPERIMENTS.md.

@@ -6,16 +6,18 @@
 // Usage:
 //
 //	reticle-benchjson record
-//	reticle-benchjson compare [-threshold 0.20] base.json head.json
+//	reticle-benchjson compare [-threshold 0.20] base.json [head.json]
 //
 // record runs every benchmark of the module once (`go test -bench=.
-// -benchtime=1x -benchmem ./...`) and writes BENCH_<short sha>.json into
-// the current directory; ns/op and MB/s are dropped on the way in.
+// -benchtime=1x -benchmem ./...`) and overwrites BENCH_baseline.json in
+// the current directory, the one point the tree carries: each PR commits
+// its own over its parent's. ns/op and MB/s are dropped on the way in.
 //
-// compare pairs the benchmarks of two such files by package and name and
-// fails when a gated metric (see gated) grew past the threshold on any
-// benchmark present in both. Exit status: 0 no regression, 1 regression
-// or nothing to compare, 2 usage or unreadable input.
+// compare pairs the benchmarks of two such files by package and name —
+// head defaults to BENCH_baseline.json — and fails when a gated metric
+// (see gated) grew past the threshold on any benchmark present in both.
+// Exit status: 0 no regression, 1 regression or nothing to compare,
+// 2 usage or unreadable input.
 package main
 
 import (
@@ -46,8 +48,10 @@ type Benchmark struct {
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
-// Baseline is one recorded run. Points recorded before the tools merged
-// also carry n and ns_per_op per benchmark; nothing reads them.
+// baselineFile is where record writes and where compare finds its head.
+const baselineFile = "BENCH_baseline.json"
+
+// Baseline is one recorded run.
 type Baseline struct {
 	SHA         string `json:"sha,omitempty"`
 	GeneratedAt string `json:"generated_at"`
@@ -158,11 +162,9 @@ func stripProcSuffix(bs []Benchmark) int {
 
 // record runs the module's benchmarks and writes the point for HEAD.
 func record(stdout, stderr io.Writer) error {
-	// Full and abbreviated hash: the first is recorded, the second names
-	// the file the way `git rev-parse --short HEAD` does in CI.
-	rev, err := exec.Command("git", "log", "-1", "--format=%H %h").Output()
-	sha := strings.Fields(string(rev))
-	if err != nil || len(sha) != 2 {
+	rev, err := exec.Command("git", "log", "-1", "--format=%H").Output()
+	sha := strings.TrimSpace(string(rev))
+	if err != nil || sha == "" {
 		return fmt.Errorf("git log -1: %q, %v", rev, err)
 	}
 	bench := exec.Command("go", "test", "-bench=.", "-benchtime=1x", "-benchmem", "-run=^$", "./...")
@@ -179,18 +181,17 @@ func record(stdout, stderr io.Writer) error {
 	if len(base.Benchmarks) == 0 {
 		return fmt.Errorf("go test -bench printed no benchmark results")
 	}
-	base.SHA = sha[0]
+	base.SHA = sha
 	base.GoMaxProcs = stripProcSuffix(base.Benchmarks)
 	base.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
 	data, err := json.MarshalIndent(base, "", "  ")
 	if err != nil {
 		return err
 	}
-	path := "BENCH_" + sha[1] + ".json"
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(baselineFile, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "reticle-benchjson: wrote %d benchmarks to %s\n", len(base.Benchmarks), path)
+	fmt.Fprintf(stdout, "reticle-benchjson: wrote %d benchmarks to %s\n", len(base.Benchmarks), baselineFile)
 	return nil
 }
 
@@ -255,14 +256,18 @@ func runCompare(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("compare", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	threshold := fs.Float64("threshold", 0.20, "fail when head exceeds base by more than this fraction")
-	if err := fs.Parse(args); err != nil || fs.NArg() != 2 {
-		fmt.Fprintln(stderr, "usage: reticle-benchjson compare [-threshold 0.20] base.json head.json")
+	if err := fs.Parse(args); err != nil || fs.NArg() < 1 || fs.NArg() > 2 {
+		fmt.Fprintln(stderr, "usage: reticle-benchjson compare [-threshold 0.20] base.json [head.json]")
 		return 2
+	}
+	paths := [2]string{fs.Arg(0), baselineFile}
+	if fs.NArg() == 2 {
+		paths[1] = fs.Arg(1)
 	}
 	var points [2]*Baseline
 	for i := range points {
 		var err error
-		if points[i], err = load(fs.Arg(i)); err != nil {
+		if points[i], err = load(paths[i]); err != nil {
 			fmt.Fprintln(stderr, "reticle-benchjson:", err)
 			return 2
 		}
@@ -331,7 +336,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case len(args) > 0 && args[0] == "compare":
 		return runCompare(args[1:], stdout, stderr)
 	}
-	fmt.Fprintln(stderr, "usage: reticle-benchjson record | compare [-threshold 0.20] base.json head.json")
+	fmt.Fprintln(stderr, "usage: reticle-benchjson record | compare [-threshold 0.20] base.json [head.json]")
 	return 2
 }
 

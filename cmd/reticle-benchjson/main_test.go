@@ -268,3 +268,34 @@ func TestCompareVacuousPassFails(t *testing.T) {
 		t.Errorf("a deleted flag exited %d, want usage status 2", code)
 	}
 }
+
+// With one argument the head is the tree's own BENCH_baseline.json: the
+// point record just overwrote.
+func TestCompareHeadDefaultsToBaselineFile(t *testing.T) {
+	base, head := baselines()
+	dir := t.TempDir()
+	for name, b := range map[string]*Baseline{"base.json": base, baselineFile: head} {
+		data, err := json.Marshal(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
+	var out, errOut bytes.Buffer
+	if code := run([]string{"compare", "base.json"}, &out, &errOut); code != 0 || !strings.Contains(out.String(), "aaaa -> bbbb") {
+		t.Errorf("compare base.json exited %d\n%s%s", code, out.String(), errOut.String())
+	}
+	if code := run([]string{"compare"}, &out, &errOut); code != 2 {
+		t.Errorf("compare without a base exited %d, want usage status 2", code)
+	}
+}

@@ -101,6 +101,9 @@ func (cfg *Config) outputFingerprint() string {
 // the key doubles as an on-disk filename under DIR/stages.
 func stageKey(stage, input, fp string) string {
 	bp := keyBufs.Get().(*[]byte)
+	if need := len(stage) + len(input) + len(fp) + 2; cap(*bp) < need {
+		*bp = make([]byte, 0, need)
+	}
 	b := append(append((*bp)[:0], stage...), 0)
 	b = append(append(b, input...), 0)
 	b = append(b, fp...)

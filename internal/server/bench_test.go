@@ -56,7 +56,7 @@ func coldKernel(i int) []byte {
 
 // BenchmarkServeCold measures the uncached service path: parse, key,
 // full pipeline, cache insert, JSON encode. Pair with
-// BenchmarkServeCached in BENCH_<sha>.json to track cache leverage.
+// BenchmarkServeCached in BENCH_baseline.json to track cache leverage.
 func BenchmarkServeCold(b *testing.B) {
 	s := benchServer(b)
 	b.ResetTimer()
