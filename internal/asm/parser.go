@@ -24,11 +24,8 @@ func ParseAll(src string) ([]*Func, error) {
 	var fns []*Func
 	for !p.AtEOF() {
 		f, err := parseFunc(p)
-		if lexErr := p.Err(); lexErr != nil {
-			return nil, lexErr
-		}
-		if err != nil {
-			return nil, fmt.Errorf("asm: %w", err)
+		if err := p.Settle("asm", err); err != nil {
+			return nil, err
 		}
 		if err := Check(f); err != nil {
 			return nil, err

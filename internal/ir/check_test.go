@@ -9,10 +9,7 @@ func mustParseNoCheck(t *testing.T, src string) *Func {
 	t.Helper()
 	p := NewParser(src)
 	f, err := p.parseFunc()
-	if err == nil {
-		err = p.Err()
-	}
-	if err != nil {
+	if err := p.Settle("ir", err); err != nil {
 		t.Fatal(err)
 	}
 	return f

@@ -26,10 +26,19 @@ func NewParser(src string) *Parser {
 	return p
 }
 
-// Err returns the first lexical error among the tokens scanned so far. It
-// takes precedence over any parse or check error: what the parser made of
-// a bad token is not worth reporting.
-func (p *Parser) Err() error { return p.lex.err }
+// Settle returns the error to report once a top-level item has been parsed
+// with outcome err: the first lexical error among the tokens scanned so far
+// if there is one — what the parser made of a bad token is not worth
+// reporting — else err behind the package prefix, else nil.
+func (p *Parser) Settle(pkg string, err error) error {
+	if p.lex.err != nil {
+		return p.lex.err
+	}
+	if err != nil {
+		return fmt.Errorf("%s: %w", pkg, err)
+	}
+	return nil
+}
 
 // Peek returns the current token without consuming it.
 func (p *Parser) Peek() Token { return p.tok }
@@ -330,11 +339,8 @@ func ParseAll(src string) ([]*Func, error) {
 	var fns []*Func
 	for !p.AtEOF() {
 		f, err := p.parseFunc()
-		if lexErr := p.Err(); lexErr != nil {
-			return nil, lexErr
-		}
-		if err != nil {
-			return nil, fmt.Errorf("ir: %w", err)
+		if err := p.Settle("ir", err); err != nil {
+			return nil, err
 		}
 		if err := Check(f); err != nil {
 			return nil, err

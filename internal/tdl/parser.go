@@ -19,11 +19,8 @@ func Parse(name, src string) (*Target, error) {
 	var defs []*Def
 	for !p.AtEOF() {
 		d, err := parseDef(p)
-		if lexErr := p.Err(); lexErr != nil {
-			return nil, lexErr
-		}
-		if err != nil {
-			return nil, fmt.Errorf("tdl: %w", err)
+		if err := p.Settle("tdl", err); err != nil {
+			return nil, err
 		}
 		defs = append(defs, d)
 	}
