@@ -227,9 +227,34 @@ func check(f *Func) (map[string]ir.Type, error) {
 			}
 		}
 	}
-	typeOf := func(name string) (ir.Type, bool) { t, ok := types[name]; return t, ok }
-	if err := ir.CheckOutputs(f.Inputs, f.Outputs, typeOf); err != nil {
+	if err := checkOutputs(f, types); err != nil {
 		return nil, fmt.Errorf("asm: function %s: %w", f.Name, err)
 	}
 	return types, nil
+}
+
+// checkOutputs holds ir.Check's rule for output ports: each names a distinct
+// instruction result of its declared type. An output that repeats another or
+// names an input would become a port declared twice in the generated module.
+func checkOutputs(f *Func, types map[string]ir.Type) error {
+	seen := make(map[string]bool, len(f.Outputs))
+	for _, out := range f.Outputs {
+		t, ok := types[out.Name]
+		if !ok {
+			return fmt.Errorf("output %q is never defined", out.Name)
+		}
+		if t != out.Type {
+			return fmt.Errorf("output %q has type %s, declared %s", out.Name, t, out.Type)
+		}
+		if seen[out.Name] {
+			return fmt.Errorf("duplicate output %q", out.Name)
+		}
+		seen[out.Name] = true
+	}
+	for _, p := range f.Inputs {
+		if seen[p.Name] {
+			return fmt.Errorf("output %q names an input; use id", p.Name)
+		}
+	}
+	return nil
 }

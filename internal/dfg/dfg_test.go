@@ -170,6 +170,28 @@ def bad(x:bool) -> (t1:i8) {
 	}
 }
 
+// TestBuildRejectsHandBuiltFuncs: in-process callers hand Build functions no
+// parser has seen, so every Check rule runs here too — down to a function
+// with nothing in it but an output.
+func TestBuildRejectsHandBuiltFuncs(t *testing.T) {
+	i8 := ir.Int(8)
+	y := []ir.Port{{Name: "y", Type: i8}}
+	cases := []struct {
+		f    *ir.Func
+		want string
+	}{
+		{&ir.Func{Name: "f", Outputs: y}, `ir: function f: output "y" is never defined`},
+		{&ir.Func{Name: "f", Inputs: y, Outputs: y}, `ir: function f: output "y" names an input; use id`},
+		{&ir.Func{Name: "f", Outputs: y, Body: []ir.Instr{{Dest: "y", Type: i8, Op: ir.OpId, Args: []string{"ghost"}}}},
+			`ir: function f: instruction 0 (y): argument "ghost" is undefined`},
+	}
+	for _, c := range cases {
+		if _, err := Build(c.f); err == nil || err.Error() != c.want {
+			t.Errorf("Build error = %v, want %s", err, c.want)
+		}
+	}
+}
+
 func TestWireNodesJoinConsumerTree(t *testing.T) {
 	g := mustGraph(t, `
 def f(a:i8) -> (y:i8) {

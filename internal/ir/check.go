@@ -65,45 +65,34 @@ func check(f *Func) (Symbols, error) {
 			return Symbols{}, fmt.Errorf("ir: function %s: instruction %d (%s): %w", f.Name, i, in.Dest, err)
 		}
 	}
-	err := CheckOutputs(f.Inputs, f.Outputs, func(name string) (Type, bool) {
-		v, ok := index[name]
-		return f.valueType(v), ok
-	})
-	if err != nil {
-		return Symbols{}, fmt.Errorf("ir: function %s: %w", f.Name, err)
-	}
+	// Each output names a distinct instruction result of its declared type
+	// (asm.Check holds the same rule over its own table): an output that
+	// repeats another or names an input would become a port declared twice
+	// in the generated module. A name an output has taken is marked in index
+	// by the complement of its value.
+	firstInput := int32(nin)
 	for _, out := range f.Outputs {
-		refs = append(refs, index[out.Name])
+		v, ok := index[out.Name]
+		taken := v < 0
+		if taken {
+			v = ^v
+		}
+		switch {
+		case !ok:
+			return Symbols{}, fmt.Errorf("ir: function %s: output %q is never defined", f.Name, out.Name)
+		case f.valueType(v) != out.Type:
+			return Symbols{}, fmt.Errorf("ir: function %s: output %q has type %s, declared %s", f.Name, out.Name, f.valueType(v), out.Type)
+		case taken:
+			return Symbols{}, fmt.Errorf("ir: function %s: duplicate output %q", f.Name, out.Name)
+		}
+		index[out.Name] = ^v
+		firstInput = min(firstInput, v)
+		refs = append(refs, v)
+	}
+	if int(firstInput) < nin {
+		return Symbols{}, fmt.Errorf("ir: function %s: output %q names an input; use id", f.Name, f.Inputs[firstInput].Name)
 	}
 	return Symbols{Args: refs[:nargs:nargs], Outputs: refs[nargs:]}, nil
-}
-
-// CheckOutputs validates output ports against typeOf, which reports the
-// declared type of an input or instruction destination: each output names a
-// distinct instruction result of its declared type. An output that repeats
-// another or names an input would become a port declared twice in the
-// generated module. Package asm shares the rule.
-func CheckOutputs(inputs, outputs []Port, typeOf func(name string) (Type, bool)) error {
-	seen := make(map[string]bool, len(outputs))
-	for _, out := range outputs {
-		t, ok := typeOf(out.Name)
-		if !ok {
-			return fmt.Errorf("output %q is never defined", out.Name)
-		}
-		if t != out.Type {
-			return fmt.Errorf("output %q has type %s, declared %s", out.Name, t, out.Type)
-		}
-		if seen[out.Name] {
-			return fmt.Errorf("duplicate output %q", out.Name)
-		}
-		seen[out.Name] = true
-	}
-	for _, p := range inputs {
-		if seen[p.Name] {
-			return fmt.Errorf("output %q names an input; use id", p.Name)
-		}
-	}
-	return nil
 }
 
 // valueType returns the declared type of value v (see Symbols).

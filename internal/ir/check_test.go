@@ -40,6 +40,11 @@ func TestCheckRejects(t *testing.T) {
 			"never defined",
 		},
 		{
+			"undefined output of an empty function",
+			`def f() -> (y:i8) {}`,
+			`output "y" is never defined`,
+		},
+		{
 			"output type mismatch",
 			`def f(a:i8, b:i8) -> (y:i16) { y:i8 = add(a, b) @??; }`,
 			"declared i16",

@@ -15,6 +15,7 @@ func FuzzParse(f *testing.F) {
 		`def r(a:i8, en:bool) -> (y:i8) { y:i8 = reg[-3](a, en) @lut; }`,
 		`def broken(`,
 		`def f() -> () {}`,
+		`def f() -> (y:i8) {}`,
 		"def f(a:bool) -> (y:bool) { y:bool = id(a); } // comment",
 		"def \x00 bogus",
 		`def f(a:i8) -> (y:i8) { y:i8 = sll[99](a); }`,

@@ -71,6 +71,14 @@ func CanonicalHash(f *Func) string {
 // largest allocations of a cold request.
 var scratch = sync.Pool{New: func() any { return new([]byte) }}
 
+// HexSum256 returns the lowercase hex SHA-256 of what fill appends to an
+// empty recycled buffer: a key over a whole printed program (package
+// pipeline's stage keys) without a buffer per call.
+func HexSum256(fill func(b []byte) []byte) string {
+	bp := scratch.Get().(*[]byte)
+	return hexSum(bp, fill((*bp)[:0]))
+}
+
 // hexSum returns the lowercase hex SHA-256 of b and hands b back to the
 // scratch pool through bp.
 func hexSum(bp *[]byte, b []byte) string {

@@ -166,6 +166,7 @@ func TestParseErrorMessages(t *testing.T) {
 		{`def f(a:bool) -> (y:i8) { y:i8 = const[x]; }`, `ir: line 1: expected integer, found "x"`},
 		{`def broken(`, `ir: line 1: expected identifier, found end of input`},
 		{`def f() -> () {}`, `ir: function f has no outputs`},
+		{`def f() -> (y:i8) {}`, `ir: function f: output "y" is never defined`},
 		{"def \x00 bogus", `ir: line 1: expected identifier, found "\x00"`},
 		{`def f(a:i8) -> (y:i8) { y:i8 = sll[99](a); }`,
 			`ir: function f: instruction 0 (y): sll shift amount 99 out of range for i8`},

@@ -1,10 +1,12 @@
 package ir_test
 
-// The reference implementations: the lexer, token-slice parser, printer and
-// both hashes as they stood before the cold-path rewrite, kept verbatim (only
-// renamed and package-qualified) as the oracle the production ones must
-// equal byte for byte. Nothing here calls into the production lexer, parser,
-// printer or hashes.
+// The reference implementations: the lexer, token-slice parser, checker,
+// well-formedness criterion, printer and both hashes as they stood before
+// the cold-path rewrite, kept verbatim (only renamed and package-qualified)
+// as the oracle the production ones must equal byte for byte. Nothing here
+// calls into the production lexer, parser, checker, printer or hashes; the
+// one shared piece is the per-op type switch (ir.CheckTypes), which the
+// rewrite moved but did not edit.
 
 import (
 	"crypto/sha256"
@@ -13,6 +15,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -373,7 +376,7 @@ func refParseTokens(toks []ir.Token) ([]*ir.Func, int, error) {
 		if err != nil {
 			return nil, p.pos, fmt.Errorf("ir: %w", err)
 		}
-		if err := ir.Check(f); err != nil {
+		if err := refCheck(f); err != nil {
 			return nil, p.pos, err
 		}
 		fns = append(fns, f)
@@ -393,6 +396,144 @@ func refParseAll(src string) ([]*ir.Func, error) {
 	}
 	fns, _, err := refParseTokens(toks)
 	return fns, err
+}
+
+// refCheck is Check over a name -> type map, a second map in
+// refCheckOutputs, and a slice of argument types per instruction.
+func refCheck(f *ir.Func) error {
+	if f.Name == "" {
+		return fmt.Errorf("ir: function has no name")
+	}
+	if len(f.Outputs) == 0 {
+		return fmt.Errorf("ir: function %s has no outputs", f.Name)
+	}
+	types := make(map[string]ir.Type, len(f.Inputs)+len(f.Body))
+	for _, p := range f.Inputs {
+		if _, dup := types[p.Name]; dup {
+			return fmt.Errorf("ir: function %s: duplicate input %q", f.Name, p.Name)
+		}
+		types[p.Name] = p.Type
+	}
+	for _, in := range f.Body {
+		if _, dup := types[in.Dest]; dup {
+			return fmt.Errorf("ir: function %s: %q defined more than once", f.Name, in.Dest)
+		}
+		types[in.Dest] = in.Type
+	}
+	for i, in := range f.Body {
+		if err := refCheckInstr(in, types); err != nil {
+			return fmt.Errorf("ir: function %s: instruction %d (%s): %w", f.Name, i, in.Dest, err)
+		}
+	}
+	if err := refCheckOutputs(f.Inputs, f.Outputs, types); err != nil {
+		return fmt.Errorf("ir: function %s: %w", f.Name, err)
+	}
+	return nil
+}
+
+func refCheckOutputs(inputs, outputs []ir.Port, types map[string]ir.Type) error {
+	seen := make(map[string]bool, len(outputs))
+	for _, out := range outputs {
+		t, ok := types[out.Name]
+		if !ok {
+			return fmt.Errorf("output %q is never defined", out.Name)
+		}
+		if t != out.Type {
+			return fmt.Errorf("output %q has type %s, declared %s", out.Name, t, out.Type)
+		}
+		if seen[out.Name] {
+			return fmt.Errorf("duplicate output %q", out.Name)
+		}
+		seen[out.Name] = true
+	}
+	for _, p := range inputs {
+		if seen[p.Name] {
+			return fmt.Errorf("output %q names an input; use id", p.Name)
+		}
+	}
+	return nil
+}
+
+func refCheckInstr(in ir.Instr, types map[string]ir.Type) error {
+	if want := in.Op.Arity(); want >= 0 && len(in.Args) != want {
+		return fmt.Errorf("%s takes %d arguments, got %d", in.Op, want, len(in.Args))
+	}
+	argT := make([]ir.Type, len(in.Args))
+	for i, a := range in.Args {
+		t, ok := types[a]
+		if !ok {
+			return fmt.Errorf("argument %q is undefined", a)
+		}
+		argT[i] = t
+	}
+	return ir.CheckTypes(&in, argT)
+}
+
+// refCheckWellFormed is Kahn's algorithm over f.Defs and one adjacency
+// slice per instruction.
+func refCheckWellFormed(f *ir.Func) (pure, regs []int, err error) {
+	defs := f.Defs()
+
+	// adj[i] lists instruction indices that consume instruction i's output.
+	// Edges out of reg instructions are cut: a reg's output is available from
+	// the previous cycle, so it cannot participate in a combinational cycle.
+	n := len(f.Body)
+	indeg := make([]int, n)
+	adj := make([][]int, n)
+	for i, in := range f.Body {
+		for _, a := range in.Args {
+			j, ok := defs[a]
+			if !ok {
+				continue // function input
+			}
+			if f.Body[j].Op.IsStateful() {
+				continue
+			}
+			adj[j] = append(adj[j], i)
+			indeg[i]++
+		}
+	}
+
+	// Kahn's algorithm over all instructions; reg nodes participate as sinks
+	// for their input edges but never as sources.
+	queue := make([]int, 0, n)
+	for i := 0; i < n; i++ {
+		if indeg[i] == 0 {
+			queue = append(queue, i)
+		}
+	}
+	sort.Ints(queue) // deterministic order
+	var order []int
+	for len(queue) > 0 {
+		i := queue[0]
+		queue = queue[1:]
+		order = append(order, i)
+		for _, j := range adj[i] {
+			indeg[j]--
+			if indeg[j] == 0 {
+				queue = append(queue, j)
+			}
+		}
+	}
+	if len(order) != n {
+		var stuck []string
+		for i := 0; i < n; i++ {
+			if indeg[i] > 0 {
+				stuck = append(stuck, f.Body[i].Dest)
+			}
+		}
+		return nil, nil, fmt.Errorf(
+			"ir: function %s is ill-formed: combinational cycle through {%s}",
+			f.Name, strings.Join(stuck, ", "))
+	}
+	for _, i := range order {
+		if f.Body[i].Op.IsStateful() {
+			regs = append(regs, i)
+		} else {
+			pure = append(pure, i)
+		}
+	}
+	return pure, regs, nil
 }
 
 func refInstrString(in ir.Instr) string {
@@ -663,6 +804,15 @@ func uncheckedFuncs() []*ir.Func {
 		{Name: "dupports", Inputs: []ir.Port{{Name: "a", Type: i8}, {Name: "a", Type: ir.Bool()}},
 			Outputs: []ir.Port{{Name: "y", Type: i8}, {Name: "y", Type: i8}, {Name: "a", Type: i8}},
 			Body:    []ir.Instr{add("y", "a", "a")}},
+		{Name: "lonely", Outputs: []ir.Port{{Name: "y", Type: i8}}},
+		{Name: "loop", Inputs: []ir.Port{{Name: "a", Type: i8}}, Outputs: []ir.Port{{Name: "y", Type: i8}},
+			Body: []ir.Instr{add("t", "a", "u"), add("u", "t", "y"), add("y", "u", "a"), add("v", "a", "a")}},
+		{Name: "outs", Inputs: []ir.Port{{Name: "a", Type: i8}, {Name: "b", Type: i8}},
+			Outputs: []ir.Port{{Name: "b", Type: i8}, {Name: "y", Type: i8}, {Name: "a", Type: i8}},
+			Body:    []ir.Instr{add("y", "a", "b")}},
+		{Name: "outtypes", Inputs: []ir.Port{{Name: "a", Type: i8}},
+			Outputs: []ir.Port{{Name: "y", Type: i8}, {Name: "y", Type: ir.Bool()}, {Name: "z", Type: i8}},
+			Body:    []ir.Instr{add("y", "a", "a")}},
 		{Name: "oddops", Outputs: []ir.Port{{Name: "y", Type: ir.Vector(3, 70)}},
 			Body: []ir.Instr{
 				{Dest: "y", Type: ir.Vector(3, 70), Op: ir.Op(200), Attrs: []int64{-1 << 63, 1<<63 - 1}, Args: []string{"", "y"}, Res: ir.Resource(9)},
@@ -727,6 +877,133 @@ func TestHashesAndPrinterMatchReference(t *testing.T) {
 		checkAgainstReference(t, f)
 	}
 	t.Logf("%d functions", len(funcs))
+}
+
+// broken returns a copy of f with one seeded edit of a kind the checker or
+// the well-formedness criterion exists to reject (not every edit ends up
+// rejected: a rewired argument may still type, a cycle may run through a reg).
+func broken(rng *rand.Rand, f *ir.Func) *ir.Func {
+	g := f.Clone()
+	if len(g.Body) == 0 {
+		return g
+	}
+	in := &g.Body[rng.Intn(len(g.Body))]
+	other := g.Body[rng.Intn(len(g.Body))].Dest
+	arg := func(name string) {
+		if len(in.Args) > 0 {
+			in.Args[rng.Intn(len(in.Args))] = name
+		}
+	}
+	switch rng.Intn(10) {
+	case 0:
+		in.Dest = other // defined twice, and the old name now undefined
+	case 1:
+		arg(other) // a forward edge closes a cycle; any edge may mistype
+	case 2:
+		arg("ghost")
+	case 3:
+		in.Args = in.Args[:len(in.Args)/2]
+	case 4:
+		in.Attrs = append(in.Attrs, int64(rng.Intn(100)))
+	case 5:
+		in.Type = ir.Vector(in.Type.Width()+1, in.Type.Lanes())
+	case 6:
+		g.Outputs = append(g.Outputs, g.Outputs[rng.Intn(len(g.Outputs))])
+	case 7:
+		g.Outputs[rng.Intn(len(g.Outputs))].Type = ir.Int(63)
+	case 8:
+		g.Outputs = append(g.Outputs, ir.Port{Name: "nowhere", Type: ir.Bool()})
+	default:
+		if len(g.Inputs) > 0 {
+			g.Outputs = append(g.Outputs, g.Inputs[rng.Intn(len(g.Inputs))])
+		}
+	}
+	return g
+}
+
+// checkResolveAgainstReference: Check, CheckWellFormed and Resolve give the
+// reference's verdict — the same message, the same evaluation order — and
+// the table Resolve returns holds, argument for argument, the value each
+// name denotes.
+func checkResolveAgainstReference(t testing.TB, f *ir.Func) {
+	t.Helper()
+	wantErr := refCheck(f)
+	if got := ir.Check(f); fmt.Sprint(got) != fmt.Sprint(wantErr) {
+		t.Fatalf("Check = %v, reference %v\n%s", got, wantErr, refFuncString(f))
+	}
+	wantPure, wantRegs, wantWF := refCheckWellFormed(f)
+	pure, regs, err := ir.CheckWellFormed(f)
+	if got, want := fmt.Sprint(pure, regs, err), fmt.Sprint(wantPure, wantRegs, wantWF); got != want {
+		t.Fatalf("CheckWellFormed = %s, reference %s\n%s", got, want, refFuncString(f))
+	}
+	if wantErr == nil {
+		wantErr = wantWF
+	}
+	syms, err := ir.Resolve(f)
+	if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+		t.Fatalf("Resolve = %v, reference %v\n%s", err, wantErr, refFuncString(f))
+	}
+	if err != nil {
+		return
+	}
+	name := func(v int32) string {
+		if nin := len(f.Inputs); int(v) >= nin {
+			return f.Body[int(v)-nin].Dest
+		}
+		return f.Inputs[v].Name
+	}
+	k := 0
+	for _, in := range f.Body {
+		for _, a := range in.Args {
+			if name(syms.Args[k]) != a {
+				t.Fatalf("Resolve: argument %q of %s resolved to %q\n%s", a, in.Dest, name(syms.Args[k]), refFuncString(f))
+			}
+			k++
+		}
+	}
+	if k != len(syms.Args) || len(syms.Outputs) != len(f.Outputs) {
+		t.Fatalf("Resolve: %d arguments and %d outputs in the table, function has %d and %d", len(syms.Args), len(syms.Outputs), k, len(f.Outputs))
+	}
+	for i, out := range f.Outputs {
+		if name(syms.Outputs[i]) != out.Name {
+			t.Fatalf("Resolve: output %q resolved to %q", out.Name, name(syms.Outputs[i]))
+		}
+	}
+}
+
+// TestCheckMatchesReference: over the whole corpus and two broken copies of
+// every function in it. The count of rejections guards the test itself: a
+// corpus nothing rejects would compare nil with nil.
+func TestCheckMatchesReference(t *testing.T) {
+	funcs := differentialCorpus(t, corpusSize())
+	rng := rand.New(rand.NewSource(27))
+	rejected := map[string]int{}
+	for _, f := range funcs {
+		for _, g := range []*ir.Func{f, broken(rng, f), broken(rng, f)} {
+			checkResolveAgainstReference(t, g)
+			if _, err := ir.Resolve(g); err != nil {
+				rejected[errorKind(err)]++
+			}
+		}
+	}
+	t.Logf("%d functions, rejections by kind: %v", 3*len(funcs), rejected)
+	for _, kind := range []string{"defined more than once", "is undefined", "takes", "has type", "never defined",
+		"duplicate output", "names an input", "combinational cycle", "duplicate input", "has no"} {
+		if rejected[kind] == 0 {
+			t.Errorf("no function in the corpus is rejected with %q", kind)
+		}
+	}
+}
+
+// errorKind buckets a checker message by the phrase that names its rule.
+func errorKind(err error) string {
+	for _, kind := range []string{"defined more than once", "is undefined", "never defined", "duplicate output",
+		"names an input", "combinational cycle", "duplicate input", "has no", "has type", "takes"} {
+		if strings.Contains(err.Error(), kind) {
+			return kind
+		}
+	}
+	return "other"
 }
 
 // sameFuncs compares two parses field by field; a nil list equals an empty
@@ -858,7 +1135,9 @@ func FuzzHashesMatchReference(f *testing.F) {
 			checkAgainstReference(t, ir.RewriteConstants(ir.RenamePorts(ir.AlphaRename(fn, "fz"), "fz"), delta))
 			if mut := fn.Clone(); len(mut.Body) > 0 && ir.MutateStructure(mut, int(pick)%len(mut.Body), pick) {
 				checkAgainstReference(t, mut)
+				checkResolveAgainstReference(t, mut)
 			}
+			checkResolveAgainstReference(t, broken(rand.New(rand.NewSource(delta)), fn))
 		}
 	})
 }

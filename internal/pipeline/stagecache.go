@@ -16,10 +16,7 @@ package pipeline
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
-	"sync"
 
 	"reticle/internal/asm"
 	"reticle/internal/ir"
@@ -100,24 +97,12 @@ func (cfg *Config) outputFingerprint() string {
 // still coalesce one level up, in the artifact cache. Lowercase hex, so
 // the key doubles as an on-disk filename under DIR/stages.
 func stageKey(stage, input, fp string) string {
-	bp := keyBufs.Get().(*[]byte)
-	if need := len(stage) + len(input) + len(fp) + 2; cap(*bp) < need {
-		*bp = make([]byte, 0, need)
-	}
-	b := append(append((*bp)[:0], stage...), 0)
-	b = append(append(b, input...), 0)
-	b = append(b, fp...)
-	sum := sha256.Sum256(b)
-	*bp = b
-	keyBufs.Put(bp)
-	var key [2 * sha256.Size]byte
-	hex.Encode(key[:], sum[:])
-	return string(key[:])
+	return ir.HexSum256(func(b []byte) []byte {
+		b = append(append(b, stage...), 0)
+		b = append(append(b, input...), 0)
+		return append(b, fp...)
+	})
 }
-
-// keyBufs recycles the buffers stageKey assembles its preimage in: the
-// input is a whole printed program, and every compile asks for four keys.
-var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // SelectKeyFor returns the selection-stage memo key for compiling f
 // under cfg. Exported for the key-stability golden tests.

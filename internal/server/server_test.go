@@ -230,6 +230,7 @@ func TestErrorPaths(t *testing.T) {
 		// Either would compile to a Verilog module declaring one port twice.
 		{"duplicate-output", `{"ir": "def f(x:i8, en:bool) -> (y:i8, y:i8) { y:i8 = reg[0](x, en) @??; }"}`, http.StatusBadRequest},
 		{"output-names-input", `{"ir": "def f(a:i8, en:bool) -> (a:i8) {}"}`, http.StatusBadRequest},
+		{"undefined-output-of-empty-function", `{"ir": "def f() -> (y:i8) {}"}`, http.StatusBadRequest},
 		{"unknown-family", `{"ir": "def f(a:i8) -> (y:i8) { y:i8 = id(a); }", "family": "ice40"}`, http.StatusBadRequest},
 		{"negative-timeout", `{"ir": "def f(a:i8) -> (y:i8) { y:i8 = id(a); }", "timeout_ms": -5}`, http.StatusBadRequest},
 	}
