@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"reticle"
+	"reticle/internal/faults"
 )
 
 func main() {
@@ -51,6 +52,9 @@ func main() {
 	scrubOnStart := flag.Bool("scrub-on-start", false, "verify the disk cache's checksums in the background on startup, quarantining corrupt entries")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof (/debug/pprof) on this side address (empty = disabled)")
 	flag.Parse()
+	if line := faults.EnvSummary(); line != "" {
+		log.Printf("reticle-serve: %s", line)
+	}
 
 	srv, err := reticle.NewServer(reticle.ServerOptions{
 		CacheEntries:       *cacheEntries,

@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"reticle"
+	"reticle/internal/faults"
 )
 
 func main() {
@@ -54,6 +55,9 @@ func main() {
 	scrubOnStart := flag.Bool("scrub-on-start", false, "verify the disk cache's checksums in the background on startup, quarantining corrupt entries")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof (/debug/pprof) on this side address (empty = disabled)")
 	flag.Parse()
+	if line := faults.EnvSummary(); line != "" {
+		log.Printf("reticle-shard: %s", line)
+	}
 
 	var backends []string
 	for _, b := range strings.Split(*backendsFlag, ",") {

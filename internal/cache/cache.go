@@ -20,8 +20,6 @@ package cache
 import (
 	"container/list"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"sync"
 
@@ -45,11 +43,7 @@ type Key string
 // ir.CanonicalHash) and the config fingerprint (family + device +
 // flags, see pipeline.Config.Fingerprint).
 func KeyFor(cfg *pipeline.Config, f *ir.Func) Key {
-	h := sha256.New()
-	h.Write([]byte(ir.CanonicalHash(f)))
-	h.Write([]byte{0})
-	h.Write([]byte(cfg.Fingerprint()))
-	return Key(hex.EncodeToString(h.Sum(nil)))
+	return Key(pipeline.ArtifactKeyFor(cfg, f))
 }
 
 // DefaultEntries bounds the LRU when New is given a non-positive size.

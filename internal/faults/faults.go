@@ -170,14 +170,14 @@ func planFrom(ctx context.Context) *Plan {
 }
 
 var (
-	envOnce   sync.Once
-	envPlanV  *Plan
-	envParseE error
+	envOnce     sync.Once
+	envPlanV    *Plan
+	envSummaryV string
 )
 
 // envPlan parses RETICLE_FAULTS once. A malformed spec disables env
-// injection (recorded in EnvError) rather than killing the process:
-// chaos tooling must never be able to take production down by typo.
+// injection (EnvSummary says so) rather than killing the process: chaos
+// tooling must never be able to take production down by typo.
 func envPlan() *Plan {
 	envOnce.Do(func() {
 		spec := os.Getenv("RETICLE_FAULTS")
@@ -185,19 +185,42 @@ func envPlan() *Plan {
 			return
 		}
 		m, err := ParseSpec(spec)
-		if err != nil {
-			envParseE = err
-			return
+		if envSummaryV = summarize(m, err); err == nil {
+			envPlanV = NewPlan(m)
 		}
-		envPlanV = NewPlan(m)
 	})
 	return envPlanV
 }
 
-// EnvError reports a malformed RETICLE_FAULTS value, if any.
-func EnvError() error {
+// EnvSummary is the line a daemon logs at startup about RETICLE_FAULTS,
+// so that a mistyped drill cannot pass by arming nothing: empty when the
+// variable is unset, else the parse error that disabled env injection or
+// the armed points, calling out any that no linked package registers.
+func EnvSummary() string {
 	envPlan()
-	return envParseE
+	return envSummaryV
+}
+
+func summarize(m map[Point]Injection, err error) string {
+	if err != nil {
+		return "RETICLE_FAULTS ignored: " + err.Error()
+	}
+	var armed, unknown []string
+	regMu.Lock()
+	for point := range m {
+		armed = append(armed, string(point))
+		if _, ok := registry[point]; !ok {
+			unknown = append(unknown, string(point))
+		}
+	}
+	regMu.Unlock()
+	sort.Strings(armed)
+	line := "RETICLE_FAULTS armed: " + strings.Join(armed, ", ")
+	if len(unknown) > 0 {
+		sort.Strings(unknown)
+		line += "; not a registered fault point, will never fire: " + strings.Join(unknown, ", ")
+	}
+	return line
 }
 
 // ParseSpec parses a plan spec: comma-separated point=class entries with

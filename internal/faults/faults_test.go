@@ -125,3 +125,19 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 	}()
 	Register("test/alpha", "dup")
 }
+
+// TestEnvSummaryNamesWhatWasArmed: the startup line a daemon logs says
+// which of the three a RETICLE_FAULTS value was — a spec that armed
+// registered points, one that did not parse (env injection off), or one
+// naming a point nothing registers (armed, never fires).
+func TestEnvSummaryNamesWhatWasArmed(t *testing.T) {
+	for _, tc := range []struct{ spec, want string }{
+		{"test/beta=panic,test/alpha=transient:1", "RETICLE_FAULTS armed: test/alpha, test/beta"},
+		{"test/alpha=exhuasted", `RETICLE_FAULTS ignored: faults: entry "test/alpha=exhuasted" has unknown class "exhuasted"`},
+		{"test/alpha=exhausted,test/alfa=exhausted", "RETICLE_FAULTS armed: test/alfa, test/alpha; not a registered fault point, will never fire: test/alfa"},
+	} {
+		if got := summarize(ParseSpec(tc.spec)); got != tc.want {
+			t.Errorf("%s:\n got %s\nwant %s", tc.spec, got, tc.want)
+		}
+	}
+}

@@ -14,8 +14,6 @@ package pipeline
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"time"
 
@@ -72,24 +70,20 @@ type Config struct {
 	// the artifact is marked Degraded.
 	MaxSolverSteps int
 	// SolverTimeout is a soft per-placement time budget with the same
-	// degradation semantics; 0 means none. Excluded from Fingerprint:
-	// it cannot change a non-degraded artifact, and degraded artifacts
-	// are never cached (see internal/server, reticle.CompileCached).
+	// degradation semantics; 0 means none. In no key (keys.go).
 	SolverTimeout time.Duration
 
 	// HintCache, when set, is consulted before placement under the
 	// structural key HintKeyFor(cfg, f) and fed the recorded anchors of
 	// every successful non-degraded placement. An exact-signature hit is
 	// adopted outright (zero solver steps); otherwise the compile runs
-	// cold exactly as if the cache were nil. Excluded from Fingerprint
-	// on purpose: adoption is signature-checked inside internal/place,
-	// so the cache can accelerate a compile but never change its output.
+	// cold exactly as if the cache were nil. In no key (keys.go): the
+	// cache can accelerate a compile but never change its output.
 	HintCache HintCache
 
 	// StageCache, when set, memoizes each row of the stage table
 	// (stages.go, DESIGN.md §15) under a content-addressed per-stage key.
-	// Excluded from Fingerprint like HintCache: every adopted payload is
-	// validated before use and degraded results are never stored, so the
+	// In no key, like HintCache: degraded results are never stored, so the
 	// memo can accelerate a compile but never change its output.
 	StageCache StageCache
 }
@@ -105,21 +99,6 @@ type HintCache interface {
 	Lookup(ctx context.Context, key string) *place.Anchors
 	// Record stores the anchors of a successful non-degraded placement.
 	Record(ctx context.Context, key string, a *place.Anchors)
-}
-
-// HintKeyFor returns the placement hint cache key for compiling f under
-// cfg: SHA-256 over the structural hash (ir.StructuralHash — constant
-// values and identifier spellings masked) joined with the config
-// fingerprint. Two compiles with equal hint keys present the placement
-// stage with the same problem shape, so one's anchors warm-start the
-// other. Lowercase hex, so it doubles as an on-disk hint store filename
-// (cache.Disk keeps 8-128 char hex keys as their own file names).
-func HintKeyFor(cfg *Config, f *ir.Func) string {
-	h := sha256.New()
-	h.Write([]byte(ir.StructuralHash(f)))
-	h.Write([]byte{0})
-	h.Write([]byte(cfg.Fingerprint()))
-	return hex.EncodeToString(h.Sum(nil))
 }
 
 // Validate reports whether the config is complete enough to compile.
@@ -141,37 +120,6 @@ func (cfg *Config) Validate() error {
 			cfg.Lib.Target.Name, cfg.Target.Name)
 	}
 	return nil
-}
-
-// Fingerprint returns a stable identity string for everything in the
-// config that can change a compilation's output: the target family, the
-// device, and the option flags. Together with ir.CanonicalHash it forms
-// the artifact cache key (internal/cache) — two configs with equal
-// fingerprints produce byte-identical artifacts for equal kernels, so a
-// new flag that affects output MUST be added here or cached artifacts go
-// stale silently.
-//
-// The pattern library and cascade metadata are deliberately excluded:
-// both are derived deterministically from the target description, so the
-// family name subsumes them.
-func (cfg *Config) Fingerprint() string {
-	target, dev := "", ""
-	if cfg.Target != nil {
-		target = cfg.Target.Name
-	}
-	if cfg.Device != nil {
-		dev = cfg.Device.Name
-	}
-	fp := fmt.Sprintf("target=%s;device=%s;nocascade=%t;shrink=%t;greedy=%t;timingdriven=%t",
-		target, dev, cfg.NoCascade, cfg.Shrink, cfg.Greedy, cfg.TimingDriven)
-	// A non-default solver step budget changes which kernels degrade to
-	// the greedy fallback, so it is part of the key — but appended only
-	// when set, keeping every already-deployed key (golden-pinned)
-	// byte-identical for default configs.
-	if cfg.MaxSolverSteps != 0 {
-		fp += fmt.Sprintf(";maxsteps=%d", cfg.MaxSolverSteps)
-	}
-	return fp
 }
 
 // StageTimes breaks a compilation into per-stage wall time.

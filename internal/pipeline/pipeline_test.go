@@ -16,6 +16,7 @@ import (
 
 	"reticle/internal/asm"
 	"reticle/internal/bench"
+	"reticle/internal/cascade"
 	"reticle/internal/device"
 	"reticle/internal/faults"
 	"reticle/internal/ir"
@@ -419,13 +420,15 @@ func TestGoldenStageKeys(t *testing.T) {
 // a recycled buffer instead of once per field into fresh ones — the only
 // allocation is the returned string.
 func TestStageKeyIsOneHashOfOneBuffer(t *testing.T) {
-	input, fp := tensordot(t).String(), familyConfig(t, "ultrascale").placeFingerprint()
+	input, cfg := tensordot(t).String(), familyConfig(t, "ultrascale")
+	cfg.MaxSolverSteps = 9
+	const fp = "device=xczu3eg;shrink=false;timingdriven=false;maxsteps=9"
 	sum := sha256.Sum256([]byte(StagePlace + "\x00" + input + "\x00" + fp))
-	if got, want := stageKey(StagePlace, input, fp), hex.EncodeToString(sum[:]); got != want {
-		t.Errorf("stageKey = %s, want %s", got, want)
+	if got, want := keyOf(cfg, keyPlace, StagePlace, input), hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("keyOf = %s, want %s", got, want)
 	}
-	if got := testing.AllocsPerRun(50, func() { stageKey(StagePlace, input, fp) }); got > 2 {
-		t.Errorf("stageKey: %v allocations per call, budget 2", got)
+	if got := testing.AllocsPerRun(50, func() { keyOf(cfg, keyPlace, StagePlace, input) }); got > 2 {
+		t.Errorf("keyOf: %v allocations per call, budget 2", got)
 	}
 }
 
@@ -439,60 +442,155 @@ func TestStoredKeysMatchExported(t *testing.T) {
 	}
 }
 
-// outputNeutral lists the Config fields that are deliberately in no
-// key. Every other field must move Fingerprint() and some row's
-// fingerprint or enabled predicate when flipped, so a new field fails
-// TestConfigFieldsAreKeyed until someone classifies it.
-var outputNeutral = map[string]string{
-	"Lib":           "derived deterministically from Target; Validate pins Lib.Target == Target",
-	"Cascades":      "derived deterministically from Target",
-	"SolverTimeout": "cannot change a non-degraded artifact, and degraded results are never stored or cached",
-	"HintCache":     "adoption is signature-checked and revalidated inside internal/place",
-	"StageCache":    "every payload is decoded and validated before use",
+// keyNames labels the keys of keyFields, in the order the generated
+// table in DESIGN.md lists them.
+var keyNames = []struct {
+	key  keySet
+	name string
+}{
+	{keyArtifact, "artifact + hint"},
+	{keySelect, StageSelect},
+	{keyCascade, StageCascade},
+	{keyPlace, StagePlace},
+	{keyOutput, StageOutput},
 }
 
-func TestConfigFieldsAreKeyed(t *testing.T) {
-	base := familyConfig(t, "ultrascale")
-	typ := reflect.TypeOf(Config{})
-	for name := range outputNeutral {
-		if _, ok := typ.FieldByName(name); !ok {
-			t.Errorf("allow-listed field %s no longer exists", name)
-		}
+// flip changes the named Config field to a value every row reading it
+// renders, or gates on, differently.
+func flip(t *testing.T, cfg *Config, field string) {
+	t.Helper()
+	switch x := reflect.ValueOf(cfg).Elem().FieldByName(field).Addr().Interface().(type) {
+	case *bool:
+		*x = !*x
+	case *int:
+		*x += 7
+	case **tdl.Target:
+		*x = agilex.Target()
+	case **device.Device:
+		*x = agilex.Device()
+	case *map[string]cascade.Variants:
+		*x = nil
+	default:
+		t.Errorf("Config.%s (%T): add a flip for this type", field, x)
 	}
-	rowKeys := func(cfg *Config) string {
-		var b strings.Builder
-		for i := range stageTable {
-			row := &stageTable[i]
-			fmt.Fprintf(&b, "%s %v %s\n", row.tag, row.enabled == nil || row.enabled(cfg), row.fingerprint(cfg))
+}
+
+// TestConfigFieldsAreKeyed derives the key-completeness check from
+// keyFields: every Config field is read by some row; a row in no key
+// carries its reason; and flipping a field a row reads moves every key
+// the row says observes it, and the run predicate of every stage row it
+// gates. (That no other key moves holds by construction: all keys are
+// rendered from the same rows.)
+func TestConfigFieldsAreKeyed(t *testing.T) {
+	typ := reflect.TypeOf(Config{})
+	read := map[string]bool{}
+	for i := range keyFields {
+		row := &keyFields[i]
+		read[row.reads] = true
+		if _, ok := typ.FieldByName(row.reads); !ok {
+			t.Errorf("row %d reads Config.%s, which does not exist", i, row.reads)
+			continue
 		}
-		return b.String()
+		values := 0
+		for _, set := range []bool{row.str != nil, row.num != nil, row.flag != nil} {
+			if set {
+				values++
+			}
+		}
+		switch {
+		case row.keys == 0 && row.why == "":
+			t.Errorf("Config.%s is in no key and its row gives no reason", row.reads)
+		case (row.keys == 0) != (row.name == ""), values != 0 != (row.keys|row.gates != 0), values > 1,
+			row.gates != 0 && row.flag == nil, row.omitZero && row.num == nil:
+			t.Errorf("row %d (Config.%s): a keyed row has a name and one value, a gating row a flag, omitZero a num", i, row.reads)
+		}
+		if row.keys|row.gates == 0 {
+			continue
+		}
+		base := familyConfig(t, "ultrascale")
+		flipped := *base
+		flip(t, &flipped, row.reads)
+		for _, k := range keyNames {
+			if row.keys&k.key != 0 && string(appendFingerprint(nil, base, k.key)) == string(appendFingerprint(nil, &flipped, k.key)) {
+				t.Errorf("flipping Config.%s does not move the %s key, which its row %q claims", row.reads, k.name, row.name)
+			}
+			if row.gates&k.key != 0 && runs(base, k.key) == runs(&flipped, k.key) {
+				t.Errorf("flipping Config.%s does not gate the %s row", row.reads, k.name)
+			}
+		}
 	}
 	for i := 0; i < typ.NumField(); i++ {
-		field := typ.Field(i)
-		if _, ok := outputNeutral[field.Name]; ok {
-			continue
+		if name := typ.Field(i).Name; !read[name] {
+			t.Errorf("Config.%s has no row in keyFields (keys.go): say which keys observe it, or why none does", name)
 		}
-		flipped := *base
-		v := reflect.ValueOf(&flipped).Elem().Field(i)
-		switch x := v.Addr().Interface().(type) {
-		case *bool:
-			*x = !*x
-		case *int:
-			*x += 7
-		case **tdl.Target:
-			*x = agilex.Target()
-		case **device.Device:
-			*x = agilex.Device()
-		default:
-			t.Errorf("Config.%s (%s): add a flip for this type, or allow-list the field with a reason", field.Name, field.Type)
-			continue
+	}
+}
+
+// keysTable renders keyFields as the table DESIGN.md §8 carries.
+func keysTable() string {
+	var b strings.Builder
+	b.WriteString("| field | reads |")
+	for _, k := range keyNames {
+		b.WriteString(" " + k.name + " |")
+	}
+	b.WriteString(" why no key needs it |\n|---|---|" + strings.Repeat("---|", len(keyNames)) + "---|\n")
+	for i := range keyFields {
+		row := &keyFields[i]
+		name := "—"
+		if row.keys != 0 {
+			name = "`" + row.name + "`"
 		}
-		if flipped.Fingerprint() == base.Fingerprint() {
-			t.Errorf("Config.%s does not change Fingerprint(): cached artifacts would go stale", field.Name)
+		if row.omitZero {
+			name += " (omitted at 0)"
 		}
-		if rowKeys(&flipped) == rowKeys(base) {
-			t.Errorf("Config.%s changes no stage row's fingerprint or enabled predicate: the stage memo would serve a wrong hit", field.Name)
+		fmt.Fprintf(&b, "| %s | `%s` |", name, row.reads)
+		for _, k := range keyNames {
+			switch {
+			case row.keys&k.key != 0:
+				b.WriteString(" ✓ |")
+			case row.gates&k.key != 0:
+				b.WriteString(" runs? |")
+			default:
+				b.WriteString("  |")
+			}
 		}
+		b.WriteString(" " + row.why + " |\n")
+	}
+	return b.String()
+}
+
+// TestKeysTableCurrent pins the "Keys" table of DESIGN.md §8 to
+// keyFields, so the document cannot drift from the code again:
+//
+//	go test -run TestKeysTableCurrent -update ./internal/pipeline/
+func TestKeysTableCurrent(t *testing.T) {
+	const (
+		begin = "<!-- generated by: go test -run TestKeysTableCurrent -update ./internal/pipeline/ -->\n"
+		end   = "<!-- end generated -->\n"
+	)
+	path := filepath.Join("..", "..", "DESIGN.md")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(data)
+	from := strings.Index(doc, begin)
+	if from < 0 {
+		t.Fatalf("DESIGN.md has no section %q", strings.TrimSpace(begin))
+	}
+	from += len(begin)
+	size := strings.Index(doc[from:], end)
+	if size < 0 {
+		t.Fatalf("DESIGN.md: keys table is not closed by %q", strings.TrimSpace(end))
+	}
+	if *update {
+		if err := os.WriteFile(path, []byte(doc[:from]+keysTable()+doc[from+size:]), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if got := doc[from : from+size]; got != keysTable() {
+		t.Errorf("DESIGN.md keys table is stale (rerun with -update); keyFields now renders\n%s", keysTable())
 	}
 }
 

@@ -14,13 +14,7 @@
 // rules that keep it one are the driver's (stages.go).
 package pipeline
 
-import (
-	"context"
-	"fmt"
-
-	"reticle/internal/asm"
-	"reticle/internal/ir"
-)
+import "context"
 
 // Stage names, as they appear in per-stage memo counters and the
 // service's /stats stage_cache section. Codegen and timing analysis are
@@ -46,86 +40,6 @@ type StageCache interface {
 	Lookup(ctx context.Context, stage, key string) ([]byte, bool)
 	// Store records a stage result. Implementations may drop it.
 	Store(ctx context.Context, stage, key string, payload []byte)
-}
-
-// selectFingerprint is the slice of the config that instruction
-// selection can observe: the target family (which subsumes the pattern
-// library — Validate pins Lib.Target == Target, and the library is
-// derived deterministically from the target description) and the
-// Greedy flag. Device, cascade, and placement options cannot change the
-// selected assembly, so they are deliberately absent: a bind/nocascade
-// variant shares the base variant's selection.
-func (cfg *Config) selectFingerprint() string {
-	return fmt.Sprintf("target=%s;greedy=%t", cfg.Target.Name, cfg.Greedy)
-}
-
-// cascadeFingerprint is what the layout optimizer can observe: the
-// target (which subsumes the cascade variant metadata) and the chain
-// bound, which is the device height. The stage is only consulted when
-// the pass actually runs, so NoCascade is not part of the key.
-func (cfg *Config) cascadeFingerprint() string {
-	return fmt.Sprintf("target=%s;maxchain=%d", cfg.Target.Name, cfg.Device.Height)
-}
-
-// placeFingerprint is what placement can observe: the device and the
-// option flags that change a solved layout. SolverTimeout is excluded
-// for the same reason it is excluded from Fingerprint: it cannot change
-// a non-degraded placement, and degraded placements are never stored,
-// so a memoized placement is byte-identical under any timeout.
-func (cfg *Config) placeFingerprint() string {
-	fp := fmt.Sprintf("device=%s;shrink=%t;timingdriven=%t",
-		cfg.Device.Name, cfg.Shrink, cfg.TimingDriven)
-	if cfg.MaxSolverSteps != 0 {
-		fp += fmt.Sprintf(";maxsteps=%d", cfg.MaxSolverSteps)
-	}
-	return fp
-}
-
-// outputFingerprint is what code generation and timing analysis can
-// observe: the target (codegen) and device (timing).
-func (cfg *Config) outputFingerprint() string {
-	return fmt.Sprintf("target=%s;device=%s", cfg.Target.Name, cfg.Device.Name)
-}
-
-// stageKey derives the memo key: SHA-256 over the stage tag, the
-// stage's exact input text, and the stage-relevant fingerprint slice,
-// NUL-separated. The input is the printed source (ir.Func.String for
-// selection, asm.Func.String downstream), not ir.CanonicalHash: the
-// canonical hash is alpha-invariant, but a memoized stage result embeds
-// identifier spellings, so serving it across alpha-renamed kernels
-// would break the byte-identity contract. Alpha-equivalent kernels
-// still coalesce one level up, in the artifact cache. Lowercase hex, so
-// the key doubles as an on-disk filename under DIR/stages.
-func stageKey(stage, input, fp string) string {
-	return ir.HexSum256(func(b []byte) []byte {
-		b = append(append(b, stage...), 0)
-		b = append(append(b, input...), 0)
-		return append(b, fp...)
-	})
-}
-
-// SelectKeyFor returns the selection-stage memo key for compiling f
-// under cfg. Exported for the key-stability golden tests.
-func SelectKeyFor(cfg *Config, f *ir.Func) string {
-	return stageKey(StageSelect, f.String(), cfg.selectFingerprint())
-}
-
-// CascadeKeyFor returns the cascade-stage memo key for the selected
-// assembly af under cfg.
-func CascadeKeyFor(cfg *Config, af *asm.Func) string {
-	return stageKey(StageCascade, af.String(), cfg.cascadeFingerprint())
-}
-
-// PlaceKeyFor returns the placement-stage memo key for the
-// layout-optimized assembly af under cfg.
-func PlaceKeyFor(cfg *Config, af *asm.Func) string {
-	return stageKey(StagePlace, af.String(), cfg.placeFingerprint())
-}
-
-// OutputKeyFor returns the fused codegen+timing memo key for the placed
-// assembly under cfg.
-func OutputKeyFor(cfg *Config, placed *asm.Func) string {
-	return stageKey(StageOutput, placed.String(), cfg.outputFingerprint())
 }
 
 // cascadeEntry is the cascade stage's memo payload: the optimized

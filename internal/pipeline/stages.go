@@ -68,27 +68,26 @@ type step struct {
 }
 
 // stage is one row: a memo boundary and the stages it covers. tag,
-// input (the exact text the row consumes) and fingerprint (the slice of
-// the config its output depends on) form the memo key. adopt decodes
-// and validates a payload and installs it as the row's result only if
+// input (the exact text the row consumes) and the rows of keyFields that
+// name key (keys.go: the slice of the config the row's output depends on,
+// and whether the row runs at all) form the memo key. adopt decodes and
+// validates a payload and installs it as the row's result only if
 // usable; false is a miss. payload encodes the result. A hit skips every
 // step's run — it counts len(steps) skipped stages — but no boundary.
 type stage struct {
-	tag         string
-	enabled     func(*Config) bool // nil: always
-	fingerprint func(*Config) string
-	input       func(*compilation) string
-	adopt       func(c *compilation, payload []byte) bool
-	payload     func(c *compilation) ([]byte, error)
-	steps       []step
+	tag     string
+	key     keySet
+	input   func(*compilation) string
+	adopt   func(c *compilation, payload []byte) bool
+	payload func(c *compilation) ([]byte, error)
+	steps   []step
 }
 
 var stageTable = [...]stage{{
-	tag:         StageSelect,
-	fingerprint: (*Config).selectFingerprint,
-	input:       func(c *compilation) string { return c.f.String() },
-	adopt:       func(c *compilation, payload []byte) bool { return c.asm.parse(string(payload)) },
-	payload:     func(c *compilation) ([]byte, error) { return []byte(c.asm.Text()), nil },
+	tag: StageSelect, key: keySelect,
+	input:   func(c *compilation) string { return c.f.String() },
+	adopt:   func(c *compilation, payload []byte) bool { return c.asm.parse(string(payload)) },
+	payload: func(c *compilation) ([]byte, error) { return []byte(c.asm.Text()), nil },
 	steps: []step{{
 		label: "selection", fault: FaultSelect,
 		slot: func(t *StageTimes) *time.Duration { return &t.Select },
@@ -102,10 +101,8 @@ var stageTable = [...]stage{{
 		},
 	}},
 }, {
-	tag:         StageCascade,
-	enabled:     func(cfg *Config) bool { return !cfg.NoCascade && len(cfg.Cascades) > 0 },
-	fingerprint: (*Config).cascadeFingerprint,
-	input:       func(c *compilation) string { return c.asm.Text() },
+	tag: StageCascade, key: keyCascade,
+	input: func(c *compilation) string { return c.asm.Text() },
 	adopt: func(c *compilation, payload []byte) bool {
 		var ce cascadeEntry
 		if json.Unmarshal(payload, &ce) != nil || !c.asm.parse(ce.Asm) {
@@ -134,9 +131,8 @@ var stageTable = [...]stage{{
 		},
 	}},
 }, {
-	tag:         StagePlace,
-	fingerprint: (*Config).placeFingerprint,
-	input:       func(c *compilation) string { return c.asm.Text() },
+	tag: StagePlace, key: keyPlace,
+	input: func(c *compilation) string { return c.asm.Text() },
 	// Whole-placement adoption: an exact key match means the problem
 	// (assembly + device + every output-relevant option) is one already
 	// solved, so the recorded layout is taken outright — no solver, no
@@ -161,9 +157,8 @@ var stageTable = [...]stage{{
 	// under (target, device), so they share one entry. Module stays nil
 	// on a hit — only in-process callers that wired a StageCache
 	// themselves can tell (the wire form carries rendered Verilog only).
-	tag:         StageOutput,
-	fingerprint: (*Config).outputFingerprint,
-	input:       func(c *compilation) string { return c.placed.Text() },
+	tag: StageOutput, key: keyOutput,
+	input: func(c *compilation) string { return c.placed.Text() },
 	adopt: func(c *compilation, payload []byte) bool {
 		var oe outputEntry
 		if json.Unmarshal(payload, &oe) != nil || oe.Verilog == "" {
@@ -267,7 +262,7 @@ func Compile(ctx context.Context, cfg *Config, f *ir.Func) (*Artifact, error) {
 	mark := t0
 	for i := range stageTable {
 		row := &stageTable[i]
-		if row.enabled != nil && !row.enabled(cfg) {
+		if !runs(cfg, row.key) {
 			continue
 		}
 		hit, key := false, ""
@@ -280,7 +275,7 @@ func Compile(ctx context.Context, cfg *Config, f *ir.Func) (*Artifact, error) {
 			if j == 0 && sc != nil {
 				// A payload the row cannot adopt is a miss; the store
 				// below then heals the entry.
-				key = stageKey(row.tag, row.input(c), row.fingerprint(cfg))
+				key = keyOf(cfg, row.key, row.tag, row.input(c))
 				payload, ok := sc.Lookup(ctx, row.tag, key)
 				hit = ok && row.adopt(c, payload)
 			}

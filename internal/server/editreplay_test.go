@@ -166,7 +166,7 @@ func TestEditReplay(t *testing.T) {
 
 	// Byte-identity: the hinted artifact must equal a cold compile of
 	// the same edited source on a server that has never seen anything.
-	fresh := newTestServer(t, reticle.ServerOptions{NoHintCache: true})
+	fresh := newTestServer(t, reticle.ServerOptions{})
 	ref := compileOK(t, fresh, tweaked)
 	if ref.Artifact.WarmStart != "" {
 		t.Fatalf("reference server used the hint cache: %q", ref.Artifact.WarmStart)

@@ -1,5 +1,11 @@
 package server
 
+import "reticle/internal/pipeline"
+
+// ArtifactJSONOf is what render marshals into the served artifact bytes,
+// for the equal-key property.
+func ArtifactJSONOf(art *pipeline.Artifact) ArtifactJSON { return artifactJSON(art) }
+
 // SetOnCompileStart installs the test hook invoked as a kernel enters
 // the pipeline, letting the drain suite synchronize Shutdown with an
 // in-flight compile. Install before traffic, and restore nil after.

@@ -101,18 +101,10 @@ type Options struct {
 	DiskDir string
 	// DiskMaxBytes bounds the disk cache; <=0 means cache.DefaultDiskBytes.
 	DiskMaxBytes int64
-	// NoHintCache runs without the placement hint store: every compile
-	// solves cold. It exists as the reference side of TestEditReplay*; no
-	// binary sets it.
-	NoHintCache bool
 	// MaxExploreVariants caps the per-request /explore max_variants
 	// (requests past the cap are clamped); <=0 means
 	// explore.HardMaxVariants.
 	MaxExploreVariants int
-	// NoStageCache runs without the per-stage compilation memo: every
-	// artifact-cache miss recomputes all five stages. It exists as the
-	// reference side of TestStageCache*; no binary sets it.
-	NoStageCache bool
 }
 
 // Server serves compile requests over shared read-only pipeline configs,
@@ -126,8 +118,8 @@ type Server struct {
 	opts   Options
 	cache  *cache.Store[cachedArtifact]
 	texts  *cache.Cache[textEntry]
-	hints  *hintcache.Store  // placement hint store; nil when disabled
-	stagec *stagecache.Store // per-stage compilation memo; nil when disabled
+	hints  *hintcache.Store  // placement hint store
+	stagec *stagecache.Store // per-stage compilation memo
 	mux    *http.ServeMux
 	hs     *http.Server
 	start  time.Time
@@ -269,39 +261,26 @@ func New(opts Options, configs map[string]*pipeline.Config) (*Server, error) {
 	// The memo stores persist in subdirectories of the artifact disk root:
 	// OpenDisk skips directories when indexing, so the three namespaces
 	// share one -disk tree without colliding.
-	switch {
-	case opts.NoHintCache:
-	case opts.DiskDir == "":
-		s.hints = hintcache.New(0)
-	default:
+	if opts.DiskDir == "" {
+		s.hints, s.stagec = hintcache.New(0), stagecache.New(0)
+	} else {
 		if s.hints, err = hintcache.Open(filepath.Join(opts.DiskDir, "hints"), opts.DiskMaxBytes); err != nil {
 			return nil, fmt.Errorf("server: hint cache disk: %w", err)
 		}
-	}
-	switch {
-	case opts.NoStageCache:
-	case opts.DiskDir == "":
-		s.stagec = stagecache.New(0)
-	default:
 		if s.stagec, err = stagecache.Open(filepath.Join(opts.DiskDir, "stages"), opts.DiskMaxBytes); err != nil {
 			return nil, fmt.Errorf("server: stage cache disk: %w", err)
 		}
 	}
 	// Both memos ride inside the pipeline config, so clone each family
-	// config rather than mutate the caller's. Fingerprint ignores
-	// HintCache and StageCache (adoption cannot change output), so every
-	// artifact cache key is identical with or without them — and one
-	// shared store per server means /explore variants and /batch kernels
-	// fork off each other's stages.
+	// config rather than mutate the caller's. No key observes HintCache
+	// or StageCache (adoption cannot change output), so every artifact
+	// cache key is identical with or without them — and one shared store
+	// per server means /explore variants and /batch kernels fork off each
+	// other's stages.
 	wired := make(map[string]*pipeline.Config, len(configs))
 	for name, cfg := range configs {
 		cc := *cfg
-		if s.hints != nil {
-			cc.HintCache = s.hints
-		}
-		if s.stagec != nil {
-			cc.StageCache = s.stagec
-		}
+		cc.HintCache, cc.StageCache = s.hints, s.stagec
 		wired[name] = &cc
 	}
 	if s.FamilySet, err = NewFamilySet(wired, opts.DefaultFamily); err != nil {
@@ -643,16 +622,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st := s.stages
 	ps := s.place
 	s.stageMu.Unlock()
-	var hints *HintCacheStatsJSON
-	if s.hints != nil {
-		hj := s.hints.Stats()
-		hints = &hj
-	}
-	var stagec *StageCacheStatsJSON
-	if s.stagec != nil {
-		sj := stageCacheJSON(s.stagec.Stats(), s.stageSkips.Load())
-		stagec = &sj
-	}
+	hints := s.hints.Stats()
+	stagec := stageCacheJSON(s.stagec.Stats(), s.stageSkips.Load())
 	WriteJSON(w, http.StatusOK, StatsResponse{
 		Requests:        s.requests.Load(),
 		Kernels:         s.kernels.Load(),
@@ -673,8 +644,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Disk:       s.cache.DiskStats(),
 		Stages:     stageJSON(st),
 		Place:      placeJSON(ps),
-		HintCache:  hints,
-		StageCache: stagec,
+		HintCache:  &hints,
+		StageCache: &stagec,
 		Mem:        MemStatsJSONNow(),
 		Explore: ExploreTotalsJSON{
 			Sweeps:           s.exploreSweeps.Load(),

@@ -154,8 +154,8 @@ func TestStageCacheDiskCorruptionTransparent(t *testing.T) {
 }
 
 // TestStageCacheStatsSection pins the /stats wire shape: the section is
-// present by default, absent with NoStageCache, and a repeat jobs:1
-// sweep drives stages_skipped and per-stage hits above zero.
+// present, and a repeat jobs:1 sweep drives stages_skipped and per-stage
+// hits above zero.
 func TestStageCacheStatsSection(t *testing.T) {
 	s := newTestServer(t, reticle.ServerOptions{})
 	exploreSweep(t, s, nil)
@@ -195,18 +195,6 @@ func TestStageCacheStatsSection(t *testing.T) {
 	}
 	if st.Mem.HeapAllocBytes == 0 || st.Mem.Goroutines == 0 {
 		t.Errorf("degenerate mem snapshot: %+v", st.Mem)
-	}
-
-	off := newTestServer(t, reticle.ServerOptions{NoStageCache: true})
-	exploreSweep(t, off, nil)
-	w = httptest.NewRecorder()
-	off.ServeHTTP(w, httptest.NewRequest("GET", "/stats", nil))
-	var offRaw map[string]json.RawMessage
-	if err := json.Unmarshal(w.Body.Bytes(), &offRaw); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := offRaw["stage_cache"]; ok {
-		t.Error("NoStageCache server still reports a stage_cache section")
 	}
 }
 

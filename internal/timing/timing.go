@@ -14,11 +14,11 @@ package timing
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"reticle/internal/asm"
 	"reticle/internal/device"
-	"reticle/internal/ir"
 	"reticle/internal/tdl"
 )
 
@@ -64,7 +64,9 @@ func (r Report) String() string {
 		r.CriticalNs, r.FMaxMHz, strings.Join(r.Path, " -> "))
 }
 
-// Analyze computes the critical path of a placed assembly function.
+// Analyze computes the critical path of a placed assembly function: it
+// lays the body out as the node slice Arrivals walks — one node per
+// instruction, found by destination name — and names the worst path.
 func Analyze(f *asm.Func, target *tdl.Target, dev *device.Device, opts Options) (Report, error) {
 	if opts.UnitNs == 0 {
 		opts = DefaultOptions()
@@ -75,235 +77,62 @@ func Analyze(f *asm.Func, target *tdl.Target, dev *device.Device, opts Options) 
 	if !f.Resolved() {
 		return Report{}, fmt.Errorf("timing: function %s has unresolved locations", f.Name)
 	}
-	a := &analyzer{
-		f: f, target: target, dev: dev, opts: opts,
-		byDest:  make(map[string]int),
-		arrival: make(map[string]float64),
-		pred:    make(map[string]string),
-		state:   make(map[string]uint8),
+	// Node i is instruction i; the input ports follow, as wires from
+	// nowhere, so that a path can name the port it starts at.
+	nodes := make([]Node, len(f.Body)+len(f.Inputs))
+	index := make(map[string]int, len(nodes))
+	nargs := 0
+	for i := range f.Body {
+		index[f.Body[i].Dest] = i
+		nargs += len(f.Body[i].Args)
 	}
-	for i, in := range f.Body {
-		a.byDest[in.Dest] = i
+	for i, p := range f.Inputs {
+		index[p.Name] = len(f.Body) + i
+		nodes[len(f.Body)+i] = Node{Name: p.Name, Kind: Wire}
 	}
-	return a.run()
-}
-
-type analyzer struct {
-	f      *asm.Func
-	target *tdl.Target
-	dev    *device.Device
-	opts   Options
-
-	byDest  map[string]int
-	arrival map[string]float64 // output-arrival time of each value
-	pred    map[string]string  // critical predecessor for path reconstruction
-	state   map[string]uint8   // 0 new, 1 visiting, 2 done
-}
-
-func (a *analyzer) run() (Report, error) {
-	var rep Report
-	worst := 0.0
-	var worstEnd string
-
-	consider := func(ns float64, end string) {
-		if ns > worst {
-			worst = ns
-			worstEnd = end
-		}
-	}
-
-	// Paths ending at register inputs.
-	for _, in := range a.f.Body {
-		if in.IsWire() {
-			continue
-		}
-		def, _ := a.target.Lookup(in.Name)
-		if !def.Stateful() {
-			continue
-		}
-		at, err := a.inputArrival(in)
-		if err != nil {
-			return rep, err
-		}
-		consider(at+a.logicNs(def)+a.opts.SetupNs, in.Dest)
-	}
-	// Paths ending at output ports.
-	for _, p := range a.f.Outputs {
-		at, err := a.valueArrival(p.Name)
-		if err != nil {
-			return rep, err
-		}
-		consider(at, p.Name)
-	}
-	if worst <= 0 {
-		worst = a.opts.ClkToQNs + a.opts.SetupNs // pure wiring design
-	}
-	rep.CriticalNs = worst
-	rep.FMaxMHz = 1000.0 / worst
-	// Reconstruct the path. Predecessor links can cross a register back
-	// into its own input cone (feedback designs), so stop on revisits.
-	visited := make(map[string]bool)
-	for at := worstEnd; at != "" && !visited[at]; at = a.pred[at] {
-		visited[at] = true
-		rep.Path = append(rep.Path, at)
-	}
-	for i, j := 0, len(rep.Path)-1; i < j; i, j = i+1, j-1 {
-		rep.Path[i], rep.Path[j] = rep.Path[j], rep.Path[i]
-	}
-	return rep, nil
-}
-
-// valueArrival returns when the named value is stable after a clock edge.
-func (a *analyzer) valueArrival(name string) (float64, error) {
-	if at, done := a.arrival[name]; done && a.state[name] == 2 {
-		return at, nil
-	}
-	i, ok := a.byDest[name]
-	if !ok {
-		return 0, nil // function input: registered at the boundary
-	}
-	if a.state[name] == 1 {
-		return 0, fmt.Errorf("timing: combinational cycle through %s", name)
-	}
-	a.state[name] = 1
-	in := a.f.Body[i]
-
-	var at float64
-	var err error
-	if in.IsWire() {
-		// Wire instructions are pure routing: they inherit the worst input
-		// arrival and defer the route cost to their consumer.
-		at, err = a.maxArgArrival(in, false)
-		if err != nil {
-			return 0, err
-		}
-	} else {
-		def, _ := a.target.Lookup(in.Name)
-		if def.Stateful() {
-			at = a.opts.ClkToQNs // output comes straight from the register
-		} else {
-			at, err = a.inputArrival(in)
-			if err != nil {
-				return 0, err
+	args := make([]Arg, 0, nargs)
+	for i := range f.Body {
+		in, n, wire := &f.Body[i], &nodes[i], f.Body[i].IsWire()
+		n.Name = in.Dest
+		// The §5.2 idiom after placement: a _co/_coci producer directly
+		// below the _ci/_coci consumer it feeds, in the same column.
+		readsCi := !wire && (strings.HasSuffix(in.Name, "_ci") || strings.HasSuffix(in.Name, "_coci"))
+		for _, a := range in.Args {
+			from := index[a] // defined: checked by CheckTarget
+			cascade := false
+			if readsCi && from < len(f.Body) && !f.Body[from].IsWire() {
+				p := &f.Body[from]
+				cascade = (strings.HasSuffix(p.Name, "_co") || strings.HasSuffix(p.Name, "_coci")) &&
+					p.Loc.Prim == in.Loc.Prim && p.Loc.X.Off == in.Loc.X.Off && in.Loc.Y.Off == p.Loc.Y.Off+1
 			}
-			at += a.logicNs(def)
+			args = append(args, Arg{Node: from, Cascade: cascade})
 		}
-	}
-	a.arrival[name] = at
-	a.state[name] = 2
-	return at, nil
-}
-
-// inputArrival is the worst arrival over an instruction's arguments plus
-// route delays into it.
-func (a *analyzer) inputArrival(in asm.Instr) (float64, error) {
-	return a.maxArgArrival(in, true)
-}
-
-func (a *analyzer) maxArgArrival(in asm.Instr, withRoute bool) (float64, error) {
-	worst := 0.0
-	var worstArg string
-	for _, arg := range in.Args {
-		at, err := a.valueArrival(arg)
-		if err != nil {
-			return 0, err
+		n.Args = args[len(args)-len(in.Args) : len(args) : len(args)]
+		if wire {
+			n.Kind = Wire
+			continue
 		}
-		if withRoute {
-			at += a.routeNs(arg, in)
+		def, _ := target.Lookup(in.Name) // existence checked by CheckTarget
+		if def.Stateful() {
+			n.Kind = Register
 		}
-		if at >= worst {
-			worst = at
-			worstArg = arg
-		}
+		n.DelayNs = float64(def.Latency) * opts.UnitNs
+		n.Site = Site{Prim: in.Loc.Prim, X: int(in.Loc.X.Off), Y: int(in.Loc.Y.Off)}
 	}
-	if worstArg != "" {
-		a.pred[in.Dest] = worstArg
+	outputs := make([]int, len(f.Outputs))
+	for i, p := range f.Outputs {
+		outputs[i] = index[p.Name]
 	}
-	return worst, nil
-}
-
-func (a *analyzer) logicNs(def *tdl.Def) float64 {
-	return float64(def.Latency) * a.opts.UnitNs
-}
-
-// routeNs models the net from the producer of value arg to instruction in.
-func (a *analyzer) routeNs(arg string, in asm.Instr) float64 {
-	pu, okU := a.effectiveLoc(arg)
-	pv, okV := a.instrLoc(in)
-	if !okU || !okV {
-		return a.opts.RouteBaseNs
+	res, err := Arrivals(nodes, outputs, dev, opts)
+	if err != nil {
+		return Report{}, fmt.Errorf("timing: %w", err)
 	}
-	// Dedicated cascade route: producer drives CO, consumer reads CI, and
-	// they sit in adjacent rows of the same column.
-	if okU && okV && a.isCascadePair(arg, in, pu, pv) {
-		return a.opts.CascadeNs
+	rep := Report{CriticalNs: res.WorstNs, FMaxMHz: 1000.0 / res.WorstNs}
+	seen := make([]bool, len(nodes))
+	for i := res.End; i >= 0 && !seen[i]; i = res.Pred[i] {
+		seen[i] = true
+		rep.Path = append(rep.Path, nodes[i].Name)
 	}
-	gxU, errU := a.dev.GlobalX(pu.prim, pu.x)
-	gxV, errV := a.dev.GlobalX(pv.prim, pv.x)
-	if errU != nil || errV != nil {
-		return a.opts.RouteBaseNs
-	}
-	dist := abs(gxU-gxV) + abs(pu.y-pv.y)
-	return a.opts.RouteBaseNs + float64(dist)*a.opts.RoutePerHopNs
-}
-
-type loc struct {
-	prim ir.Resource
-	x, y int
-}
-
-// effectiveLoc finds where a value physically originates: its producing
-// instruction's slice, looking through wire instructions.
-func (a *analyzer) effectiveLoc(name string) (loc, bool) {
-	seen := 0
-	for {
-		i, ok := a.byDest[name]
-		if !ok {
-			return loc{}, false // input port
-		}
-		in := a.f.Body[i]
-		if !in.IsWire() {
-			return a.instrLoc(in)
-		}
-		if len(in.Args) == 0 {
-			return loc{}, false // const
-		}
-		name = in.Args[0]
-		if seen++; seen > len(a.f.Body) {
-			return loc{}, false
-		}
-	}
-}
-
-func (a *analyzer) instrLoc(in asm.Instr) (loc, bool) {
-	if in.IsWire() || !in.Loc.Resolved() {
-		return loc{}, false
-	}
-	return loc{prim: in.Loc.Prim, x: int(in.Loc.X.Off), y: int(in.Loc.Y.Off)}, true
-}
-
-// isCascadePair recognizes the §5.2 idiom after placement: _co/_coci
-// producer directly below a _ci/_coci consumer in the same column.
-func (a *analyzer) isCascadePair(arg string, in asm.Instr, pu, pv loc) bool {
-	i, ok := a.byDest[arg]
-	if !ok {
-		return false
-	}
-	prod := a.f.Body[i]
-	if prod.IsWire() || in.IsWire() {
-		return false
-	}
-	drivesCo := strings.HasSuffix(prod.Name, "_co") || strings.HasSuffix(prod.Name, "_coci")
-	readsCi := strings.HasSuffix(in.Name, "_ci") || strings.HasSuffix(in.Name, "_coci")
-	if !drivesCo || !readsCi {
-		return false
-	}
-	return pu.prim == pv.prim && pu.x == pv.x && pv.y == pu.y+1
-}
-
-func abs(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
+	slices.Reverse(rep.Path)
+	return rep, nil
 }

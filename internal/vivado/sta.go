@@ -7,134 +7,37 @@ import (
 	"reticle/internal/timing"
 )
 
-// AnalyzeNetlist computes the placed netlist's critical path with the same
-// delay model (and constants) as the Reticle side, so run-time comparisons
-// between the two toolchains measure design quality, not model skew.
+// AnalyzeNetlist computes the placed netlist's critical path with the
+// Reticle side's own walker (timing.Arrivals), so run-time comparisons
+// between the two toolchains measure design quality, not model skew. A
+// node is a cell, found by id; its slice comes from its placement slot;
+// a net is a cascade route when it starts at the cell's CascadeWith.
 func AnalyzeNetlist(net *Netlist, dev *device.Device, opts timing.Options) (float64, error) {
 	if opts.UnitNs == 0 {
 		opts = timing.DefaultOptions()
 	}
-	a := &netSTA{net: net, dev: dev, opts: opts,
-		arrival: make([]float64, len(net.Cells)),
-		state:   make([]uint8, len(net.Cells)),
-	}
-	worst := 0.0
-	for _, c := range net.LiveCells() {
-		if !c.Stateful {
-			continue
+	nodes := make([]timing.Node, len(net.Cells))
+	for i, c := range net.Cells {
+		n := &nodes[i]
+		n.Name, n.DelayNs = c.Name, c.DelayNs
+		switch {
+		case c.Stateful:
+			n.Kind = timing.Register
+		case c.Kind == CellWire:
+			n.Kind = timing.Wire
 		}
-		at, err := a.inputArrival(c)
-		if err != nil {
-			return 0, err
+		if c.Kind != CellWire {
+			x, y := dev.SliceCoords(c.Slot)
+			n.Site = timing.Site{Prim: c.Prim, X: x, Y: y}
 		}
-		at += c.DelayNs + opts.SetupNs
-		if at > worst {
-			worst = at
-		}
-	}
-	for _, o := range net.Outputs {
-		at, err := a.valueArrival(o)
-		if err != nil {
-			return 0, err
-		}
-		if at > worst {
-			worst = at
+		n.Args = make([]timing.Arg, len(c.Args))
+		for k, a := range c.Args {
+			n.Args[k] = timing.Arg{Node: a, Cascade: a >= 0 && c.CascadeWith >= 0 && resolveWire(net, a) == c.CascadeWith}
 		}
 	}
-	if worst <= 0 {
-		worst = opts.ClkToQNs + opts.SetupNs
+	res, err := timing.Arrivals(nodes, net.Outputs, dev, opts)
+	if err != nil {
+		return 0, fmt.Errorf("vivado: %w", err)
 	}
-	return worst, nil
-}
-
-type netSTA struct {
-	net     *Netlist
-	dev     *device.Device
-	opts    timing.Options
-	arrival []float64
-	state   []uint8 // 0 new, 1 visiting, 2 done
-}
-
-func (a *netSTA) valueArrival(id int) (float64, error) {
-	if id < 0 {
-		return 0, nil // input port, registered at the boundary
-	}
-	c := a.net.Cells[id]
-	switch a.state[id] {
-	case 2:
-		return a.arrival[id], nil
-	case 1:
-		return 0, fmt.Errorf("vivado: combinational cycle through %s", c.Name)
-	}
-	a.state[id] = 1
-	var at float64
-	var err error
-	switch {
-	case c.Stateful:
-		at = a.opts.ClkToQNs
-	case c.Kind == CellWire:
-		for _, arg := range c.Args {
-			v, err := a.valueArrival(arg)
-			if err != nil {
-				return 0, err
-			}
-			if v > at {
-				at = v
-			}
-		}
-	default:
-		at, err = a.inputArrival(c)
-		if err != nil {
-			return 0, err
-		}
-		at += c.DelayNs
-	}
-	a.arrival[id] = at
-	a.state[id] = 2
-	return at, nil
-}
-
-func (a *netSTA) inputArrival(c *Cell) (float64, error) {
-	worst := 0.0
-	for _, arg := range c.Args {
-		at, err := a.valueArrival(arg)
-		if err != nil {
-			return 0, err
-		}
-		at += a.routeNs(arg, c)
-		if at > worst {
-			worst = at
-		}
-	}
-	return worst, nil
-}
-
-func (a *netSTA) routeNs(arg int, c *Cell) float64 {
-	if arg < 0 {
-		return a.opts.RouteBaseNs
-	}
-	pid := resolveWire(a.net, arg)
-	p := a.net.Cells[pid]
-	if p.Kind == CellWire {
-		return a.opts.RouteBaseNs
-	}
-	if c.CascadeWith == pid {
-		return a.opts.CascadeNs
-	}
-	px, py := a.dev.SliceCoords(p.Slot)
-	cx, cy := a.dev.SliceCoords(c.Slot)
-	gp, errP := a.dev.GlobalX(p.Prim, px)
-	gc, errC := a.dev.GlobalX(c.Prim, cx)
-	if errP != nil || errC != nil {
-		return a.opts.RouteBaseNs
-	}
-	dist := iabs(gp-gc) + iabs(py-cy)
-	return a.opts.RouteBaseNs + float64(dist)*a.opts.RoutePerHopNs
-}
-
-func iabs(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
+	return res.WorstNs, nil
 }

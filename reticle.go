@@ -23,7 +23,6 @@ package reticle
 
 import (
 	"context"
-	"sync"
 	"time"
 
 	"reticle/internal/asm"
@@ -355,30 +354,6 @@ func (c *Compiler) CompileCached(ctx context.Context, ca *CompileCache, f *Func)
 	return ca.GetOrComputeKeep(ctx, key, func() (*Artifact, error) {
 		return pipeline.Compile(ctx, &c.cfg, f)
 	}, func(a *Artifact) bool { return a == nil || !a.Degraded })
-}
-
-// defaultCached backs the package-level CompileCached convenience entry
-// point: one UltraScale-like compiler and one default-sized cache,
-// built on first use.
-var defaultCached struct {
-	once sync.Once
-	c    *Compiler
-	ca   *CompileCache
-	err  error
-}
-
-// CompileCached compiles f with the default (UltraScale-like) compiler
-// through a process-wide default cache. See Compiler.CompileCached.
-func CompileCached(ctx context.Context, f *Func) (*Artifact, bool, error) {
-	d := &defaultCached
-	d.once.Do(func() {
-		d.c, d.err = NewCompiler()
-		d.ca = NewCompileCache(0)
-	})
-	if d.err != nil {
-		return nil, false, d.err
-	}
-	return d.c.CompileCached(ctx, d.ca, f)
 }
 
 // Design-space exploration, re-exported from internal/explore.

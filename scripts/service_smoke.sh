@@ -114,6 +114,9 @@ until curl -fsS "$base/healthz" >/dev/null 2>&1; do
     sleep 0.2
 done
 
+grep -q 'RETICLE_FAULTS armed: server/admission$' "$tmp/serve.log" \
+    || fail "no startup line for the armed fault point"
+
 curl -sS -D "$tmp/shed.hdr" -o "$tmp/shed.json" -X POST \
     --data-binary @"$tmp/req.json" "$base/compile" || fail "shed probe request failed"
 grep -q '429' "$tmp/shed.hdr" || fail "shed probe status: $(head -1 "$tmp/shed.hdr")"
@@ -130,6 +133,31 @@ grep -q '"cache":"miss"' "$tmp/after.json" || fail "post-shed compile: $(cat "$t
 kill -TERM "$pid"
 wait "$pid" || fail "load-shed server did not drain cleanly on SIGTERM"
 pid=""
+
+# Mistyped drills: a bad class disables env injection and an unknown
+# point arms nothing that fires. Neither is fatal (chaos tooling must not
+# take a server down by typo), so each must say so in one startup line —
+# otherwise the drill "passes" by injecting nothing.
+for probe in \
+    'server/admission=exhuasted|RETICLE_FAULTS ignored: .*unknown class "exhuasted"' \
+    'server/admision=exhausted|will never fire: server/admision$'; do
+    RETICLE_FAULTS="${probe%%|*}" \
+        "$tmp/reticle-serve" -addr "127.0.0.1:$port" -max-inflight 1 >"$tmp/serve.log" 2>&1 &
+    pid=$!
+    i=0
+    until curl -fsS "$base/healthz" >/dev/null 2>&1; do
+        i=$((i + 1))
+        [ "$i" -ge 50 ] && fail "server with RETICLE_FAULTS='${probe%%|*}' did not come up on $base"
+        kill -0 "$pid" 2>/dev/null || fail "server with RETICLE_FAULTS='${probe%%|*}' exited early"
+        sleep 0.2
+    done
+    grep -q "${probe#*|}" "$tmp/serve.log" || fail "no startup line matching '${probe#*|}'"
+    curl -fsS -X POST --data-binary @"$tmp/req.json" "$base/compile" >/dev/null \
+        || fail "RETICLE_FAULTS='${probe%%|*}' injected a fault"
+    kill -TERM "$pid"
+    wait "$pid" || fail "server did not drain cleanly on SIGTERM"
+    pid=""
+done
 
 # Self-healing probe: fill a disk cache, corrupt the artifact on disk
 # (flip one byte — a torn write, a failing sector), and restart over
@@ -188,4 +216,4 @@ kill -TERM "$pid"
 wait "$pid" || fail "scrub server did not drain cleanly on SIGTERM"
 pid=""
 
-echo "service_smoke: OK (miss -> hit, identical artifact, 429 load shed, corrupt entry quarantined + healed, clean drain)"
+echo "service_smoke: OK (miss -> hit, identical artifact, 429 load shed, fault-spec startup lines, corrupt entry quarantined + healed, clean drain)"
