@@ -48,21 +48,14 @@ type Node struct {
 	DelayNs float64
 	Args    []Arg
 	Site    Site
-}
+	// Pred is set by Arrivals: the node the worst path into this one
+	// arrives from, or -1 where it starts — here, or at a function input.
+	// Links can cross a register back into its own input cone (feedback),
+	// so a walk along them stops at the first node it meets twice.
+	Pred int
 
-// Arrival is the result of Arrivals.
-type Arrival struct {
-	// WorstNs is the critical path: the latest a register input or an
-	// output port settles after a clock edge.
-	WorstNs float64
-	// End is the node the critical path ends at, or -1 for a design whose
-	// every path is pure wiring.
-	End int
-	// Pred[i] is the node the worst path into node i arrives from, or -1
-	// where it starts: at i itself, or at a function input. Links can
-	// cross a register back into its own input cone (feedback), so a walk
-	// along them stops at the first node it meets twice.
-	Pred []int
+	at    float64 // set by Arrivals: when the output is stable after a clock edge
+	state uint8   // 0 new, 1 visiting, 2 done
 }
 
 // CycleError reports a combinational cycle: a path from the named node
@@ -75,21 +68,19 @@ func (e *CycleError) Error() string { return "combinational cycle through " + e.
 // Analyze feeds it placed Reticle assembly and vivado.AnalyzeNetlist the
 // baseline's placed netlist, so the two run times can differ in design
 // quality only. Paths start at function inputs and register outputs and
-// end at register inputs and at the nodes listed in outputs.
-func Arrivals(nodes []Node, outputs []int, dev *device.Device, opts Options) (Arrival, error) {
-	w := walk{
-		nodes: nodes, dev: dev, opts: opts,
-		at:    make([]float64, len(nodes)),
-		state: make([]uint8, len(nodes)),
-		pred:  make([]int, len(nodes)),
+// end at register inputs and at the nodes listed in outputs. It returns
+// the critical path — the latest any path end settles after a clock edge —
+// and the node it ends at, -1 for a design whose every path is pure
+// wiring; the path itself is left in the nodes' Pred links.
+func Arrivals(nodes []Node, outputs []int, dev *device.Device, opts Options) (worstNs float64, end int, err error) {
+	w := walk{nodes, dev, opts}
+	for i := range nodes {
+		nodes[i].Pred, nodes[i].state = -1, 0
 	}
-	for i := range w.pred {
-		w.pred[i] = -1
-	}
-	res := Arrival{End: -1, Pred: w.pred}
-	consider := func(ns float64, end int) {
-		if ns > res.WorstNs {
-			res.WorstNs, res.End = ns, end
+	end = -1
+	consider := func(ns float64, at int) {
+		if ns > worstNs {
+			worstNs, end = ns, at
 		}
 	}
 	for i := range nodes {
@@ -98,45 +89,41 @@ func Arrivals(nodes []Node, outputs []int, dev *device.Device, opts Options) (Ar
 		}
 		at, err := w.worstArg(i, true)
 		if err != nil {
-			return Arrival{}, err
+			return 0, -1, err
 		}
 		consider(at+nodes[i].DelayNs+opts.SetupNs, i)
 	}
 	for _, o := range outputs {
 		at, err := w.value(o)
 		if err != nil {
-			return Arrival{}, err
+			return 0, -1, err
 		}
 		consider(at, o)
 	}
-	if res.WorstNs <= 0 {
-		res.WorstNs = opts.ClkToQNs + opts.SetupNs // pure wiring design
+	if worstNs <= 0 {
+		worstNs = opts.ClkToQNs + opts.SetupNs // pure wiring design
 	}
-	return res, nil
+	return worstNs, end, nil
 }
 
 type walk struct {
 	nodes []Node
 	dev   *device.Device
 	opts  Options
-
-	at    []float64 // when each node's output is stable after a clock edge
-	state []uint8   // 0 new, 1 visiting, 2 done
-	pred  []int
 }
 
 func (w *walk) value(i int) (float64, error) {
 	if i < 0 {
 		return 0, nil
 	}
-	switch w.state[i] {
-	case 2:
-		return w.at[i], nil
-	case 1:
-		return 0, &CycleError{Name: w.nodes[i].Name}
-	}
-	w.state[i] = 1
 	n := &w.nodes[i]
+	switch n.state {
+	case 2:
+		return n.at, nil
+	case 1:
+		return 0, &CycleError{Name: n.Name}
+	}
+	n.state = 1
 	at := w.opts.ClkToQNs
 	if n.Kind != Register {
 		var err error
@@ -147,7 +134,7 @@ func (w *walk) value(i int) (float64, error) {
 			at += n.DelayNs
 		}
 	}
-	w.at[i], w.state[i] = at, 2
+	n.at, n.state = at, 2
 	return at, nil
 }
 
@@ -165,7 +152,7 @@ func (w *walk) worstArg(i int, routed bool) (float64, error) {
 			at += w.routeNs(a, &w.nodes[i])
 		}
 		if at >= worst {
-			worst, w.pred[i] = at, a.Node
+			worst, w.nodes[i].Pred = at, a.Node
 		}
 	}
 	return worst, nil

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 
 	"reticle/internal/asm"
 	"reticle/internal/device"
@@ -64,6 +65,19 @@ func (r Report) String() string {
 		r.CriticalNs, r.FMaxMHz, strings.Join(r.Path, " -> "))
 }
 
+// tables recycles Analyze's name index, nodes and nets: timing-driven
+// refinement runs it about a hundred times per compile.
+var tables = sync.Pool{New: func() any { return &table{index: map[string]int{}} }}
+
+type table struct {
+	index map[string]int
+	nodes []Node
+	args  []Arg
+}
+
+// onPath extends Node.state: already on the path being reported.
+const onPath = 3
+
 // Analyze computes the critical path of a placed assembly function: it
 // lays the body out as the node slice Arrivals walks — one node per
 // instruction, found by destination name — and names the worst path.
@@ -79,18 +93,19 @@ func Analyze(f *asm.Func, target *tdl.Target, dev *device.Device, opts Options) 
 	}
 	// Node i is instruction i; the input ports follow, as wires from
 	// nowhere, so that a path can name the port it starts at.
-	nodes := make([]Node, len(f.Body)+len(f.Inputs))
-	index := make(map[string]int, len(nodes))
-	nargs := 0
+	t := tables.Get().(*table)
+	defer tables.Put(t)
+	clear(t.index)
+	nodes := slices.Grow(t.nodes[:0], len(f.Body)+len(f.Inputs))[:len(f.Body)+len(f.Inputs)]
+	clear(nodes)
+	args := t.args[:0]
 	for i := range f.Body {
-		index[f.Body[i].Dest] = i
-		nargs += len(f.Body[i].Args)
+		t.index[f.Body[i].Dest] = i
 	}
 	for i, p := range f.Inputs {
-		index[p.Name] = len(f.Body) + i
+		t.index[p.Name] = len(f.Body) + i
 		nodes[len(f.Body)+i] = Node{Name: p.Name, Kind: Wire}
 	}
-	args := make([]Arg, 0, nargs)
 	for i := range f.Body {
 		in, n, wire := &f.Body[i], &nodes[i], f.Body[i].IsWire()
 		n.Name = in.Dest
@@ -98,7 +113,7 @@ func Analyze(f *asm.Func, target *tdl.Target, dev *device.Device, opts Options) 
 		// below the _ci/_coci consumer it feeds, in the same column.
 		readsCi := !wire && (strings.HasSuffix(in.Name, "_ci") || strings.HasSuffix(in.Name, "_coci"))
 		for _, a := range in.Args {
-			from := index[a] // defined: checked by CheckTarget
+			from := t.index[a] // defined: checked by CheckTarget
 			cascade := false
 			if readsCi && from < len(f.Body) && !f.Body[from].IsWire() {
 				p := &f.Body[from]
@@ -107,7 +122,6 @@ func Analyze(f *asm.Func, target *tdl.Target, dev *device.Device, opts Options) 
 			}
 			args = append(args, Arg{Node: from, Cascade: cascade})
 		}
-		n.Args = args[len(args)-len(in.Args) : len(args) : len(args)]
 		if wire {
 			n.Kind = Wire
 			continue
@@ -119,18 +133,23 @@ func Analyze(f *asm.Func, target *tdl.Target, dev *device.Device, opts Options) 
 		n.DelayNs = float64(def.Latency) * opts.UnitNs
 		n.Site = Site{Prim: in.Loc.Prim, X: int(in.Loc.X.Off), Y: int(in.Loc.Y.Off)}
 	}
+	// args has stopped growing: hand each node its stretch.
+	for i, used := 0, 0; i < len(f.Body); i++ {
+		nodes[i].Args = args[used : used+len(f.Body[i].Args)]
+		used += len(f.Body[i].Args)
+	}
 	outputs := make([]int, len(f.Outputs))
 	for i, p := range f.Outputs {
-		outputs[i] = index[p.Name]
+		outputs[i] = t.index[p.Name]
 	}
-	res, err := Arrivals(nodes, outputs, dev, opts)
+	t.nodes, t.args = nodes, args
+	worst, end, err := Arrivals(nodes, outputs, dev, opts)
 	if err != nil {
 		return Report{}, fmt.Errorf("timing: %w", err)
 	}
-	rep := Report{CriticalNs: res.WorstNs, FMaxMHz: 1000.0 / res.WorstNs}
-	seen := make([]bool, len(nodes))
-	for i := res.End; i >= 0 && !seen[i]; i = res.Pred[i] {
-		seen[i] = true
+	rep := Report{CriticalNs: worst, FMaxMHz: 1000.0 / worst}
+	for i := end; i >= 0 && nodes[i].state != onPath; i = nodes[i].Pred {
+		nodes[i].state = onPath
 		rep.Path = append(rep.Path, nodes[i].Name)
 	}
 	slices.Reverse(rep.Path)

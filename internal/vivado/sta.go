@@ -35,9 +35,9 @@ func AnalyzeNetlist(net *Netlist, dev *device.Device, opts timing.Options) (floa
 			n.Args[k] = timing.Arg{Node: a, Cascade: a >= 0 && c.CascadeWith >= 0 && resolveWire(net, a) == c.CascadeWith}
 		}
 	}
-	res, err := timing.Arrivals(nodes, net.Outputs, dev, opts)
+	worst, _, err := timing.Arrivals(nodes, net.Outputs, dev, opts)
 	if err != nil {
 		return 0, fmt.Errorf("vivado: %w", err)
 	}
-	return res.WorstNs, nil
+	return worst, nil
 }
