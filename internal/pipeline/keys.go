@@ -30,17 +30,16 @@ const (
 // keyField is one row of the table: a name=value pair some keys render, or
 // a Config field no key renders.
 type keyField struct {
-	name  string // as rendered; empty for a row in no key
-	reads string // the Config field the row reads; every field has a row
-	keys  keySet // the keys that render the row
-	gates keySet // the stage-table rows that do not run while flag holds
-	why   string // for a row in no key: what makes that safe
-	// The row's value: one of the three. omitZero drops a pair whose num
-	// is 0, so keys minted before the field existed keep their bytes.
-	str      func(*Config) string
-	num      func(*Config) int
-	flag     func(*Config) bool
+	name   string                       // as rendered; empty for a row in no key
+	reads  string                       // the Config field the row reads; every field has a row
+	keys   keySet                       // the keys that render the row
+	render func([]byte, *Config) []byte // appends the value
+	// omitZero drops a pair whose value renders as 0, so keys minted
+	// before the field existed keep their bytes.
 	omitZero bool
+	why      string             // for a row in no key: what makes that safe
+	gates    keySet             // the stage-table rows that do not run while off holds
+	off      func(*Config) bool // set where gates is
 }
 
 // keyFields is ordered: a key renders its rows in this order. The family
@@ -50,20 +49,34 @@ type keyField struct {
 // the place row reads Target too (through refine) without keying it:
 // ROADMAP 7(b).
 var keyFields = [...]keyField{
-	{name: "target", reads: "Target", keys: keyArtifact | keySelect | keyCascade | keyOutput, str: (*Config).targetName},
-	{name: "device", reads: "Device", keys: keyArtifact | keyPlace | keyOutput, str: (*Config).deviceName},
-	{name: "maxchain", reads: "Device", keys: keyCascade, num: func(c *Config) int { return c.Device.Height }},
-	{name: "nocascade", reads: "NoCascade", keys: keyArtifact, gates: keyCascade, flag: func(c *Config) bool { return c.NoCascade }},
-	{name: "shrink", reads: "Shrink", keys: keyArtifact | keyPlace, flag: func(c *Config) bool { return c.Shrink }},
-	{name: "greedy", reads: "Greedy", keys: keyArtifact | keySelect, flag: func(c *Config) bool { return c.Greedy }},
-	{name: "timingdriven", reads: "TimingDriven", keys: keyArtifact | keyPlace, flag: func(c *Config) bool { return c.TimingDriven }},
-	{name: "maxsteps", reads: "MaxSolverSteps", keys: keyArtifact | keyPlace, num: func(c *Config) int { return c.MaxSolverSteps }, omitZero: true},
+	{name: "target", reads: "Target", keys: keyArtifact | keySelect | keyCascade | keyOutput, render: text((*Config).targetName)},
+	{name: "device", reads: "Device", keys: keyArtifact | keyPlace | keyOutput, render: text((*Config).deviceName)},
+	{name: "maxchain", reads: "Device", keys: keyCascade, render: number(func(c *Config) int { return c.Device.Height })},
+	{name: "nocascade", reads: "NoCascade", keys: keyArtifact, render: boolean(noCascade), gates: keyCascade, off: noCascade},
+	{name: "shrink", reads: "Shrink", keys: keyArtifact | keyPlace, render: boolean(func(c *Config) bool { return c.Shrink })},
+	{name: "greedy", reads: "Greedy", keys: keyArtifact | keySelect, render: boolean(func(c *Config) bool { return c.Greedy })},
+	{name: "timingdriven", reads: "TimingDriven", keys: keyArtifact | keyPlace, render: boolean(func(c *Config) bool { return c.TimingDriven })},
+	{name: "maxsteps", reads: "MaxSolverSteps", keys: keyArtifact | keyPlace, render: number(func(c *Config) int { return c.MaxSolverSteps }), omitZero: true},
 	{reads: "Lib", why: "derived deterministically from Target; Validate pins Lib.Target == Target"},
-	{reads: "Cascades", why: "derived deterministically from Target", gates: keyCascade, flag: func(c *Config) bool { return len(c.Cascades) == 0 }},
+	{reads: "Cascades", why: "derived deterministically from Target", gates: keyCascade, off: func(c *Config) bool { return len(c.Cascades) == 0 }},
 	{reads: "SolverTimeout", why: "a budget decides whether a compile degrades, never what a non-degraded one produces, and degraded results are never stored or cached"},
 	{reads: "HintCache", why: "adoption is signature-checked and revalidated inside internal/place"},
 	{reads: "StageCache", why: "every payload is decoded and validated before use"},
 }
+
+func text(get func(*Config) string) func([]byte, *Config) []byte {
+	return func(b []byte, c *Config) []byte { return append(b, get(c)...) }
+}
+
+func number(get func(*Config) int) func([]byte, *Config) []byte {
+	return func(b []byte, c *Config) []byte { return strconv.AppendInt(b, int64(get(c)), 10) }
+}
+
+func boolean(get func(*Config) bool) func([]byte, *Config) []byte {
+	return func(b []byte, c *Config) []byte { return strconv.AppendBool(b, get(c)) }
+}
+
+func noCascade(cfg *Config) bool { return cfg.NoCascade }
 
 // Fingerprint renders a nil Target or Device as empty.
 func (cfg *Config) targetName() string {
@@ -86,20 +99,19 @@ func appendFingerprint(b []byte, cfg *Config, k keySet) []byte {
 	start := len(b)
 	for i := range keyFields {
 		f := &keyFields[i]
-		if f.keys&k == 0 || f.omitZero && f.num(cfg) == 0 {
+		if f.keys&k == 0 {
 			continue
 		}
-		if len(b) > start {
+		pair := len(b)
+		if pair > start {
 			b = append(b, ';')
 		}
-		b = append(append(b, f.name...), '=')
-		switch {
-		case f.str != nil:
-			b = append(b, f.str(cfg)...)
-		case f.num != nil:
-			b = strconv.AppendInt(b, int64(f.num(cfg)), 10)
-		default:
-			b = strconv.AppendBool(b, f.flag(cfg))
+		b = append(b, f.name...)
+		b = append(b, '=')
+		value := len(b)
+		b = f.render(b, cfg)
+		if f.omitZero && string(b[value:]) == "0" {
+			b = b[:pair]
 		}
 	}
 	return b
@@ -108,7 +120,7 @@ func appendFingerprint(b []byte, cfg *Config, k keySet) []byte {
 // runs reports whether the stage-table row keyed by k runs under cfg.
 func runs(cfg *Config, k keySet) bool {
 	for i := range keyFields {
-		if f := &keyFields[i]; f.gates&k != 0 && f.flag(cfg) {
+		if f := &keyFields[i]; f.gates&k != 0 && f.off(cfg) {
 			return false
 		}
 	}
@@ -130,7 +142,8 @@ func (cfg *Config) Fingerprint() string {
 func keyOf(cfg *Config, k keySet, parts ...string) string {
 	return ir.HexSum256(func(b []byte) []byte {
 		for _, p := range parts {
-			b = append(append(b, p...), 0)
+			b = append(b, p...)
+			b = append(b, 0)
 		}
 		return appendFingerprint(b, cfg, k)
 	})

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -476,38 +477,40 @@ func flip(t *testing.T, cfg *Config, field string) {
 }
 
 // TestConfigFieldsAreKeyed derives the key-completeness check from
-// keyFields: every Config field is read by some row; a row in no key
-// carries its reason; and flipping a field a row reads moves every key
-// the row says observes it, and the run predicate of every stage row it
-// gates. (That no other key moves holds by construction: all keys are
-// rendered from the same rows.)
+// keyFields. Every Config field is read by some row, and a row in no key
+// carries its reason. Flipping a field moves every key a row reading it
+// claims, and the run predicate of every stage row it gates. And a field
+// some key renders moves Fingerprint() — the artifact key — and at least
+// one stage key or run predicate: keyed for one cache only, the other
+// would serve a stale hit.
 func TestConfigFieldsAreKeyed(t *testing.T) {
+	base := familyConfig(t, "ultrascale")
+	stageRows := func(cfg *Config) string {
+		var b []byte
+		for _, k := range keyNames[1:] {
+			b = appendFingerprint(b, cfg, k.key)
+			b = strconv.AppendBool(append(b, ' '), runs(cfg, k.key))
+			b = append(b, '\n')
+		}
+		return string(b)
+	}
 	typ := reflect.TypeOf(Config{})
 	read := map[string]bool{}
+	keyed := map[string]bool{}
 	for i := range keyFields {
 		row := &keyFields[i]
 		read[row.reads] = true
+		keyed[row.reads] = keyed[row.reads] || row.keys != 0
 		if _, ok := typ.FieldByName(row.reads); !ok {
 			t.Errorf("row %d reads Config.%s, which does not exist", i, row.reads)
 			continue
 		}
-		values := 0
-		for _, set := range []bool{row.str != nil, row.num != nil, row.flag != nil} {
-			if set {
-				values++
-			}
-		}
-		switch {
-		case row.keys == 0 && row.why == "":
+		if row.keys == 0 && row.why == "" {
 			t.Errorf("Config.%s is in no key and its row gives no reason", row.reads)
-		case (row.keys == 0) != (row.name == ""), values != 0 != (row.keys|row.gates != 0), values > 1,
-			row.gates != 0 && row.flag == nil, row.omitZero && row.num == nil:
-			t.Errorf("row %d (Config.%s): a keyed row has a name and one value, a gating row a flag, omitZero a num", i, row.reads)
 		}
 		if row.keys|row.gates == 0 {
 			continue
 		}
-		base := familyConfig(t, "ultrascale")
 		flipped := *base
 		flip(t, &flipped, row.reads)
 		for _, k := range keyNames {
@@ -520,8 +523,20 @@ func TestConfigFieldsAreKeyed(t *testing.T) {
 		}
 	}
 	for i := 0; i < typ.NumField(); i++ {
-		if name := typ.Field(i).Name; !read[name] {
+		name := typ.Field(i).Name
+		if !read[name] {
 			t.Errorf("Config.%s has no row in keyFields (keys.go): say which keys observe it, or why none does", name)
+		}
+		if !keyed[name] {
+			continue
+		}
+		flipped := *base
+		flip(t, &flipped, name)
+		if flipped.Fingerprint() == base.Fingerprint() {
+			t.Errorf("Config.%s is in some key and does not change Fingerprint(): cached artifacts would go stale", name)
+		}
+		if stageRows(&flipped) == stageRows(base) {
+			t.Errorf("Config.%s is in some key and changes no stage row's fingerprint or run predicate: the stage memo would serve a wrong hit", name)
 		}
 	}
 }

@@ -84,7 +84,8 @@ type stage struct {
 }
 
 var stageTable = [...]stage{{
-	tag: StageSelect, key: keySelect,
+	tag:     StageSelect,
+	key:     keySelect,
 	input:   func(c *compilation) string { return c.f.String() },
 	adopt:   func(c *compilation, payload []byte) bool { return c.asm.parse(string(payload)) },
 	payload: func(c *compilation) ([]byte, error) { return []byte(c.asm.Text()), nil },
@@ -101,7 +102,8 @@ var stageTable = [...]stage{{
 		},
 	}},
 }, {
-	tag: StageCascade, key: keyCascade,
+	tag:   StageCascade,
+	key:   keyCascade,
 	input: func(c *compilation) string { return c.asm.Text() },
 	adopt: func(c *compilation, payload []byte) bool {
 		var ce cascadeEntry
@@ -131,7 +133,8 @@ var stageTable = [...]stage{{
 		},
 	}},
 }, {
-	tag: StagePlace, key: keyPlace,
+	tag:   StagePlace,
+	key:   keyPlace,
 	input: func(c *compilation) string { return c.asm.Text() },
 	// Whole-placement adoption: an exact key match means the problem
 	// (assembly + device + every output-relevant option) is one already
@@ -157,7 +160,8 @@ var stageTable = [...]stage{{
 	// under (target, device), so they share one entry. Module stays nil
 	// on a hit — only in-process callers that wired a StageCache
 	// themselves can tell (the wire form carries rendered Verilog only).
-	tag: StageOutput, key: keyOutput,
+	tag:   StageOutput,
+	key:   keyOutput,
 	input: func(c *compilation) string { return c.placed.Text() },
 	adopt: func(c *compilation, payload []byte) bool {
 		var oe outputEntry

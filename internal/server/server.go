@@ -262,7 +262,8 @@ func New(opts Options, configs map[string]*pipeline.Config) (*Server, error) {
 	// OpenDisk skips directories when indexing, so the three namespaces
 	// share one -disk tree without colliding.
 	if opts.DiskDir == "" {
-		s.hints, s.stagec = hintcache.New(0), stagecache.New(0)
+		s.hints = hintcache.New(0)
+		s.stagec = stagecache.New(0)
 	} else {
 		if s.hints, err = hintcache.Open(filepath.Join(opts.DiskDir, "hints"), opts.DiskMaxBytes); err != nil {
 			return nil, fmt.Errorf("server: hint cache disk: %w", err)
@@ -280,7 +281,8 @@ func New(opts Options, configs map[string]*pipeline.Config) (*Server, error) {
 	wired := make(map[string]*pipeline.Config, len(configs))
 	for name, cfg := range configs {
 		cc := *cfg
-		cc.HintCache, cc.StageCache = s.hints, s.stagec
+		cc.HintCache = s.hints
+		cc.StageCache = s.stagec
 		wired[name] = &cc
 	}
 	if s.FamilySet, err = NewFamilySet(wired, opts.DefaultFamily); err != nil {

@@ -1,10 +1,5 @@
 package timing
 
-import (
-	"reticle/internal/device"
-	"reticle/internal/ir"
-)
-
 // Kind says what a node of the timing graph does with the arrival times
 // of its arguments.
 type Kind uint8
@@ -22,12 +17,6 @@ const (
 	Wire
 )
 
-// Site is a placed slice: a resource kind and a coordinate within it.
-type Site struct {
-	Prim ir.Resource
-	X, Y int
-}
-
 // Arg is one net into a node.
 type Arg struct {
 	// Node indexes the producer, or is -1 for a function input, which is
@@ -41,21 +30,17 @@ type Arg struct {
 }
 
 // Node is one value of a placed design, addressed by its index in the
-// slice handed to Arrivals. Site is read only where Kind is not Wire.
+// slice handed to Arrivals.
 type Node struct {
-	Name    string
-	Kind    Kind
+	Name string
+	Kind Kind
+	// Placed says the node sits in a slice the device has: column X,
+	// counted across the whole device (device.GlobalX), row Y. A wire
+	// sits nowhere.
+	Placed  bool
+	X, Y    int
 	DelayNs float64
 	Args    []Arg
-	Site    Site
-	// Pred is set by Arrivals: the node the worst path into this one
-	// arrives from, or -1 where it starts — here, or at a function input.
-	// Links can cross a register back into its own input cone (feedback),
-	// so a walk along them stops at the first node it meets twice.
-	Pred int
-
-	at    float64 // set by Arrivals: when the output is stable after a clock edge
-	state uint8   // 0 new, 1 visiting, 2 done
 }
 
 // CycleError reports a combinational cycle: a path from the named node
@@ -71,16 +56,26 @@ func (e *CycleError) Error() string { return "combinational cycle through " + e.
 // end at register inputs and at the nodes listed in outputs. It returns
 // the critical path — the latest any path end settles after a clock edge —
 // and the node it ends at, -1 for a design whose every path is pure
-// wiring; the path itself is left in the nodes' Pred links.
-func Arrivals(nodes []Node, outputs []int, dev *device.Device, opts Options) (worstNs float64, end int, err error) {
-	w := walk{nodes, dev, opts}
-	for i := range nodes {
-		nodes[i].Pred, nodes[i].state = -1, 0
+// wiring. pred[i] is the node the worst path into node i arrives from, or
+// -1 where it starts — there, or at a function input. The links can cross
+// a register back into its own input cone (feedback), so a walk along
+// them must stop at the first node it meets twice.
+func Arrivals(nodes []Node, outputs []int, opts Options) (worstNs float64, end int, pred []int, err error) {
+	w := walk{
+		nodes: nodes,
+		opts:  opts,
+		at:    make([]float64, len(nodes)),
+		state: make([]uint8, len(nodes)),
+		pred:  make([]int, len(nodes)),
+	}
+	for i := range w.pred {
+		w.pred[i] = -1
 	}
 	end = -1
 	consider := func(ns float64, at int) {
 		if ns > worstNs {
-			worstNs, end = ns, at
+			worstNs = ns
+			end = at
 		}
 	}
 	for i := range nodes {
@@ -89,52 +84,54 @@ func Arrivals(nodes []Node, outputs []int, dev *device.Device, opts Options) (wo
 		}
 		at, err := w.worstArg(i, true)
 		if err != nil {
-			return 0, -1, err
+			return 0, -1, nil, err
 		}
 		consider(at+nodes[i].DelayNs+opts.SetupNs, i)
 	}
 	for _, o := range outputs {
 		at, err := w.value(o)
 		if err != nil {
-			return 0, -1, err
+			return 0, -1, nil, err
 		}
 		consider(at, o)
 	}
 	if worstNs <= 0 {
 		worstNs = opts.ClkToQNs + opts.SetupNs // pure wiring design
 	}
-	return worstNs, end, nil
+	return worstNs, end, w.pred, nil
 }
 
 type walk struct {
 	nodes []Node
-	dev   *device.Device
 	opts  Options
+	at    []float64 // when a node's output is stable after a clock edge
+	state []uint8   // 0 new, 1 visiting, 2 done
+	pred  []int
 }
 
 func (w *walk) value(i int) (float64, error) {
 	if i < 0 {
 		return 0, nil
 	}
-	n := &w.nodes[i]
-	switch n.state {
+	switch w.state[i] {
 	case 2:
-		return n.at, nil
+		return w.at[i], nil
 	case 1:
-		return 0, &CycleError{Name: n.Name}
+		return 0, &CycleError{Name: w.nodes[i].Name}
 	}
-	n.state = 1
+	w.state[i] = 1
 	at := w.opts.ClkToQNs
-	if n.Kind != Register {
+	if kind := w.nodes[i].Kind; kind != Register {
 		var err error
-		if at, err = w.worstArg(i, n.Kind == Logic); err != nil {
+		if at, err = w.worstArg(i, kind == Logic); err != nil {
 			return 0, err
 		}
-		if n.Kind == Logic {
-			at += n.DelayNs
+		if kind == Logic {
+			at += w.nodes[i].DelayNs
 		}
 	}
-	n.at, n.state = at, 2
+	w.at[i] = at
+	w.state[i] = 2
 	return at, nil
 }
 
@@ -152,7 +149,8 @@ func (w *walk) worstArg(i int, routed bool) (float64, error) {
 			at += w.routeNs(a, &w.nodes[i])
 		}
 		if at >= worst {
-			worst, w.nodes[i].Pred = at, a.Node
+			worst = at
+			w.pred[i] = a.Node
 		}
 	}
 	return worst, nil
@@ -171,18 +169,15 @@ func (w *walk) routeNs(a Arg, to *Node) float64 {
 			from = -1
 		}
 	}
-	if from < 0 {
+	switch {
+	case from < 0:
 		return w.opts.RouteBaseNs
-	}
-	if a.Cascade {
+	case a.Cascade:
 		return w.opts.CascadeNs
-	}
-	src := w.nodes[from].Site
-	gxFrom, errFrom := w.dev.GlobalX(src.Prim, src.X)
-	gxTo, errTo := w.dev.GlobalX(to.Site.Prim, to.Site.X)
-	if errFrom != nil || errTo != nil {
+	case !w.nodes[from].Placed || !to.Placed:
 		return w.opts.RouteBaseNs
 	}
-	dist := max(gxFrom-gxTo, gxTo-gxFrom) + max(src.Y-to.Site.Y, to.Site.Y-src.Y)
+	src := &w.nodes[from]
+	dist := max(src.X-to.X, to.X-src.X) + max(src.Y-to.Y, to.Y-src.Y)
 	return w.opts.RouteBaseNs + float64(dist)*w.opts.RoutePerHopNs
 }

@@ -65,8 +65,10 @@ func (r Report) String() string {
 		r.CriticalNs, r.FMaxMHz, strings.Join(r.Path, " -> "))
 }
 
-// tables recycles Analyze's name index, nodes and nets: timing-driven
-// refinement runs it about a hundred times per compile.
+// tables recycles Analyze's name index, nodes and nets. Timing-driven
+// refinement analyzes one function about a hundred times per compile, a
+// location apart each time, and allocating them afresh reads +38 % B/op
+// on it (BenchmarkAblationTimingDriven/refined) however lean a Node is.
 var tables = sync.Pool{New: func() any { return &table{index: map[string]int{}} }}
 
 type table struct {
@@ -74,9 +76,6 @@ type table struct {
 	nodes []Node
 	args  []Arg
 }
-
-// onPath extends Node.state: already on the path being reported.
-const onPath = 3
 
 // Analyze computes the critical path of a placed assembly function: it
 // lays the body out as the node slice Arrivals walks — one node per
@@ -94,26 +93,34 @@ func Analyze(f *asm.Func, target *tdl.Target, dev *device.Device, opts Options) 
 	// Node i is instruction i; the input ports follow, as wires from
 	// nowhere, so that a path can name the port it starts at.
 	t := tables.Get().(*table)
-	defer tables.Put(t)
-	clear(t.index)
-	nodes := slices.Grow(t.nodes[:0], len(f.Body)+len(f.Inputs))[:len(f.Body)+len(f.Inputs)]
-	clear(nodes)
-	args := t.args[:0]
+	defer func() { // a pooled table holds no function's strings
+		clear(t.index)
+		clear(t.nodes)
+		tables.Put(t)
+	}()
+	t.nodes = slices.Grow(t.nodes[:0], len(f.Body)+len(f.Inputs))[:len(f.Body)+len(f.Inputs)]
+	index := t.index
+	nodes := t.nodes
+	nets := 0
 	for i := range f.Body {
-		t.index[f.Body[i].Dest] = i
+		index[f.Body[i].Dest] = i
+		nets += len(f.Body[i].Args)
 	}
 	for i, p := range f.Inputs {
-		t.index[p.Name] = len(f.Body) + i
+		index[p.Name] = len(f.Body) + i
 		nodes[len(f.Body)+i] = Node{Name: p.Name, Kind: Wire}
 	}
+	args := slices.Grow(t.args[:0], nets) // every node's Args is a stretch of it
+	t.args = args
 	for i := range f.Body {
-		in, n, wire := &f.Body[i], &nodes[i], f.Body[i].IsWire()
+		in := &f.Body[i]
+		n := &nodes[i]
 		n.Name = in.Dest
 		// The §5.2 idiom after placement: a _co/_coci producer directly
 		// below the _ci/_coci consumer it feeds, in the same column.
-		readsCi := !wire && (strings.HasSuffix(in.Name, "_ci") || strings.HasSuffix(in.Name, "_coci"))
+		readsCi := !in.IsWire() && (strings.HasSuffix(in.Name, "_ci") || strings.HasSuffix(in.Name, "_coci"))
 		for _, a := range in.Args {
-			from := t.index[a] // defined: checked by CheckTarget
+			from := index[a] // defined: checked by CheckTarget
 			cascade := false
 			if readsCi && from < len(f.Body) && !f.Body[from].IsWire() {
 				p := &f.Body[from]
@@ -122,7 +129,8 @@ func Analyze(f *asm.Func, target *tdl.Target, dev *device.Device, opts Options) 
 			}
 			args = append(args, Arg{Node: from, Cascade: cascade})
 		}
-		if wire {
+		n.Args = args[len(args)-len(in.Args):]
+		if in.IsWire() {
 			n.Kind = Wire
 			continue
 		}
@@ -131,26 +139,29 @@ func Analyze(f *asm.Func, target *tdl.Target, dev *device.Device, opts Options) 
 			n.Kind = Register
 		}
 		n.DelayNs = float64(def.Latency) * opts.UnitNs
-		n.Site = Site{Prim: in.Loc.Prim, X: int(in.Loc.X.Off), Y: int(in.Loc.Y.Off)}
-	}
-	// args has stopped growing: hand each node its stretch.
-	for i, used := 0, 0; i < len(f.Body); i++ {
-		nodes[i].Args = args[used : used+len(f.Body[i].Args)]
-		used += len(f.Body[i].Args)
+		if x, err := dev.GlobalX(in.Loc.Prim, int(in.Loc.X.Off)); err == nil {
+			n.Placed = true
+			n.X = x
+			n.Y = int(in.Loc.Y.Off)
+		}
 	}
 	outputs := make([]int, len(f.Outputs))
 	for i, p := range f.Outputs {
-		outputs[i] = t.index[p.Name]
+		outputs[i] = index[p.Name]
 	}
-	t.nodes, t.args = nodes, args
-	worst, end, err := Arrivals(nodes, outputs, dev, opts)
+	worst, end, pred, err := Arrivals(nodes, outputs, opts)
 	if err != nil {
 		return Report{}, fmt.Errorf("timing: %w", err)
 	}
 	rep := Report{CriticalNs: worst, FMaxMHz: 1000.0 / worst}
-	for i := end; i >= 0 && nodes[i].state != onPath; i = nodes[i].Pred {
-		nodes[i].state = onPath
+	// Name the path back from its end, unlinking each node as it is
+	// named: a node met unlinked has been named already.
+	const named = -2
+	for i := end; i >= 0 && pred[i] != named; {
 		rep.Path = append(rep.Path, nodes[i].Name)
+		next := pred[i]
+		pred[i] = named
+		i = next
 	}
 	slices.Reverse(rep.Path)
 	return rep, nil

@@ -16,10 +16,22 @@ func AnalyzeNetlist(net *Netlist, dev *device.Device, opts timing.Options) (floa
 	if opts.UnitNs == 0 {
 		opts = timing.DefaultOptions()
 	}
+	nets := 0
+	for _, c := range net.Cells {
+		nets += len(c.Args)
+	}
+	args := make([]timing.Arg, 0, nets) // every node's Args is a stretch of it
 	nodes := make([]timing.Node, len(net.Cells))
 	for i, c := range net.Cells {
 		n := &nodes[i]
-		n.Name, n.DelayNs = c.Name, c.DelayNs
+		if c.dead {
+			// Optimized away: synth rewires every reader before it kills
+			// a cell, so this node is unreachable, and it ends no path.
+			n.Kind = timing.Wire
+			continue
+		}
+		n.Name = c.Name
+		n.DelayNs = c.DelayNs
 		switch {
 		case c.Stateful:
 			n.Kind = timing.Register
@@ -28,14 +40,18 @@ func AnalyzeNetlist(net *Netlist, dev *device.Device, opts timing.Options) (floa
 		}
 		if c.Kind != CellWire {
 			x, y := dev.SliceCoords(c.Slot)
-			n.Site = timing.Site{Prim: c.Prim, X: x, Y: y}
+			if gx, err := dev.GlobalX(c.Prim, x); err == nil {
+				n.Placed = true
+				n.X = gx
+				n.Y = y
+			}
 		}
-		n.Args = make([]timing.Arg, len(c.Args))
-		for k, a := range c.Args {
-			n.Args[k] = timing.Arg{Node: a, Cascade: a >= 0 && c.CascadeWith >= 0 && resolveWire(net, a) == c.CascadeWith}
+		for _, a := range c.Args {
+			args = append(args, timing.Arg{Node: a, Cascade: a >= 0 && c.CascadeWith >= 0 && resolveWire(net, a) == c.CascadeWith})
 		}
+		n.Args = args[len(args)-len(c.Args):]
 	}
-	worst, _, err := timing.Arrivals(nodes, net.Outputs, dev, opts)
+	worst, _, _, err := timing.Arrivals(nodes, net.Outputs, opts)
 	if err != nil {
 		return 0, fmt.Errorf("vivado: %w", err)
 	}
