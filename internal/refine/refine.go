@@ -108,7 +108,9 @@ func PlaceContext(ctx context.Context, f *asm.Func, target *tdl.Target, dev *dev
 		occupied[in.Loc.Prim][id] = true
 	}
 
-	rep, err := timing.Analyze(cur, target, dev, opts.Timing)
+	// One set of timing tables for every candidate move tried below.
+	var sta timing.Analyzer
+	rep, err := sta.Analyze(cur, target, dev, opts.Timing)
 	if err != nil {
 		return nil, err
 	}
@@ -137,7 +139,7 @@ func PlaceContext(ctx context.Context, f *asm.Func, target *tdl.Target, dev *dev
 				tried++
 				x, y := dev.SliceCoords(id)
 				in.Loc.X, in.Loc.Y = asm.At(int64(x)), asm.At(int64(y))
-				cand, err := timing.Analyze(cur, target, dev, opts.Timing)
+				cand, err := sta.Analyze(cur, target, dev, opts.Timing)
 				if err != nil {
 					return nil, err
 				}
@@ -159,7 +161,7 @@ func PlaceContext(ctx context.Context, f *asm.Func, target *tdl.Target, dev *dev
 		if !improved {
 			break
 		}
-		rep, err = timing.Analyze(cur, target, dev, opts.Timing)
+		rep, err = sta.Analyze(cur, target, dev, opts.Timing)
 		if err != nil {
 			return nil, err
 		}

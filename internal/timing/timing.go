@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
 
 	"reticle/internal/asm"
 	"reticle/internal/device"
@@ -65,22 +64,26 @@ func (r Report) String() string {
 		r.CriticalNs, r.FMaxMHz, strings.Join(r.Path, " -> "))
 }
 
-// tables recycles Analyze's name index, nodes and nets. Timing-driven
-// refinement analyzes one function about a hundred times per compile, a
-// location apart each time, and allocating them afresh reads +38 % B/op
-// on it (BenchmarkAblationTimingDriven/refined) however lean a Node is.
-var tables = sync.Pool{New: func() any { return &table{index: map[string]int{}} }}
-
-type table struct {
+// Analyzer is Analyze with its name index, nodes and nets kept between
+// calls. Timing-driven refinement analyzes one function about a hundred
+// times per compile, a location apart each time, and allocating them
+// afresh reads +38 % B/op on it (BenchmarkAblationTimingDriven/refined)
+// however lean a Node is. The zero value is ready; one Analyzer serves one
+// goroutine, and whoever holds it decides how long the tables live.
+type Analyzer struct {
 	index map[string]int
 	nodes []Node
 	args  []Arg
 }
 
-// Analyze computes the critical path of a placed assembly function: it
-// lays the body out as the node slice Arrivals walks — one node per
-// instruction, found by destination name — and names the worst path.
+// Analyze computes the critical path of a placed assembly function.
 func Analyze(f *asm.Func, target *tdl.Target, dev *device.Device, opts Options) (Report, error) {
+	return new(Analyzer).Analyze(f, target, dev, opts)
+}
+
+// Analyze lays the body out as the node slice Arrivals walks — one node
+// per instruction, found by destination name — and names the worst path.
+func (t *Analyzer) Analyze(f *asm.Func, target *tdl.Target, dev *device.Device, opts Options) (Report, error) {
 	if opts.UnitNs == 0 {
 		opts = DefaultOptions()
 	}
@@ -92,13 +95,12 @@ func Analyze(f *asm.Func, target *tdl.Target, dev *device.Device, opts Options) 
 	}
 	// Node i is instruction i; the input ports follow, as wires from
 	// nowhere, so that a path can name the port it starts at.
-	t := tables.Get().(*table)
-	defer func() { // a pooled table holds no function's strings
-		clear(t.index)
-		clear(t.nodes)
-		tables.Put(t)
-	}()
+	if t.index == nil {
+		t.index = make(map[string]int, len(f.Body)+len(f.Inputs))
+	}
+	clear(t.index)
 	t.nodes = slices.Grow(t.nodes[:0], len(f.Body)+len(f.Inputs))[:len(f.Body)+len(f.Inputs)]
+	clear(t.nodes)
 	index := t.index
 	nodes := t.nodes
 	nets := 0
