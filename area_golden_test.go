@@ -1,17 +1,12 @@
 // Golden area counts: every bundled example program, compiled on every
 // bundled family under both binding extremes, must land on exactly the
-// LUT/carry/FF/DSP budget recorded here — and the standalone area
-// estimator (internal/timing.EstimateArea), which /explore uses to
-// score variants, must agree with the codegen-counted artifact exactly.
+// LUT/carry/FF/DSP budget recorded here. These are codegen's own counts,
+// the only area count there is: /explore scores variants by them too.
 package reticle
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
-
-	"reticle/internal/irgen"
-	"reticle/internal/timing"
 )
 
 // areaGoldens pins the resource counts of the bundled examples. The
@@ -92,65 +87,5 @@ func TestAreaGoldenExamples(t *testing.T) {
 		if !covered[name] {
 			t.Errorf("example %q has no area golden; add rows for it", name)
 		}
-	}
-}
-
-// TestAreaEstimatorMatchesArtifactExamples: the estimator over the
-// placed assembly reproduces codegen's counts on every golden compile.
-// This equality is what lets /explore score disk-cached artifacts from
-// their recorded counters interchangeably with a fresh estimate.
-func TestAreaEstimatorMatchesArtifactExamples(t *testing.T) {
-	progs := examplePrograms(t)
-	for _, g := range areaGoldens {
-		t.Run(fmt.Sprintf("%s/%s/%s", g.family, g.program, g.policy), func(t *testing.T) {
-			art := compileGolden(t, progs, g.family, g.program, g.policy)
-			target := UltraScale()
-			if g.family == "agilex" {
-				target = Agilex()
-			}
-			a, err := timing.EstimateArea(art.Placed, target)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if a.Luts != art.LUTs || a.Carries != art.Carries || a.FFs != art.FFs || a.Dsps != art.DSPs {
-				t.Fatalf("estimator (luts=%d carries=%d ffs=%d dsps=%d), artifact (%d %d %d %d)",
-					a.Luts, a.Carries, a.FFs, a.Dsps,
-					art.LUTs, art.Carries, art.FFs, art.DSPs)
-			}
-		})
-	}
-}
-
-// TestAreaEstimatorMatchesArtifactRandom extends the estimator/codegen
-// equality to generated programs on both families.
-func TestAreaEstimatorMatchesArtifactRandom(t *testing.T) {
-	const programs = 24
-	for _, fam := range cosimFamilies() {
-		fam := fam
-		t.Run(fam.name, func(t *testing.T) {
-			c, err := NewCompilerWith(fam.opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(7))
-			for i := 0; i < programs; i++ {
-				f := irgen.Generate(rng, irgen.Config{Instrs: 12, WithVectors: true})
-				art, err := c.Compile(f)
-				if err != nil {
-					// The generator can emit programs a family cannot
-					// place; those are not area-contract subjects.
-					continue
-				}
-				a, err := timing.EstimateArea(art.Placed, c.Target())
-				if err != nil {
-					t.Fatalf("program %d: estimate: %v\n%s", i, err, art.Placed)
-				}
-				if a.Luts != art.LUTs || a.Carries != art.Carries || a.FFs != art.FFs || a.Dsps != art.DSPs {
-					t.Fatalf("program %d: estimator (luts=%d carries=%d ffs=%d dsps=%d), artifact (%d %d %d %d)\n%s",
-						i, a.Luts, a.Carries, a.FFs, a.Dsps,
-						art.LUTs, art.Carries, art.FFs, art.DSPs, f)
-				}
-			}
-		})
 	}
 }

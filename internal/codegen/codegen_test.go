@@ -248,6 +248,35 @@ def m(a:i4, b:i4) -> (y:i4) {
 	}
 }
 
+// TestGenerateStatsHandRules pins whole Stats on kernels whose counts are
+// computable by hand: these counts are what /explore scores variants by.
+// The 8-bit adder (TestLutAddEmitsCarryChain) and register
+// (TestRegisterExpandsToFDRE) are pinned above.
+func TestGenerateStatsHandRules(t *testing.T) {
+	for _, c := range []struct {
+		name, src string
+		want      Stats
+	}{
+		// 8-bit array multiplier: 64 partial products + 7 adder rows
+		// of (8 LUTs + 1 CARRY8) each.
+		{"mul8", `def f(a:i8, b:i8) -> (y:i8) {
+    y:i8 = mul(a, b) @lut;
+}`, Stats{Luts: 64 + 7*8, Carries: 7}},
+		// A comparator counts operand bits (8), not result bits (1).
+		{"eq8", `def f(a:i8, b:i8) -> (y:bool) {
+    y:bool = eq(a, b) @lut;
+}`, Stats{Luts: 8, Carries: 1}},
+		// A DSP instruction is one slice regardless of width.
+		{"dspmul", `def f(a:i24, b:i24) -> (y:i24) {
+    y:i24 = mul(a, b) @dsp;
+}`, Stats{Dsps: 1}},
+	} {
+		if _, st := compile(t, c.src); st != c.want {
+			t.Errorf("%s: stats = %+v, want %+v", c.name, st, c.want)
+		}
+	}
+}
+
 func TestUnplacedRejected(t *testing.T) {
 	f, err := asm.Parse(`
 def f(a:i8, b:i8) -> (y:i8) {

@@ -9,9 +9,6 @@ import (
 	"reticle/internal/faults"
 	"reticle/internal/ir"
 	"reticle/internal/pipeline"
-	"reticle/internal/rerr"
-	"reticle/internal/tdl"
-	"reticle/internal/timing"
 )
 
 // FaultVariant fires at the top of every per-variant compile attempt —
@@ -42,10 +39,11 @@ type Options struct {
 	Compile CompileFunc
 }
 
-// Metrics is the deterministic score of one variant: critical path
-// from the timing analyzer, area from the estimator over the placed
-// assembly. Every field is a pure function of the variant and config,
-// so the same sweep always serializes identically.
+// Metrics is the deterministic score of one variant: the critical path
+// and the primitive counts its compile recorded — codegen's own counts,
+// the only area count there is. Every field is a pure function of the
+// variant and config, so the same sweep always serializes identically.
+// The service puts it on the wire as it stands.
 type Metrics struct {
 	CriticalNs float64 `json:"critical_ns"`
 	FMaxMHz    float64 `json:"fmax_mhz"`
@@ -62,17 +60,10 @@ func (m Metrics) Objectives() []float64 {
 	return []float64{m.CriticalNs, float64(m.Luts), float64(m.Carries), float64(m.Dsps)}
 }
 
-// Score derives a variant's metrics from its artifact. Timing comes
-// from the pipeline's analyzer. Area is re-derived from the placed
-// assembly by the estimator when the assembly is present — the
-// cross-check suite holds estimator and codegen counts equal — and
-// falls back to the artifact's recorded counters for artifacts
-// reconstructed from a cache tier that stores only the wire form.
-func Score(art *pipeline.Artifact, target *tdl.Target) (Metrics, error) {
-	if art == nil {
-		return Metrics{}, fmt.Errorf("explore: score: nil artifact")
-	}
-	m := Metrics{
+// Score reads a variant's metrics off its artifact: a fresh compile and
+// one rebuilt from a cache tier's wire form carry the same counts.
+func Score(art *pipeline.Artifact) Metrics {
+	return Metrics{
 		CriticalNs: art.CriticalNs,
 		FMaxMHz:    art.FMaxMHz,
 		Luts:       art.LUTs,
@@ -80,14 +71,6 @@ func Score(art *pipeline.Artifact, target *tdl.Target) (Metrics, error) {
 		FFs:        art.FFs,
 		Carries:    art.Carries,
 	}
-	if art.Placed != nil && target != nil {
-		a, err := timing.EstimateArea(art.Placed, target)
-		if err != nil {
-			return Metrics{}, err
-		}
-		m.Luts, m.Carries, m.FFs, m.Dsps = a.Luts, a.Carries, a.FFs, a.Dsps
-	}
-	return m, nil
 }
 
 // VariantResult is one variant's outcome.
@@ -116,7 +99,9 @@ type VariantResult struct {
 // Ok reports whether the variant compiled.
 func (r VariantResult) Ok() bool { return r.Err == nil }
 
-// FrontierPoint is one non-dominated variant on the wire.
+// FrontierPoint is one non-dominated variant. A frontier is ordered
+// canonically: objective vectors (critical_ns, luts, carries, dsps)
+// ascending, ID as the tie-break.
 type FrontierPoint struct {
 	ID      string  `json:"id"`
 	Metrics Metrics `json:"metrics"`
@@ -167,7 +152,6 @@ func Run(ctx context.Context, cfg *pipeline.Config, f *ir.Func, opts Options) (*
 // Sweep is a sweep in flight: Run for callers that emit variants in
 // lattice order while later ones are still compiling.
 type Sweep struct {
-	cfg       *pipeline.Config
 	variants  []Variant
 	cacheHits []bool // written by variant i's worker before its result is final
 	run       *batch.Run
@@ -193,7 +177,7 @@ func Begin(ctx context.Context, cfg *pipeline.Config, f *ir.Func, opts Options) 
 		}
 	}
 
-	sw := &Sweep{cfg: cfg, variants: variants, cacheHits: make([]bool, len(variants))}
+	sw := &Sweep{variants: variants, cacheHits: make([]bool, len(variants))}
 	jobs := make([]batch.Job, len(variants))
 	for i, v := range variants {
 		vcfg := cfg
@@ -246,12 +230,7 @@ func (sw *Sweep) scored(br batch.Result) VariantResult {
 		Dur:      br.Dur,
 	}
 	if vr.Err == nil && vr.Artifact != nil {
-		vr.Degraded = vr.Artifact.Degraded
-		if m, serr := Score(vr.Artifact, sw.cfg.Target); serr != nil {
-			vr.Err = rerr.Wrap(rerr.Permanent, "score_failed", "variant scoring failed", serr)
-		} else {
-			vr.Metrics = m
-		}
+		vr.Degraded, vr.Metrics = vr.Artifact.Degraded, Score(vr.Artifact)
 	}
 	return vr
 }
@@ -293,6 +272,9 @@ func (sw *Sweep) Finish() (*Result, error) {
 		// request error, not a partial sweep).
 		return nil, firstErr
 	}
+	// Never nil: a sweep whose survivors are all degraded has an empty
+	// frontier, not a missing one.
+	res.Frontier = []FrontierPoint{}
 	for _, p := range arch.Frontier() {
 		res.Frontier = append(res.Frontier, FrontierPoint{ID: p.ID, Metrics: res.metricsFor(p.ID)})
 	}

@@ -1,7 +1,7 @@
 // Package explore enumerates annotation/configuration variants of one
-// kernel, compiles them through the batch tier, scores each with the
-// timing analyzer plus the area estimator, and returns the
-// non-dominated (Pareto) frontier.
+// kernel, compiles them through the batch tier, scores each by the
+// critical path and primitive counts its compile recorded, and returns
+// the non-dominated (Pareto) frontier.
 //
 // The frontier logic lives here, isolated from compilation, so it can
 // be specified by a brute-force dominance oracle over randomized

@@ -110,11 +110,6 @@ func (b *Builder) Slice(t Type, src string, attrs ...int64) string {
 	return b.Instr(t, OpSlice, attrs, []string{src}, ResAny)
 }
 
-// Cat appends a concatenation wire instruction.
-func (b *Builder) Cat(t Type, lo, hi string) string {
-	return b.Instr(t, OpCat, nil, []string{lo, hi}, ResAny)
-}
-
 // Id appends an identity wire instruction with an explicit destination.
 func (b *Builder) Id(dest string, t Type, src string) {
 	b.InstrNamed(dest, t, OpId, nil, []string{src}, ResAny)

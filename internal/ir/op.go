@@ -137,23 +137,6 @@ func (o Op) Arity() int {
 	return -1
 }
 
-// AttrCount returns the number of static integer attributes the op requires,
-// or -1 when the count depends on the destination type (const).
-func (o Op) AttrCount() int {
-	switch o {
-	case OpConst:
-		return -1 // one per lane, or a single splat value
-	case OpSll, OpSrl, OpSra:
-		return 1 // shift amount
-	case OpSlice:
-		return -1 // [lane] for vectors, [hi, lo] for scalars
-	case OpReg:
-		return -1 // initial value: one per lane, or a single splat
-	default:
-		return 0
-	}
-}
-
 // CompOps returns all compute operations in declaration order.
 func CompOps() []Op {
 	var ops []Op

@@ -26,7 +26,6 @@ import (
 	"reticle/internal/place"
 	"reticle/internal/rerr"
 	"reticle/internal/tdl"
-	"reticle/internal/verilog"
 )
 
 // Fault points at every stage boundary. Armed through a context (chaos
@@ -142,27 +141,29 @@ func (s *StageTimes) Add(o StageTimes) {
 
 // PlaceStats carries the placement solver's work counters. They ride on
 // every Artifact, sum across batches (batch.Stats) and the service's
-// cumulative /stats, and land in the bench JSON — the same counters at
-// every layer, so a solver regression is visible wherever you look.
+// cumulative /stats — which puts them on the wire as they stand, under
+// these tags — and land in the bench JSON: the same counters at every
+// layer, so a solver regression is visible wherever you look.
 type PlaceStats struct {
 	// SolverSteps totals CSP search steps across all solver invocations.
-	SolverSteps int
+	SolverSteps int `json:"solver_steps"`
 	// ShrinkProbes counts shrink-pass probes that ran the solver.
-	ShrinkProbes int
+	ShrinkProbes int `json:"shrink_probes"`
 	// ProbesSkipped counts shrink probes answered by revalidating the
 	// previous solution against the tightened bound — no solver run.
-	ProbesSkipped int
+	ProbesSkipped int `json:"probes_skipped"`
 	// HintHits / HintTried measure the warm start: across successful
 	// probe solves, HintTried variables carried their previous anchor as
 	// a hint and HintHits kept it.
-	HintHits, HintTried int
+	HintHits  int `json:"hint_hits"`
+	HintTried int `json:"hint_tried"`
 	// HintCacheHits counts compiles whose placement adopted a
 	// cross-request hint-cache solution outright (zero solver steps);
 	// HintCacheStepsSaved totals the cold solver steps those adoptions
 	// avoided (the recording compile's step count). Full artifact-cache
 	// hits skip the pipeline entirely and count in neither.
-	HintCacheHits       int
-	HintCacheStepsSaved int
+	HintCacheHits       int `json:"hint_cache_hits"`
+	HintCacheStepsSaved int `json:"hint_cache_steps_saved"`
 }
 
 // Add accumulates another compilation's counters, for batch totals.
@@ -190,8 +191,7 @@ type Artifact struct {
 	// through stage keys, memo payloads, and the wire rendering, so
 	// nothing downstream calls String on them again.
 	AsmText, PlacedText string
-	// Module is the structural Verilog AST; Verilog its rendering.
-	Module  *verilog.Module
+	// Verilog is the structural Verilog module, rendered.
 	Verilog string
 
 	// Utilization.
@@ -209,10 +209,7 @@ type Artifact struct {
 	Stages StageTimes
 	// CascadeChains counts chains rewritten by the layout optimizer.
 	CascadeChains int
-	// SolverSteps counts placement search steps (kept alongside
-	// Place.SolverSteps for existing callers).
-	SolverSteps int
-	// Place carries the full placement solver counters.
+	// Place carries the placement solver counters.
 	Place PlaceStats
 	// WarmStart reports how placement was warm-started: "adopted"
 	// (hint-cache solution taken outright, zero solver steps), "stage"

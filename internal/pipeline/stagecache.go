@@ -50,10 +50,7 @@ type cascadeEntry struct {
 }
 
 // outputEntry is the fused codegen+timing payload: everything the last
-// two stages contribute to an artifact. The Verilog rides as its
-// rendered text; the structural Module AST is not reconstructed on a
-// hit (Artifact.Module is nil), which only in-process callers that
-// wire a StageCache themselves can observe.
+// two stages contribute to an artifact, the Verilog as its rendered text.
 type outputEntry struct {
 	Verilog      string   `json:"verilog"`
 	LUTs         int      `json:"luts"`

@@ -157,9 +157,7 @@ var stageTable = [...]stage{{
 	}},
 }, {
 	// Codegen and timing are both pure functions of the placed assembly
-	// under (target, device), so they share one entry. Module stays nil
-	// on a hit — only in-process callers that wired a StageCache
-	// themselves can tell (the wire form carries rendered Verilog only).
+	// under (target, device), so they share one entry.
 	tag:   StageOutput,
 	key:   keyOutput,
 	input: func(c *compilation) string { return c.placed.Text() },
@@ -180,7 +178,7 @@ var stageTable = [...]stage{{
 			if err != nil {
 				return rerr.Wrap(rerr.Permanent, "codegen_failed", "code generation failed", err)
 			}
-			c.art.Module, c.out.Verilog = mod, mod.String()
+			c.out.Verilog = mod.String()
 			c.out.LUTs, c.out.DSPs, c.out.FFs, c.out.Carries = stats.Luts, stats.Dsps, stats.FFs, stats.Carries
 			return nil
 		},
@@ -234,7 +232,7 @@ func runPlace(ctx context.Context, c *compilation) error {
 		HintHits:      res.HintHits,
 		HintTried:     res.HintTried,
 	}
-	art.SolverSteps, art.WarmStart = res.SolverSteps, res.WarmStart
+	art.WarmStart = res.WarmStart
 	art.Degraded, art.DegradedReason = res.Degraded, res.DegradedReason
 	// Record only fresh cold solutions: a degraded placement carries no
 	// anchors, and an adoption would re-store the entry it came from.

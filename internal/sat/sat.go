@@ -95,9 +95,6 @@ func (s *Solver) NewVar() Lit {
 	return Lit(s.nVars)
 }
 
-// NumVars returns the number of allocated variables.
-func (s *Solver) NumVars() int { return s.nVars }
-
 func (s *Solver) watchIndex(l Lit) int {
 	// Positive literal l watches index 2(v-1); negative 2(v-1)+1.
 	v := l.Var() - 1

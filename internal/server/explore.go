@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 
@@ -17,7 +16,8 @@ import (
 // pool, with every variant routed through the server's full cache
 // hierarchy (memory LRU, disk, hint cache) — variants sharing a
 // canonical subtree with each other, a previous sweep, or any /compile
-// traffic are served, not recompiled.
+// traffic are served, not recompiled. Variants leave in lattice order
+// through one loop, in either framing (see Frame).
 func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	release, err := s.admit(r.Context())
 	if err != nil {
@@ -38,6 +38,10 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	timeout, ok := RequestTimeout(w, req.TimeoutMS)
+	if !ok {
+		return
+	}
 	if req.Jobs < 0 {
 		WriteError(w, http.StatusBadRequest, fmt.Sprintf("jobs must be >= 0, got %d", req.Jobs))
 		return
@@ -51,7 +55,7 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, fmt.Sprintf("parse: %v", err))
 		return
 	}
-	ctx, cancel, err := s.deadline(r, req.TimeoutMS)
+	ctx, cancel, err := s.deadline(r, timeout)
 	if err != nil {
 		writeDeadlineError(w, err)
 		return
@@ -62,31 +66,33 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	if name == "" {
 		name = f.Name
 	}
-	opts := explore.Options{
+	sw, err := explore.Begin(ctx, cfg, f, explore.Options{
 		MaxVariants: s.exploreVariantCap(req.MaxVariants),
 		Jobs:        s.exploreJobs(req.Jobs),
 		Compile:     s.variantCompiler(),
-	}
-
-	if req.Stream || r.Header.Get("Accept") == NDJSONContentType {
-		s.streamExplore(ctx, cancel, w, famName, name, cfg, f, opts)
-		return
-	}
-
-	res, err := explore.Run(ctx, cfg, f, opts)
+	})
 	if err != nil {
 		WriteTypedError(w, err)
 		return
 	}
+	frame := NewFrame(w, req.Stream || r.Header.Get("Accept") == NDJSONContentType,
+		"variants", "name", name, "family", famName)
+	for i := 0; i < sw.Len(); i++ {
+		if frame.Item(exploreVariantJSON(sw.Result(i))) != nil {
+			cancel() // client gone: stop the sweep and wait it out
+			sw.Finish()
+			return
+		}
+	}
+	res, err := sw.Finish()
+	if err != nil {
+		// Nothing survived; a stream says so in its trailer.
+		frame.Fail(err, "frontier", nil, "partial", true,
+			"stats", ExploreStatsJSON{Variants: sw.Len(), Failed: sw.Len()})
+		return
+	}
 	s.countExplore(res)
-	WriteJSON(w, http.StatusOK, ExploreResponse{
-		Name:     name,
-		Family:   famName,
-		Variants: exploreVariantsJSON(res.Variants),
-		Frontier: exploreFrontierJSON(res.Frontier),
-		Partial:  res.Partial,
-		Stats:    exploreStatsJSON(res.Stats),
-	})
+	frame.Close("frontier", res.Frontier, "partial", res.Partial, "stats", exploreStatsJSON(res.Stats))
 }
 
 // exploreVariantCap resolves a request's max_variants against the
@@ -122,7 +128,7 @@ func (s *Server) exploreJobs(requested int) int {
 // variantCompiler routes one variant through compileKernel — the same
 // cache-checked, counted, coalesced path /compile and /batch use. The
 // variant is scored from the rendered artifact's recorded counters, which
-// the estimator cross-check keeps equal to a fresh compile's.
+// are codegen's own.
 func (s *Server) variantCompiler() explore.CompileFunc {
 	return func(ctx context.Context, vcfg *pipeline.Config, v explore.Variant) (*pipeline.Artifact, bool, error) {
 		ca, hit, err := s.compileKernel(ctx, vcfg, cache.KeyFor(vcfg, v.Func), v.Func)
@@ -143,17 +149,6 @@ func (s *Server) countExplore(res *explore.Result) {
 	}
 }
 
-func exploreMetricsJSON(m explore.Metrics) ExploreMetrics {
-	return ExploreMetrics{
-		CriticalNs: m.CriticalNs,
-		FMaxMHz:    m.FMaxMHz,
-		Luts:       m.Luts,
-		Dsps:       m.Dsps,
-		FFs:        m.FFs,
-		Carries:    m.Carries,
-	}
-}
-
 // exploreVariantJSON renders one variant line. Failures cross the wire
 // as the typed stable message and code only.
 func exploreVariantJSON(vr explore.VariantResult) ExploreVariant {
@@ -164,27 +159,10 @@ func exploreVariantJSON(vr explore.VariantResult) ExploreVariant {
 		Degraded: vr.Degraded,
 	}
 	if vr.Ok() {
-		m := exploreMetricsJSON(vr.Metrics)
-		out.Metrics = &m
+		out.Metrics = &vr.Metrics
 	} else {
 		out.Error = rerr.Message(vr.Err)
 		out.ErrorCode = rerr.CodeOf(vr.Err)
-	}
-	return out
-}
-
-func exploreVariantsJSON(vrs []explore.VariantResult) []ExploreVariant {
-	out := make([]ExploreVariant, len(vrs))
-	for i, vr := range vrs {
-		out[i] = exploreVariantJSON(vr)
-	}
-	return out
-}
-
-func exploreFrontierJSON(fps []explore.FrontierPoint) []ExploreFrontierPoint {
-	out := make([]ExploreFrontierPoint, len(fps))
-	for i, fp := range fps {
-		out[i] = ExploreFrontierPoint{ID: fp.ID, Metrics: exploreMetricsJSON(fp.Metrics)}
 	}
 	return out
 }
@@ -201,64 +179,4 @@ func exploreStatsJSON(st explore.Stats) ExploreStatsJSON {
 		WallNS:         st.Wall.Nanoseconds(),
 		VariantsPerSec: st.VariantsPerSec,
 	}
-}
-
-// exploreFooter is the streaming sweep's final line: everything only
-// known once the whole lattice has finished. Field order matches
-// ExploreResponse so the stream splices back into the exact buffered
-// body:
-//
-//	{"name":N,"family":F,"variants":[line1,...,lineN],"frontier":...,"partial":...,"stats":...}
-type exploreFooter struct {
-	Name     string                 `json:"name"`
-	Family   string                 `json:"family"`
-	Frontier []ExploreFrontierPoint `json:"frontier"`
-	Partial  bool                   `json:"partial"`
-	Stats    ExploreStatsJSON       `json:"stats"`
-}
-
-// streamExplore is the chunked /explore emitter: one NDJSON line per
-// variant, flushed in lattice order as soon as the variant (and every
-// variant before it) has a result, then the footer. Each line is
-// byte-identical to the corresponding element of the buffered
-// response's variants array.
-func (s *Server) streamExplore(ctx context.Context, cancel context.CancelFunc, w http.ResponseWriter, famName, name string, cfg *pipeline.Config, f *ir.Func, opts explore.Options) {
-	sw, err := explore.Begin(ctx, cfg, f, opts)
-	if err != nil {
-		WriteTypedError(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", NDJSONContentType)
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	line := func(v any) error {
-		err := enc.Encode(v)
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return err
-	}
-	for i := 0; i < sw.Len(); i++ {
-		if line(exploreVariantJSON(sw.Result(i))) != nil {
-			cancel() // client gone: stop the sweep and wait it out
-			sw.Finish()
-			return
-		}
-	}
-	res, err := sw.Finish()
-
-	footer := exploreFooter{Name: name, Family: famName}
-	if err == nil {
-		s.countExplore(res)
-		footer.Frontier = exploreFrontierJSON(res.Frontier)
-		footer.Partial = res.Partial
-		footer.Stats = exploreStatsJSON(res.Stats)
-	} else {
-		// The status line is long gone; the footer carries the failure
-		// marker (every line already has the typed code).
-		footer.Partial = true
-		footer.Stats = ExploreStatsJSON{Variants: sw.Len(), Failed: sw.Len()}
-	}
-	line(footer)
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -176,6 +177,20 @@ func DecodeJSON(w http.ResponseWriter, r *http.Request, maxBytes int64, dst any)
 	return false
 }
 
+// maxTimeoutMS is the largest timeout_ms a time.Duration holds.
+const maxTimeoutMS = int64(math.MaxInt64 / time.Millisecond)
+
+// RequestTimeout converts a request's timeout_ms to a duration, answering
+// a negative value or one past what a duration holds with the one 400
+// both tiers give: false means the response is written.
+func RequestTimeout(w http.ResponseWriter, ms int64) (time.Duration, bool) {
+	if ms < 0 || ms > maxTimeoutMS {
+		WriteError(w, http.StatusBadRequest, fmt.Sprintf("timeout_ms must be between 0 and %d, got %d", maxTimeoutMS, ms))
+		return 0, false
+	}
+	return time.Duration(ms) * time.Millisecond, true
+}
+
 // WriteJSON writes v as the whole response body: every response of
 // either tier, success or failure, is JSON. It serves the small bodies;
 // anything carrying an artifact leaves through WriteFrame.
@@ -281,11 +296,15 @@ func PlanBatch(w http.ResponseWriter, r *http.Request, fs FamilySet, maxBodyByte
 		WriteError(w, http.StatusBadRequest, "batch: no kernels")
 		return nil, false
 	}
+	timeout, ok := RequestTimeout(w, req.TimeoutMS)
+	if !ok {
+		return nil, false
+	}
 	p := &BatchPlan{
 		Family:  famName,
 		Config:  cfg,
 		Stream:  req.Stream || r.Header.Get("Accept") == NDJSONContentType,
-		Options: batch.Options{Jobs: req.Jobs, KernelTimeout: time.Duration(req.TimeoutMS) * time.Millisecond},
+		Options: batch.Options{Jobs: req.Jobs, KernelTimeout: timeout},
 		Results: make([]BatchKernelResultWire, len(req.Kernels)),
 		MissOf:  make([]int, len(req.Kernels)),
 	}
@@ -325,50 +344,64 @@ func PlanBatch(w http.ResponseWriter, r *http.Request, fs FamilySet, maxBodyByte
 	return p, true
 }
 
-// BatchFrame writes a /batch response in one of its two framings from
-// one ordered sequence of per-kernel results. Streaming emits one NDJSON
-// line per result, flushed as it is written, then a footer line
-// {"family":F,"stats":S}: large sweeps stream at the pace of the workers
+// Frame writes a response that is header fields, one array written item
+// by item, and trailing fields, in either of two framings; /batch and
+// /explore both leave through it. Streaming emits one NDJSON line per
+// item, flushed as it is written, then a trailer line holding the header
+// and trailing fields: large sweeps stream at the pace of the workers
 // instead of buffering in server memory. Buffered is the splice of that
-// stream — {"family":F,"results":[line1,...,lineN],"stats":S} — written
-// once at Close, so the two framings cannot drift apart.
-type BatchFrame struct {
-	w       http.ResponseWriter
-	stream  bool
-	family  string
-	buf     *[]byte // pooled: the line in hand when streaming, the body so far when buffered
-	results int
+// stream — {header,"array":[line1,...,lineN],trailing} — written once at
+// Close, so the two framings cannot drift apart.
+type Frame struct {
+	w      http.ResponseWriter
+	stream bool
+	head   []byte  // the header fields, each after a comma
+	buf    *[]byte // pooled: the line in hand when streaming, the body so far when buffered
+	items  int
 }
 
-// NewBatchFrame starts a response; when streaming, the status line and
-// headers go out now.
-func NewBatchFrame(w http.ResponseWriter, stream bool, family string) *BatchFrame {
-	f := &BatchFrame{w: w, stream: stream, family: family, buf: framePool.Get().(*[]byte)}
+// NewFrame starts a response whose array is named array and whose header
+// fields are the name/value pairs head; when streaming, the status line
+// and headers go out now.
+func NewFrame(w http.ResponseWriter, stream bool, array string, head ...any) *Frame {
+	f := &Frame{w: w, stream: stream, head: appendFields(nil, head), buf: framePool.Get().(*[]byte)}
 	if stream {
 		w.Header().Set("Content-Type", NDJSONContentType)
 		w.WriteHeader(http.StatusOK)
 		return f
 	}
-	*f.buf = append(appendString(append((*f.buf)[:0], `{"family":`...), family), `,"results":[`...)
+	*f.buf = append(append((*f.buf)[:0], '{'), f.head[1:]...)
+	*f.buf = append(appendString(append(*f.buf, ','), array), ":["...)
 	return f
 }
 
-// Result emits the next kernel's result. A non-nil error means the
-// client is gone.
-func (f *BatchFrame) Result(res BatchKernelResultWire) error {
-	if f.stream {
-		return f.line(res.AppendJSON((*f.buf)[:0]))
+// appendFields appends name/value pairs as object members, each after a
+// comma. The values are names, flags and counters, never an artifact, so
+// they stay on encoding/json (Marshal cannot fail on them).
+func appendFields(dst []byte, pairs []any) []byte {
+	for i := 0; i+1 < len(pairs); i += 2 {
+		v, _ := json.Marshal(pairs[i+1])
+		dst = append(append(appendString(append(dst, ','), pairs[i].(string)), ':'), v...)
 	}
-	if f.results > 0 {
+	return dst
+}
+
+// Item emits the array's next element. A non-nil error means the client
+// is gone.
+func (f *Frame) Item(item interface{ AppendJSON([]byte) []byte }) error {
+	if f.stream {
+		return f.line(item.AppendJSON((*f.buf)[:0]))
+	}
+	if f.items > 0 {
 		*f.buf = append(*f.buf, ',')
 	}
-	f.results++
-	*f.buf = res.AppendJSON(*f.buf)
+	f.items++
+	*f.buf = item.AppendJSON(*f.buf)
 	return nil
 }
 
 // line writes and flushes one NDJSON line, keeping its buffer for the next.
-func (f *BatchFrame) line(b []byte) error {
+func (f *Frame) line(b []byte) error {
 	*f.buf = append(b, '\n')
 	_, err := f.w.Write(*f.buf)
 	if fl, ok := f.w.(http.Flusher); ok {
@@ -377,21 +410,27 @@ func (f *BatchFrame) line(b []byte) error {
 	return err
 }
 
-// Close emits the batch-level fields only known once every kernel has
-// finished, and for the buffered framing writes the body. Neither holds an
-// artifact, so both stay on encoding/json (numbers and a name: Marshal
-// cannot fail).
-func (f *BatchFrame) Close(stats BatchStatsJSON) {
+// Close emits the trailing fields, the name/value pairs tail, known only
+// once every item has been; for the buffered framing it writes the body.
+func (f *Frame) Close(tail ...any) {
 	if f.stream {
-		foot, _ := json.Marshal(struct {
-			Family string         `json:"family"`
-			Stats  BatchStatsJSON `json:"stats"`
-		}{f.family, stats})
-		f.line(append((*f.buf)[:0], foot...))
+		f.line(append(appendFields(append(append((*f.buf)[:0], '{'), f.head[1:]...), tail), '}'))
 	} else {
-		st, _ := json.Marshal(stats)
-		*f.buf = append(append(append(*f.buf, `],"stats":`...), st...), "}\n"...)
+		*f.buf = append(appendFields(append(*f.buf, ']'), tail), "}\n"...)
 		WriteFrame(f.w, http.StatusOK, *f.buf)
 	}
 	framePool.Put(f.buf)
+}
+
+// Fail ends a response whose trailing fields cannot be known. Buffered,
+// nothing has gone out: the held bytes are dropped and err is the typed
+// answer. Streaming, the status line is long gone: tail closes the stream
+// as Close would, the items having carried their own typed failures.
+func (f *Frame) Fail(err error, tail ...any) {
+	if f.stream {
+		f.Close(tail...)
+		return
+	}
+	framePool.Put(f.buf)
+	WriteTypedError(f.w, err)
 }

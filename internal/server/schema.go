@@ -4,6 +4,7 @@ import (
 	"runtime"
 
 	"reticle/internal/cache"
+	"reticle/internal/explore"
 	"reticle/internal/hintcache"
 	"reticle/internal/pipeline"
 	"reticle/internal/stagecache"
@@ -150,8 +151,8 @@ type BatchKernelResult struct {
 
 // BatchKernelResultWire mirrors BatchKernelResult with pre-rendered
 // artifact bytes; kernels that failed (no artifact) omit the field, which
-// clients decode as a zero ArtifactJSON. BatchFrame writes the response
-// around these, in either framing, through AppendJSON.
+// clients decode as a zero ArtifactJSON. Frame writes the response around
+// these, in either framing, through AppendJSON.
 type BatchKernelResultWire struct {
 	Name      string `json:"name"`
 	OK        bool   `json:"ok"`
@@ -221,14 +222,18 @@ type CacheStatsJSON struct {
 	HitRate    float64 `json:"hit_rate"`
 }
 
-// The store sections of GET /stats are the stores' own counter
-// snapshots: a namespace's counters are declared once, where they are
-// counted. DiskStatsJSON is present only when the server runs with a
+// Sections declared once, where they are produced: the store sections of
+// GET /stats are the stores' own counter snapshots, its place section is
+// the pipeline's solver counters summed, and an /explore score is the
+// sweep's own. DiskStatsJSON is present only when the server runs with a
 // disk cache; its counters reset with the process, the artifacts do not.
 type (
-	DiskStatsJSON      = cache.DiskStats
-	HintCacheStatsJSON = hintcache.Stats
-	StageCounterJSON   = stagecache.StageStats
+	DiskStatsJSON        = cache.DiskStats
+	HintCacheStatsJSON   = hintcache.Stats
+	StageCounterJSON     = stagecache.StageStats
+	PlaceStatsJSON       = pipeline.PlaceStats
+	ExploreMetrics       = explore.Metrics
+	ExploreFrontierPoint = explore.FrontierPoint
 )
 
 // ScrubResponse is the POST /scrub body: one completed integrity walk.
@@ -237,23 +242,6 @@ type ScrubResponse struct {
 	Corrupt   int   `json:"corrupt"`
 	Bytes     int64 `json:"bytes"`
 	ElapsedMS int64 `json:"elapsed_ms"`
-}
-
-// PlaceStatsJSON is the cumulative placement-solver section of GET
-// /stats: totals across every compiled kernel (cache hits excluded,
-// like Stages).
-type PlaceStatsJSON struct {
-	SolverSteps   int `json:"solver_steps"`
-	ShrinkProbes  int `json:"shrink_probes"`
-	ProbesSkipped int `json:"probes_skipped"`
-	HintHits      int `json:"hint_hits"`
-	HintTried     int `json:"hint_tried"`
-	// HintCacheHits counts compiles whose placement was adopted from the
-	// cross-request hint cache; HintCacheStepsSaved totals the cold
-	// solver steps those adoptions avoided. Full artifact-cache hits
-	// skip the pipeline and count in neither (no double-count).
-	HintCacheHits       int `json:"hint_cache_hits"`
-	HintCacheStepsSaved int `json:"hint_cache_steps_saved"`
 }
 
 // StageCacheStatsJSON is the per-stage compilation memo section of GET
@@ -327,7 +315,9 @@ type StatsResponse struct {
 	Cache           CacheStatsJSON `json:"cache"`
 	Disk            *DiskStatsJSON `json:"disk,omitempty"`
 	Stages          StagesJSON     `json:"stages"`
-	Place           PlaceStatsJSON `json:"place"`
+	// Place totals the placement solver counters across every compiled
+	// kernel (cache hits excluded, like Stages).
+	Place PlaceStatsJSON `json:"place"`
 	// HintCache snapshots the placement hint store, omitted when the
 	// server runs with the hint cache disabled.
 	HintCache *HintCacheStatsJSON `json:"hint_cache,omitempty"`
@@ -355,7 +345,7 @@ func artifactJSON(a *pipeline.Artifact) ArtifactJSON {
 		CompileNS:      a.CompileDur.Nanoseconds(),
 		Stages:         stageJSON(a.Stages),
 		CascadeChains:  a.CascadeChains,
-		SolverSteps:    a.SolverSteps,
+		SolverSteps:    a.Place.SolverSteps,
 		ShrinkProbes:   a.Place.ShrinkProbes,
 		ProbesSkipped:  a.Place.ProbesSkipped,
 		HintHits:       a.Place.HintHits,
@@ -366,20 +356,6 @@ func artifactJSON(a *pipeline.Artifact) ArtifactJSON {
 
 		HintCacheHits:       a.Place.HintCacheHits,
 		HintCacheStepsSaved: a.Place.HintCacheStepsSaved,
-	}
-}
-
-// placeJSON renders cumulative placement counters for the wire.
-func placeJSON(ps pipeline.PlaceStats) PlaceStatsJSON {
-	return PlaceStatsJSON{
-		SolverSteps:   ps.SolverSteps,
-		ShrinkProbes:  ps.ShrinkProbes,
-		ProbesSkipped: ps.ProbesSkipped,
-		HintHits:      ps.HintHits,
-		HintTried:     ps.HintTried,
-
-		HintCacheHits:       ps.HintCacheHits,
-		HintCacheStepsSaved: ps.HintCacheStepsSaved,
 	}
 }
 
@@ -457,19 +433,6 @@ type ExploreRequest struct {
 	Stream bool `json:"stream,omitempty"`
 }
 
-// ExploreMetrics is one variant's deterministic score: critical path
-// from the timing analyzer, area from the estimator over the placed
-// assembly (held equal to the Verilog generator's counts by the
-// cross-check suite).
-type ExploreMetrics struct {
-	CriticalNs float64 `json:"critical_ns"`
-	FMaxMHz    float64 `json:"fmax_mhz"`
-	Luts       int     `json:"luts"`
-	Dsps       int     `json:"dsps"`
-	FFs        int     `json:"ffs"`
-	Carries    int     `json:"carries"`
-}
-
 // ExploreVariant is one variant's outcome, at its lattice position.
 // Only deterministic fields appear — cache attribution and durations
 // live in ExploreStatsJSON — so a cold sweep, a warm sweep, and a
@@ -484,14 +447,6 @@ type ExploreVariant struct {
 	Error     string          `json:"error,omitempty"`
 	ErrorCode string          `json:"error_code,omitempty"`
 	Metrics   *ExploreMetrics `json:"metrics,omitempty"`
-}
-
-// ExploreFrontierPoint is one non-dominated variant. The frontier is
-// ordered canonically: objective vectors (critical_ns, luts, carries,
-// dsps) ascending, ID as the tie-break.
-type ExploreFrontierPoint struct {
-	ID      string         `json:"id"`
-	Metrics ExploreMetrics `json:"metrics"`
 }
 
 // ExploreStatsJSON aggregates one sweep.

@@ -67,6 +67,14 @@ func (r BatchKernelResultWire) AppendJSON(dst []byte) []byte {
 	return append(dst, '}')
 }
 
+// AppendJSON appends the variant exactly as json.Marshal renders it: it
+// carries no artifact, so it stays on encoding/json (a name, flags and
+// numbers: Marshal cannot fail).
+func (v ExploreVariant) AppendJSON(dst []byte) []byte {
+	b, _ := json.Marshal(v)
+	return append(dst, b...)
+}
+
 // frameReader walks a frame left to right by the layout AppendJSON and
 // render write. ok goes false at the first byte that is not where that
 // layout puts it, and stays false.

@@ -33,6 +33,10 @@ func (rt *Router) handleExplore(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	timeout, ok := server.RequestTimeout(w, req.TimeoutMS)
+	if !ok {
+		return
+	}
 	f, err := ir.Parse(req.IR)
 	if err != nil {
 		server.WriteError(w, http.StatusBadRequest, fmt.Sprintf("parse: %v", err))
@@ -55,7 +59,7 @@ func (rt *Router) handleExplore(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, http.StatusInternalServerError, "marshal forward request")
 		return
 	}
-	out, ok := rt.relay(w, r, req.TimeoutMS, routeKey, "/explore", fwd)
+	out, ok := rt.relay(w, r, timeout, routeKey, "/explore", fwd)
 	if !ok {
 		return
 	}

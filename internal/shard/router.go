@@ -292,9 +292,6 @@ func (rt *Router) Shutdown(ctx context.Context) error {
 	return rt.hs.Shutdown(ctx)
 }
 
-// BackendAlive reports backend i's current liveness.
-func (rt *Router) BackendAlive(i int) bool { return rt.backends[i].alive.Load() }
-
 // proxyOutcome is one routed kernel's terminal proxy result: an HTTP
 // answer from some live backend, or a typed total-outage error. A 429
 // answer carries the backend's Retry-After so the handlers can relay
@@ -339,6 +336,10 @@ func (rt *Router) handleCompile(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	timeout, ok := server.RequestTimeout(w, req.TimeoutMS)
+	if !ok {
+		return
+	}
 	f, err := ir.Parse(req.IR)
 	if err != nil {
 		server.WriteError(w, http.StatusBadRequest, fmt.Sprintf("parse: %v", err))
@@ -372,7 +373,7 @@ func (rt *Router) handleCompile(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, http.StatusInternalServerError, "marshal forward request")
 		return
 	}
-	out, ok := rt.relay(w, r, req.TimeoutMS, routeKey, "/compile", fwd)
+	out, ok := rt.relay(w, r, timeout, routeKey, "/compile", fwd)
 	if !ok {
 		return
 	}
@@ -394,8 +395,8 @@ func (rt *Router) handleCompile(w http.ResponseWriter, r *http.Request) {
 // header — shares one budget instead of each tier inventing its own; a
 // relayed shed keeps the backend's Retry-After. A routing failure is
 // answered typed and reported as false.
-func (rt *Router) relay(w http.ResponseWriter, r *http.Request, timeoutMS int64, routeKey cache.Key, path string, fwd []byte) (proxyOutcome, bool) {
-	ctx, cancel := requestCtx(r.Context(), timeoutMS)
+func (rt *Router) relay(w http.ResponseWriter, r *http.Request, timeout time.Duration, routeKey cache.Key, path string, fwd []byte) (proxyOutcome, bool) {
+	ctx, cancel := requestCtx(r.Context(), timeout)
 	defer cancel()
 	out := rt.proxyKernel(ctx, routeKey, path, fwd)
 	if out.err != nil {
@@ -411,9 +412,9 @@ func (rt *Router) relay(w http.ResponseWriter, r *http.Request, timeoutMS int64,
 // requestCtx derives the proxy context for one routed kernel: ctx bounded
 // by the client-requested timeout, which the proxy layer also stamps
 // downstream as the X-Reticle-Deadline header.
-func requestCtx(ctx context.Context, timeoutMS int64) (context.Context, context.CancelFunc) {
-	if timeoutMS > 0 {
-		return context.WithTimeout(ctx, time.Duration(timeoutMS)*time.Millisecond)
+func requestCtx(ctx context.Context, timeout time.Duration) (context.Context, context.CancelFunc) {
+	if timeout > 0 {
+		return context.WithTimeout(ctx, timeout)
 	}
 	return context.WithCancel(ctx)
 }

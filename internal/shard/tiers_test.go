@@ -3,10 +3,13 @@ package shard_test
 import (
 	"bytes"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -51,6 +54,47 @@ func TestBatchTiersIndistinguishableOnBadInput(t *testing.T) {
 		}
 		if rCode != bCode || rBody != bBody {
 			t.Errorf("%s: the tiers can be told apart\nbackend %d %s\nrouter  %d %s", tc.name, bCode, bBody, rCode, rBody)
+		}
+	}
+}
+
+// measured are the body members that time the tier that wrote them.
+var measured = regexp.MustCompile(`"(wall_ns|compile_ns|\w+_per_sec)":[-+.eE0-9]+|"stages":\{[^{}]*\}`)
+
+// TestTimeoutTiersAgree: a timeout_ms at or past the edge of what a
+// duration holds earns the same status and body from a bare backend and
+// from a router over one, on every endpoint that reads it. The largest
+// accepted value compiles on both tiers; one past it, and a negative one,
+// are the same 400 on both.
+func TestTimeoutTiersAgree(t *testing.T) {
+	backend, err := reticle.NewServer(reticle.ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, urls := newBackends(t, 1)
+	router := newRouter(t, reticle.ShardOptions{Backends: urls})
+
+	ir := strconv.Quote(maccSrc)
+	for _, ms := range []int64{-1, 9223372036854, 9223372036855, math.MaxInt64} {
+		to := strconv.FormatInt(ms, 10)
+		for _, ep := range []struct{ path, body string }{
+			{"/compile", `{"ir":` + ir + `,"timeout_ms":` + to + `}`},
+			{"/batch", `{"jobs":1,"timeout_ms":` + to + `,"kernels":[{"ir":` + ir + `}]}`},
+			{"/explore", `{"ir":` + ir + `,"jobs":1,"timeout_ms":` + to + `}`},
+		} {
+			answer := func(h http.Handler) (int, string) {
+				w := httptest.NewRecorder()
+				h.ServeHTTP(w, httptest.NewRequest("POST", ep.path, strings.NewReader(ep.body)))
+				return w.Code, string(measured.ReplaceAll(w.Body.Bytes(), nil))
+			}
+			bCode, bBody := answer(backend)
+			rCode, rBody := answer(router)
+			if rCode != bCode || rBody != bBody {
+				t.Errorf("%s timeout_ms=%d: the tiers disagree\nbackend %d %s\nrouter  %d %s", ep.path, ms, bCode, bBody, rCode, rBody)
+			}
+			if want := ms == 9223372036854; (bCode == http.StatusOK) != want {
+				t.Errorf("%s timeout_ms=%d: backend status %d: %s", ep.path, ms, bCode, bBody)
+			}
 		}
 	}
 }

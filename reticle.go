@@ -43,7 +43,6 @@ import (
 	"reticle/internal/target/agilex"
 	"reticle/internal/target/ultrascale"
 	"reticle/internal/tdl"
-	"reticle/internal/verilog"
 	"reticle/internal/vivado"
 )
 
@@ -69,8 +68,6 @@ type (
 	Trace = interp.Trace
 	// Step is one clock cycle of trace values.
 	Step = interp.Step
-	// Module is a Verilog module AST.
-	Module = verilog.Module
 )
 
 // ParseIR parses one intermediate-language function.
@@ -369,7 +366,7 @@ type (
 	// ExploreVariantResult is one variant's compiled, scored outcome.
 	ExploreVariantResult = explore.VariantResult
 	// ExploreMetrics is a variant's deterministic score: critical path
-	// plus estimated area (LUTs, carries, FFs, DSPs).
+	// plus the area codegen counted (LUTs, carries, FFs, DSPs).
 	ExploreMetrics = explore.Metrics
 	// FrontierPoint is one non-dominated variant.
 	FrontierPoint = explore.FrontierPoint
@@ -383,7 +380,7 @@ func EnumerateVariants(f *Func, maxVariants int) ([]ExploreVariant, error) {
 
 // Explore sweeps f's variant lattice — binding flips, cascade toggles,
 // vector splits — compiling every variant under this compiler's config
-// and scoring each on critical path and estimated area. The result
+// and scoring each on critical path and area. The result
 // carries every variant plus the Pareto frontier; individual variant
 // failures mark it Partial.
 func (c *Compiler) Explore(ctx context.Context, f *Func, opts ExploreOptions) (*ExploreResult, error) {
@@ -399,6 +396,19 @@ func (c *Compiler) Explore(ctx context.Context, f *Func, opts ExploreOptions) (*
 // and drain it with Server.Shutdown; it also implements http.Handler
 // for embedding. cmd/reticle-serve is the standalone daemon.
 func NewServer(opts ServerOptions) (*Server, error) {
+	configs, err := familyConfigs()
+	if err != nil {
+		return nil, err
+	}
+	if opts.DefaultFamily == "" {
+		opts.DefaultFamily = "ultrascale"
+	}
+	return server.New(opts, configs)
+}
+
+// familyConfigs builds one pipeline config per bundled family, keyed by
+// the family name a request carries.
+func familyConfigs() (map[string]*pipeline.Config, error) {
 	us, err := NewCompilerWith(Options{})
 	if err != nil {
 		return nil, err
@@ -407,13 +417,7 @@ func NewServer(opts ServerOptions) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.DefaultFamily == "" {
-		opts.DefaultFamily = "ultrascale"
-	}
-	return server.New(opts, map[string]*pipeline.Config{
-		"ultrascale": &us.cfg,
-		"agilex":     &ag.cfg,
-	})
+	return map[string]*pipeline.Config{"ultrascale": &us.cfg, "agilex": &ag.cfg}, nil
 }
 
 // The distributed compile tier, re-exported from internal/shard.
@@ -434,21 +438,14 @@ type (
 // family configs as NewServer, so router-computed cache keys agree
 // with every backend's.
 func NewShardRouter(opts ShardOptions) (*ShardRouter, error) {
-	us, err := NewCompilerWith(Options{})
-	if err != nil {
-		return nil, err
-	}
-	ag, err := NewCompilerWith(Options{Target: agilex.Target(), Device: agilex.Device()})
+	configs, err := familyConfigs()
 	if err != nil {
 		return nil, err
 	}
 	if opts.DefaultFamily == "" {
 		opts.DefaultFamily = "ultrascale"
 	}
-	return shard.New(opts, map[string]*pipeline.Config{
-		"ultrascale": &us.cfg,
-		"agilex":     &ag.cfg,
-	})
+	return shard.New(opts, configs)
 }
 
 // BehavioralVerilog renders the §7 baseline translations: standard
