@@ -197,22 +197,47 @@ func (c *Cache[V]) insertLocked(key Key, val V) {
 // removing them would leave a window in which concurrent requests replay
 // the degraded answer. A nil keep publishes every successful value.
 func (c *Cache[V]) GetOrComputeKeep(ctx context.Context, key Key, compute func() (V, error), keep func(V) bool) (val V, hit bool, err error) {
+	val, lvl, err := c.resolve(ctx, key, compute, keep)
+	return val, lvl != Computed, err
+}
+
+// Level names what answered a lookup that may compute: the caller's own
+// compute, or one of the ways it was served without one.
+type Level uint8
+
+const (
+	// Computed: this caller's compute ran (the singleflight leader).
+	Computed Level = iota
+	// FromMemory: a resident entry.
+	FromMemory
+	// FromDisk: the store's leader found the value on disk (Store.Resolve).
+	FromDisk
+	// Coalesced: another caller's compute, in flight when this one asked.
+	Coalesced
+)
+
+var levelNames = [...]string{"computed", "memory", "disk", "coalesced"}
+
+func (l Level) String() string { return levelNames[l] }
+
+// resolve is GetOrComputeKeep reporting which level answered.
+func (c *Cache[V]) resolve(ctx context.Context, key Key, compute func() (V, error), keep func(V) bool) (val V, lvl Level, err error) {
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
 		c.hits++
 		c.mu.Unlock()
-		return el.Value.(*entry[V]).val, true, nil
+		return el.Value.(*entry[V]).val, FromMemory, nil
 	}
 	if fl, ok := c.inflight[key]; ok {
 		c.coalesced++
 		c.mu.Unlock()
 		select {
 		case <-fl.done:
-			return fl.val, true, fl.err
+			return fl.val, Coalesced, fl.err
 		case <-ctx.Done():
 			var zero V
-			return zero, false, ctx.Err()
+			return zero, Coalesced, ctx.Err()
 		}
 	}
 	fl := &flight[V]{done: make(chan struct{})}
@@ -249,7 +274,7 @@ func (c *Cache[V]) GetOrComputeKeep(ctx context.Context, key Key, compute func()
 	c.mu.Unlock()
 	fl.val, fl.err = val, err
 	close(fl.done)
-	return val, false, err
+	return val, Computed, err
 }
 
 // Len returns the number of resident values.

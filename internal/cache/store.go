@@ -137,11 +137,12 @@ func (s *Store[V]) Put(ctx context.Context, key Key, v V) (stored bool) {
 // panic in compute or the codec becomes a typed error for the leader and
 // every waiter). The leader looks on disk before it computes, and writes
 // a computed value through to both levels unless Keep rejects it — such
-// a value goes to the leader and its coalesced waiters only. hit is
-// false only for the caller whose compute ran.
-func (s *Store[V]) Resolve(ctx context.Context, key Key, compute func() (V, error)) (V, bool, error) {
+// a value goes to the leader and its coalesced waiters only. The level
+// says what answered: Computed only for the caller whose compute ran,
+// FromDisk for a leader that found the value there.
+func (s *Store[V]) Resolve(ctx context.Context, key Key, compute func() (V, error)) (V, Level, error) {
 	diskServed := false
-	v, hit, err := s.mem.GetOrComputeKeep(ctx, key, func() (V, error) {
+	v, lvl, err := s.mem.resolve(ctx, key, func() (V, error) {
 		if v, ok := s.fromDisk(ctx, key); ok {
 			diskServed = true
 			return v, nil
@@ -152,7 +153,10 @@ func (s *Store[V]) Resolve(ctx context.Context, key Key, compute func() (V, erro
 		}
 		return v, err
 	}, s.ns.Keep)
-	return v, hit || diskServed, err
+	if diskServed {
+		lvl = FromDisk
+	}
+	return v, lvl, err
 }
 
 // Stats snapshots the memory level's counters.

@@ -155,9 +155,9 @@ func runContract[V any](t *testing.T, c contract[V]) {
 			t.Fatal("stored value not found")
 		}
 		same(t, v, c.good(0))
-		v, hit, err := s.Resolve(bg, key(0), noCompute)
-		if err != nil || !hit {
-			t.Fatalf("Resolve of a resident key: hit=%v err=%v", hit, err)
+		v, lvl, err := s.Resolve(bg, key(0), noCompute)
+		if err != nil || lvl != cache.FromMemory {
+			t.Fatalf("Resolve of a resident key: level=%v err=%v", lvl, err)
 		}
 		same(t, v, c.good(0))
 		if s.DiskStats() != nil {
@@ -171,8 +171,8 @@ func runContract[V any](t *testing.T, c contract[V]) {
 		for name, read := range map[string]func(s *cache.Store[V]) (V, bool){
 			"Lookup": func(s *cache.Store[V]) (V, bool) { return s.Lookup(bg, key(0)) },
 			"Resolve": func(s *cache.Store[V]) (V, bool) {
-				v, hit, err := s.Resolve(bg, key(0), noCompute)
-				return v, hit && err == nil
+				v, lvl, err := s.Resolve(bg, key(0), noCompute)
+				return v, lvl == cache.FromDisk && err == nil
 			},
 		} {
 			s := openStore(t, dir, c.ns)
@@ -210,9 +210,9 @@ func runContract[V any](t *testing.T, c contract[V]) {
 			t.Fatalf("corrupt frame not quarantined: %+v", ds)
 		}
 		// The recompute's store heals the slot, for this process and the next.
-		v, hit, err := s.Resolve(bg, key(0), func() (V, error) { return c.good(0), nil })
-		if err != nil || hit {
-			t.Fatalf("Resolve after quarantine: hit=%v err=%v, want a compute", hit, err)
+		v, lvl, err := s.Resolve(bg, key(0), func() (V, error) { return c.good(0), nil })
+		if err != nil || lvl != cache.Computed {
+			t.Fatalf("Resolve after quarantine: level=%v err=%v, want a compute", lvl, err)
 		}
 		same(t, v, c.good(0))
 		v, ok := openStore(t, dir, c.ns).Lookup(bg, key(0))
@@ -263,9 +263,9 @@ func runContract[V any](t *testing.T, c contract[V]) {
 		dir := t.TempDir()
 		s := openStore(t, dir, c.ns)
 		ctx, _ := armed(once, cache.FaultDiskWrite)
-		v, hit, err := s.Resolve(ctx, key(0), func() (V, error) { return c.good(0), nil })
-		if err != nil || hit {
-			t.Fatalf("write fault failed the compute that fed it: hit=%v err=%v", hit, err)
+		v, lvl, err := s.Resolve(ctx, key(0), func() (V, error) { return c.good(0), nil })
+		if err != nil || lvl != cache.Computed {
+			t.Fatalf("write fault failed the compute that fed it: level=%v err=%v", lvl, err)
 		}
 		same(t, v, c.good(0))
 		if ds := s.DiskStats(); ds.Writes != 0 || ds.WriteErrors != 1 || ds.Entries != 0 {
@@ -285,9 +285,9 @@ func runContract[V any](t *testing.T, c contract[V]) {
 		}
 		ctx, _ = armed(once, cache.FaultDiskRead)
 		ran := false
-		_, hit, err = s.Resolve(ctx, key(1), func() (V, error) { ran = true; return c.good(1), nil })
-		if err != nil || hit || !ran {
-			t.Fatalf("read fault under Resolve: ran=%v hit=%v err=%v, want a plain recompute", ran, hit, err)
+		_, lvl, err = s.Resolve(ctx, key(1), func() (V, error) { ran = true; return c.good(1), nil })
+		if err != nil || lvl != cache.Computed || !ran {
+			t.Fatalf("read fault under Resolve: ran=%v level=%v err=%v, want a plain recompute", ran, lvl, err)
 		}
 	})
 
@@ -381,9 +381,9 @@ func runContract[V any](t *testing.T, c contract[V]) {
 		// No close exists or is needed: abandoning the store models a kill.
 		second := openStore(t, dir, c.ns)
 		for i := 0; i < n; i++ {
-			v, hit, err := second.Resolve(bg, key(i), noCompute)
-			if err != nil || !hit {
-				t.Fatalf("key %d after restart: hit=%v err=%v", i, hit, err)
+			v, lvl, err := second.Resolve(bg, key(i), noCompute)
+			if err != nil || lvl != cache.FromDisk {
+				t.Fatalf("key %d after restart: level=%v err=%v", i, lvl, err)
 			}
 			same(t, v, c.good(i))
 		}

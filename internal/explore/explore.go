@@ -16,11 +16,11 @@ import (
 // sweep as a whole must still return a frontier over the survivors.
 var FaultVariant = faults.Register("explore/variant", "explore sweep, before each per-variant compile attempt")
 
-// CompileFunc compiles one variant under its per-variant config and
-// reports (artifact, served-from-cache, error). The server supplies a
-// closure that routes through its artifact cache hierarchy; the default
-// is a plain pipeline compile.
-type CompileFunc func(ctx context.Context, cfg *pipeline.Config, v Variant) (*pipeline.Artifact, bool, error)
+// CompileFunc compiles variant v, at lattice position i, under its
+// per-variant config and reports (artifact, served-from-cache, error).
+// The server supplies a closure that routes through its artifact cache
+// hierarchy; the default is a plain pipeline compile.
+type CompileFunc func(ctx context.Context, cfg *pipeline.Config, i int, v Variant) (*pipeline.Artifact, bool, error)
 
 // Options configures one sweep.
 type Options struct {
@@ -171,7 +171,7 @@ func Begin(ctx context.Context, cfg *pipeline.Config, f *ir.Func, opts Options) 
 	}
 	compile := opts.Compile
 	if compile == nil {
-		compile = func(ctx context.Context, vcfg *pipeline.Config, v Variant) (*pipeline.Artifact, bool, error) {
+		compile = func(ctx context.Context, vcfg *pipeline.Config, _ int, v Variant) (*pipeline.Artifact, bool, error) {
 			art, err := pipeline.Compile(ctx, vcfg, v.Func)
 			return art, false, err
 		}
@@ -193,7 +193,7 @@ func Begin(ctx context.Context, cfg *pipeline.Config, f *ir.Func, opts Options) 
 				if err := FaultVariant.Fire(kctx); err != nil {
 					return nil, err
 				}
-				art, hit, err := compile(kctx, vcfg, v)
+				art, hit, err := compile(kctx, vcfg, i, v)
 				if err != nil {
 					return nil, err
 				}

@@ -324,7 +324,7 @@ func TestRunCacheHitsCounted(t *testing.T) {
 	cfg := testConfig(t)
 	res, err := Run(context.Background(), cfg, parse(t, maccSrc), Options{
 		Jobs: 2,
-		Compile: func(ctx context.Context, vcfg *pipeline.Config, v Variant) (*pipeline.Artifact, bool, error) {
+		Compile: func(ctx context.Context, vcfg *pipeline.Config, _ int, v Variant) (*pipeline.Artifact, bool, error) {
 			art, err := pipeline.Compile(ctx, vcfg, v.Func)
 			return art, v.ID == "base", err
 		},

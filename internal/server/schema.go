@@ -245,8 +245,7 @@ type ScrubResponse struct {
 }
 
 // StageCacheStatsJSON is the per-stage compilation memo section of GET
-// /stats, present when the server runs with the stage cache enabled
-// (the default). Lookups happen only on artifact-cache misses, so the
+// /stats. Lookups happen only on artifact-cache misses, so the
 // per-stage hit/miss sums track compiled kernels, not requests.
 type StageCacheStatsJSON struct {
 	Entries    int `json:"entries"`
@@ -318,11 +317,10 @@ type StatsResponse struct {
 	// Place totals the placement solver counters across every compiled
 	// kernel (cache hits excluded, like Stages).
 	Place PlaceStatsJSON `json:"place"`
-	// HintCache snapshots the placement hint store, omitted when the
-	// server runs with the hint cache disabled.
+	// HintCache snapshots the placement hint store; every server has one.
 	HintCache *HintCacheStatsJSON `json:"hint_cache,omitempty"`
-	// StageCache snapshots the per-stage compilation memo, omitted when
-	// the server runs with the stage cache disabled.
+	// StageCache snapshots the per-stage compilation memo; every server
+	// has one.
 	StageCache *StageCacheStatsJSON `json:"stage_cache,omitempty"`
 	// Mem is a point-in-time runtime.MemStats/GC snapshot.
 	Mem MemStatsJSON `json:"mem"`
@@ -360,9 +358,9 @@ func artifactJSON(a *pipeline.Artifact) ArtifactJSON {
 }
 
 // stageCacheJSON renders the stage memo snapshot for the wire. skips is
-// the server-side stages-skipped accumulator (compileKernel fill paths
-// plus /batch and /explore aggregation), not a store counter: the store
-// counts lookups, the server counts stages it did not recompute.
+// the fold's stages-skipped total — what compileKernel copied off each
+// artifact it compiled — not a store counter: the store counts lookups,
+// the server counts stages it did not recompute.
 func stageCacheJSON(st stagecache.Stats, skips int64) StageCacheStatsJSON {
 	return StageCacheStatsJSON{
 		Entries:       st.Entries,

@@ -142,19 +142,24 @@ func (rt *Router) pollBackendStats(ctx context.Context, b *backend) BackendStats
 // Aggregate.DiskHits / Router.Disk sections — never folded into the
 // backend cache sums they are disjoint from (the no-double-count
 // invariant stats_shard_test.go pins).
+//
+// The router's own counters are the fold of finished requests (this one
+// included, though it has not ended), but for the hedge budget's two,
+// read from their owners.
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
+	requests, sum := rt.totals.Snapshot()
 	resp := StatsResponse{
-		Requests: rt.requests.Load(),
+		Requests: requests + 1,
 		UptimeMS: time.Since(rt.start).Milliseconds(),
 		Families: rt.Families(),
 		Router: RouterStatsJSON{
-			Proxied:       rt.proxied.Load(),
-			Rehashes:      rt.rehashes.Load(),
-			Outages:       rt.outages.Load(),
+			Proxied:       int64(sum.Proxied),
+			Rehashes:      int64(sum.Rehashes),
+			Outages:       int64(sum.Outages),
 			ProxyCalls:    rt.proxyCalls.Load(),
 			Hedges:        rt.hedges.Load(),
-			HedgeWins:     rt.hedgeWins.Load(),
-			ShedForwarded: rt.shedForwarded.Load(),
+			HedgeWins:     int64(sum.HedgeWon),
+			ShedForwarded: int64(sum.ShedForwarded),
 		},
 	}
 	// One poll per backend, all at once; a backend is only skipped when the

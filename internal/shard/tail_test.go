@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -668,5 +670,32 @@ func TestWedgedBackendTailLatency(t *testing.T) {
 	}
 	if state := breakerStateOf(t, rt, victim.srv.URL); state == "closed" {
 		t.Fatal("victim breaker still closed after the storm — timeouts were never scored")
+	}
+}
+
+// TestRehashNeedsBudget: a walk whose deadline budget runs out after the
+// first backend refuses sends one request and reports no rehash — the
+// step the budget refused was never taken.
+func TestRehashNeedsBudget(t *testing.T) {
+	nearDeadline := func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		if ms, err := strconv.ParseInt(r.Header.Get(server.DeadlineHeader), 10, 64); err == nil {
+			time.Sleep(time.Until(time.UnixMilli(ms).Add(-time.Millisecond)))
+		}
+		writeStubError(w, http.StatusServiceUnavailable, "draining")
+	}
+	a, b := newStub(t, nearDeadline), newStub(t, nearDeadline)
+	rt := newRouter(t, reticle.ShardOptions{Backends: []string{a.srv.URL, b.srv.URL}})
+	w := httptest.NewRecorder()
+	rt.ServeHTTP(w, httptest.NewRequest("POST", "/compile",
+		bytes.NewReader(mustJSON(t, server.CompileRequest{IR: maccSrc, TimeoutMS: 150}))))
+	if w.Code != http.StatusGatewayTimeout || !strings.Contains(w.Body.String(), `"deadline_exhausted"`) {
+		t.Fatalf("status %d, want the typed 504 deadline_exhausted: %s", w.Code, w.Body)
+	}
+	if sent := a.hits.Load() + b.hits.Load(); sent != 1 {
+		t.Fatalf("%d requests sent, want 1", sent)
+	}
+	if st := routerStats(t, rt); st.Router.Rehashes != 0 {
+		t.Errorf("rehashes %d for a walk that sent one request", st.Router.Rehashes)
 	}
 }
