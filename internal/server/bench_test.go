@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -26,9 +28,14 @@ func benchPost(b *testing.B, s *server.Server, body []byte) *httptest.ResponseRe
 }
 
 // benchServer builds the service once per benchmark; cache sizing is
-// generous so cold runs measure compile cost, not eviction churn.
+// generous so cold runs measure compile cost, not eviction churn. Request
+// lines are rendered at the default level, as a daemon renders them, but
+// discarded: on the benchmark's output they would split its result lines.
 func benchServer(b *testing.B) *server.Server {
 	b.Helper()
+	prev := slog.Default()
+	slog.SetDefault(slog.New(slog.NewTextHandler(io.Discard, nil)))
+	b.Cleanup(func() { slog.SetDefault(prev) })
 	s, err := reticle.NewServer(reticle.ServerOptions{CacheEntries: 1 << 16})
 	if err != nil {
 		b.Fatal(err)
