@@ -5,7 +5,6 @@ package pipeline
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -106,15 +105,15 @@ var stageTable = [...]stage{{
 	key:   keyCascade,
 	input: func(c *compilation) string { return c.asm.Text() },
 	adopt: func(c *compilation, payload []byte) bool {
-		var ce cascadeEntry
-		if json.Unmarshal(payload, &ce) != nil || !c.asm.parse(ce.Asm) {
+		chains, text, ok := parseCascadeFrame(payload)
+		if !ok || !c.asm.parse(text) {
 			return false
 		}
-		c.art.CascadeChains = ce.Chains
+		c.art.CascadeChains = chains
 		return true
 	},
 	payload: func(c *compilation) ([]byte, error) {
-		return json.Marshal(cascadeEntry{Asm: c.asm.Text(), Chains: c.art.CascadeChains})
+		return cascadeFrame(c.art.CascadeChains, c.asm.Text()), nil
 	},
 	steps: []step{{
 		label: "layout optimization", fault: FaultCascade,
@@ -158,27 +157,20 @@ var stageTable = [...]stage{{
 }, {
 	// Codegen and timing are both pure functions of the placed assembly
 	// under (target, device), so they share one entry.
-	tag:   StageOutput,
-	key:   keyOutput,
-	input: func(c *compilation) string { return c.placed.Text() },
-	adopt: func(c *compilation, payload []byte) bool {
-		var oe outputEntry
-		if json.Unmarshal(payload, &oe) != nil || oe.Verilog == "" {
-			return false
-		}
-		c.out = oe
-		return true
-	},
-	payload: func(c *compilation) ([]byte, error) { return json.Marshal(c.out) },
+	tag:     StageOutput,
+	key:     keyOutput,
+	input:   func(c *compilation) string { return c.placed.Text() },
+	adopt:   func(c *compilation, payload []byte) bool { return c.out.parse(payload) },
+	payload: func(c *compilation) ([]byte, error) { return c.out.frame() },
 	steps: []step{{
 		label: "code generation", fault: FaultCodegen,
 		slot: func(t *StageTimes) *time.Duration { return &t.Codegen },
 		run: func(_ context.Context, c *compilation) error {
-			mod, stats, err := codegen.Generate(c.placed.fn, c.cfg.Target)
+			v, stats, err := codegen.Generate(c.placed.fn, c.cfg.Target)
 			if err != nil {
 				return rerr.Wrap(rerr.Permanent, "codegen_failed", "code generation failed", err)
 			}
-			c.out.Verilog = mod.String()
+			c.out.Verilog = v.String()
 			c.out.LUTs, c.out.DSPs, c.out.FFs, c.out.Carries = stats.Luts, stats.Dsps, stats.FFs, stats.Carries
 			return nil
 		},
