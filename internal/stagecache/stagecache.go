@@ -9,7 +9,7 @@
 // accelerator: cache.Store degrades Lookup to a miss on every internal
 // failure (armed fault point, missing entry, disk error, corrupt frame,
 // panic) and Store to a no-op, and the pipeline validates every payload
-// before adopting it (asm parse, JSON decode, place.Verify for
+// before adopting it (asm parse, text-frame decode, place.Verify for
 // placements), so nothing this package serves can change a compile's
 // output — only how much of it had to be recomputed.
 package stagecache
