@@ -8,8 +8,6 @@
 // backends (continuous assignments and clocked always blocks).
 package verilog
 
-import "fmt"
-
 // PortDir is a module port direction.
 type PortDir uint8
 
@@ -244,12 +242,3 @@ func HexLit(width int, value uint64) Lit {
 	}
 	return Lit{Width: width, Value: value}
 }
-
-// LocAttr renders a placement attribute pair in the Fig. 2c style:
-// LOC = "SLICE_X<x>Y<y>".
-func LocAttr(kind string, x, y int) Attr {
-	return Attr{Key: "LOC", Value: fmt.Sprintf("%s_X%dY%d", kind, x, y)}
-}
-
-// BelAttr names a basic element of logic within a slice, e.g. "A6LUT".
-func BelAttr(bel string) Attr { return Attr{Key: "BEL", Value: bel} }

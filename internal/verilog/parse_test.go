@@ -22,7 +22,7 @@ func TestRoundTripStructural(t *testing.T) {
 	m.AddPort(Input, "b", 1)
 	m.AddPort(Output, "y", 1)
 	m.AddItem(Instance{
-		Attrs:  []Attr{LocAttr("SLICE", 3, 7), BelAttr("C6LUT")},
+		Attrs:  []Attr{{Key: "LOC", Value: "SLICE_X3Y7"}, {Key: "BEL", Value: "C6LUT"}},
 		Module: "LUT2",
 		Name:   "i0",
 		Params: []Connection{{Name: "INIT", Expr: HexLit(4, 0x8)}},

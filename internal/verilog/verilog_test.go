@@ -41,7 +41,7 @@ func TestFig2cLayoutAnnotations(t *testing.T) {
 	m.AddPort(Input, "b", 1)
 	m.AddPort(Output, "y", 1)
 	m.AddItem(Instance{
-		Attrs:  []Attr{LocAttr("SLICE", 0, 0), BelAttr("A6LUT")},
+		Attrs:  []Attr{{Key: "LOC", Value: "SLICE_X0Y0"}, {Key: "BEL", Value: "A6LUT"}},
 		Module: "LUT2",
 		Name:   "i0",
 		Params: []Connection{{Name: "INIT", Expr: HexLit(4, 0x8)}},
