@@ -48,23 +48,22 @@ func TestDeadlineHeader(t *testing.T) {
 
 	t.Run("malformed-deadline-400-on-hit", func(t *testing.T) {
 		// The kernel is resident now: the memo would answer it, but a
-		// malformed header is still a client error. A well-formed expired
-		// one is not, and the hit is served (it costs nothing).
+		// malformed header is still a client error, and an expired one is
+		// still the typed 504 — one rule on every path, as /batch has.
 		w := postWithDeadline(t, s, server.CompileRequest{IR: maccSrc}, "half past nine")
 		if w.Code != http.StatusBadRequest {
 			t.Fatalf("malformed deadline on a hit: status %d, want 400: %s", w.Code, w.Body.String())
 		}
 		expired := strconv.FormatInt(time.Now().Add(-time.Second).UnixMilli(), 10)
 		w = postWithDeadline(t, s, server.CompileRequest{IR: maccSrc}, expired)
-		var resp server.CompileResponse
-		if err := json.Unmarshal(w.Body.Bytes(), &resp); w.Code != http.StatusOK || err != nil || resp.Cache != "hit" {
-			t.Fatalf("expired deadline on a hit: status %d, want a 200 hit: %s", w.Code, w.Body.String())
+		var er server.ErrorResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &er); w.Code != http.StatusGatewayTimeout || err != nil || er.ErrorCode != "deadline_exceeded" {
+			t.Fatalf("expired deadline on a hit: status %d, want the typed 504: %s", w.Code, w.Body.String())
 		}
 	})
 
 	t.Run("expired-deadline-504", func(t *testing.T) {
-		// A distinct kernel: a cache hit is served even on a dead budget
-		// (it costs nothing), so only a miss exercises the fail-fast path.
+		// A distinct kernel, so the fail-fast is seen to start no compile.
 		h := strconv.FormatInt(time.Now().Add(-time.Second).UnixMilli(), 10)
 		w := postWithDeadline(t, s, server.CompileRequest{IR: chainSrc("dlexp", 2)}, h)
 		if w.Code != http.StatusGatewayTimeout {

@@ -27,21 +27,16 @@ func failed(msg, code string) routed {
 	return routed{res: server.BatchKernelResultWire{Error: msg, ErrorCode: code}}
 }
 
-// routeMiss proxies one deduped kernel as a /compile, routed by its
-// structural hint key (see proxyKernel), into the kernel's sub-account,
-// its attempts carrying id. Each kernel gets its own deadline from the
-// client's timeout_ms (stamped downstream by the proxy layer), so one
-// wedged kernel cannot silently burn the whole batch's budget.
-func (rt *Router) routeMiss(ctx context.Context, acct *server.Account, plan *server.BatchPlan, m server.BatchMiss, id string) routed {
-	fwd, err := json.Marshal(server.CompileRequest{
-		Name: m.Name, Family: plan.Family, IR: m.IR, TimeoutMS: plan.Options.KernelTimeout.Milliseconds(),
-	})
-	if err != nil {
-		return failed("marshal forward request", "internal_error")
-	}
-	kctx, cancel := requestCtx(ctx, plan.Options.KernelTimeout)
+// routeMiss proxies one deduped kernel as a /compile of fwd, routed by
+// its structural hint key (see proxyKernel), into the kernel's
+// sub-account, its attempts carrying id. Each kernel gets its own
+// deadline from the client's timeout_ms (stamped downstream by the proxy
+// layer), so one wedged kernel cannot silently burn the whole batch's
+// budget.
+func (rt *Router) routeMiss(ctx context.Context, acct *server.Account, plan *server.BatchPlan, m server.BatchMiss, fwd []byte, id string) routed {
+	kctx, cancel := plan.Within(ctx, plan.Options.KernelTimeout)
 	defer cancel()
-	out := rt.proxyKernel(kctx, acct, id, cache.Key(pipeline.HintKeyFor(plan.Config, m.Func)), "/compile", fwd)
+	out := rt.proxyKernel(kctx, acct, id, cache.Key(pipeline.HintKeyFor(plan.Config, m.Func)), forward{"/compile", "", fwd})
 	if out.err != nil {
 		return failed(rerr.Message(out.err), rerr.CodeOf(out.err))
 	}
@@ -80,13 +75,18 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	ctx, cancel := context.WithCancel(r.Context())
+	ctx, cancel := plan.Within(r.Context(), 0)
 	defer cancel()
+	acct.Deadline, _ = ctx.Deadline()
+	var fwds [][]byte
+	if len(plan.Misses) > 0 {
+		fwds = plan.ForwardKernels()
+	}
 	subs := make([]server.Account, len(plan.Misses)) // [j] is written by miss j's worker, read once the fan-out has drained
 	fan := batch.FanOut(ctx, len(plan.Misses), plan.Options.Jobs,
 		func(j int) routed {
 			m := plan.Misses[j]
-			return rt.routeMiss(ctx, &subs[j], plan, m, acct.ID+"/"+strconv.Itoa(m.Index))
+			return rt.routeMiss(ctx, &subs[j], plan, m, fwds[m.Index], acct.ID+"/"+strconv.Itoa(m.Index))
 		},
 		func(_ int, cause error) routed {
 			// Workers run outside the handler's recover, and a batch must

@@ -72,14 +72,20 @@ type attemptResult struct {
 	ownBudget bool
 }
 
+// forward is one request as the router sends it on: the path, the
+// client's Accept header, and the body.
+type forward struct {
+	path, accept string
+	body         []byte
+}
+
 // proxyWalk is the per-request state of one proxyKernel ring walk.
 type proxyWalk struct {
 	rt        *Router
 	ctx       context.Context
 	acct      *server.Account // the request's, or its /batch kernel's; written by the walk's goroutine only
 	id        string          // the request id its attempts extend
-	path      string
-	body      []byte
+	fwd       forward
 	order     []int
 	hedgeOK   bool  // path is idempotent and hedging is configured
 	raced     bool  // the one hedge race per request has been spent
@@ -88,7 +94,7 @@ type proxyWalk struct {
 	budgetErr error // set when the deadline budget ran out mid-walk
 }
 
-// proxyKernel routes one serialized request body to path by routeKey:
+// proxyKernel routes one forward — its body to its path — by routeKey:
 // the ring's preference order is walked live-and-breaker-closed first,
 // then dead-marked (liveness marks are advisory and a peer may have
 // restarted), then — only if no attempt was possible at all — once more
@@ -112,7 +118,7 @@ type proxyWalk struct {
 //
 // The walk's attempts, rehashes, hedges and outcome go on acct; attempt
 // n carries the request id id+".an" downstream.
-func (rt *Router) proxyKernel(ctx context.Context, acct *server.Account, id string, routeKey cache.Key, path string, body []byte) proxyOutcome {
+func (rt *Router) proxyKernel(ctx context.Context, acct *server.Account, id string, routeKey cache.Key, fwd forward) proxyOutcome {
 	rt.proxyCalls.Add(1)
 	if ferr := FaultPick.Fire(ctx); ferr != nil {
 		return proxyOutcome{err: rerr.Wrap(rerr.ClassOf(ferr), "shard_route_failed",
@@ -122,9 +128,9 @@ func (rt *Router) proxyKernel(ctx context.Context, acct *server.Account, id stri
 		return proxyOutcome{err: err}
 	}
 	w := &proxyWalk{
-		rt: rt, ctx: ctx, acct: acct, id: id, path: path, body: body,
+		rt: rt, ctx: ctx, acct: acct, id: id, fwd: fwd,
 		order:   rt.ring.Pick(string(routeKey)),
-		hedgeOK: path == "/compile" && rt.opts.HedgeAfter > 0,
+		hedgeOK: fwd.path == "/compile" && rt.opts.HedgeAfter > 0,
 	}
 	// Three passes over the ring's preference order, differing only in
 	// who is admitted: backends believed alive whose breaker admits
@@ -215,7 +221,7 @@ func (w *proxyWalk) attempt(bi int, probe bool) (proxyOutcome, bool) {
 			return w.race(bi, hbi)
 		}
 	}
-	return w.classify(rt.postAttempt(w.ctx, bi, false, w.path, w.body, w.nextID()))
+	return w.classify(rt.postAttempt(w.ctx, bi, false, w.fwd, w.nextID()))
 }
 
 // nextID counts one attempt sent and returns the id it carries.
@@ -262,7 +268,7 @@ func (w *proxyWalk) race(primary, hedgeBi int) (proxyOutcome, bool) {
 	resCh := make(chan attemptResult, 2)
 	launched := 1
 	primaryID := w.nextID()
-	go func() { resCh <- rt.postAttempt(rctx, primary, false, w.path, w.body, primaryID) }()
+	go func() { resCh <- rt.postAttempt(rctx, primary, false, w.fwd, primaryID) }()
 	timer := time.NewTimer(rt.opts.HedgeAfter)
 	defer timer.Stop()
 	hedgeArmed := true
@@ -288,7 +294,7 @@ func (w *proxyWalk) race(primary, hedgeBi int) (proxyOutcome, bool) {
 			w.acct.Hedged++
 			launched++
 			hedgeID := w.nextID()
-			go func() { resCh <- rt.postAttempt(rctx, hedgeBi, true, w.path, w.body, hedgeID) }()
+			go func() { resCh <- rt.postAttempt(rctx, hedgeBi, true, w.fwd, hedgeID) }()
 		case <-w.ctx.Done():
 			w.lastErr = w.ctx.Err()
 			return proxyOutcome{}, false
@@ -370,7 +376,7 @@ func backendDeadlineExceeded(res attemptResult) bool {
 // the attempt's absolute deadline downstream as X-Reticle-Deadline so
 // the backend inherits the remaining budget instead of its own default,
 // and the attempt's request id beside it.
-func (rt *Router) postAttempt(ctx context.Context, bi int, hedged bool, path string, body []byte, id string) attemptResult {
+func (rt *Router) postAttempt(ctx context.Context, bi int, hedged bool, fwd forward, id string) attemptResult {
 	res := attemptResult{bi: bi, hedged: hedged}
 	fp := FaultProxy
 	if hedged {
@@ -387,12 +393,15 @@ func (rt *Router) postAttempt(ctx context.Context, bi int, hedged bool, path str
 		actx, cancel = context.WithTimeout(ctx, rt.opts.ProxyTimeout)
 		defer cancel()
 	}
-	req, err := http.NewRequestWithContext(actx, "POST", b.url+path, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(actx, "POST", b.url+fwd.path, bytes.NewReader(fwd.body))
 	if err != nil {
 		res.err = err
 		return res
 	}
 	req.Header.Set("Content-Type", "application/json")
+	if fwd.accept != "" {
+		req.Header.Set("Accept", fwd.accept)
+	}
 	req.Header.Set(server.RequestIDHeader, id)
 	if dl, ok := actx.Deadline(); ok {
 		req.Header.Set(server.DeadlineHeader, strconv.FormatInt(dl.UnixMilli(), 10))
