@@ -73,7 +73,7 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	if res.Partial {
 		acct.Explore.Partial = 1
 	}
-	frame.Close("frontier", res.Frontier, "partial", res.Partial, "stats", exploreStatsJSON(res.Stats))
+	frame.Close("frontier", res.Frontier, "partial", res.Partial, "stats", exploreStatsJSON(res.Stats, acct.N[StagesSkipped]))
 }
 
 // exploreVariantCap resolves a request's max_variants against the
@@ -116,8 +116,7 @@ func (s *Server) variantCompiler(subs []Account) explore.CompileFunc {
 		if err != nil {
 			return nil, false, err
 		}
-		hit := lvl != cache.Computed
-		return ca.artifact(hit), hit, nil
+		return ca.artifact(), lvl != cache.Computed, nil
 	}
 }
 
@@ -139,14 +138,16 @@ func exploreVariantJSON(vr explore.VariantResult) ExploreVariant {
 	return out
 }
 
-func exploreStatsJSON(st explore.Stats) ExploreStatsJSON {
+// exploreStatsJSON renders a sweep's footer stats; the stages the memo
+// skipped are the request account's, merged from its variants.
+func exploreStatsJSON(st explore.Stats, stagesSkipped int) ExploreStatsJSON {
 	return ExploreStatsJSON{
 		Variants:       st.Variants,
 		Succeeded:      st.Succeeded,
 		Failed:         st.Failed,
 		Degraded:       st.Degraded,
 		CacheHits:      st.CacheHits,
-		StagesSkipped:  st.StagesSkipped,
+		StagesSkipped:  stagesSkipped,
 		Retried:        st.Retried,
 		WallNS:         st.Wall.Nanoseconds(),
 		VariantsPerSec: st.VariantsPerSec,

@@ -484,3 +484,12 @@ type ExploreTotalsJSON struct {
 	VariantCacheHits int64 `json:"variant_cache_hits"`
 	Partial          int64 `json:"partial"`
 }
+
+// Add sums o into e: sweeps of one tier into its fold, or backends'
+// sections into the router's aggregate.
+func (e *ExploreTotalsJSON) Add(o ExploreTotalsJSON) {
+	e.Sweeps += o.Sweeps
+	e.Variants += o.Variants
+	e.VariantCacheHits += o.VariantCacheHits
+	e.Partial += o.Partial
+}

@@ -180,7 +180,7 @@ func (rt *Router) proxyKernel(ctx context.Context, acct *server.Account, id stri
 		// the ring may be perfectly healthy.
 		return proxyOutcome{err: w.budgetErr}
 	}
-	acct.Outages++
+	acct.N[server.Outages]++
 	if cerr := ctx.Err(); cerr != nil && w.lastErr == nil {
 		w.lastErr = cerr
 	}
@@ -206,7 +206,7 @@ func (w *proxyWalk) attempt(bi int, probe bool) (proxyOutcome, bool) {
 		return proxyOutcome{}, false
 	}
 	if w.attempts > 0 {
-		w.acct.Rehashes++
+		w.acct.N[server.Rehashes]++
 	}
 	w.attempts++
 	if probe {
@@ -226,8 +226,8 @@ func (w *proxyWalk) attempt(bi int, probe bool) (proxyOutcome, bool) {
 
 // nextID counts one attempt sent and returns the id it carries.
 func (w *proxyWalk) nextID() string {
-	w.acct.Attempts++
-	return w.id + ".a" + strconv.Itoa(w.acct.Attempts)
+	w.acct.N[server.Attempts]++
+	return w.id + ".a" + strconv.Itoa(w.acct.N[server.Attempts])
 }
 
 // hedgeTarget picks the hedge peer for primary: the next backend in
@@ -278,7 +278,7 @@ func (w *proxyWalk) race(primary, hedgeBi int) (proxyOutcome, bool) {
 			launched--
 			if out, done := w.classify(res); done {
 				if res.hedged {
-					w.acct.HedgeWon++
+					w.acct.N[server.HedgeWon]++
 				}
 				return out, true
 			}
@@ -291,7 +291,7 @@ func (w *proxyWalk) race(primary, hedgeBi int) (proxyOutcome, bool) {
 				continue
 			}
 			rt.hedges.Add(1)
-			w.acct.Hedged++
+			w.acct.N[server.Hedged]++
 			launched++
 			hedgeID := w.nextID()
 			go func() { resCh <- rt.postAttempt(rctx, hedgeBi, true, w.fwd, hedgeID) }()
@@ -353,9 +353,9 @@ func (w *proxyWalk) classify(res attemptResult) (proxyOutcome, bool) {
 	// load on an overloaded ring.
 	b.br.Record(true)
 	b.alive.Store(true)
-	w.acct.Proxied++
+	w.acct.N[server.Proxied]++
 	if res.status == http.StatusTooManyRequests {
-		w.acct.ShedForwarded++
+		w.acct.N[server.ShedForwarded]++
 		return proxyOutcome{status: res.status, body: res.body, retryAfter: res.retryAfter}, true
 	}
 	return proxyOutcome{status: res.status, body: res.body}, true

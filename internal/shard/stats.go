@@ -153,13 +153,13 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		UptimeMS: time.Since(rt.start).Milliseconds(),
 		Families: rt.Families(),
 		Router: RouterStatsJSON{
-			Proxied:       int64(sum.Proxied),
-			Rehashes:      int64(sum.Rehashes),
-			Outages:       int64(sum.Outages),
+			Proxied:       int64(sum.N[server.Proxied]),
+			Rehashes:      int64(sum.N[server.Rehashes]),
+			Outages:       int64(sum.N[server.Outages]),
 			ProxyCalls:    rt.proxyCalls.Load(),
 			Hedges:        rt.hedges.Load(),
-			HedgeWins:     int64(sum.HedgeWon),
-			ShedForwarded: int64(sum.ShedForwarded),
+			HedgeWins:     int64(sum.N[server.HedgeWon]),
+			ShedForwarded: int64(sum.N[server.ShedForwarded]),
 		},
 	}
 	// One poll per backend, all at once; a backend is only skipped when the
@@ -184,10 +184,7 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp.Aggregate.Kernels += bs.Stats.Kernels
 		resp.Aggregate.BackendCacheHits += bs.Stats.Cache.Hits
 		resp.Aggregate.BackendCacheMisses += bs.Stats.Cache.Misses
-		resp.Aggregate.Explore.Sweeps += bs.Stats.Explore.Sweeps
-		resp.Aggregate.Explore.Variants += bs.Stats.Explore.Variants
-		resp.Aggregate.Explore.VariantCacheHits += bs.Stats.Explore.VariantCacheHits
-		resp.Aggregate.Explore.Partial += bs.Stats.Explore.Partial
+		resp.Aggregate.Explore.Add(bs.Stats.Explore)
 		if sc := bs.Stats.StageCache; sc != nil {
 			if resp.Aggregate.StageCache == nil {
 				resp.Aggregate.StageCache = &server.StageCacheTotalsJSON{}
