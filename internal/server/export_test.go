@@ -10,3 +10,9 @@ func ArtifactJSONOf(art *pipeline.Artifact) ArtifactJSON { return artifactJSON(a
 // the pipeline, letting the drain suite synchronize Shutdown with an
 // in-flight compile. Install before traffic, and restore nil after.
 func SetOnCompileStart(f func()) { onCompileStart = f }
+
+// NumCounters is the number of an account's integer counters.
+const NumCounters = numCounters
+
+// CounterKey is counter c's log key.
+func CounterKey(c Counter) string { return counterKeys[c] }

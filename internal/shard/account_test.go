@@ -154,12 +154,18 @@ func TestRequestIDOutsideInput(t *testing.T) {
 	}
 }
 
+// requestIDSeeds are client ids inside and outside the grammar, bare and
+// suffixed: FuzzRequestID's seeds, and FuzzFrontDoor's.
+func requestIDSeeds() []string {
+	return []string{"", "client-1", "a.b_c-d", strings.Repeat("z", 64), strings.Repeat("z", 65),
+		"x\ny", "x y", `x"y`, "x=y", "x/1", "x.a1", "x/1.a2", "\xff", "..", "-"}
+}
+
 // FuzzRequestID: whatever header value a client sends, the router echoes
 // an id in the grammar, and the backend's line carries that id with the
 // attempt suffix — so a valid client id reaches it unchanged.
 func FuzzRequestID(f *testing.F) {
-	for _, seed := range []string{"", "client-1", "a.b_c-d", strings.Repeat("z", 64), strings.Repeat("z", 65),
-		"x\ny", "x y", `x"y`, "x=y", "x/1", "x.a1", "x/1.a2", "\xff", "..", "-"} {
+	for _, seed := range requestIDSeeds() {
 		f.Add(seed)
 	}
 	lines := captureLines(f)

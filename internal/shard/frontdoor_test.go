@@ -126,22 +126,31 @@ type answer struct {
 	status     int
 	code       string // the body's error_code
 	retryAfter string
-	body       []byte // measured members removed
+	body       []byte   // measured members removed
+	ids        []string // the request-id header's values
 }
 
 // send posts body to path on h, with the deadline header when token is
 // not empty.
 func send(h http.Handler, path, body, token string) answer {
+	return sendAs(h, path, body, token, "")
+}
+
+// sendAs is send with id, when not empty, as the request-id header.
+func sendAs(h http.Handler, path, body, token, id string) answer {
 	req := httptest.NewRequest("POST", path, strings.NewReader(body))
 	if token != "" {
 		req.Header.Set(server.DeadlineHeader, deadlineValue(token))
+	}
+	if id != "" {
+		req.Header[server.RequestIDHeader] = []string{id}
 	}
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, req)
 	var er server.ErrorResponse
 	json.Unmarshal(w.Body.Bytes(), &er)
 	return answer{status: w.Code, code: er.ErrorCode, retryAfter: w.Header().Get("Retry-After"),
-		body: measured.ReplaceAll(w.Body.Bytes(), nil)}
+		body: measured.ReplaceAll(w.Body.Bytes(), nil), ids: w.Header().Values(server.RequestIDHeader)}
 }
 
 func orDash(s string) string {
@@ -247,22 +256,29 @@ func tapped(t testing.TB) (*tap, string) {
 }
 
 // FuzzFrontDoor sends one request four ways — to a cold backend, to a
-// backend that has answered the same body before without the header, to a
-// router over that backend, and, for a /compile, as a one-kernel /batch to
-// a backend and to the router — and fails when a client could tell the
+// backend that has answered the same body before without the headers, to
+// a router over that backend, and, for a /compile, as a one-kernel /batch
+// to a backend and to the router — and fails when a client could tell the
 // ways apart by status, typed code, Retry-After or body (measured members
 // and cache attribution removed), or when a refusal crossed the network.
-// The seeds are TestFrontDoorGolden's.
+// It also fails when a tier echoes a request id other than the client's
+// exactly when ValidID accepts the client's (suffixed on a backend, bare
+// on a router), or when a response or a log line carries an id outside
+// the grammar. The seeds are TestFrontDoorGolden's, each with one of
+// FuzzRequestID's ids.
 func FuzzFrontDoor(f *testing.F) {
+	ids := requestIDSeeds()
+	n := 0
 	for i, path := range frontPaths {
 		for _, s := range frontSeeds() {
-			f.Add(uint8(i), s.body(path), s.header)
+			f.Add(uint8(i), s.body(path), s.header, ids[n%len(ids)])
+			n++
 		}
 	}
 	// A null kernel decodes as an empty one: it fails to parse, and the
 	// kernel beside it is still routed.
-	f.Add(uint8(1), `{"kernels":[null,{"ir":`+quote(maccSrc)+`}]}`, "")
-	f.Fuzz(func(t *testing.T, endpoint uint8, body, token string) {
+	f.Add(uint8(1), `{"kernels":[null,{"ir":`+quote(maccSrc)+`}]}`, "", "")
+	f.Fuzz(func(t *testing.T, endpoint uint8, body, token, id string) {
 		var budget struct {
 			TimeoutMS int64 `json:"timeout_ms"`
 		}
@@ -270,6 +286,7 @@ func FuzzFrontDoor(f *testing.F) {
 			t.Skip("a budget this short races the compile: it says nothing about the front door")
 		}
 		path := frontPaths[int(endpoint)%len(frontPaths)]
+		lines := captureLines(t)
 		cold, err := reticle.NewServer(reticle.ServerOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -286,23 +303,40 @@ func FuzzFrontDoor(f *testing.F) {
 					want.status, want.code, want.retryAfter, want.body, got.status, got.code, got.retryAfter, got.body)
 			}
 		}
+		// tier sends to a backend (suffixed) or a router and checks the
+		// id it echoes.
+		tier := func(h http.Handler, suffixed bool, path, body string) answer {
+			t.Helper()
+			a := sendAs(h, path, body, token, id)
+			if len(a.ids) != 1 || !server.ValidID(a.ids[0], suffixed) || (a.ids[0] == id) != server.ValidID(id, suffixed) {
+				t.Fatalf("%s: client id %q echoed as %q (suffixed %v)", path, id, a.ids, suffixed)
+			}
+			return a
+		}
 		// routed sends to the router and checks that a refusal never
 		// reached the backend.
 		routed := func(path, body string) answer {
 			t.Helper()
 			posts, calls := len(resident.posts()), routerStats(t, rt).Router.ProxyCalls
-			a := send(rt, path, body, token)
+			a := tier(rt, false, path, body)
 			posts, calls = len(resident.posts())-posts, routerStats(t, rt).Router.ProxyCalls-calls
 			if a.status != http.StatusOK && (posts != 0 || calls != 0) {
 				t.Fatalf("%s %s: refusal %d crossed the network: %d requests, %d proxy calls", path, token, a.status, posts, calls)
 			}
 			return a
 		}
-		want := send(cold, path, body, token)
-		agree("the resident backend", want, send(resident, path, body, token))
+		want := tier(cold, true, path, body)
+		agree("the resident backend", want, tier(resident, true, path, body))
 		agree("the router", want, routed(path, body))
 		if batched, ok := asBatch(path, body); ok {
-			agree("the router's /batch", send(cold, "/batch", batched, token), routed("/batch", batched))
+			agree("the router's /batch", tier(cold, true, "/batch", batched), routed("/batch", batched))
+		}
+		// A backend's line may carry the router's suffixes; a router's
+		// may not.
+		for _, l := range lines.where(func(string) bool { return true }) {
+			if !server.ValidID(l.str("id"), l.msg == "serve") {
+				t.Fatalf("a %q line carries the id %q", l.msg, l.str("id"))
+			}
 		}
 	})
 }
