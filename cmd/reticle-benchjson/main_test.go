@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -298,4 +300,143 @@ func TestCompareHeadDefaultsToBaselineFile(t *testing.T) {
 	if code := run([]string{"compare"}, &out, &errOut); code != 2 {
 		t.Errorf("compare without a base exited %d, want usage status 2", code)
 	}
+}
+
+// writeFiles creates each name under dir with its contents.
+func writeFiles(t *testing.T, dir string, files map[string]string) {
+	t.Helper()
+	for name, body := range files {
+		p := filepath.Join(dir, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// The count reads the syntax tree: one program written tight and written
+// loose, with comments, counts alike, and counts what countFile names.
+func TestCountFileIgnoresFormatting(t *testing.T) {
+	dir := t.TempDir()
+	writeFiles(t, dir, map[string]string{
+		"tight.go": "package p\nimport \"fmt\"\nconst a, b = 1, 2\nvar (x int; y = a)\ntype T struct{ n int }\n" +
+			"func f(n int) int { if n > 0 { n--; fmt.Println(n) }; for i := 0; i < n; i++ { x += i }; return n }\n",
+		"loose.go": `package p
+
+import (
+	"fmt"
+)
+
+// two constants
+const a, b = 1, 2
+
+var (
+	x int
+	y = a
+)
+
+type T struct {
+	n int
+}
+
+func f(n int) int {
+	if n > 0 {
+		n--
+
+		fmt.Println(n) // a call
+	}
+	for i := 0; i < n; i++ {
+		x += i
+	}
+	return n
+}
+`,
+	})
+	// const 1 + var 2 + type 1 + func 1; statements: if, n--, the call,
+	// for, i := 0, i++, x += i, return.
+	const want = 5 + 8
+	for _, name := range []string{"tight.go", "loose.go"} {
+		if n, err := countFile(filepath.Join(dir, name)); err != nil || n != want {
+			t.Errorf("%s: %d, %v; want %d", name, n, err, want)
+		}
+	}
+}
+
+// countModule counts the non-test files a build compiles, per package,
+// and leaves out tests, testdata, nested modules and ignored files.
+func TestCountModule(t *testing.T) {
+	dir := t.TempDir()
+	writeFiles(t, dir, map[string]string{
+		"go.mod":                   "module example.com/m\n\ngo 1.22\n",
+		"m.go":                     "package m\n\nfunc F() { F() }\n",
+		"m_test.go":                "package m\n\nfunc G() { G(); G() }\n",
+		"internal/q/q.go":          "package q\n\nvar V = 1\n",
+		"internal/q/ignored.go":    "//go:build ignore\n\npackage q\n\nvar W = 2\n",
+		"internal/q/testdata/x.go": "package x\n\nvar X = 3\n",
+		"nested/go.mod":            "module example.com/nested\n",
+		"nested/n.go":              "package nested\n\nvar N = 4\n",
+		"onlytests/t_test.go":      "package onlytests\n",
+	})
+	got, err := countModule(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int{"example.com/m": 2, "example.com/m/internal/q": 1}
+	if len(got) != len(want) || got["example.com/m"] != 2 || got["example.com/m/internal/q"] != 1 {
+		t.Errorf("counts %v, want %v", got, want)
+	}
+}
+
+// compare prints the code deltas of two points that carry counts — the
+// packages that moved and the total — and never fails on them; a point
+// without counts compares as before.
+func TestCompareCodeDeltas(t *testing.T) {
+	base, head := baselines()
+	var plain bytes.Buffer
+	if code := compareFiles(t, base, head, &plain); code != 0 {
+		t.Fatalf("compare exited %d\n%s", code, plain.String())
+	}
+	if strings.Contains(plain.String(), "code:") {
+		t.Errorf("points without counts printed code deltas:\n%s", plain.String())
+	}
+
+	base.Code = map[string]int{"reticle": 100, "reticle/internal/server": 50, "reticle/internal/gone": 7}
+	head.Code = map[string]int{"reticle": 100, "reticle/internal/server": 80, "reticle/internal/new": 3}
+	var out bytes.Buffer
+	if code := compareFiles(t, base, head, &out); code != 0 {
+		t.Fatalf("code growth failed the compare (exit %d)\n%s", code, out.String())
+	}
+	if regexp.MustCompile(`(?m)^code:.*\n(^   .*\n)*`).ReplaceAllString(out.String(), "") != plain.String() {
+		t.Errorf("code deltas moved the rest of the report:\n%s", out.String())
+	}
+	for _, want := range []string{"reticle/internal/server", "(+30)", "reticle/internal/gone", "(-7)", "reticle/internal/new", "(+3)", "total", "157 ->    183  (+26)"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output lacks %q:\n%s", want, out.String())
+		}
+	}
+	if strings.Contains(out.String(), "   reticle  ") {
+		t.Errorf("an unmoved package was printed:\n%s", out.String())
+	}
+}
+
+// compareFiles writes both points and runs compare on them into out.
+func compareFiles(t *testing.T, base, head *Baseline, out *bytes.Buffer) int {
+	t.Helper()
+	dir := t.TempDir()
+	var paths []string
+	for name, b := range map[string]*Baseline{"base.json": base, "head.json": head} {
+		data, err := json.Marshal(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, filepath.Join(dir, name))
+	}
+	sort.Strings(paths)
+	var errOut bytes.Buffer
+	return run([]string{"compare", paths[0], paths[1]}, out, &errOut)
 }
