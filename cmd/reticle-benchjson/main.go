@@ -13,13 +13,16 @@
 // the current directory, the one point the tree carries: each PR commits
 // its own over its parent's. ns/op and MB/s are dropped on the way in.
 // It also counts each package's non-test statements and declarations on
-// the syntax tree (see countFile), so formatting cannot move the count.
+// the syntax tree (see countFile), so formatting cannot move the count,
+// and takes the census of exported internal identifiers no production
+// code refers to, with the module's import edges (see takeCensus).
 //
 // compare pairs the benchmarks of two such files by package and name —
 // head defaults to BENCH_baseline.json — and fails when a gated metric
 // (see gated) grew past the threshold on any benchmark present in both.
 // When both files carry code counts it prints their per-package deltas
-// too; nothing gates on them. Exit status: 0 no regression, 1 regression
+// too, and the census entries and import edges that moved; nothing gates
+// on them. Exit status: 0 no regression, 1 regression
 // or nothing to compare, 2 usage or unreadable input.
 package main
 
@@ -76,6 +79,10 @@ type Baseline struct {
 	// Code is each package's count of non-test statements and
 	// declarations, keyed by import path (see countModule).
 	Code map[string]int `json:"code,omitempty"`
+	// Census and Edges are the dead-export census of the internal
+	// packages and the module's import edges (see takeCensus).
+	Census *Census  `json:"census,omitempty"`
+	Edges  []string `json:"edges,omitempty"`
 }
 
 // Parse converts `go test -bench` output into a Baseline. Lines that are
@@ -198,6 +205,9 @@ func record(stdout, stderr io.Writer) error {
 	if base.Code, err = countModule("."); err != nil {
 		return err
 	}
+	if base.Census, base.Edges, err = takeCensus("."); err != nil {
+		return err
+	}
 	base.SHA = sha
 	base.GoMaxProcs = stripProcSuffix(base.Benchmarks)
 	base.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
@@ -208,22 +218,38 @@ func record(stdout, stderr io.Writer) error {
 	if err := os.WriteFile(baselineFile, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "reticle-benchjson: wrote %d benchmarks and the code counts of %d packages to %s\n",
-		len(base.Benchmarks), len(base.Code), baselineFile)
+	fmt.Fprintf(stdout, "reticle-benchjson: wrote %d benchmarks, the code counts of %d packages, %d dead exports and %d import edges to %s\n",
+		len(base.Benchmarks), len(base.Code), len(base.Census.Dead), len(base.Edges), baselineFile)
 	return nil
 }
 
 // countModule counts the statements and declarations of every package of
 // the module rooted at dir, keyed by import path: the files a build for
-// this platform compiles, tests excluded. Nested modules, testdata and
-// directories a go command ignores are not the module's.
+// this platform compiles, tests excluded.
 func countModule(dir string) (map[string]int, error) {
+	counts := map[string]int{}
+	err := walkModule(dir, func(key string, pkg *build.Package) error {
+		for _, f := range pkg.GoFiles {
+			n, err := countFile(filepath.Join(pkg.Dir, f))
+			if err != nil {
+				return err
+			}
+			counts[key] += n
+		}
+		return nil
+	})
+	return counts, err
+}
+
+// walkModule calls fn with the import path and the build view of every
+// package of the module rooted at dir. Nested modules, testdata and
+// directories a go command ignores are not the module's.
+func walkModule(dir string, fn func(importPath string, pkg *build.Package) error) error {
 	mod, err := modulePath(filepath.Join(dir, "go.mod"))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	counts := map[string]int{}
-	err = filepath.WalkDir(dir, func(p string, d fs.DirEntry, err error) error {
+	return filepath.WalkDir(dir, func(p string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
 			return err
 		}
@@ -247,17 +273,8 @@ func countModule(dir string) (map[string]int, error) {
 		if err != nil {
 			return err
 		}
-		key := path.Join(mod, filepath.ToSlash(rel))
-		for _, f := range pkg.GoFiles {
-			n, err := countFile(filepath.Join(p, f))
-			if err != nil {
-				return err
-			}
-			counts[key] += n
-		}
-		return nil
+		return fn(path.Join(mod, filepath.ToSlash(rel)), pkg)
 	})
-	return counts, err
 }
 
 // modulePath reads the module path off a go.mod file.
@@ -401,6 +418,7 @@ func runCompare(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "-- %-44s gated in base, absent from head\n", name)
 	}
 	printCode(stdout, base.Code, head.Code)
+	printCensus(stdout, base, head)
 	switch {
 	case len(deltas) == 0:
 		fmt.Fprintln(stdout, "benchjson: FAIL: no gated metric is present on both sides; the gate compared nothing")

@@ -440,3 +440,51 @@ func compareFiles(t *testing.T, base, head *Baseline, out *bytes.Buffer) int {
 	var errOut bytes.Buffer
 	return run([]string{"compare", paths[0], paths[1]}, out, &errOut)
 }
+
+// The census sorts the fixture module's exports: a method only the
+// standard library calls, one the facade selects and one the benchmark
+// module calls stay off it; an export only another package's tests use is
+// test-only; an unused one and one only its own tests use are dead. Edges
+// are the root module's, tests and the benchmark module left out.
+func TestCensus(t *testing.T) {
+	c, edges, err := takeCensus(filepath.Join("testdata", "census"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const lib = "example.com/m/internal/lib"
+	wantDead := []string{lib + ".Dead", lib + ".OwnTest", lib + ".T.Unselected"}
+	if strings.Join(c.Dead, " ") != strings.Join(wantDead, " ") {
+		t.Errorf("dead %q, want %q", c.Dead, wantDead)
+	}
+	if got := c.TestOnly; len(got) != 1 || strings.Join(got[lib+".TestOnly"], " ") != "example.com/m/internal/other" {
+		t.Errorf("test_only %q", got)
+	}
+	if c.InternalOnly != 2 {
+		t.Errorf("internal_only %d, want 2 (Own, and T, which the facade never names)", c.InternalOnly)
+	}
+	if want := []string{"example.com/m -> " + lib}; strings.Join(edges, ",") != strings.Join(want, ",") {
+		t.Errorf("edges %q, want %q", edges, want)
+	}
+}
+
+// compare prints the census entries and edges that moved, and a point
+// that gained dead exports still passes.
+func TestCompareCensusMoves(t *testing.T) {
+	base, head := baselines()
+	base.Census = &Census{Dead: []string{"p.A", "p.B"}, TestOnly: map[string][]string{"p.T": {"q"}}, InternalOnly: 9}
+	head.Census = &Census{Dead: []string{"p.B", "p.C", "p.D"}, TestOnly: map[string][]string{}, InternalOnly: 7}
+	base.Edges, head.Edges = []string{"a -> b", "a -> c"}, []string{"a -> c"}
+	var out bytes.Buffer
+	if code := compareFiles(t, base, head, &out); code != 0 {
+		t.Fatalf("census moves failed the compare (exit %d)\n%s", code, out.String())
+	}
+	for _, want := range []string{"- dead       p.A", "+ dead       p.C", "+ dead       p.D", "- test_only  p.T", "- edge       a -> b",
+		"dead              2 ->      3  (+1)", "internal          9 ->      7  (-2)", "edges             2 ->      1  (-1)"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output lacks %q:\n%s", want, out.String())
+		}
+	}
+	if strings.Contains(out.String(), "p.B") {
+		t.Errorf("an unmoved entry was printed:\n%s", out.String())
+	}
+}

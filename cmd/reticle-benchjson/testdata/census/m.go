@@ -1,0 +1,7 @@
+// Package m is the facade of a fixture module for the census.
+package m
+
+import "example.com/m/internal/lib"
+
+// Run reaches lib through the facade.
+func Run() string { return lib.FacadeUsed().Name() }
