@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"strings"
 	"testing"
 
 	"reticle/internal/asm"
@@ -121,7 +122,7 @@ func BenchmarkAblationShrink(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := place.Place(af, dev, place.Options{Shrink: shrink})
+				res, err := place.PlaceContext(context.Background(), af, dev, place.Options{Shrink: shrink})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -170,13 +171,13 @@ func BenchmarkPlaceShrink(b *testing.B) {
 }
 
 // BenchmarkPlaceWide measures placement alone on the LUT-class shape that
-// dominates a random-logic or FSM compile: bench.WidePlacement's 320 LUT
+// dominates a random-logic or FSM compile: widePlacement's 320 LUT
 // singletons plus four macros, on both bundled devices. solver-steps is
 // the determinism guard (it must repeat to the digit); B/op and allocs/op
 // are what sharing one anchor domain per cluster shape bought — with a
 // domain per cluster this was ~490 MB/op.
 func BenchmarkPlaceWide(b *testing.B) {
-	f, err := asm.Parse(bench.WidePlacement())
+	f, err := asm.Parse(widePlacement())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -185,7 +186,7 @@ func BenchmarkPlaceWide(b *testing.B) {
 			b.ReportAllocs()
 			var res *place.Result
 			for i := 0; i < b.N; i++ {
-				if res, err = place.Place(f, dev, place.Options{Shrink: true}); err != nil {
+				if res, err = place.PlaceContext(context.Background(), f, dev, place.Options{Shrink: true}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -426,4 +427,41 @@ func BenchmarkExplore(b *testing.B) {
 		b.Fatal("warm sweep skipped no stages: stage keys are unstable across identical sweeps")
 	}
 	b.ReportMetric(float64(res.Stats.StagesSkipped)/float64(res.Stats.Variants), "stage-skips-per-variant")
+}
+
+// widePlacement is the assembly text of a placement-only stress shaped
+// like a large LUT-class kernel: 320 independent LUT instructions (eight
+// of them pinned to a column or a row, so they carry their own anchor
+// domains), two 3-row LUT macros and two 4-row DSP chains. It is already
+// selected — callers parse it with asm.Parse and hand it to place.PlaceContext —
+// so what it measures is the placer: one domain per LUT singleton used to
+// mean ~320 copies of every LUT slice id on the device.
+func widePlacement() string {
+	var b strings.Builder
+	b.WriteString("def wide(a:i8, b:i8) -> (s319:i8) {\n")
+	for i := 0; i < 320; i++ {
+		loc := "??, ??"
+		switch i % 80 {
+		case 20:
+			loc = "2, ??"
+		case 60:
+			loc = "??, 5"
+		}
+		fmt.Fprintf(&b, "    s%d:i8 = lutadd(a, b) @lut(%s);\n", i, loc)
+	}
+	for m := 0; m < 2; m++ {
+		for r := 0; r < 3; r++ {
+			fmt.Fprintf(&b, "    l%d_%d:i8 = lutadd(a, b) @lut(lx%d, ly%d+%d);\n", m, r, m, m, r)
+		}
+	}
+	for m := 0; m < 2; m++ {
+		prev := "a"
+		for r := 0; r < 4; r++ {
+			dest := fmt.Sprintf("d%d_%d", m, r)
+			fmt.Fprintf(&b, "    %s:i8 = muladd(a, b, %s) @dsp(dx%d, dy%d+%d);\n", dest, prev, m, m, r)
+			prev = dest
+		}
+	}
+	b.WriteString("}\n")
+	return b.String()
 }

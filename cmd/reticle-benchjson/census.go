@@ -20,9 +20,9 @@ type Census struct {
 	// Dead names the identifiers that no non-test file refers to, and no
 	// test file outside their own package either.
 	Dead []string `json:"dead"`
-	// TestOnly maps each identifier that only test files refer to, some of
-	// them another package's, to those other packages.
-	TestOnly map[string][]string `json:"test_only"`
+	// TestOnly names each identifier that only test files refer to, some
+	// of them another package's, followed by those packages in brackets.
+	TestOnly []string `json:"test_only"`
 	// InternalOnly counts the identifiers that only their own package's
 	// non-test files refer to: exported, though nothing outside needs them.
 	InternalOnly int `json:"internal_only"`
@@ -163,7 +163,7 @@ func takeCensus(dir string) (*Census, []string, error) {
 		ast.Inspect(sf.ast, visit)
 	}
 
-	c := &Census{Dead: []string{}, TestOnly: map[string][]string{}}
+	c := &Census{Dead: []string{}, TestOnly: []string{}}
 	for _, e := range exported {
 		pkg, id := e.pkg, e.pkg+"."+e.name
 		users := idents[id]
@@ -191,12 +191,13 @@ func takeCensus(dir string) (*Census, []string, error) {
 			c.InternalOnly++
 		case testers != nil:
 			sort.Strings(testers)
-			c.TestOnly[id] = testers
+			c.TestOnly = append(c.TestOnly, id+" ["+strings.Join(testers, " ")+"]")
 		default:
 			c.Dead = append(c.Dead, id)
 		}
 	}
 	sort.Strings(c.Dead)
+	sort.Strings(c.TestOnly)
 	sort.Strings(edges)
 	return c, edges, nil
 }
@@ -238,20 +239,16 @@ func exports(f *ast.File) []string {
 
 // recvType names a method receiver's type: T for T, *T, T[P] and *T[P].
 func recvType(e ast.Expr) string {
-	for {
-		switch t := e.(type) {
-		case *ast.StarExpr:
-			e = t.X
-		case *ast.IndexExpr:
-			e = t.X
-		case *ast.IndexListExpr:
-			e = t.X
-		case *ast.Ident:
-			return t.Name
-		default:
-			return "?"
-		}
+	if s, ok := e.(*ast.StarExpr); ok {
+		e = s.X
 	}
+	switch t := e.(type) {
+	case *ast.IndexExpr:
+		e = t.X
+	case *ast.IndexListExpr:
+		e = t.X
+	}
+	return e.(*ast.Ident).Name
 }
 
 // printCensus prints, when both points carry a census, the entries that
@@ -271,12 +268,19 @@ func printCensus(w io.Writer, base, head *Baseline) {
 		}
 	}
 	list("dead", base.Census.Dead, head.Census.Dead)
-	list("test_only", keys(base.Census.TestOnly), keys(head.Census.TestOnly))
+	list("test_only", base.Census.TestOnly, head.Census.TestOnly)
 	list("edge", base.Edges, head.Edges)
-	fmt.Fprintf(w, "   %-12s %6d -> %6d  (%+d)\n", "dead", len(base.Census.Dead), len(head.Census.Dead), len(head.Census.Dead)-len(base.Census.Dead))
-	fmt.Fprintf(w, "   %-12s %6d -> %6d  (%+d)\n", "test_only", len(base.Census.TestOnly), len(head.Census.TestOnly), len(head.Census.TestOnly)-len(base.Census.TestOnly))
-	fmt.Fprintf(w, "   %-12s %6d -> %6d  (%+d)\n", "internal", base.Census.InternalOnly, head.Census.InternalOnly, head.Census.InternalOnly-base.Census.InternalOnly)
-	fmt.Fprintf(w, "   %-12s %6d -> %6d  (%+d)\n", "edges", len(base.Edges), len(head.Edges), len(head.Edges)-len(base.Edges))
+	for _, n := range []struct {
+		label string
+		b, h  int
+	}{
+		{"dead", len(base.Census.Dead), len(head.Census.Dead)},
+		{"test_only", len(base.Census.TestOnly), len(head.Census.TestOnly)},
+		{"internal", base.Census.InternalOnly, head.Census.InternalOnly},
+		{"edges", len(base.Edges), len(head.Edges)},
+	} {
+		fmt.Fprintf(w, "   %-12s %6d -> %6d  (%+d)\n", n.label, n.b, n.h, n.h-n.b)
+	}
 }
 
 // diffSorted returns the entries of b that a lacks, in b's order.
@@ -291,14 +295,5 @@ func diffSorted(a, b []string) []string {
 			out = append(out, e)
 		}
 	}
-	return out
-}
-
-func keys(m map[string][]string) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
 	return out
 }

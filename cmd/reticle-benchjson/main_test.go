@@ -456,7 +456,7 @@ func TestCensus(t *testing.T) {
 	if strings.Join(c.Dead, " ") != strings.Join(wantDead, " ") {
 		t.Errorf("dead %q, want %q", c.Dead, wantDead)
 	}
-	if got := c.TestOnly; len(got) != 1 || strings.Join(got[lib+".TestOnly"], " ") != "example.com/m/internal/other" {
+	if got := c.TestOnly; len(got) != 1 || got[0] != lib+".TestOnly [example.com/m/internal/other]" {
 		t.Errorf("test_only %q", got)
 	}
 	if c.InternalOnly != 2 {
@@ -471,14 +471,14 @@ func TestCensus(t *testing.T) {
 // that gained dead exports still passes.
 func TestCompareCensusMoves(t *testing.T) {
 	base, head := baselines()
-	base.Census = &Census{Dead: []string{"p.A", "p.B"}, TestOnly: map[string][]string{"p.T": {"q"}}, InternalOnly: 9}
-	head.Census = &Census{Dead: []string{"p.B", "p.C", "p.D"}, TestOnly: map[string][]string{}, InternalOnly: 7}
+	base.Census = &Census{Dead: []string{"p.A", "p.B"}, TestOnly: []string{"p.T [q]"}, InternalOnly: 9}
+	head.Census = &Census{Dead: []string{"p.B", "p.C", "p.D"}, TestOnly: []string{}, InternalOnly: 7}
 	base.Edges, head.Edges = []string{"a -> b", "a -> c"}, []string{"a -> c"}
 	var out bytes.Buffer
 	if code := compareFiles(t, base, head, &out); code != 0 {
 		t.Fatalf("census moves failed the compare (exit %d)\n%s", code, out.String())
 	}
-	for _, want := range []string{"- dead       p.A", "+ dead       p.C", "+ dead       p.D", "- test_only  p.T", "- edge       a -> b",
+	for _, want := range []string{"- dead       p.A", "+ dead       p.C", "+ dead       p.D", "- test_only  p.T [q]", "- edge       a -> b",
 		"dead              2 ->      3  (+1)", "internal          9 ->      7  (-2)", "edges             2 ->      1  (-1)"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output lacks %q:\n%s", want, out.String())

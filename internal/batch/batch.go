@@ -59,21 +59,14 @@ type Options struct {
 	// negative is rejected (ErrInvalidTimeout). Timeouts are observed at
 	// pipeline stage boundaries.
 	KernelTimeout time.Duration
-	// Retries bounds per-kernel retry attempts for transient failures
-	// (rerr.Transient only — permanent and resource-exhausted errors are
-	// never retried, and nothing is retried once the batch context is
-	// done). 0 means DefaultRetries; NoRetries disables retrying; other
-	// negatives are rejected (ErrInvalidRetries). Each retry backs off
-	// with capped exponential delay plus deterministic jitter.
-	Retries int
 }
 
-// DefaultRetries is the transient-failure retry budget applied when
-// Options.Retries is zero.
+// DefaultRetries bounds per-kernel retry attempts for transient failures
+// (rerr.Transient only — permanent and resource-exhausted errors are
+// never retried, and nothing is retried once the batch context is done).
+// Each retry backs off with capped exponential delay plus deterministic
+// jitter.
 const DefaultRetries = 2
-
-// NoRetries as Options.Retries disables transient-failure retrying.
-const NoRetries = -1
 
 // Typed option-validation errors, so callers (e.g. the HTTP compile
 // service) can map bad requests to 400s with errors.Is instead of
@@ -83,8 +76,6 @@ var (
 	ErrInvalidJobs = errors.New("batch: Options.Jobs must be >= 0")
 	// ErrInvalidTimeout reports a negative Options.KernelTimeout.
 	ErrInvalidTimeout = errors.New("batch: Options.KernelTimeout must be >= 0")
-	// ErrInvalidRetries reports an Options.Retries below NoRetries.
-	ErrInvalidRetries = errors.New("batch: Options.Retries must be >= -1")
 )
 
 // Validate checks the options. Zero values are valid defaults (Jobs 0 =
@@ -96,9 +87,6 @@ func (o Options) Validate() error {
 	}
 	if o.KernelTimeout < 0 {
 		return fmt.Errorf("%w (got %s)", ErrInvalidTimeout, o.KernelTimeout)
-	}
-	if o.Retries < NoRetries {
-		return fmt.Errorf("%w (got %d)", ErrInvalidRetries, o.Retries)
 	}
 	return nil
 }
@@ -188,14 +176,8 @@ func Begin(ctx context.Context, cfg *pipeline.Config, jobs []Job, opts Options) 
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	retries := opts.Retries
-	if retries == 0 {
-		retries = DefaultRetries
-	} else if retries == NoRetries {
-		retries = 0
-	}
 	return &Run{t0: time.Now(), fan: FanOut(ctx, len(jobs), workers,
-		func(i int) Result { return compileOne(ctx, cfg, jobs[i], i, opts.KernelTimeout, retries) },
+		func(i int) Result { return compileOne(ctx, cfg, jobs[i], i, opts.KernelTimeout) },
 		func(i int, cause error) Result {
 			return Result{Index: i, Name: jobs[i].label(), Err: rerr.Wrap(rerr.ClassOf(cause), rerr.CodeOf(cause),
 				"batch canceled before kernel started", cause)}
@@ -252,7 +234,7 @@ var onKernel func(index int, done bool)
 // compileOne compiles a single kernel, converting panics to per-kernel
 // errors so a pathological input cannot take down the whole batch, and
 // retrying transient failures with capped exponential backoff.
-func compileOne(ctx context.Context, cfg *pipeline.Config, job Job, index int, timeout time.Duration, retries int) (res Result) {
+func compileOne(ctx context.Context, cfg *pipeline.Config, job Job, index int, timeout time.Duration) (res Result) {
 	res = Result{Index: index, Name: job.label()}
 	t0 := time.Now()
 	defer func() {
@@ -283,7 +265,7 @@ func compileOne(ctx context.Context, cfg *pipeline.Config, job Job, index int, t
 		// Retry only genuinely transient failures, and only while the
 		// batch itself is still alive — a cancelled batch must not be
 		// kept warm by its own retry loop.
-		if attempt >= retries || rerr.ClassOf(res.Err) != rerr.Transient || ctx.Err() != nil {
+		if attempt >= DefaultRetries || rerr.ClassOf(res.Err) != rerr.Transient || ctx.Err() != nil {
 			return res
 		}
 		delay := retryDelay(index, attempt)

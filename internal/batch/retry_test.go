@@ -108,29 +108,6 @@ func TestRetryBudgetExhausted(t *testing.T) {
 	}
 }
 
-// TestNoRetriesDisables: Retries: NoRetries turns the retry loop off.
-func TestNoRetriesDisables(t *testing.T) {
-	ctx := armWorker(rerr.Transient, -1)
-	results, _, err := Compile(ctx, testConfig(t), []Job{{Func: goodKernel(t, 0)}},
-		Options{Jobs: 1, Retries: NoRetries})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if results[0].Attempts != 1 {
-		t.Errorf("Attempts = %d, want 1 with NoRetries", results[0].Attempts)
-	}
-}
-
-// TestInvalidRetriesRejected: negatives below NoRetries are a typed
-// option error, not a silent default.
-func TestInvalidRetriesRejected(t *testing.T) {
-	_, _, err := Compile(context.Background(), testConfig(t),
-		[]Job{{Func: goodKernel(t, 0)}}, Options{Retries: -2})
-	if !errors.Is(err, ErrInvalidRetries) {
-		t.Errorf("err = %v, want ErrInvalidRetries", err)
-	}
-}
-
 // TestCancelFlushesCompleted is the regression test for the
 // cancel-flush contract: when the batch context dies mid-run, Results
 // for kernels that already finished are returned intact, and every
@@ -164,7 +141,7 @@ func TestCancelFlushesCompleted(t *testing.T) {
 	resc := make(chan []Result, 1)
 	errc := make(chan error, 1)
 	go func() {
-		results, _, err := Compile(ctx, testConfig(t), jobs, Options{Jobs: 1, Retries: NoRetries})
+		results, _, err := Compile(ctx, testConfig(t), jobs, Options{Jobs: 1})
 		errc <- err
 		resc <- results
 	}()

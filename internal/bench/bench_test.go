@@ -17,10 +17,10 @@ func TestTensorAddShape(t *testing.T) {
 	if len(f.Inputs) != 1+2*16 || len(f.Outputs) != 16 {
 		t.Fatalf("ports = %d in, %d out", len(f.Inputs), len(f.Outputs))
 	}
-	if f.ComputeCount() != 32 { // 16 adds + 16 regs
-		t.Errorf("compute = %d", f.ComputeCount())
+	if computeCount(f) != 32 { // 16 adds + 16 regs
+		t.Errorf("compute = %d", computeCount(f))
 	}
-	if !ir.WellFormed(f) {
+	if _, _, err := ir.CheckWellFormed(f); err != nil {
 		t.Error("ill-formed")
 	}
 }
@@ -38,7 +38,11 @@ func TestTensorAddSelectsVectorDsp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	af, err := isel.Select(f, ultrascale.Target(), isel.Options{})
+	lib, err := isel.NewLibrary(ultrascale.Target())
+	if err != nil {
+		t.Fatal(err)
+	}
+	af, err := isel.SelectWithLibrary(f, lib, isel.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,15 +86,15 @@ func TestDspAddShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.ComputeCount() != 8 {
-		t.Errorf("compute = %d", f.ComputeCount())
+	if computeCount(f) != 8 {
+		t.Errorf("compute = %d", computeCount(f))
 	}
 	fv, err := DspAddVectorized(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fv.ComputeCount() != 2 {
-		t.Errorf("vectorized compute = %d", fv.ComputeCount())
+	if computeCount(fv) != 2 {
+		t.Errorf("vectorized compute = %d", computeCount(fv))
 	}
 	if _, err := DspAdd(0); err == nil {
 		t.Error("DspAdd(0) accepted")
@@ -106,8 +110,8 @@ func TestTensorDotShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Per stage: mul + add + reg; 5 arrays x 3 stages = 45 compute.
-	if f.ComputeCount() != 45 {
-		t.Errorf("compute = %d", f.ComputeCount())
+	if computeCount(f) != 45 {
+		t.Errorf("compute = %d", computeCount(f))
 	}
 	if len(f.Outputs) != 5 {
 		t.Errorf("outputs = %d", len(f.Outputs))
@@ -122,7 +126,11 @@ func TestTensorDotSelectsMulAddRega(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	af, err := isel.Select(f, ultrascale.Target(), isel.Options{})
+	lib, err := isel.NewLibrary(ultrascale.Target())
+	if err != nil {
+		t.Fatal(err)
+	}
+	af, err := isel.SelectWithLibrary(f, lib, isel.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +176,7 @@ func TestFSMShape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ir.WellFormed(f) {
+		if _, _, err := ir.CheckWellFormed(f); err != nil {
 			t.Errorf("fsm %d ill-formed", s)
 		}
 		// Control logic only: every compute instruction requests LUTs.
@@ -209,7 +217,11 @@ func TestFSMSelectsLutOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	af, err := isel.Select(f, ultrascale.Target(), isel.Options{})
+	lib, err := isel.NewLibrary(ultrascale.Target())
+	if err != nil {
+		t.Fatal(err)
+	}
+	af, err := isel.SelectWithLibrary(f, lib, isel.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,4 +230,15 @@ func TestFSMSelectsLutOnly(t *testing.T) {
 			t.Errorf("fsm selected %s on %s", in.Name, in.Loc.Prim)
 		}
 	}
+}
+
+// computeCount returns the number of compute instructions in f's body.
+func computeCount(f *ir.Func) int {
+	n := 0
+	for _, in := range f.Body {
+		if in.IsCompute() {
+			n++
+		}
+	}
+	return n
 }

@@ -7,11 +7,11 @@
 // State machine (DESIGN.md §14):
 //
 //	closed ──(failure rate ≥ threshold over the window)──▶ open
-//	open ──(cooldown elapsed; next Allow grants one probe)──▶ half-open
+//	open ──(cooldown elapsed; next AllowDetail grants one probe)──▶ half-open
 //	half-open ──(probe succeeds)──▶ closed
 //	half-open ──(probe fails)──▶ open
 //
-// The breaker is advisory: Allow says "don't bother", it never blocks.
+// The breaker is advisory: AllowDetail says "don't bother", it never blocks.
 // The shard router's backend picker consults it next to the liveness
 // marks, and falls back to ignoring it entirely when every backend is
 // denied — availability beats breaker hygiene on total-trip.
@@ -146,20 +146,15 @@ func New(opts Options) *Breaker {
 	}
 }
 
-// Allow reports whether a request should be sent to this backend now.
-// Closed always allows. Open refuses until the cooldown elapses, at
-// which point the breaker half-opens and this call grants the probe.
-// Half-open allows one probe at a time; a probe whose outcome never
-// arrives (see Options.ProbeTimeout) releases the slot.
-func (b *Breaker) Allow() bool {
-	ok, _ := b.AllowDetail()
-	return ok
-}
-
-// AllowDetail is Allow plus whether the grant is a half-open probe —
-// callers that want to fault-inject or specially account probe traffic
-// (the shard router's shard/breaker-probe point) need to know which
-// grants carry the breaker's recovery decision.
+// AllowDetail reports whether a request should be sent to this backend
+// now, and whether the grant is a half-open probe. Closed always allows.
+// Open refuses until the cooldown elapses, at which point the breaker
+// half-opens and this call grants the probe. Half-open allows one probe
+// at a time; a probe whose outcome never arrives (see
+// Options.ProbeTimeout) releases the slot. Callers that fault-inject or
+// specially account probe traffic (the shard router's
+// shard/breaker-probe point) need to know which grants carry the
+// breaker's recovery decision.
 func (b *Breaker) AllowDetail() (ok, probe bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -238,7 +233,7 @@ func (b *Breaker) resetWindowLocked() {
 }
 
 // State returns the current state, advancing open→half-open is NOT done
-// here — only Allow transitions, so observers never mutate.
+// here — only AllowDetail transitions, so observers never mutate.
 func (b *Breaker) State() State {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -41,7 +41,7 @@ func TestBreakerStaysClosedUnderSuccess(t *testing.T) {
 	c := newClock()
 	b := newTestBreaker(c)
 	for i := 0; i < 100; i++ {
-		if !b.Allow() {
+		if !allow(b) {
 			t.Fatalf("closed breaker refused request %d", i)
 		}
 		b.Record(true)
@@ -87,7 +87,7 @@ func TestBreakerTripsOnFailureRate(t *testing.T) {
 	if st := b.Stats(); st.Trips != 1 {
 		t.Fatalf("trips = %d, want 1", st.Trips)
 	}
-	if b.Allow() {
+	if allow(b) {
 		t.Fatal("open breaker allowed a request before cooldown")
 	}
 }
@@ -104,19 +104,19 @@ func TestBreakerHalfOpenRecovery(t *testing.T) {
 
 	// Before cooldown: refused.
 	c.Advance(4 * time.Second)
-	if b.Allow() {
+	if allow(b) {
 		t.Fatal("allowed before cooldown elapsed")
 	}
 	// After cooldown: exactly one probe is granted; the next caller is
 	// refused while the probe is in flight.
 	c.Advance(2 * time.Second)
-	if !b.Allow() {
+	if !allow(b) {
 		t.Fatal("probe not granted after cooldown")
 	}
 	if b.State() != HalfOpen {
 		t.Fatalf("state %v after probe grant, want HalfOpen", b.State())
 	}
-	if b.Allow() {
+	if allow(b) {
 		t.Fatal("second concurrent probe granted")
 	}
 	// Probe succeeds: closed, recovery counted, window fresh.
@@ -128,7 +128,7 @@ func TestBreakerHalfOpenRecovery(t *testing.T) {
 	if st.Recoveries != 1 || st.WindowSize != 0 {
 		t.Fatalf("after recovery: %+v", st)
 	}
-	if !b.Allow() {
+	if !allow(b) {
 		t.Fatal("recovered breaker refused traffic")
 	}
 }
@@ -140,7 +140,7 @@ func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 		b.Record(false)
 	}
 	c.Advance(6 * time.Second)
-	if !b.Allow() {
+	if !allow(b) {
 		t.Fatal("probe not granted")
 	}
 	b.Record(false)
@@ -152,11 +152,11 @@ func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 	}
 	// The new cooldown starts from the failed probe, not the old trip.
 	c.Advance(4 * time.Second)
-	if b.Allow() {
+	if allow(b) {
 		t.Fatal("allowed before the re-opened cooldown elapsed")
 	}
 	c.Advance(2 * time.Second)
-	if !b.Allow() {
+	if !allow(b) {
 		t.Fatal("second probe not granted after re-opened cooldown")
 	}
 }
@@ -172,18 +172,18 @@ func TestBreakerProbeTimeoutReleasesSlot(t *testing.T) {
 		b.Record(false)
 	}
 	c.Advance(6 * time.Second)
-	if !b.Allow() {
+	if !allow(b) {
 		t.Fatal("probe not granted")
 	}
 	// The probe's outcome never arrives (cancelled hedge loser). The
 	// slot must re-arm after ProbeTimeout so the backend is not stuck
 	// half-open forever.
 	c.Advance(9 * time.Second)
-	if b.Allow() {
+	if allow(b) {
 		t.Fatal("second probe granted before ProbeTimeout")
 	}
 	c.Advance(2 * time.Second)
-	if !b.Allow() {
+	if !allow(b) {
 		t.Fatal("probe slot never re-armed after ProbeTimeout")
 	}
 }
@@ -226,7 +226,7 @@ func TestBreakerWindowRolls(t *testing.T) {
 
 func TestBreakerDefaults(t *testing.T) {
 	b := New(Options{})
-	if !b.Allow() {
+	if !allow(b) {
 		t.Fatal("default breaker starts refused")
 	}
 	if b.opts.Window != DefaultWindow || b.opts.MinSamples != DefaultMinSamples ||
@@ -244,7 +244,7 @@ func TestBreakerConcurrentUse(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				if b.Allow() {
+				if allow(b) {
 					b.Record(i%3 != 0)
 				}
 				if i%50 == 0 {
@@ -259,4 +259,10 @@ func TestBreakerConcurrentUse(t *testing.T) {
 	if st.WindowSize > 8 {
 		t.Fatalf("window overflow: %+v", st)
 	}
+}
+
+// allow is AllowDetail without the probe flag.
+func allow(b *Breaker) bool {
+	ok, _ := b.AllowDetail()
+	return ok
 }

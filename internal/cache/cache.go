@@ -12,9 +12,9 @@
 // every request that arrives while it is in flight.
 //
 // Keys must be computed with KeyFor. The key schema is pinned by golden
-// tests (cache_test.go): changing ir.CanonicalHash or
-// pipeline.Config.Fingerprint shows up as a golden diff, not as a silent
-// mass cache miss (or worse, a stale hit) in production.
+// tests (cache_test.go): changing ir.CanonicalHash or the config
+// fingerprint pipeline.ArtifactKeyFor renders shows up as a golden diff,
+// not as a silent mass cache miss (or worse, a stale hit) in production.
 package cache
 
 import (
@@ -41,7 +41,7 @@ type Key string
 // KeyFor computes the cache key for compiling f under cfg: a SHA-256
 // over the kernel's canonical hash (alpha-normalized, see
 // ir.CanonicalHash) and the config fingerprint (family + device +
-// flags, see pipeline.Config.Fingerprint).
+// flags, see pipeline.ArtifactKeyFor).
 func KeyFor(cfg *pipeline.Config, f *ir.Func) Key {
 	return Key(pipeline.ArtifactKeyFor(cfg, f))
 }

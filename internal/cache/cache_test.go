@@ -35,7 +35,7 @@ func art() *pipeline.Artifact { return &pipeline.Artifact{} }
 
 // TestGoldenCacheKeys pins the cache key for every bundled example
 // program on both families. The key schema is the cache's on-the-wire
-// contract — ir.CanonicalHash plus pipeline.Config.Fingerprint — and
+// contract — ir.CanonicalHash plus pipeline.ArtifactKeyFor's fingerprint — and
 // any drift (a renamed field, a new hash input, a reordered rendering)
 // invalidates every deployed cache, so it must show up as an explicit
 // golden diff. Regenerate deliberately with:

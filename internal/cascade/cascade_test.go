@@ -1,6 +1,7 @@
 package cascade
 
 import (
+	"context"
 	"testing"
 
 	"reticle/internal/asm"
@@ -165,7 +166,7 @@ def fig11(a:i8, b:i8, c:i8, d:i8, in:i8) -> (t1:i8) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := place.Place(out, dev, place.Options{Shrink: true})
+	res, err := place.PlaceContext(context.Background(), out, dev, place.Options{Shrink: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -19,11 +20,15 @@ func compile(t *testing.T, src string) (string, Stats) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	af, err := isel.Select(f, ultrascale.Target(), isel.Options{})
+	lib, err := isel.NewLibrary(ultrascale.Target())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := place.Place(af, ultrascale.Device(), place.Options{Shrink: true})
+	af, err := isel.SelectWithLibrary(f, lib, isel.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := place.PlaceContext(context.Background(), af, ultrascale.Device(), place.Options{Shrink: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +363,11 @@ def dot(a0:i8, b0:i8, a1:i8, b1:i8, in:i8) -> (y:i8) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	af, err := isel.Select(f, ultrascale.Target(), isel.Options{})
+	lib, err := isel.NewLibrary(ultrascale.Target())
+	if err != nil {
+		t.Fatal(err)
+	}
+	af, err := isel.SelectWithLibrary(f, lib, isel.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +376,7 @@ def dot(a0:i8, b0:i8, a1:i8, b1:i8, in:i8) -> (y:i8) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := place.Place(af, ultrascale.Device(), place.Options{})
+	res, err := place.PlaceContext(context.Background(), af, ultrascale.Device(), place.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -31,7 +32,7 @@ func TestEmittedVerilogRoundTrips(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		res, err := place.Place(af, dev, place.Options{})
+		res, err := place.PlaceContext(context.Background(), af, dev, place.Options{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -67,11 +68,15 @@ def audit(a:i8, b:i8, c:i8, en:bool) -> (y:i8, z:i8) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	af, err := isel.Select(f, ultrascale.Target(), isel.Options{})
+	lib, err := isel.NewLibrary(ultrascale.Target())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := place.Place(af, ultrascale.Device(), place.Options{Shrink: true})
+	af, err := isel.SelectWithLibrary(f, lib, isel.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := place.PlaceContext(context.Background(), af, ultrascale.Device(), place.Options{Shrink: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,11 +141,15 @@ func TestDspInstancesNeverShareSlices(t *testing.T) {
 		b.Output(o, i8)
 	}
 	f := b.MustBuild()
-	af, err := isel.Select(f, ultrascale.Target(), isel.Options{})
+	lib, err := isel.NewLibrary(ultrascale.Target())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := place.Place(af, ultrascale.Device(), place.Options{})
+	af, err := isel.SelectWithLibrary(f, lib, isel.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := place.PlaceContext(context.Background(), af, ultrascale.Device(), place.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

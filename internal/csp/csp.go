@@ -77,13 +77,6 @@ type Problem struct {
 // enough that the poll never shows up in solver profiles.
 const interruptStride = 1024
 
-// NewVar adds a variable over the given candidate values (copied; any
-// order, duplicates collapse). The solver tries values in ascending order
-// (deterministic low-first packing).
-func (p *Problem) NewVar(name string, values []int) Var {
-	return p.NewVarIn(name, NewDomain(slices.Clone(values)))
-}
-
 // NewVarIn adds a variable over a prebuilt candidate set. Any number of
 // variables, in any number of problems, may share one Domain: a variable
 // owns only the record of which candidates it still has.
@@ -210,14 +203,10 @@ func (sc *Scratch) grow(n, words int) {
 	sc.trail = sc.trail[:0]
 }
 
-// Solve finds an assignment satisfying all constraints, or fails with
-// *ErrUnsat / *ErrLimit. The search is deterministic.
-func (p *Problem) Solve() ([]int, error) {
-	return p.SolveScratch(nil)
-}
-
-// SolveScratch is Solve with caller-provided scratch buffers (nil is
-// allowed and allocates fresh ones). The returned assignment is always a
+// SolveScratch finds an assignment satisfying all constraints, or fails
+// with *ErrUnsat / *ErrLimit; the search is deterministic. It takes
+// caller-provided scratch buffers (nil is allowed and allocates fresh
+// ones). The returned assignment is always a
 // private copy, so reusing sc for a later solve never clobbers it. Every
 // solve starts from full domains: liveness lives in the scratch, not in
 // the (shared, immutable) Domains.

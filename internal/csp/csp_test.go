@@ -2,6 +2,7 @@ package csp
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -261,4 +262,17 @@ func TestStepsReported(t *testing.T) {
 	if p.Steps() < 1 {
 		t.Errorf("steps = %d", p.Steps())
 	}
+}
+
+// NewVar adds a variable over the given candidate values (copied; any
+// order, duplicates collapse). The solver tries values in ascending order
+// (deterministic low-first packing).
+func (p *Problem) NewVar(name string, values []int) Var {
+	return p.NewVarIn(name, NewDomain(slices.Clone(values)))
+}
+
+// Solve finds an assignment satisfying all constraints, or fails with
+// *ErrUnsat / *ErrLimit. The search is deterministic.
+func (p *Problem) Solve() ([]int, error) {
+	return p.SolveScratch(nil)
 }

@@ -9,11 +9,7 @@
 // anchor stateful patterns such as add_reg).
 package dfg
 
-import (
-	"fmt"
-
-	"reticle/internal/ir"
-)
+import "reticle/internal/ir"
 
 // NodeKind discriminates graph nodes.
 type NodeKind uint8
@@ -38,12 +34,6 @@ type Node struct {
 	isOutput bool  // defines a function output port
 	tree     int32 // id of the Partition tree that holds an instruction node
 }
-
-// Fanout returns the number of instruction arguments that consume the node.
-func (n *Node) Fanout() int { return n.fanout }
-
-// IsOutput reports whether the node defines a function output.
-func (n *Node) IsOutput() bool { return n.isOutput }
 
 // IsWire reports whether the node is a wire instruction.
 func (n *Node) IsWire() bool { return n.Kind == KindInstr && n.Instr.Op.IsWire() }
@@ -150,25 +140,4 @@ func (g *Graph) grow(t *Tree, n *Node) {
 			g.grow(t, a)
 		}
 	}
-}
-
-// CheckPartition verifies the partition invariant: every instruction node
-// appears in exactly one tree. It exists for tests and debugging.
-func CheckPartition(g *Graph, trees []*Tree) error {
-	sizes := make([]int, len(trees)+1)
-	for _, n := range g.Nodes {
-		if n.Kind != KindInstr {
-			continue
-		}
-		if n.tree < 1 || int(n.tree) > len(trees) {
-			return fmt.Errorf("dfg: node %s missing from partition", n.Name)
-		}
-		sizes[n.tree]++
-	}
-	for _, t := range trees {
-		if t.Root.tree != t.id || sizes[t.id] != t.size {
-			return fmt.Errorf("dfg: tree at %s holds %d nodes, claims %d", t.Root.Name, sizes[t.id], t.size)
-		}
-	}
-	return nil
 }

@@ -45,10 +45,10 @@ def f(a:i8, b:i8, c:i8) -> (t1:i8) {
 	t0 := lookup(g, "t0")
 	t1 := lookup(g, "t1")
 	a := lookup(g, "a")
-	if t0.Fanout() != 1 || a.Fanout() != 1 {
-		t.Errorf("fanouts: t0=%d a=%d", t0.Fanout(), a.Fanout())
+	if t0.fanout != 1 || a.fanout != 1 {
+		t.Errorf("fanouts: t0=%d a=%d", t0.fanout, a.fanout)
 	}
-	if !t1.IsOutput() || t0.IsOutput() {
+	if !t1.isOutput || t0.isOutput {
 		t.Error("output marking wrong")
 	}
 	if g.IsRoot(t0) {
@@ -336,4 +336,25 @@ func TestBuildAllocationBudget(t *testing.T) {
 	if p16 != 2 || p64 != 2 || p256 != 2 {
 		t.Errorf("Partition: %v, %v, %v allocations; want 2 each", p16, p64, p256)
 	}
+}
+
+// CheckPartition verifies the partition invariant: every instruction node
+// appears in exactly one tree. It exists for tests and debugging.
+func CheckPartition(g *Graph, trees []*Tree) error {
+	sizes := make([]int, len(trees)+1)
+	for _, n := range g.Nodes {
+		if n.Kind != KindInstr {
+			continue
+		}
+		if n.tree < 1 || int(n.tree) > len(trees) {
+			return fmt.Errorf("dfg: node %s missing from partition", n.Name)
+		}
+		sizes[n.tree]++
+	}
+	for _, t := range trees {
+		if t.Root.tree != t.id || sizes[t.id] != t.size {
+			return fmt.Errorf("dfg: tree at %s holds %d nodes, claims %d", t.Root.Name, sizes[t.id], t.size)
+		}
+	}
+	return nil
 }

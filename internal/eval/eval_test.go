@@ -200,7 +200,7 @@ func TestProgramDispatch(t *testing.T) {
 			t.Errorf("%s: %v", b, err)
 			continue
 		}
-		if !ir.WellFormed(f) {
+		if _, _, err := ir.CheckWellFormed(f); err != nil {
 			t.Errorf("%s ill-formed", b)
 		}
 	}

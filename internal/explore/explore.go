@@ -31,9 +31,6 @@ type Options struct {
 	Jobs int
 	// KernelTimeout bounds each variant's compile.
 	KernelTimeout time.Duration
-	// Retries is the per-variant transient retry budget
-	// (batch.Options.Retries semantics).
-	Retries int
 	// Compile overrides how one variant is compiled; nil means
 	// pipeline.Compile.
 	Compile CompileFunc
@@ -205,7 +202,6 @@ func Begin(ctx context.Context, cfg *pipeline.Config, f *ir.Func, opts Options) 
 	sw.run, err = batch.Begin(ctx, cfg, jobs, batch.Options{
 		Jobs:          opts.Jobs,
 		KernelTimeout: opts.KernelTimeout,
-		Retries:       opts.Retries,
 	})
 	if err != nil {
 		return nil, err

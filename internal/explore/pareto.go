@@ -102,13 +102,3 @@ func (a *Archive) Frontier() []Point {
 	sort.Slice(out, func(i, j int) bool { return less(out[i], out[j]) })
 	return out
 }
-
-// ParetoFrontier filters points down to the non-dominated subset in
-// canonical order. The input is not modified.
-func ParetoFrontier(points []Point) []Point {
-	a := NewArchive()
-	for _, p := range points {
-		a.Insert(p)
-	}
-	return a.Frontier()
-}

@@ -54,7 +54,7 @@ func TestFrontierMatchesOracle(t *testing.T) {
 	for seed := int64(0); seed < 320; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		pts := randomPoints(rng)
-		got := ParetoFrontier(pts)
+		got := paretoFrontier(pts)
 		want := oracleFrontier(pts)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: frontier mismatch\n got: %v\nwant: %v\n set: %v", seed, got, want, pts)
@@ -90,14 +90,14 @@ func TestFrontierInsertionOrderInvariant(t *testing.T) {
 	for seed := int64(0); seed < 64; seed++ {
 		rng := rand.New(rand.NewSource(1000 + seed))
 		pts := randomPoints(rng)
-		want := ParetoFrontier(pts)
+		want := paretoFrontier(pts)
 		for shuffle := 0; shuffle < 5; shuffle++ {
 			perm := rng.Perm(len(pts))
 			shuffled := make([]Point, len(pts))
 			for i, j := range perm {
 				shuffled[i] = pts[j]
 			}
-			if got := ParetoFrontier(shuffled); !reflect.DeepEqual(got, want) {
+			if got := paretoFrontier(shuffled); !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d shuffle %d: frontier depends on insertion order\n got: %v\nwant: %v", seed, shuffle, got, want)
 			}
 			a := NewArchive()
@@ -121,7 +121,7 @@ func TestFrontierStableTieBreak(t *testing.T) {
 		{ID: "z", Objectives: []float64{0, 3}}, // incomparable, sorts first
 		{ID: "d", Objectives: []float64{2, 2}}, // dominated by a/b/c
 	}
-	got := ParetoFrontier(pts)
+	got := paretoFrontier(pts)
 	wantIDs := []string{"z", "a", "b", "c"}
 	if len(got) != len(wantIDs) {
 		t.Fatalf("frontier size %d, want %d: %v", len(got), len(wantIDs), got)
@@ -170,4 +170,14 @@ func TestArchiveInsertReportsKept(t *testing.T) {
 	if fr := a.Frontier(); len(fr) != 1 || fr[0].ID != "c" {
 		t.Fatalf("frontier %v, want just c", fr)
 	}
+}
+
+// paretoFrontier filters points down to the non-dominated subset in
+// canonical order through one Archive.
+func paretoFrontier(points []Point) []Point {
+	a := NewArchive()
+	for _, p := range points {
+		a.Insert(p)
+	}
+	return a.Frontier()
 }

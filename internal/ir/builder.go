@@ -105,11 +105,6 @@ func (b *Builder) Compare(op Op, a, x string, res Resource) string {
 	return b.Instr(Bool(), op, nil, []string{a, x}, res)
 }
 
-// Slice appends a lane-extraction or bit-slice wire instruction.
-func (b *Builder) Slice(t Type, src string, attrs ...int64) string {
-	return b.Instr(t, OpSlice, attrs, []string{src}, ResAny)
-}
-
 // Id appends an identity wire instruction with an explicit destination.
 func (b *Builder) Id(dest string, t Type, src string) {
 	b.InstrNamed(dest, t, OpId, nil, []string{src}, ResAny)

@@ -42,7 +42,7 @@ func TestBuilderFeedbackCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !WellFormed(f) {
+	if _, _, err := CheckWellFormed(f); err != nil {
 		t.Error("builder-made reg cycle rejected")
 	}
 }

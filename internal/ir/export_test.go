@@ -10,3 +10,8 @@ var (
 	RewriteConstants = rewriteConstants
 	MutateStructure  = mutateStructure
 )
+
+// NewLexer returns a lexer over src, for the token-stream tests.
+func NewLexer(src string) *Lexer {
+	return &Lexer{src: src, line: 1}
+}

@@ -202,14 +202,3 @@ func (f *Func) TypeOf(name string) (Type, bool) {
 	}
 	return Type{}, false
 }
-
-// ComputeCount returns the number of compute instructions in the body.
-func (f *Func) ComputeCount() int {
-	n := 0
-	for _, in := range f.Body {
-		if in.IsCompute() {
-			n++
-		}
-	}
-	return n
-}

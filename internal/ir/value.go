@@ -16,11 +16,6 @@ type Value struct {
 	lanes []int64
 }
 
-// ZeroValue returns the all-zero value of type t.
-func ZeroValue(t Type) Value {
-	return Value{typ: t, lanes: make([]int64, t.Lanes())}
-}
-
 // ScalarValue returns a scalar (or bool) value of type t holding v,
 // truncated and sign-extended to the type's width.
 func ScalarValue(t Type, v int64) Value {
@@ -52,9 +47,6 @@ func VectorValue(t Type, vs ...int64) Value {
 
 // Type returns the value's type.
 func (v Value) Type() Type { return v.typ }
-
-// IsZeroLen reports whether the value is the zero Value (no type attached).
-func (v Value) IsZeroLen() bool { return v.lanes == nil }
 
 // Lane returns lane i as a sign-extended int64.
 func (v Value) Lane(i int) int64 { return v.lanes[i] }

@@ -99,9 +99,3 @@ func topoOrder(f *Func, args []int32) ([]int32, error) {
 	}
 	return order, nil
 }
-
-// WellFormed reports whether f satisfies the criterion of §6.1.
-func WellFormed(f *Func) bool {
-	_, _, err := CheckWellFormed(f)
-	return err == nil
-}

@@ -38,8 +38,8 @@ func TestFig12IllFormed(t *testing.T) {
 	if !strings.Contains(err.Error(), "t1") {
 		t.Errorf("error does not name the offending instruction: %v", err)
 	}
-	if WellFormed(f) {
-		t.Error("WellFormed = true")
+	if _, _, err := CheckWellFormed(f); err == nil {
+		t.Error("CheckWellFormed accepted a combinational cycle")
 	}
 }
 
@@ -97,7 +97,7 @@ def loop3(a:i8) -> (t2:i8) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if WellFormed(f) {
+	if _, _, err := CheckWellFormed(f); err == nil {
 		t.Error("3-node combinational cycle accepted")
 	}
 }
@@ -114,7 +114,7 @@ def swap(en:bool) -> (p:i8, q:i8) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !WellFormed(f) {
+	if _, _, err := CheckWellFormed(f); err != nil {
 		t.Error("reg-reg cycle rejected")
 	}
 }
@@ -129,7 +129,7 @@ def mixed(a:i8, en:bool) -> (r:i8) {
 }
 `
 	f := mustParseNoCheck(t, src)
-	if WellFormed(f) {
+	if _, _, err := CheckWellFormed(f); err == nil {
 		t.Error("combinational cycle accepted because an unrelated reg exists")
 	}
 }

@@ -17,38 +17,29 @@ import (
 // Config bounds the generated program.
 type Config struct {
 	// Instrs is the number of instructions to generate (approximate:
-	// a few extra consts may be added).
+	// a few extra consts may be added); 0 means 12.
 	Instrs int
-	// MaxOutputs bounds the number of output ports.
-	MaxOutputs int
-	// Widths to draw scalar types from; defaults to {8, 16}.
-	Widths []int
 	// WithVectors permits i8<4> vector values.
 	WithVectors bool
 }
 
-func (c Config) withDefaults() Config {
-	if c.Instrs == 0 {
-		c.Instrs = 12
-	}
-	if c.MaxOutputs == 0 {
-		c.MaxOutputs = 3
-	}
-	if len(c.Widths) == 0 {
-		c.Widths = []int{8, 16}
-	}
-	return c
-}
+// maxOutputs bounds the number of output ports; scalar types are drawn
+// from widths.
+const maxOutputs = 3
+
+var widths = []int{8, 16}
 
 // Generate builds a random function. The same seed yields the same
 // program.
 func Generate(rng *rand.Rand, cfg Config) *ir.Func {
-	cfg = cfg.withDefaults()
+	if cfg.Instrs == 0 {
+		cfg.Instrs = 12
+	}
 	g := &gen{rng: rng, cfg: cfg, b: ir.NewBuilder(fmt.Sprintf("rand%d", rng.Intn(1<<30)))}
 
 	// Seed values: a few inputs of each type plus a constant-true enable.
 	g.addInput(ir.Bool(), g.b.Input("en", ir.Bool()))
-	for i, w := range cfg.Widths {
+	for i, w := range widths {
 		t := ir.Int(w)
 		g.addInput(t, g.b.Input(fmt.Sprintf("x%d", i), t))
 		g.addInput(t, g.b.Input(fmt.Sprintf("y%d", i), t))
@@ -64,7 +55,7 @@ func Generate(rng *rand.Rand, cfg Config) *ir.Func {
 	}
 
 	// Outputs: the most recent values of distinct types.
-	outs := 1 + g.rng.Intn(cfg.MaxOutputs)
+	outs := 1 + g.rng.Intn(maxOutputs)
 	used := map[string]bool{}
 	made := 0
 	for i := len(g.order) - 1; i >= 0 && made < outs; i-- {
@@ -78,7 +69,7 @@ func Generate(rng *rand.Rand, cfg Config) *ir.Func {
 	}
 	if made == 0 {
 		// Degenerate: force one output.
-		t := ir.Int(cfg.Widths[0])
+		t := ir.Int(widths[0])
 		d := g.b.Instr(t, ir.OpAdd, nil, []string{g.pick(t), g.pick(t)}, ir.ResAny)
 		g.b.Output(d, t)
 	}
@@ -136,7 +127,7 @@ func (g *gen) pick(t ir.Type) string {
 }
 
 func (g *gen) scalarType() ir.Type {
-	return ir.Int(g.cfg.Widths[g.rng.Intn(len(g.cfg.Widths))])
+	return ir.Int(widths[g.rng.Intn(len(widths))])
 }
 
 func (g *gen) anyDataType() ir.Type {

@@ -18,7 +18,7 @@ func TestGeneratedProgramsAreValid(t *testing.T) {
 		if err := ir.Check(f); err != nil {
 			t.Fatalf("seed %d: %v\n%s", seed, err, f)
 		}
-		if !ir.WellFormed(f) {
+		if _, _, err := ir.CheckWellFormed(f); err != nil {
 			t.Fatalf("seed %d: ill-formed\n%s", seed, f)
 		}
 	}

@@ -27,18 +27,9 @@ type Options struct {
 	Greedy bool
 }
 
-// Select lowers an IR function to an assembly function against the target,
-// using optimal tree covering (or greedy maximal munch when requested).
-func Select(f *ir.Func, target *tdl.Target, opts Options) (*asm.Func, error) {
-	lib, err := NewLibrary(target)
-	if err != nil {
-		return nil, err
-	}
-	return SelectWithLibrary(f, lib, opts)
-}
-
-// SelectWithLibrary is Select with a pre-compiled pattern library, for
-// callers compiling many programs against one target. The library is
+// SelectWithLibrary lowers an IR function to an assembly function against
+// the target a pre-compiled pattern library was built from, using optimal
+// tree covering (or greedy maximal munch when requested). The library is
 // read-only here: all selection scratch (tree partitions, the shape table)
 // is allocated per call, so concurrent selections may share one library.
 func SelectWithLibrary(f *ir.Func, lib *Library, opts Options) (*asm.Func, error) {
@@ -394,37 +385,4 @@ func (s *selector) emit(c *cover, li int32, out []asm.Instr) ([]asm.Instr, error
 		Args:  args,
 		Loc:   asm.Unplaced(ch.pat.Def.Prim),
 	}), nil
-}
-
-// Stats summarizes a selection result for reporting.
-type Stats struct {
-	AsmInstrs  int
-	WireInstrs int
-	LutInstrs  int
-	DspInstrs  int
-	TotalArea  int
-}
-
-// Summarize computes selection statistics for an assembly function.
-func Summarize(f *asm.Func, target *tdl.Target) (Stats, error) {
-	var st Stats
-	for _, in := range f.Body {
-		if in.IsWire() {
-			st.WireInstrs++
-			continue
-		}
-		st.AsmInstrs++
-		def, ok := target.Lookup(in.Name)
-		if !ok {
-			return st, fmt.Errorf("isel: unknown operation %q in summary", in.Name)
-		}
-		st.TotalArea += def.Area
-		switch def.Prim {
-		case ir.ResLut:
-			st.LutInstrs++
-		case ir.ResDsp:
-			st.DspInstrs++
-		}
-	}
-	return st, nil
 }

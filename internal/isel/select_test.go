@@ -325,18 +325,28 @@ def f(a:i8, b:i8, c:i8) -> (y:i8, z:i8) {
     z:i8 = add(t1, c) @??;
 }
 `)
-	st, err := Summarize(af, target)
-	if err != nil {
-		t.Fatal(err)
+	wires, area := 0, 0
+	prims := map[ir.Resource]int{}
+	for _, in := range af.Body {
+		if in.IsWire() {
+			wires++
+			continue
+		}
+		def, ok := target.Lookup(in.Name)
+		if !ok {
+			t.Fatalf("unknown operation %q", in.Name)
+		}
+		area += def.Area
+		prims[def.Prim]++
 	}
-	if st.WireInstrs != 1 {
-		t.Errorf("wire instrs = %d", st.WireInstrs)
+	if wires != 1 {
+		t.Errorf("wire instrs = %d", wires)
 	}
-	if st.LutInstrs != 1 || st.DspInstrs != 1 {
-		t.Errorf("lut/dsp = %d/%d:\n%s", st.LutInstrs, st.DspInstrs, af)
+	if prims[ir.ResLut] != 1 || prims[ir.ResDsp] != 1 {
+		t.Errorf("lut/dsp = %d/%d:\n%s", prims[ir.ResLut], prims[ir.ResDsp], af)
 	}
-	if st.TotalArea != 8+1 {
-		t.Errorf("area = %d", st.TotalArea)
+	if area != 8+1 {
+		t.Errorf("area = %d", area)
 	}
 }
 
@@ -434,14 +444,18 @@ lutfast[lut, 4, 1](a:i8, b:i8) -> (y:i8) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	area, err := Select(f, target, Options{})
+	lib, err := NewLibrary(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	area, err := SelectWithLibrary(f, lib, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if area.Body[0].Name != "lutslow" {
 		t.Errorf("area-optimal pick = %s, want lutslow (area 1)", area.Body[0].Name)
 	}
-	lat, err := Select(f, target, Options{
+	lat, err := SelectWithLibrary(f, lib, Options{
 		Cost: func(d *tdl.Def) int64 { return int64(d.Latency)*1024 + int64(d.Area) },
 	})
 	if err != nil {

@@ -393,7 +393,11 @@ lut_mulreg_i8[lut, 1, 1](a:i8, b:i8, en:bool) -> (y:i8) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	af, err := Select(f, target, Options{})
+	lib, err := NewLibrary(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	af, err := SelectWithLibrary(f, lib, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

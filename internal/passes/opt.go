@@ -2,7 +2,6 @@ package passes
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"reticle/internal/ir"
@@ -192,27 +191,4 @@ func Optimize(f *ir.Func) (*ir.Func, error) {
 		}
 	}
 	return cur, nil
-}
-
-// Stats summarizes a function for before/after comparisons.
-func Stats(f *ir.Func) string {
-	counts := map[string]int{}
-	for _, in := range f.Body {
-		counts[in.Op.String()]++
-	}
-	var keys []string
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d instructions (", len(f.Body))
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(&b, "%s:%d", k, counts[k])
-	}
-	b.WriteString(")")
-	return b.String()
 }

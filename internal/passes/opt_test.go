@@ -197,19 +197,6 @@ func TestOptimizePreservesSemanticsOnRandomPrograms(t *testing.T) {
 	}
 }
 
-func TestStatsString(t *testing.T) {
-	f := mustParse(t, `
-def s(a:i8, b:i8) -> (y:i8) {
-    t0:i8 = add(a, b) @??;
-    y:i8 = add(t0, a) @??;
-}
-`)
-	got := Stats(f)
-	if got != "2 instructions (add:2)" {
-		t.Errorf("Stats = %q", got)
-	}
-}
-
 func TestCSEConstants(t *testing.T) {
 	f := mustParse(t, `
 def consts(x:bool) -> (y:i8) {

@@ -90,7 +90,11 @@ func TestVectorizeEnablesSIMDSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	af, err := isel.Select(out, ultrascale.Target(), isel.Options{})
+	lib, err := isel.NewLibrary(ultrascale.Target())
+	if err != nil {
+		t.Fatal(err)
+	}
+	af, err := isel.SelectWithLibrary(out, lib, isel.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +360,11 @@ func TestVectorizeThenPipelineCompose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	af, err := isel.Select(p, ultrascale.Target(), isel.Options{})
+	lib, err := isel.NewLibrary(ultrascale.Target())
+	if err != nil {
+		t.Fatal(err)
+	}
+	af, err := isel.SelectWithLibrary(p, lib, isel.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,9 +23,6 @@ import (
 type VectorizeOptions struct {
 	// Lanes is the SIMD width to form (e.g. 4 for the DSP byte mode).
 	Lanes int
-	// Ops restricts which operations are combined; nil means the default
-	// set (add, sub, and, or, xor, and reg).
-	Ops []ir.Op
 }
 
 // VectorizeStats reports what the pass did.
@@ -34,7 +31,8 @@ type VectorizeStats struct {
 	Absorbed int // scalar instructions eliminated
 }
 
-var defaultVecOps = []ir.Op{ir.OpAdd, ir.OpSub, ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpReg}
+// vecOps are the operations Vectorize combines.
+var vecOps = map[ir.Op]bool{ir.OpAdd: true, ir.OpSub: true, ir.OpAnd: true, ir.OpOr: true, ir.OpXor: true, ir.OpReg: true}
 
 // Vectorize combines groups of `Lanes` mutually independent scalar
 // instructions with the same operation, type, and resource annotation into
@@ -47,14 +45,6 @@ func Vectorize(f *ir.Func, opts VectorizeOptions) (*ir.Func, VectorizeStats, err
 	var st VectorizeStats
 	if opts.Lanes < 2 {
 		return nil, st, fmt.Errorf("passes: vectorize lanes = %d", opts.Lanes)
-	}
-	ops := opts.Ops
-	if ops == nil {
-		ops = defaultVecOps
-	}
-	opOK := make(map[ir.Op]bool, len(ops))
-	for _, op := range ops {
-		opOK[op] = true
 	}
 	if err := ir.Check(f); err != nil {
 		return nil, st, err
@@ -84,7 +74,7 @@ func Vectorize(f *ir.Func, opts VectorizeOptions) (*ir.Func, VectorizeStats, err
 		}
 	}
 	for i, in := range f.Body {
-		if !in.IsCompute() || !opOK[in.Op] || !in.Type.IsInt() {
+		if !in.IsCompute() || !vecOps[in.Op] || !in.Type.IsInt() {
 			continue
 		}
 		k := sig{op: in.Op, typ: in.Type, res: in.Res}

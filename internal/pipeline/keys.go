@@ -78,7 +78,7 @@ func boolean(get func(*Config) bool) func([]byte, *Config) []byte {
 
 func noCascade(cfg *Config) bool { return cfg.NoCascade }
 
-// Fingerprint renders a nil Target or Device as empty.
+// appendFingerprint renders a nil Target or Device as empty.
 func (cfg *Config) targetName() string {
 	if cfg.Target == nil {
 		return ""
@@ -125,14 +125,6 @@ func runs(cfg *Config, k keySet) bool {
 		}
 	}
 	return true
-}
-
-// Fingerprint returns a stable identity string for everything in the
-// config that can change a compilation's output: the rows of keyFields
-// the artifact key observes. Two configs with equal fingerprints produce
-// byte-identical artifacts for equal kernels.
-func (cfg *Config) Fingerprint() string {
-	return string(appendFingerprint(nil, cfg, keyArtifact))
 }
 
 // keyOf is the one key constructor: lowercase hex SHA-256 over the parts,

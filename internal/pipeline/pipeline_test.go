@@ -560,7 +560,7 @@ func flip(t *testing.T, cfg *Config, field string) {
 // keyFields. Every Config field is read by some row, and a row in no key
 // carries its reason. Flipping a field moves every key a row reading it
 // claims, and the run predicate of every stage row it gates. And a field
-// some key renders moves Fingerprint() — the artifact key — and at least
+// some key renders moves the artifact key's fingerprint and at least
 // one stage key or run predicate: keyed for one cache only, the other
 // would serve a stale hit.
 func TestConfigFieldsAreKeyed(t *testing.T) {
@@ -612,8 +612,8 @@ func TestConfigFieldsAreKeyed(t *testing.T) {
 		}
 		flipped := *base
 		flip(t, &flipped, name)
-		if flipped.Fingerprint() == base.Fingerprint() {
-			t.Errorf("Config.%s is in some key and does not change Fingerprint(): cached artifacts would go stale", name)
+		if string(appendFingerprint(nil, &flipped, keyArtifact)) == string(appendFingerprint(nil, base, keyArtifact)) {
+			t.Errorf("Config.%s is in some key and does not change the artifact key's fingerprint: cached artifacts would go stale", name)
 		}
 		if stageRows(&flipped) == stageRows(base) {
 			t.Errorf("Config.%s is in some key and changes no stage row's fingerprint or run predicate: the stage memo would serve a wrong hit", name)

@@ -205,7 +205,7 @@ func runPlace(ctx context.Context, c *compilation) error {
 	var err error
 	if cfg.TimingDriven {
 		var ref *refine.Result
-		if ref, err = refine.PlaceContext(ctx, c.asm.fn, cfg.Target, cfg.Device, refine.Options{Place: opts}); err == nil {
+		if ref, err = refine.PlaceContext(ctx, c.asm.fn, cfg.Target, cfg.Device, opts); err == nil {
 			res = ref.Solver // res.Fn is the refined program
 		}
 	} else {

@@ -17,15 +17,10 @@ import (
 	"reticle/internal/rerr"
 )
 
-// degradeOrFail runs the greedy fallback (unless Options.NoFallback),
-// marks the result Degraded with the reason, and verifies it before
-// returning. cause is the budget-exhaustion error being degraded around.
-func degradeOrFail(f *asm.Func, dev *device.Device, clusters []*cluster,
-	bounds map[ir.Resource][2]int, opts Options, reason string, cause error) (*Result, error) {
-	if opts.NoFallback {
-		return nil, rerr.Wrap(rerr.Exhausted, "solver_budget",
-			"placement solver budget exhausted", cause)
-	}
+// degrade runs the greedy fallback, marks the result Degraded with the
+// reason, and verifies it before returning.
+func degrade(f *asm.Func, dev *device.Device, clusters []*cluster,
+	bounds map[ir.Resource][2]int, reason string) (*Result, error) {
 	sol, err := greedySolve(clusters, dev, bounds)
 	if err != nil {
 		return nil, rerr.Wrap(rerr.Exhausted, "placement_fallback_failed",

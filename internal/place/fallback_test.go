@@ -33,7 +33,7 @@ func TestStepBudgetDegrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev := dev4(t)
-	res, err := Place(f, dev, Options{MaxSteps: 1})
+	res, err := PlaceContext(context.Background(), f, dev, Options{MaxSteps: 1})
 	if err != nil {
 		t.Fatalf("Place: %v", err)
 	}
@@ -48,26 +48,6 @@ func TestStepBudgetDegrades(t *testing.T) {
 	}
 	if err := Verify(f, res.Fn, dev); err != nil {
 		t.Errorf("fallback placement fails satcheck: %v", err)
-	}
-}
-
-// TestNoFallbackTyped: with degradation disabled, budget exhaustion is a
-// typed resource-exhausted error carrying a stable code.
-func TestNoFallbackTyped(t *testing.T) {
-	f, err := asm.Parse(sixDsp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = Place(f, dev4(t), Options{MaxSteps: 1, NoFallback: true})
-	if err == nil {
-		t.Fatal("expected an error with NoFallback")
-	}
-	if !errors.Is(err, rerr.ErrExhausted) {
-		t.Errorf("err = %v, want rerr.ErrExhausted", err)
-	}
-	var re *rerr.Error
-	if !errors.As(err, &re) || re.Code != "solver_budget" {
-		t.Errorf("err = %v, want code solver_budget", err)
 	}
 }
 
@@ -86,7 +66,7 @@ def f(a:i8, b:i8, c:i8) -> (y:i8) {
 		t.Fatal(err)
 	}
 	dev := dev4(t)
-	res, perr := Place(f, dev, Options{MaxSteps: 1})
+	res, perr := PlaceContext(context.Background(), f, dev, Options{MaxSteps: 1})
 	if perr != nil {
 		t.Fatalf("Place: %v", perr)
 	}
@@ -152,31 +132,6 @@ func TestShrinkInterruptDegrades(t *testing.T) {
 	}
 	if err := Verify(f, res.Fn, dev); err != nil {
 		t.Errorf("interrupted-shrink placement fails satcheck: %v", err)
-	}
-}
-
-// TestShrinkInterruptNoFallback: with degradation disabled, a shrink
-// interruption is a typed resource-exhausted error rather than a
-// silently partially-compacted success.
-func TestShrinkInterruptNoFallback(t *testing.T) {
-	f, err := asm.Parse(sixDsp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := faults.NewPlan(map[faults.Point]faults.Injection{
-		FaultShrinkInterrupt: {Class: rerr.Exhausted, Times: 1},
-	})
-	ctx := faults.WithPlan(context.Background(), plan)
-	_, err = PlaceContext(ctx, f, dev4(t), Options{Shrink: true, NoFallback: true})
-	if err == nil {
-		t.Fatal("expected an error with NoFallback")
-	}
-	if !errors.Is(err, rerr.ErrExhausted) {
-		t.Errorf("err = %v, want rerr.ErrExhausted", err)
-	}
-	var re *rerr.Error
-	if !errors.As(err, &re) || re.Code != "solver_budget" {
-		t.Errorf("err = %v, want code solver_budget", err)
 	}
 }
 

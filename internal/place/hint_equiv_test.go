@@ -1,6 +1,7 @@
 package place
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -190,7 +191,7 @@ func TestDegradedRecordsNoAnchors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Place(f, dev4(t), Options{MaxSteps: 1})
+	res, err := PlaceContext(context.Background(), f, dev4(t), Options{MaxSteps: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -108,10 +108,6 @@ type Options struct {
 	// 0 means no time budget. This is independent of the context
 	// deadline, which fails the kernel rather than degrading it.
 	SolverTimeout time.Duration
-	// NoFallback disables graceful degradation: budget exhaustion is
-	// returned as a typed resource-exhausted error instead of engaging
-	// the greedy placer.
-	NoFallback bool
 	// Hints, when non-nil, is a previously recorded solution (see
 	// Anchors). On an exact problem-signature match the solution is
 	// adopted outright — zero solver steps, byte-identical to the cold
@@ -139,26 +135,23 @@ type cluster struct {
 
 func (c *cluster) singleton() bool { return len(c.members) == 1 }
 
-// Place resolves every assembly instruction's location on the device.
+// PlaceContext resolves every assembly instruction's location on the
+// device.
 //
-// Place is deterministic and safe for concurrent use: it reads f and dev
+// It is deterministic and safe for concurrent use: it reads f and dev
 // without mutating them (the result holds a placed clone of f) and keeps
 // all solver state per call. The batch compiler leans on both properties.
-func Place(f *asm.Func, dev *device.Device, opts Options) (*Result, error) {
-	return PlaceContext(context.Background(), f, dev, opts)
-}
-
-// PlaceContext is Place under a context, with graceful degradation: when
-// the CSP solver exhausts its step budget (Options.MaxSteps) or soft
-// time budget (Options.SolverTimeout), the greedy first-fit fallback
-// produces a valid but unoptimized placement, verified by Verify and
-// marked Degraded, instead of failing the kernel. A soft time budget
-// expiring mid-shrink keeps the already-valid base placement but also
-// marks it Degraded: the compaction was truncated by wall-clock time,
-// so the result must never be cached. A dead context aborts the solve
-// promptly (the solver polls it mid-search) and fails with the
-// context's typed classification — degrading would be pointless when the
-// caller has already gone away.
+//
+// It degrades gracefully: when the CSP solver exhausts its step budget
+// (Options.MaxSteps) or soft time budget (Options.SolverTimeout), the
+// greedy first-fit fallback produces a valid but unoptimized placement,
+// verified by Verify and marked Degraded, instead of failing the kernel.
+// A soft time budget expiring mid-shrink keeps the already-valid base
+// placement but also marks it Degraded: the compaction was truncated by
+// wall-clock time, so the result must never be cached. A dead context
+// aborts the solve promptly (the solver polls it mid-search) and fails
+// with the context's typed classification — degrading would be
+// pointless when the caller has already gone away.
 func PlaceContext(ctx context.Context, f *asm.Func, dev *device.Device, opts Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -201,9 +194,8 @@ func PlaceContext(ctx context.Context, f *asm.Func, dev *device.Device, opts Opt
 		return !softDeadline.IsZero() && time.Now().After(softDeadline)
 	}
 
-	if ferr := FaultSolverBudget.Fire(ctx); ferr != nil {
-		return degradeOrFail(f, dev, clusters, full, opts,
-			"injected solver budget exhaustion", ferr)
+	if FaultSolverBudget.Fire(ctx) != nil {
+		return degrade(f, dev, clusters, full, "injected solver budget exhaustion")
 	}
 
 	sig := problemSignature(dev, opts, clusters)
@@ -232,12 +224,12 @@ func PlaceContext(ctx context.Context, f *asm.Func, dev *device.Device, opts Opt
 		var intr *csp.ErrInterrupted
 		switch {
 		case errors.As(err, &limit):
-			return degradeOrFail(f, dev, clusters, full, opts,
-				fmt.Sprintf("solver step budget exhausted after %d steps", limit.Steps), err)
+			return degrade(f, dev, clusters, full,
+				fmt.Sprintf("solver step budget exhausted after %d steps", limit.Steps))
 		case errors.As(err, &intr):
-			return degradeOrFail(f, dev, clusters, full, opts,
+			return degrade(f, dev, clusters, full,
 				fmt.Sprintf("solver time budget %s exhausted after %d steps",
-					opts.SolverTimeout, intr.Steps), err)
+					opts.SolverTimeout, intr.Steps))
 		default:
 			return nil, rerr.Wrap(rerr.Permanent, "placement_unsat",
 				"no feasible placement", err)
@@ -248,7 +240,6 @@ func PlaceContext(ctx context.Context, f *asm.Func, dev *device.Device, opts Opt
 	hintHits, hintTried := 0, 0
 	bounds := full
 	interrupted := false
-	var interruptCause error
 
 	if opts.Shrink {
 		// Probes are capped: a tight bound that sends the solver into deep
@@ -258,9 +249,8 @@ func PlaceContext(ctx context.Context, f *asm.Func, dev *device.Device, opts Opt
 		if probeSteps == 0 {
 			probeSteps = 100_000
 		}
-		if ferr := FaultShrinkInterrupt.Fire(ctx); ferr != nil {
+		if FaultShrinkInterrupt.Fire(ctx) != nil {
 			interrupted = true
-			interruptCause = ferr
 		}
 		// Probes are warm-started from the current solution.
 		for _, prim := range []ir.Resource{ir.ResDsp, ir.ResLut} {
@@ -304,7 +294,6 @@ func PlaceContext(ctx context.Context, f *asm.Func, dev *device.Device, opts Opt
 						// solution is already valid, so stop compacting and
 						// keep what we have — shrinking is best-effort.
 						interrupted = true
-						interruptCause = err
 						break
 					}
 					if err == nil {
@@ -338,15 +327,10 @@ func PlaceContext(ctx context.Context, f *asm.Func, dev *device.Device, opts Opt
 		// A partially-shrunk layout depends on wall-clock time. Serving
 		// it unmarked would cache a time-truncated artifact under the
 		// same content-addressed key as a fully-shrunk one, so it must
-		// either fail (dead caller, NoFallback) or be marked Degraded
-		// (never cached).
+		// either fail (dead caller) or be marked Degraded (never cached).
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, rerr.Wrap(rerr.ClassOf(cerr), rerr.CodeOf(cerr),
 				"placement aborted", cerr)
-		}
-		if opts.NoFallback {
-			return nil, rerr.Wrap(rerr.Exhausted, "solver_budget",
-				"placement solver budget exhausted", interruptCause)
 		}
 	}
 

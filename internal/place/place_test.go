@@ -1,6 +1,7 @@
 package place
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -24,7 +25,7 @@ func mustPlace(t *testing.T, src string, opts Options) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Place(f, dev4(t), opts)
+	res, err := PlaceContext(context.Background(), f, dev4(t), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ def f(a:i8, b:i8, c:i8) -> (y:i8) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Place(f, dev4(t), Options{}); err == nil {
+	if _, err := PlaceContext(context.Background(), f, dev4(t), Options{}); err == nil {
 		t.Error("double booking accepted")
 	}
 }
@@ -131,7 +132,7 @@ func TestCapacityExceeded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Place(f, dev4(t), Options{})
+	_, err = PlaceContext(context.Background(), f, dev4(t), Options{})
 	if err == nil {
 		t.Fatal("over-capacity placement accepted")
 	}
@@ -149,7 +150,7 @@ def f(a:i8, b:i8, c:i8) -> (y:i8) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Place(f, dev4(t), Options{}); err == nil {
+	if _, err := PlaceContext(context.Background(), f, dev4(t), Options{}); err == nil {
 		t.Error("x=9 on a 2-DSP-column device accepted")
 	}
 }
@@ -164,7 +165,7 @@ def f(a:i8, b:i8, c:i8) -> (y:i8) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Place(f, dev4(t), Options{}); err == nil {
+	if _, err := PlaceContext(context.Background(), f, dev4(t), Options{}); err == nil {
 		t.Error("variable used as both row and column accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package place
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -153,7 +154,7 @@ def f(a:i8, b:i8) -> (t1:i8) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cspRes, cspErr := Place(f, dev, Options{})
+			cspRes, cspErr := PlaceContext(context.Background(), f, dev, Options{})
 			satSlots, satErr := PlaceSAT(f, dev)
 			if (cspErr == nil) != tc.sat {
 				t.Errorf("CSP engine: err = %v, want sat=%v", cspErr, tc.sat)
@@ -189,7 +190,7 @@ func TestEnginesAgreeOnRandomPrograms(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, cspErr := Place(f, dev, Options{})
+		_, cspErr := PlaceContext(context.Background(), f, dev, Options{})
 		_, satErr := PlaceSAT(f, dev)
 		if (cspErr == nil) != (satErr == nil) {
 			t.Errorf("n=%d: engines disagree: csp=%v sat=%v", n, cspErr, satErr)

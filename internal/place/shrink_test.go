@@ -1,6 +1,7 @@
 package place
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -34,7 +35,7 @@ func placeOn(t *testing.T, d *device.Device, src string, opts Options) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Place(f, d, opts)
+	res, err := PlaceContext(context.Background(), f, d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

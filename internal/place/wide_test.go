@@ -1,6 +1,7 @@
 package place
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -10,7 +11,6 @@ import (
 	"testing"
 
 	"reticle/internal/asm"
-	"reticle/internal/bench"
 	"reticle/internal/device"
 	"reticle/internal/target/agilex"
 	"reticle/internal/target/ultrascale"
@@ -25,7 +25,7 @@ func wideDevices() []*device.Device {
 
 func wideFunc(t testing.TB) *asm.Func {
 	t.Helper()
-	f, err := asm.Parse(bench.WidePlacement())
+	f, err := asm.Parse(widePlacement())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestWidePlacementGolden(t *testing.T) {
 	f := wideFunc(t)
 	var b strings.Builder
 	for _, d := range wideDevices() {
-		res, err := Place(f, d, Options{Shrink: true})
+		res, err := PlaceContext(context.Background(), f, d, Options{Shrink: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func TestWidePlacementAllocs(t *testing.T) {
 	f := wideFunc(t)
 	for _, d := range wideDevices() {
 		place := func() {
-			if _, err := Place(f, d, Options{Shrink: true}); err != nil {
+			if _, err := PlaceContext(context.Background(), f, d, Options{Shrink: true}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -112,4 +112,41 @@ func TestWidePlacementAllocs(t *testing.T) {
 			t.Errorf("%s: placement made %d allocations, want <= %d", d.Name, allocs, maxAllocs)
 		}
 	}
+}
+
+// widePlacement is the assembly text of a placement-only stress shaped
+// like a large LUT-class kernel: 320 independent LUT instructions (eight
+// of them pinned to a column or a row, so they carry their own anchor
+// domains), two 3-row LUT macros and two 4-row DSP chains. It is already
+// selected — callers parse it with asm.Parse and hand it to PlaceContext —
+// so what it measures is the placer: one domain per LUT singleton used to
+// mean ~320 copies of every LUT slice id on the device.
+func widePlacement() string {
+	var b strings.Builder
+	b.WriteString("def wide(a:i8, b:i8) -> (s319:i8) {\n")
+	for i := 0; i < 320; i++ {
+		loc := "??, ??"
+		switch i % 80 {
+		case 20:
+			loc = "2, ??"
+		case 60:
+			loc = "??, 5"
+		}
+		fmt.Fprintf(&b, "    s%d:i8 = lutadd(a, b) @lut(%s);\n", i, loc)
+	}
+	for m := 0; m < 2; m++ {
+		for r := 0; r < 3; r++ {
+			fmt.Fprintf(&b, "    l%d_%d:i8 = lutadd(a, b) @lut(lx%d, ly%d+%d);\n", m, r, m, m, r)
+		}
+	}
+	for m := 0; m < 2; m++ {
+		prev := "a"
+		for r := 0; r < 4; r++ {
+			dest := fmt.Sprintf("d%d_%d", m, r)
+			fmt.Fprintf(&b, "    %s:i8 = muladd(a, b, %s) @dsp(dx%d, dy%d+%d);\n", dest, prev, m, m, r)
+			prev = dest
+		}
+	}
+	b.WriteString("}\n")
+	return b.String()
 }

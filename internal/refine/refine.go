@@ -23,18 +23,12 @@ import (
 	"reticle/internal/timing"
 )
 
-// Options bounds the refinement.
-type Options struct {
-	// MaxIters bounds improvement rounds; 0 means 20.
-	MaxIters int
-	// Candidates bounds how many alternative slices are tried per movable
-	// critical instruction per round; 0 means 24.
-	Candidates int
-	// Place configures the initial solver placement.
-	Place place.Options
-	// Timing overrides the delay model.
-	Timing timing.Options
-}
+// maxIters bounds improvement rounds; candidates bounds how many
+// alternative slices are tried per movable critical instruction per round.
+const (
+	maxIters   = 20
+	candidates = 24
+)
 
 // Result reports the refinement outcome.
 type Result struct {
@@ -54,26 +48,13 @@ type Result struct {
 	Solver *place.Result
 }
 
-// Place runs solver placement followed by timing-driven refinement.
-func Place(f *asm.Func, target *tdl.Target, dev *device.Device, opts Options) (*Result, error) {
-	return PlaceContext(context.Background(), f, target, dev, opts)
-}
-
-// PlaceContext is Place under a context: the placement solve observes
-// cancellation mid-search, and budget exhaustion degrades to the greedy
-// fallback (still refined afterwards — refinement only needs a valid
-// starting point).
-func PlaceContext(ctx context.Context, f *asm.Func, target *tdl.Target, dev *device.Device, opts Options) (*Result, error) {
-	if opts.MaxIters == 0 {
-		opts.MaxIters = 20
-	}
-	if opts.Candidates == 0 {
-		opts.Candidates = 24
-	}
-	if opts.Timing.UnitNs == 0 {
-		opts.Timing = timing.DefaultOptions()
-	}
-	res, err := place.PlaceContext(ctx, f, dev, opts.Place)
+// PlaceContext runs solver placement under opts, then timing-driven
+// refinement: the placement solve observes cancellation mid-search, and
+// budget exhaustion degrades to the greedy fallback (still refined
+// afterwards — refinement only needs a valid starting point).
+func PlaceContext(ctx context.Context, f *asm.Func, target *tdl.Target, dev *device.Device, opts place.Options) (*Result, error) {
+	topts := timing.DefaultOptions()
+	res, err := place.PlaceContext(ctx, f, dev, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -110,13 +91,13 @@ func PlaceContext(ctx context.Context, f *asm.Func, target *tdl.Target, dev *dev
 
 	// One set of timing tables for every candidate move tried below.
 	var sta timing.Analyzer
-	rep, err := sta.Analyze(cur, target, dev, opts.Timing)
+	rep, err := sta.Analyze(cur, target, dev, topts)
 	if err != nil {
 		return nil, err
 	}
 	out := &Result{Placed: cur, BeforeNs: rep.CriticalNs, AfterNs: rep.CriticalNs, Solver: res}
 
-	for iter := 0; iter < opts.MaxIters; iter++ {
+	for iter := 0; iter < maxIters; iter++ {
 		improved := false
 		for _, dest := range rep.Path {
 			bi, ok := byDest[dest]
@@ -132,14 +113,14 @@ func PlaceContext(ctx context.Context, f *asm.Func, target *tdl.Target, dev *dev
 			bestNs := out.AfterNs
 			bestID := curID
 			tried := 0
-			for id := 0; id < dev.Capacity(prim) && tried < opts.Candidates; id++ {
+			for id := 0; id < dev.Capacity(prim) && tried < candidates; id++ {
 				if occupied[prim][id] {
 					continue
 				}
 				tried++
 				x, y := dev.SliceCoords(id)
 				in.Loc.X, in.Loc.Y = asm.At(int64(x)), asm.At(int64(y))
-				cand, err := sta.Analyze(cur, target, dev, opts.Timing)
+				cand, err := sta.Analyze(cur, target, dev, topts)
 				if err != nil {
 					return nil, err
 				}
@@ -161,7 +142,7 @@ func PlaceContext(ctx context.Context, f *asm.Func, target *tdl.Target, dev *dev
 		if !improved {
 			break
 		}
-		rep, err = sta.Analyze(cur, target, dev, opts.Timing)
+		rep, err = sta.Analyze(cur, target, dev, topts)
 		if err != nil {
 			return nil, err
 		}

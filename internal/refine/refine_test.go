@@ -1,6 +1,7 @@
 package refine
 
 import (
+	"context"
 	"testing"
 
 	"reticle/internal/asm"
@@ -29,7 +30,7 @@ func TestRefineImprovesOrMatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev := ultrascale.Device()
-	res, err := Place(f, ultrascale.Target(), dev, Options{})
+	res, err := PlaceContext(context.Background(), f, ultrascale.Target(), dev, place.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestRefineRespectsPins(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev := ultrascale.Device()
-	res, err := Place(f, ultrascale.Target(), dev, Options{})
+	res, err := PlaceContext(context.Background(), f, ultrascale.Target(), dev, place.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestRefineKeepsPlacementValid(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev := ultrascale.Device()
-	res, err := Place(f, ultrascale.Target(), dev, Options{})
+	res, err := PlaceContext(context.Background(), f, ultrascale.Target(), dev, place.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,11 @@ def dot(a0:i8, b0:i8, a1:i8, b1:i8, in:i8) -> (y:i8) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	af, err := isel.Select(irf, ultrascale.Target(), isel.Options{})
+	lib, err := isel.NewLibrary(ultrascale.Target())
+	if err != nil {
+		t.Fatal(err)
+	}
+	af, err := isel.SelectWithLibrary(irf, lib, isel.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +133,7 @@ def dot(a0:i8, b0:i8, a1:i8, b1:i8, in:i8) -> (y:i8) {
 		af.Body[i].Loc.Y = asm.VarPlus("y", int64(i))
 	}
 	dev := ultrascale.Device()
-	res, err := Place(af, ultrascale.Target(), dev, Options{})
+	res, err := PlaceContext(context.Background(), af, ultrascale.Target(), dev, place.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +150,7 @@ func TestRefineAgainstPlainPlacement(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev := ultrascale.Device()
-	plain, err := place.Place(f, dev, place.Options{})
+	plain, err := place.PlaceContext(context.Background(), f, dev, place.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +158,7 @@ func TestRefineAgainstPlainPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := Place(f, ultrascale.Target(), dev, Options{})
+	ref, err := PlaceContext(context.Background(), f, ultrascale.Target(), dev, place.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +181,7 @@ def f(a:i8, b:i8) -> (y:i8) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Place(f, ultrascale.Target(), dev, Options{})
+	res, err := PlaceContext(context.Background(), f, ultrascale.Target(), dev, place.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

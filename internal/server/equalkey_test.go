@@ -3,6 +3,7 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -61,11 +62,15 @@ type optionField struct {
 }
 
 // optionFields lists the bool and int fields of pipeline.Config that move
-// Fingerprint() — the option rows of the key table — with the values the
-// property sweeps: both for a flag; for a budget, unset and a value large
-// enough that no compile here degrades.
+// the artifact key — the option rows of the key table — with the values
+// the property sweeps: both for a flag; for a budget, unset and a value
+// large enough that no compile here degrades.
 func optionFields(t testing.TB, base *pipeline.Config) []optionField {
 	t.Helper()
+	probe, err := ir.Parse("def probe(a:i8, b:i8) -> (y:i8) { y:i8 = add(a, b) @??; }")
+	if err != nil {
+		t.Fatal(err)
+	}
 	var out []optionField
 	typ := reflect.TypeOf(*base)
 	for i := 0; i < typ.NumField(); i++ {
@@ -79,7 +84,7 @@ func optionFields(t testing.TB, base *pipeline.Config) []optionField {
 		default:
 			continue
 		}
-		if flipped.Fingerprint() != base.Fingerprint() {
+		if pipeline.ArtifactKeyFor(&flipped, probe) != pipeline.ArtifactKeyFor(base, probe) {
 			out = append(out, optionField{typ.Field(i).Name, values})
 		}
 	}
@@ -104,6 +109,19 @@ func optionCombos(t testing.TB, base *pipeline.Config) []pipeline.Config {
 		combos = next
 	}
 	return combos
+}
+
+// optionLabel renders the bool and int fields of cfg, the ones
+// optionFields sweeps, for failure messages.
+func optionLabel(cfg *pipeline.Config) string {
+	v := reflect.ValueOf(*cfg)
+	label := ""
+	for i := 0; i < v.NumField(); i++ {
+		if k := v.Field(i).Kind(); k == reflect.Bool || k == reflect.Int {
+			label += fmt.Sprintf("%s=%v;", v.Type().Field(i).Name, v.Field(i))
+		}
+	}
+	return label
 }
 
 func equalKeyConfigs(t testing.TB) map[string]*pipeline.Config {
@@ -153,7 +171,7 @@ func equalKeyEqualPayload(t testing.TB, families map[string]*pipeline.Config, f 
 			} {
 				cfg := cfg
 				cfg.SolverTimeout, cfg.HintCache, cfg.StageCache = neutral.timeout, neutral.hints, neutral.stages
-				what = family + " " + cfg.Fingerprint() + " (" + neutral.name + ")"
+				what = family + " " + optionLabel(&cfg) + " (" + neutral.name + ")"
 				art, err := pipeline.Compile(context.Background(), &cfg, f)
 				if err != nil {
 					break // the generator can emit programs a family cannot place

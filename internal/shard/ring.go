@@ -1,6 +1,6 @@
 // Package shard is the distributed compile tier's router: it
 // consistent-hashes the content-addressed cache key (the same
-// ir.CanonicalHash + pipeline.Config.Fingerprint schema the artifact
+// ir.CanonicalHash + pipeline.ArtifactKeyFor schema the artifact
 // cache pins with golden tests) across N backend reticle-serve
 // processes, health-checks them, re-hashes requests off dead backends,
 // and fronts the whole tier with a router-local persistent disk cache

@@ -164,13 +164,6 @@ type Stats struct {
 	Disk *cache.DiskStats
 }
 
-// Skips is the total number of stage recomputations the memo answered:
-// the sum of per-stage hits, with output-stage hits counting double
-// (one hit skips both codegen and timing).
-func (st Stats) Skips() uint64 {
-	return st.Select.Hits + st.Cascade.Hits + st.Place.Hits + 2*st.Output.Hits
-}
-
 // Stats returns a snapshot of the store's counters.
 func (s *Store) Stats() Stats {
 	if s == nil {

@@ -131,19 +131,6 @@ func TestUnknownStageDoesNotPanicOrPollute(t *testing.T) {
 	}
 }
 
-func TestSkipsArithmetic(t *testing.T) {
-	st := Stats{
-		Select:  StageStats{Hits: 3},
-		Cascade: StageStats{Hits: 2},
-		Place:   StageStats{Hits: 1},
-		Output:  StageStats{Hits: 4},
-	}
-	// Output hits count double: one memo entry skips codegen AND timing.
-	if got := st.Skips(); got != 3+2+1+2*4 {
-		t.Errorf("Skips() = %d, want 14", got)
-	}
-}
-
 func TestDiskPersistsAcrossReopen(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()

@@ -66,11 +66,19 @@ def wide(k:i24, m:i24) -> (z:i24) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	onAgilex, err := isel.Select(f, Target(), isel.Options{})
+	lib, err := isel.NewLibrary(Target())
+	if err != nil {
+		t.Fatal(err)
+	}
+	onAgilex, err := isel.SelectWithLibrary(f, lib, isel.Options{})
 	if err != nil {
 		t.Fatalf("agilex selection: %v", err)
 	}
-	onUltra, err := isel.Select(f, ultrascale.Target(), isel.Options{})
+	ultraLib, err := isel.NewLibrary(ultrascale.Target())
+	if err != nil {
+		t.Fatal(err)
+	}
+	onUltra, err := isel.SelectWithLibrary(f, ultraLib, isel.Options{})
 	if err != nil {
 		t.Fatalf("ultrascale selection: %v", err)
 	}

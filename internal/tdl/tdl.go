@@ -65,16 +65,6 @@ func (d *Def) Stateful() bool {
 	return false
 }
 
-// InputType returns the type of the named input, if present.
-func (d *Def) InputType(name string) (ir.Type, bool) {
-	for _, p := range d.Inputs {
-		if p.Name == name {
-			return p.Type, true
-		}
-	}
-	return ir.Type{}, false
-}
-
 // Target is a named collection of assembly definitions: an FPGA family.
 // Devices within the family share these instructions and differ only in
 // how many primitives they provide (§4.2).

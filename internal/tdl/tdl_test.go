@@ -66,11 +66,8 @@ muladd[dsp, 1, 3](a:i8, b:i8, c:i8) -> (y:i8) {
 	if d.Prim != ir.ResDsp {
 		t.Errorf("prim = %s", d.Prim)
 	}
-	if typ, ok := d.InputType("c"); !ok || typ != ir.Int(8) {
-		t.Errorf("InputType(c) = %v, %v", typ, ok)
-	}
-	if _, ok := d.InputType("zz"); ok {
-		t.Error("InputType of missing input succeeded")
+	if len(d.Inputs) != 3 || d.Inputs[2] != (ir.Port{Name: "c", Type: ir.Int(8)}) {
+		t.Errorf("inputs = %v", d.Inputs)
 	}
 }
 

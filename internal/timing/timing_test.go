@@ -1,6 +1,7 @@
 package timing
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -20,7 +21,11 @@ func analyzeIR(t *testing.T, src string, useCascade bool) Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	af, err := isel.Select(f, ultrascale.Target(), isel.Options{})
+	lib, err := isel.NewLibrary(ultrascale.Target())
+	if err != nil {
+		t.Fatal(err)
+	}
+	af, err := isel.SelectWithLibrary(f, lib, isel.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +36,7 @@ func analyzeIR(t *testing.T, src string, useCascade bool) Report {
 			t.Fatal(err)
 		}
 	}
-	res, err := place.Place(af, ultrascale.Device(), place.Options{Shrink: true})
+	res, err := place.PlaceContext(context.Background(), af, ultrascale.Device(), place.Options{Shrink: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +211,7 @@ def f(a:i8, b:i8, c:i8) -> (y:i8) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := place.Place(f, dev, place.Options{})
+		res, err := place.PlaceContext(context.Background(), f, dev, place.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -95,11 +95,6 @@ type Netlist struct {
 	LutsUsed int
 }
 
-// Live reports whether the cell still exists after optimization.
-func (n *Netlist) Live(id int) bool {
-	return id >= 0 && id < len(n.Cells) && !n.Cells[id].dead
-}
-
 // LiveCells returns the cells surviving optimization, in id order.
 func (n *Netlist) LiveCells() []*Cell {
 	var out []*Cell

@@ -15,8 +15,6 @@ type Options struct {
 	Hint bool
 	// Anneal tunes the placement schedule; zero value means defaults.
 	Anneal AnnealOptions
-	// Timing overrides the delay model; zero value means defaults.
-	Timing timing.Options
 }
 
 // Result is a completed baseline compile.
@@ -32,9 +30,6 @@ type Result struct {
 	PlaceDur time.Duration
 	Moves    int
 }
-
-// CompileNs returns the total compile time in nanoseconds.
-func (r *Result) CompileNs() int64 { return int64(r.SynthDur + r.PlaceDur) }
 
 // Compile runs the full baseline toolchain on a behavioral program:
 // synthesis (DSP inference, LUT mapping, logic optimization), placement
@@ -54,7 +49,7 @@ func Compile(f *ir.Func, dev *device.Device, opts Options) (*Result, error) {
 	}
 	placeDur := time.Since(t1)
 
-	crit, err := AnalyzeNetlist(net, dev, opts.Timing)
+	crit, err := AnalyzeNetlist(net, dev, timing.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}
