@@ -66,7 +66,7 @@ type Problem struct {
 	interrupt   func() bool
 	interrupted bool
 
-	// hintsTried/hintHits describe the last successful Solve: how many
+	// hintsTried/hintHits describe the last successful SolveScratch: how many
 	// variables had a hint, and how many kept it in the solution.
 	hintsTried int
 	hintHits   int
@@ -110,7 +110,7 @@ func (p *Problem) AddAllDifferent(vars []Var) {
 func (p *Problem) SetMaxSteps(n int) { p.maxSteps = n }
 
 // SetInterrupt installs a poll called every ~1k search steps; returning
-// true aborts Solve with *ErrInterrupted. Placement uses it to observe
+// true aborts SolveScratch with *ErrInterrupted. Placement uses it to observe
 // per-stage deadlines mid-solve instead of burning the full step budget
 // after the caller has already given up.
 func (p *Problem) SetInterrupt(check func() bool) { p.interrupt = check }
@@ -130,15 +130,15 @@ func (p *Problem) SetHints(assign []int) {
 	p.hints = append(p.hints[:0], assign...)
 }
 
-// Steps reports how many assignments the last Solve attempted.
+// Steps reports how many assignments the last SolveScratch attempted.
 func (p *Problem) Steps() int { return p.steps }
 
 // HintsTried reports how many variables had a hint during the last
-// successful Solve; zero when no hints were set or the solve failed.
+// successful SolveScratch; zero when no hints were set or the solve failed.
 func (p *Problem) HintsTried() int { return p.hintsTried }
 
 // HintHits reports how many hinted variables kept their hint value in
-// the last successful Solve's solution — the warm-start hit count.
+// the last successful SolveScratch's solution — the warm-start hit count.
 func (p *Problem) HintHits() int { return p.hintHits }
 
 // hintFor returns v's warm-start hint, if any.
@@ -206,10 +206,10 @@ func (sc *Scratch) grow(n, words int) {
 // SolveScratch finds an assignment satisfying all constraints, or fails
 // with *ErrUnsat / *ErrLimit; the search is deterministic. It takes
 // caller-provided scratch buffers (nil is allowed and allocates fresh
-// ones). The returned assignment is always a
-// private copy, so reusing sc for a later solve never clobbers it. Every
-// solve starts from full domains: liveness lives in the scratch, not in
-// the (shared, immutable) Domains.
+// ones). The returned assignment is always a private copy, so reusing sc
+// for a later solve never clobbers it. Every solve starts from full
+// domains: liveness lives in the scratch, not in the (shared, immutable)
+// Domains.
 func (p *Problem) SolveScratch(sc *Scratch) ([]int, error) {
 	if p.maxSteps == 0 {
 		p.maxSteps = 2_000_000
