@@ -149,6 +149,15 @@ func (f *Func) String() string {
 	return string(b)
 }
 
+// ValueType returns the declared type of value v, numbered as in
+// ir.Symbols: input v, or instruction v-len(f.Inputs).
+func (f *Func) ValueType(v int32) ir.Type {
+	if nin := len(f.Inputs); int(v) >= nin {
+		return f.Body[int(v)-nin].Type
+	}
+	return f.Inputs[v].Type
+}
+
 // AsmCount returns the number of assembly (non-wire) instructions.
 func (f *Func) AsmCount() int {
 	n := 0

@@ -2,6 +2,7 @@ package asm
 
 import (
 	"fmt"
+	"slices"
 
 	"reticle/internal/ir"
 )
@@ -196,65 +197,61 @@ func parseCoord(p *ir.Parser) (Coord, error) {
 // resolved argument names, and typed outputs. Operation signatures against
 // a target are validated separately by CheckTarget.
 func Check(f *Func) error {
-	_, err := check(f)
+	_, err := new(Resolver).check(f)
 	return err
 }
 
-// check is Check, handing back the name -> type map it built so that
-// CheckTarget does not build it a second time.
-func check(f *Func) (map[string]ir.Type, error) {
-	if len(f.Outputs) == 0 {
-		return nil, fmt.Errorf("asm: function %s has no outputs", f.Name)
-	}
-	types := make(map[string]ir.Type, len(f.Inputs)+len(f.Body))
-	for _, p := range f.Inputs {
-		if _, dup := types[p.Name]; dup {
-			return nil, fmt.Errorf("asm: function %s: duplicate input %q", f.Name, p.Name)
-		}
-		types[p.Name] = p.Type
-	}
-	for _, in := range f.Body {
-		if _, dup := types[in.Dest]; dup {
-			return nil, fmt.Errorf("asm: function %s: %q defined more than once", f.Name, in.Dest)
-		}
-		types[in.Dest] = in.Type
-	}
-	for _, in := range f.Body {
-		for _, a := range in.Args {
-			if _, ok := types[a]; !ok {
-				return nil, fmt.Errorf("asm: function %s: %s: argument %q is undefined",
-					f.Name, in.Dest, a)
-			}
-		}
-	}
-	if err := checkOutputs(f, types); err != nil {
-		return nil, fmt.Errorf("asm: function %s: %w", f.Name, err)
-	}
-	return types, nil
+// Resolver is Resolve with its name index and symbol table kept between
+// calls, for a caller that resolves one function over and over (timing
+// analysis under timing-driven refinement). The zero value is ready; the
+// table a call returns is valid until the next call.
+type Resolver struct {
+	index map[string]int32
+	refs  []int32
 }
 
-// checkOutputs holds ir.Check's rule for output ports: each names a distinct
-// instruction result of its declared type. An output that repeats another or
-// names an input would become a port declared twice in the generated module.
-func checkOutputs(f *Func, types map[string]ir.Type) error {
-	seen := make(map[string]bool, len(f.Outputs))
-	for _, out := range f.Outputs {
-		t, ok := types[out.Name]
-		if !ok {
-			return fmt.Errorf("output %q is never defined", out.Name)
-		}
-		if t != out.Type {
-			return fmt.Errorf("output %q has type %s, declared %s", out.Name, t, out.Type)
-		}
-		if seen[out.Name] {
-			return fmt.Errorf("duplicate output %q", out.Name)
-		}
-		seen[out.Name] = true
+// check is Check numbering the values as ir.Check does, and handing back
+// the symbol table it resolved so that CheckTarget does not resolve the
+// names a second time.
+func (r *Resolver) check(f *Func) (ir.Symbols, error) {
+	if len(f.Outputs) == 0 {
+		return ir.Symbols{}, fmt.Errorf("asm: function %s has no outputs", f.Name)
 	}
-	for _, p := range f.Inputs {
-		if seen[p.Name] {
-			return fmt.Errorf("output %q names an input; use id", p.Name)
+	nin, nargs := len(f.Inputs), 0
+	if r.index == nil {
+		r.index = make(map[string]int32, nin+len(f.Body))
+	}
+	clear(r.index)
+	index := r.index
+	for i, p := range f.Inputs {
+		if _, dup := index[p.Name]; dup {
+			return ir.Symbols{}, fmt.Errorf("asm: function %s: duplicate input %q", f.Name, p.Name)
+		}
+		index[p.Name] = int32(i)
+	}
+	for i := range f.Body {
+		in := &f.Body[i]
+		if _, dup := index[in.Dest]; dup {
+			return ir.Symbols{}, fmt.Errorf("asm: function %s: %q defined more than once", f.Name, in.Dest)
+		}
+		index[in.Dest] = int32(nin + i)
+		nargs += len(in.Args)
+	}
+	refs := slices.Grow(r.refs[:0], nargs+len(f.Outputs))
+	for i := range f.Body {
+		for _, a := range f.Body[i].Args {
+			v, ok := index[a]
+			if !ok {
+				return ir.Symbols{}, fmt.Errorf("asm: function %s: %s: argument %q is undefined",
+					f.Name, f.Body[i].Dest, a)
+			}
+			refs = append(refs, v)
 		}
 	}
-	return nil
+	refs, err := ir.CheckOutputs(f.Inputs, f.Outputs, index, f.ValueType, refs)
+	r.refs = refs
+	if err != nil {
+		return ir.Symbols{}, fmt.Errorf("asm: function %s: %w", f.Name, err)
+	}
+	return ir.Symbols{Args: refs[:nargs:nargs], Outputs: refs[nargs:]}, nil
 }

@@ -48,10 +48,12 @@ func Apply(f *asm.Func, target *tdl.Target, opts Options) (*asm.Func, Stats, err
 	if opts.AccPort == "" {
 		opts.AccPort = "c"
 	}
-	if err := asm.CheckTarget(f, target); err != nil {
+	syms, err := asm.Resolve(f, target)
+	if err != nil {
 		return nil, st, err
 	}
 	out := f.Clone()
+	nin := int32(len(f.Inputs))
 
 	// accIdx resolves the accumulator argument index of an operation.
 	accIdx := func(name string) int {
@@ -67,21 +69,35 @@ func Apply(f *asm.Func, target *tdl.Target, opts Options) (*asm.Func, Stats, err
 		return -1
 	}
 
-	// Use counts and single-consumer map over every value.
-	uses := make(map[string]int)
-	consumer := make(map[string]int) // dest -> body index of its only consumer so far
-	for i, in := range out.Body {
-		for _, a := range in.Args {
-			uses[a]++
-			consumer[a] = i
+	// use[i] is the one use of body[i]'s value: the consumer's body index
+	// and the argument position it reads the value at. A value with no use
+	// has consumer unused, one with more than one shared; an output port
+	// counts as a use, since outputs are externally visible and cannot be
+	// cascaded away.
+	type site struct{ consumer, pos int }
+	const unused, shared = -1, -2
+	use := make([]site, len(out.Body))
+	for i := range use {
+		use[i].consumer = unused
+	}
+	mark := func(v int32, s site) {
+		if v < nin {
+			return
 		}
+		if use[v-nin].consumer != unused {
+			s.consumer = shared
+		}
+		use[v-nin] = s
 	}
-	for _, p := range out.Outputs {
-		uses[p.Name]++ // outputs are externally visible: cannot be cascaded away
-	}
-	byDest := make(map[string]int, len(out.Body))
+	args := syms.Args
 	for i, in := range out.Body {
-		byDest[in.Dest] = i
+		for k, v := range args[:len(in.Args)] {
+			mark(v, site{i, k})
+		}
+		args = args[len(in.Args):]
+	}
+	for _, v := range syms.Outputs {
+		mark(v, site{shared, 0})
 	}
 
 	// cascadable reports whether body[i] can join a chain at all.
@@ -99,31 +115,16 @@ func Apply(f *asm.Func, target *tdl.Target, opts Options) (*asm.Func, Stats, err
 	}
 
 	// linksTo reports whether body[i]'s output feeds body[j]'s accumulator
-	// port exclusively.
+	// port exclusively: its one use is that port.
 	linksTo := func(i int) (int, bool) {
-		dest := out.Body[i].Dest
-		if uses[dest] != 1 {
+		u := use[i]
+		if u.consumer < 0 || !cascadable(u.consumer) {
 			return 0, false
 		}
-		j := consumer[dest]
-		if !cascadable(j) {
-			return 0, false
-		}
-		k := accIdx(out.Body[j].Name)
-		if k < 0 || out.Body[j].Args[k] != dest {
-			return 0, false
-		}
-		// The value must feed only the accumulator port, not a/b as well.
-		count := 0
-		for _, a := range out.Body[j].Args {
-			if a == dest {
-				count++
-			}
-		}
-		return j, count == 1
+		return u.consumer, u.pos == accIdx(out.Body[u.consumer].Name)
 	}
 
-	inChain := make(map[int]bool)
+	inChain := make([]bool, len(out.Body))
 	varNames := out.CoordVars()
 	freshVar := func(prefix string, n int) string {
 		for {
@@ -137,23 +138,21 @@ func Apply(f *asm.Func, target *tdl.Target, opts Options) (*asm.Func, Stats, err
 	}
 
 	chainID := 0
+	args = syms.Args
 	for i := range out.Body {
+		argv := args[:len(out.Body[i].Args)]
+		args = args[len(out.Body[i].Args):]
 		if !cascadable(i) || inChain[i] {
 			continue
 		}
 		// Skip if i is itself fed by a cascadable predecessor through the
 		// accumulator port; the chain will start there instead.
-		isHead := true
-		k := accIdx(out.Body[i].Name)
-		if k >= 0 {
-			if pi, ok := byDest[out.Body[i].Args[k]]; ok && cascadable(pi) && !inChain[pi] {
-				if j, ok2 := linksTo(pi); ok2 && j == i {
-					isHead = false
+		if k := accIdx(out.Body[i].Name); k >= 0 && argv[k] >= nin {
+			if pi := int(argv[k] - nin); cascadable(pi) && !inChain[pi] {
+				if j, ok := linksTo(pi); ok && j == i {
+					continue
 				}
 			}
-		}
-		if !isHead {
-			continue
 		}
 		// Grow the chain forward.
 		chain := []int{i}

@@ -38,25 +38,27 @@ func (s Stats) LUTs() int { return s.Luts }
 // The module is appended straight into the returned builder through a
 // verilog.Writer, in emission order: no module AST is built.
 func Generate(f *asm.Func, target *tdl.Target) (*strings.Builder, Stats, error) {
-	if err := asm.CheckTarget(f, target); err != nil {
+	syms, err := asm.Resolve(f, target)
+	if err != nil {
 		return nil, Stats{}, err
 	}
 	if !f.Resolved() {
 		return nil, Stats{}, fmt.Errorf("codegen: function %s has unresolved locations; run placement first", f.Name)
 	}
-	g := newGen(f, target)
+	g := newGen(f, target, syms)
 	if g.mayCollide() {
-		g = newCheckedGen(f, target)
+		g = newCheckedGen(f, target, syms)
 	}
 	return g.module()
 }
 
 type gen struct {
 	f      *asm.Func
+	syms   ir.Symbols // f's symbol table, from asm.Resolve
 	target *tdl.Target
 	w      *verilog.Writer
 	b      *strings.Builder
-	types  map[string]ir.Type
+	idents map[string]bool // the input and value names
 	tmp    int
 
 	// What one pass over the body learns: whether a clock port is
@@ -88,21 +90,22 @@ type local struct {
 // per port and value, a DSP instance per DSP instruction, and a slice
 // primitive per result bit of each LUT body step (per partial product
 // for a multiply), so that the builder is allocated about once.
-func newGen(f *asm.Func, target *tdl.Target) *gen {
+func newGen(f *asm.Func, target *tdl.Target, syms ir.Symbols) *gen {
 	g := &gen{
 		f:      f,
+		syms:   syms,
 		target: target,
 		b:      new(strings.Builder),
-		types:  make(map[string]ir.Type, len(f.Inputs)+len(f.Body)),
+		idents: make(map[string]bool, len(f.Inputs)+len(f.Body)),
 		clk:    "clk",
 	}
 	g.w = verilog.NewWriter(g.b)
 	for _, p := range f.Inputs {
-		g.types[p.Name] = p.Type
+		g.idents[p.Name] = true
 	}
 	size := 40 * (len(f.Inputs) + len(f.Outputs) + 2*len(f.Body))
 	for _, in := range f.Body {
-		g.types[in.Dest] = in.Type
+		g.idents[in.Dest] = true
 		def, ok := target.Lookup(in.Name)
 		if in.IsWire() || !ok {
 			continue
@@ -161,7 +164,7 @@ func (g *gen) risky(name string) bool {
 	for k := 1; k < len(name); k++ {
 		switch c := name[k]; {
 		case c == '_':
-			if _, ok := g.types[name[:k]]; ok {
+			if g.idents[name[:k]] {
 				return true
 			}
 		case '0' <= c && c <= '9' && len(g.steps) > 0:
@@ -182,7 +185,7 @@ func (g *gen) risky(name string) bool {
 // name contains. Value names are declared first, so they never move.
 // A module that needs no suffix and no renaming comes out byte for byte
 // as the unchecked path writes it.
-func newCheckedGen(f *asm.Func, target *tdl.Target) *gen {
+func newCheckedGen(f *asm.Func, target *tdl.Target, syms ir.Symbols) *gen {
 	f = f.Clone()
 	f.Name = verilog.Ident(f.Name)
 	for i := range f.Inputs {
@@ -198,11 +201,8 @@ func newCheckedGen(f *asm.Func, target *tdl.Target) *gen {
 			in.Args[j] = verilog.Ident(a)
 		}
 	}
-	g := newGen(f, target)
-	g.declared = make(map[string]bool, len(g.types))
-	for name := range g.types {
-		g.declared[name] = true
-	}
+	g := newGen(f, target, syms)
+	g.declared = g.idents
 	return g
 }
 
@@ -258,20 +258,24 @@ func (g *gen) module() (*strings.Builder, Stats, error) {
 	}
 	g.w.EndPorts()
 
-	// Wire declarations for every internal value.
-	outNames := make(map[string]bool, len(f.Outputs))
-	for _, p := range f.Outputs {
-		outNames[p.Name] = true
+	// Wire declarations for every internal value: each instruction
+	// result no output port declares.
+	isOut := make([]bool, len(f.Body))
+	for _, v := range g.syms.Outputs {
+		isOut[int(v)-len(f.Inputs)] = true // an output never names an input
 	}
-	for _, in := range f.Body {
-		if !outNames[in.Dest] {
+	for i, in := range f.Body {
+		if !isOut[i] {
 			g.w.Wire(in.Dest, in.Type.Bits())
 		}
 	}
 
+	args := g.syms.Args
 	for _, in := range f.Body {
+		argv := args[:len(in.Args)]
+		args = args[len(in.Args):]
 		if in.IsWire() {
-			if err := g.wire(in); err != nil {
+			if err := g.wire(in, argv); err != nil {
 				return nil, st, err
 			}
 			continue
@@ -304,9 +308,10 @@ func (g *gen) freshRow(dest, kind string, row int) string {
 
 // wire lowers a wire instruction to a continuous assignment (§5.4: wire
 // operations consume no area; they simply require different wiring).
-func (g *gen) wire(in asm.Instr) error {
+// argv holds the values behind its arguments.
+func (g *gen) wire(in asm.Instr, argv []int32) error {
 	g.w.Assign(in.Dest)
-	if err := g.wireExpr(in); err != nil {
+	if err := g.wireExpr(in, argv); err != nil {
 		return fmt.Errorf("codegen: %s: %w", in.Dest, err)
 	}
 	g.w.EndAssign()
@@ -314,7 +319,7 @@ func (g *gen) wire(in asm.Instr) error {
 }
 
 // wireExpr writes the Verilog expression for one wire instruction.
-func (g *gen) wireExpr(in asm.Instr) error {
+func (g *gen) wireExpr(in asm.Instr, argv []int32) error {
 	w := g.w
 	switch in.Op {
 	case ir.OpConst:
@@ -352,7 +357,7 @@ func (g *gen) wireExpr(in asm.Instr) error {
 		return nil
 	case ir.OpSlice:
 		a := in.Args[0]
-		if src := g.types[a]; src.IsVector() {
+		if src := g.f.ValueType(argv[0]); src.IsVector() {
 			lane := int(in.Attrs[0])
 			lw := src.Width()
 			w.Range(a, (lane+1)*lw-1, lane*lw)

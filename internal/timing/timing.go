@@ -64,14 +64,14 @@ func (r Report) String() string {
 		r.CriticalNs, r.FMaxMHz, strings.Join(r.Path, " -> "))
 }
 
-// Analyzer is Analyze with its name index, nodes and nets kept between
+// Analyzer is Analyze with its symbol table, nodes and nets kept between
 // calls. Timing-driven refinement analyzes one function about a hundred
 // times per compile, a location apart each time, and allocating them
 // afresh reads +38 % B/op on it (BenchmarkAblationTimingDriven/refined)
 // however lean a Node is. The zero value is ready; one Analyzer serves one
 // goroutine, and whoever holds it decides how long the tables live.
 type Analyzer struct {
-	index map[string]int
+	syms  asm.Resolver
 	nodes []Node
 	args  []Arg
 }
@@ -82,12 +82,14 @@ func Analyze(f *asm.Func, target *tdl.Target, dev *device.Device, opts Options) 
 }
 
 // Analyze lays the body out as the node slice Arrivals walks — one node
-// per instruction, found by destination name — and names the worst path.
+// per instruction, found through the symbol table — and names the worst
+// path.
 func (t *Analyzer) Analyze(f *asm.Func, target *tdl.Target, dev *device.Device, opts Options) (Report, error) {
 	if opts.UnitNs == 0 {
 		opts = DefaultOptions()
 	}
-	if err := asm.CheckTarget(f, target); err != nil {
+	syms, err := t.syms.Resolve(f, target)
+	if err != nil {
 		return Report{}, err
 	}
 	if !f.Resolved() {
@@ -95,25 +97,22 @@ func (t *Analyzer) Analyze(f *asm.Func, target *tdl.Target, dev *device.Device, 
 	}
 	// Node i is instruction i; the input ports follow, as wires from
 	// nowhere, so that a path can name the port it starts at.
-	if t.index == nil {
-		t.index = make(map[string]int, len(f.Body)+len(f.Inputs))
+	nin, nbody := len(f.Inputs), len(f.Body)
+	node := func(v int32) int {
+		if int(v) < nin {
+			return nbody + int(v)
+		}
+		return int(v) - nin
 	}
-	clear(t.index)
-	t.nodes = slices.Grow(t.nodes[:0], len(f.Body)+len(f.Inputs))[:len(f.Body)+len(f.Inputs)]
+	t.nodes = slices.Grow(t.nodes[:0], nbody+nin)[:nbody+nin]
 	clear(t.nodes)
-	index := t.index
 	nodes := t.nodes
-	nets := 0
-	for i := range f.Body {
-		index[f.Body[i].Dest] = i
-		nets += len(f.Body[i].Args)
-	}
 	for i, p := range f.Inputs {
-		index[p.Name] = len(f.Body) + i
-		nodes[len(f.Body)+i] = Node{Name: p.Name, Kind: Wire}
+		nodes[nbody+i] = Node{Name: p.Name, Kind: Wire}
 	}
-	args := slices.Grow(t.args[:0], nets) // every node's Args is a stretch of it
+	args := slices.Grow(t.args[:0], len(syms.Args)) // every node's Args is a stretch of it
 	t.args = args
+	refs := syms.Args
 	for i := range f.Body {
 		in := &f.Body[i]
 		n := &nodes[i]
@@ -121,22 +120,23 @@ func (t *Analyzer) Analyze(f *asm.Func, target *tdl.Target, dev *device.Device, 
 		// The §5.2 idiom after placement: a _co/_coci producer directly
 		// below the _ci/_coci consumer it feeds, in the same column.
 		readsCi := !in.IsWire() && (strings.HasSuffix(in.Name, "_ci") || strings.HasSuffix(in.Name, "_coci"))
-		for _, a := range in.Args {
-			from := index[a] // defined: checked by CheckTarget
+		for _, v := range refs[:len(in.Args)] {
+			from := node(v)
 			cascade := false
-			if readsCi && from < len(f.Body) && !f.Body[from].IsWire() {
+			if readsCi && from < nbody && !f.Body[from].IsWire() {
 				p := &f.Body[from]
 				cascade = (strings.HasSuffix(p.Name, "_co") || strings.HasSuffix(p.Name, "_coci")) &&
 					p.Loc.Prim == in.Loc.Prim && p.Loc.X.Off == in.Loc.X.Off && in.Loc.Y.Off == p.Loc.Y.Off+1
 			}
 			args = append(args, Arg{Node: from, Cascade: cascade})
 		}
+		refs = refs[len(in.Args):]
 		n.Args = args[len(args)-len(in.Args):]
 		if in.IsWire() {
 			n.Kind = Wire
 			continue
 		}
-		def, _ := target.Lookup(in.Name) // existence checked by CheckTarget
+		def, _ := target.Lookup(in.Name) // existence checked by Resolve
 		if def.Stateful() {
 			n.Kind = Register
 		}
@@ -147,9 +147,9 @@ func (t *Analyzer) Analyze(f *asm.Func, target *tdl.Target, dev *device.Device, 
 			n.Y = int(in.Loc.Y.Off)
 		}
 	}
-	outputs := make([]int, len(f.Outputs))
-	for i, p := range f.Outputs {
-		outputs[i] = index[p.Name]
+	outputs := make([]int, len(syms.Outputs))
+	for i, v := range syms.Outputs {
+		outputs[i] = node(v)
 	}
 	worst, end, pred, err := Arrivals(nodes, outputs, opts)
 	if err != nil {
