@@ -126,7 +126,7 @@ func BenchmarkAblationShrink(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				area[shrink] = (res.MaxX[ir.ResDsp] + 1) * (res.MaxY[ir.ResDsp] + 1)
+				area[shrink] = dspArea(res.Fn)
 			}
 			b.ReportMetric(float64(area[shrink]), "dsp-bbox-area")
 		})
@@ -134,6 +134,18 @@ func BenchmarkAblationShrink(b *testing.B) {
 	if len(area) == 2 && area[true] >= area[false] {
 		b.Fatalf("shrinking is idle on this problem: dsp-bbox-area %d plain, %d shrunk", area[false], area[true])
 	}
+}
+
+// dspArea is the area of the bounding box, from the origin, of the DSP
+// slices a placed program uses.
+func dspArea(f *asm.Func) int {
+	maxX, maxY := 0, 0
+	for _, in := range f.Body {
+		if !in.IsWire() && in.Loc.Prim == ir.ResDsp {
+			maxX, maxY = max(maxX, int(in.Loc.X.Off)), max(maxY, int(in.Loc.Y.Off))
+		}
+	}
+	return (maxX + 1) * (maxY + 1)
 }
 
 // BenchmarkPlaceShrink measures the placement hot path the warm-started

@@ -170,9 +170,9 @@ def fig11(a:i8, b:i8, c:i8, d:i8, in:i8) -> (t1:i8) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s0, s1 := res.Slots["t0"], res.Slots["t1"]
-	if s0.X != s1.X || s1.Y != s0.Y+1 {
-		t.Errorf("not physically adjacent: %+v, %+v", s0, s1)
+	s0, s1 := res.Fn.Body[0].Loc, res.Fn.Body[1].Loc
+	if s0.X.Off != s1.X.Off || s1.Y.Off != s0.Y.Off+1 {
+		t.Errorf("not physically adjacent: %s, %s", s0, s1)
 	}
 }
 

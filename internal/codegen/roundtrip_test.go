@@ -106,12 +106,16 @@ def audit(a:i8, b:i8, c:i8, en:bool) -> (y:i8, z:i8) {
 		t.Fatal("no LOC attributes found")
 	}
 	// Every DSP instance must sit exactly where placement said.
-	for dest, slot := range res.Slots {
+	for _, in := range res.Fn.Body {
+		if in.IsWire() {
+			continue
+		}
+		dest := in.Dest
 		prefix := "SLICE"
-		if slot.Prim == ir.ResDsp {
+		if in.Loc.Prim == ir.ResDsp {
 			prefix = "DSP48E2"
 		}
-		want := fmt.Sprintf("%s_X%dY%d", prefix, slot.X, slot.Y)
+		want := fmt.Sprintf("%s_X%dY%d", prefix, in.Loc.X.Off, in.Loc.Y.Off)
 		found := false
 		for name, loc := range locs {
 			if strings.Contains(name, dest) && loc == want {

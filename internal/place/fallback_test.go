@@ -73,7 +73,7 @@ def f(a:i8, b:i8, c:i8) -> (y:i8) {
 	if !res.Degraded {
 		t.Fatal("expected a degraded placement")
 	}
-	if got := res.Slots["t0"]; got.X != 1 || got.Y != 3 {
+	if got := slots(res.Fn)["t0"]; got.X != 1 || got.Y != 3 {
 		t.Errorf("pinned t0 placed at (%d, %d), want (1, 3)", got.X, got.Y)
 	}
 	if err := Verify(f, res.Fn, dev); err != nil {

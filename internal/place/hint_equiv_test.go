@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"reticle/internal/asm"
-	"reticle/internal/ir"
 )
 
 // randProg emits a random mixed dsp/lut program: `chains` cascade-style
@@ -50,17 +49,6 @@ func garbageAnchors(r *rand.Rand, n int) *Anchors {
 	return a
 }
 
-// bboxEqual compares the per-primitive bounding-box extents of two
-// results.
-func bboxEqual(a, b *Result) bool {
-	for _, prim := range []ir.Resource{ir.ResLut, ir.ResDsp} {
-		if a.MaxX[prim] != b.MaxX[prim] || a.MaxY[prim] != b.MaxY[prim] {
-			return false
-		}
-	}
-	return true
-}
-
 // TestHintEquivalenceProperty: over 200+ seeded random programs, hints
 // that solve a different problem are ignored — the placement is
 // byte-identical to the unhinted solve, never adopted, never degraded.
@@ -88,7 +76,7 @@ func TestHintEquivalenceProperty(t *testing.T) {
 		for label, hints := range donors {
 			// placeOn runs the satcheck oracle (Verify) on every result.
 			hinted := placeOn(t, d, src, Options{Shrink: true, Hints: hints})
-			if hinted.Fn.String() != cold.Fn.String() || !bboxEqual(cold, hinted) {
+			if hinted.Fn.String() != cold.Fn.String() {
 				t.Fatalf("seed %d (%s hints): placement diverged from the unhinted solve\nprogram:\n%s", i, label, src)
 			}
 			// Two random programs can coincide structurally — then the
@@ -127,10 +115,6 @@ func TestAnchorAdoptionExact(t *testing.T) {
 		}
 		if warm.Fn.String() != cold.Fn.String() {
 			t.Errorf("adopted placement differs from cold:\n%s\nvs\n%s", warm.Fn, cold.Fn)
-		}
-		if !bboxEqual(cold, warm) {
-			t.Errorf("adopted bbox differs: x=%v y=%v vs x=%v y=%v",
-				warm.MaxX, warm.MaxY, cold.MaxX, cold.MaxY)
 		}
 		if warm.Anchors == nil || warm.Anchors.ColdSteps != cold.Anchors.ColdSteps {
 			t.Errorf("adoption must carry the anchors (and their true cold cost) forward")

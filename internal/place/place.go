@@ -58,8 +58,6 @@ type Slot struct {
 type Result struct {
 	// Fn is a copy of the input program with every location resolved.
 	Fn *asm.Func
-	// Slots maps instruction destinations to their slices.
-	Slots map[string]Slot
 	// SolverSteps totals search steps across all solver invocations.
 	SolverSteps int
 	// ShrinkIters counts shrink-pass solver re-runs (0 when disabled).
@@ -83,8 +81,6 @@ type Result struct {
 	// signature match, solution taken verbatim, zero solver steps) or ""
 	// (no hints, or hints ignored).
 	WarmStart string
-	// MaxX and MaxY record the final per-primitive bounding box.
-	MaxX, MaxY map[ir.Resource]int
 	// Degraded reports a budget-truncated placement: either the CSP
 	// solver exhausted its step or time budget and the placement came
 	// from the greedy first-fit fallback, or the soft time budget
@@ -358,31 +354,17 @@ func PlaceContext(ctx context.Context, f *asm.Func, dev *device.Device, opts Opt
 // anchor slice ids.
 func writeBack(f *asm.Func, dev *device.Device, clusters []*cluster, sol []int) *Result {
 	out := f.Clone()
-	res := &Result{
-		Fn:    out,
-		Slots: make(map[string]Slot),
-		MaxX:  map[ir.Resource]int{},
-		MaxY:  map[ir.Resource]int{},
-	}
 	for ci, c := range clusters {
 		ax, ay := dev.SliceCoords(sol[ci])
 		for _, m := range c.members {
-			x, y := ax+m.xoff, ay+m.yoff
-			res.Slots[m.dest] = Slot{Prim: c.prim, X: x, Y: y}
 			out.Body[m.index].Loc = asm.Loc{
 				Prim: c.prim,
-				X:    asm.At(int64(x)),
-				Y:    asm.At(int64(y)),
-			}
-			if x > res.MaxX[c.prim] {
-				res.MaxX[c.prim] = x
-			}
-			if y > res.MaxY[c.prim] {
-				res.MaxY[c.prim] = y
+				X:    asm.At(int64(ax + m.xoff)),
+				Y:    asm.At(int64(ay + m.yoff)),
 			}
 		}
 	}
-	return res
+	return &Result{Fn: out}
 }
 
 // buildClusters groups instructions by shared coordinate variables

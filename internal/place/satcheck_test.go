@@ -163,7 +163,7 @@ def f(a:i8, b:i8) -> (t1:i8) {
 				t.Errorf("SAT engine: err = %v, want sat=%v", satErr, tc.sat)
 			}
 			if cspErr == nil {
-				validate(t, f, dev, cspRes.Slots)
+				validate(t, f, dev, slots(cspRes.Fn))
 			}
 			if satErr == nil {
 				validate(t, f, dev, satSlots)

@@ -58,11 +58,12 @@ func TestShrinkProbeCountDrops(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := placeOn(t, d, chainProg(4, 3), Options{Shrink: true})
-	if res.MaxY[ir.ResDsp] != 5 {
-		t.Errorf("rows extent = %d, want 5 (optimal: two 3-row chains per column)", res.MaxY[ir.ResDsp])
+	maxX, maxY := extent(res.Fn, ir.ResDsp)
+	if maxY != 5 {
+		t.Errorf("rows extent = %d, want 5 (optimal: two 3-row chains per column)", maxY)
 	}
-	if res.MaxX[ir.ResDsp] != 1 {
-		t.Errorf("cols extent = %d, want 1", res.MaxX[ir.ResDsp])
+	if maxX != 1 {
+		t.Errorf("cols extent = %d, want 1", maxX)
 	}
 	// Floor-first probing plus usedExtent clamping: the rows axis takes
 	// exactly one solver probe, the cols axis none (its floor equals the
@@ -92,8 +93,8 @@ func TestShrinkProbeCountDrops(t *testing.T) {
 // packing floor and every probe is answered by revalidation alone.
 func TestShrinkRevalidateSkipsProbes(t *testing.T) {
 	res := placeOn(t, dev4(t), chainProg(4, 3), Options{Shrink: true})
-	if res.MaxY[ir.ResDsp] != 5 {
-		t.Errorf("rows extent = %d, want 5", res.MaxY[ir.ResDsp])
+	if _, maxY := extent(res.Fn, ir.ResDsp); maxY != 5 {
+		t.Errorf("rows extent = %d, want 5", maxY)
 	}
 	if res.ShrinkIters != 0 {
 		t.Errorf("ShrinkIters = %d, want 0 (all probes revalidated)", res.ShrinkIters)
@@ -134,10 +135,11 @@ func TestRevalidateAgreesWithOracle(t *testing.T) {
 	// Tighten the rows bound below the used extent: revalidate must say no.
 	tight := cloneBounds(full)
 	b := tight[ir.ResDsp]
-	b[1] = res.MaxY[ir.ResDsp] // one row short of extent+1
+	_, maxY := extent(res.Fn, ir.ResDsp)
+	b[1] = maxY // one row short of extent+1
 	tight[ir.ResDsp] = b
 	if revalidate(clusters, d, sol, tight) {
-		t.Errorf("revalidate accepts rows bound %d with extent %d", b[1], res.MaxY[ir.ResDsp])
+		t.Errorf("revalidate accepts rows bound %d with extent %d", b[1], maxY)
 	}
 }
 
@@ -159,11 +161,12 @@ func TestShrinkFloorSound(t *testing.T) {
 			ir.ResDsp: {d.NumCols(ir.ResDsp), d.Height},
 		}
 		res := placeOn(t, d, chainProg(tc.chains, tc.length), Options{Shrink: true})
+		maxX, maxY := extent(res.Fn, ir.ResDsp)
 		for _, axis := range []int{1, 0} {
 			floor := shrinkFloor(clusters, d, full, ir.ResDsp, axis)
-			got := res.MaxY[ir.ResDsp] + 1
+			got := maxY + 1
 			if axis == 0 {
-				got = res.MaxX[ir.ResDsp] + 1
+				got = maxX + 1
 			}
 			if floor > got {
 				t.Errorf("%d chains of %d, axis %d: floor %d exceeds achieved bound %d",
