@@ -46,8 +46,8 @@ type keyField struct {
 // name subsumes the pattern library and the cascade metadata; all the
 // layout optimizer sees of the device is its chain bound; a step budget
 // changes which kernels degrade to the greedy fallback. Under TimingDriven
-// the place row reads Target too (through refine) without keying it:
-// ROADMAP 7(b).
+// the place row reads Target too (refinement times each move) without
+// keying it: ROADMAP 7(b).
 var keyFields = [...]keyField{
 	{name: "target", reads: "Target", keys: keyArtifact | keySelect | keyCascade | keyOutput, render: text((*Config).targetName)},
 	{name: "device", reads: "Device", keys: keyArtifact | keyPlace | keyOutput, render: text((*Config).deviceName)},

@@ -15,7 +15,6 @@ import (
 	"reticle/internal/ir"
 	"reticle/internal/isel"
 	"reticle/internal/place"
-	"reticle/internal/refine"
 	"reticle/internal/rerr"
 	"reticle/internal/timing"
 )
@@ -204,10 +203,7 @@ func runPlace(ctx context.Context, c *compilation) error {
 	var res *place.Result
 	var err error
 	if cfg.TimingDriven {
-		var ref *refine.Result
-		if ref, err = refine.PlaceContext(ctx, c.asm.fn, cfg.Target, cfg.Device, opts); err == nil {
-			res = ref.Solver // res.Fn is the refined program
-		}
+		res, err = refinePlace(ctx, c.asm.fn, cfg.Target, cfg.Device, opts)
 	} else {
 		res, err = place.PlaceContext(ctx, c.asm.fn, cfg.Device, opts)
 	}
