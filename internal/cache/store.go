@@ -18,7 +18,9 @@ import (
 // Namespace is what one instance of the store supplies.
 type Namespace[V any] struct {
 	// Encode renders a value as the payload the disk level frames. An
-	// empty payload skips the persist.
+	// empty payload skips the persist. A store without a disk level
+	// never calls Encode or Decode, so a memory-only namespace leaves
+	// both nil.
 	Encode func(v V) []byte
 	// Decode rebuilds a value from a checksum-verified payload; ok=false
 	// (a payload this build cannot use) is a miss.
@@ -30,12 +32,6 @@ type Namespace[V any] struct {
 	// fired inside Lookup's and Put's panic containment: armed, a lookup
 	// is a miss and a write is dropped. Empty means none.
 	LookupFault, StoreFault faults.Point
-	// Shield detaches the context's fault plan before disk calls. Every
-	// disk level shares the cache/disk-* points with the artifact tier;
-	// without the shield a Times-capped injection aimed there is consumed
-	// by whichever stage or hint persist happens to run first. The
-	// artifact namespace leaves it off: those points are its own.
-	Shield bool
 }
 
 // Store is one namespace's two-level store. All methods are safe for
@@ -56,20 +52,13 @@ func NewStore[V any](maxEntries int, disk *Disk, ns Namespace[V]) *Store[V] {
 
 func (s *Store[V]) keeps(v V) bool { return s.ns.Keep == nil || s.ns.Keep(v) }
 
-func (s *Store[V]) diskCtx(ctx context.Context) context.Context {
-	if s.ns.Shield {
-		return faults.WithPlan(ctx, nil)
-	}
-	return ctx
-}
-
 // fromDisk is the second-level read: a frame that is missing, fails its
 // checksum (Disk quarantines it), or does not decode is a miss.
 func (s *Store[V]) fromDisk(ctx context.Context, key Key) (v V, ok bool) {
 	if s.disk == nil {
 		return v, false
 	}
-	payload, ok := s.disk.Get(s.diskCtx(ctx), key)
+	payload, ok := s.disk.Get(ctx, key)
 	if !ok {
 		return v, false
 	}
@@ -84,7 +73,7 @@ func (s *Store[V]) toDisk(ctx context.Context, key Key, v V) {
 		return
 	}
 	if payload := s.ns.Encode(v); len(payload) > 0 {
-		_ = s.disk.Put(s.diskCtx(ctx), key, payload)
+		_ = s.disk.Put(ctx, key, payload)
 	}
 }
 

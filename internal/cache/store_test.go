@@ -17,11 +17,12 @@ import (
 	"reticle/internal/rerr"
 )
 
-// The two-level store's contract, run once per shape of namespace the
-// service instantiates it with: raw bytes (the stage memo), a JSON codec
-// over a pointer value (the hint store), and pre-rendered wire bytes
-// with a parsed summary and a keep predicate that reads it (the artifact
-// tier). The packages that own those namespaces test only what they add
+// The two-level store's contract, run once per shape of namespace: raw
+// bytes and a pointer value under a JSON codec (the values of the stage
+// memo and the hint store, which the service keeps in memory only), and
+// pre-rendered wire bytes with a parsed summary and a keep predicate that
+// reads it (the artifact tier, the one namespace the service gives a disk
+// level). The packages that own those namespaces test only what they add
 // on top: key schema, counters, fault-point names, /stats JSON.
 
 var (
@@ -78,7 +79,6 @@ func TestStoreContract(t *testing.T) {
 				Keep:        func(p []byte) bool { return len(p) > 0 },
 				LookupFault: testLookupFault,
 				StoreFault:  testStoreFault,
-				Shield:      true,
 			},
 			good:  func(i int) []byte { return []byte(fmt.Sprintf("def f%d() {}", i)) },
 			bad:   nil,
@@ -102,7 +102,6 @@ func TestStoreContract(t *testing.T) {
 				},
 				Keep:        func(a *place.Anchors) bool { return a != nil && len(a.Sol) > 0 && a.Signature != "" },
 				LookupFault: testLookupFault,
-				Shield:      true,
 			},
 			good:  func(i int) *place.Anchors { return &place.Anchors{Signature: "sig", Sol: []int{i, 7}, ColdSteps: 42} },
 			bad:   &place.Anchors{Signature: "sig"},
@@ -224,42 +223,6 @@ func runContract[V any](t *testing.T, c contract[V]) {
 
 	t.Run("faults-degrade", func(t *testing.T) {
 		once := faults.Injection{Class: rerr.Transient, Times: 1}
-		if c.ns.Shield {
-			// The cache/disk-* points belong to the artifact tier: a shielded
-			// namespace neither obeys nor consumes an injection aimed there.
-			dir := t.TempDir()
-			ctx, plan := armed(once, cache.FaultDiskRead, cache.FaultDiskWrite)
-			s := openStore(t, dir, c.ns)
-			s.Put(ctx, key(0), c.good(0))
-			if ds := s.DiskStats(); ds.Writes != 1 || ds.WriteErrors != 0 {
-				t.Fatalf("shielded persist obeyed an artifact-tier fault: %+v", ds)
-			}
-			if _, ok := openStore(t, dir, c.ns).Lookup(ctx, key(0)); !ok {
-				t.Fatal("shielded disk read obeyed an artifact-tier fault")
-			}
-			if n := plan.Fired(cache.FaultDiskRead) + plan.Fired(cache.FaultDiskWrite); n != 0 {
-				t.Fatalf("shielded namespace consumed %d artifact-tier injections", n)
-			}
-			// Its own points: an armed lookup is a miss that loses nothing,
-			// an armed store is a dropped write.
-			ctx, _ = armed(once, c.ns.LookupFault)
-			if _, ok := s.Lookup(ctx, key(0)); ok {
-				t.Error("armed lookup fault still served")
-			}
-			if _, ok := s.Lookup(bg, key(0)); !ok {
-				t.Error("value lost to a faulted lookup")
-			}
-			if c.ns.StoreFault != "" {
-				ctx, _ = armed(once, c.ns.StoreFault)
-				if s.Put(ctx, key(1), c.good(1)) {
-					t.Error("armed store fault still stored")
-				}
-				if _, ok := s.Lookup(bg, key(1)); ok {
-					t.Error("dropped write is servable")
-				}
-			}
-			return
-		}
 		dir := t.TempDir()
 		s := openStore(t, dir, c.ns)
 		ctx, _ := armed(once, cache.FaultDiskWrite)
@@ -288,6 +251,26 @@ func runContract[V any](t *testing.T, c contract[V]) {
 		_, lvl, err = s.Resolve(ctx, key(1), func() (V, error) { ran = true; return c.good(1), nil })
 		if err != nil || lvl != cache.Computed || !ran {
 			t.Fatalf("read fault under Resolve: ran=%v level=%v err=%v, want a plain recompute", ran, lvl, err)
+		}
+		// The namespace's own points: an armed lookup is a miss that loses
+		// nothing, an armed store is a dropped write.
+		if c.ns.LookupFault != "" {
+			ctx, _ = armed(once, c.ns.LookupFault)
+			if _, ok := s.Lookup(ctx, key(1)); ok {
+				t.Error("armed lookup fault still served")
+			}
+			if _, ok := s.Lookup(bg, key(1)); !ok {
+				t.Error("value lost to a faulted lookup")
+			}
+		}
+		if c.ns.StoreFault != "" {
+			ctx, _ = armed(once, c.ns.StoreFault)
+			if s.Put(ctx, key(2), c.good(2)) {
+				t.Error("armed store fault still stored")
+			}
+			if _, ok := s.Lookup(bg, key(2)); ok {
+				t.Error("dropped write is servable")
+			}
 		}
 	})
 

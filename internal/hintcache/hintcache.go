@@ -1,20 +1,18 @@
 // Package hintcache is the cross-request placement hint store: the
-// hint namespace of the two-level store (cache.Store, DESIGN.md §8),
-// from structural key (pipeline.HintKeyFor — structural IR hash +
-// config fingerprint) to the placement anchors of the most recent
-// successful non-degraded compile with that structure.
+// hint namespace of the store (cache.Store, DESIGN.md §8), held in
+// memory only, from structural key (pipeline.HintKeyFor — structural IR
+// hash + config fingerprint) to the placement anchors of the most
+// recent successful non-degraded compile with that structure.
 //
 // The store implements pipeline.HintCache. It is strictly an
 // accelerator: cache.Store degrades Lookup to nil — a plain cold solve —
-// on every internal failure (armed fault point, missing entry, disk
-// error, corrupt JSON, panic), and adoption is signature-checked inside
-// internal/place, so nothing this package serves can change a compile's
-// output.
+// on every internal failure (armed fault point, missing entry, panic),
+// and adoption is signature-checked inside internal/place, so nothing
+// this package serves can change a compile's output.
 package hintcache
 
 import (
 	"context"
-	"encoding/json"
 	"sync/atomic"
 
 	"reticle/internal/cache"
@@ -27,56 +25,30 @@ import (
 // failing hint cache degrades to cold solves with zero 5xx.
 var FaultLookup = faults.Register("hintcache/lookup", "hint cache lookup: degrade to a cold solve")
 
-// Store is the hint namespace of the two-level store (cache.Store):
-// placement anchors under the pipeline's structural hint keys, JSON on
-// disk. All methods are safe for concurrent use; the zero value is not
-// valid, use New or Open.
+// Store is the hint namespace of the store (cache.Store): placement
+// anchors under the pipeline's structural hint keys. All methods are
+// safe for concurrent use; the zero value is not valid, use New.
 type Store struct {
 	st *cache.Store[*place.Anchors]
 
 	hits, misses, records atomic.Uint64
 }
 
-// namespace: only an anchor set place could adopt is stored or served —
+// namespace: only an anchor set place could adopt is stored —
 // the pipeline never records degraded placements, and the guard keeps a
 // buggy caller from poisoning the store with entries Lookup would serve
 // and place would reject.
 var namespace = cache.Namespace[*place.Anchors]{
-	Encode: func(a *place.Anchors) []byte {
-		raw, _ := json.Marshal(a) // ints and strings: cannot fail
-		return raw
-	},
-	Decode: func(raw []byte) (*place.Anchors, bool) {
-		a := new(place.Anchors)
-		if err := json.Unmarshal(raw, a); err != nil || len(a.Sol) == 0 {
-			return nil, false
-		}
-		return a, true
-	},
 	Keep: func(a *place.Anchors) bool {
 		return a != nil && len(a.Sol) > 0 && a.Signature != ""
 	},
 	LookupFault: FaultLookup,
-	Shield:      true,
 }
 
-// New returns a memory-only store bounded to maxEntries anchor sets
+// New returns a store bounded to maxEntries anchor sets
 // (cache.DefaultEntries if maxEntries <= 0).
 func New(maxEntries int) *Store {
 	return &Store{st: cache.NewStore(maxEntries, nil, namespace)}
-}
-
-// Open returns a default-sized store over a persistent level rooted at
-// dir (created if needed), byte-bounded like the artifact disk cache.
-// Callers put it under the artifact cache root's "hints" subdirectory —
-// cache.OpenDisk skips subdirectories when indexing, so the stores share
-// a -disk tree without seeing each other's files.
-func Open(dir string, maxBytes int64) (*Store, error) {
-	d, err := cache.OpenDisk(dir, maxBytes)
-	if err != nil {
-		return nil, err
-	}
-	return &Store{st: cache.NewStore(0, d, namespace)}, nil
 }
 
 // Lookup returns the anchors recorded under key, nil on any failure: the
@@ -109,15 +81,12 @@ type Stats struct {
 	// Entries / MaxEntries describe in-memory occupancy.
 	Entries    int `json:"entries"`
 	MaxEntries int `json:"max_entries"`
-	// Hits / Misses count Lookup outcomes (a disk promotion is a hit;
-	// an armed hintcache/lookup fault is a miss).
+	// Hits / Misses count Lookup outcomes (an armed hintcache/lookup
+	// fault is a miss).
 	Hits   uint64 `json:"hits"`
 	Misses uint64 `json:"misses"`
 	// Records counts accepted Record calls.
 	Records uint64 `json:"records"`
-	// Disk snapshots the persistent level (DiskDir/hints), nil when
-	// memory-only.
-	Disk *cache.DiskStats `json:"disk,omitempty"`
 }
 
 // Stats returns a snapshot of the store's counters.
@@ -132,6 +101,5 @@ func (s *Store) Stats() Stats {
 		Hits:       s.hits.Load(),
 		Misses:     s.misses.Load(),
 		Records:    s.records.Load(),
-		Disk:       s.st.DiskStats(),
 	}
 }

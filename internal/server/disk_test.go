@@ -1,12 +1,16 @@
 package server_test
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"reticle"
+	"reticle/internal/cache"
 	"reticle/internal/faults"
 	"reticle/internal/rerr"
 	"reticle/internal/server"
@@ -208,5 +212,77 @@ func TestChaosDiskCacheFaults(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDiskTreeHoldsOnlyArtifacts: the artifact store is the only one
+// with a disk level. After an /explore sweep (every stage memoized) and
+// an edit (a hint adopted) on a -disk server, the root holds artifact
+// frames and at most the quarantine directory, and every disk write was
+// one of those artifacts.
+func TestDiskTreeHoldsOnlyArtifacts(t *testing.T) {
+	dir := t.TempDir()
+	s := newTestServer(t, reticle.ServerOptions{DiskDir: dir})
+	exploreSweep(t, s, nil)
+	src := tensordotSrc(t)
+	compileOK(t, s, src)
+	if edited := compileOK(t, s, constTweak(src)); edited.Artifact.WarmStart != "adopted" {
+		t.Fatalf("edit: warm_start %q, want adopted (the hint memo must be exercised)", edited.Artifact.WarmStart)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arts := 0
+	for _, e := range ents {
+		switch {
+		case e.IsDir() && e.Name() == "quarantine":
+		case !e.IsDir() && strings.HasSuffix(e.Name(), ".art"):
+			arts++
+		default:
+			t.Errorf("disk tree holds %q besides artifacts", e.Name())
+		}
+	}
+	if ds := s.Disk().Stats(); arts == 0 || ds.Writes != uint64(arts) || ds.Entries != arts {
+		t.Errorf("disk stats %+v over %d stored artifacts, want one write and one entry each", ds, arts)
+	}
+}
+
+// TestOldMemoDirsRemoved: a tree written by a build that persisted the
+// memos keeps DIR/stages and DIR/hints, which nothing reads or bounds
+// now. A server starting on it removes both and still serves the
+// artifact it holds from disk, byte for byte.
+func TestOldMemoDirsRemoved(t *testing.T) {
+	dir := t.TempDir()
+	var first rawCompileResponse
+	if code := post(t, newTestServer(t, reticle.ServerOptions{DiskDir: dir}), "/compile",
+		server.CompileRequest{IR: maccSrc}, &first); code != http.StatusOK {
+		t.Fatalf("seed compile: status %d", code)
+	}
+	for _, sub := range []string{"stages", "hints"} {
+		d, err := cache.OpenDisk(filepath.Join(dir, sub), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Put(context.Background(), cache.Key(strings.Repeat("ab", 32)), []byte("an old memo frame")); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s := newTestServer(t, reticle.ServerOptions{DiskDir: dir})
+	for _, sub := range []string{"stages", "hints"} {
+		if _, err := os.Stat(filepath.Join(dir, sub)); !os.IsNotExist(err) {
+			t.Errorf("DIR/%s survived a server start (stat err %v)", sub, err)
+		}
+	}
+	var again rawCompileResponse
+	if code := post(t, s, "/compile", server.CompileRequest{IR: maccSrc}, &again); code != http.StatusOK || again.Cache != "hit" {
+		t.Fatalf("artifact after start: status %d, cache %q, want a hit", code, again.Cache)
+	}
+	if string(again.Artifact) != string(first.Artifact) {
+		t.Fatalf("artifact bytes changed\ngot:  %s\nwant: %s", again.Artifact, first.Artifact)
+	}
+	if ds := s.Disk().Stats(); ds.Hits != 1 {
+		t.Fatalf("artifact not served by the disk level: %+v", ds)
 	}
 }

@@ -257,43 +257,61 @@ func TestEditReplayDegradedNeverSeeds(t *testing.T) {
 	}
 }
 
-// TestEditReplayCrashRestart (satellite: restart warmth): hints recorded
-// before a restart survive on disk beside the artifact cache, and the
-// first structural near-miss against the restarted server is served by
-// an adoption, not a cold solve. The artifact cache directory is shared
-// too, so the restart also keeps full artifact hits — the edited kernel
-// is what proves the *hint* level reloaded.
+// TestEditReplayCrashRestart: only artifacts outlive a restart. The
+// kernel compiled before it is a disk hit with the same bytes; the
+// structural near-miss edit finds no hint (the hint and stage memos live
+// in memory) and compiles cold, to the artifact a server that never
+// restarted compiles; and /stats shows no disk level under either memo.
 func TestEditReplayCrashRestart(t *testing.T) {
 	dir := t.TempDir()
 	src := tensordotSrc(t)
 
 	s1 := newTestServer(t, reticle.ServerOptions{DiskDir: dir})
-	first := compileOK(t, s1, src)
-	if first.Cache != "miss" {
-		t.Fatalf("warm compile: cache %q", first.Cache)
+	var first rawCompileResponse
+	if code := post(t, s1, "/compile", server.CompileRequest{IR: src}, &first); code != http.StatusOK || first.Cache != "miss" {
+		t.Fatalf("warm compile: status %d, cache %q", code, first.Cache)
 	}
-	coldSteps := first.Artifact.SolverSteps
 
 	// "Crash": the first server is dropped without ceremony; a new
 	// process opens the same disk root.
 	s2 := newTestServer(t, reticle.ServerOptions{DiskDir: dir})
-	hinted := compileOK(t, s2, constTweak(src))
-	if hinted.Cache != "miss" {
-		t.Fatalf("post-restart edited compile: cache %q, want miss", hinted.Cache)
+	var again rawCompileResponse
+	if code := post(t, s2, "/compile", server.CompileRequest{IR: src}, &again); code != http.StatusOK || again.Cache != "hit" {
+		t.Fatalf("post-restart compile of the same kernel: status %d, cache %q, want a hit", code, again.Cache)
 	}
-	if hinted.Artifact.WarmStart != "adopted" {
-		t.Fatalf("post-restart edited compile: warm_start %q, want adopted from the disk hint", hinted.Artifact.WarmStart)
+	if string(again.Artifact) != string(first.Artifact) {
+		t.Fatalf("artifact bytes changed across restart\ngot:  %s\nwant: %s", again.Artifact, first.Artifact)
 	}
-	if hinted.Artifact.HintCacheStepsSaved != coldSteps {
-		t.Errorf("restart lost the cold cost: steps_saved %d, want %d",
-			hinted.Artifact.HintCacheStepsSaved, coldSteps)
+	if ds := s2.Disk().Stats(); ds.Hits != 1 {
+		t.Fatalf("same kernel after restart not served by the disk level: %+v", ds)
 	}
-	st := statsOf(t, s2)
-	if st.HintCache == nil || st.HintCache.Hits < 1 {
-		t.Fatalf("restarted server reports no hint hit: %+v", st.HintCache)
+
+	edited := compileOK(t, s2, constTweak(src))
+	if edited.Cache != "miss" {
+		t.Fatalf("post-restart edited compile: cache %q, want miss", edited.Cache)
 	}
-	if st.HintCache.Disk == nil || st.HintCache.Disk.Hits < 1 {
-		t.Fatalf("hint did not come from the disk level: %+v", st.HintCache.Disk)
+	if edited.Artifact.WarmStart != "" || edited.Artifact.HintCacheHits != 0 {
+		t.Fatalf("post-restart edited compile: warm_start %q, %d hint hits, want a cold solve",
+			edited.Artifact.WarmStart, edited.Artifact.HintCacheHits)
+	}
+	ref := compileOK(t, newTestServer(t, reticle.ServerOptions{}), constTweak(src))
+	if detPayload(edited.Artifact) != detPayload(ref.Artifact) || edited.Key != ref.Key {
+		t.Errorf("post-restart edited artifact differs from a cold compile on a fresh server:\n%+v\nvs\n%+v",
+			detPayload(edited.Artifact), detPayload(ref.Artifact))
+	}
+
+	var st map[string]json.RawMessage
+	if code := get(t, s2, "/stats", &st); code != http.StatusOK {
+		t.Fatalf("/stats: status %d", code)
+	}
+	for _, section := range []string{"hint_cache", "stage_cache"} {
+		var members map[string]json.RawMessage
+		if err := json.Unmarshal(st[section], &members); err != nil || members == nil {
+			t.Fatalf("/stats %s section: %s (%v)", section, st[section], err)
+		}
+		if _, ok := members["disk"]; ok {
+			t.Errorf("/stats reports %s.disk: the memos have no disk level", section)
+		}
 	}
 }
 

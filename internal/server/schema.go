@@ -258,9 +258,6 @@ type StageCacheStatsJSON struct {
 	Cascade       StageCounterJSON `json:"cascade"`
 	Place         StageCounterJSON `json:"place"`
 	Output        StageCounterJSON `json:"output"`
-	// Disk describes the persistent stage level (DiskDir/stages),
-	// present only when the server runs with -disk.
-	Disk *DiskStatsJSON `json:"disk,omitempty"`
 }
 
 // StageCacheTotalsJSON is the flattened stage-memo sum the shard router
@@ -370,7 +367,6 @@ func stageCacheJSON(st stagecache.Stats, skips int64) StageCacheStatsJSON {
 		Cascade:       st.Cascade,
 		Place:         st.Place,
 		Output:        st.Output,
-		Disk:          st.Disk,
 	}
 }
 

@@ -1,17 +1,17 @@
 // Package stagecache is the cross-request per-stage compilation memo
-// (DESIGN.md §15): the stage namespace of the two-level store
-// (cache.Store, DESIGN.md §8), from content-addressed stage key
+// (DESIGN.md §15): the stage namespace of the store (cache.Store,
+// DESIGN.md §8), held in memory only, from content-addressed stage key
 // (pipeline.SelectKeyFor and friends — stage tag + exact stage input
 // text + stage-relevant config fingerprint slice) to the stage's
 // serialized result.
 //
 // The store implements pipeline.StageCache. It is strictly an
 // accelerator: cache.Store degrades Lookup to a miss on every internal
-// failure (armed fault point, missing entry, disk error, corrupt frame,
-// panic) and Store to a no-op, and the pipeline validates every payload
-// before adopting it (asm parse, text-frame decode, place.Verify for
-// placements), so nothing this package serves can change a compile's
-// output — only how much of it had to be recomputed.
+// failure (armed fault point, missing entry, panic) and Store to a
+// no-op, and the pipeline validates every payload before adopting it
+// (asm parse, text-frame decode, place.Verify for placements), so
+// nothing this package serves can change a compile's output — only how
+// much of it had to be recomputed.
 package stagecache
 
 import (
@@ -35,8 +35,8 @@ var (
 // StageStats is one stage's counter snapshot, and its entry in the
 // stage_cache section of GET /stats.
 type StageStats struct {
-	// Hits / Misses count Lookup outcomes (a disk promotion is a hit;
-	// an armed stagecache/lookup fault is a miss).
+	// Hits / Misses count Lookup outcomes (an armed stagecache/lookup
+	// fault is a miss).
 	Hits   uint64 `json:"hits"`
 	Misses uint64 `json:"misses"`
 	// Stores counts accepted Store calls; Bytes totals their payload
@@ -60,11 +60,10 @@ func (c *counters) snapshot() StageStats {
 	}
 }
 
-// Store is the stage namespace of the two-level store (cache.Store):
-// raw payload bytes under the pipeline's stage keys, plus one counter set
-// per stage. All methods are safe for concurrent use; the zero value is
-// not valid, use New or Open. Payloads handed to Store must not be
-// mutated afterwards.
+// Store is the stage namespace of the store (cache.Store): raw payload
+// bytes under the pipeline's stage keys, plus one counter set per stage.
+// All methods are safe for concurrent use; the zero value is not valid,
+// use New. Payloads handed to Store must not be mutated afterwards.
 type Store struct {
 	st *cache.Store[[]byte]
 
@@ -75,39 +74,22 @@ type Store struct {
 	other             counters // unknown stage names, future-proofing
 }
 
-// namespace: payloads are their own disk form; an empty one is never
-// stored or served — the pipeline never stores degraded stage results,
-// and the guard keeps a buggy caller from poisoning the memo with
-// entries Lookup would serve and the pipeline would reject.
+// namespace: an empty payload is never stored or served — the pipeline
+// never stores degraded stage results, and the guard keeps a buggy
+// caller from poisoning the memo with entries Lookup would serve and the
+// pipeline would reject.
 var namespace = cache.Namespace[[]byte]{
-	Encode:      func(p []byte) []byte { return p },
-	Decode:      func(p []byte) ([]byte, bool) { return p, len(p) > 0 },
 	Keep:        func(p []byte) bool { return len(p) > 0 },
 	LookupFault: FaultLookup,
 	StoreFault:  FaultStore,
-	Shield:      true,
 }
 
-// New returns a memory-only store bounded to maxEntries stage payloads
+// New returns a store bounded to maxEntries stage payloads
 // (cache.DefaultEntries if maxEntries <= 0). The four stages share the
 // bound; payloads are small (kilobytes of assembly/Verilog text), so
 // entry count is the natural unit.
 func New(maxEntries int) *Store {
 	return &Store{st: cache.NewStore(maxEntries, nil, namespace)}
-}
-
-// Open returns a default-sized store over a persistent level rooted at
-// dir (created if needed), byte-bounded and checksummed like the
-// artifact disk cache. Callers put it under the artifact cache root's
-// "stages" subdirectory: cache.OpenDisk skips subdirectories when
-// indexing, so the artifact, hint, and stage stores share one -disk tree
-// without seeing each other's files.
-func Open(dir string, maxBytes int64) (*Store, error) {
-	d, err := cache.OpenDisk(dir, maxBytes)
-	if err != nil {
-		return nil, err
-	}
-	return &Store{st: cache.NewStore(0, d, namespace)}, nil
 }
 
 // stage maps a pipeline stage name to its counter set.
@@ -160,8 +142,6 @@ type Stats struct {
 	Entries, MaxEntries int
 	// Per-stage Lookup/Store counters.
 	Select, Cascade, Place, Output StageStats
-	// Disk snapshots the persistent level, nil when memory-only.
-	Disk *cache.DiskStats
 }
 
 // Stats returns a snapshot of the store's counters.
@@ -177,6 +157,5 @@ func (s *Store) Stats() Stats {
 		Cascade:    s.cas.snapshot(),
 		Place:      s.pl.snapshot(),
 		Output:     s.out.snapshot(),
-		Disk:       s.st.DiskStats(),
 	}
 }
