@@ -297,8 +297,7 @@ func TestGarbagePayloadIsRecomputed(t *testing.T) {
 
 // jsonCascadeEntry and jsonOutputEntry are the cascade and output
 // payloads as the stage memo stored them before text frames: JSON of
-// these shapes, still present in memory or under DIR/stages after an
-// upgrade.
+// these shapes, well-formed payloads of another format.
 type jsonCascadeEntry struct {
 	Asm    string `json:"asm"`
 	Chains int    `json:"chains"`
@@ -454,10 +453,10 @@ func stageKeysOf(t *testing.T, cfg *Config, f *ir.Func) []memoOp {
 }
 
 // TestGoldenStageKeys pins the four stage keys of one bundled example on
-// both families. Entries under DIR/stages outlive restarts, so drift in
-// the key schema (a renamed tag, a new fingerprint input, a change to
-// the assembly printer) silently orphans every deployed stage entry; it
-// must show up as an explicit golden diff. Regenerate deliberately with:
+// both families. Drift in the key schema (a renamed tag, a new
+// fingerprint input, a change to the assembly printer) silently changes
+// which compiles share a stage entry; it must show up as an explicit
+// golden diff. Regenerate deliberately with:
 //
 //	go test -run TestGoldenStageKeys -update ./internal/pipeline/
 func TestGoldenStageKeys(t *testing.T) {

@@ -52,9 +52,8 @@ type StageCache interface {
 // The cascade and output rows store text frames: a header line that
 // opens with the row's magic, then the row's text verbatim, so neither
 // the assembly nor the Verilog is escaped on the way in or out. A
-// payload without the magic — every JSON payload an older build left in
-// memory or under DIR/stages included — is a miss that the recompute
-// overwrites (invariant 2).
+// payload without the magic is a miss that the recompute overwrites
+// (invariant 2).
 const (
 	cascadeMagic = "reticle-cascade/1 "
 	outputMagic  = "reticle-output/1 "
