@@ -1,16 +1,14 @@
 // Scrub is the background integrity walk over the persistent disk
-// cache: every resident artifact is read back and its frame verified
-// (magic, lengths, SHA-256 payload checksum, key↔name consistency),
-// and anything that fails is quarantined exactly like a corrupt Get —
-// moved into DIR/quarantine/ and counted, never served again. The walk
+// cache: every live record is read back and verified (magic, lengths,
+// embedded key, SHA-256 payload checksum), and anything that fails is
+// quarantined exactly like a corrupt Get — copied into DIR/quarantine/,
+// marked dead in its segment, counted, never served again. The walk
 // throttles itself to a configurable byte rate so a multi-gigabyte
 // store can be scrubbed on a live server without starving request I/O.
 package cache
 
 import (
 	"context"
-	"os"
-	"path/filepath"
 	"time"
 )
 
@@ -32,14 +30,15 @@ type ScrubReport struct {
 	Elapsed time.Duration
 }
 
-// Scrub verifies every resident artifact at a bounded I/O rate
-// (bytesPerSec <= 0 means DefaultScrubBytesPerSec). Corrupt entries are
-// quarantined and dropped from the index; intact entries keep their LRU
-// position (a scrub is maintenance, not use). The walk snapshots the
-// resident set once and takes the cache lock per file, so concurrent
-// Gets and Puts proceed between files; entries added or evicted during
-// the walk are simply not (re)visited. Cancellation via ctx stops the
-// walk between files and returns the partial report with ctx.Err().
+// Scrub verifies every live record at a bounded I/O rate (bytesPerSec
+// <= 0 means DefaultScrubBytesPerSec), oldest segment first. Corrupt
+// records are quarantined and dropped from the index; intact ones keep
+// their second-chance mark (a scrub is maintenance, not use). The walk
+// snapshots the live set once and reads each record outside the cache
+// lock, so concurrent Gets and Puts proceed throughout; records added,
+// moved or evicted during the walk are simply not (re)visited.
+// Cancellation via ctx stops the walk between records and returns the
+// partial report with ctx.Err().
 func (d *Disk) Scrub(ctx context.Context, bytesPerSec int64) (ScrubReport, error) {
 	if bytesPerSec <= 0 {
 		bytesPerSec = DefaultScrubBytesPerSec
@@ -48,25 +47,29 @@ func (d *Disk) Scrub(ctx context.Context, bytesPerSec int64) (ScrubReport, error
 
 	d.mu.Lock()
 	d.scrubRuns++
-	names := make([]string, 0, d.ll.Len())
-	for el := d.ll.Front(); el != nil; el = el.Next() {
-		names = append(names, el.Value.(*diskEntry).name)
+	live := make([]*diskEntry, 0, len(d.items))
+	for _, seg := range d.segs {
+		for _, ent := range seg.recs {
+			if d.items[ent.key] == ent {
+				live = append(live, ent)
+			}
+		}
 	}
 	d.mu.Unlock()
 
 	var rep ScrubReport
-	for _, name := range names {
+	for _, ent := range live {
 		if err := ctx.Err(); err != nil {
 			rep.Elapsed = time.Since(start)
 			return rep, err
 		}
-		n, bad := d.scrubOne(ctx, name)
+		n, bad := d.scrubOne(ctx, ent)
 		rep.Scanned++
 		rep.Bytes += n
 		if bad {
 			rep.Corrupt++
 		}
-		// Throttle: sleep off the time this file's bytes "cost" at the
+		// Throttle: sleep off the time this record's bytes "cost" at the
 		// configured rate, minus what has already elapsed naturally.
 		if budget := time.Duration(float64(rep.Bytes) / float64(bytesPerSec) * float64(time.Second)); budget > time.Since(start) {
 			select {
@@ -81,34 +84,25 @@ func (d *Disk) Scrub(ctx context.Context, bytesPerSec int64) (ScrubReport, error
 	return rep, nil
 }
 
-// scrubOne verifies a single resident artifact under the cache lock,
-// quarantining it on decode failure. Returns the bytes read and whether
-// the entry was corrupt. An entry evicted since the snapshot is skipped
-// (zero bytes, not corrupt); an unreadable file is dropped like Get
-// drops it.
-func (d *Disk) scrubOne(ctx context.Context, name string) (int64, bool) {
+// scrubOne verifies a single record, quarantining it on decode failure.
+// Returns the bytes read and whether the record was corrupt. A record
+// no longer live when its read completes is skipped (zero bytes, not
+// corrupt); an unreadable one is dropped like Get drops it.
+func (d *Disk) scrubOne(ctx context.Context, ent *diskEntry) (int64, bool) {
+	raw, _, ioErr, badErr := load(ctx, ent)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	el, ok := d.items[name]
-	if !ok {
+	if d.items[ent.key] != ent {
 		return 0, false
 	}
-	path := filepath.Join(d.root, name)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		d.removeLocked(el)
-		os.Remove(path)
-		d.readErrors++
-		d.scrubScanned++
-		return 0, true
-	}
 	d.scrubScanned++
-	if ferr := FaultDiskCorrupt.Fire(ctx); ferr != nil {
-		d.quarantineLocked(el, name)
-		return int64(len(raw)), true
-	}
-	if err := verifyDiskFile(name, raw); err != nil {
-		d.quarantineLocked(el, name)
+	switch {
+	case ioErr != nil:
+		delete(d.items, ent.key)
+		d.readErrors++
+		return 0, true
+	case badErr != nil:
+		d.quarantineLocked(ent, raw)
 		return int64(len(raw)), true
 	}
 	return int64(len(raw)), false

@@ -14,23 +14,28 @@ import (
 	"reticle/internal/rerr"
 )
 
-// corruptArtifact flips one bit in the payload region of key's artifact
-// file, leaving the header and embedded key intact — only the checksum
-// can catch this.
-func corruptArtifact(t *testing.T, dir string, key Key) {
+// corruptArtifact flips one bit in the payload region of key's record,
+// leaving the header and embedded key intact — only the checksum can
+// catch this.
+func corruptArtifact(t *testing.T, d *Disk, key Key) {
 	t.Helper()
-	path := filepath.Join(dir, diskFileName(key))
-	raw, err := os.ReadFile(path)
+	path, off, size := recordAt(t, d, key)
+	// Header is magic + two lengths + key + checksum; flip a bit past it.
+	at := int64(recHeaderLen + len(key) + recSumLen)
+	if at >= size {
+		t.Fatalf("record too short to corrupt: %d bytes", size)
+	}
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Header is magic + klen + key + checksum; flip a bit past it.
-	off := len(diskMagic) + 4 + len(key) + diskSumLen
-	if off >= len(raw) {
-		t.Fatalf("artifact too short to corrupt: %d bytes", len(raw))
+	defer f.Close()
+	b := make([]byte, 1)
+	if _, err := f.ReadAt(b, off+at); err != nil {
+		t.Fatal(err)
 	}
-	raw[off] ^= 0x01
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
+	b[0] ^= 0x01
+	if _, err := f.WriteAt(b, off+at); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -63,7 +68,7 @@ func TestDiskCacheChecksumBitFlip(t *testing.T) {
 	if err := d.Put(ctx, key, payload); err != nil {
 		t.Fatal(err)
 	}
-	corruptArtifact(t, dir, key)
+	corruptArtifact(t, d, key)
 
 	if _, ok := d.Get(ctx, key); ok {
 		t.Fatal("bit-flipped artifact served as a hit")
@@ -103,10 +108,7 @@ func TestDiskCacheTruncate(t *testing.T) {
 	if err := d.Put(ctx, key, bytes.Repeat([]byte("z"), 4096)); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, diskFileName(key))
-	if err := os.Truncate(path, 200); err != nil {
-		t.Fatal(err)
-	}
+	cutRecord(t, d, key, 200)
 	if _, ok := d.Get(ctx, key); ok {
 		t.Fatal("truncated artifact served as a hit")
 	}
@@ -120,28 +122,30 @@ func TestDiskCacheTruncate(t *testing.T) {
 
 // TestDiskCacheLegacyV1Quarantined: an RTDC1 frame carries no checksum,
 // so serving one would be the single unverified byte path in the disk
-// tier. No build writes them; a file left by one that did is a corrupt
-// frame like any other — a miss, quarantined, healed by the next Put —
-// on the Get path and on the scrub path alike.
+// tier. No build writes them, and Open imports no file of an older
+// layout; one found where a record should be is a corrupt record like
+// any other — a miss, quarantined, healed by the next Put — on the Get
+// path and on the scrub path alike.
 func TestDiskCacheLegacyV1Quarantined(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
 	payload := []byte(`{"asm":"legacy"}`)
+	d := mustOpen(t, dir, 1<<20)
 	writeV1 := func(key Key) {
 		t.Helper()
+		if err := d.Put(ctx, key, payload); err != nil {
+			t.Fatal(err)
+		}
 		buf := []byte("RTDC1\n")
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(key)))
 		buf = append(buf, key...)
 		buf = append(buf, payload...)
-		if err := os.WriteFile(filepath.Join(dir, diskFileName(key)), buf, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		patchRecord(t, d, key, 0, buf)
 	}
 	read, scrubbed := Key(strings.Repeat("ef", 32)), Key(strings.Repeat("ab", 32))
 	writeV1(read)
 	writeV1(scrubbed)
 
-	d := mustOpen(t, dir, 1<<20)
 	if got, ok := d.Get(ctx, read); ok {
 		t.Fatalf("checksum-less v1 frame served: %q", got)
 	}
@@ -153,7 +157,7 @@ func TestDiskCacheLegacyV1Quarantined(t *testing.T) {
 		t.Fatalf("v1 frames not quarantined: %+v", st)
 	}
 	if q := quarantined(t, dir); len(q) != 2 {
-		t.Fatalf("quarantine holds %v, want both v1 files", q)
+		t.Fatalf("quarantine holds %v, want both v1 records", q)
 	}
 	// The slot heals: the recompute's Put writes the checksummed frame.
 	if err := d.Put(ctx, read, payload); err != nil {
@@ -181,14 +185,11 @@ func TestDiskCacheScrub(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Corrupt three: a bit flip, a truncation, and total garbage.
-	corruptArtifact(t, dir, keys[2])
-	if err := os.Truncate(filepath.Join(dir, diskFileName(keys[5])), 10); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, diskFileName(keys[8])), []byte("junk"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// Corrupt three: a bit flip, total garbage, and a truncation (of the
+	// last record, the one a segment can end inside).
+	corruptArtifact(t, d, keys[2])
+	patchRecord(t, d, keys[5], 0, []byte("junk"))
+	cutRecord(t, d, keys[n-1], 10)
 
 	rep, err := d.Scrub(ctx, 0)
 	if err != nil {
@@ -206,7 +207,7 @@ func TestDiskCacheScrub(t *testing.T) {
 	}
 	for i, k := range keys {
 		got, ok := d.Get(ctx, k)
-		if i == 2 || i == 5 || i == 8 {
+		if i == 2 || i == 5 || i == n-1 {
 			if ok {
 				t.Fatalf("key %d: scrubbed-out artifact still served", i)
 			}
@@ -280,7 +281,7 @@ func TestDiskCacheQuarantineCap(t *testing.T) {
 		if err := d.Put(ctx, key, []byte("payload")); err != nil {
 			t.Fatal(err)
 		}
-		corruptArtifact(t, dir, key)
+		corruptArtifact(t, d, key)
 		if _, ok := d.Get(ctx, key); ok {
 			t.Fatalf("corrupt artifact %d served", i)
 		}
@@ -304,14 +305,14 @@ func TestDiskCacheQuarantineSeqSurvivesRestart(t *testing.T) {
 	if err := d.Put(ctx, k1, []byte("one")); err != nil {
 		t.Fatal(err)
 	}
-	corruptArtifact(t, dir, k1)
+	corruptArtifact(t, d, k1)
 	d.Get(ctx, k1)
 
 	reopened := mustOpen(t, dir, 1<<20)
 	if err := reopened.Put(ctx, k1, []byte("two")); err != nil {
 		t.Fatal(err)
 	}
-	corruptArtifact(t, dir, k1)
+	corruptArtifact(t, reopened, k1)
 	reopened.Get(ctx, k1)
 
 	q := quarantined(t, dir)

@@ -11,9 +11,9 @@ import (
 	"reticle/internal/server"
 )
 
-// artifactFiles lists the artifact frames directly under the disk cache
-// root — skipping the hints store and the quarantine directory, which
-// live in subdirectories.
+// artifactFiles lists the segment files directly under the disk cache
+// root, skipping the quarantine directory. Damage to a segment's last
+// bytes lands in its last record.
 func artifactFiles(t testing.TB, dir string) []string {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
@@ -68,12 +68,13 @@ func quarantineCount(t testing.TB, dir string) int {
 }
 
 // TestDiskCorruptionSelfHeals is the self-healing acceptance test at
-// the service level: corrupt a cached artifact on disk (a flipped bit,
-// a truncated file — what a torn write or a failing sector leaves
-// behind), bring a fresh server up over the directory, and require the
-// damage to be invisible to clients: zero 5xx, the entry quarantined
-// and transparently recomputed, and the re-served artifact
-// byte-identical to the original. Run under -race in CI.
+// the service level: corrupt a cached artifact's record on disk (a
+// flipped bit, a segment cut inside the record — what a failing sector
+// or a torn write leaves behind), bring a fresh server up over the
+// directory, and require the damage to be invisible to clients: zero
+// 5xx, the entry quarantined and transparently recomputed, and the
+// re-served artifact byte-identical to the original. Run under -race in
+// CI.
 func TestDiskCorruptionSelfHeals(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -109,12 +110,13 @@ func TestDiskCorruptionSelfHeals(t *testing.T) {
 			}
 			files := artifactFiles(t, dir)
 			if len(files) != 1 {
-				t.Fatalf("%d artifact files after one compile, want 1", len(files))
+				t.Fatalf("%d segment files after one compile, want 1", len(files))
 			}
 			tc.damage(t, files[0])
 
-			// A fresh server (empty memory LRU) must read the damaged frame,
-			// quarantine it, and recompute — the client sees a clean miss.
+			// A fresh server (empty memory LRU) must quarantine the damaged
+			// record — on Open for a torn tail, on read for a flipped bit —
+			// and recompute: the client sees a clean miss.
 			healed := newTestServer(t, reticle.ServerOptions{DiskDir: dir})
 			var resp rawCompileResponse
 			code := post(t, healed, "/compile", server.CompileRequest{IR: maccSrc}, &resp)
@@ -176,8 +178,8 @@ func TestScrubEndpoint(t *testing.T) {
 		}
 	}
 	files := artifactFiles(t, dir)
-	if len(files) != len(sources) {
-		t.Fatalf("%d artifact files, want %d", len(files), len(sources))
+	if len(files) != 1 {
+		t.Fatalf("%d segment files for %d artifacts, want 1", len(files), len(sources))
 	}
 	raw, err := os.ReadFile(files[0])
 	if err != nil {

@@ -54,9 +54,9 @@ func TestDiskCacheServerCrashRestart(t *testing.T) {
 		t.Fatalf("cold disk stats %+v, want %d writes / 0 hits", coldDisk, len(sources))
 	}
 
-	// "Crash": no explicit close exists or is needed — durability comes
-	// from the write-temp-then-rename protocol, so simply abandoning the
-	// first server models a killed process.
+	// "Crash": no explicit close exists or is needed — a record is
+	// indexed only once its bytes are in its segment, so simply
+	// abandoning the first server models a killed process.
 	warm := newTestServer(t, reticle.ServerOptions{DiskDir: dir})
 	for i, src := range sources {
 		var resp rawCompileResponse
@@ -217,9 +217,9 @@ func TestChaosDiskCacheFaults(t *testing.T) {
 
 // TestDiskTreeHoldsOnlyArtifacts: the artifact store is the only one
 // with a disk level. After an /explore sweep (every stage memoized) and
-// an edit (a hint adopted) on a -disk server, the root holds artifact
-// frames and at most the quarantine directory, and every disk write was
-// one of those artifacts.
+// an edit (a hint adopted) on a -disk server, the root holds segment
+// files and at most the quarantine directory, and every disk write was
+// one of the artifacts indexed there.
 func TestDiskTreeHoldsOnlyArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	s := newTestServer(t, reticle.ServerOptions{DiskDir: dir})
@@ -233,18 +233,18 @@ func TestDiskTreeHoldsOnlyArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arts := 0
+	segs := 0
 	for _, e := range ents {
 		switch {
 		case e.IsDir() && e.Name() == "quarantine":
-		case !e.IsDir() && strings.HasSuffix(e.Name(), ".art"):
-			arts++
+		case !e.IsDir() && strings.HasSuffix(e.Name(), ".seg"):
+			segs++
 		default:
-			t.Errorf("disk tree holds %q besides artifacts", e.Name())
+			t.Errorf("disk tree holds %q besides segments", e.Name())
 		}
 	}
-	if ds := s.Disk().Stats(); arts == 0 || ds.Writes != uint64(arts) || ds.Entries != arts {
-		t.Errorf("disk stats %+v over %d stored artifacts, want one write and one entry each", ds, arts)
+	if ds := s.Disk().Stats(); segs == 0 || ds.Entries == 0 || ds.Writes != uint64(ds.Entries) {
+		t.Errorf("disk stats %+v over %d segments, want one write per indexed artifact", ds, segs)
 	}
 }
 

@@ -27,8 +27,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -92,12 +90,12 @@ type Options struct {
 	// unlimited.
 	MaxInFlight int
 	// DiskDir, when non-empty, gives the artifact store a persistent
-	// second level at that root — checked after memory and before
-	// compute, written through on every non-degraded artifact, and
-	// durable across restarts (see cache.Store, cache.Disk). The hint and
-	// stage memos stay in memory.
+	// second level at that root — an append-only log of checksummed
+	// segment files, checked after memory and before compute, appended to
+	// on every non-degraded artifact, and durable across restarts (see
+	// cache.Store, cache.Disk). The hint and stage memos stay in memory.
 	DiskDir string
-	// DiskMaxBytes bounds the artifacts under DiskDir, all the tree holds
+	// DiskMaxBytes bounds the segments under DiskDir, all the tree holds
 	// but its count-capped quarantine; <=0 means cache.DefaultDiskBytes.
 	DiskMaxBytes int64
 	// MaxExploreVariants caps the per-request /explore max_variants
@@ -249,14 +247,6 @@ func New(opts Options, configs map[string]*pipeline.Config) (*Server, error) {
 		return nil, fmt.Errorf("server: %w", err)
 	}
 	s.cache = cache.NewStore(opts.CacheEntries, s.Disk(), artifactNamespace)
-	// Earlier builds persisted the memos under DiskDir/hints and
-	// DiskDir/stages, which nothing reads or bounds now: remove them,
-	// best-effort.
-	if opts.DiskDir != "" {
-		for _, sub := range []string{"hints", "stages"} {
-			_ = os.RemoveAll(filepath.Join(opts.DiskDir, sub))
-		}
-	}
 	// Both memos ride inside the pipeline config, so clone each family
 	// config rather than mutate the caller's. No key observes HintCache
 	// or StageCache (adoption cannot change output), so every artifact
