@@ -46,8 +46,8 @@ func main() {
 	maxBody := flag.Int64("max-body", 1<<20, "request body size limit in bytes")
 	drain := flag.Duration("drain", 30*time.Second, "shutdown drain bound for in-flight requests")
 	maxInFlight := flag.Int("max-inflight", 0, "admitted concurrent compile/batch requests before shedding 429s (0 = unlimited)")
-	diskDir := flag.String("disk", "", "persistent second level for the artifact store; the hint and stage memos stay in memory (empty = disabled)")
-	diskBytes := flag.Int64("disk-bytes", 0, "size bound in bytes for the whole -disk tree (0 = default)")
+	diskDir := flag.String("disk", "", "persistent second level for the artifact store, a log of checksummed segment files; the hint and stage memos stay in memory (empty = disabled)")
+	diskBytes := flag.Int64("disk-bytes", 0, "size bound in bytes for the whole -disk tree, every segment counted; the oldest segment is retired when full (0 = default)")
 	exploreVariants := flag.Int("explore-variants", 0, "per-request /explore variant cap (0 = hard default)")
 	scrubOnStart := flag.Bool("scrub-on-start", false, "verify the disk cache's checksums in the background on startup, quarantining corrupt entries")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof (/debug/pprof) on this side address (empty = disabled)")

@@ -47,8 +47,8 @@ func main() {
 	jobs := flag.Int("jobs", 0, "concurrent per-kernel proxy fan-out for /batch (0 = default)")
 	proxyTimeout := flag.Duration("proxy-timeout", 60*time.Second, "per-attempt proxy deadline (0 = none)")
 	healthInterval := flag.Duration("health-interval", 2*time.Second, "active backend probe period (0 = passive detection only)")
-	diskDir := flag.String("disk", "", "router-local persistent artifact cache directory (empty = disabled)")
-	diskBytes := flag.Int64("disk-bytes", 0, "disk cache size bound in bytes (0 = default)")
+	diskDir := flag.String("disk", "", "router-local persistent artifact cache directory, a log of checksummed segment files (empty = disabled)")
+	diskBytes := flag.Int64("disk-bytes", 0, "size bound in bytes for the whole -disk tree, every segment counted; the oldest segment is retired when full (0 = default)")
 	maxBody := flag.Int64("max-body", 1<<20, "request body size limit in bytes")
 	drain := flag.Duration("drain", 30*time.Second, "shutdown drain bound for in-flight requests")
 	hedgeAfter := flag.Duration("hedge-after", 0, "fire one speculative /compile attempt at the next ring backend after this delay (0 = no hedging)")

@@ -129,8 +129,8 @@ func runs(cfg *Config, k keySet) bool {
 
 // keyOf is the one key constructor: lowercase hex SHA-256 over the parts,
 // each followed by NUL, then the fingerprint slice k observes. Hex, so a
-// key doubles as an on-disk file name (cache.Disk keeps 8-128 char hex
-// keys as their own file names).
+// key doubles as a file name (cache.Disk names a quarantined record's
+// copy after its 8-128 char hex key).
 func keyOf(cfg *Config, k keySet, parts ...string) string {
 	return ir.HexSum256(func(b []byte) []byte {
 		for _, p := range parts {

@@ -178,9 +178,9 @@ kill -TERM "$pid"
 wait "$pid" || fail "disk server did not drain cleanly"
 pid=""
 
-artifact_file="$(find "$tmp/disk" -maxdepth 1 -type f | head -1)"
-[ -n "$artifact_file" ] || fail "no artifact file on disk after seed compile"
-# Flip the last byte of the frame (the payload tail).
+artifact_file="$(find "$tmp/disk" -maxdepth 1 -type f -name '*.seg' | head -1)"
+[ -n "$artifact_file" ] || fail "no segment file on disk after seed compile"
+# Flip the last byte of the segment: the payload tail of its one record.
 python3 -c '
 import sys
 path = sys.argv[1]
