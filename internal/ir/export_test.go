@@ -15,3 +15,10 @@ var (
 func NewLexer(src string) *Lexer {
 	return &Lexer{src: src, line: 1}
 }
+
+// Next scans and returns the next token, for the token-stream tests.
+func (l *Lexer) Next() Token {
+	var tok Token
+	l.scan(&tok)
+	return tok
+}

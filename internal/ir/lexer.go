@@ -79,15 +79,8 @@ func isIdentCont(r rune) bool {
 	return unicode.IsLetter(r) || unicode.IsDigit(r)
 }
 
-// Next scans and returns the next token.
-func (l *Lexer) Next() Token {
-	var tok Token
-	l.scan(&tok)
-	return tok
-}
-
-// scan is Next into a token the caller owns: the parser scans straight
-// into its lookahead slot.
+// scan scans the next token into one the caller owns: the parser scans
+// straight into its lookahead slot.
 func (l *Lexer) scan(tok *Token) {
 	src, pos := l.src, l.pos
 skip:
