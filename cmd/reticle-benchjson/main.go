@@ -9,9 +9,11 @@
 //	reticle-benchjson compare [-threshold 0.20] base.json [head.json]
 //
 // record runs every benchmark of the module once (`go test -bench=.
-// -benchtime=1x -benchmem ./...`) and overwrites BENCH_baseline.json in
-// the current directory, the one point the tree carries: each PR commits
-// its own over its parent's. ns/op and MB/s are dropped on the way in.
+// -benchtime=1x -benchmem ./...`), three times over, and overwrites
+// BENCH_baseline.json in the current directory, the one point the tree
+// carries: each PR commits its own over its parent's. ns/op and MB/s are
+// dropped on the way in; allocs/op and B/op keep their minimum over the
+// runs, and every other metric must read the same in all three.
 // It also counts each package's non-test statements and declarations on
 // the syntax tree (see countFile), so formatting cannot move the count,
 // and takes the census of exported internal identifiers no production
@@ -181,26 +183,41 @@ func stripProcSuffix(bs []Benchmark) int {
 	return procs
 }
 
-// record runs the module's benchmarks and writes the point for HEAD.
+// recordRuns is how many times record runs the benchmarks.
+const recordRuns = 3
+
+// noisy are the metrics a single run can read high: the garbage
+// collector and the runtime's own allocations land in whichever
+// iteration they happen to, so record keeps their minimum over its runs.
+var noisy = map[string]bool{"allocs/op": true, "B/op": true}
+
+// record runs the module's benchmarks recordRuns times, each run its own
+// `go test` process, and writes the point for HEAD.
 func record(stdout, stderr io.Writer) error {
 	rev, err := exec.Command("git", "log", "-1", "--format=%H").Output()
 	sha := strings.TrimSpace(string(rev))
 	if err != nil || sha == "" {
 		return fmt.Errorf("git log -1: %q, %v", rev, err)
 	}
-	bench := exec.Command("go", "test", "-bench=.", "-benchtime=1x", "-benchmem", "-run=^$", "./...")
-	bench.Stderr = stderr
-	out, err := bench.Output()
-	if err != nil {
-		stderr.Write(out)
-		return fmt.Errorf("go test -bench: %w", err)
+	runs := make([]*Baseline, recordRuns)
+	for i := range runs {
+		bench := exec.Command("go", "test", "-bench=.", "-benchtime=1x", "-benchmem", "-run=^$", "./...")
+		bench.Stderr = stderr
+		out, err := bench.Output()
+		if err != nil {
+			stderr.Write(out)
+			return fmt.Errorf("go test -bench: %w", err)
+		}
+		if runs[i], err = Parse(strings.NewReader(string(out))); err != nil {
+			return err
+		}
+		if len(runs[i].Benchmarks) == 0 {
+			return fmt.Errorf("go test -bench printed no benchmark results")
+		}
 	}
-	base, err := Parse(strings.NewReader(string(out)))
+	base, err := mergeRuns(runs)
 	if err != nil {
 		return err
-	}
-	if len(base.Benchmarks) == 0 {
-		return fmt.Errorf("go test -bench printed no benchmark results")
 	}
 	if base.Code, err = countModule("."); err != nil {
 		return err
@@ -221,6 +238,36 @@ func record(stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "reticle-benchjson: wrote %d benchmarks, the code counts of %d packages, %d dead exports and %d import edges to %s\n",
 		len(base.Benchmarks), len(base.Code), len(base.Census.Dead), len(base.Edges), baselineFile)
 	return nil
+}
+
+// mergeRuns folds runs of the same benchmarks into the first: each noisy
+// metric keeps its minimum, and every other metric must read the same in
+// every run. A benchmark or metric one run lacks fails it too.
+func mergeRuns(runs []*Baseline) (*Baseline, error) {
+	base := runs[0]
+	for k, run := range runs[1:] {
+		if len(run.Benchmarks) != len(base.Benchmarks) {
+			return nil, fmt.Errorf("run %d reported %d benchmarks, run 1 %d", k+2, len(run.Benchmarks), len(base.Benchmarks))
+		}
+		for i, b := range run.Benchmarks {
+			into := base.Benchmarks[i]
+			if b.Pkg != into.Pkg || b.Name != into.Name || len(b.Metrics) != len(into.Metrics) {
+				return nil, fmt.Errorf("run %d reported %s %s where run 1 reported %s %s with other metrics", k+2, b.Pkg, b.Name, into.Pkg, into.Name)
+			}
+			for metric, v := range b.Metrics {
+				was, ok := into.Metrics[metric]
+				switch {
+				case !ok:
+					return nil, fmt.Errorf("%s %s: run %d reported %s, run 1 did not", b.Pkg, b.Name, k+2, metric)
+				case noisy[metric]:
+					into.Metrics[metric] = math.Min(was, v)
+				case v != was:
+					return nil, fmt.Errorf("%s %s: %s read %v in run 1 and %v in run %d", b.Pkg, b.Name, metric, was, v, k+2)
+				}
+			}
+		}
+	}
+	return base, nil
 }
 
 // countModule counts the statements and declarations of every package of

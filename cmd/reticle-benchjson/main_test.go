@@ -153,6 +153,43 @@ func countRegressed(ds []delta, threshold float64) int {
 	return n
 }
 
+// runOf is one recorded run of two benchmarks.
+func runOf(allocs, bytes, steps float64) *Baseline {
+	return &Baseline{Benchmarks: []Benchmark{
+		{Pkg: "p", Name: "BenchmarkGenerate/lut", Metrics: map[string]float64{"allocs/op": allocs, "B/op": bytes}},
+		{Pkg: "p", Name: "BenchmarkPlaceShrink", Metrics: map[string]float64{"solver-steps": steps}},
+	}}
+}
+
+// record keeps the least allocs/op and B/op of its runs, whichever run
+// read each, and every other metric as the runs agree on it.
+func TestMergeRunsKeepsMinimum(t *testing.T) {
+	got, err := mergeRuns([]*Baseline{runOf(34, 9000, 10), runOf(28, 9100, 10), runOf(30, 8800, 10)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := got.Benchmarks[0].Metrics; m["allocs/op"] != 28 || m["B/op"] != 8800 {
+		t.Errorf("merged %v, want allocs/op 28 and B/op 8800", m)
+	}
+	if m := got.Benchmarks[1].Metrics; m["solver-steps"] != 10 {
+		t.Errorf("merged %v, want solver-steps 10", m)
+	}
+}
+
+// A counter that is not allowed to be noisy and differs between runs
+// fails the record and is named; so does a run that lacks a benchmark.
+func TestMergeRunsRejectsDisagreement(t *testing.T) {
+	_, err := mergeRuns([]*Baseline{runOf(28, 9000, 10), runOf(28, 9000, 10), runOf(28, 9000, 11)})
+	if err == nil || !strings.Contains(err.Error(), "BenchmarkPlaceShrink") || !strings.Contains(err.Error(), "solver-steps") {
+		t.Errorf("disagreeing solver-steps: %v", err)
+	}
+	short := runOf(28, 9000, 10)
+	short.Benchmarks = short.Benchmarks[:1]
+	if _, err := mergeRuns([]*Baseline{runOf(28, 9000, 10), short}); err == nil {
+		t.Error("a run missing a benchmark merged")
+	}
+}
+
 // Within threshold on every gated metric: no regression, and a
 // benchmark that reports no gated metric is neither compared nor missed.
 func TestCompareWithinThreshold(t *testing.T) {
@@ -444,7 +481,8 @@ func compareFiles(t *testing.T, base, head *Baseline, out *bytes.Buffer) int {
 // The census sorts the fixture module's exports: a method only the
 // standard library calls, one the facade selects and one the benchmark
 // module calls stay off it; an export only another package's tests use is
-// test-only; an unused one and one only its own tests use are dead. Edges
+// test-only; an unused one and one only its own tests use are dead, and so
+// is a method whose name the facade selects only on another type. Edges
 // are the root module's, tests and the benchmark module left out.
 func TestCensus(t *testing.T) {
 	c, edges, err := takeCensus(filepath.Join("testdata", "census"))
@@ -452,7 +490,7 @@ func TestCensus(t *testing.T) {
 		t.Fatal(err)
 	}
 	const lib = "example.com/m/internal/lib"
-	wantDead := []string{lib + ".Dead", lib + ".OwnTest", lib + ".T.Unselected"}
+	wantDead := []string{lib + ".Cursor.Next", lib + ".Dead", lib + ".OwnTest", lib + ".T.Unselected"}
 	if strings.Join(c.Dead, " ") != strings.Join(wantDead, " ") {
 		t.Errorf("dead %q, want %q", c.Dead, wantDead)
 	}

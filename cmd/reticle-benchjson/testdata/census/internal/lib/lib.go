@@ -13,6 +13,17 @@ func (t T) Name() string { return "t" }
 
 func (t T) Unselected() int { return t.n }
 
+// Iter and Cursor each declare Next. The facade calls Iter's and names
+// Cursor, but never calls Cursor's: a selector of the name alone keeps
+// nothing alive.
+type Iter struct{ n int }
+
+func (it *Iter) Next() int { it.n++; return it.n }
+
+type Cursor struct{ n int }
+
+func (c *Cursor) Next() int { c.n++; return c.n }
+
 // FacadeUsed is referred to by the facade.
 func FacadeUsed() T { return T{own()} }
 

@@ -86,7 +86,7 @@ func main() {
 
 	if *scrubOnStart {
 		go func() {
-			rep, ok, err := srv.ScrubDisk(ctx, 0)
+			rep, ok, err := srv.ScrubDisk(ctx)
 			switch {
 			case !ok:
 				log.Printf("reticle-serve: -scrub-on-start: no disk cache configured (-disk), nothing to scrub")

@@ -9,7 +9,7 @@
 // Usage:
 //
 //	reticle-shard -backends http://h1:8080,http://h2:8080 [-addr :8090]
-//	              [-replicas 64] [-jobs 8] [-proxy-timeout 60s]
+//	              [-jobs 8] [-proxy-timeout 60s]
 //	              [-health-interval 2s] [-disk DIR] [-disk-bytes N]
 //	              [-max-body 1048576] [-hedge-after 300ms] [-scrub-on-start]
 //	              [-pprof ADDR]
@@ -43,7 +43,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":8090", "listen address")
 	backendsFlag := flag.String("backends", "", "comma-separated backend base URLs (required; order is ring identity)")
-	replicas := flag.Int("replicas", 0, "virtual nodes per backend on the hash ring (0 = default)")
 	jobs := flag.Int("jobs", 0, "concurrent per-kernel proxy fan-out for /batch (0 = default)")
 	proxyTimeout := flag.Duration("proxy-timeout", 60*time.Second, "per-attempt proxy deadline (0 = none)")
 	healthInterval := flag.Duration("health-interval", 2*time.Second, "active backend probe period (0 = passive detection only)")
@@ -71,7 +70,6 @@ func main() {
 
 	rt, err := reticle.NewShardRouter(reticle.ShardOptions{
 		Backends:       backends,
-		Replicas:       *replicas,
 		Jobs:           *jobs,
 		ProxyTimeout:   *proxyTimeout,
 		HealthInterval: *healthInterval,
@@ -100,7 +98,7 @@ func main() {
 
 	if *scrubOnStart {
 		go func() {
-			rep, ok, err := rt.ScrubDisk(ctx, 0)
+			rep, ok, err := rt.ScrubDisk(ctx)
 			switch {
 			case !ok:
 				log.Printf("reticle-shard: -scrub-on-start: no disk cache configured (-disk), nothing to scrub")

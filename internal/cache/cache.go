@@ -277,13 +277,6 @@ func (c *Cache[V]) resolve(ctx context.Context, key Key, compute func() (V, erro
 	return val, Computed, err
 }
 
-// Len returns the number of resident values.
-func (c *Cache[V]) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
 // Stats snapshots the counters.
 func (c *Cache[V]) Stats() Stats {
 	c.mu.Lock()

@@ -682,13 +682,6 @@ func (d *Disk) retire(old *segment, keep []*diskEntry) {
 	os.Remove(d.segPath(old.seq))
 }
 
-// Len returns the number of resident artifacts.
-func (d *Disk) Len() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.items)
-}
-
 // Stats snapshots the counters.
 func (d *Disk) Stats() DiskStats {
 	d.mu.Lock()

@@ -548,7 +548,7 @@ func TestDiskCacheConcurrent(t *testing.T) {
 						return
 					}
 				default:
-					if _, err := d.Scrub(ctx, 1<<40); err != nil {
+					if _, err := d.Scrub(ctx); err != nil {
 						errs <- fmt.Sprintf("scrub: %v", err)
 						return
 					}

@@ -3,7 +3,7 @@
 // embedded key, SHA-256 payload checksum), and anything that fails is
 // quarantined exactly like a corrupt Get — copied into DIR/quarantine/,
 // marked dead in its segment, counted, never served again. The walk
-// throttles itself to a configurable byte rate so a multi-gigabyte
+// throttles itself to a fixed byte rate so a multi-gigabyte
 // store can be scrubbed on a live server without starving request I/O.
 package cache
 
@@ -12,11 +12,10 @@ import (
 	"time"
 )
 
-// DefaultScrubBytesPerSec is the I/O throttle applied when Scrub is
-// given a non-positive rate: 32 MiB/s, slow enough to stay out of the
+// scrubBytesPerSec is the I/O throttle of a Scrub walk: 32 MiB/s, slow enough to stay out of the
 // request path's way, fast enough to cover the default 256 MiB store
 // in under ten seconds.
-const DefaultScrubBytesPerSec int64 = 32 << 20
+const scrubBytesPerSec = 32 << 20
 
 // ScrubReport summarizes one Scrub walk.
 type ScrubReport struct {
@@ -30,8 +29,8 @@ type ScrubReport struct {
 	Elapsed time.Duration
 }
 
-// Scrub verifies every live record at a bounded I/O rate (bytesPerSec
-// <= 0 means DefaultScrubBytesPerSec), oldest segment first. Corrupt
+// Scrub verifies every live record at a bounded I/O rate
+// (scrubBytesPerSec), oldest segment first. Corrupt
 // records are quarantined and dropped from the index; intact ones keep
 // their second-chance mark (a scrub is maintenance, not use). The walk
 // snapshots the live set once and reads each record outside the cache
@@ -39,10 +38,7 @@ type ScrubReport struct {
 // moved or evicted during the walk are simply not (re)visited.
 // Cancellation via ctx stops the walk between records and returns the
 // partial report with ctx.Err().
-func (d *Disk) Scrub(ctx context.Context, bytesPerSec int64) (ScrubReport, error) {
-	if bytesPerSec <= 0 {
-		bytesPerSec = DefaultScrubBytesPerSec
-	}
+func (d *Disk) Scrub(ctx context.Context) (ScrubReport, error) {
 	start := time.Now()
 
 	d.mu.Lock()
@@ -70,8 +66,8 @@ func (d *Disk) Scrub(ctx context.Context, bytesPerSec int64) (ScrubReport, error
 			rep.Corrupt++
 		}
 		// Throttle: sleep off the time this record's bytes "cost" at the
-		// configured rate, minus what has already elapsed naturally.
-		if budget := time.Duration(float64(rep.Bytes) / float64(bytesPerSec) * float64(time.Second)); budget > time.Since(start) {
+		// scrub rate, minus what has already elapsed naturally.
+		if budget := time.Duration(float64(rep.Bytes) / scrubBytesPerSec * float64(time.Second)); budget > time.Since(start) {
 			select {
 			case <-time.After(budget - time.Since(start)):
 			case <-ctx.Done():

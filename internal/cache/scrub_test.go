@@ -149,7 +149,7 @@ func TestDiskCacheLegacyV1Quarantined(t *testing.T) {
 	if got, ok := d.Get(ctx, read); ok {
 		t.Fatalf("checksum-less v1 frame served: %q", got)
 	}
-	rep, err := d.Scrub(ctx, 0)
+	rep, err := d.Scrub(ctx)
 	if err != nil || rep.Scanned != 1 || rep.Corrupt != 1 {
 		t.Fatalf("scrub over the remaining v1 frame: %+v, %v", rep, err)
 	}
@@ -191,7 +191,7 @@ func TestDiskCacheScrub(t *testing.T) {
 	patchRecord(t, d, keys[5], 0, []byte("junk"))
 	cutRecord(t, d, keys[n-1], 10)
 
-	rep, err := d.Scrub(ctx, 0)
+	rep, err := d.Scrub(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestDiskCacheScrubCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := d.Scrub(ctx, 0); err != context.Canceled {
+	if _, err := d.Scrub(ctx); err != context.Canceled {
 		t.Fatalf("cancelled scrub returned %v, want context.Canceled", err)
 	}
 	if st := d.Stats(); st.ScrubRuns != 1 {

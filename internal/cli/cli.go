@@ -19,7 +19,6 @@ import (
 	"reticle/internal/interp"
 	"reticle/internal/ir"
 	"reticle/internal/irgen"
-	"reticle/internal/vcd"
 )
 
 // Run executes one CLI invocation. args excludes the program name.
@@ -421,7 +420,7 @@ func cmdInterp(args []string, stdin io.Reader, stdout io.Writer) error {
 			return err
 		}
 		defer file.Close()
-		if err := vcd.Write(file, f, interp.Trace(trace), interp.Trace(out)); err != nil {
+		if err := writeVCD(file, f, interp.Trace(trace), interp.Trace(out)); err != nil {
 			return err
 		}
 	}

@@ -1,9 +1,4 @@
-// Package vcd writes interpreter traces as Value Change Dump files, the
-// standard waveform format consumed by viewers such as GTKWave. It gives
-// the paper's "fast, convenient way to debug programs without having to
-// actually program an FPGA" (§6.2) the same tooling surface a Verilog
-// simulator would.
-package vcd
+package cli
 
 import (
 	"fmt"
@@ -15,10 +10,13 @@ import (
 	"reticle/internal/ir"
 )
 
-// Write dumps the port activity of one interpreter run: the input trace
-// and the output trace it produced, cycle by cycle. One timescale unit is
-// one clock cycle.
-func Write(w io.Writer, f *ir.Func, in, out interp.Trace) error {
+// writeVCD dumps the port activity of one interpreter run as a Value
+// Change Dump, the waveform format viewers such as GTKWave read: the
+// input trace and the output trace it produced, cycle by cycle. One
+// timescale unit is one clock cycle. It gives the paper's "fast,
+// convenient way to debug programs without having to actually program an
+// FPGA" (§6.2) the same tooling surface a Verilog simulator would.
+func writeVCD(w io.Writer, f *ir.Func, in, out interp.Trace) error {
 	if len(in) != len(out) {
 		return fmt.Errorf("vcd: input trace has %d cycles, output %d", len(in), len(out))
 	}

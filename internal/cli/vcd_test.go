@@ -1,4 +1,4 @@
-package vcd
+package cli
 
 import (
 	"strings"
@@ -8,7 +8,7 @@ import (
 	"reticle/internal/ir"
 )
 
-func run(t *testing.T, src string, in interp.Trace) (*ir.Func, interp.Trace) {
+func runTrace(t *testing.T, src string, in interp.Trace) (*ir.Func, interp.Trace) {
 	t.Helper()
 	f, err := ir.Parse(src)
 	if err != nil {
@@ -28,9 +28,9 @@ func TestWriteBasic(t *testing.T) {
 		{"a": ir.ScalarValue(i8, 1), "b": ir.ScalarValue(i8, 3)},
 		{"a": ir.ScalarValue(i8, 1), "b": ir.ScalarValue(i8, 3)},
 	}
-	f, out := run(t, `def f(a:i8, b:i8) -> (y:i8) { y:i8 = add(a, b) @??; }`, in)
+	f, out := runTrace(t, `def f(a:i8, b:i8) -> (y:i8) { y:i8 = add(a, b) @??; }`, in)
 	var b strings.Builder
-	if err := Write(&b, f, in, out); err != nil {
+	if err := writeVCD(&b, f, in, out); err != nil {
 		t.Fatal(err)
 	}
 	got := b.String()
@@ -62,9 +62,9 @@ func TestWriteBoolAndChanges(t *testing.T) {
 		{"a": ir.BoolValue(true)},
 		{"a": ir.BoolValue(false)},
 	}
-	f, out := run(t, `def g(a:bool) -> (y:bool) { y:bool = not(a) @lut; }`, in)
+	f, out := runTrace(t, `def g(a:bool) -> (y:bool) { y:bool = not(a) @lut; }`, in)
 	var b strings.Builder
-	if err := Write(&b, f, in, out); err != nil {
+	if err := writeVCD(&b, f, in, out); err != nil {
 		t.Fatal(err)
 	}
 	got := b.String()
@@ -89,9 +89,9 @@ func TestWriteVector(t *testing.T) {
 	in := interp.Trace{
 		{"a": ir.VectorValue(v4, 1, 2, 3, 4), "b": ir.VectorValue(v4, 0, 0, 0, 0)},
 	}
-	f, out := run(t, `def h(a:i8<4>, b:i8<4>) -> (y:i8<4>) { y:i8<4> = add(a, b) @??; }`, in)
+	f, out := runTrace(t, `def h(a:i8<4>, b:i8<4>) -> (y:i8<4>) { y:i8<4> = add(a, b) @??; }`, in)
 	var b strings.Builder
-	if err := Write(&b, f, in, out); err != nil {
+	if err := writeVCD(&b, f, in, out); err != nil {
 		t.Fatal(err)
 	}
 	got := b.String()
@@ -110,7 +110,7 @@ func TestWriteLengthMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	if err := Write(&b, f, make(interp.Trace, 2), make(interp.Trace, 1)); err == nil {
+	if err := writeVCD(&b, f, make(interp.Trace, 2), make(interp.Trace, 1)); err == nil {
 		t.Error("length mismatch accepted")
 	}
 }
@@ -131,7 +131,7 @@ func TestIdentifiersUnique(t *testing.T) {
 	i8 := ir.Int(8)
 	var outs []string
 	for i := 0; i < 100; i++ {
-		in := b.Input(name(i), i8)
+		in := b.Input(portName(i), i8)
 		outs = append(outs, b.Instr(i8, ir.OpNot, nil, []string{in}, ir.ResLut))
 	}
 	for _, o := range outs {
@@ -148,7 +148,7 @@ func TestIdentifiersUnique(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	if err := Write(&sb, f, in, out); err != nil {
+	if err := writeVCD(&sb, f, in, out); err != nil {
 		t.Fatal(err)
 	}
 	// Every $var line must declare a distinct id.
@@ -169,6 +169,6 @@ func TestIdentifiersUnique(t *testing.T) {
 	}
 }
 
-func name(i int) string {
+func portName(i int) string {
 	return "p" + string(rune('a'+i/26)) + string(rune('a'+i%26))
 }

@@ -29,10 +29,6 @@ type Stats struct {
 	Dsps    int // DSP instances
 }
 
-// LUTs returns total LUT consumption (carry chains ride along in slices
-// and are not counted as LUTs, matching vendor utilization reports).
-func (s Stats) LUTs() int { return s.Luts }
-
 // Generate emits a structural Verilog module for a placed assembly
 // function. Every assembly instruction must have a resolved location.
 // The module is appended straight into the returned builder through a

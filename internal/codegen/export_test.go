@@ -29,3 +29,7 @@ func GenerateChecked(f *asm.Func, target *tdl.Target) (*strings.Builder, Stats, 
 	}
 	return newCheckedGen(f, target, syms).module()
 }
+
+// LUTs returns total LUT consumption (carry chains ride along in slices
+// and are not counted as LUTs, matching vendor utilization reports).
+func (s Stats) LUTs() int { return s.Luts }

@@ -91,9 +91,6 @@ func (a *Archive) Insert(p Point) bool {
 	return true
 }
 
-// Len reports the current size of the non-dominated set.
-func (a *Archive) Len() int { return len(a.pts) }
-
 // Frontier returns a copy of the non-dominated set in canonical order
 // (objectives ascending, then ID).
 func (a *Archive) Frontier() []Point {

@@ -14,15 +14,6 @@ import (
 // Step is the values observed on a set of ports during one clock cycle.
 type Step map[string]ir.Value
 
-// Clone returns a copy of the step.
-func (s Step) Clone() Step {
-	out := make(Step, len(s))
-	for k, v := range s {
-		out[k] = v
-	}
-	return out
-}
-
 // Trace is a sequence of steps, one per clock cycle. An input trace gives a
 // complete specification of a circuit's inputs for every cycle; an output
 // trace does so for the outputs.
@@ -65,9 +56,6 @@ func (m *Machine) Reset() {
 		m.env[in.Dest] = ir.RegInit(in)
 	}
 }
-
-// Func returns the interpreted function.
-func (m *Machine) Func() *ir.Func { return m.fn }
 
 // Step runs one clock cycle: update inputs, evaluate pure instructions,
 // snapshot outputs, then commit register updates (Algorithm 1 lines 6–10).
@@ -122,12 +110,6 @@ func (m *Machine) Step(inputs Step) (Step, error) {
 		m.env[m.fn.Body[i].Dest] = next[k]
 	}
 	return out, nil
-}
-
-// Peek returns the current value of a variable, if it has one.
-func (m *Machine) Peek(name string) (ir.Value, bool) {
-	v, ok := m.env[name]
-	return v, ok
 }
 
 // Run evaluates the machine over a whole input trace, returning the output

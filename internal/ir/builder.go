@@ -64,11 +64,6 @@ func (b *Builder) Add(t Type, a, x string, res Resource) string {
 	return b.Instr(t, OpAdd, nil, []string{a, x}, res)
 }
 
-// Sub appends a sub compute instruction.
-func (b *Builder) Sub(t Type, a, x string, res Resource) string {
-	return b.Instr(t, OpSub, nil, []string{a, x}, res)
-}
-
 // Mul appends a mul compute instruction.
 func (b *Builder) Mul(t Type, a, x string, res Resource) string {
 	return b.Instr(t, OpMul, nil, []string{a, x}, res)

@@ -22,3 +22,6 @@ func (l *Lexer) Next() Token {
 	l.scan(&tok)
 	return tok
 }
+
+// Err returns the first error encountered while scanning, if any.
+func (l *Lexer) Err() error { return l.err }

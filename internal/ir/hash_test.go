@@ -78,7 +78,7 @@ func TestCanonicalHashWireResourceIgnored(t *testing.T) {
 	f1 := mustParse(t, src)
 	f2 := f1.Clone()
 	for i := range f2.Body {
-		if f2.Body[i].IsWire() {
+		if f2.Body[i].Op.IsWire() {
 			f2.Body[i].Res = ResDsp
 		}
 	}

@@ -76,9 +76,6 @@ type Instr struct {
 	Res   Resource
 }
 
-// IsWire reports whether the instruction is a wire instruction.
-func (in Instr) IsWire() bool { return in.Op.IsWire() }
-
 // IsCompute reports whether the instruction consumes device resources.
 func (in Instr) IsCompute() bool { return in.Op.IsCompute() }
 

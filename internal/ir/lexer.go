@@ -53,9 +53,6 @@ type Lexer struct {
 	err  error
 }
 
-// Err returns the first error encountered while scanning, if any.
-func (l *Lexer) Err() error { return l.err }
-
 // asciiIdentCont marks the ASCII bytes that continue an identifier. Bytes
 // from utf8.RuneSelf up are unmarked: they take the general rune path.
 var asciiIdentCont = func() (t [256]bool) {

@@ -1,4 +1,4 @@
-package dfg
+package isel
 
 import (
 	"fmt"
@@ -9,13 +9,13 @@ import (
 	"reticle/internal/ir"
 )
 
-func mustGraph(t *testing.T, src string) *Graph {
+func mustGraph(t *testing.T, src string) *graph {
 	t.Helper()
 	f, err := ir.Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := Build(f)
+	g, err := buildGraph(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func mustGraph(t *testing.T, src string) *Graph {
 }
 
 // lookup returns the node defining the named variable.
-func lookup(g *Graph, name string) *Node {
+func lookup(g *graph, name string) *node {
 	for _, n := range g.Nodes {
 		if n.Name == name {
 			return n
@@ -51,10 +51,10 @@ def f(a:i8, b:i8, c:i8) -> (t1:i8) {
 	if !t1.isOutput || t0.isOutput {
 		t.Error("output marking wrong")
 	}
-	if g.IsRoot(t0) {
+	if g.isRoot(t0) {
 		t.Error("t0 (fanout 1, not output) should not be a root")
 	}
-	if !g.IsRoot(t1) {
+	if !g.isRoot(t1) {
 		t.Error("t1 (output) must be a root")
 	}
 }
@@ -66,14 +66,14 @@ def f(a:i8, b:i8, c:i8) -> (t1:i8) {
     t1:i8 = add(t0, c) @??;
 }
 `)
-	trees := g.Partition()
+	trees := g.partition()
 	if len(trees) != 1 {
 		t.Fatalf("trees = %d", len(trees))
 	}
-	if trees[0].Size() != 2 {
-		t.Errorf("tree size = %d", trees[0].Size())
+	if treeSize(g, trees[0]) != 2 {
+		t.Errorf("tree size = %d", treeSize(g, trees[0]))
 	}
-	if err := CheckPartition(g, trees); err != nil {
+	if err := checkPartition(g, trees); err != nil {
 		t.Error(err)
 	}
 }
@@ -87,16 +87,16 @@ def f(a:i8, b:i8) -> (t1:i8, t2:i8) {
     t2:i8 = mul(t0, b) @??;
 }
 `)
-	trees := g.Partition()
+	trees := g.partition()
 	if len(trees) != 3 {
 		t.Fatalf("trees = %d, want 3", len(trees))
 	}
 	for _, tr := range trees {
-		if tr.Size() != 1 {
-			t.Errorf("tree at %s has size %d", tr.Root.Name, tr.Size())
+		if treeSize(g, tr) != 1 {
+			t.Errorf("tree at %s has size %d", tr.Root.Name, treeSize(g, tr))
 		}
 	}
-	if err := CheckPartition(g, trees); err != nil {
+	if err := checkPartition(g, trees); err != nil {
 		t.Error(err)
 	}
 }
@@ -108,16 +108,16 @@ def f(a:i8, b:i8, en:bool) -> (y:i8) {
     y:i8 = reg[0](t0, en) @??;
 }
 `)
-	trees := g.Partition()
+	trees := g.partition()
 	if len(trees) != 1 {
 		t.Fatalf("trees = %d", len(trees))
 	}
 	tr := trees[0]
-	if !tr.Root.IsReg() {
+	if !tr.Root.isReg() {
 		t.Error("root is not the reg")
 	}
-	if tr.Size() != 2 {
-		t.Errorf("add_reg tree size = %d, want 2 (reg + add)", tr.Size())
+	if treeSize(g, tr) != 2 {
+		t.Errorf("add_reg tree size = %d, want 2 (reg + add)", treeSize(g, tr))
 	}
 }
 
@@ -130,12 +130,12 @@ def fig12b(x:bool) -> (t3:i8) {
     t3:i8 = reg[0](t2, t0) @??;
 }
 `)
-	trees := g.Partition()
-	if err := CheckPartition(g, trees); err != nil {
+	trees := g.partition()
+	if err := checkPartition(g, trees); err != nil {
 		t.Fatal(err)
 	}
 	// t3 is a reg root; its tree contains the add (fanout-1) and const t1.
-	var regTree *Tree
+	var regTree *tree
 	for _, tr := range trees {
 		if tr.Root.Name == "t3" {
 			regTree = tr
@@ -145,13 +145,13 @@ def fig12b(x:bool) -> (t3:i8) {
 		t.Fatal("no tree rooted at t3")
 	}
 	t2 := lookup(g, "t2")
-	if !regTree.Contains(t2) {
+	if !regTree.contains(t2) {
 		t.Error("t2 not interior to the reg tree")
 	}
 	// The cycle edge t3 -> t2 terminates at the root boundary, not a loop.
 	// t3, t2, t0 and t1, each once.
-	if regTree.Size() != 4 {
-		t.Errorf("reg tree size = %d, want 4: root also interior?", regTree.Size())
+	if treeSize(g, regTree) != 4 {
+		t.Errorf("reg tree size = %d, want 4: root also interior?", treeSize(g, regTree))
 	}
 }
 
@@ -165,12 +165,12 @@ def bad(x:bool) -> (t1:i8) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Build(f); err == nil {
-		t.Error("Build accepted combinational cycle")
+	if _, err := buildGraph(f); err == nil {
+		t.Error("buildGraph accepted combinational cycle")
 	}
 }
 
-// TestBuildRejectsHandBuiltFuncs: in-process callers hand Build functions no
+// TestBuildRejectsHandBuiltFuncs: in-process callers hand buildGraph functions no
 // parser has seen, so every Check rule runs here too — down to a function
 // with nothing in it but an output.
 func TestBuildRejectsHandBuiltFuncs(t *testing.T) {
@@ -186,8 +186,8 @@ func TestBuildRejectsHandBuiltFuncs(t *testing.T) {
 			`ir: function f: instruction 0 (y): argument "ghost" is undefined`},
 	}
 	for _, c := range cases {
-		if _, err := Build(c.f); err == nil || err.Error() != c.want {
-			t.Errorf("Build error = %v, want %s", err, c.want)
+		if _, err := buildGraph(c.f); err == nil || err.Error() != c.want {
+			t.Errorf("buildGraph error = %v, want %s", err, c.want)
 		}
 	}
 }
@@ -200,12 +200,12 @@ def f(a:i8) -> (y:i8) {
     y:i8 = add(t1, a) @??;
 }
 `)
-	trees := g.Partition()
+	trees := g.partition()
 	if len(trees) != 1 {
 		t.Fatalf("trees = %d", len(trees))
 	}
-	if trees[0].Size() != 3 {
-		t.Errorf("tree size = %d, want 3", trees[0].Size())
+	if treeSize(g, trees[0]) != 3 {
+		t.Errorf("tree size = %d, want 3", treeSize(g, trees[0]))
 	}
 }
 
@@ -217,11 +217,11 @@ def f(a:i8) -> (y:i8, z:i8) {
     z:i8 = mul(t0, a) @??;
 }
 `)
-	trees := g.Partition()
+	trees := g.partition()
 	if len(trees) != 3 {
 		t.Fatalf("trees = %d, want 3 (const + 2 compute)", len(trees))
 	}
-	if err := CheckPartition(g, trees); err != nil {
+	if err := checkPartition(g, trees); err != nil {
 		t.Error(err)
 	}
 }
@@ -235,7 +235,7 @@ def f(a:i8, b:i8) -> (y:i8, t1:i8) {
 }
 `)
 	y := lookup(g, "y")
-	if !g.IsRoot(y) {
+	if !g.isRoot(y) {
 		t.Error("output with one use not a root")
 	}
 }
@@ -250,13 +250,13 @@ def f(a:i8, en:bool) -> (y:i8) {
 	t0 := lookup(g, "t0")
 	y := lookup(g, "y")
 	a := lookup(g, "a")
-	if !t0.IsWire() || t0.IsReg() {
+	if !t0.isWire() || t0.isReg() {
 		t.Error("t0 predicates wrong")
 	}
-	if y.IsWire() || !y.IsReg() {
+	if y.isWire() || !y.isReg() {
 		t.Error("y predicates wrong")
 	}
-	if a.Kind != KindInput || g.IsRoot(a) {
+	if a.Kind != kindInput || g.isRoot(a) {
 		t.Error("input misclassified")
 	}
 }
@@ -296,12 +296,12 @@ func TestPartitionInBodyOrder(t *testing.T) {
 		funcs = append(funcs, f)
 	}
 	for _, f := range funcs {
-		g, err := Build(f)
+		g, err := buildGraph(f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		trees := g.Partition()
-		if err := CheckPartition(g, trees); err != nil {
+		trees := g.partition()
+		if err := checkPartition(g, trees); err != nil {
 			t.Error(err)
 		}
 		for i := 1; i < len(trees); i++ {
@@ -313,48 +313,54 @@ func TestPartitionInBodyOrder(t *testing.T) {
 	}
 }
 
-// TestBuildAllocationBudget: Build allocates a fixed set of slabs per call
+// TestBuildAllocationBudget: buildGraph allocates a fixed set of slabs per call
 // — the symbol table, the sort scratch, the nodes, the pointers to them,
-// the graph — and nothing per node, Partition two slabs and nothing per
+// the graph — and nothing per node, partition two slabs and nothing per
 // tree. The one thing that scales is the runtime's own name map, which adds
 // a table per ~900 names: 1,282 names make it 10 allocations instead of 8.
 func TestBuildAllocationBudget(t *testing.T) {
 	build := func(stages int) (build, partition float64) {
 		f := chain(stages)
-		g, err := Build(f)
+		g, err := buildGraph(f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return testing.AllocsPerRun(20, func() { Build(f) }), testing.AllocsPerRun(20, func() { g.Partition() })
+		return testing.AllocsPerRun(20, func() { buildGraph(f) }), testing.AllocsPerRun(20, func() { g.partition() })
 	}
 	b16, p16 := build(16)
 	b64, p64 := build(64)
 	b256, p256 := build(256)
 	if b16 != b64 || b256 > 10 {
-		t.Errorf("Build: %v, %v, %v allocations for 16, 64, 256 stages; want the first two equal and the last at most 10", b16, b64, b256)
+		t.Errorf("buildGraph: %v, %v, %v allocations for 16, 64, 256 stages; want the first two equal and the last at most 10", b16, b64, b256)
 	}
 	if p16 != 2 || p64 != 2 || p256 != 2 {
-		t.Errorf("Partition: %v, %v, %v allocations; want 2 each", p16, p64, p256)
+		t.Errorf("partition: %v, %v, %v allocations; want 2 each", p16, p64, p256)
 	}
 }
 
-// CheckPartition verifies the partition invariant: every instruction node
-// appears in exactly one tree. It exists for tests and debugging.
-func CheckPartition(g *Graph, trees []*Tree) error {
-	sizes := make([]int, len(trees)+1)
+// checkPartition verifies the partition invariant: every instruction node
+// appears in exactly one tree, and each tree holds its root.
+func checkPartition(g *graph, trees []*tree) error {
 	for _, n := range g.Nodes {
-		if n.Kind != KindInstr {
-			continue
+		if n.Kind == kindInstr && (n.tree < 1 || int(n.tree) > len(trees)) {
+			return fmt.Errorf("node %s missing from partition", n.Name)
 		}
-		if n.tree < 1 || int(n.tree) > len(trees) {
-			return fmt.Errorf("dfg: node %s missing from partition", n.Name)
-		}
-		sizes[n.tree]++
 	}
 	for _, t := range trees {
-		if t.Root.tree != t.id || sizes[t.id] != t.size {
-			return fmt.Errorf("dfg: tree at %s holds %d nodes, claims %d", t.Root.Name, sizes[t.id], t.size)
+		if t.Root.tree != t.id {
+			return fmt.Errorf("tree at %s does not hold its root", t.Root.Name)
 		}
 	}
 	return nil
+}
+
+// treeSize counts the instruction nodes of t.
+func treeSize(g *graph, t *tree) int {
+	n := 0
+	for _, v := range g.Nodes {
+		if v.Kind == kindInstr && t.contains(v) {
+			n++
+		}
+	}
+	return n
 }

@@ -4,7 +4,7 @@
 // Aho–Ganapathi, applied to the hardware domain.
 //
 // Target definitions become tree patterns; the selector partitions the
-// program's dataflow graph into trees (package dfg), computes an optimal
+// program's dataflow graph into trees (dfg.go), computes an optimal
 // cover for each tree bottom-up, and emits one assembly instruction per
 // chosen pattern. Resource annotations (@lut/@dsp) are hard constraints:
 // an instruction that cannot be covered on its requested resource is a
@@ -129,7 +129,6 @@ func CompilePattern(def *tdl.Def) (*Pattern, error) {
 type Library struct {
 	Target *tdl.Target
 	byOp   map[ir.Op][]*Pattern
-	count  int
 }
 
 // NewLibrary compiles every definition of the target.
@@ -141,13 +140,9 @@ func NewLibrary(target *tdl.Target) (*Library, error) {
 			return nil, err
 		}
 		lib.byOp[p.Root.Op] = append(lib.byOp[p.Root.Op], p)
-		lib.count++
 	}
 	return lib, nil
 }
 
 // Candidates returns the patterns whose root operation is op.
 func (lib *Library) Candidates(op ir.Op) []*Pattern { return lib.byOp[op] }
-
-// Len returns the number of compiled patterns.
-func (lib *Library) Len() int { return lib.count }

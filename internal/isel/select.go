@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"reticle/internal/asm"
-	"reticle/internal/dfg"
 	"reticle/internal/ir"
 	"reticle/internal/tdl"
 )
@@ -36,7 +35,7 @@ func SelectWithLibrary(f *ir.Func, lib *Library, opts Options) (*asm.Func, error
 	if opts.Cost == nil {
 		opts.Cost = AreaCost
 	}
-	g, err := dfg.Build(f)
+	g, err := buildGraph(f)
 	if err != nil {
 		return nil, err
 	}
@@ -46,11 +45,11 @@ func SelectWithLibrary(f *ir.Func, lib *Library, opts Options) (*asm.Func, error
 		Outputs: append([]ir.Port(nil), f.Outputs...),
 		Body:    make([]asm.Instr, 0, len(f.Body)),
 	}
-	// Partition emits trees in ascending root body order: readable, stable
+	// partition emits trees in ascending root body order: readable, stable
 	// output without sorting.
 	s := newSelector(lib, opts, len(g.Nodes))
-	for _, tree := range g.Partition() {
-		if out.Body, err = s.selectTree(tree, out.Body); err != nil {
+	for _, t := range g.partition() {
+		if out.Body, err = s.selectTree(t, out.Body); err != nil {
 			return nil, fmt.Errorf("isel: function %s: %w", f.Name, err)
 		}
 	}
@@ -70,10 +69,10 @@ type selector struct {
 	opts   Options
 	covers map[string]*cover // shape signature -> solved cover
 
-	local    []int32     // node ID -> local index + 1; 0 outside the walk
-	nodes    []*dfg.Node // local index -> node
-	interior []bool      // local index -> in the tree and not its root
-	emitted  []bool      // local index -> already emitted
+	local    []int32 // node ID -> local index + 1; 0 outside the walk
+	nodes    []*node // local index -> node
+	interior []bool  // local index -> in the tree and not its root
+	emitted  []bool  // local index -> already emitted
 	sig      []byte
 	cov      *cover // the cover being solved
 }
@@ -118,7 +117,7 @@ const (
 // selectTree appends the tree's instructions to out: it walks the tree,
 // solves its shape unless an earlier tree of this call had the same one,
 // and replays the cover over the tree's own nodes.
-func (s *selector) selectTree(t *dfg.Tree, out []asm.Instr) ([]asm.Instr, error) {
+func (s *selector) selectTree(t *tree, out []asm.Instr) ([]asm.Instr, error) {
 	for _, n := range s.nodes {
 		s.local[n.ID] = 0 // the previous tree's
 	}
@@ -142,14 +141,14 @@ func (s *selector) selectTree(t *dfg.Tree, out []asm.Instr) ([]asm.Instr, error)
 // outside the tree is a leaf to every pattern (its type and identity are
 // all that is read); a stateful node's init values are captured at emit,
 // not matched, so only their count is part of the shape.
-func (s *selector) walk(t *dfg.Tree, n *dfg.Node) {
+func (s *selector) walk(t *tree, n *node) {
 	if li := s.local[n.ID]; li != 0 {
 		s.sig = binary.AppendUvarint(append(s.sig, sigRef), uint64(li-1))
 		return
 	}
 	s.nodes = append(s.nodes, n)
 	s.local[n.ID] = int32(len(s.nodes))
-	inTree := t.Contains(n)
+	inTree := t.contains(n)
 	s.interior = append(s.interior, inTree && n != t.Root)
 	typ := [...]byte{byte(n.Type.Kind()), byte(n.Type.Width()), byte(n.Type.Lanes()), byte(n.Type.Lanes() >> 8)}
 	if !inTree {
@@ -184,7 +183,7 @@ func (s *selector) cover(li int32) error {
 
 	// Default cover for wire nodes: emit the wire instruction itself,
 	// at zero cost, paying only for in-tree children.
-	if n.IsWire() {
+	if n.isWire() {
 		cost := int64(0)
 		ok := true
 		for _, a := range n.Args {
@@ -222,7 +221,7 @@ func (s *selector) cover(li int32) error {
 		}
 	}
 
-	if best.cost >= infCost && !n.IsWire() {
+	if best.cost >= infCost && !n.isWire() {
 		res := n.Instr.Res
 		return fmt.Errorf("no %s pattern covers %s (%s of type %s); "+
 			"the target does not support this operation at this type",
@@ -279,7 +278,7 @@ func (s *selector) match(pat *Pattern, at int32) (choice, bool, error) {
 // pattern nodes may only consume it (the tree root reached again through
 // register feedback) or nodes interior to this tree: their values are
 // fused away and must not be needed elsewhere.
-func (s *selector) matchNode(p *PNode, n *dfg.Node, at int32, pat *Pattern, bind []int32) bool {
+func (s *selector) matchNode(p *PNode, n *node, at int32, pat *Pattern, bind []int32) bool {
 	li := s.local[n.ID] - 1
 	if p.Leaf != "" {
 		if n.Type != p.Type {
@@ -291,7 +290,7 @@ func (s *selector) matchNode(p *PNode, n *dfg.Node, at int32, pat *Pattern, bind
 		bind[p.input] = li
 		return true
 	}
-	if n.Kind != dfg.KindInstr {
+	if n.Kind != kindInstr {
 		return false
 	}
 	if li != at && !s.interior[li] {

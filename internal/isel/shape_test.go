@@ -10,7 +10,6 @@ import (
 
 	"reticle/internal/asm"
 	"reticle/internal/bench"
-	"reticle/internal/dfg"
 	"reticle/internal/ir"
 	"reticle/internal/irgen"
 	"reticle/internal/target/agilex"
@@ -19,13 +18,13 @@ import (
 )
 
 // sortedTrees partitions f the way SelectWithLibrary does.
-func sortedTrees(t testing.TB, f *ir.Func) (*dfg.Graph, []*dfg.Tree) {
+func sortedTrees(t testing.TB, f *ir.Func) (*graph, []*tree) {
 	t.Helper()
-	g, err := dfg.Build(f)
+	g, err := buildGraph(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g, g.Partition()
+	return g, g.partition()
 }
 
 // selectShared selects every tree of f through one selector, as

@@ -1,6 +1,11 @@
 package server
 
-import "reticle/internal/pipeline"
+import (
+	"net"
+	"net/http"
+
+	"reticle/internal/pipeline"
+)
 
 // ArtifactJSONOf is what render marshals into the served artifact bytes,
 // for the equal-key property.
@@ -16,3 +21,15 @@ const NumCounters = numCounters
 
 // CounterKey is counter c's log key.
 func CounterKey(c Counter) string { return counterKeys[c] }
+
+// Start listens on addr (":0" picks a free port) and serves in the
+// background. The bound address is returned so callers can dial it.
+func (s *Server) Start(addr string) (net.Addr, error) {
+	l, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	s.hs = &http.Server{Handler: s}
+	go s.hs.Serve(l)
+	return l.Addr(), nil
+}

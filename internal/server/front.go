@@ -103,22 +103,22 @@ func OpenDiskTier(dir string, maxBytes int64) (DiskTier, error) {
 // Disk exposes the persistent cache (nil when disabled).
 func (t DiskTier) Disk() *cache.Disk { return t.disk }
 
-// ScrubDisk runs one integrity walk over the disk cache at the given I/O
-// rate (<=0 means cache.DefaultScrubBytesPerSec), quarantining corrupt
-// entries exactly as a corrupt Get would. It reports ok=false without
-// walking when no disk tier is configured.
-func (t DiskTier) ScrubDisk(ctx context.Context, bytesPerSec int64) (cache.ScrubReport, bool, error) {
+// ScrubDisk runs one integrity walk over the disk cache at the scrub's
+// fixed I/O rate, quarantining corrupt entries exactly as a corrupt Get
+// would. It reports ok=false without walking when no disk tier is
+// configured.
+func (t DiskTier) ScrubDisk(ctx context.Context) (cache.ScrubReport, bool, error) {
 	if t.disk == nil {
 		return cache.ScrubReport{}, false, nil
 	}
-	rep, err := t.disk.Scrub(ctx, bytesPerSec)
+	rep, err := t.disk.Scrub(ctx)
 	return rep, true, err
 }
 
 // HandleScrub is POST /scrub: a synchronous integrity walk, 404 when no
 // disk tier is configured, otherwise the walk's report.
 func (t DiskTier) HandleScrub(w http.ResponseWriter, r *http.Request) {
-	rep, ok, err := t.ScrubDisk(r.Context(), 0)
+	rep, ok, err := t.ScrubDisk(r.Context())
 	if !ok {
 		WriteError(w, http.StatusNotFound, "no disk cache configured")
 		return

@@ -25,7 +25,6 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -280,18 +279,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	t := Track(w, r, true)
 	s.mux.ServeHTTP(t, r)
 	t.Finish(&s.totals, "serve")
-}
-
-// Start listens on addr (":0" picks a free port) and serves in the
-// background. The bound address is returned so callers can dial it.
-func (s *Server) Start(addr string) (net.Addr, error) {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	s.hs = &http.Server{Handler: s}
-	go s.hs.Serve(l)
-	return l.Addr(), nil
 }
 
 // ListenAndServe serves on addr until Shutdown; it blocks like

@@ -36,7 +36,6 @@ import (
 	"strconv"
 	"time"
 
-	"reticle/internal/breaker"
 	"reticle/internal/cache"
 	"reticle/internal/rerr"
 	"reticle/internal/server"
@@ -143,7 +142,7 @@ func (rt *Router) proxyKernel(ctx context.Context, acct *server.Account, id stri
 			if b.alive.Load() != alive {
 				return false, false
 			}
-			return b.br.AllowDetail()
+			return b.br.allow()
 		}
 	}
 	passes := [...]func(*backend) (allowed, probe bool){
@@ -211,7 +210,7 @@ func (w *proxyWalk) attempt(bi int, probe bool) (proxyOutcome, bool) {
 	w.attempts++
 	if probe {
 		if ferr := FaultBreakerProbe.Fire(w.ctx); ferr != nil {
-			rt.backends[bi].br.Record(false)
+			rt.backends[bi].br.record(false)
 			w.lastErr = ferr
 			return proxyOutcome{}, false
 		}
@@ -245,7 +244,7 @@ func (w *proxyWalk) hedgeTarget(primary int) int {
 			continue
 		}
 		b := w.rt.backends[bi]
-		if b.alive.Load() && b.br.State() == breaker.Closed {
+		if b.alive.Load() && b.br.stats().State == breakerClosed {
 			return bi
 		}
 	}
@@ -326,7 +325,7 @@ func (w *proxyWalk) classify(res attemptResult) (proxyOutcome, bool) {
 			w.lastErr = res.err
 			return proxyOutcome{}, false
 		}
-		b.br.Record(false)
+		b.br.record(false)
 		b.alive.Store(false)
 		w.lastErr = res.err
 		return proxyOutcome{}, false
@@ -343,7 +342,7 @@ func (w *proxyWalk) classify(res attemptResult) (proxyOutcome, bool) {
 	}
 	if res.status == http.StatusBadGateway || res.status == http.StatusServiceUnavailable ||
 		res.status == http.StatusGatewayTimeout {
-		b.br.Record(false)
+		b.br.record(false)
 		w.lastErr = fmt.Errorf("backend %s answered %d", b.url, res.status)
 		return proxyOutcome{}, false
 	}
@@ -351,7 +350,7 @@ func (w *proxyWalk) classify(res attemptResult) (proxyOutcome, bool) {
 	// a 429, which is the admission controller doing its job, not a
 	// failure; re-hashing or breaker-tripping on sheds would amplify
 	// load on an overloaded ring.
-	b.br.Record(true)
+	b.br.record(true)
 	b.alive.Store(true)
 	w.acct.N[server.Proxied]++
 	if res.status == http.StatusTooManyRequests {

@@ -19,8 +19,8 @@ import (
 	"strconv"
 )
 
-// DefaultReplicas is the virtual-node count per backend when Options
-// leaves it zero: enough points that key ownership splits evenly (a few
+// DefaultReplicas is the virtual-node count per backend on the router's
+// ring: enough points that key ownership splits evenly (a few
 // percent skew) without making ring construction noticeable.
 const DefaultReplicas = 64
 

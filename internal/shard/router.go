@@ -4,13 +4,11 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"reticle/internal/breaker"
 	"reticle/internal/cache"
 	"reticle/internal/faults"
 	"reticle/internal/pipeline"
@@ -45,9 +43,6 @@ type Options struct {
 	// positions, so keeping the list order stable across restarts keeps
 	// every backend's key slice (and its warm LRU) stable too.
 	Backends []string
-	// Replicas is the virtual-node count per backend on the ring; <=0
-	// means DefaultReplicas.
-	Replicas int
 	// MaxBodyBytes bounds request bodies; <=0 means 1 MiB.
 	MaxBodyBytes int64
 	// DefaultFamily names the config assumed when a request omits
@@ -84,10 +79,6 @@ type Options struct {
 	// budget caps hedges at ~10% of proxy calls so hedging cannot amplify
 	// an overload (DESIGN.md §14).
 	HedgeAfter time.Duration
-	// Breaker configures the per-backend circuit breakers; the zero value
-	// means the breaker package defaults. Tests inject Breaker.Now for
-	// deterministic trip/recover cycles.
-	Breaker breaker.Options
 }
 
 // backend is one reticle-serve peer with liveness state. alive flips
@@ -100,7 +91,7 @@ type Options struct {
 type backend struct {
 	url   string
 	alive atomic.Bool
-	br    *breaker.Breaker
+	br    *breaker
 }
 
 // Router is the shard tier front end. It implements http.Handler with
@@ -144,7 +135,7 @@ func New(opts Options, configs map[string]*pipeline.Config) (*Router, error) {
 	}
 	rt := &Router{
 		opts:       opts,
-		ring:       NewRing(len(opts.Backends), opts.Replicas),
+		ring:       NewRing(len(opts.Backends), DefaultReplicas),
 		client:     opts.Client,
 		mux:        http.NewServeMux(),
 		start:      time.Now(),
@@ -162,7 +153,7 @@ func New(opts Options, configs map[string]*pipeline.Config) (*Router, error) {
 		rt.client = &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 16}}
 	}
 	for _, u := range opts.Backends {
-		b := &backend{url: u, br: breaker.New(opts.Breaker)}
+		b := &backend{url: u, br: newBreaker()}
 		b.alive.Store(true)
 		rt.backends = append(rt.backends, b)
 	}
@@ -183,19 +174,6 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	t := server.Track(w, r, false)
 	rt.mux.ServeHTTP(t, r)
 	t.Finish(&rt.totals, "route")
-}
-
-// Start listens on addr (":0" picks a free port), serves in the
-// background, and launches the active health prober if configured.
-func (rt *Router) Start(addr string) (net.Addr, error) {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	rt.hs = &http.Server{Handler: rt}
-	go rt.hs.Serve(l)
-	rt.StartHealthLoop()
-	return l.Addr(), nil
 }
 
 // ListenAndServe serves on addr until Shutdown, launching the health
@@ -398,7 +376,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	for _, b := range rt.backends {
 		resp.Backends = append(resp.Backends, BackendHealth{
-			URL: b.url, Alive: b.alive.Load(), Breaker: b.br.State().String(),
+			URL: b.url, Alive: b.alive.Load(), Breaker: b.br.stats().State.String(),
 		})
 	}
 	server.WriteJSON(w, http.StatusOK, resp)

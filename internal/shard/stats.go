@@ -168,7 +168,7 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Backends = batch.FanOut(r.Context(), n, n, func(i int) BackendStats {
 		b := rt.backends[i]
 		out := rt.pollBackendStats(r.Context(), b)
-		bs := b.br.Stats()
+		bs := b.br.stats()
 		out.Breaker = &BreakerStatsJSON{
 			State: bs.State.String(), Trips: bs.Trips, Recoveries: bs.Recoveries,
 		}

@@ -2,6 +2,7 @@ package shard_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -16,10 +17,10 @@ import (
 	"time"
 
 	"reticle"
-	"reticle/internal/breaker"
 	"reticle/internal/faults"
 	"reticle/internal/rerr"
 	"reticle/internal/server"
+	"reticle/internal/shard"
 )
 
 // stub is a scriptable fake backend: its handler can be swapped live,
@@ -35,10 +36,16 @@ func newStub(t testing.TB, h http.HandlerFunc) *stub {
 	s := &stub{}
 	s.handler.Store(&h)
 	s.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		// The router's /stats aggregation polls backends with GETs; answer
-		// those immediately and uncounted so a wedged stub never stalls a
-		// stats call and hit counts only see proxied compile traffic.
+		// The router's health probes and /stats aggregation poll backends
+		// with GETs; answer those immediately and uncounted so a wedged
+		// stub never stalls a stats call and hit counts only see proxied
+		// compile traffic. A stub is always healthy to a probe: whatever
+		// its compiles do, it is up.
 		if r.Method == http.MethodGet {
+			if r.URL.Path == "/healthz" {
+				w.WriteHeader(http.StatusOK)
+				return
+			}
 			writeStubError(w, http.StatusNotFound, "stub")
 			return
 		}
@@ -158,9 +165,18 @@ func routerStats(t testing.TB, rt http.Handler) (out struct {
 // the given base URL.
 func breakerStateOf(t testing.TB, rt http.Handler, url string) string {
 	t.Helper()
+	state, _ := healthOf(t, rt, url)
+	return state
+}
+
+// healthOf reads one backend's breaker state and liveness mark off the
+// router's /healthz.
+func healthOf(t testing.TB, rt http.Handler, url string) (breaker string, alive bool) {
+	t.Helper()
 	var hr struct {
 		Backends []struct {
 			URL     string `json:"url"`
+			Alive   bool   `json:"alive"`
 			Breaker string `json:"breaker"`
 		} `json:"backends"`
 	}
@@ -169,11 +185,11 @@ func breakerStateOf(t testing.TB, rt http.Handler, url string) string {
 	}
 	for _, b := range hr.Backends {
 		if b.URL == url {
-			return b.Breaker
+			return b.Breaker, b.Alive
 		}
 	}
 	t.Fatalf("backend %s not in /healthz", url)
-	return ""
+	return "", false
 }
 
 // TestHedgeWinsOverSlowPrimary: with hedging configured and the primary
@@ -261,16 +277,8 @@ func TestBreakerFlap(t *testing.T) {
 	clock := newFakeClock()
 	a := newStub(t, nil)
 	b := newStub(t, nil)
-	rt := newRouter(t, reticle.ShardOptions{
-		Backends: []string{a.srv.URL, b.srv.URL},
-		Breaker: breaker.Options{
-			Window:      8,
-			MinSamples:  2,
-			FailureRate: 0.5,
-			OpenFor:     time.Minute,
-			Now:         clock.now,
-		},
-	})
+	rt := newRouter(t, reticle.ShardOptions{Backends: []string{a.srv.URL, b.srv.URL}})
+	shard.SetBreakerClock(rt, clock.now)
 	primary, secondary := primaryOf(t, rt, a, b)
 	secondary.set(cannedOK("steady"))
 
@@ -306,7 +314,7 @@ func TestBreakerFlap(t *testing.T) {
 	// request is the half-open probe, it succeeds, and the breaker
 	// closes — a recovery, not a config change.
 	primary.set(cannedOK("healed"))
-	clock.advance(time.Minute + time.Second)
+	clock.advance(shard.BreakerOpenFor)
 	var resp rawCompileWire
 	if code := post(t, rt, "/compile", server.CompileRequest{IR: maccSrc}, &resp); code != http.StatusOK {
 		t.Fatalf("probe round: status %d", code)
@@ -336,16 +344,8 @@ func TestBreakerProbeFaultReopens(t *testing.T) {
 	clock := newFakeClock()
 	a := newStub(t, nil)
 	b := newStub(t, nil)
-	rt := newRouter(t, reticle.ShardOptions{
-		Backends: []string{a.srv.URL, b.srv.URL},
-		Breaker: breaker.Options{
-			Window:      8,
-			MinSamples:  2,
-			FailureRate: 0.5,
-			OpenFor:     time.Minute,
-			Now:         clock.now,
-		},
-	})
+	rt := newRouter(t, reticle.ShardOptions{Backends: []string{a.srv.URL, b.srv.URL}})
+	shard.SetBreakerClock(rt, clock.now)
 	primary, secondary := primaryOf(t, rt, a, b)
 	secondary.set(cannedOK("steady"))
 	primary.set(refuse503)
@@ -359,7 +359,7 @@ func TestBreakerProbeFaultReopens(t *testing.T) {
 	}
 
 	primary.set(cannedOK("healed"))
-	clock.advance(time.Minute + time.Second)
+	clock.advance(shard.BreakerOpenFor)
 	plan := faults.NewPlan(map[faults.Point]faults.Injection{
 		"shard/breaker-probe": {Class: rerr.Transient, Times: 1},
 	})
@@ -560,14 +560,10 @@ func deadline504(w http.ResponseWriter, r *http.Request) {
 // always answers the typed 504 makes that deterministic; the second half
 // runs the same budget race end to end across real tiers.
 func TestDeadlinePropagatesToBackend(t *testing.T) {
-	const minSamples = 2
+	const minSamples = shard.BreakerMinSamples
 	a := newStub(t, deadline504)
-	rt := newRouter(t, reticle.ShardOptions{
-		Backends: []string{a.srv.URL},
-		Breaker: breaker.Options{
-			Window: 8, MinSamples: minSamples, FailureRate: 0.5, OpenFor: time.Hour,
-		},
-	})
+	rt := newRouter(t, reticle.ShardOptions{Backends: []string{a.srv.URL}})
+	shard.SetBreakerClock(rt, newFakeClock().now)
 	for i := 0; i < 6; i++ {
 		var er server.ErrorResponse
 		code := post(t, rt, "/compile", server.CompileRequest{IR: maccSrc, TimeoutMS: 5000}, &er)
@@ -624,20 +620,23 @@ func TestDeadlinePropagatesToBackend(t *testing.T) {
 // wedges (would answer after 30s), and breaker + hedge together keep
 // the tier's tail flat — zero 5xx, and p99 far under the wedge time,
 // bounded by the hedge delay and breaker trip rather than the 30s stall.
+// The wedged backend still answers its health probes, so the liveness
+// mark a timeout clears comes back within one probe interval: only the
+// breaker can keep traffic off it.
 func TestWedgedBackendTailLatency(t *testing.T) {
 	a := newStub(t, nil)
 	b := newStub(t, nil)
 	rt := newRouter(t, reticle.ShardOptions{
-		Backends:     []string{a.srv.URL, b.srv.URL},
-		HedgeAfter:   20 * time.Millisecond,
-		ProxyTimeout: 250 * time.Millisecond,
-		Breaker: breaker.Options{
-			Window:      8,
-			MinSamples:  2,
-			FailureRate: 0.5,
-			OpenFor:     time.Hour, // wedged stays benched for the whole test
-		},
+		Backends:       []string{a.srv.URL, b.srv.URL},
+		HedgeAfter:     20 * time.Millisecond,
+		ProxyTimeout:   250 * time.Millisecond,
+		HealthInterval: 10 * time.Millisecond,
 	})
+	// A frozen clock: once tripped, the wedged backend stays benched for
+	// the whole test.
+	shard.SetBreakerClock(rt, newFakeClock().now)
+	rt.StartHealthLoop()
+	t.Cleanup(func() { rt.Shutdown(context.Background()) })
 	victim, healthy := primaryOf(t, rt, a, b)
 	victim.set(wedged)
 	healthy.set(cannedOK("healthy"))
@@ -645,6 +644,17 @@ func TestWedgedBackendTailLatency(t *testing.T) {
 	const n = 40
 	lat := make([]time.Duration, 0, n)
 	for i := 0; i < n; i++ {
+		// Until the victim's breaker opens, let the prober clear the
+		// liveness mark the last timeout set, so every request the ring
+		// sends the victim's way reaches it.
+		for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+			if state, alive := healthOf(t, rt, victim.srv.URL); alive || state != "closed" {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("the prober never re-admitted the wedged backend")
+			}
+		}
 		start := time.Now()
 		code := post(t, rt, "/compile", server.CompileRequest{IR: chainSrc(fmt.Sprintf("wl%d", i), i%7+1)}, nil)
 		lat = append(lat, time.Since(start))

@@ -429,8 +429,8 @@ type (
 	// same endpoints as a Server. cmd/reticle-shard is the standalone
 	// daemon.
 	ShardRouter = shard.Router
-	// ShardOptions configures a ShardRouter (backend URLs, virtual-node
-	// replicas, health-check interval, disk cache).
+	// ShardOptions configures a ShardRouter (backend URLs, proxy
+	// timeout, health-check interval, hedging, disk cache).
 	ShardOptions = shard.Options
 )
 
