@@ -40,12 +40,12 @@ type user struct {
 
 // listPkg is the part of a `go list -json` record the census reads.
 type listPkg struct {
-	ImportPath, ForTest, Export        string
-	Dir                                string
-	Module                             *struct{ Path string }
-	ImportMap                          map[string]string
-	Imports                            []string
-	GoFiles, TestGoFiles, XTestGoFiles []string
+	ImportPath, ForTest, Export string
+	Dir                         string
+	Module                      *struct{ Path string }
+	ImportMap                   map[string]string
+	Imports                     []string
+	GoFiles, TestGoFiles        []string
 }
 
 // goList lists the packages of the module rooted at dir, their test
@@ -53,7 +53,7 @@ type listPkg struct {
 // compiler wrote for it.
 func goList(dir string) ([]*listPkg, error) {
 	cmd := exec.Command("go", "list", "-deps", "-test", "-export",
-		"-json=ImportPath,ForTest,Export,Dir,Module,ImportMap,Imports,GoFiles,TestGoFiles,XTestGoFiles", "./...")
+		"-json=ImportPath,ForTest,Export,Dir,Module,ImportMap,Imports,GoFiles,TestGoFiles", "./...")
 	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr

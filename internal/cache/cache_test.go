@@ -188,7 +188,7 @@ func TestGetOrComputeErrorNotCached(t *testing.T) {
 	}, nil); err != boom || hit {
 		t.Fatalf("got hit=%v err=%v, want the compute error", hit, err)
 	}
-	if c.Len() != 0 {
+	if c.Stats().Entries != 0 {
 		t.Fatal("error was cached")
 	}
 	want := art()
@@ -209,7 +209,7 @@ func TestGetOrComputePanicIsolated(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "panic") {
 		t.Fatalf("err = %v, want panic-derived error", err)
 	}
-	if c.Len() != 0 {
+	if c.Stats().Entries != 0 {
 		t.Fatal("panic result was cached")
 	}
 }
@@ -330,7 +330,7 @@ func TestKeepPredicateNeverPublishes(t *testing.T) {
 	if err != nil || hit || got != degraded {
 		t.Fatalf("leader: got=%p hit=%v err=%v", got, hit, err)
 	}
-	if c.Len() != 0 {
+	if c.Stats().Entries != 0 {
 		t.Fatal("rejected value became resident")
 	}
 	if _, ok := c.Get("k"); ok {
@@ -392,7 +392,7 @@ func TestKeepPredicateCoalesced(t *testing.T) {
 	if got := <-waiterDone; got != degraded {
 		t.Errorf("waiter got %p, want the shared flight value", got)
 	}
-	if c.Len() != 0 {
+	if c.Stats().Entries != 0 {
 		t.Fatal("rejected value resident after flight completed")
 	}
 }

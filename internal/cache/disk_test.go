@@ -123,8 +123,8 @@ func TestDiskCacheCrashRestart(t *testing.T) {
 	// nothing to close — a record is indexed only once its bytes are
 	// written), then reopen.
 	second := mustOpen(t, dir, 1<<20)
-	if second.Len() != len(keys) {
-		t.Fatalf("restart recovered %d entries, want %d", second.Len(), len(keys))
+	if second.Stats().Entries != len(keys) {
+		t.Fatalf("restart recovered %d entries, want %d", second.Stats().Entries, len(keys))
 	}
 	for i, k := range keys {
 		got, ok := second.Get(ctx, k)
@@ -172,8 +172,8 @@ func TestDiskCacheAtomicWrite(t *testing.T) {
 	if _, ok := reopened.Get(ctx, key); ok {
 		t.Fatal("corrupt artifact served as a hit")
 	}
-	if reopened.Len() != 0 {
-		t.Fatalf("corrupt artifact not evicted: %d entries", reopened.Len())
+	if reopened.Stats().Entries != 0 {
+		t.Fatalf("corrupt artifact not evicted: %d entries", reopened.Stats().Entries)
 	}
 	if st := reopened.Stats(); st.ReadErrors != 1 {
 		t.Fatalf("read error not counted: %+v", st)
@@ -412,8 +412,8 @@ func TestDiskLegacyLayoutRemoved(t *testing.T) {
 	if got, ok := reopened.Get(ctx, live); !ok || string(got) != "segment payload" {
 		t.Errorf("live record after the sweep: %q %v", got, ok)
 	}
-	if reopened.Len() != 1 {
-		t.Errorf("%d entries after reopen, want the one live record", reopened.Len())
+	if reopened.Stats().Entries != 1 {
+		t.Errorf("%d entries after reopen, want the one live record", reopened.Stats().Entries)
 	}
 }
 

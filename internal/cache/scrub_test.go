@@ -73,8 +73,8 @@ func TestDiskCacheChecksumBitFlip(t *testing.T) {
 	if _, ok := d.Get(ctx, key); ok {
 		t.Fatal("bit-flipped artifact served as a hit")
 	}
-	if d.Len() != 0 {
-		t.Fatalf("corrupt artifact still indexed: %d entries", d.Len())
+	if d.Stats().Entries != 0 {
+		t.Fatalf("corrupt artifact still indexed: %d entries", d.Stats().Entries)
 	}
 	q := quarantined(t, dir)
 	if len(q) != 1 {

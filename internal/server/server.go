@@ -105,8 +105,8 @@ type Options struct {
 
 // Server serves compile requests over shared read-only pipeline configs,
 // one per family. It implements http.Handler, so tests drive it through
-// httptest directly; Start/Shutdown manage a real listener with graceful
-// drain.
+// httptest directly; ListenAndServe/Shutdown manage a real listener with
+// graceful drain.
 type Server struct {
 	FamilySet // one pipeline config per family, memo stores wired in
 	DiskTier  // the artifact store's persistent level; zero when disabled

@@ -54,8 +54,9 @@ type Options struct {
 	ProxyTimeout time.Duration
 	// HealthInterval is the active /healthz probe period; 0 disables
 	// active probing (passive failure detection still marks backends
-	// down on proxy errors). Start launches the prober; tests that drive
-	// the Router as a bare http.Handler can call StartHealthLoop.
+	// down on proxy errors). ListenAndServe launches the prober; tests
+	// that drive the Router as a bare http.Handler can call
+	// StartHealthLoop.
 	HealthInterval time.Duration
 	// Jobs bounds concurrent per-kernel proxy fan-out for /batch; <=0
 	// means 8.
