@@ -22,7 +22,8 @@ type Symbols struct {
 
 // Resolve is Check and the well-formedness criterion of §6.1 in one pass
 // over one symbol table, which it returns: what a consumer that needs the
-// definition–use edges (package dfg) would otherwise look up all over again.
+// definition–use edges (isel's dataflow graph) would otherwise look up all
+// over again.
 func Resolve(f *Func) (Symbols, error) {
 	syms, err := check(f)
 	if err == nil {
