@@ -183,6 +183,7 @@ func takeCensus(dir string) (*Census, []string, error) {
 		}
 		for _, p := range sources(pkgs, rootMod) {
 			path, _, _ := strings.Cut(p.ImportPath, " ")
+			c.scanned[path] = true // the benchmark module imports the root's
 			internal := root == dir && strings.HasPrefix(path, mod+"/internal/")
 			names, err := c.check(p, path, byID, internal)
 			if err != nil {
@@ -253,16 +254,11 @@ func (c *census) typeCheck(p *listPkg, path string, byID map[string]*listPkg, le
 	if err != nil && !lenient {
 		return nil, nil, nil, fmt.Errorf("type-checking %s: %w", p.ImportPath, err)
 	}
+	// Type expressions are recorded too, so this covers declared and
+	// literal interfaces alike.
 	for _, tv := range info.Types {
 		if it, ok := tv.Type.Underlying().(*types.Interface); ok {
 			c.addIface(it)
-		}
-	}
-	for _, name := range pkg.Scope().Names() {
-		if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok {
-			if it, ok := tn.Type().Underlying().(*types.Interface); ok {
-				c.addIface(it)
-			}
 		}
 	}
 	return files, pkg, info, nil

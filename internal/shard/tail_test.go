@@ -584,7 +584,7 @@ func TestDeadlinePropagatesToBackend(t *testing.T) {
 	// a refusal, still scored. That the breaker trips after exactly
 	// minSamples of them also shows the window above was left untouched,
 	// not merely kept under the failure rate: six recorded successes would
-	// make this 2 failures in 8.
+	// make this 4 failures in 10.
 	for i := 0; i < minSamples; i++ {
 		if code := post(t, rt, "/compile", server.CompileRequest{IR: maccSrc}, nil); code != http.StatusServiceUnavailable {
 			t.Fatalf("typed 504 without a request deadline: status %d, want the 503 outage of a refusing ring", code)
