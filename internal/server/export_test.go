@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"net"
 	"net/http"
 
@@ -33,3 +34,10 @@ func (s *Server) Start(addr string) (net.Addr, error) {
 	go s.hs.Serve(l)
 	return l.Addr(), nil
 }
+
+// SliceKernels is the scan ForwardKernels reads a /batch body's kernels
+// with before it falls back to a decode.
+func SliceKernels(body []byte) ([]json.RawMessage, bool) { return sliceKernels(body) }
+
+// MemoKey is the kernel memo's key.
+func MemoKey(family, src string) string { return string(memoKey(family, src)) }

@@ -1,8 +1,12 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
+	"cmp"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,6 +15,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -28,10 +33,12 @@ import (
 // it uses these rather than keeping copies.
 
 // FamilySet is the configured family → pipeline config table and the
-// default applied when a request names none.
+// default applied when a request names none. A routing tier's also holds
+// the kernel memo (MemoizeKernels).
 type FamilySet struct {
 	configs map[string]*pipeline.Config
 	def     string
+	memo    *cache.Cache[memoEntry] // nil on a backend
 }
 
 // NewFamilySet validates one pipeline config per family name. At least
@@ -56,6 +63,42 @@ func NewFamilySet(configs map[string]*pipeline.Config, def string) (FamilySet, e
 	}
 	return FamilySet{configs: configs, def: def}, nil
 }
+
+// kernelMemoEntries bounds the kernel memo. An entry is three short
+// strings, so the bound costs well under a megabyte.
+const kernelMemoEntries = 4096
+
+// MemoizeKernels gives the front door a kernel memo: a bounded LRU from
+// the SHA-256 of (resolved family, kernel IR text) to the keys a routing
+// tier derives from the parse — the artifact key, the route key and the
+// parsed name — so a kernel it has admitted before is not parsed or
+// hashed again. The memo holds keys, never an artifact, and a family
+// names one config per process, so a hit carries exactly what a fresh
+// parse would derive. A routing tier calls it once, before serving.
+func (fs *FamilySet) MemoizeKernels() { fs.memo = cache.New[memoEntry](kernelMemoEntries) }
+
+// memoEntry is what the kernel memo holds for one (family, IR text).
+type memoEntry struct {
+	key, route cache.Key
+	name       string
+}
+
+// memoKey hashes a kernel's resolved family and IR text. The family is
+// length-prefixed, so no pair of family and text collides with another.
+// Both are copied into a pooled scratch buffer and hashed in one call, so
+// a lookup allocates only the key.
+func memoKey(family, src string) cache.Key {
+	scratch := memoScratch.Get().(*[]byte)
+	b := binary.AppendUvarint((*scratch)[:0], uint64(len(family)))
+	b = append(append(b, family...), src...)
+	sum := sha256.Sum256(b)
+	*scratch = b
+	memoScratch.Put(scratch)
+	return cache.Key(sum[:])
+}
+
+// memoScratch recycles memoKey's buffers.
+var memoScratch = sync.Pool{New: func() any { return new([]byte) }}
 
 // Families lists the configured family names, sorted.
 func (fs FamilySet) Families() []string {
@@ -179,11 +222,15 @@ type Request struct {
 	deadline      time.Time // the X-Reticle-Deadline header; zero when not sent
 }
 
-// Kernel is one kernel of an admitted request.
+// Kernel is one kernel of an admitted request: its IR parsed, and its
+// artifact key (cache.KeyFor). On a routing tier it also carries its
+// route key (pipeline.HintKeyFor), and Func is nil when the kernel memo
+// supplied both keys instead of a parse.
 type Kernel struct {
-	Name string
-	Func *ir.Func
-	Err  error
+	Name       string
+	Func       *ir.Func
+	Key, Route cache.Key
+	Err        error
 }
 
 // refusal is a request the front door turns away untyped: a 400, or the
@@ -310,19 +357,40 @@ func (fs FamilySet) Admit(path string, body []byte, h http.Header, maxBytes int6
 	}
 	q.Kernels = make([]Kernel, len(kernels))
 	for i, k := range kernels {
-		f, err := ir.Parse(k.IR)
-		if err != nil && path != "/batch" {
+		q.Kernels[i] = fs.kernel(q.Family, q.Config, k)
+		if err := q.Kernels[i].Err; err != nil && path != "/batch" {
 			return nil, badRequest("parse: %v", err)
-		}
-		q.Kernels[i] = Kernel{Name: k.Name, Func: f, Err: err}
-		if k.Name == "" && err == nil {
-			q.Kernels[i].Name = f.Name
 		}
 	}
 	if q.deadline, err = headerDeadline(h); err != nil {
 		return nil, err
 	}
 	return q, nil
+}
+
+// kernel parses one kernel and derives its keys, or takes them from the
+// kernel memo when one is kept and holds this exact text under this
+// family. Only a kernel that parsed is memoized.
+func (fs FamilySet) kernel(family string, cfg *pipeline.Config, k BatchKernel) Kernel {
+	var mk cache.Key
+	if fs.memo != nil {
+		mk = memoKey(family, k.IR)
+		if e, ok := fs.memo.Get(mk); ok {
+			return Kernel{Name: cmp.Or(k.Name, e.name), Key: e.key, Route: e.route}
+		}
+	}
+	f, err := ir.Parse(k.IR)
+	if err != nil {
+		return Kernel{Name: k.Name, Err: err}
+	}
+	out := Kernel{Name: cmp.Or(k.Name, f.Name), Func: f, Key: cache.KeyFor(cfg, f)}
+	if fs.memo != nil {
+		out.Route = cache.Key(pipeline.HintKeyFor(cfg, f))
+		// The parsed name is a substring of the IR: cloned, the entry does
+		// not keep the request's text alive.
+		fs.memo.Add(mk, memoEntry{key: out.Key, route: out.Route, name: strings.Clone(f.Name)})
+	}
+	return out
 }
 
 func tooLarge(maxBytes int64) error {
@@ -404,16 +472,20 @@ func (q *Request) Forward() []byte {
 // it, with the family and any timeout_ms appended. A kernel that did not
 // parse (a null one among them) has none.
 func (q *Request) ForwardKernels() [][]byte {
-	var in struct {
-		Kernels []json.RawMessage `json:"kernels"`
+	kernels, ok := sliceKernels(q.body)
+	if !ok {
+		var in struct {
+			Kernels []json.RawMessage `json:"kernels"`
+		}
+		json.Unmarshal(q.body, &in) // admitted: it decodes
+		kernels = in.Kernels
 	}
-	json.Unmarshal(q.body, &in) // admitted: it decodes
 	members := familyMember(q.Family)
 	if q.Timeout > 0 {
 		members += `,"timeout_ms":` + strconv.FormatInt(q.Timeout.Milliseconds(), 10)
 	}
-	out := make([][]byte, len(in.Kernels))
-	for i, k := range in.Kernels {
+	out := make([][]byte, len(kernels))
+	for i, k := range kernels {
 		if q.Kernels[i].Err == nil {
 			out[i] = appendMembers(k, members)
 		}
@@ -446,11 +518,16 @@ func WriteJSON(w http.ResponseWriter, code int, v any) {
 // WriteFrame writes body, a complete JSON document assembled by its
 // caller, as the whole response: its length announced, one Write.
 func WriteFrame(w http.ResponseWriter, code int, body []byte) {
+	frameHeader(w, code, len(body))
+	w.Write(body)
+}
+
+// frameHeader announces a frame of n bytes and writes the status line.
+func frameHeader(w http.ResponseWriter, code, n int) {
 	h := w.Header()
 	h["Content-Type"] = jsonContentType
-	h.Set("Content-Length", strconv.Itoa(len(body)))
+	h.Set("Content-Length", strconv.Itoa(n))
 	w.WriteHeader(code)
-	w.Write(body)
 }
 
 // jsonContentType is the one value every frame's Content-Type carries;
@@ -548,7 +625,7 @@ func PlanBatch(w http.ResponseWriter, r *http.Request, fs FamilySet, maxBodyByte
 			res.Error, res.ErrorCode = fmt.Sprintf("parse: %v", k.Err), "parse_failed"
 			continue
 		}
-		key := cache.KeyFor(q.Config, k.Func)
+		key := k.Key
 		if raw, ok := lookup(r.Context(), key); ok {
 			res.OK, res.Cache, res.Artifact = true, "hit", raw
 			continue
@@ -572,13 +649,24 @@ func PlanBatch(w http.ResponseWriter, r *http.Request, fs FamilySet, maxBodyByte
 // and trailing fields: large sweeps stream at the pace of the workers
 // instead of buffering in server memory. Buffered is the splice of that
 // stream — {header,"array":[line1,...,lineN],trailing} — written once at
-// Close, so the two framings cannot drift apart.
+// Close, so the two framings cannot drift apart. A buffered frame holds
+// each /batch result's artifact by reference, not as a copy: the bytes
+// it was handed (a resident artifact, or a slice of a relayed backend
+// answer) must stay as they are until Close or Fail returns.
 type Frame struct {
 	w      http.ResponseWriter
 	stream bool
 	head   []byte  // the header fields, each after a comma
 	buf    *[]byte // pooled: the line in hand when streaming, the body so far when buffered
 	items  int
+	refs   []frameRef // buffered: the artifacts, in order, each spliced in at its offset of buf
+}
+
+// frameRef is an artifact a buffered frame writes in place, in front of
+// byte at of the frame's own bytes.
+type frameRef struct {
+	at       int
+	artifact []byte
 }
 
 // NewFrame starts a response whose array is named array and whose header
@@ -617,6 +705,12 @@ func (f *Frame) Item(item interface{ AppendJSON([]byte) []byte }) error {
 		*f.buf = append(*f.buf, ',')
 	}
 	f.items++
+	if r, ok := item.(*BatchKernelResultWire); ok && len(r.Artifact) > 0 {
+		*f.buf = r.appendHead(*f.buf)
+		f.refs = append(f.refs, frameRef{len(*f.buf), r.Artifact})
+		*f.buf = append(*f.buf, '}')
+		return nil
+	}
 	*f.buf = item.AppendJSON(*f.buf)
 	return nil
 }
@@ -632,16 +726,40 @@ func (f *Frame) line(b []byte) error {
 }
 
 // Close emits the trailing fields, the name/value pairs tail, known only
-// once every item has been; for the buffered framing it writes the body.
+// once every item has been; for the buffered framing it writes the body:
+// its own bytes with each artifact in place between them, under one
+// announced length.
 func (f *Frame) Close(tail ...any) {
 	if f.stream {
 		f.line(append(appendFields(append(append((*f.buf)[:0], '{'), f.head[1:]...), tail), '}'))
 	} else {
 		*f.buf = append(appendFields(append(*f.buf, ']'), tail), "}\n"...)
-		WriteFrame(f.w, http.StatusOK, *f.buf)
+		n := len(*f.buf)
+		for _, r := range f.refs {
+			n += len(r.artifact)
+		}
+		frameHeader(f.w, http.StatusOK, n)
+		bw := spliceWriters.Get().(*bufio.Writer)
+		bw.Reset(f.w)
+		at := 0
+		for _, r := range f.refs {
+			bw.Write((*f.buf)[at:r.at])
+			bw.Write(r.artifact)
+			at = r.at
+		}
+		bw.Write((*f.buf)[at:])
+		bw.Flush()
+		bw.Reset(nil)
+		spliceWriters.Put(bw)
 	}
 	framePool.Put(f.buf)
 }
+
+// spliceWriters recycles the fixed-size write buffers a buffered frame's
+// body leaves through. Written one slice at a time, each artifact cost the
+// socket two writes of its own; through one 64 KiB buffer, the body goes
+// out in a few large writes, and the buffer is never grown.
+var spliceWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 64<<10) }}
 
 // Fail ends a response whose trailing fields cannot be known. Buffered,
 // nothing has gone out: the held bytes are dropped and err is the typed

@@ -2,12 +2,14 @@ package server_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,10 +18,12 @@ import (
 )
 
 // goneAfterFirstLine is a client that takes the status line and one NDJSON
-// line and then disappears: every later Write fails.
+// line and then disappears: every later Write fails, and the request's
+// context ends, as a server's does when its client hangs up.
 type goneAfterFirstLine struct {
 	header http.Header
 	writes int
+	hangUp context.CancelFunc
 }
 
 func (g *goneAfterFirstLine) Header() http.Header { return g.header }
@@ -29,6 +33,7 @@ func (g *goneAfterFirstLine) Write(p []byte) (int, error) {
 	if g.writes++; g.writes > 1 {
 		return 0, errors.New("client gone")
 	}
+	g.hangUp()
 	return len(p), nil
 }
 
@@ -46,7 +51,9 @@ func settledGoroutines(limit int) int {
 // TestStreamClientGoneLeavesNoGoroutine: a streaming handler whose client
 // vanishes after the first line cancels its fan-out and waits it out, so
 // when the handler returns no worker of the request is left — on /batch
-// (one worker, twenty cold kernels still queued) and on /explore.
+// (one worker, twenty cold kernels still queued) and on /explore. Every
+// compile after the first is held until the client is gone, so the
+// handler cannot finish the fan-out before it notices.
 func TestStreamClientGoneLeavesNoGoroutine(t *testing.T) {
 	kernels := make([]server.BatchKernel, 20)
 	for i := range kernels {
@@ -64,9 +71,18 @@ func TestStreamClientGoneLeavesNoGoroutine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		ctx, hangUp := context.WithCancel(context.Background())
+		var started atomic.Int32
+		server.SetOnCompileStart(func() {
+			if started.Add(1) > 1 {
+				<-ctx.Done()
+			}
+		})
 		base := runtime.NumGoroutine()
-		w := &goneAfterFirstLine{header: http.Header{}}
-		s.ServeHTTP(w, httptest.NewRequest("POST", rq.path, bytes.NewReader(data)))
+		w := &goneAfterFirstLine{header: http.Header{}, hangUp: hangUp}
+		s.ServeHTTP(w, httptest.NewRequest("POST", rq.path, bytes.NewReader(data)).WithContext(ctx))
+		server.SetOnCompileStart(nil)
+		hangUp()
 		if w.writes < 2 {
 			t.Fatalf("%s: handler wrote %d times, want it to run into the dropped client", rq.path, w.writes)
 		}

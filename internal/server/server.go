@@ -421,7 +421,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	k := q.Kernels[0]
 	// A parsed name is a substring of the decoded IR: cloned, the memo
 	// entry does not keep the whole request alive.
-	te := textEntry{key: cache.KeyFor(q.Config, k.Func), name: strings.Clone(k.Name), family: q.Family}
+	te := textEntry{key: k.Key, name: strings.Clone(k.Name), family: q.Family}
 	s.texts.Add(tk, te)
 	acct.Key = string(te.key)
 	ca, lvl, err := s.compileKernel(ctx, acct, q.Config, te.key, k.Func)

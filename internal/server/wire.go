@@ -12,6 +12,8 @@ import (
 // never pass through encoding/json again. This file is the one place that
 // knows the byte layout of those envelopes: AppendJSON writes it,
 // ParseCompileFrame and decodeSummary read it, and both tiers use them.
+// The same reader slices a /batch request's kernels out of its body
+// (sliceKernels), so a router forwards them without a second decode.
 
 // appendString appends s as a JSON string, byte-identical to json.Marshal.
 // A string of printable ASCII with nothing to escape (every name, family,
@@ -47,6 +49,13 @@ func (r CompileResponseWire) AppendJSON(dst []byte) []byte {
 // AppendJSON appends the result exactly as json.Marshal renders a
 // BatchKernelResult whose artifact, when it has none, is omitted.
 func (r BatchKernelResultWire) AppendJSON(dst []byte) []byte {
+	dst = r.appendHead(dst)
+	return append(append(dst, r.Artifact...), '}')
+}
+
+// appendHead appends the result's rendering up to its artifact: all of it
+// but the artifact's bytes and the closing brace.
+func (r BatchKernelResultWire) appendHead(dst []byte) []byte {
 	dst = appendString(append(dst, `{"name":`...), r.Name)
 	dst = append(dst, `,"ok":`...)
 	if r.OK {
@@ -62,9 +71,9 @@ func (r BatchKernelResultWire) AppendJSON(dst []byte) []byte {
 		}
 	}
 	if len(r.Artifact) > 0 {
-		dst = append(append(dst, `,"artifact":`...), r.Artifact...)
+		dst = append(dst, `,"artifact":`...)
 	}
-	return append(dst, '}')
+	return dst
 }
 
 // AppendJSON appends the variant exactly as json.Marshal renders it: it
@@ -114,6 +123,142 @@ func (f *frameReader) str() []byte {
 	return nil
 }
 
+// space skips whitespace.
+func (f *frameReader) space() {
+	for len(f.b) > 0 && (f.b[0] == ' ' || f.b[0] == '\t' || f.b[0] == '\n' || f.b[0] == '\r') {
+		f.b = f.b[1:]
+	}
+}
+
+// tok consumes c, after whitespace, when it is next.
+func (f *frameReader) tok(c byte) bool {
+	if f.space(); !f.ok || len(f.b) == 0 || f.b[0] != c {
+		return false
+	}
+	f.b = f.b[1:]
+	return true
+}
+
+// value steps over one value, after whitespace, and returns its bytes.
+// Only a well-formed document is read this way: a value is stepped over
+// by its delimiters, not checked.
+func (f *frameReader) value() []byte {
+	f.space()
+	start := f.b
+	switch {
+	case !f.ok || len(f.b) == 0:
+		f.ok = false
+	case f.b[0] == '"':
+		f.str()
+	case f.b[0] == '{' || f.b[0] == '[':
+		for depth := 0; f.ok; {
+			if f.ok = len(f.b) > 0; !f.ok {
+				break
+			}
+			switch f.b[0] {
+			case '"':
+				f.str()
+				continue
+			case '{', '[':
+				depth++
+			case '}', ']':
+				depth--
+			}
+			if f.b = f.b[1:]; depth == 0 {
+				break
+			}
+		}
+	default: // a number, true, false or null: it runs to the next delimiter
+		n := bytes.IndexAny(f.b, ",}] \t\n\r")
+		if n < 0 {
+			n = len(f.b)
+		}
+		f.ok, f.b = n > 0, f.b[n:]
+	}
+	if !f.ok {
+		return nil
+	}
+	return start[:len(start)-len(f.b)]
+}
+
+// sliceKernels returns each element of body's top-level "kernels" array as
+// the bytes json.Unmarshal into []json.RawMessage yields — a slice of body,
+// not a copy — reading body once without decoding it. ok is false, and
+// the caller decodes instead, on any shape this scan does not read
+// plainly: no object, no kernels array, a member name that is escaped or
+// not ASCII (encoding/json matches names by Unicode case folding), a
+// case variant of "kernels" or a second "kernels", or anything but
+// whitespace after the object. Only an admitted body, which decodes, is
+// sliced; on one that does not, the result means nothing.
+func sliceKernels(body []byte) (kernels []json.RawMessage, ok bool) {
+	f := frameReader{b: body, ok: true}
+	if !f.tok('{') {
+		return nil, false
+	}
+	found := false
+	for members := 0; !f.tok('}'); members++ {
+		if members > 0 && !f.tok(',') {
+			return nil, false
+		}
+		f.space()
+		name := f.str()
+		if !f.ok || !plainName(name) || !f.tok(':') {
+			return nil, false
+		}
+		switch {
+		case string(name) == "kernels" && !found:
+			found = true
+			if kernels = f.array(); !f.ok {
+				return nil, false
+			}
+		case bytes.EqualFold(name, []byte("kernels")):
+			return nil, false
+		default:
+			if f.value(); !f.ok {
+				return nil, false
+			}
+		}
+	}
+	f.space()
+	return kernels, found && f.ok && len(f.b) == 0
+}
+
+// plainName reports whether a member name, still escaped, holds no escape
+// and no byte outside ASCII, so it can be compared as bytes.
+func plainName(name []byte) bool {
+	for _, c := range name {
+		if c == '\\' || c >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
+}
+
+// array steps over one array, after whitespace, and returns its elements'
+// bytes.
+func (f *frameReader) array() []json.RawMessage {
+	if f.ok = f.tok('['); !f.ok {
+		return nil
+	}
+	elems := []json.RawMessage{}
+	if f.tok(']') {
+		return elems
+	}
+	for {
+		v := f.value()
+		if !f.ok {
+			return nil
+		}
+		elems = append(elems, v)
+		if f.tok(']') {
+			return elems
+		}
+		if f.ok = f.tok(','); !f.ok {
+			return nil
+		}
+	}
+}
+
 // decodeSummary reads the fixed-size fields off the tail of a rendered
 // artifact: the three program texts in front of them are stepped over, not
 // scanned, and only the short remainder is decoded.
@@ -142,11 +287,13 @@ func ArtifactDegraded(artifact []byte) bool {
 }
 
 // ParseCompileFrame is the inverse of CompileResponseWire.AppendJSON for
-// the two fields a relaying tier reads out of a /compile 200: the cache
-// mark, and the artifact as a slice of body. A body in another layout (a
-// backend of another version) is decoded in full instead and its artifact
-// rendered afresh; ok is false when that fails too.
-func ParseCompileFrame(body []byte) (cache string, artifact []byte, ok bool) {
+// the fields a relaying tier reads out of a /compile 200: the cache mark,
+// the artifact as a slice of body, and the artifact's degraded mark, read
+// on the walk that checks the artifact's layout, so the relay need not
+// walk it again. A body in another layout (a backend of another version)
+// is decoded in full instead and its artifact rendered afresh; ok is false
+// when that fails too.
+func ParseCompileFrame(body []byte) (cache string, artifact []byte, degraded, ok bool) {
 	f := frameReader{b: bytes.TrimSuffix(body, []byte("\n")), ok: true}
 	f.lit(`{"name":`)
 	f.str()
@@ -159,15 +306,15 @@ func ParseCompileFrame(body []byte) (cache string, artifact []byte, ok bool) {
 	f.lit(`,"artifact":`)
 	if f.ok && len(f.b) > 0 && f.b[len(f.b)-1] == '}' && bytes.IndexByte(mark, '\\') < 0 && utf8.Valid(mark) {
 		artifact = f.b[:len(f.b)-1]
-		if _, ok := decodeSummary(artifact); ok {
-			return string(mark), artifact, true
+		if sum, ok := decodeSummary(artifact); ok {
+			return string(mark), artifact, sum.Degraded, true
 		}
 	}
 	var resp CompileResponse
 	if json.Unmarshal(body, &resp) != nil {
-		return "", nil, false
+		return "", nil, false, false
 	}
 	// ArtifactJSON is strings and numbers; Marshal cannot fail.
 	artifact, _ = json.Marshal(resp.Artifact)
-	return resp.Cache, artifact, true
+	return resp.Cache, artifact, resp.Artifact.Degraded, true
 }

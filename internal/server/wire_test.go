@@ -129,7 +129,7 @@ func FuzzParseCompileFrame(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		mark, artifact, ok := server.ParseCompileFrame(body)
+		mark, artifact, degraded, ok := server.ParseCompileFrame(body)
 		var want server.CompileResponse
 		if err := json.Unmarshal(body, &want); err != nil {
 			return // the splitter may be laxer about bytes it never reads
@@ -145,8 +145,9 @@ func FuzzParseCompileFrame(f *testing.F) {
 			t.Fatalf("split disagrees with the full decode\n body %q\n cache %q vs %q\n artifact %+v\n      vs  %+v",
 				body, mark, want.Cache, got, want.Artifact)
 		}
-		if server.ArtifactDegraded(artifact) != want.Artifact.Degraded {
-			t.Fatalf("degraded mark read as %v: %q", !want.Artifact.Degraded, artifact)
+		if degraded != want.Artifact.Degraded || server.ArtifactDegraded(artifact) != want.Artifact.Degraded {
+			t.Fatalf("degraded mark read as %v (frame) and %v (artifact), want %v: %q",
+				degraded, server.ArtifactDegraded(artifact), want.Artifact.Degraded, artifact)
 		}
 	})
 }
@@ -179,7 +180,7 @@ def wide(a:i32, b:i32) -> (y:i32) {
 }`}
 	body, _ := json.Marshal(req)
 	prime := compileBody(t, s, req)
-	_, artifact, ok := server.ParseCompileFrame(prime)
+	_, artifact, _, ok := server.ParseCompileFrame(prime)
 	if !ok {
 		t.Fatalf("prime: not a compile frame: %s", prime)
 	}

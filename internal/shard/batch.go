@@ -9,17 +9,19 @@ import (
 	"time"
 
 	"reticle/internal/batch"
-	"reticle/internal/cache"
-	"reticle/internal/pipeline"
 	"reticle/internal/rerr"
 	"reticle/internal/server"
 )
 
 // routed is one deduped kernel's shared outcome: every kernel of the
-// request carrying its key copies res, keeping its own name.
+// request carrying its key copies res, keeping its own name. An artifact
+// is a slice of the backend's answer, held in out's pooled buffer until
+// the handler has written the batch out.
 type routed struct {
 	res      server.BatchKernelResultWire // Name left empty
 	compiled bool                         // backend answered 200 with cache "miss"
+	degraded bool                         // the artifact carries the degraded mark
+	out      proxyOutcome
 }
 
 // failed is the routed outcome of a kernel that never got an artifact.
@@ -28,7 +30,7 @@ func failed(msg, code string) routed {
 }
 
 // routeMiss proxies one deduped kernel as a /compile of fwd, routed by
-// its structural hint key (see proxyKernel), into the kernel's
+// its structural route key (see proxyKernel), into the kernel's
 // sub-account, its attempts carrying id. Each kernel gets its own
 // deadline from the client's timeout_ms (stamped downstream by the proxy
 // layer), so one wedged kernel cannot silently burn the whole batch's
@@ -36,21 +38,22 @@ func failed(msg, code string) routed {
 func (rt *Router) routeMiss(ctx context.Context, acct *server.Account, plan *server.BatchPlan, m server.BatchMiss, fwd []byte, id string) routed {
 	kctx, cancel := plan.Within(ctx, plan.Options.KernelTimeout)
 	defer cancel()
-	out := rt.proxyKernel(kctx, acct, id, cache.Key(pipeline.HintKeyFor(plan.Config, m.Func)), forward{"/compile", "", fwd})
+	out := rt.proxyKernel(kctx, acct, id, plan.Kernels[m.Index].Route, forward{"/compile", "", fwd})
 	if out.err != nil {
 		return failed(rerr.Message(out.err), rerr.CodeOf(out.err))
 	}
 	if out.status == http.StatusOK {
 		// The artifact is a slice of the backend's own bytes, spliced into
 		// this batch's framing as it stands.
-		mark, artifact, ok := server.ParseCompileFrame(out.body)
+		mark, artifact, degraded, ok := server.ParseCompileFrame(out.body)
 		if !ok {
 			return failed("backend returned an unreadable response", "backend_error")
 		}
-		rt.diskPut(ctx, m.Key, artifact)
-		return routed{compiled: mark == "miss",
+		rt.diskPut(ctx, m.Key, artifact, degraded)
+		return routed{compiled: mark == "miss", degraded: degraded, out: out,
 			res: server.BatchKernelResultWire{OK: true, Cache: mark, Artifact: artifact}}
 	}
+	defer out.release()
 	var er server.ErrorResponse
 	if err := json.Unmarshal(out.body, &er); err != nil || er.Error == "" {
 		return failed(fmt.Sprintf("backend answered status %d", out.status), "backend_error")
@@ -97,18 +100,28 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return failed("request cancelled before the kernel was routed", "cancelled")
 		})
 
+	// The relayed artifacts are written out of their answers' buffers, so
+	// those go back only once the frame is closed or the client is gone.
+	defer func() {
+		for _, out := range fan.Drain() {
+			out.out.release()
+		}
+	}()
 	frame := server.NewFrame(w, plan.Stream, "results", "family", plan.Family)
 	st := server.BatchStatsJSON{Kernels: len(plan.Results)}
 	for i := range plan.Results {
 		res := &plan.Results[i]
+		// A relayed artifact's mark was read as it was sliced out; one
+		// from the router's disk has not been walked yet.
+		degraded := res.OK && server.ArtifactDegraded(res.Artifact)
 		if j := plan.MissOf[i]; j >= 0 {
-			name := res.Name
-			*res = fan.Wait(j).res
+			name, out := res.Name, fan.Wait(j)
+			*res, degraded = out.res, out.degraded
 			res.Name = name
 		}
 		if res.OK {
 			st.Succeeded++
-			if server.ArtifactDegraded(res.Artifact) {
+			if degraded {
 				st.Degraded++
 			}
 		}

@@ -27,6 +27,7 @@ func (rt *Router) handleExplore(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	defer out.release()
 	ct := "application/json"
 	if q.Stream && out.status == http.StatusOK {
 		ct = server.NDJSONContentType

@@ -255,12 +255,14 @@ func tapped(t testing.TB) (*tap, string) {
 	return c, ts.URL
 }
 
-// FuzzFrontDoor sends one request four ways — to a cold backend, to a
+// FuzzFrontDoor sends one request five ways — to a cold backend, to a
 // backend that has answered the same body before without the headers, to
-// a router over that backend, and, for a /compile, as a one-kernel /batch
-// to a backend and to the router — and fails when a client could tell the
+// a router over that backend, for a /compile as a one-kernel /batch to a
+// backend and to the router, and the same body to the router a second
+// time, through its kernel memo — and fails when a client could tell the
 // ways apart by status, typed code, Retry-After or body (measured members
-// and cache attribution removed), or when a refusal crossed the network.
+// and cache attribution removed; the router's repeat must answer its
+// first send exactly), or when a refusal crossed the network.
 // It also fails when a tier echoes a request id other than the client's
 // exactly when ValidID accepts the client's (suffixed on a backend, bare
 // on a router), or when a response or a log line carries an id outside
@@ -327,7 +329,13 @@ func FuzzFrontDoor(f *testing.F) {
 		}
 		want := tier(cold, true, path, body)
 		agree("the resident backend", want, tier(resident, true, path, body))
-		agree("the router", want, routed(path, body))
+		first := routed(path, body)
+		agree("the router", want, first)
+		if again := routed(path, body); again.status != first.status || again.code != first.code ||
+			again.retryAfter != first.retryAfter || !bytes.Equal(again.body, first.body) {
+			t.Fatalf("%s %s: the router's repeat tells itself apart\nfirst  %d %q %q %.300s\nrepeat %d %q %q %.300s", path, token,
+				first.status, first.code, first.retryAfter, first.body, again.status, again.code, again.retryAfter, again.body)
+		}
 		if batched, ok := asBatch(path, body); ok {
 			agree("the router's /batch", tier(cold, true, "/batch", batched), routed("/batch", batched))
 		}

@@ -64,6 +64,7 @@ type attemptResult struct {
 	hedged     bool
 	status     int
 	body       []byte
+	buf        *bytes.Buffer // pooled, holding body; it goes back only through the outcome it becomes
 	retryAfter string
 	err        error
 	// ownBudget: the deadline stamped on this attempt was the request's
@@ -353,11 +354,12 @@ func (w *proxyWalk) classify(res attemptResult) (proxyOutcome, bool) {
 	b.br.record(true)
 	b.alive.Store(true)
 	w.acct.N[server.Proxied]++
+	out := proxyOutcome{status: res.status, body: res.body, buf: res.buf}
 	if res.status == http.StatusTooManyRequests {
 		w.acct.N[server.ShedForwarded]++
-		return proxyOutcome{status: res.status, body: res.body, retryAfter: res.retryAfter}, true
+		out.retryAfter = res.retryAfter
 	}
-	return proxyOutcome{status: res.status, body: res.body}, true
+	return out, true
 }
 
 // backendDeadlineExceeded reports whether res is a backend's typed 504
@@ -374,7 +376,10 @@ func backendDeadlineExceeded(res attemptResult) bool {
 // postAttempt performs one proxy attempt against backend bi, stamping
 // the attempt's absolute deadline downstream as X-Reticle-Deadline so
 // the backend inherits the remaining budget instead of its own default,
-// and the attempt's request id beside it.
+// and the attempt's request id beside it. The answer is read into a
+// buffer from relayPool; one that becomes the walk's outcome goes back
+// when its handler releases it, any other (a lost hedge, a refusal, a
+// failed read) is left to the GC.
 func (rt *Router) postAttempt(ctx context.Context, bi int, hedged bool, fwd forward, id string) attemptResult {
 	res := attemptResult{bi: bi, hedged: hedged}
 	fp := FaultProxy
@@ -417,8 +422,9 @@ func (rt *Router) postAttempt(ctx context.Context, bi int, hedged bool, fwd forw
 	// refused as a transport failure (re-hash onto the next peer) instead
 	// of being truncated and relayed as a well-formed success. A backend
 	// that announced its length (every /compile 200 does) is read into a
-	// buffer of that size, not one grown by doubling.
-	var respBody bytes.Buffer
+	// buffer at least that size, not one grown by doubling.
+	respBody := relayPool.Get().(*bytes.Buffer)
+	respBody.Reset()
 	if n := resp.ContentLength; n > 0 && n <= maxProxyResponse {
 		respBody.Grow(int(n) + bytes.MinRead)
 	}
@@ -431,7 +437,7 @@ func (rt *Router) postAttempt(ctx context.Context, bi int, hedged bool, fwd forw
 		return res
 	}
 	res.status = resp.StatusCode
-	res.body = respBody.Bytes()
+	res.body, res.buf = respBody.Bytes(), respBody
 	res.retryAfter = resp.Header.Get("Retry-After")
 	return res
 }

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -147,6 +148,7 @@ func New(opts Options, configs map[string]*pipeline.Config) (*Router, error) {
 	if rt.FamilySet, err = server.NewFamilySet(configs, opts.DefaultFamily); err != nil {
 		return nil, fmt.Errorf("shard: %w", err)
 	}
+	rt.MemoizeKernels()
 	if rt.DiskTier, err = server.OpenDiskTier(opts.DiskDir, opts.DiskMaxBytes); err != nil {
 		return nil, fmt.Errorf("shard: %w", err)
 	}
@@ -273,12 +275,30 @@ func (rt *Router) Shutdown(ctx context.Context) error {
 // proxyOutcome is one routed kernel's terminal proxy result: an HTTP
 // answer from some live backend, or a typed total-outage error. A 429
 // answer carries the backend's Retry-After so the handlers can relay
-// the shed verbatim.
+// the shed verbatim. body is read into buf, a pooled buffer the handler
+// releases once nothing it wrote or holds refers to body any more.
 type proxyOutcome struct {
 	status     int
 	body       []byte
+	buf        *bytes.Buffer
 	retryAfter string
 	err        error
+}
+
+// relayPool recycles the buffers backend answers are read into (see
+// postAttempt). A buffer grown past maxPooledRelay is left to the GC
+// instead of being kept.
+var relayPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledRelay is the largest relay buffer put back in relayPool.
+const maxPooledRelay = 4 << 20
+
+// release returns the outcome's buffer to relayPool; body is not read
+// after it. An outcome without a buffer releases nothing.
+func (out proxyOutcome) release() {
+	if out.buf != nil && out.buf.Cap() <= maxPooledRelay {
+		relayPool.Put(out.buf)
+	}
 }
 
 // maxProxyResponse bounds how much of a backend response the router
@@ -297,8 +317,8 @@ func (rt *Router) diskGet(ctx context.Context, key cache.Key) ([]byte, bool) {
 	return rt.Disk().Get(ctx, key)
 }
 
-func (rt *Router) diskPut(ctx context.Context, key cache.Key, artifact []byte) {
-	if rt.Disk() == nil || server.ArtifactDegraded(artifact) {
+func (rt *Router) diskPut(ctx context.Context, key cache.Key, artifact []byte, degraded bool) {
+	if rt.Disk() == nil || degraded {
 		return
 	}
 	_ = rt.Disk().Put(ctx, key, artifact)
@@ -310,12 +330,13 @@ func (rt *Router) handleCompile(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	// Two keys per kernel: the canonical artifact key addresses the
-	// router-local disk cache (artifact identity — exact IR + config),
-	// while the structural hint key steers routing so edited variants of
-	// one kernel share a backend (see proxyKernel).
+	// Two keys per kernel, both carried by the admitted kernel: the
+	// canonical artifact key addresses the router-local disk cache
+	// (artifact identity — exact IR + config), while the structural route
+	// key steers routing so edited variants of one kernel share a backend
+	// (see proxyKernel).
 	k := q.Kernels[0]
-	key := cache.KeyFor(q.Config, k.Func)
+	key := k.Key
 	acct.Key = string(key)
 
 	// Router-local second level: a persisted artifact is served without
@@ -332,12 +353,13 @@ func (rt *Router) handleCompile(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	defer out.release()
 	// The answer is relayed as the bytes the backend sent; only a router
 	// with a disk tier of its own looks inside a 200, and then only to
 	// slice the artifact out of it.
 	if out.status == http.StatusOK && rt.Disk() != nil {
-		if _, artifact, ok := server.ParseCompileFrame(out.body); ok {
-			rt.diskPut(r.Context(), key, artifact)
+		if _, artifact, degraded, ok := server.ParseCompileFrame(out.body); ok {
+			rt.diskPut(r.Context(), key, artifact, degraded)
 		}
 	}
 	server.WriteFrame(w, out.status, out.body)
@@ -351,14 +373,14 @@ func (rt *Router) handleCompile(w http.ResponseWriter, r *http.Request) {
 // and the backend pipeline via the stamped deadline header — shares one
 // budget instead of each tier inventing its own; a relayed shed keeps the
 // backend's Retry-After. A routing failure is answered typed and reported
-// as false. The walk fills the request's account.
+// as false. The walk fills the request's account. The handler releases
+// the outcome once it has written it out.
 func (rt *Router) relay(w http.ResponseWriter, r *http.Request, q *server.Request) (proxyOutcome, bool) {
 	ctx, cancel := q.Within(r.Context(), q.Timeout)
 	defer cancel()
 	acct := server.AccountOf(w)
 	acct.Deadline, _ = ctx.Deadline()
-	routeKey := cache.Key(pipeline.HintKeyFor(q.Config, q.Kernels[0].Func))
-	out := rt.proxyKernel(ctx, acct, acct.ID, routeKey, forward{r.URL.Path, r.Header.Get("Accept"), q.Forward()})
+	out := rt.proxyKernel(ctx, acct, acct.ID, q.Kernels[0].Route, forward{r.URL.Path, r.Header.Get("Accept"), q.Forward()})
 	if out.err != nil {
 		server.WriteTypedError(w, out.err)
 		return out, false
