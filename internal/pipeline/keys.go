@@ -18,8 +18,9 @@ import (
 type keySet uint8
 
 const (
-	// keyArtifact is the whole-compile pair: cache.KeyFor over the
-	// canonical hash and HintKeyFor over the structural hash.
+	// keyArtifact is the whole-compile trio: cache.KeyFor over the
+	// canonical hash, HintKeyFor over the structural hash and TextKeyFor
+	// over the text.
 	keyArtifact keySet = 1 << iota
 	keySelect
 	keyCascade
@@ -155,6 +156,19 @@ func ArtifactKeyFor(cfg *Config, f *ir.Func) string {
 func HintKeyFor(cfg *Config, f *ir.Func) string {
 	return keyOf(cfg, keyArtifact, ir.StructuralHash(f))
 }
+
+// TextKeyFor returns a routing tier's key for the kernel text src under
+// cfg: the exact text, read without a parse, under the artifact key's
+// fingerprint. Equal text keys mean equal artifact keys; alpha-renamed or
+// re-spaced kernels do not share one. A shard router routes by it, dedupes
+// /batch kernels by it and keys its disk tier by it.
+func TextKeyFor(cfg *Config, src string) string {
+	return keyOf(cfg, keyArtifact, textTag, src)
+}
+
+// textTag heads a text key's parts. It is not hex, so no text key hashes
+// the bytes of an artifact or hint key.
+const textTag = "text"
 
 // The four stage-memo keys hash the stage tag and the stage's exact
 // printed input (ir.Func.String for selection, asm.Func.String

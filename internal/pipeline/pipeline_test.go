@@ -528,7 +528,7 @@ var keyNames = []struct {
 	key  keySet
 	name string
 }{
-	{keyArtifact, "artifact + hint"},
+	{keyArtifact, "artifact + hint + text"},
 	{keySelect, StageSelect},
 	{keyCascade, StageCascade},
 	{keyPlace, StagePlace},

@@ -36,7 +36,7 @@ type Account struct {
 	Endpoint  string // the URL path
 	Status    int
 	ErrorCode string // the typed error's stable code, when one answered
-	Key       string // the artifact cache key, when the request had one
+	Key       string // the artifact cache key, when the request had one; a router's is the text key it routed by
 	// Tier is the level that served a one-kernel request: "memory",
 	// "disk", "coalesced" or "computed" (cache.Level); empty otherwise.
 	Tier string

@@ -39,5 +39,6 @@ func (s *Server) Start(addr string) (net.Addr, error) {
 // with before it falls back to a decode.
 func SliceKernels(body []byte) ([]json.RawMessage, bool) { return sliceKernels(body) }
 
-// MemoKey is the kernel memo's key.
-func MemoKey(family, src string) string { return string(memoKey(family, src)) }
+// AppendMembers is how a routing tier appends members to a forwarded
+// object.
+func AppendMembers(obj []byte, members string) []byte { return appendMembers(obj, members) }

@@ -5,8 +5,6 @@ import (
 	"bytes"
 	"cmp"
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,7 +13,6 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -33,12 +30,12 @@ import (
 // it uses these rather than keeping copies.
 
 // FamilySet is the configured family → pipeline config table and the
-// default applied when a request names none. A routing tier's also holds
-// the kernel memo (MemoizeKernels).
+// default applied when a request names none. A routing tier's admits
+// kernels unparsed (RouteOnText).
 type FamilySet struct {
 	configs map[string]*pipeline.Config
 	def     string
-	memo    *cache.Cache[memoEntry] // nil on a backend
+	routing bool // kernels are keyed by their text, never parsed
 }
 
 // NewFamilySet validates one pipeline config per family name. At least
@@ -64,41 +61,12 @@ func NewFamilySet(configs map[string]*pipeline.Config, def string) (FamilySet, e
 	return FamilySet{configs: configs, def: def}, nil
 }
 
-// kernelMemoEntries bounds the kernel memo. An entry is three short
-// strings, so the bound costs well under a megabyte.
-const kernelMemoEntries = 4096
-
-// MemoizeKernels gives the front door a kernel memo: a bounded LRU from
-// the SHA-256 of (resolved family, kernel IR text) to the keys a routing
-// tier derives from the parse — the artifact key, the route key and the
-// parsed name — so a kernel it has admitted before is not parsed or
-// hashed again. The memo holds keys, never an artifact, and a family
-// names one config per process, so a hit carries exactly what a fresh
-// parse would derive. A routing tier calls it once, before serving.
-func (fs *FamilySet) MemoizeKernels() { fs.memo = cache.New[memoEntry](kernelMemoEntries) }
-
-// memoEntry is what the kernel memo holds for one (family, IR text).
-type memoEntry struct {
-	key, route cache.Key
-	name       string
-}
-
-// memoKey hashes a kernel's resolved family and IR text. The family is
-// length-prefixed, so no pair of family and text collides with another.
-// Both are copied into a pooled scratch buffer and hashed in one call, so
-// a lookup allocates only the key.
-func memoKey(family, src string) cache.Key {
-	scratch := memoScratch.Get().(*[]byte)
-	b := binary.AppendUvarint((*scratch)[:0], uint64(len(family)))
-	b = append(append(b, family...), src...)
-	sum := sha256.Sum256(b)
-	*scratch = b
-	memoScratch.Put(scratch)
-	return cache.Key(sum[:])
-}
-
-// memoScratch recycles memoKey's buffers.
-var memoScratch = sync.Pool{New: func() any { return new([]byte) }}
+// RouteOnText makes the front door a routing tier's: every check but the
+// parse runs, and each kernel is admitted unparsed, keyed by
+// pipeline.TextKeyFor. The backend it is forwarded to parses it, through
+// the same front door, and refuses it if it does not parse. A routing
+// tier calls it once, before serving.
+func (fs *FamilySet) RouteOnText() { fs.routing = true }
 
 // Families lists the configured family names, sorted.
 func (fs FamilySet) Families() []string {
@@ -214,7 +182,8 @@ type Request struct {
 	MaxVariants int           // /explore
 	// Kernels is the request's one kernel, or a /batch's every kernel in
 	// order. A kernel's Name is the parsed function's when the client
-	// gave none; one whose IR does not parse (only on /batch) has Err set.
+	// gave none (on a routing tier it stays empty); one whose IR does not
+	// parse (only on /batch) has Err set.
 	Kernels []Kernel
 
 	body          []byte    // as received: what a routing tier forwards
@@ -223,14 +192,13 @@ type Request struct {
 }
 
 // Kernel is one kernel of an admitted request: its IR parsed, and its
-// artifact key (cache.KeyFor). On a routing tier it also carries its
-// route key (pipeline.HintKeyFor), and Func is nil when the kernel memo
-// supplied both keys instead of a parse.
+// artifact key (cache.KeyFor). On a routing tier Func is nil and Key is
+// its text key (pipeline.TextKeyFor).
 type Kernel struct {
-	Name       string
-	Func       *ir.Func
-	Key, Route cache.Key
-	Err        error
+	Name string
+	Func *ir.Func
+	Key  cache.Key
+	Err  error
 }
 
 // refusal is a request the front door turns away untyped: a 400, or the
@@ -355,42 +323,30 @@ func (fs FamilySet) Admit(path string, body []byte, h http.Header, maxBytes int6
 	case q.MaxVariants < 0:
 		return nil, badRequest("max_variants must be >= 0, got %d", q.MaxVariants)
 	}
+	if q.deadline, err = headerDeadline(h); err != nil {
+		return nil, err
+	}
 	q.Kernels = make([]Kernel, len(kernels))
 	for i, k := range kernels {
-		q.Kernels[i] = fs.kernel(q.Family, q.Config, k)
+		q.Kernels[i] = fs.kernel(q.Config, k)
 		if err := q.Kernels[i].Err; err != nil && path != "/batch" {
 			return nil, badRequest("parse: %v", err)
 		}
 	}
-	if q.deadline, err = headerDeadline(h); err != nil {
-		return nil, err
-	}
 	return q, nil
 }
 
-// kernel parses one kernel and derives its keys, or takes them from the
-// kernel memo when one is kept and holds this exact text under this
-// family. Only a kernel that parsed is memoized.
-func (fs FamilySet) kernel(family string, cfg *pipeline.Config, k BatchKernel) Kernel {
-	var mk cache.Key
-	if fs.memo != nil {
-		mk = memoKey(family, k.IR)
-		if e, ok := fs.memo.Get(mk); ok {
-			return Kernel{Name: cmp.Or(k.Name, e.name), Key: e.key, Route: e.route}
-		}
+// kernel parses one kernel and derives its artifact key, or on a routing
+// tier keys it by its text alone.
+func (fs FamilySet) kernel(cfg *pipeline.Config, k BatchKernel) Kernel {
+	if fs.routing {
+		return Kernel{Name: k.Name, Key: cache.Key(pipeline.TextKeyFor(cfg, k.IR))}
 	}
 	f, err := ir.Parse(k.IR)
 	if err != nil {
 		return Kernel{Name: k.Name, Err: err}
 	}
-	out := Kernel{Name: cmp.Or(k.Name, f.Name), Func: f, Key: cache.KeyFor(cfg, f)}
-	if fs.memo != nil {
-		out.Route = cache.Key(pipeline.HintKeyFor(cfg, f))
-		// The parsed name is a substring of the IR: cloned, the entry does
-		// not keep the request's text alive.
-		fs.memo.Add(mk, memoEntry{key: out.Key, route: out.Route, name: strings.Clone(f.Name)})
-	}
-	return out
+	return Kernel{Name: cmp.Or(k.Name, f.Name), Func: f, Key: cache.KeyFor(cfg, f)}
 }
 
 func tooLarge(maxBytes int64) error {
@@ -468,9 +424,10 @@ func (q *Request) Forward() []byte {
 }
 
 // ForwardKernels is, for a /batch, the /compile body a routing tier sends
-// on for each kernel that parsed: the kernel's object as the client sent
-// it, with the family and any timeout_ms appended. A kernel that did not
-// parse (a null one among them) has none.
+// on for each kernel: the kernel's object as the client sent it, with the
+// family and any timeout_ms appended. A null kernel is sent as an object
+// of those members alone, which the backend refuses as the empty kernel
+// it decodes to.
 func (q *Request) ForwardKernels() [][]byte {
 	kernels, ok := sliceKernels(q.body)
 	if !ok {
@@ -486,17 +443,19 @@ func (q *Request) ForwardKernels() [][]byte {
 	}
 	out := make([][]byte, len(kernels))
 	for i, k := range kernels {
-		if q.Kernels[i].Err == nil {
-			out[i] = appendMembers(k, members)
-		}
+		out[i] = appendMembers(k, members)
 	}
 	return out
 }
 
 // appendMembers returns a copy of obj, one JSON object, with members
-// added as its last.
+// added as its last. Anything that does not open as an object (null) is
+// taken for an empty one.
 func appendMembers(obj []byte, members string) []byte {
 	end := bytes.LastIndexByte(obj, '}')
+	if end < 0 || bytes.TrimLeft(obj, " \t\r\n")[0] != '{' {
+		obj, end = []byte("{}"), 1
+	}
 	head := bytes.TrimRight(obj[:end], " \t\r\n")
 	out := make([]byte, 0, len(head)+len(members)+2)
 	out = append(out, head...)
@@ -590,7 +549,8 @@ type BatchPlan struct {
 }
 
 // BatchMiss is one distinct kernel the local store does not hold, named
-// by the first kernel of the request that carries it, at Index.
+// by the kernel of the request that carries it at Index: the first,
+// unless a routing tier's later one was sent unnamed (see PlanBatch).
 type BatchMiss struct {
 	Name  string
 	Func  *ir.Func
@@ -599,11 +559,12 @@ type BatchMiss struct {
 }
 
 // PlanBatch admits a /batch request through the front door and plans it
-// against the tier's local store (lookup). A refusal is written, with the
-// same status and body on either tier, and reported as false; a kernel
-// that does not parse never fails the batch.
+// against the tier's local store (lookup, which answers a hit's artifact
+// and name). A refusal is written, with the same status and body on
+// either tier, and reported as false; a kernel that does not parse never
+// fails the batch.
 func PlanBatch(w http.ResponseWriter, r *http.Request, fs FamilySet, maxBodyBytes int64, defaultJobs int,
-	lookup func(context.Context, cache.Key) ([]byte, bool)) (*BatchPlan, bool) {
+	lookup func(context.Context, Kernel) (CompileResponseWire, bool)) (*BatchPlan, bool) {
 	q, ok := fs.Door(w, r, maxBodyBytes)
 	if !ok {
 		return nil, false
@@ -625,17 +586,22 @@ func PlanBatch(w http.ResponseWriter, r *http.Request, fs FamilySet, maxBodyByte
 			res.Error, res.ErrorCode = fmt.Sprintf("parse: %v", k.Err), "parse_failed"
 			continue
 		}
-		key := k.Key
-		if raw, ok := lookup(r.Context(), key); ok {
-			res.OK, res.Cache, res.Artifact = true, "hit", raw
+		if hit, ok := lookup(r.Context(), k); ok {
+			res.Name, res.OK, res.Cache, res.Artifact = hit.Name, true, "hit", hit.Artifact
 			continue
 		}
 		res.Cache = "miss"
-		j, queued := byKey[key]
-		if !queued {
+		j, queued := byKey[k.Key]
+		switch {
+		case !queued:
 			j = len(p.Misses)
-			byKey[key] = j
-			p.Misses = append(p.Misses, BatchMiss{Name: res.Name, Func: k.Func, Key: key, Index: i})
+			byKey[k.Key] = j
+			p.Misses = append(p.Misses, BatchMiss{Name: res.Name, Func: k.Func, Key: k.Key, Index: i})
+		case res.Name == "" && p.Misses[j].Name != "":
+			// Only a routing tier, which does not parse, admits a kernel
+			// with no name. Sent unnamed, the miss is answered with the
+			// parsed name every unnamed kernel carrying it takes.
+			p.Misses[j].Name, p.Misses[j].Index = "", i
 		}
 		p.MissOf[i] = j
 	}

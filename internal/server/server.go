@@ -453,9 +453,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	plan, ok := PlanBatch(w, r, s.FamilySet, s.opts.MaxBodyBytes, s.opts.Jobs,
-		func(ctx context.Context, key cache.Key) ([]byte, bool) {
-			ca, ok := s.cache.Lookup(ctx, key)
-			return ca.wire, ok
+		func(ctx context.Context, k Kernel) (CompileResponseWire, bool) {
+			ca, ok := s.cache.Lookup(ctx, k.Key)
+			return CompileResponseWire{Name: k.Name, Artifact: ca.wire}, ok
 		})
 	if !ok {
 		return

@@ -66,3 +66,38 @@ func FuzzSliceKernels(f *testing.F) {
 		}
 	})
 }
+
+// TestAppendMembersNonObject: appending members to what a /batch kernel
+// slices out as never panics, whatever the slice holds; an object gains
+// them as its last, and null (the one non-object an admitted body
+// carries) becomes an object of them alone.
+func TestAppendMembersNonObject(t *testing.T) {
+	const members = `"family":"ultrascale"`
+	for obj, want := range map[string]string{
+		`{}`:               `{"family":"ultrascale"}`,
+		" { } \n":          ` {"family":"ultrascale"}`,
+		`{"ir":"}"}`:       `{"ir":"}","family":"ultrascale"}`,
+		"{\"ir\":\"x\"}\t": `{"ir":"x","family":"ultrascale"}`,
+		`null`:             `{"family":"ultrascale"}`,
+	} {
+		if got := string(server.AppendMembers([]byte(obj), members)); got != want {
+			t.Errorf("%q: got %q, want %q", obj, got, want)
+		}
+	}
+	odd := []string{``, ` `, `}`, `{`, `}{`, ` }`, `"}"`, `]}`, `[]`, `[{}]`, `1`, `true`, `"s"`, `-1.5e3`}
+	if ks, ok := server.SliceKernels([]byte(sliceSeeds[5])); ok {
+		for _, k := range ks {
+			odd = append(odd, string(k))
+		}
+	}
+	for _, obj := range odd {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%q: panicked: %v", obj, r)
+				}
+			}()
+			server.AppendMembers([]byte(obj), members)
+		}()
+	}
+}

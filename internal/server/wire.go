@@ -286,35 +286,35 @@ func ArtifactDegraded(artifact []byte) bool {
 	return !ok || sum.Degraded
 }
 
-// ParseCompileFrame is the inverse of CompileResponseWire.AppendJSON for
-// the fields a relaying tier reads out of a /compile 200: the cache mark,
-// the artifact as a slice of body, and the artifact's degraded mark, read
-// on the walk that checks the artifact's layout, so the relay need not
-// walk it again. A body in another layout (a backend of another version)
-// is decoded in full instead and its artifact rendered afresh; ok is false
-// when that fails too.
-func ParseCompileFrame(body []byte) (cache string, artifact []byte, degraded, ok bool) {
+// ParseCompileFrame is the inverse of CompileResponseWire.AppendJSON: the
+// fields of a /compile 200 a relaying tier reads, with the artifact as a
+// slice of body, and the artifact's degraded mark, read on the walk that
+// checks the artifact's layout, so the relay need not walk it again. A
+// body in another layout (a backend of another version), or with a string
+// field that holds an escape, is decoded in full instead and its artifact
+// rendered afresh; ok is false when that fails too.
+func ParseCompileFrame(body []byte) (r CompileResponseWire, degraded, ok bool) {
 	f := frameReader{b: bytes.TrimSuffix(body, []byte("\n")), ok: true}
-	f.lit(`{"name":`)
-	f.str()
-	f.lit(`,"family":`)
-	f.str()
-	f.lit(`,"cache":`)
-	mark := f.str()
-	f.lit(`,"key":`)
-	f.str()
+	var fields [4][]byte
+	for i, lit := range [...]string{`{"name":`, `,"family":`, `,"cache":`, `,"key":`} {
+		f.lit(lit)
+		fields[i] = f.str()
+		f.ok = f.ok && bytes.IndexByte(fields[i], '\\') < 0 && utf8.Valid(fields[i])
+	}
 	f.lit(`,"artifact":`)
-	if f.ok && len(f.b) > 0 && f.b[len(f.b)-1] == '}' && bytes.IndexByte(mark, '\\') < 0 && utf8.Valid(mark) {
-		artifact = f.b[:len(f.b)-1]
+	if f.ok && len(f.b) > 0 && f.b[len(f.b)-1] == '}' {
+		artifact := f.b[:len(f.b)-1]
 		if sum, ok := decodeSummary(artifact); ok {
-			return string(mark), artifact, sum.Degraded, true
+			return CompileResponseWire{Name: string(fields[0]), Family: string(fields[1]), Cache: string(fields[2]),
+				Key: string(fields[3]), Artifact: artifact}, sum.Degraded, true
 		}
 	}
 	var resp CompileResponse
 	if json.Unmarshal(body, &resp) != nil {
-		return "", nil, false, false
+		return CompileResponseWire{}, false, false
 	}
 	// ArtifactJSON is strings and numbers; Marshal cannot fail.
-	artifact, _ = json.Marshal(resp.Artifact)
-	return resp.Cache, artifact, resp.Artifact.Degraded, true
+	artifact, _ := json.Marshal(resp.Artifact)
+	return CompileResponseWire{Name: resp.Name, Family: resp.Family, Cache: resp.Cache, Key: resp.Key, Artifact: artifact},
+		resp.Artifact.Degraded, true
 }

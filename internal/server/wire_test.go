@@ -100,7 +100,7 @@ func compileBody(t testing.TB, s *server.Server, req server.CompileRequest) []by
 // FuzzParseCompileFrame: the splitter the router reads backend bodies with
 // never panics or slices out of range, refuses nothing a full decode
 // accepts, and on every body both accept agrees with json.Unmarshal on the
-// cache mark, the artifact and its degraded mark.
+// name, family, cache mark, key, artifact and its degraded mark.
 func FuzzParseCompileFrame(f *testing.F) {
 	s := newTestServer(f, reticle.ServerOptions{})
 	for _, name := range hostileStrings {
@@ -129,7 +129,8 @@ func FuzzParseCompileFrame(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		mark, artifact, degraded, ok := server.ParseCompileFrame(body)
+		frame, degraded, ok := server.ParseCompileFrame(body)
+		artifact := frame.Artifact
 		var want server.CompileResponse
 		if err := json.Unmarshal(body, &want); err != nil {
 			return // the splitter may be laxer about bytes it never reads
@@ -141,9 +142,10 @@ func FuzzParseCompileFrame(f *testing.F) {
 		if err := json.Unmarshal(artifact, &got); err != nil {
 			t.Fatalf("artifact slice is not an artifact: %v: %q", err, artifact)
 		}
-		if mark != want.Cache || got != want.Artifact {
-			t.Fatalf("split disagrees with the full decode\n body %q\n cache %q vs %q\n artifact %+v\n      vs  %+v",
-				body, mark, want.Cache, got, want.Artifact)
+		if frame.Name != want.Name || frame.Family != want.Family || frame.Cache != want.Cache || frame.Key != want.Key ||
+			got != want.Artifact {
+			t.Fatalf("split disagrees with the full decode\n body %q\n name %q family %q cache %q key %q\n   vs %q %q %q %q\n artifact %+v\n      vs  %+v",
+				body, frame.Name, frame.Family, frame.Cache, frame.Key, want.Name, want.Family, want.Cache, want.Key, got, want.Artifact)
 		}
 		if degraded != want.Artifact.Degraded || server.ArtifactDegraded(artifact) != want.Artifact.Degraded {
 			t.Fatalf("degraded mark read as %v (frame) and %v (artifact), want %v: %q",
@@ -180,7 +182,8 @@ def wide(a:i32, b:i32) -> (y:i32) {
 }`}
 	body, _ := json.Marshal(req)
 	prime := compileBody(t, s, req)
-	_, artifact, _, ok := server.ParseCompileFrame(prime)
+	frame, _, ok := server.ParseCompileFrame(prime)
+	artifact := frame.Artifact
 	if !ok {
 		t.Fatalf("prime: not a compile frame: %s", prime)
 	}

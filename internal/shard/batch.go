@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -14,11 +15,11 @@ import (
 )
 
 // routed is one deduped kernel's shared outcome: every kernel of the
-// request carrying its key copies res, keeping its own name. An artifact
-// is a slice of the backend's answer, held in out's pooled buffer until
-// the handler has written the batch out.
+// request carrying its key copies res, keeping its own name if its client
+// gave one. An artifact is a slice of the backend's answer, held in out's
+// buffer until the handler has written the batch out.
 type routed struct {
-	res      server.BatchKernelResultWire // Name left empty
+	res      server.BatchKernelResultWire // Name is the backend's, when it answered 200
 	compiled bool                         // backend answered 200 with cache "miss"
 	degraded bool                         // the artifact carries the degraded mark
 	out      proxyOutcome
@@ -30,35 +31,41 @@ func failed(msg, code string) routed {
 }
 
 // routeMiss proxies one deduped kernel as a /compile of fwd, routed by
-// its structural route key (see proxyKernel), into the kernel's
-// sub-account, its attempts carrying id. Each kernel gets its own
-// deadline from the client's timeout_ms (stamped downstream by the proxy
-// layer), so one wedged kernel cannot silently burn the whole batch's
-// budget.
+// its text key (see proxyKernel), into the kernel's sub-account, its
+// attempts carrying id. Each kernel gets its own deadline from the
+// client's timeout_ms (stamped downstream by the proxy layer), so one
+// wedged kernel cannot silently burn the whole batch's budget. The
+// router does not parse: a kernel whose IR does not parse is the
+// backend's 400, and every other check ran at the router's front door,
+// so a 400 is that kernel's parse_failed result.
 func (rt *Router) routeMiss(ctx context.Context, acct *server.Account, plan *server.BatchPlan, m server.BatchMiss, fwd []byte, id string) routed {
 	kctx, cancel := plan.Within(ctx, plan.Options.KernelTimeout)
 	defer cancel()
-	out := rt.proxyKernel(kctx, acct, id, plan.Kernels[m.Index].Route, forward{"/compile", "", fwd})
+	out := rt.proxyKernel(kctx, acct, id, m.Key, forward{"/compile", "", fwd})
 	if out.err != nil {
 		return failed(rerr.Message(out.err), rerr.CodeOf(out.err))
 	}
 	if out.status == http.StatusOK {
 		// The artifact is a slice of the backend's own bytes, spliced into
 		// this batch's framing as it stands.
-		mark, artifact, degraded, ok := server.ParseCompileFrame(out.body)
+		ans, degraded, ok := server.ParseCompileFrame(out.body)
 		if !ok {
 			return failed("backend returned an unreadable response", "backend_error")
 		}
-		rt.diskPut(ctx, m.Key, artifact, degraded)
-		return routed{compiled: mark == "miss", degraded: degraded, out: out,
-			res: server.BatchKernelResultWire{OK: true, Cache: mark, Artifact: artifact}}
+		rt.diskPut(ctx, plan.Kernels[m.Index], ans, degraded)
+		return routed{compiled: ans.Cache == "miss", degraded: degraded, out: out,
+			res: server.BatchKernelResultWire{Name: ans.Name, OK: true, Cache: ans.Cache, Artifact: ans.Artifact}}
 	}
 	defer out.release()
 	var er server.ErrorResponse
 	if err := json.Unmarshal(out.body, &er); err != nil || er.Error == "" {
 		return failed(fmt.Sprintf("backend answered status %d", out.status), "backend_error")
 	}
-	if er.ErrorCode == "" {
+	switch {
+	case er.ErrorCode != "":
+	case out.status == http.StatusBadRequest:
+		er.ErrorCode = "parse_failed"
+	default:
 		er.ErrorCode = "backend_error"
 	}
 	return failed(er.Error, er.ErrorCode)
@@ -117,7 +124,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if j := plan.MissOf[i]; j >= 0 {
 			name, out := res.Name, fan.Wait(j)
 			*res, degraded = out.res, out.degraded
-			res.Name = name
+			res.Name = cmp.Or(name, res.Name)
 		}
 		if res.OK {
 			st.Succeeded++

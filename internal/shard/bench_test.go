@@ -45,9 +45,9 @@ func (w *countingWriter) Write(b []byte) (int, error) { w.n += len(b); return le
 // BenchmarkRouterBatch measures a buffered 8-kernel /batch through a
 // router over two in-process backends: the front door, the forwards,
 // reading each backend answer and writing the frame. Four kernels repeat
-// every request (the router's kernel memo holds them); the other four are
-// new to the router but already resident on the backends, so no compile
-// runs and B/op and allocs/op are the serving path's, both tiers'.
+// every request; the other four are new to the router but already
+// resident on the backends, so no compile runs and B/op and allocs/op are
+// the serving path's, both tiers'.
 func BenchmarkRouterBatch(b *testing.B) {
 	prev := slog.Default()
 	slog.SetDefault(slog.New(slog.NewTextHandler(io.Discard, nil)))

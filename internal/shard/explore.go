@@ -7,11 +7,10 @@ import (
 )
 
 // handleExplore proxies one design-space sweep to a single backend,
-// routed by the kernel's structural hint key — the same steering
-// /compile uses. Every variant of one kernel shares that structural
-// key's canonical subtrees and placement-hint neighborhood, so the
-// whole sweep lands on the backend most likely to hold them warm, and
-// repeated sweeps of the same kernel keep landing there.
+// routed by the kernel's text key — the same steering /compile uses.
+// Every variant of one kernel shares its canonical subtrees, so the whole
+// sweep lands on one backend, and repeated sweeps of the same kernel, and
+// /compiles of it, keep landing there.
 //
 // The backend's answer — buffered JSON or a complete NDJSON stream —
 // is relayed verbatim; the router never re-scores a sweep. Sweep

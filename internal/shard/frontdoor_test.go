@@ -258,11 +258,14 @@ func tapped(t testing.TB) (*tap, string) {
 // FuzzFrontDoor sends one request five ways — to a cold backend, to a
 // backend that has answered the same body before without the headers, to
 // a router over that backend, for a /compile as a one-kernel /batch to a
-// backend and to the router, and the same body to the router a second
-// time, through its kernel memo — and fails when a client could tell the
-// ways apart by status, typed code, Retry-After or body (measured members
-// and cache attribution removed; the router's repeat must answer its
-// first send exactly), or when a refusal crossed the network.
+// backend and to the router, and the same body to the router as a repeat
+// send — and fails when a client could tell the ways apart by status,
+// typed code, Retry-After or body (measured members and cache attribution
+// removed; the router's repeat must answer its first send exactly). It
+// also fails on what a refusal cost the network: one the front door
+// decides before the parse must cross it zero times, and one of IR that
+// does not parse, which only a backend parses, exactly once — one proxy
+// call and one backend request.
 // It also fails when a tier echoes a request id other than the client's
 // exactly when ValidID accepts the client's (suffixed on a backend, bare
 // on a router), or when a response or a log line carries an id outside
@@ -280,6 +283,14 @@ func FuzzFrontDoor(f *testing.F) {
 	// A null kernel decodes as an empty one: it fails to parse, and the
 	// kernel beside it is still routed.
 	f.Add(uint8(1), `{"kernels":[null,{"ir":`+quote(maccSrc)+`}]}`, "", "")
+	// A deadline header is checked before the parse on both tiers, so IR
+	// that does not parse under a spent or malformed deadline is refused
+	// for the deadline, at the router's edge.
+	for i, path := range frontPaths {
+		for _, token := range []string{"-1s", "not-a-deadline"} {
+			f.Add(uint8(i), frontSeed{ir: "def broken( {"}.body(path), token, "")
+		}
+	}
 	f.Fuzz(func(t *testing.T, endpoint uint8, body, token, id string) {
 		var budget struct {
 			TimeoutMS int64 `json:"timeout_ms"`
@@ -315,15 +326,21 @@ func FuzzFrontDoor(f *testing.F) {
 			}
 			return a
 		}
-		// routed sends to the router and checks that a refusal never
-		// reached the backend.
+		// routed sends to the router and checks how often a refusal
+		// crossed the network: once when it refuses IR that does not parse,
+		// never otherwise.
 		routed := func(path, body string) answer {
 			t.Helper()
 			posts, calls := len(resident.posts()), routerStats(t, rt).Router.ProxyCalls
 			a := tier(rt, false, path, body)
 			posts, calls = len(resident.posts())-posts, routerStats(t, rt).Router.ProxyCalls-calls
-			if a.status != http.StatusOK && (posts != 0 || calls != 0) {
-				t.Fatalf("%s %s: refusal %d crossed the network: %d requests, %d proxy calls", path, token, a.status, posts, calls)
+			crossings := 0
+			if parseRefusal(a) {
+				crossings = 1
+			}
+			if a.status != http.StatusOK && (posts != crossings || calls != int64(crossings)) {
+				t.Fatalf("%s %s: refusal %d crossed the network %d times, %d proxy calls; want %d",
+					path, token, a.status, posts, calls, crossings)
 			}
 			return a
 		}
@@ -347,6 +364,13 @@ func FuzzFrontDoor(f *testing.F) {
 			}
 		}
 	})
+}
+
+// parseRefusal reports whether a is the front door's refusal of IR that
+// does not parse.
+func parseRefusal(a answer) bool {
+	var er server.ErrorResponse
+	return a.status == http.StatusBadRequest && json.Unmarshal(a.body, &er) == nil && strings.HasPrefix(er.Error, "parse: ")
 }
 
 // asBatch rewrites a /compile body as the one-kernel /batch that carries
@@ -401,6 +425,40 @@ func TestRouterForwardsClientBytes(t *testing.T) {
 		}
 		if posts := backend.posts(); len(posts) != 1 || posts[0] != tc.forwarded {
 			t.Errorf("%s: the backend received %d bodies; want the client's with the family appended", tc.path, len(posts))
+		}
+	}
+}
+
+// TestRouterDoesNotParse: the router sends IR on without parsing it, so
+// kernels that do not parse cost one proxy call and one backend request
+// each, as any kernel does, and the answer is a bare backend's bytes: the
+// relayed 400 of a /compile or /explore, a /batch kernel's parse_failed
+// result. A null kernel is sent on as an empty one; an empty kernel list
+// is refused before any call.
+func TestRouterDoesNotParse(t *testing.T) {
+	garbage := quote("def broken( {")
+	for _, tc := range []struct {
+		path, body string
+		calls      int
+	}{
+		{"/compile", `{"ir":` + garbage + `}`, 1},
+		{"/explore", `{"ir":` + garbage + `,"jobs":1,"max_variants":2}`, 1},
+		{"/batch", `{"jobs":1,"kernels":[{"name":"g","ir":` + garbage + `},{"ir":"}"},null,{"ir":` + quote(maccSrc) + `}]}`, 4},
+		{"/batch", `{"kernels":[null]}`, 1},
+		{"/batch", `{"kernels":[]}`, 0},
+	} {
+		bare, err := reticle.NewServer(reticle.ServerOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		backend, url := tapped(t)
+		rt := newRouter(t, reticle.ShardOptions{Backends: []string{url}})
+		want, got := send(bare, tc.path, tc.body, ""), send(rt, tc.path, tc.body, "")
+		if got.status != want.status || !bytes.Equal(got.body, want.body) {
+			t.Errorf("%s %s: router %d %.300s\nbare backend %d %.300s", tc.path, tc.body, got.status, got.body, want.status, want.body)
+		}
+		if calls, posts := routerStats(t, rt).Router.ProxyCalls, len(backend.posts()); calls != int64(tc.calls) || posts != tc.calls {
+			t.Errorf("%s %s: %d proxy calls, %d backend requests; want %d of each", tc.path, tc.body, calls, posts, tc.calls)
 		}
 	}
 }

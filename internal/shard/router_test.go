@@ -94,8 +94,9 @@ func TestRouterRejectsBadRequests(t *testing.T) {
 }
 
 // TestRouterBatch: a routed batch dedupes duplicate kernels onto one
-// proxy round trip, reports parse failures inline, and aggregates
-// footer stats across the fan-out.
+// proxy round trip, reports parse failures inline (the router does not
+// parse: the backend refuses the kernel, one round trip of its own), and
+// aggregates footer stats across the fan-out.
 func TestRouterBatch(t *testing.T) {
 	_, urls := newBackends(t, 3)
 	rt := newRouter(t, reticle.ShardOptions{Backends: urls})
@@ -137,8 +138,8 @@ func TestRouterBatch(t *testing.T) {
 	if code := get(t, rt, "/stats", &stats); code != http.StatusOK {
 		t.Fatalf("/stats: %d", code)
 	}
-	if stats.Router.Proxied != 2 {
-		t.Fatalf("proxied %d round trips for 2 unique kernels", stats.Router.Proxied)
+	if stats.Router.Proxied != 3 {
+		t.Fatalf("proxied %d round trips for 2 unique kernels and one that does not parse", stats.Router.Proxied)
 	}
 }
 

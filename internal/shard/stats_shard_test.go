@@ -1,12 +1,18 @@
 package shard_test
 
 import (
+	"bytes"
 	"net/http"
+	"strings"
 	"testing"
 
 	"reticle"
+	"reticle/internal/isel"
+	"reticle/internal/pipeline"
 	"reticle/internal/server"
 	"reticle/internal/shard"
+	"reticle/internal/target/agilex"
+	"reticle/internal/target/ultrascale"
 )
 
 // TestShardStatsNoDoubleCount pins the /stats aggregation invariant: a
@@ -126,5 +132,90 @@ func TestShardDiskSurvivesBackendLoss(t *testing.T) {
 	}
 	if again.Artifact.Verilog != first.Artifact.Verilog || again.Key != first.Key {
 		t.Fatal("artifact changed across router restart")
+	}
+}
+
+// familyConfigs is one pipeline config per bundled family, as a router
+// runs them.
+func familyConfigs(t testing.TB) map[string]*pipeline.Config {
+	t.Helper()
+	out := map[string]*pipeline.Config{
+		"ultrascale": {Target: ultrascale.Target(), Device: ultrascale.Device(), Cascades: ultrascale.Cascades()},
+		"agilex":     {Target: agilex.Target(), Device: agilex.Device(), Cascades: agilex.Cascades()},
+	}
+	for _, cfg := range out {
+		lib, err := isel.NewLibrary(cfg.Target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Lib = lib
+	}
+	return out
+}
+
+// TestRouterDiskKeyCoversConfig: the router's disk tier keys a kernel by
+// its text under its family's config. A router restarted over the same
+// directory with the same configs answers from disk, the bytes of the
+// compile that wrote the record bar the cache mark, without a backend
+// request; the same text under the other family, or under a family
+// whose config changed, misses and is forwarded. A record written for a
+// kernel its client named holds no parsed name: it answers a named
+// kernel, and an unnamed one is forwarded once to learn the name.
+func TestRouterDiskKeyCoversConfig(t *testing.T) {
+	backend, url := tapped(t)
+	dir := t.TempDir()
+	start := func(configs map[string]*pipeline.Config) *shard.Router {
+		t.Helper()
+		rt, err := shard.New(shard.Options{Backends: []string{url}, DiskDir: dir, DefaultFamily: "ultrascale"}, configs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rt
+	}
+	body := `{"ir":` + quote(maccSrc) + `}`
+	cold := send(start(familyConfigs(t)), "/compile", body, "")
+	if cold.status != http.StatusOK || !bytes.Contains(cold.body, []byte(`"cache":"miss"`)) {
+		t.Fatalf("cold compile: %d %.200s", cold.status, cold.body)
+	}
+	// sent reports how many requests reached the backend for one send.
+	sent := func(rt http.Handler, body string) (answer, int) {
+		t.Helper()
+		posts := len(backend.posts())
+		a := send(rt, "/compile", body, "")
+		if a.status != http.StatusOK {
+			t.Fatalf("status %d: %.200s", a.status, a.body)
+		}
+		return a, len(backend.posts()) - posts
+	}
+
+	same := start(familyConfigs(t))
+	hit, posts := sent(same, body)
+	if want := strings.Replace(string(cold.body), `"cache":"miss"`, `"cache":"hit"`, 1); posts != 0 || string(hit.body) != want {
+		t.Errorf("same config: %d backend requests, answered %.200s\nwant %.200s", posts, hit.body, want)
+	}
+	if _, posts := sent(same, `{"family":"agilex","ir":`+quote(maccSrc)+`}`); posts != 1 {
+		t.Errorf("the other family: %d backend requests, want the miss forwarded once", posts)
+	}
+
+	changed := familyConfigs(t)
+	changed["ultrascale"].MaxSolverSteps = 1 << 20
+	if _, posts := sent(start(changed), body); posts != 1 {
+		t.Errorf("changed config: %d backend requests, want the miss forwarded once", posts)
+	}
+
+	chain := quote(chainSrc("named", 2))
+	for i, want := range []struct {
+		body, name string
+		posts      int
+	}{
+		{`{"name":"mine","ir":` + chain + `}`, "mine", 1},
+		{`{"name":"yours","ir":` + chain + `}`, "yours", 0},
+		{`{"ir":` + chain + `}`, "named", 1},
+		{`{"ir":` + chain + `}`, "named", 0},
+	} {
+		a, posts := sent(same, want.body)
+		if prefix := `{"name":"` + want.name + `",`; !bytes.HasPrefix(a.body, []byte(prefix)) || posts != want.posts {
+			t.Errorf("named record, send %d: %.40s after %d backend requests, want %s after %d", i, a.body, posts, prefix, want.posts)
+		}
 	}
 }
