@@ -18,24 +18,22 @@
 //	GET  /stats
 //
 // SIGINT/SIGTERM drain gracefully: listeners close, in-flight compiles
-// finish (bounded by -drain), then the process exits.
+// finish (bounded by -drain), the -disk directory is released, then the
+// process exits.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
-	_ "net/http/pprof" // -pprof: /debug/pprof on a side listener
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
 	"reticle"
-	"reticle/internal/faults"
+	"reticle/internal/server"
 )
 
 func main() {
@@ -52,9 +50,6 @@ func main() {
 	scrubOnStart := flag.Bool("scrub-on-start", false, "verify the disk cache's checksums in the background on startup, quarantining corrupt entries")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof (/debug/pprof) on this side address (empty = disabled)")
 	flag.Parse()
-	if line := faults.EnvSummary(); line != "" {
-		log.Printf("reticle-serve: %s", line)
-	}
 
 	srv, err := reticle.NewServer(reticle.ServerOptions{
 		CacheEntries:       *cacheEntries,
@@ -69,55 +64,13 @@ func main() {
 	if err != nil {
 		log.Fatal("reticle-serve: ", err)
 	}
-
-	if *pprofAddr != "" {
-		// The service mux is private, so DefaultServeMux carries only the
-		// pprof registrations; keep the profiler off the service address.
-		go func() {
-			log.Printf("reticle-serve: pprof listening on %s", *pprofAddr)
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				log.Printf("reticle-serve: pprof listener failed: %v", err)
-			}
-		}()
-	}
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	if *scrubOnStart {
-		go func() {
-			rep, ok, err := srv.ScrubDisk(ctx)
-			switch {
-			case !ok:
-				log.Printf("reticle-serve: -scrub-on-start: no disk cache configured (-disk), nothing to scrub")
-			case err != nil:
-				log.Printf("reticle-serve: startup scrub interrupted: %v", err)
-			default:
-				log.Printf("reticle-serve: startup scrub: %d entries verified, %d corrupt quarantined (%d bytes in %s)",
-					rep.Scanned, rep.Corrupt, rep.Bytes, rep.Elapsed)
-			}
-		}()
+	if err := server.Run(ctx, "reticle-serve", srv, *addr, *pprofAddr, *scrubOnStart, *drain); err != nil {
+		log.Fatal("reticle-serve: ", err)
 	}
-
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe(*addr) }()
-	log.Printf("reticle-serve: listening on %s (families %v)", *addr, srv.Families())
-
-	select {
-	case err := <-errc:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Fatal("reticle-serve: ", err)
-		}
-	case <-ctx.Done():
-		log.Printf("reticle-serve: signal received, draining (bound %s)", *drain)
-		dctx, cancel := context.WithTimeout(context.Background(), *drain)
-		defer cancel()
-		if err := srv.Shutdown(dctx); err != nil {
-			log.Fatal("reticle-serve: drain: ", err)
-		}
-		st := srv.CacheStats()
-		fmt.Fprintf(os.Stderr,
-			"reticle-serve: drained; cache %d/%d entries, %.0f%% hit rate, %d compiles\n",
-			st.Entries, st.MaxEntries, 100*st.HitRate(), st.Computes)
-	}
+	st := srv.CacheStats()
+	fmt.Fprintf(os.Stderr,
+		"reticle-serve: drained; cache %d/%d entries, %.0f%% hit rate, %d compiles\n",
+		st.Entries, st.MaxEntries, 100*st.HitRate(), st.Computes)
 }

@@ -25,11 +25,8 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"log"
-	"net/http"
-	_ "net/http/pprof" // -pprof: /debug/pprof on a side listener
 	"os"
 	"os/signal"
 	"strings"
@@ -37,7 +34,7 @@ import (
 	"time"
 
 	"reticle"
-	"reticle/internal/faults"
+	"reticle/internal/server"
 )
 
 func main() {
@@ -54,9 +51,6 @@ func main() {
 	scrubOnStart := flag.Bool("scrub-on-start", false, "verify the disk cache's checksums in the background on startup, quarantining corrupt entries")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof (/debug/pprof) on this side address (empty = disabled)")
 	flag.Parse()
-	if line := faults.EnvSummary(); line != "" {
-		log.Printf("reticle-shard: %s", line)
-	}
 
 	var backends []string
 	for _, b := range strings.Split(*backendsFlag, ",") {
@@ -82,51 +76,10 @@ func main() {
 		log.Fatal("reticle-shard: ", err)
 	}
 
-	if *pprofAddr != "" {
-		// The router mux is private, so DefaultServeMux carries only the
-		// pprof registrations; keep the profiler off the proxy address.
-		go func() {
-			log.Printf("reticle-shard: pprof listening on %s", *pprofAddr)
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				log.Printf("reticle-shard: pprof listener failed: %v", err)
-			}
-		}()
-	}
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	if *scrubOnStart {
-		go func() {
-			rep, ok, err := rt.ScrubDisk(ctx)
-			switch {
-			case !ok:
-				log.Printf("reticle-shard: -scrub-on-start: no disk cache configured (-disk), nothing to scrub")
-			case err != nil:
-				log.Printf("reticle-shard: startup scrub interrupted: %v", err)
-			default:
-				log.Printf("reticle-shard: startup scrub: %d entries verified, %d corrupt quarantined (%d bytes in %s)",
-					rep.Scanned, rep.Corrupt, rep.Bytes, rep.Elapsed)
-			}
-		}()
-	}
-
-	errc := make(chan error, 1)
-	go func() { errc <- rt.ListenAndServe(*addr) }()
-	log.Printf("reticle-shard: listening on %s, %d backends (families %v)",
-		*addr, len(backends), rt.Families())
-
-	select {
-	case err := <-errc:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Fatal("reticle-shard: ", err)
-		}
-	case <-ctx.Done():
-		log.Printf("reticle-shard: signal received, draining (bound %s)", *drain)
-		dctx, cancel := context.WithTimeout(context.Background(), *drain)
-		defer cancel()
-		if err := rt.Shutdown(dctx); err != nil {
-			log.Fatal("reticle-shard: drain: ", err)
-		}
+	log.Printf("reticle-shard: routing over %d backends", len(backends))
+	if err := server.Run(ctx, "reticle-shard", rt, *addr, *pprofAddr, *scrubOnStart, *drain); err != nil {
+		log.Fatal("reticle-shard: ", err)
 	}
 }

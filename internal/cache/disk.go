@@ -39,8 +39,8 @@
 // Open also sweeps what earlier one-file-per-artifact builds left at the
 // root (their *.art files and temp files, and the old stages/ and hints/
 // memo directories); it imports none of it and touches nothing else. A
-// root belongs to one open Disk at a time: two appending to the same
-// segments would overwrite each other's records.
+// root belongs to one open Disk at a time, until its Close: two appending
+// to the same segments would overwrite each other's records.
 //
 // Failure semantics match the rest of the cache tier: the disk cache is
 // an optimization, so a read error degrades to a miss and a write error
@@ -205,6 +205,7 @@ type Disk struct {
 
 	wmu     sync.Mutex
 	nextSeq uint64 // the next segment's number, under wmu
+	closed  bool   // Close has run, under wmu: every Put fails
 
 	mu    sync.Mutex
 	bytes int64      // sum of segment sizes
@@ -564,6 +565,9 @@ func (d *Disk) Put(ctx context.Context, key Key, data []byte) error {
 	rec := encodeRecord(key, data)
 	d.wmu.Lock()
 	defer d.wmu.Unlock()
+	if d.closed {
+		return d.failPut(os.ErrClosed)
+	}
 	if int64(len(rec)) > d.max {
 		// It could never fit: written and at once evicted by the bound.
 		d.mu.Lock()
@@ -680,6 +684,26 @@ func (d *Disk) retire(old *segment, keep []*diskEntry) {
 	}
 	old.f.Close()
 	os.Remove(d.segPath(old.seq))
+}
+
+// Close releases the segment files once no append is in progress. Every
+// later Put fails and is counted a write error, and every later read is an
+// I/O error: a miss that quarantines nothing. What was written before
+// Close is all there for the next OpenDisk. Closing twice is harmless.
+func (d *Disk) Close() error {
+	d.wmu.Lock()
+	defer d.wmu.Unlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.closed {
+		return nil
+	}
+	d.closed = true
+	var errs []error
+	for _, seg := range d.segs {
+		errs = append(errs, seg.f.Close())
+	}
+	return errors.Join(errs...)
 }
 
 // Stats snapshots the counters.

@@ -119,9 +119,8 @@ func TestDiskCacheCrashRestart(t *testing.T) {
 		t.Fatalf("cold stats %+v, want 0 hits / %d misses", cold, len(keys))
 	}
 
-	// "Crash": drop the instance without any explicit close (there is
-	// nothing to close — a record is indexed only once its bytes are
-	// written), then reopen.
+	// "Crash": drop the instance without Close (a record is indexed only
+	// once its bytes are written), then reopen.
 	second := mustOpen(t, dir, 1<<20)
 	if second.Stats().Entries != len(keys) {
 		t.Fatalf("restart recovered %d entries, want %d", second.Stats().Entries, len(keys))
@@ -138,6 +137,51 @@ func TestDiskCacheCrashRestart(t *testing.T) {
 	warm := second.Stats()
 	if warm.Hits != uint64(len(keys)) || warm.Misses != 0 {
 		t.Fatalf("warm stats %+v, want %d hits / 0 misses", warm, len(keys))
+	}
+}
+
+// TestDiskCacheClose: a closed Disk takes no more records — a Put fails
+// and counts as a write error, a Get misses — and a reopen of its root
+// finds every record written before the close.
+func TestDiskCacheClose(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	d := mustOpen(t, dir, 1<<20)
+	keys := []Key{Key(strings.Repeat("a1", 32)), Key(strings.Repeat("b2", 32))}
+	for _, k := range keys {
+		if err := d.Put(ctx, k, []byte(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	late := Key(strings.Repeat("c3", 32))
+	if err := d.Put(ctx, late, []byte(late)); err == nil {
+		t.Fatal("Put after Close succeeded")
+	}
+	if _, ok := d.Get(ctx, keys[0]); ok {
+		t.Fatal("Get after Close served a record")
+	}
+	if st := d.Stats(); st.WriteErrors != 1 || st.Writes != uint64(len(keys)) {
+		t.Fatalf("stats %+v, want %d writes and 1 write error", st, len(keys))
+	}
+
+	again := mustOpen(t, dir, 1<<20)
+	defer again.Close()
+	if n := again.Stats().Entries; n != len(keys) {
+		t.Fatalf("reopen found %d records, want %d", n, len(keys))
+	}
+	for _, k := range keys {
+		if got, ok := again.Get(ctx, k); !ok || string(got) != string(k) {
+			t.Fatalf("record %q after reopen: %q, %v", k[:8], got, ok)
+		}
+	}
+	if _, ok := again.Get(ctx, late); ok {
+		t.Fatal("the Put refused after Close was persisted")
 	}
 }
 

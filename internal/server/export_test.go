@@ -2,8 +2,6 @@ package server
 
 import (
 	"encoding/json"
-	"net"
-	"net/http"
 
 	"reticle/internal/pipeline"
 )
@@ -22,18 +20,6 @@ const NumCounters = numCounters
 
 // CounterKey is counter c's log key.
 func CounterKey(c Counter) string { return counterKeys[c] }
-
-// Start listens on addr (":0" picks a free port) and serves in the
-// background. The bound address is returned so callers can dial it.
-func (s *Server) Start(addr string) (net.Addr, error) {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	s.hs = &http.Server{Handler: s}
-	go s.hs.Serve(l)
-	return l.Addr(), nil
-}
 
 // SliceKernels is the scan ForwardKernels reads a /batch body's kernels
 // with before it falls back to a decode.

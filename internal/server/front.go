@@ -114,6 +114,15 @@ func OpenDiskTier(dir string, maxBytes int64) (DiskTier, error) {
 // Disk exposes the persistent cache (nil when disabled).
 func (t DiskTier) Disk() *cache.Disk { return t.disk }
 
+// Close releases the disk cache's files (see cache.Disk.Close); the zero
+// tier has none.
+func (t DiskTier) Close() error {
+	if t.disk == nil {
+		return nil
+	}
+	return t.disk.Close()
+}
+
 // ScrubDisk runs one integrity walk over the disk cache at the scrub's
 // fixed I/O rate, quarantining corrupt entries exactly as a corrupt Get
 // would. It reports ok=false without walking when no disk tier is
@@ -606,6 +615,59 @@ func PlanBatch(w http.ResponseWriter, r *http.Request, fs FamilySet, maxBodyByte
 		p.MissOf[i] = j
 	}
 	return p, true
+}
+
+// Answer writes the planned batch out in submission order, in the
+// request's framing, and counts the footer alike on both tiers. Miss j's
+// result is the tier's outcome, resolve(j), which waits for it and reports
+// whether its artifact is degraded. For a miss:
+//   - the kernel keeps its own name, if it has one;
+//   - it keeps "cache":"miss" and counts as compiled, once per distinct
+//     kernel, whether it succeeded or failed, unless the tier answers
+//     "hit" (a router relaying a backend's hit);
+//   - a kernel whose IR does not parse has neither; on a routing tier,
+//     which does not parse, that is an outcome of parse_failed.
+//
+// A hit is never degraded: neither tier stores a degraded artifact.
+// finish waits out the tier's workers and fills the footer fields only the
+// tier knows. It runs once: after the last result, or after cancel when
+// the client is gone, and then the footer is dropped.
+func (p *BatchPlan) Answer(w http.ResponseWriter, cancel context.CancelFunc,
+	resolve func(j int) (BatchKernelResultWire, bool), finish func(*BatchStatsJSON)) {
+	frame := NewFrame(w, p.Stream, "results", "family", p.Family)
+	st := BatchStatsJSON{Kernels: len(p.Results)}
+	for i := range p.Results {
+		res, degraded := &p.Results[i], false
+		if j := p.MissOf[i]; j >= 0 {
+			var out BatchKernelResultWire
+			out, degraded = resolve(j)
+			res.Name = cmp.Or(res.Name, out.Name)
+			res.OK, res.Error, res.ErrorCode, res.Artifact = out.OK, out.Error, out.ErrorCode, out.Artifact
+			switch {
+			case out.ErrorCode == "parse_failed":
+				res.Cache = ""
+			case out.Cache != "":
+				res.Cache = out.Cache
+			}
+			if res.Cache == "miss" && i == p.Misses[j].Index {
+				st.Compiled++
+			}
+		}
+		if res.OK {
+			st.Succeeded++
+			if degraded {
+				st.Degraded++
+			}
+		}
+		if frame.Item(res) != nil {
+			cancel() // client gone: stop the tier's workers and wait them out
+			finish(&st)
+			return
+		}
+	}
+	finish(&st)
+	st.Failed = st.Kernels - st.Succeeded
+	frame.Close("stats", &st) // by pointer: st escapes to finish, and a copy would be a second allocation
 }
 
 // Frame writes a response that is header fields, one array written item

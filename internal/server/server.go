@@ -24,7 +24,9 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -105,8 +107,8 @@ type Options struct {
 
 // Server serves compile requests over shared read-only pipeline configs,
 // one per family. It implements http.Handler, so tests drive it through
-// httptest directly; ListenAndServe/Shutdown manage a real listener with
-// graceful drain.
+// httptest directly; Serve/Shutdown run it on a real listener with
+// graceful drain (see Run).
 type Server struct {
 	FamilySet // one pipeline config per family, memo stores wired in
 	DiskTier  // the artifact store's persistent level; zero when disabled
@@ -117,7 +119,7 @@ type Server struct {
 	hints  *hintcache.Store  // placement hint store
 	stagec *stagecache.Store // per-stage compilation memo
 	mux    *http.ServeMux
-	hs     *http.Server
+	hs     *http.Server // serves the mux on Serve's listener
 	start  time.Time
 	sem    chan struct{} // admission semaphore; nil = unlimited
 
@@ -238,6 +240,7 @@ func New(opts Options, configs map[string]*pipeline.Config) (*Server, error) {
 		mux:    http.NewServeMux(),
 		start:  time.Now(),
 	}
+	s.hs = &http.Server{Handler: s}
 	if opts.MaxInFlight > 0 {
 		s.sem = make(chan struct{}, opts.MaxInFlight)
 	}
@@ -281,22 +284,15 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	t.Finish(&s.totals, "serve")
 }
 
-// ListenAndServe serves on addr until Shutdown; it blocks like
-// http.Server.ListenAndServe and returns http.ErrServerClosed after a
-// graceful shutdown.
-func (s *Server) ListenAndServe(addr string) error {
-	s.hs = &http.Server{Addr: addr, Handler: s}
-	return s.hs.ListenAndServe()
-}
+// Serve serves on l until Shutdown, and then returns
+// http.ErrServerClosed; after Shutdown, at once.
+func (s *Server) Serve(l net.Listener) error { return s.hs.Serve(l) }
 
 // Shutdown gracefully drains the server: listeners close immediately,
-// in-flight requests run to completion (bounded by ctx), then Shutdown
-// returns. Safe to call when the server was never started.
+// in-flight requests run to completion (bounded by ctx), and then the
+// disk tier closes. Safe to call when the server never served.
 func (s *Server) Shutdown(ctx context.Context) error {
-	if s.hs == nil {
-		return nil
-	}
-	return s.hs.Shutdown(ctx)
+	return errors.Join(s.hs.Shutdown(ctx), s.DiskTier.Close())
 }
 
 // CacheStats snapshots the artifact cache counters.
@@ -437,9 +433,10 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 // deduped by key) and sends each distinct miss through the worker pool
 // (per-kernel timeout, retries, panic isolation) into compileKernel — so
 // a kernel costs one compile however many requests of whatever kind carry
-// it at once. Results leave in submission order through one loop, in
-// either framing (see Frame). Each miss fills a sub-account on its
-// worker; they join the request's once the pool has finished.
+// it at once. Results leave through BatchPlan.Answer; the footer's
+// retries and skipped stages are the pool's. Each miss fills a
+// sub-account on its worker; they join the request's once the pool has
+// finished.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	acct := AccountOf(w)
 	release, err := s.admit(r.Context())
@@ -489,44 +486,18 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	frame := NewFrame(w, plan.Stream, "results", "family", plan.Family)
-	succeeded, degraded := 0, 0
-	for i := range plan.Results {
-		res := &plan.Results[i]
-		if j := plan.MissOf[i]; j >= 0 {
-			if br := run.Result(j); br.Ok() {
-				res.OK, res.Artifact = true, compiled[j].wire
-				if compiled[j].sum.Degraded {
-					degraded++
-				}
-			} else {
-				// Per-kernel failures cross the wire as the typed stable
-				// message and code only — never raw fmt.Errorf chains.
-				res.Error, res.ErrorCode = rerr.Message(br.Err), rerr.CodeOf(br.Err)
-			}
+	plan.Answer(w, cancel, func(j int) (BatchKernelResultWire, bool) {
+		if br := run.Result(j); !br.Ok() {
+			// Per-kernel failures cross the wire as the typed stable
+			// message and code only — never raw fmt.Errorf chains.
+			return BatchKernelResultWire{Error: rerr.Message(br.Err), ErrorCode: rerr.CodeOf(br.Err)}, false
 		}
-		if res.OK {
-			succeeded++
-		}
-		if frame.Item(res) != nil {
-			cancel() // client gone: stop the pool and wait it out
-			run.Finish()
-			acct.Merge(subs...)
-			return
-		}
-	}
-	_, stats := run.Finish()
-	acct.Merge(subs...)
-	frame.Close("stats", BatchStatsJSON{
-		Kernels:       len(plan.Results),
-		Succeeded:     succeeded,
-		Failed:        len(plan.Results) - succeeded,
-		Compiled:      len(plan.Misses),
-		WallNS:        stats.Wall.Nanoseconds(),
-		KernelsPerSec: stats.KernelsPerSec,
-		Degraded:      degraded,
-		Retried:       stats.Retried,
-		StagesSkipped: acct.N[StagesSkipped],
+		return BatchKernelResultWire{OK: true, Artifact: compiled[j].wire}, compiled[j].sum.Degraded
+	}, func(st *BatchStatsJSON) {
+		_, stats := run.Finish()
+		acct.Merge(subs...)
+		st.WallNS, st.KernelsPerSec = stats.Wall.Nanoseconds(), stats.KernelsPerSec
+		st.Retried, st.StagesSkipped = stats.Retried, acct.N[StagesSkipped]
 	})
 }
 

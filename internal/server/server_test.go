@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"reticle"
+	"reticle/internal/cache"
 	"reticle/internal/server"
 )
 
@@ -533,10 +535,15 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
-// TestDrainOnShutdown: Shutdown with an in-flight compile completes that
-// request (200 with a full artifact) before returning.
+// TestDrainOnShutdown: the lifecycle both commands run (server.Run), its
+// context cancelled while a compile is in flight over a real listener,
+// completes that request (200 with a full artifact) and returns nil.
+// Afterwards the listener is gone and the -disk directory is released:
+// the Server's disk takes no more records, and a reopen finds the one the
+// drained compile wrote.
 func TestDrainOnShutdown(t *testing.T) {
-	s := newTestServer(t, reticle.ServerOptions{})
+	dir := t.TempDir()
+	s := newTestServer(t, reticle.ServerOptions{DiskDir: dir})
 	inPipeline := make(chan struct{}, 1)
 	server.SetOnCompileStart(func() {
 		select {
@@ -546,11 +553,26 @@ func TestDrainOnShutdown(t *testing.T) {
 	})
 	defer server.SetOnCompileStart(nil)
 
-	addr, err := s.Start("127.0.0.1:0")
+	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	url := "http://" + addr.String()
+	addr := l.Addr().String()
+	l.Close() // Run binds it again
+	url := "http://" + addr
+	ctx, stop := context.WithCancel(context.Background())
+	defer stop()
+	ran := make(chan error, 1)
+	go func() { ran <- server.Run(ctx, "reticle-serve", s, addr, "", false, 30*time.Second) }()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if resp, err := http.Get(url + "/healthz"); err == nil {
+			resp.Body.Close()
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("Run never served")
+		}
+	}
 
 	type result struct {
 		code int
@@ -575,11 +597,7 @@ func TestDrainOnShutdown(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("request never reached the pipeline")
 	}
-	sctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := s.Shutdown(sctx); err != nil {
-		t.Fatalf("shutdown: %v", err)
-	}
+	stop()
 
 	r := <-done
 	if r.err != nil {
@@ -592,9 +610,23 @@ func TestDrainOnShutdown(t *testing.T) {
 	if err := json.Unmarshal(r.body, &resp); err != nil || resp.Artifact.Verilog == "" {
 		t.Fatalf("drained response incomplete: %v", err)
 	}
+	if err := <-ran; err != nil {
+		t.Fatalf("Run: %v", err)
+	}
 
 	// New connections are refused after drain.
 	if _, err := http.Get(url + "/healthz"); err == nil {
-		t.Error("listener still accepting after Shutdown")
+		t.Error("listener still accepting after the drain")
+	}
+	if err := s.Disk().Put(context.Background(), "late", nil); err == nil {
+		t.Error("the disk tier still takes records after the drain")
+	}
+	d, err := cache.OpenDisk(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if n := d.Stats().Entries; n != 1 {
+		t.Errorf("reopened -disk directory holds %d records, want the drained compile's 1", n)
 	}
 }

@@ -278,14 +278,6 @@ func decodeSummary(artifact []byte) (sum summary, ok bool) {
 	return sum, json.Unmarshal(tail, &sum) == nil
 }
 
-// ArtifactDegraded reports whether a rendered artifact carries the degraded
-// mark; one that does, or that is not a rendered artifact at all, is served
-// to whoever asked but stored nowhere.
-func ArtifactDegraded(artifact []byte) bool {
-	sum, ok := decodeSummary(artifact)
-	return !ok || sum.Degraded
-}
-
 // ParseCompileFrame is the inverse of CompileResponseWire.AppendJSON: the
 // fields of a /compile 200 a relaying tier reads, with the artifact as a
 // slice of body, and the artifact's degraded mark, read on the walk that

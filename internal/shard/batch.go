@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -14,13 +13,11 @@ import (
 	"reticle/internal/server"
 )
 
-// routed is one deduped kernel's shared outcome: every kernel of the
-// request carrying its key copies res, keeping its own name if its client
-// gave one. An artifact is a slice of the backend's answer, held in out's
-// buffer until the handler has written the batch out.
+// routed is one deduped kernel's shared outcome, the miss's result for
+// BatchPlan.Answer. An artifact is a slice of the backend's answer, held
+// in out's buffer until the handler has written the batch out.
 type routed struct {
-	res      server.BatchKernelResultWire // Name is the backend's, when it answered 200
-	compiled bool                         // backend answered 200 with cache "miss"
+	res      server.BatchKernelResultWire // Name and Cache are the backend's, when it answered 200
 	degraded bool                         // the artifact carries the degraded mark
 	out      proxyOutcome
 }
@@ -53,7 +50,7 @@ func (rt *Router) routeMiss(ctx context.Context, acct *server.Account, plan *ser
 			return failed("backend returned an unreadable response", "backend_error")
 		}
 		rt.diskPut(ctx, plan.Kernels[m.Index], ans, degraded)
-		return routed{compiled: ans.Cache == "miss", degraded: degraded, out: out,
+		return routed{degraded: degraded, out: out,
 			res: server.BatchKernelResultWire{Name: ans.Name, OK: true, Cache: ans.Cache, Artifact: ans.Artifact}}
 	}
 	defer out.release()
@@ -73,11 +70,12 @@ func (rt *Router) routeMiss(ctx context.Context, acct *server.Account, plan *ser
 
 // handleBatch plans the request exactly as a backend does (the router's
 // local store is its disk tier) and fans the distinct misses out as
-// /compile proxies, at most `jobs` at once. The framing — NDJSON lines as
-// each kernel's proxy answers, or their buffered splice — is the
-// backends' own, so a client cannot tell which tier it is talking to.
-// Each kernel's proxy walk fills a sub-account; they join the request's
-// once the fan-out has drained.
+// /compile proxies, at most `jobs` at once. The answer — NDJSON lines as
+// each kernel's proxy answers, or their buffered splice — is written by
+// the backends' own BatchPlan.Answer, so a client cannot tell which tier
+// it is talking to; the footer's wall time is the router's. Each kernel's
+// proxy walk fills a sub-account; they join the request's once the
+// fan-out has drained.
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	acct := server.AccountOf(w)
 	start := time.Now()
@@ -114,42 +112,16 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			out.out.release()
 		}
 	}()
-	frame := server.NewFrame(w, plan.Stream, "results", "family", plan.Family)
-	st := server.BatchStatsJSON{Kernels: len(plan.Results)}
-	for i := range plan.Results {
-		res := &plan.Results[i]
-		// A relayed artifact's mark was read as it was sliced out; one
-		// from the router's disk has not been walked yet.
-		degraded := res.OK && server.ArtifactDegraded(res.Artifact)
-		if j := plan.MissOf[i]; j >= 0 {
-			name, out := res.Name, fan.Wait(j)
-			*res, degraded = out.res, out.degraded
-			res.Name = cmp.Or(name, res.Name)
+	plan.Answer(w, cancel, func(j int) (server.BatchKernelResultWire, bool) {
+		out := fan.Wait(j)
+		return out.res, out.degraded
+	}, func(st *server.BatchStatsJSON) {
+		fan.Drain()
+		acct.Merge(subs...)
+		wall := time.Since(start)
+		st.WallNS = wall.Nanoseconds()
+		if wall > 0 {
+			st.KernelsPerSec = float64(st.Kernels) / wall.Seconds()
 		}
-		if res.OK {
-			st.Succeeded++
-			if degraded {
-				st.Degraded++
-			}
-		}
-		if frame.Item(res) != nil {
-			cancel() // client gone: stop the proxies and wait them out
-			fan.Drain()
-			acct.Merge(subs...)
-			return
-		}
-	}
-	for _, out := range fan.Drain() {
-		if out.compiled {
-			st.Compiled++
-		}
-	}
-	acct.Merge(subs...)
-	st.Failed = st.Kernels - st.Succeeded
-	wall := time.Since(start)
-	st.WallNS = wall.Nanoseconds()
-	if wall > 0 {
-		st.KernelsPerSec = float64(st.Kernels) / wall.Seconds()
-	}
-	frame.Close("stats", st)
+	})
 }

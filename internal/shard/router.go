@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -55,9 +57,8 @@ type Options struct {
 	ProxyTimeout time.Duration
 	// HealthInterval is the active /healthz probe period; 0 disables
 	// active probing (passive failure detection still marks backends
-	// down on proxy errors). ListenAndServe launches the prober; tests
-	// that drive the Router as a bare http.Handler can call
-	// StartHealthLoop.
+	// down on proxy errors). Serve launches the prober; tests that drive
+	// the Router as a bare http.Handler can call StartHealthLoop.
 	HealthInterval time.Duration
 	// Jobs bounds concurrent per-kernel proxy fan-out for /batch; <=0
 	// means 8.
@@ -109,12 +110,13 @@ type Router struct {
 	backends []*backend
 	client   *http.Client
 	mux      *http.ServeMux
-	hs       *http.Server
+	hs       *http.Server // serves the mux on Serve's listener
 	start    time.Time
 
-	stopOnce   sync.Once
-	stopHealth chan struct{}
-	healthDone chan struct{}
+	healthMu   sync.Mutex
+	stopped    bool           // Shutdown has begun, under healthMu: no prober starts
+	stopHealth chan struct{}  // closed by Shutdown: the probers return
+	probers    sync.WaitGroup // the probe goroutines, waited out by Shutdown
 
 	totals server.Totals // the fold of finished requests' accounts: /stats
 	// The hedge budget's two counters, which hedgeBudgetOK reads while
@@ -142,8 +144,8 @@ func New(opts Options, configs map[string]*pipeline.Config) (*Router, error) {
 		mux:        http.NewServeMux(),
 		start:      time.Now(),
 		stopHealth: make(chan struct{}),
-		healthDone: make(chan struct{}),
 	}
+	rt.hs = &http.Server{Handler: rt}
 	var err error
 	if rt.FamilySet, err = server.NewFamilySet(configs, opts.DefaultFamily); err != nil {
 		return nil, fmt.Errorf("shard: %w", err)
@@ -179,32 +181,30 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	t.Finish(&rt.totals, "route")
 }
 
-// ListenAndServe serves on addr until Shutdown, launching the health
-// prober first; it returns http.ErrServerClosed after a graceful
-// shutdown, like http.Server.ListenAndServe.
-func (rt *Router) ListenAndServe(addr string) error {
+// Serve launches the health prober and serves on l until Shutdown, and
+// then returns http.ErrServerClosed; after Shutdown, at once.
+func (rt *Router) Serve(l net.Listener) error {
 	rt.StartHealthLoop()
-	rt.hs = &http.Server{Addr: addr, Handler: rt}
-	return rt.hs.ListenAndServe()
+	return rt.hs.Serve(l)
 }
 
 // StartHealthLoop launches the active prober (no-op when
-// Options.HealthInterval is 0 or the router is already stopped). Each
+// Options.HealthInterval is 0 or the router is shutting down). Each
 // backend gets its own probe goroutine with a phase offset spreading
 // the schedule across the interval — on a shared tick, every backend is
 // probed at the same instant, so a recovering ring takes its whole
 // probe load as one synchronized burst (a thundering herd against
 // exactly the peers least able to absorb it).
 func (rt *Router) StartHealthLoop() {
-	if rt.opts.HealthInterval <= 0 {
-		close(rt.healthDone)
+	rt.healthMu.Lock()
+	defer rt.healthMu.Unlock()
+	if rt.opts.HealthInterval <= 0 || rt.stopped {
 		return
 	}
-	var wg sync.WaitGroup
 	for i, b := range rt.backends {
-		wg.Add(1)
+		rt.probers.Add(1)
 		go func(i int, b *backend) {
-			defer wg.Done()
+			defer rt.probers.Done()
 			select {
 			case <-rt.stopHealth:
 				return
@@ -222,10 +222,6 @@ func (rt *Router) StartHealthLoop() {
 			}
 		}(i, b)
 	}
-	go func() {
-		wg.Wait()
-		close(rt.healthDone)
-	}()
 }
 
 // probeOffset is backend i's probe phase within the interval: the n
@@ -262,14 +258,19 @@ func (rt *Router) probeOne(b *backend) {
 	b.alive.Store(resp.StatusCode == http.StatusOK)
 }
 
-// Shutdown stops the health prober and gracefully drains the listener,
-// if one was started.
+// Shutdown stops the health prober and waits it out, gracefully drains
+// the listener (in-flight requests run to completion, bounded by ctx),
+// and then closes the disk tier. Safe to call when the router never
+// served.
 func (rt *Router) Shutdown(ctx context.Context) error {
-	rt.stopOnce.Do(func() { close(rt.stopHealth) })
-	if rt.hs == nil {
-		return nil
+	rt.healthMu.Lock()
+	if !rt.stopped {
+		rt.stopped = true
+		close(rt.stopHealth)
 	}
-	return rt.hs.Shutdown(ctx)
+	rt.healthMu.Unlock()
+	rt.probers.Wait()
+	return errors.Join(rt.hs.Shutdown(ctx), rt.DiskTier.Close())
 }
 
 // proxyOutcome is one routed kernel's terminal proxy result: an HTTP

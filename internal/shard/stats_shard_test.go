@@ -2,6 +2,7 @@ package shard_test
 
 import (
 	"bytes"
+	"context"
 	"net/http"
 	"strings"
 	"testing"
@@ -122,6 +123,9 @@ func TestShardDiskSurvivesBackendLoss(t *testing.T) {
 	for _, b := range backends {
 		b.Close()
 	}
+	if err := rt.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	fresh := newRouter(t, reticle.ShardOptions{Backends: urls, DiskDir: dir})
 	var again server.CompileResponse
 	if code := post(t, fresh, "/compile", server.CompileRequest{IR: maccSrc}, &again); code != http.StatusOK {
@@ -164,12 +168,21 @@ func familyConfigs(t testing.TB) map[string]*pipeline.Config {
 func TestRouterDiskKeyCoversConfig(t *testing.T) {
 	backend, url := tapped(t)
 	dir := t.TempDir()
+	// start opens a router over dir once the last one has shut down: a
+	// -disk directory belongs to one process at a time.
+	var last *shard.Router
 	start := func(configs map[string]*pipeline.Config) *shard.Router {
 		t.Helper()
+		if last != nil {
+			if err := last.Shutdown(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}
 		rt, err := shard.New(shard.Options{Backends: []string{url}, DiskDir: dir, DefaultFamily: "ultrascale"}, configs)
 		if err != nil {
 			t.Fatal(err)
 		}
+		last = rt
 		return rt
 	}
 	body := `{"ir":` + quote(maccSrc) + `}`
@@ -197,12 +210,6 @@ func TestRouterDiskKeyCoversConfig(t *testing.T) {
 		t.Errorf("the other family: %d backend requests, want the miss forwarded once", posts)
 	}
 
-	changed := familyConfigs(t)
-	changed["ultrascale"].MaxSolverSteps = 1 << 20
-	if _, posts := sent(start(changed), body); posts != 1 {
-		t.Errorf("changed config: %d backend requests, want the miss forwarded once", posts)
-	}
-
 	chain := quote(chainSrc("named", 2))
 	for i, want := range []struct {
 		body, name string
@@ -217,5 +224,11 @@ func TestRouterDiskKeyCoversConfig(t *testing.T) {
 		if prefix := `{"name":"` + want.name + `",`; !bytes.HasPrefix(a.body, []byte(prefix)) || posts != want.posts {
 			t.Errorf("named record, send %d: %.40s after %d backend requests, want %s after %d", i, a.body, posts, prefix, want.posts)
 		}
+	}
+
+	changed := familyConfigs(t)
+	changed["ultrascale"].MaxSolverSteps = 1 << 20
+	if _, posts := sent(start(changed), body); posts != 1 {
+		t.Errorf("changed config: %d backend requests, want the miss forwarded once", posts)
 	}
 }

@@ -2,8 +2,10 @@ package shard_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -18,8 +20,9 @@ import (
 
 // TestBatchTiersIndistinguishableOnBadInput: a malformed /batch earns the
 // same status and the same JSON body from a bare backend and from a
-// router in front of one — both tiers answer through server.PlanBatch, so
-// a client cannot tell them apart by how they refuse.
+// router in front of one — both tiers answer through server.PlanBatch and
+// BatchPlan.Answer, so a client cannot tell them apart by how they refuse,
+// nor by how a kernel that does not parse or does not compile fails.
 func TestBatchTiersIndistinguishableOnBadInput(t *testing.T) {
 	backend, err := reticle.NewServer(reticle.ServerOptions{})
 	if err != nil {
@@ -40,11 +43,12 @@ func TestBatchTiersIndistinguishableOnBadInput(t *testing.T) {
 		{"unknown-field", `{"bogus":1,"kernels":[` + kernel + `]}`, http.StatusBadRequest},
 		{"trailing-data", `{"kernels":[` + kernel + `]} {}`, http.StatusBadRequest},
 		{"unparseable-kernel", `{"kernels":[{"name":"broken","ir":"def broken( {"}]}`, http.StatusOK},
+		{"uncompilable-kernel", `{"kernels":[{"name":"k","ir":` + strconv.Quote(wideMulSrc) + `},` + kernel + `]}`, http.StatusOK},
 	} {
 		answer := func(h http.Handler) (int, string) {
 			w := httptest.NewRecorder()
 			h.ServeHTTP(w, httptest.NewRequest("POST", "/batch", bytes.NewReader([]byte(tc.body))))
-			return w.Code, string(wallFields.ReplaceAll(w.Body.Bytes(), nil))
+			return w.Code, string(measured.ReplaceAll(w.Body.Bytes(), nil))
 		}
 		bCode, bBody := answer(backend)
 		rCode, rBody := answer(router)
@@ -94,6 +98,44 @@ func TestTimeoutTiersAgree(t *testing.T) {
 		}
 	}
 }
+
+// TestShutdownBeforeServe: a tier shut down before it serves — a Server,
+// and a Router whose health prober would start with it — answers Serve
+// with http.ErrServerClosed at once and closes the listener it was given.
+func TestShutdownBeforeServe(t *testing.T) {
+	backend, err := reticle.NewServer(reticle.ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, urls := newBackends(t, 1)
+	router := newRouter(t, reticle.ShardOptions{Backends: urls, HealthInterval: time.Millisecond})
+	for name, tier := range map[string]server.Tier{"backend": backend, "router": router} {
+		if err := tier.Shutdown(context.Background()); err != nil {
+			t.Fatalf("%s: Shutdown: %v", name, err)
+		}
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		served := make(chan error, 1)
+		go func() { served <- tier.Serve(l) }()
+		select {
+		case err := <-served:
+			if !errors.Is(err, http.ErrServerClosed) {
+				t.Errorf("%s: Serve after Shutdown returned %v, want http.ErrServerClosed", name, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: Serve after Shutdown is still serving", name)
+		}
+		if c, err := net.Dial("tcp", l.Addr().String()); err == nil {
+			c.Close()
+			t.Errorf("%s: the listener still accepts after Serve returned", name)
+		}
+	}
+}
+
+// wideMulSrc parses but does not compile: no primitive multiplies i64s.
+const wideMulSrc = `def wide(a:i64, b:i64) -> (y:i64) { y:i64 = mul(a, b) @??; }`
 
 // goneAfterFirstLine is a client that takes the status line and one NDJSON
 // line and then disappears: every later Write fails.

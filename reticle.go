@@ -392,7 +392,7 @@ func (c *Compiler) Explore(ctx context.Context, f *Func, opts ExploreOptions) (*
 
 // NewServer builds the HTTP compile service over both bundled families
 // ("ultrascale" is the default family, "agilex" the second) with the
-// artifact cache in front. Drive it with Server.Start/ListenAndServe
+// artifact cache in front. Serve it on a listener with Server.Serve
 // and drain it with Server.Shutdown; it also implements http.Handler
 // for embedding. cmd/reticle-serve is the standalone daemon.
 func NewServer(opts ServerOptions) (*Server, error) {
