@@ -5,9 +5,8 @@
 //
 // Usage:
 //
-//	reticle-serve [-addr :8080] [-cache 512] [-jobs 0] [-timeout 30s] [-max-body 1048576]
-//	              [-max-inflight 0] [-disk DIR] [-disk-bytes N]
-//	              [-explore-variants 0] [-scrub-on-start] [-pprof ADDR]
+//	reticle-serve [-addr :8080] [-cache 512] [-timeout 30s] [-max-inflight 0]
+//	              [-disk DIR] [-disk-bytes N] [-scrub-on-start] [-pprof ADDR]
 //
 // Endpoints (all JSON; see README "Compile service"):
 //
@@ -17,8 +16,11 @@
 //	GET  /healthz
 //	GET  /stats
 //
+// Request bodies are bounded at 1 MiB, the limit reticle-shard shares. A
+// /batch or /explore without "jobs" runs GOMAXPROCS workers.
+//
 // SIGINT/SIGTERM drain gracefully: listeners close, in-flight compiles
-// finish (bounded by -drain), the -disk directory is released, then the
+// finish (bounded at 30s), the -disk directory is released, then the
 // process exits.
 package main
 
@@ -39,34 +41,27 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	cacheEntries := flag.Int("cache", 0, "artifact cache entries (0 = default)")
-	jobs := flag.Int("jobs", 0, "default /batch worker bound (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 30*time.Second, "default per-request compile deadline (0 = none)")
-	maxBody := flag.Int64("max-body", 1<<20, "request body size limit in bytes")
-	drain := flag.Duration("drain", 30*time.Second, "shutdown drain bound for in-flight requests")
 	maxInFlight := flag.Int("max-inflight", 0, "admitted concurrent compile/batch requests before shedding 429s (0 = unlimited)")
 	diskDir := flag.String("disk", "", "persistent second level for the artifact store, a log of checksummed segment files; the hint and stage memos stay in memory (empty = disabled)")
 	diskBytes := flag.Int64("disk-bytes", 0, "size bound in bytes for the whole -disk tree, every segment counted; the oldest segment is retired when full (0 = default)")
-	exploreVariants := flag.Int("explore-variants", 0, "per-request /explore variant cap (0 = hard default)")
 	scrubOnStart := flag.Bool("scrub-on-start", false, "verify the disk cache's checksums in the background on startup, quarantining corrupt entries")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof (/debug/pprof) on this side address (empty = disabled)")
 	flag.Parse()
 
 	srv, err := reticle.NewServer(reticle.ServerOptions{
-		CacheEntries:       *cacheEntries,
-		MaxBodyBytes:       *maxBody,
-		DefaultTimeout:     *timeout,
-		Jobs:               *jobs,
-		MaxInFlight:        *maxInFlight,
-		DiskDir:            *diskDir,
-		DiskMaxBytes:       *diskBytes,
-		MaxExploreVariants: *exploreVariants,
+		CacheEntries:   *cacheEntries,
+		DefaultTimeout: *timeout,
+		MaxInFlight:    *maxInFlight,
+		DiskDir:        *diskDir,
+		DiskMaxBytes:   *diskBytes,
 	})
 	if err != nil {
 		log.Fatal("reticle-serve: ", err)
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := server.Run(ctx, "reticle-serve", srv, *addr, *pprofAddr, *scrubOnStart, *drain); err != nil {
+	if err := server.Run(ctx, "reticle-serve", srv, *addr, *pprofAddr, *scrubOnStart); err != nil {
 		log.Fatal("reticle-serve: ", err)
 	}
 	st := srv.CacheStats()

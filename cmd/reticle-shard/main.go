@@ -9,16 +9,18 @@
 // Usage:
 //
 //	reticle-shard -backends http://h1:8080,http://h2:8080 [-addr :8090]
-//	              [-jobs 8] [-proxy-timeout 60s]
-//	              [-health-interval 2s] [-disk DIR] [-disk-bytes N]
-//	              [-max-body 1048576] [-hedge-after 300ms] [-scrub-on-start]
+//	              [-proxy-timeout 60s] [-health-interval 2s] [-disk DIR]
+//	              [-disk-bytes N] [-hedge-after 300ms] [-scrub-on-start]
 //	              [-pprof ADDR]
 //
 // The endpoint surface is identical to reticle-serve (POST /compile,
 // POST /batch with buffered or NDJSON-streaming framing, GET /healthz,
 // GET /stats), so clients point at the router unchanged. The backend
 // list's ORDER is identity on the hash ring: keep it stable across
-// router restarts and every backend keeps its keys.
+// router restarts and every backend keeps its keys. Request bodies are
+// bounded at 1 MiB, the limit every backend runs, so the router never
+// admits what a backend refuses. A /batch without "jobs" proxies at most
+// 8 kernels at once.
 //
 // SIGINT/SIGTERM drain gracefully, like reticle-serve.
 package main
@@ -40,13 +42,10 @@ import (
 func main() {
 	addr := flag.String("addr", ":8090", "listen address")
 	backendsFlag := flag.String("backends", "", "comma-separated backend base URLs (required; order is ring identity)")
-	jobs := flag.Int("jobs", 0, "concurrent per-kernel proxy fan-out for /batch (0 = default)")
 	proxyTimeout := flag.Duration("proxy-timeout", 60*time.Second, "per-attempt proxy deadline (0 = none)")
 	healthInterval := flag.Duration("health-interval", 2*time.Second, "active backend probe period (0 = passive detection only)")
 	diskDir := flag.String("disk", "", "router-local persistent artifact cache directory, a log of checksummed segment files (empty = disabled)")
 	diskBytes := flag.Int64("disk-bytes", 0, "size bound in bytes for the whole -disk tree, every segment counted; the oldest segment is retired when full (0 = default)")
-	maxBody := flag.Int64("max-body", 1<<20, "request body size limit in bytes")
-	drain := flag.Duration("drain", 30*time.Second, "shutdown drain bound for in-flight requests")
 	hedgeAfter := flag.Duration("hedge-after", 0, "fire one speculative /compile attempt at the next ring backend after this delay (0 = no hedging)")
 	scrubOnStart := flag.Bool("scrub-on-start", false, "verify the disk cache's checksums in the background on startup, quarantining corrupt entries")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof (/debug/pprof) on this side address (empty = disabled)")
@@ -64,12 +63,10 @@ func main() {
 
 	rt, err := reticle.NewShardRouter(reticle.ShardOptions{
 		Backends:       backends,
-		Jobs:           *jobs,
 		ProxyTimeout:   *proxyTimeout,
 		HealthInterval: *healthInterval,
 		DiskDir:        *diskDir,
 		DiskMaxBytes:   *diskBytes,
-		MaxBodyBytes:   *maxBody,
 		HedgeAfter:     *hedgeAfter,
 	})
 	if err != nil {
@@ -79,7 +76,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	log.Printf("reticle-shard: routing over %d backends", len(backends))
-	if err := server.Run(ctx, "reticle-shard", rt, *addr, *pprofAddr, *scrubOnStart, *drain); err != nil {
+	if err := server.Run(ctx, "reticle-shard", rt, *addr, *pprofAddr, *scrubOnStart); err != nil {
 		log.Fatal("reticle-shard: ", err)
 	}
 }

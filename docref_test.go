@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -153,6 +154,102 @@ func TestDocReferences(t *testing.T) {
 				if !ok {
 					t.Errorf("%s:%d: %s names nothing the module declares", doc, i+1, m[0])
 				}
+			}
+		}
+	}
+}
+
+// goTestFlags are the `go test` flags the docs may name, besides the
+// flags the module's commands register.
+var goTestFlags = map[string]bool{
+	"bench": true, "benchmem": true, "count": true, "cpuprofile": true,
+	"race": true, "run": true, "short": true, "update": true,
+}
+
+// registeredFlags lists the flag names that the module's Go files register
+// through the flag package's constructors, on flag or on a FlagSet: the
+// string literal that names each one.
+func registeredFlags(t *testing.T) map[string]bool {
+	t.Helper()
+	nameArg := map[string]int{
+		"Bool": 0, "Duration": 0, "Float64": 0, "Int": 0, "Int64": 0, "String": 0, "Uint": 0, "Uint64": 0, "Func": 0, "BoolFunc": 0,
+		"BoolVar": 1, "DurationVar": 1, "Float64Var": 1, "IntVar": 1, "Int64Var": 1, "StringVar": 1, "UintVar": 1, "Uint64Var": 1, "Var": 1, "TextVar": 1,
+	}
+	flags := map[string]bool{}
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); p != "." && (name == "testdata" || strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if i, ok := nameArg[sel.Sel.Name]; ok && i < len(call.Args) {
+				if lit, ok := call.Args[i].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					if name, err := strconv.Unquote(lit.Value); err == nil {
+						flags[name] = true
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return flags
+}
+
+// docFlag is a code span that starts with a flag: `-disk`, `-disk DIR`,
+// `-race -count=5`. The first name is checked.
+var docFlag = regexp.MustCompile(`^--?([a-z][a-z0-9-]*)(?:[ =]|$)`)
+
+// TestDocFlags checks that every code span in README.md and DESIGN.md that
+// starts with a flag names one that some command in the module registers,
+// or one of goTestFlags, so a deleted flag cannot stay documented. Fenced
+// code blocks are not spans and are not checked.
+func TestDocFlags(t *testing.T) {
+	flags := registeredFlags(t)
+	for _, doc := range []string{"README.md", "DESIGN.md"} {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var prose strings.Builder
+		fenced := false
+		for _, line := range strings.Split(string(data), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				fenced = !fenced
+				continue
+			}
+			if !fenced {
+				prose.WriteString(line + "\n")
+			}
+		}
+		spans := strings.Split(prose.String(), "`")
+		for i := 1; i < len(spans); i += 2 {
+			m := docFlag.FindStringSubmatch(spans[i])
+			if m != nil && !flags[m[1]] && !goTestFlags[m[1]] {
+				t.Errorf("%s: `%s` names a flag no command registers", doc, spans[i])
 			}
 		}
 	}

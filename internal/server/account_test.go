@@ -60,7 +60,7 @@ func TestRequestLogLevels(t *testing.T) {
 // non-zero here, because the repeat sweep's new variants and the batch's
 // DSP-annotated kernel fork off stages memoized by earlier requests.
 func TestFooterStagesSkippedIsTheFold(t *testing.T) {
-	s := newTestServer(t, reticle.ServerOptions{Jobs: 1})
+	s := newTestServer(t, reticle.ServerOptions{})
 	skipped := func() int {
 		var st server.StatsResponse
 		if code := get(t, s, "/stats", &st); code != http.StatusOK || st.StageCache == nil {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"net/http"
 
@@ -30,7 +31,7 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		WriteTypedError(w, err)
 		return
 	}
-	q, ok := s.Door(w, r, s.opts.MaxBodyBytes)
+	q, ok := s.Door(w, r)
 	if !ok {
 		return
 	}
@@ -41,11 +42,11 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	}
 	defer cancel()
 
-	maxVariants := s.exploreVariantCap(q.MaxVariants)
+	maxVariants := exploreVariantCap(q.MaxVariants)
 	subs := make([]Account, maxVariants) // [i] is written by variant i's worker
 	sw, err := explore.Begin(ctx, q.Config, q.Kernels[0].Func, explore.Options{
 		MaxVariants: maxVariants,
-		Jobs:        s.exploreJobs(q.Jobs),
+		Jobs:        exploreJobs(q.Jobs),
 		Compile:     s.variantCompiler(subs),
 	})
 	if err != nil {
@@ -76,35 +77,16 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	frame.Close("frontier", res.Frontier, "partial", res.Partial, "stats", exploreStatsJSON(res.Stats, acct.N[StagesSkipped]))
 }
 
-// exploreVariantCap resolves a request's max_variants against the
-// server cap: 0 takes the lattice default, oversized asks are clamped.
-func (s *Server) exploreVariantCap(requested int) int {
-	cap := s.opts.MaxExploreVariants
-	if cap <= 0 || cap > explore.HardMaxVariants {
-		cap = explore.HardMaxVariants
-	}
-	n := requested
-	if n == 0 {
-		n = explore.DefaultMaxVariants
-	}
-	if n > cap {
-		n = cap
-	}
-	return n
+// exploreVariantCap resolves a request's max_variants: 0 takes the
+// lattice default, oversized asks are clamped to the hard cap.
+func exploreVariantCap(requested int) int {
+	return min(cmp.Or(requested, explore.DefaultMaxVariants), explore.HardMaxVariants)
 }
 
-// exploreJobs resolves a request's worker bound; the lattice ceiling
-// also bounds fan-out, so a huge jobs value cannot spawn idle workers.
-func (s *Server) exploreJobs(requested int) int {
-	jobs := requested
-	if jobs == 0 {
-		jobs = s.opts.Jobs
-	}
-	if jobs > explore.HardMaxVariants {
-		jobs = explore.HardMaxVariants
-	}
-	return jobs
-}
+// exploreJobs resolves a request's worker bound (0: the batch pool's
+// default); the lattice ceiling also bounds fan-out, so a huge jobs value
+// cannot spawn idle workers.
+func exploreJobs(requested int) int { return min(requested, explore.HardMaxVariants) }
 
 // variantCompiler routes one variant through compileKernel — the same
 // cache-checked, coalesced path /compile and /batch use — into its

@@ -10,6 +10,9 @@ import (
 // for the equal-key property.
 func ArtifactJSONOf(art *pipeline.Artifact) ArtifactJSON { return artifactJSON(art) }
 
+// MaxBodyBytes is the request body limit both tiers share.
+const MaxBodyBytes = maxBodyBytes
+
 // SetOnCompileStart installs the test hook invoked as a kernel enters
 // the pipeline, letting the drain suite synchronize Shutdown with an
 // in-flight compile. Install before traffic, and restore nil after.

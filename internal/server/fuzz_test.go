@@ -70,10 +70,7 @@ func FuzzCompileHandler(f *testing.F) {
 	f.Add([]byte(`{"ir": "x", "unknown": {"deep": [1,2,3]}}`))
 	f.Add([]byte(strings.Repeat(`{"ir":"`, 512)))
 
-	s, err := reticle.NewServer(reticle.ServerOptions{
-		MaxBodyBytes:   1 << 16,
-		DefaultTimeout: 5 * time.Second,
-	})
+	s, err := reticle.NewServer(reticle.ServerOptions{DefaultTimeout: 5 * time.Second})
 	if err != nil {
 		f.Fatal(err)
 	}

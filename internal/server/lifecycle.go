@@ -21,15 +21,18 @@ type Tier interface {
 	Families() []string
 }
 
+// drainBound is how long Run's shutdown waits for in-flight requests.
+const drainBound = 30 * time.Second
+
 // Run is the lifecycle of a tier's process, the same for reticle-serve and
 // reticle-shard: bind addr, serve t until ctx is done, then drain — the
-// listener closes, in-flight requests finish within drain, and the disk
-// tier closes. Around it, it logs the armed fault points, serves
+// listener closes, in-flight requests finish within drainBound, and the
+// disk tier closes. Around it, it logs the armed fault points, serves
 // net/http/pprof on the side address pprof when that is set (the tier's
 // own mux is private, so DefaultServeMux carries only the profiler), and
 // with scrub verifies the disk tier in the background. Log lines start
 // with name. It returns nil once drained, or the error that stopped it.
-func Run(ctx context.Context, name string, t Tier, addr, pprof string, scrub bool, drain time.Duration) error {
+func Run(ctx context.Context, name string, t Tier, addr, pprof string, scrub bool) error {
 	if line := faults.EnvSummary(); line != "" {
 		log.Printf("%s: %s", name, line)
 	}
@@ -68,8 +71,8 @@ func Run(ctx context.Context, name string, t Tier, addr, pprof string, scrub boo
 		return err
 	case <-ctx.Done():
 	}
-	log.Printf("%s: shutting down, draining (bound %s)", name, drain)
-	dctx, cancel := context.WithTimeout(context.Background(), drain)
+	log.Printf("%s: shutting down, draining (bound %s)", name, drainBound)
+	dctx, cancel := context.WithTimeout(context.Background(), drainBound)
 	defer cancel()
 	if err := t.Shutdown(dctx); err != nil {
 		return fmt.Errorf("drain: %w", err)

@@ -200,6 +200,10 @@ type ErrorResponse struct {
 	// Class is the retry semantics: "transient", "permanent",
 	// "resource-exhausted", or "unknown".
 	Class string `json:"class,omitempty"`
+	// Name is the kernel's, as its success body would carry it, when an
+	// admitted /compile fails: a routing tier relays it into the /batch
+	// result of a kernel sent unnamed.
+	Name string `json:"name,omitempty"`
 }
 
 // HealthResponse is the GET /healthz body.

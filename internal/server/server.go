@@ -74,14 +74,9 @@ const DeadlineHeader = "X-Reticle-Deadline"
 type Options struct {
 	// CacheEntries bounds the artifact LRU; <=0 means cache.DefaultEntries.
 	CacheEntries int
-	// MaxBodyBytes bounds request bodies; <=0 means 1 MiB.
-	MaxBodyBytes int64
 	// DefaultTimeout is the per-request compile deadline applied when a
 	// request does not set timeout_ms; 0 means no server-side deadline.
 	DefaultTimeout time.Duration
-	// Jobs bounds /batch worker goroutines when the request omits jobs;
-	// <=0 means GOMAXPROCS (the batch tier's default).
-	Jobs int
 	// DefaultFamily names the config used when a request omits "family".
 	// Empty with exactly one configured family means that family.
 	DefaultFamily string
@@ -99,10 +94,6 @@ type Options struct {
 	// DiskMaxBytes bounds the segments under DiskDir, all the tree holds
 	// but its count-capped quarantine; <=0 means cache.DefaultDiskBytes.
 	DiskMaxBytes int64
-	// MaxExploreVariants caps the per-request /explore max_variants
-	// (requests past the cap are clamped); <=0 means
-	// explore.HardMaxVariants.
-	MaxExploreVariants int
 }
 
 // Server serves compile requests over shared read-only pipeline configs,
@@ -227,9 +218,6 @@ func textKey(body []byte) cache.Key {
 // New builds a Server over one pipeline config per family name. Every
 // config must validate; at least one family is required.
 func New(opts Options, configs map[string]*pipeline.Config) (*Server, error) {
-	if opts.MaxBodyBytes <= 0 {
-		opts.MaxBodyBytes = 1 << 20
-	}
 	// The memos live in memory only: a restart costs hint adoption and
 	// stage reuse for near-miss edits, never an artifact.
 	s := &Server{
@@ -378,7 +366,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		WriteTypedError(w, err)
 		return
 	}
-	body, err := readBody(r, s.opts.MaxBodyBytes)
+	body, err := readBody(r)
 	if err != nil {
 		WriteRefusal(w, err)
 		return
@@ -402,19 +390,19 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	q, err := s.Admit("/compile", body.Bytes(), r.Header, s.opts.MaxBodyBytes)
+	q, err := s.Admit("/compile", body.Bytes(), r.Header)
 	if err != nil {
 		WriteRefusal(w, err)
 		return
 	}
+	k := q.Kernels[0]
 	ctx, cancel, err := s.within(acct, r, q, q.Timeout)
 	if err != nil {
-		WriteTypedError(w, err)
+		writeTypedError(w, err, k.Name)
 		return
 	}
 	defer cancel()
 
-	k := q.Kernels[0]
 	// A parsed name is a substring of the decoded IR: cloned, the memo
 	// entry does not keep the whole request alive.
 	te := textEntry{key: k.Key, name: strings.Clone(k.Name), family: q.Family}
@@ -422,7 +410,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	acct.Key = string(te.key)
 	ca, lvl, err := s.compileKernel(ctx, acct, q.Config, te.key, k.Func)
 	if err != nil {
-		WriteTypedError(w, err)
+		writeTypedError(w, err, te.name)
 		return
 	}
 	te.answer(w, lvl != cache.Computed, ca.wire)
@@ -449,7 +437,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		WriteTypedError(w, err)
 		return
 	}
-	plan, ok := PlanBatch(w, r, s.FamilySet, s.opts.MaxBodyBytes, s.opts.Jobs,
+	plan, ok := PlanBatch(w, r, s.FamilySet,
 		func(ctx context.Context, k Kernel) (CompileResponseWire, bool) {
 			ca, ok := s.cache.Lookup(ctx, k.Key)
 			return CompileResponseWire{Name: k.Name, Artifact: ca.wire}, ok

@@ -271,11 +271,15 @@ func TestErrorPaths(t *testing.T) {
 	}
 }
 
-// TestOversizedBody: a body past MaxBodyBytes is a structured 413, not a
-// dropped connection, and does not kill the server.
+// TestOversizedBody: a body one byte past the body limit is a structured
+// 413, not a dropped connection, and does not kill the server.
 func TestOversizedBody(t *testing.T) {
-	s := newTestServer(t, reticle.ServerOptions{MaxBodyBytes: 512})
-	big, _ := json.Marshal(server.CompileRequest{IR: strings.Repeat("x", 4096)})
+	s := newTestServer(t, reticle.ServerOptions{})
+	empty, _ := json.Marshal(server.CompileRequest{})
+	big, _ := json.Marshal(server.CompileRequest{IR: strings.Repeat("x", server.MaxBodyBytes+1-len(empty))})
+	if len(big) != server.MaxBodyBytes+1 {
+		t.Fatalf("body is %d bytes, want %d", len(big), server.MaxBodyBytes+1)
+	}
 	var errResp server.ErrorResponse
 	if code := postRaw(t, s, "/compile", big, &errResp); code != http.StatusRequestEntityTooLarge {
 		t.Errorf("status %d, want 413 (%s)", code, errResp.Error)
@@ -563,7 +567,7 @@ func TestDrainOnShutdown(t *testing.T) {
 	ctx, stop := context.WithCancel(context.Background())
 	defer stop()
 	ran := make(chan error, 1)
-	go func() { ran <- server.Run(ctx, "reticle-serve", s, addr, "", false, 30*time.Second) }()
+	go func() { ran <- server.Run(ctx, "reticle-serve", s, addr, "", false) }()
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
 		if resp, err := http.Get(url + "/healthz"); err == nil {
 			resp.Body.Close()

@@ -93,7 +93,7 @@ func (st statsStep) request(t testing.TB) *http.Request {
 // before the counters became a fold of per-request accounts, so it holds
 // the fold to the numbers the hand-placed counters gave.
 func TestStatsGolden(t *testing.T) {
-	s := newTestServer(t, reticle.ServerOptions{Jobs: 1})
+	s := newTestServer(t, reticle.ServerOptions{})
 	var got bytes.Buffer
 	for _, st := range statsSequence() {
 		w := httptest.NewRecorder()

@@ -254,7 +254,7 @@ func TestRequestTrail(t *testing.T) {
 		t.Cleanup(ts.Close)
 		urls[i] = ts.URL
 	}
-	rt := newRouter(t, reticle.ShardOptions{Backends: urls, HedgeAfter: 30 * time.Millisecond, Jobs: 1})
+	rt := newRouter(t, reticle.ShardOptions{Backends: urls, HedgeAfter: 30 * time.Millisecond})
 	before := routerStats(t, rt)
 	kernelsBefore := backendStats(t, urls[1]).Kernels
 

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -12,6 +13,10 @@ import (
 	"reticle/internal/rerr"
 	"reticle/internal/server"
 )
+
+// batchJobs bounds a /batch's concurrent per-kernel proxies when the
+// request sets no jobs.
+const batchJobs = 8
 
 // routed is one deduped kernel's shared outcome, the miss's result for
 // BatchPlan.Answer. An artifact is a slice of the backend's answer, held
@@ -34,7 +39,8 @@ func failed(msg, code string) routed {
 // wedged kernel cannot silently burn the whole batch's budget. The
 // router does not parse: a kernel whose IR does not parse is the
 // backend's 400, and every other check ran at the router's front door,
-// so a 400 is that kernel's parse_failed result.
+// so a 400 is that kernel's parse_failed result. A failure names the
+// kernel as the backend parsed it, for a kernel sent unnamed.
 func (rt *Router) routeMiss(ctx context.Context, acct *server.Account, plan *server.BatchPlan, m server.BatchMiss, fwd []byte, id string) routed {
 	kctx, cancel := plan.Within(ctx, plan.Options.KernelTimeout)
 	defer cancel()
@@ -65,12 +71,12 @@ func (rt *Router) routeMiss(ctx context.Context, acct *server.Account, plan *ser
 	default:
 		er.ErrorCode = "backend_error"
 	}
-	return failed(er.Error, er.ErrorCode)
+	return routed{res: server.BatchKernelResultWire{Name: er.Name, Error: er.Error, ErrorCode: er.ErrorCode}}
 }
 
 // handleBatch plans the request exactly as a backend does (the router's
 // local store is its disk tier) and fans the distinct misses out as
-// /compile proxies, at most `jobs` at once. The answer — NDJSON lines as
+// /compile proxies, at most `jobs` (else batchJobs) at once. The answer — NDJSON lines as
 // each kernel's proxy answers, or their buffered splice — is written by
 // the backends' own BatchPlan.Answer, so a client cannot tell which tier
 // it is talking to; the footer's wall time is the router's. Each kernel's
@@ -79,7 +85,7 @@ func (rt *Router) routeMiss(ctx context.Context, acct *server.Account, plan *ser
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	acct := server.AccountOf(w)
 	start := time.Now()
-	plan, ok := server.PlanBatch(w, r, rt.FamilySet, rt.opts.MaxBodyBytes, rt.opts.Jobs, rt.diskGet)
+	plan, ok := server.PlanBatch(w, r, rt.FamilySet, rt.diskGet)
 	if !ok {
 		return
 	}
@@ -91,7 +97,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		fwds = plan.ForwardKernels()
 	}
 	subs := make([]server.Account, len(plan.Misses)) // [j] is written by miss j's worker, read once the fan-out has drained
-	fan := batch.FanOut(ctx, len(plan.Misses), plan.Options.Jobs,
+	fan := batch.FanOut(ctx, len(plan.Misses), cmp.Or(plan.Options.Jobs, batchJobs),
 		func(j int) routed {
 			m := plan.Misses[j]
 			return rt.routeMiss(ctx, &subs[j], plan, m, fwds[m.Index], acct.ID+"/"+strconv.Itoa(m.Index))

@@ -40,13 +40,13 @@ func chaosPost(t testing.TB, h http.Handler, path string, body any, plan *faults
 // at least one re-hash taken. Run under -race in CI.
 func TestChaosBackendKillMidBatch(t *testing.T) {
 	backends, urls := newBackends(t, 3)
-	rt := newRouter(t, reticle.ShardOptions{Backends: urls, Jobs: 4})
+	rt := newRouter(t, reticle.ShardOptions{Backends: urls})
 	kernels := sweep(6)
 
 	// Round 0 (cold) establishes key ownership so the kill below is
 	// guaranteed to hit a backend that owns live keys.
 	var br server.BatchResponse
-	if code := post(t, rt, "/batch", server.BatchRequest{Kernels: kernels}, &br); code != http.StatusOK {
+	if code := post(t, rt, "/batch", server.BatchRequest{Jobs: 4, Kernels: kernels}, &br); code != http.StatusOK {
 		t.Fatalf("cold batch: status %d", code)
 	}
 	for i, res := range br.Results {
@@ -83,7 +83,7 @@ func TestChaosBackendKillMidBatch(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < 3; round++ {
 				var resp server.BatchResponse
-				code := post(t, rt, "/batch", server.BatchRequest{Kernels: kernels}, &resp)
+				code := post(t, rt, "/batch", server.BatchRequest{Jobs: 4, Kernels: kernels}, &resp)
 				if code >= 500 {
 					bad5xx.Add(1)
 				}
@@ -142,7 +142,7 @@ func TestChaosBackendKillMidBatch(t *testing.T) {
 
 	// And the sweep still completes afterwards, steady-state.
 	var after server.BatchResponse
-	if code := post(t, rt, "/batch", server.BatchRequest{Kernels: kernels}, &after); code != http.StatusOK {
+	if code := post(t, rt, "/batch", server.BatchRequest{Jobs: 4, Kernels: kernels}, &after); code != http.StatusOK {
 		t.Fatalf("post-kill batch: status %d", code)
 	}
 	for i, res := range after.Results {

@@ -18,7 +18,7 @@ import (
 // caches the per-variant artifacts, so a re-sweep is cheap where it
 // matters, and frontier bodies are not addressable by artifact key.
 func (rt *Router) handleExplore(w http.ResponseWriter, r *http.Request) {
-	q, ok := rt.Door(w, r, rt.opts.MaxBodyBytes)
+	q, ok := rt.Door(w, r)
 	if !ok {
 		return
 	}

@@ -113,7 +113,7 @@ func TestLogGolden(t *testing.T) {
 		h.ServeHTTP(httptest.NewRecorder(), r)
 	}
 
-	backend, err := reticle.NewServer(reticle.ServerOptions{Jobs: 1})
+	backend, err := reticle.NewServer(reticle.ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestLogGolden(t *testing.T) {
 		t.Cleanup(servers[i].Close)
 		urls[i] = servers[i].URL
 	}
-	rt := newRouter(t, reticle.ShardOptions{Backends: urls, HedgeAfter: 30 * time.Millisecond, Jobs: 1})
+	rt := newRouter(t, reticle.ShardOptions{Backends: urls, HedgeAfter: 30 * time.Millisecond})
 	a.wedgeNext.Store(true)
 	send(rt, "trail", "/batch", server.BatchRequest{Jobs: 1, Kernels: []server.BatchKernel{onA[0], onA[1], onB[0]}})
 	for _, ts := range servers {

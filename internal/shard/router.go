@@ -46,8 +46,6 @@ type Options struct {
 	// positions, so keeping the list order stable across restarts keeps
 	// every backend's key slice (and its warm LRU) stable too.
 	Backends []string
-	// MaxBodyBytes bounds request bodies; <=0 means 1 MiB.
-	MaxBodyBytes int64
 	// DefaultFamily names the config assumed when a request omits
 	// "family"; empty with exactly one configured family means that one.
 	DefaultFamily string
@@ -60,9 +58,6 @@ type Options struct {
 	// down on proxy errors). Serve launches the prober; tests that drive
 	// the Router as a bare http.Handler can call StartHealthLoop.
 	HealthInterval time.Duration
-	// Jobs bounds concurrent per-kernel proxy fan-out for /batch; <=0
-	// means 8.
-	Jobs int
 	// DiskDir, when non-empty, enables the router-local persistent
 	// artifact cache: checked before any backend is contacted, written
 	// through on every non-degraded proxied compile. Requests it serves
@@ -130,12 +125,6 @@ type Router struct {
 func New(opts Options, configs map[string]*pipeline.Config) (*Router, error) {
 	if len(opts.Backends) == 0 {
 		return nil, fmt.Errorf("shard: no backends")
-	}
-	if opts.MaxBodyBytes <= 0 {
-		opts.MaxBodyBytes = 1 << 20
-	}
-	if opts.Jobs <= 0 {
-		opts.Jobs = 8
 	}
 	rt := &Router{
 		opts:       opts,
@@ -290,7 +279,7 @@ type proxyOutcome struct {
 // into (see postAttempt). A sync.Pool is emptied by every GC, and the
 // router collects often, so under load most answers were read into fresh
 // buffers; this list keeps its buffers across collections. It holds 16,
-// the answers two /batch requests at Options.Jobs' default hold at once.
+// the answers two /batch requests at batchJobs hold at once.
 // A kept buffer keeps its capacity and raises the GC's heap goal: on
 // shard-mixed, 8 reused too few answers to matter, and 16 read as much
 // reuse as 32 with less resident memory. A buffer grown past
@@ -357,7 +346,7 @@ func (rt *Router) diskPut(ctx context.Context, k server.Kernel, ans server.Compi
 
 func (rt *Router) handleCompile(w http.ResponseWriter, r *http.Request) {
 	acct := server.AccountOf(w)
-	q, ok := rt.Door(w, r, rt.opts.MaxBodyBytes)
+	q, ok := rt.Door(w, r)
 	if !ok {
 		return
 	}

@@ -49,7 +49,7 @@ func TestStatsGolden(t *testing.T) {
 	var shed shedNext
 	urls := make([]string, 2)
 	for i := range urls {
-		s, err := reticle.NewServer(reticle.ServerOptions{Jobs: 1})
+		s, err := reticle.NewServer(reticle.ServerOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +57,7 @@ func TestStatsGolden(t *testing.T) {
 		t.Cleanup(ts.Close)
 		urls[i] = ts.URL
 	}
-	rt := newRouter(t, reticle.ShardOptions{Backends: urls, Jobs: 1})
+	rt := newRouter(t, reticle.ShardOptions{Backends: urls})
 
 	renamed := strings.NewReplacer("t0", "u0", "t1", "u1").Replace(maccSrc)
 	batched := strings.ReplaceAll(strings.ReplaceAll(maccSrc, "macc", "macb"), "add(t0, c)", "add(t0, a)")

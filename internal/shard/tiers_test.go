@@ -44,6 +44,7 @@ func TestBatchTiersIndistinguishableOnBadInput(t *testing.T) {
 		{"trailing-data", `{"kernels":[` + kernel + `]} {}`, http.StatusBadRequest},
 		{"unparseable-kernel", `{"kernels":[{"name":"broken","ir":"def broken( {"}]}`, http.StatusOK},
 		{"uncompilable-kernel", `{"kernels":[{"name":"k","ir":` + strconv.Quote(wideMulSrc) + `},` + kernel + `]}`, http.StatusOK},
+		{"uncompilable-unnamed", `{"kernels":[{"ir":` + strconv.Quote(wideMulSrc) + `}]}`, http.StatusOK},
 	} {
 		answer := func(h http.Handler) (int, string) {
 			w := httptest.NewRecorder()

@@ -22,7 +22,6 @@ package agilex
 
 import (
 	"fmt"
-	"sync"
 
 	"reticle/internal/device"
 	"reticle/internal/ir"
@@ -34,52 +33,21 @@ import (
 // internal/target.
 type CascadeVariants = target.CascadeVariants
 
-var (
-	once sync.Once
-	tgt  *tdl.Target
-	dev  *device.Device
-	src  string
-	casc map[string]CascadeVariants
-)
-
-func load() {
-	once.Do(func() {
-		b := build()
-		src = b.Source()
-		casc = b.Cascades()
-		t, err := b.Build("agilex")
-		if err != nil {
-			panic("agilex: bundled target is invalid: " + err.Error())
-		}
-		tgt = t
-		d, err := device.Standard("agf014", 96, 4, 100, 10)
-		if err != nil {
-			panic("agilex: bundled device is invalid: " + err.Error())
-		}
-		dev = d
-	})
-}
+var family = target.Bundled("agilex", build, func() (*device.Device, error) { return device.Standard("agf014", 96, 4, 100, 10) })
 
 // Target returns the bundled family description (a singleton pointer).
-func Target() *tdl.Target { load(); return tgt }
+func Target() *tdl.Target { return family().Target }
 
 // Device returns the bundled agf014-like part.
-func Device() *device.Device { load(); return dev }
+func Device() *device.Device { return family().Device }
 
 // Source returns the generated TDL source text the target is parsed
 // from, for documentation and parser fuzzing.
-func Source() string { load(); return src }
+func Source() string { return family().Source() }
 
 // Cascades maps base accumulator opcodes to their cascade variants. The
 // returned map is a copy.
-func Cascades() map[string]CascadeVariants {
-	load()
-	out := make(map[string]CascadeVariants, len(casc))
-	for k, v := range casc {
-		out[k] = v
-	}
-	return out
-}
+func Cascades() map[string]CascadeVariants { return family().Cascades() }
 
 // Latency tables, in tenths of a nanosecond.
 var (

@@ -16,7 +16,9 @@ package target
 import (
 	"fmt"
 	"strings"
+	"sync"
 
+	"reticle/internal/device"
 	"reticle/internal/ir"
 	"reticle/internal/tdl"
 )
@@ -165,4 +167,37 @@ func (b *Builder) Cascades() map[string]CascadeVariants {
 // Build parses the accumulated source into a target description.
 func (b *Builder) Build(family string) (*tdl.Target, error) {
 	return tdl.Parse(family, b.Source())
+}
+
+// Family is a bundled family, loaded: its target description, its device
+// and the Builder they came from.
+type Family struct {
+	Target *tdl.Target
+	Device *device.Device
+	b      *Builder
+}
+
+// Source returns the generated TDL text the target was parsed from.
+func (f *Family) Source() string { return f.b.Source() }
+
+// Cascades returns a copy of the family's cascade metadata.
+func (f *Family) Cascades() map[string]CascadeVariants { return f.b.Cascades() }
+
+// Bundled returns the loader of a bundled family: the first call runs
+// build and dev, and every call returns that one Family, so its Target
+// pointer is a singleton callers may compare by identity. An invalid
+// bundled description panics.
+func Bundled(family string, build func() *Builder, dev func() (*device.Device, error)) func() *Family {
+	return sync.OnceValue(func() *Family {
+		b := build()
+		t, err := b.Build(family)
+		if err != nil {
+			panic(family + ": bundled target is invalid: " + err.Error())
+		}
+		d, err := dev()
+		if err != nil {
+			panic(family + ": bundled device is invalid: " + err.Error())
+		}
+		return &Family{Target: t, Device: d, b: b}
+	})
 }

@@ -23,7 +23,6 @@ package ultrascale
 
 import (
 	"fmt"
-	"sync"
 
 	"reticle/internal/device"
 	"reticle/internal/ir"
@@ -35,50 +34,23 @@ import (
 // internal/target.
 type CascadeVariants = target.CascadeVariants
 
-var (
-	once sync.Once
-	tgt  *tdl.Target
-	dev  *device.Device
-	src  string
-	casc map[string]CascadeVariants
-)
-
-func load() {
-	once.Do(func() {
-		b := build()
-		src = b.Source()
-		casc = b.Cascades()
-		t, err := b.Build("ultrascale")
-		if err != nil {
-			panic("ultrascale: bundled target is invalid: " + err.Error())
-		}
-		tgt = t
-		dev = device.XCZU3EG()
-	})
-}
+var family = target.Bundled("ultrascale", build, func() (*device.Device, error) { return device.XCZU3EG(), nil })
 
 // Target returns the bundled family description. The pointer is a
 // singleton: callers compare it by identity to detect the bundled target.
-func Target() *tdl.Target { load(); return tgt }
+func Target() *tdl.Target { return family().Target }
 
 // Device returns the bundled xczu3eg-like part: 3 DSP columns and 74 LUT
 // columns of height 120 (360 DSP slices, 71040 LUTs).
-func Device() *device.Device { load(); return dev }
+func Device() *device.Device { return family().Device }
 
 // Source returns the generated TDL source text the target is parsed
 // from, for documentation and parser fuzzing.
-func Source() string { load(); return src }
+func Source() string { return family().Source() }
 
 // Cascades maps base accumulator opcodes to their cascade variants. The
 // returned map is a copy.
-func Cascades() map[string]CascadeVariants {
-	load()
-	out := make(map[string]CascadeVariants, len(casc))
-	for k, v := range casc {
-		out[k] = v
-	}
-	return out
-}
+func Cascades() map[string]CascadeVariants { return family().Cascades() }
 
 // Latency tables, indexed by width, in tenths of a nanosecond. The
 // registered dsp_addrega must match dsp_add exactly: the register costs

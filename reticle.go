@@ -317,8 +317,8 @@ type (
 	// Server is the long-running HTTP compile service (POST /compile,
 	// POST /batch, GET /healthz, GET /stats).
 	Server = server.Server
-	// ServerOptions configures a Server (cache size, body limit,
-	// default deadline, worker bound, default family).
+	// ServerOptions configures a Server (cache size, default deadline,
+	// default family, admission bound, disk tier).
 	ServerOptions = server.Options
 )
 
