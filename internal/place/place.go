@@ -20,9 +20,11 @@
 package place
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -117,6 +119,10 @@ type member struct {
 	dest       string
 	xoff, yoff int
 	xlit, ylit int // literal coordinate, or -1
+	// id is the member's slice-id offset from its cluster's anchor,
+	// xoff·height + yoff: a member of a cluster anchored at slice id a
+	// sits on slice a + id.
+	id int
 }
 
 // cluster is a rigid group of instructions placed together: either a
@@ -125,8 +131,12 @@ type member struct {
 type cluster struct {
 	prim    ir.Resource
 	members []member
-	// yoffs/xoffs are the distinct member offsets, for overlap tests.
+	// The bounding box of the member offsets.
 	minX, maxX, minY, maxY int
+	// foot is the set of member ids. It is empty for a cluster whose
+	// bounding box does not fit the device: no anchor domain admits one,
+	// so no overlap test ever asks about it.
+	foot footprint
 }
 
 func (c *cluster) singleton() bool { return len(c.members) == 1 }
@@ -152,7 +162,7 @@ func PlaceContext(ctx context.Context, f *asm.Func, dev *device.Device, opts Opt
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	clusters, err := buildClusters(f)
+	clusters, err := buildClusters(f, dev)
 	if err != nil {
 		return nil, rerr.Wrap(rerr.Permanent, "placement_invalid",
 			"placement constraints invalid", err)
@@ -208,8 +218,8 @@ func PlaceContext(ctx context.Context, f *asm.Func, dev *device.Device, opts Opt
 	// Every solve of this placement — the full one and the shrink probes,
 	// which cover only the probed primitive's clusters (constraints never
 	// couple primitives) — recycles one scratch.
-	var scratch csp.Scratch
-	sol, steps, err := solve(clusters, dev, full, opts.MaxSteps, interrupt, &scratch)
+	var sc scratch
+	sol, steps, err := solve(clusters, dev, full, opts.MaxSteps, interrupt, &sc)
 	totalSteps := steps
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
@@ -281,7 +291,7 @@ func PlaceContext(ctx context.Context, f *asm.Func, dev *device.Device, opts Opt
 						best = usedExtent(dev, clusters, sol, prim, axis) + 1
 						continue
 					}
-					s2, st, err := solveSubset(clusters, subset, dev, probe, probeSteps, interrupt, sol, &scratch)
+					s2, st, err := solveSubset(clusters, subset, dev, probe, probeSteps, interrupt, sol, &sc)
 					totalSteps += st.steps
 					shrinkIters++
 					var intr *csp.ErrInterrupted
@@ -368,159 +378,238 @@ func writeBack(f *asm.Func, dev *device.Device, clusters []*cluster, sol []int) 
 }
 
 // buildClusters groups instructions by shared coordinate variables
-// (union-find) and validates each group against the supported forms.
-func buildClusters(f *asm.Func) ([]*cluster, error) {
-	var infos []placeInfo
-	for i, in := range f.Body {
+// (union-find) and validates each group against the supported forms. The
+// clusters and their members are carved from one slab each; clusters
+// come in ascending order of their union-find root, members in body
+// order.
+func buildClusters(f *asm.Func, dev *device.Device) ([]*cluster, error) {
+	body := f.Body
+	placed := make([]int, 0, len(body)) // body index of each placed instruction
+	for i := range body {
+		in := &body[i]
 		if in.IsWire() {
 			continue
 		}
 		if in.Loc.Prim != ir.ResLut && in.Loc.Prim != ir.ResDsp {
 			return nil, fmt.Errorf("place: %s: location primitive %s", in.Dest, in.Loc.Prim)
 		}
-		infos = append(infos, placeInfo{index: i, in: in})
+		placed = append(placed, i)
 	}
 
-	parent := make([]int, len(infos))
+	n := len(placed)
+	// parent, then the root of each placed instruction; size, then the
+	// next free slot of each root's group in the member slab.
+	parent := make([]int32, 2*n)
+	parent, next := parent[:n:n], parent[n:]
 	for i := range parent {
-		parent[i] = i
+		parent[i] = int32(i)
 	}
-	var find func(int) int
-	find = func(i int) int {
-		if parent[i] != i {
-			parent[i] = find(parent[i])
+	find := func(i int32) int32 {
+		for parent[i] != i {
+			parent[i] = parent[parent[i]]
+			i = parent[i]
 		}
-		return parent[i]
+		return i
 	}
-	union := func(a, b int) { parent[find(a)] = find(b) }
-
-	byVar := map[string]int{}
-	for i, inf := range infos {
-		for _, c := range []asm.Coord{inf.in.Loc.X, inf.in.Loc.Y} {
-			if c.Var == "" {
+	var byVar map[string]int32
+	for i, bi := range placed {
+		loc := &body[bi].Loc
+		for _, v := range [2]string{loc.X.Var, loc.Y.Var} {
+			if v == "" {
 				continue
 			}
-			if j, ok := byVar[c.Var]; ok {
-				union(i, j)
+			if byVar == nil {
+				byVar = map[string]int32{}
+			}
+			if j, ok := byVar[v]; ok {
+				parent[find(int32(i))] = find(j)
 			} else {
-				byVar[c.Var] = i
+				byVar[v] = int32(i)
 			}
 		}
 	}
 
-	groups := map[int][]placeInfo{}
-	var order []int
-	for i, inf := range infos {
-		r := find(i)
-		if _, seen := groups[r]; !seen {
-			order = append(order, r)
+	// Counting pass: group sizes by root, then each group's slab offset.
+	groups := 0
+	for i := range parent {
+		r := find(int32(i))
+		parent[i] = r
+		if next[r] == 0 {
+			groups++
 		}
-		groups[r] = append(groups[r], inf)
+		next[r]++
 	}
-	sort.Ints(order)
-
-	var clusters []*cluster
-	for _, r := range order {
-		c, err := makeCluster(groups[r])
-		if err != nil {
+	slab := make([]cluster, groups)
+	clusters := make([]*cluster, groups)
+	members := make([]member, n)
+	off := int32(0)
+	for r, g := 0, 0; r < n; r++ {
+		if size := next[r]; size > 0 {
+			slab[g].members = members[off : off+size : off+size]
+			clusters[g] = &slab[g]
+			next[r] = off
+			off += size
+			g++
+		}
+	}
+	for i, bi := range placed {
+		r := parent[i]
+		members[next[r]].index = bi
+		next[r]++
+	}
+	var words []uint64
+	for _, c := range clusters {
+		if err := makeCluster(c, body, dev, &words); err != nil {
 			return nil, err
 		}
-		clusters = append(clusters, c)
 	}
 	return clusters, nil
 }
 
-// placeInfo pairs an instruction with its body index.
-type placeInfo struct {
-	index int
-	in    asm.Instr
-}
-
-// makeCluster validates one group. Multi-member groups must share exactly
-// one x variable and one y variable, used by every member; singletons may
-// mix variables, literals, and wildcards freely.
-func makeCluster(group []placeInfo) (*cluster, error) {
-	c := &cluster{prim: group[0].in.Loc.Prim}
-	if len(group) > 1 {
+// makeCluster fills in one group whose members carry their body indices.
+// Multi-member groups must share exactly one x variable and one y
+// variable, used by every member; singletons may mix variables, literals,
+// and wildcards freely. words is the slab the footprints are carved from.
+func makeCluster(c *cluster, body []asm.Instr, dev *device.Device, words *[]uint64) error {
+	ms := c.members
+	first := &body[ms[0].index]
+	c.prim = first.Loc.Prim
+	if len(ms) > 1 {
 		var xvar, yvar string
-		for _, g := range group {
-			if g.in.Loc.Prim != c.prim {
-				return nil, fmt.Errorf(
+		for _, m := range ms {
+			in := &body[m.index]
+			if in.Loc.Prim != c.prim {
+				return fmt.Errorf(
 					"place: instructions %s and %s share coordinates across primitives %s and %s",
-					group[0].in.Dest, g.in.Dest, c.prim, g.in.Loc.Prim)
+					first.Dest, in.Dest, c.prim, in.Loc.Prim)
 			}
-			for _, rc := range []struct {
+			for _, rc := range [2]struct {
 				co   asm.Coord
 				slot *string
 				axis string
-			}{{g.in.Loc.X, &xvar, "column"}, {g.in.Loc.Y, &yvar, "row"}} {
+			}{{in.Loc.X, &xvar, "column"}, {in.Loc.Y, &yvar, "row"}} {
 				if rc.co.Var == "" {
-					return nil, fmt.Errorf(
+					return fmt.Errorf(
 						"place: %s: %s coordinate must use the shared variable in a constrained group",
-						g.in.Dest, rc.axis)
+						in.Dest, rc.axis)
 				}
 				if *rc.slot == "" {
 					*rc.slot = rc.co.Var
 				} else if *rc.slot != rc.co.Var {
-					return nil, fmt.Errorf(
+					return fmt.Errorf(
 						"place: group uses two %s variables (%s, %s)", rc.axis, *rc.slot, rc.co.Var)
 				}
 			}
 		}
 		if xvar == yvar {
-			return nil, fmt.Errorf("place: coordinate variable %q used as both column and row", xvar)
+			return fmt.Errorf("place: coordinate variable %q used as both column and row", xvar)
 		}
 	}
 
-	occupied := map[[2]int]string{}
-	for _, g := range group {
-		m := member{index: g.index, dest: g.in.Dest, xlit: -1, ylit: -1}
-		m.xoff = int(g.in.Loc.X.Off)
-		m.yoff = int(g.in.Loc.Y.Off)
-		if len(group) == 1 {
+	for i := range ms {
+		m := &ms[i]
+		loc := &body[m.index].Loc
+		m.dest, m.xlit, m.ylit = body[m.index].Dest, -1, -1
+		m.xoff, m.yoff = int(loc.X.Off), int(loc.Y.Off)
+		if len(ms) == 1 {
 			// Singletons anchor at their own slot; literals filter the
 			// domain directly and variables reduce to offsets.
-			if g.in.Loc.X.IsLiteral() {
-				m.xlit = int(g.in.Loc.X.Off)
+			if loc.X.IsLiteral() {
+				m.xlit, m.xoff = int(loc.X.Off), 0
+			}
+			if loc.X.Wild {
 				m.xoff = 0
 			}
-			if g.in.Loc.X.Wild {
-				m.xoff = 0
+			if loc.Y.IsLiteral() {
+				m.ylit, m.yoff = int(loc.Y.Off), 0
 			}
-			if g.in.Loc.Y.IsLiteral() {
-				m.ylit = int(g.in.Loc.Y.Off)
-				m.yoff = 0
-			}
-			if g.in.Loc.Y.Wild {
+			if loc.Y.Wild {
 				m.yoff = 0
 			}
 		}
-		key := [2]int{m.xoff, m.yoff}
-		if prev, dup := occupied[key]; dup {
-			return nil, fmt.Errorf(
-				"place: %s and %s are constrained to the same slice", prev, m.dest)
+		m.id = m.xoff*dev.Height + m.yoff
+		if i == 0 {
+			c.minX, c.maxX, c.minY, c.maxY = m.xoff, m.xoff, m.yoff, m.yoff
 		}
-		occupied[key] = m.dest
-		c.members = append(c.members, m)
+		c.minX, c.maxX = min(c.minX, m.xoff), max(c.maxX, m.xoff)
+		c.minY, c.maxY = min(c.minY, m.yoff), max(c.maxY, m.yoff)
 	}
-	c.minX, c.maxX = c.members[0].xoff, c.members[0].xoff
-	c.minY, c.maxY = c.members[0].yoff, c.members[0].yoff
-	for _, m := range c.members[1:] {
-		c.minX = min(c.minX, m.xoff)
-		c.maxX = max(c.maxX, m.xoff)
-		c.minY = min(c.minY, m.yoff)
-		c.maxY = max(c.maxY, m.yoff)
+	if c.maxX-c.minX >= dev.NumCols(c.prim) || c.maxY-c.minY >= dev.Height {
+		return checkDistinct(ms)
 	}
-	return c, nil
+	// Within a box that fits the device, id is one-to-one on offsets, so
+	// a repeated offset is a repeated bit.
+	lo, hi := ms[0].id, ms[0].id
+	for _, m := range ms[1:] {
+		lo, hi = min(lo, m.id), max(hi, m.id)
+	}
+	if lo == hi {
+		c.foot = footprint{lo: lo, n: 1, bits: oneBit}
+		return nil
+	}
+	c.foot = footprint{lo: lo, n: hi - lo + 1, bits: carve(words, hi-lo+1)}
+	for j, m := range ms {
+		if c.foot.has(m.id) {
+			for _, p := range ms[:j] {
+				if p.id == m.id {
+					return sameSlice(p, m)
+				}
+			}
+		}
+		d := m.id - lo
+		c.foot.bits[d>>6] |= 1 << (d & 63)
+	}
+	return nil
+}
+
+// checkDistinct is the offset check of a cluster too large for the
+// device: the first member, in member order, whose offsets repeat an
+// earlier member's is refused with that earlier member.
+func checkDistinct(ms []member) error {
+	if len(ms) < 2 {
+		return nil
+	}
+	ord := make([]int, len(ms))
+	for i := range ord {
+		ord[i] = i
+	}
+	slices.SortFunc(ord, func(a, b int) int {
+		return cmp.Or(cmp.Compare(ms[a].xoff, ms[b].xoff), cmp.Compare(ms[a].yoff, ms[b].yoff), cmp.Compare(a, b))
+	})
+	// A run of equal offsets repeats at its second member; the refusal
+	// names the run whose second member comes first.
+	dup := -1
+	for k := 1; k < len(ord); k++ {
+		a, b := ms[ord[k-1]], ms[ord[k]]
+		if a.xoff == b.xoff && a.yoff == b.yoff && (k == 1 || ms[ord[k-2]].xoff != a.xoff || ms[ord[k-2]].yoff != a.yoff) &&
+			(dup < 0 || ord[k] < ord[dup]) {
+			dup = k
+		}
+	}
+	if dup < 0 {
+		return nil
+	}
+	return sameSlice(ms[ord[dup-1]], ms[ord[dup]])
+}
+
+func sameSlice(prev, m member) error {
+	return fmt.Errorf("place: %s and %s are constrained to the same slice", prev.dest, m.dest)
 }
 
 // solve runs one CSP over every cluster under the given per-primitive
 // bounds, returning the anchor slice id chosen for each cluster.
 // interrupt (nil = never) is polled mid-search so deadlines abort long
 // solves promptly.
-func solve(clusters []*cluster, dev *device.Device, bounds map[ir.Resource][2]int, maxSteps int, interrupt func() bool, sc *csp.Scratch) ([]int, int, error) {
+func solve(clusters []*cluster, dev *device.Device, bounds map[ir.Resource][2]int, maxSteps int, interrupt func() bool, sc *scratch) ([]int, int, error) {
 	sol, st, err := solveSubset(clusters, nil, dev, bounds, maxSteps, interrupt, nil, sc)
 	return sol, st.steps, err
+}
+
+// scratch is what the solves of one placement recycle: the solver's
+// buffers, and the slab the difference sets are carved from.
+type scratch struct {
+	csp   csp.Scratch
+	words []uint64
 }
 
 // solveStats carries per-solve counters out of solveSubset.
@@ -550,8 +639,8 @@ func primSubset(clusters []*cluster, prim ir.Resource) []int {
 // different primitives (shared coordinate variables across primitives
 // are rejected by makeCluster, and all-different groups and non-overlap
 // pairs are per-primitive). sc, when non-nil, recycles solver buffers
-// across probe solves.
-func solveSubset(clusters []*cluster, subset []int, dev *device.Device, bounds map[ir.Resource][2]int, maxSteps int, interrupt func() bool, prev []int, sc *csp.Scratch) ([]int, solveStats, error) {
+// and difference sets across probe solves.
+func solveSubset(clusters []*cluster, subset []int, dev *device.Device, bounds map[ir.Resource][2]int, maxSteps int, interrupt func() bool, prev []int, sc *scratch) ([]int, solveStats, error) {
 	if subset == nil {
 		subset = make([]int, len(clusters))
 		for ci := range clusters {
@@ -613,7 +702,10 @@ func solveSubset(clusters []*cluster, subset []int, dev *device.Device, bounds m
 		}
 	}
 	// Macro clusters: pairwise non-overlap with every same-prim cluster.
-	height := dev.Height
+	var words []uint64
+	if sc != nil {
+		words = sc.words[:0]
+	}
 	for _, mi := range macros {
 		mc := clusters[mi]
 		for _, cj := range subset {
@@ -624,13 +716,15 @@ func solveSubset(clusters []*cluster, subset []int, dev *device.Device, bounds m
 			if cj < mi && isMacro[cj] {
 				continue // macro-macro pairs added once
 			}
-			a, b := mc, oc
-			p.AddBinary(vars[mi], vars[cj], func(av, bv int) bool {
-				return !clustersOverlap(a, b, av, bv, height)
-			})
+			d := diff(mc, oc, &words)
+			p.AddBinary(vars[mi], vars[cj], func(av, bv int) bool { return !d.has(bv - av) })
 		}
 	}
-	sol, err := p.SolveScratch(sc)
+	var cs *csp.Scratch
+	if sc != nil {
+		sc.words, cs = words, &sc.csp
+	}
+	sol, err := p.SolveScratch(cs)
 	st := solveStats{steps: p.Steps()}
 	if err != nil {
 		return nil, st, err
@@ -674,16 +768,17 @@ func revalidate(clusters []*cluster, dev *device.Device, sol []int, bounds map[i
 			}
 		}
 	}
-	height := dev.Height
+	var words []uint64
 	for i, a := range clusters {
 		for j := i + 1; j < len(clusters); j++ {
 			b := clusters[j]
 			if a.prim != b.prim {
 				continue
 			}
-			if clustersOverlap(a, b, sol[i], sol[j], height) {
+			if diff(a, b, &words).has(sol[j] - sol[i]) {
 				return false
 			}
+			words = words[:0]
 		}
 	}
 	return true
@@ -730,26 +825,53 @@ func anchorDomain(dev *device.Device, sh shape, b [2]int) []int {
 	return dom
 }
 
-// clustersOverlap reports whether two clusters anchored at slice ids av,
-// bv occupy a common slice.
-func clustersOverlap(a, b *cluster, av, bv int, height int) bool {
-	ax, ay := av/height, av%height
-	bx, by := bv/height, bv%height
-	// Quick bounding-box rejection.
-	if ax+a.maxX < bx+b.minX || bx+b.maxX < ax+a.minX {
-		return false
+// footprint is a set of slice-id offsets: a bitmap over [lo, lo+n).
+type footprint struct {
+	lo, n int
+	bits  []uint64
+}
+
+// oneBit backs every one-element footprint; nothing writes to it.
+var oneBit = []uint64{1}
+
+func (s footprint) has(d int) bool {
+	d -= s.lo
+	return uint(d) < uint(s.n) && s.bits[d>>6]&(1<<(d&63)) != 0
+}
+
+// carve returns the zeroed words of an n-bit set from the slab *words.
+func carve(words *[]uint64, n int) []uint64 {
+	w := (n + 63) >> 6
+	s := slices.Grow(*words, w)
+	bits := s[len(s) : len(s)+w : len(s)+w]
+	clear(bits)
+	*words = s[:len(s)+w]
+	return bits
+}
+
+// diff returns the difference set D_ab = {id(ma) − id(mb)} of two
+// clusters: anchored at slice ids av and bv they share a slice exactly
+// when bv − av ∈ D_ab. Slice ids are x·height + y, and every member of a
+// cluster at an anchor of its domain lies on the device, where that map
+// is one-to-one; so this is the member-pair test in one lookup. For a
+// singleton b the set is a's footprint shifted, and shares its bits;
+// otherwise the set is carved from *words.
+func diff(a, b *cluster, words *[]uint64) footprint {
+	if a.foot.n == 0 || b.foot.n == 0 {
+		return footprint{}
 	}
-	if ay+a.maxY < by+b.minY || by+b.maxY < ay+a.minY {
-		return false
+	if b.foot.n == 1 {
+		return footprint{lo: a.foot.lo - b.foot.lo, n: a.foot.n, bits: a.foot.bits}
 	}
+	d := footprint{lo: a.foot.lo - (b.foot.lo + b.foot.n - 1), n: a.foot.n + b.foot.n - 1}
+	d.bits = carve(words, d.n)
 	for _, ma := range a.members {
 		for _, mb := range b.members {
-			if ax+ma.xoff == bx+mb.xoff && ay+ma.yoff == by+mb.yoff {
-				return true
-			}
+			k := ma.id - mb.id - d.lo
+			d.bits[k>>6] |= 1 << (k & 63)
 		}
 	}
-	return false
+	return d
 }
 
 // shrinkFloor lower-bounds an axis during shrinking. Three sound bounds

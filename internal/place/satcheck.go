@@ -77,7 +77,7 @@ func Verify(orig, placed *asm.Func, dev *device.Device) error {
 //
 // The encoding is quadratic in anchors and is intended for small devices.
 func PlaceSAT(f *asm.Func, dev *device.Device) (map[string]Slot, error) {
-	clusters, err := buildClusters(f)
+	clusters, err := buildClusters(f, dev)
 	if err != nil {
 		return nil, err
 	}
@@ -121,15 +121,17 @@ func PlaceSAT(f *asm.Func, dev *device.Device) (map[string]Slot, error) {
 	}
 
 	// Pairwise conflicts between same-primitive clusters.
+	var words []uint64
 	for ci := 0; ci < len(clusters); ci++ {
 		for cj := ci + 1; cj < len(clusters); cj++ {
 			a, b := clusters[ci], clusters[cj]
 			if a.prim != b.prim {
 				continue
 			}
+			d := diff(a, b, &words)
 			for ai, av := range domains[ci] {
 				for bi, bv := range domains[cj] {
-					if clustersOverlap(a, b, av, bv, dev.Height) {
+					if d.has(bv - av) {
 						s.AddClause(vars[ci][ai].Neg(), vars[cj][bi].Neg())
 					}
 				}

@@ -113,7 +113,7 @@ func TestRevalidateAgreesWithOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clusters, err := buildClusters(f)
+	clusters, err := buildClusters(f, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestShrinkFloorSound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		clusters, err := buildClusters(f)
+		clusters, err := buildClusters(f, d)
 		if err != nil {
 			t.Fatal(err)
 		}
