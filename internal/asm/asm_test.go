@@ -367,3 +367,31 @@ func TestCloneDeep(t *testing.T) {
 		t.Error("Clone shares memory")
 	}
 }
+
+// TestCloneSlabs: a clone's slices are carved from shared slabs, so each
+// is clamped to its length (an append cannot overwrite the next
+// instruction's), and an empty slice stays nil.
+func TestCloneSlabs(t *testing.T) {
+	f, err := Parse(fig11a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Body = append(f.Body, Instr{Dest: "k", Type: f.Body[0].Type, Op: ir.OpConst, Attrs: []int64{}, Args: []string{}})
+	g := f.Clone()
+	if g.String() != f.String() {
+		t.Fatalf("clone prints differently:\n%s\nvs\n%s", g, f)
+	}
+	for i, in := range g.Body {
+		if cap(in.Args) != len(in.Args) || cap(in.Attrs) != len(in.Attrs) {
+			t.Errorf("%s: capacity past length (args %d/%d, attrs %d/%d)",
+				in.Dest, len(in.Args), cap(in.Args), len(in.Attrs), cap(in.Attrs))
+		}
+		if (len(in.Args) == 0) != (in.Args == nil) || (len(in.Attrs) == 0) != (in.Attrs == nil) {
+			t.Errorf("%s: an empty slice is not nil, or a nil one is not empty", in.Dest)
+		}
+		_ = append(g.Body[i].Args, "appended")
+	}
+	if g.String() != f.String() {
+		t.Errorf("an append to one clone slice reached another:\n%s\nvs\n%s", g, f)
+	}
+}

@@ -115,7 +115,10 @@ type Func struct {
 	Body    []Instr
 }
 
-// Clone returns a deep copy of the function.
+// Clone returns a deep copy of the function. The copies' Attrs and Args
+// are carved from one slab each, capacity-clamped so that an append to
+// one instruction's slice cannot reach its neighbour's; an empty one is
+// nil, as Instr.Clone leaves it.
 func (f *Func) Clone() *Func {
 	out := &Func{
 		Name:    f.Name,
@@ -123,10 +126,30 @@ func (f *Func) Clone() *Func {
 		Outputs: append([]ir.Port(nil), f.Outputs...),
 		Body:    make([]Instr, len(f.Body)),
 	}
-	for i, in := range f.Body {
-		out.Body[i] = in.Clone()
+	nattrs, nargs := 0, 0
+	for i := range f.Body {
+		nattrs += len(f.Body[i].Attrs)
+		nargs += len(f.Body[i].Args)
+	}
+	attrs, args := make([]int64, 0, nattrs), make([]string, 0, nargs)
+	for i := range f.Body {
+		in := &out.Body[i]
+		*in = f.Body[i]
+		in.Attrs, attrs = carve(attrs, in.Attrs)
+		in.Args, args = carve(args, in.Args)
 	}
 	return out
+}
+
+// carve copies src onto the end of slab and returns the copy, clamped to
+// its length, with the slab after it; an empty src gives nil.
+func carve[T any](slab, src []T) ([]T, []T) {
+	if len(src) == 0 {
+		return nil, slab
+	}
+	n := len(slab)
+	slab = append(slab, src...)
+	return slab[n:len(slab):len(slab)], slab
 }
 
 // String renders the function in source syntax, appending into one buffer
