@@ -32,37 +32,50 @@ func (r *Resolver) Resolve(f *Func, target *tdl.Target) (ir.Symbols, error) {
 		return ir.Symbols{}, err
 	}
 	args := syms.Args
-	for _, in := range f.Body {
-		argv := args[:len(in.Args)]
-		args = args[len(in.Args):]
-		if in.IsWire() {
-			continue
-		}
-		def, ok := target.Lookup(in.Name)
-		if !ok {
-			return ir.Symbols{}, fmt.Errorf("asm: %s: operation %q is not defined by target %s",
-				in.Dest, in.Name, target.Name)
-		}
-		if def.Prim != in.Loc.Prim {
-			return ir.Symbols{}, fmt.Errorf("asm: %s: %s occupies %s, placed on %s",
-				in.Dest, in.Name, def.Prim, in.Loc.Prim)
-		}
-		if len(in.Args) != len(def.Inputs) {
-			return ir.Symbols{}, fmt.Errorf("asm: %s: %s takes %d arguments, got %d",
-				in.Dest, in.Name, len(def.Inputs), len(in.Args))
-		}
-		for i, v := range argv {
-			if t := f.ValueType(v); t != def.Inputs[i].Type {
-				return ir.Symbols{}, fmt.Errorf("asm: %s: %s argument %d has type %s, want %s",
-					in.Dest, in.Name, i, t, def.Inputs[i].Type)
-			}
-		}
-		if in.Type != def.Output.Type {
-			return ir.Symbols{}, fmt.Errorf("asm: %s: %s produces %s, destination declared %s",
-				in.Dest, in.Name, def.Output.Type, in.Type)
+	for i := range f.Body {
+		argv := args[:len(f.Body[i].Args)]
+		args = args[len(f.Body[i].Args):]
+		if err := CheckDef(f, i, argv, target); err != nil {
+			return ir.Symbols{}, err
 		}
 	}
 	return syms, nil
+}
+
+// CheckDef validates body instruction i of f against the target, argv
+// being the values behind its arguments in f's symbol table: an assembly
+// instruction's operation must exist, sit on its primitive, and match its
+// signature. A wire instruction passes. It is CheckTarget for one
+// instruction, for a pass that rewrites a few of a checked program's.
+func CheckDef(f *Func, i int, argv []int32, target *tdl.Target) error {
+	in := &f.Body[i]
+	if in.IsWire() {
+		return nil
+	}
+	def, ok := target.Lookup(in.Name)
+	if !ok {
+		return fmt.Errorf("asm: %s: operation %q is not defined by target %s",
+			in.Dest, in.Name, target.Name)
+	}
+	if def.Prim != in.Loc.Prim {
+		return fmt.Errorf("asm: %s: %s occupies %s, placed on %s",
+			in.Dest, in.Name, def.Prim, in.Loc.Prim)
+	}
+	if len(in.Args) != len(def.Inputs) {
+		return fmt.Errorf("asm: %s: %s takes %d arguments, got %d",
+			in.Dest, in.Name, len(def.Inputs), len(in.Args))
+	}
+	for k, v := range argv {
+		if t := f.ValueType(v); t != def.Inputs[k].Type {
+			return fmt.Errorf("asm: %s: %s argument %d has type %s, want %s",
+				in.Dest, in.Name, k, t, def.Inputs[k].Type)
+		}
+	}
+	if in.Type != def.Output.Type {
+		return fmt.Errorf("asm: %s: %s produces %s, destination declared %s",
+			in.Dest, in.Name, def.Output.Type, in.Type)
+	}
+	return nil
 }
 
 // Expand lowers an assembly function back to the intermediate language by

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"reticle/internal/ir"
+	"reticle/internal/tdl"
 )
 
 // Parse parses a single assembly function from source text.
@@ -37,6 +38,25 @@ func ParseAll(src string) ([]*Func, error) {
 		return nil, fmt.Errorf("asm: no functions in input")
 	}
 	return fns, nil
+}
+
+// ParseResolved is Parse and Resolve in one pass over the names: it
+// parses exactly one function and checks it against the target, handing
+// back the symbol table that check built.
+func ParseResolved(src string, target *tdl.Target) (*Func, ir.Symbols, error) {
+	p := ir.NewParser(src)
+	f, err := parseFunc(p)
+	if err := p.Settle("asm", err); err != nil {
+		return nil, ir.Symbols{}, err
+	}
+	if !p.AtEOF() {
+		return nil, ir.Symbols{}, fmt.Errorf("asm: expected exactly one function")
+	}
+	syms, err := Resolve(f, target)
+	if err != nil {
+		return nil, ir.Symbols{}, err
+	}
+	return f, syms, nil
 }
 
 func parseFunc(p *ir.Parser) (*Func, error) {

@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"reticle/internal/asm"
+	"reticle/internal/ir"
 	"reticle/internal/target"
 	"reticle/internal/tdl"
 )
@@ -44,13 +45,22 @@ type Stats struct {
 
 // Apply rewrites cascade chains in place on a copy of f and returns it.
 func Apply(f *asm.Func, target *tdl.Target, opts Options) (*asm.Func, Stats, error) {
+	syms, err := asm.Resolve(f, target)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	return ApplyWithSymbols(f, syms, target, opts)
+}
+
+// ApplyWithSymbols is Apply on a program already checked against target,
+// syms being the symbol table that check built. The rewrite renames
+// operations and constrains locations, nothing else, so syms is the
+// copy's table too, and only the instructions it rewrote are checked
+// again, against their new definitions.
+func ApplyWithSymbols(f *asm.Func, syms ir.Symbols, target *tdl.Target, opts Options) (*asm.Func, Stats, error) {
 	var st Stats
 	if opts.AccPort == "" {
 		opts.AccPort = "c"
-	}
-	syms, err := asm.Resolve(f, target)
-	if err != nil {
-		return nil, st, err
 	}
 	out := f.Clone()
 	nin := int32(len(f.Inputs))
@@ -194,8 +204,16 @@ func Apply(f *asm.Func, target *tdl.Target, opts Options) (*asm.Func, Stats, err
 		st.Rewritten += len(chain)
 	}
 
-	if err := asm.CheckTarget(out, target); err != nil {
-		return nil, st, fmt.Errorf("cascade: rewrite produced invalid assembly: %w", err)
+	args = syms.Args
+	for i := range out.Body {
+		argv := args[:len(out.Body[i].Args)]
+		args = args[len(out.Body[i].Args):]
+		if !inChain[i] {
+			continue
+		}
+		if err := asm.CheckDef(out, i, argv, target); err != nil {
+			return nil, st, fmt.Errorf("cascade: rewrite produced invalid assembly: %w", err)
+		}
 	}
 	return out, st, nil
 }

@@ -204,3 +204,50 @@ func TestVariantsTypeCheckAgainstTarget(t *testing.T) {
 	}
 	var _ *tdl.Target = target
 }
+
+// TestPlantedBadRewriteRefused: the rewrite is checked against the
+// definitions it names, on both entry points — a variant the target does
+// not define, or one whose signature does not fit the instruction, is
+// refused, not passed on to placement.
+func TestPlantedBadRewriteRefused(t *testing.T) {
+	const src = `
+def f(a:i8, b:i8, c:i8, d:i8, in:i8) -> (t1:i8) {
+    t0:i8 = dsp_muladd_i8(a, b, in) @dsp(??, ??);
+    t1:i8 = dsp_muladd_i8(c, d, t0) @dsp(??, ??);
+}
+`
+	f, err := asm.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := ultrascale.Target()
+	syms, err := asm.Resolve(f, target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		ci   string
+		want string
+	}{
+		{"undefined", "dsp_muladd_i8_nowhere",
+			`cascade: rewrite produced invalid assembly: asm: t1: operation "dsp_muladd_i8_nowhere" is not defined by target ultrascale`},
+		{"wrong primitive", "lut_add_i8",
+			"cascade: rewrite produced invalid assembly: asm: t1: lut_add_i8 occupies lut, placed on dsp"},
+		{"wrong width", "dsp_muladd_i16_ci",
+			"cascade: rewrite produced invalid assembly: asm: t1: dsp_muladd_i16_ci argument 0 has type i8, want i16"},
+	} {
+		o := opts()
+		v := o.Cascades["dsp_muladd_i8"]
+		v.Ci = tc.ci
+		o.Cascades["dsp_muladd_i8"] = v
+		for entry, apply := range map[string]func() (*asm.Func, Stats, error){
+			"Apply":            func() (*asm.Func, Stats, error) { return Apply(f, target, o) },
+			"ApplyWithSymbols": func() (*asm.Func, Stats, error) { return ApplyWithSymbols(f, syms, target, o) },
+		} {
+			if out, _, err := apply(); err == nil || err.Error() != tc.want {
+				t.Errorf("%s, %s: got %v (program %v), want %q", tc.name, entry, err, out, tc.want)
+			}
+		}
+	}
+}

@@ -38,6 +38,12 @@ func Generate(f *asm.Func, target *tdl.Target) (*strings.Builder, Stats, error) 
 	if err != nil {
 		return nil, Stats{}, err
 	}
+	return GenerateWithSymbols(f, syms, target)
+}
+
+// GenerateWithSymbols is Generate on a program already checked against
+// target, syms being the symbol table that check built.
+func GenerateWithSymbols(f *asm.Func, syms ir.Symbols, target *tdl.Target) (*strings.Builder, Stats, error) {
 	if !f.Resolved() {
 		return nil, Stats{}, fmt.Errorf("codegen: function %s has unresolved locations; run placement first", f.Name)
 	}

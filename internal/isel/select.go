@@ -32,12 +32,21 @@ type Options struct {
 // read-only here: all selection scratch (tree partitions, the shape table)
 // is allocated per call, so concurrent selections may share one library.
 func SelectWithLibrary(f *ir.Func, lib *Library, opts Options) (*asm.Func, error) {
+	af, _, err := SelectWithSymbols(f, lib, opts)
+	return af, err
+}
+
+// SelectWithSymbols is SelectWithLibrary handing back the symbol table of
+// the check that closes selection (asm.Resolve against the library's
+// target). Layout optimization rewrites only names and locations, and
+// placement only locations, so the table stays valid through timing.
+func SelectWithSymbols(f *ir.Func, lib *Library, opts Options) (*asm.Func, ir.Symbols, error) {
 	if opts.Cost == nil {
 		opts.Cost = AreaCost
 	}
 	g, err := buildGraph(f)
 	if err != nil {
-		return nil, err
+		return nil, ir.Symbols{}, err
 	}
 	out := &asm.Func{
 		Name:    f.Name,
@@ -50,13 +59,14 @@ func SelectWithLibrary(f *ir.Func, lib *Library, opts Options) (*asm.Func, error
 	s := newSelector(lib, opts, len(g.Nodes))
 	for _, t := range g.partition() {
 		if out.Body, err = s.selectTree(t, out.Body); err != nil {
-			return nil, fmt.Errorf("isel: function %s: %w", f.Name, err)
+			return nil, ir.Symbols{}, fmt.Errorf("isel: function %s: %w", f.Name, err)
 		}
 	}
-	if err := asm.CheckTarget(out, lib.Target); err != nil {
-		return nil, fmt.Errorf("isel: produced invalid assembly: %w", err)
+	syms, err := asm.Resolve(out, lib.Target)
+	if err != nil {
+		return nil, ir.Symbols{}, fmt.Errorf("isel: produced invalid assembly: %w", err)
 	}
-	return out, nil
+	return out, syms, nil
 }
 
 // selector is the scratch of one SelectWithLibrary call: the shape table,

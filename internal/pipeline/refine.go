@@ -37,7 +37,7 @@ const (
 // counters, degradation marker, warm-start mode and recorded anchors
 // describe the solver's layout, which is exactly what a future
 // structurally identical compile wants to adopt.
-func refinePlace(ctx context.Context, f *asm.Func, target *tdl.Target, dev *device.Device, opts place.Options) (*place.Result, error) {
+func refinePlace(ctx context.Context, f *asm.Func, syms ir.Symbols, target *tdl.Target, dev *device.Device, opts place.Options) (*place.Result, error) {
 	topts := timing.DefaultOptions()
 	res, err := place.PlaceContext(ctx, f, dev, opts)
 	if err != nil {
@@ -67,7 +67,7 @@ func refinePlace(ctx context.Context, f *asm.Func, target *tdl.Target, dev *devi
 
 	// One set of timing tables for every candidate move tried below.
 	var sta timing.Analyzer
-	rep, err := sta.Analyze(cur, target, dev, topts)
+	rep, err := sta.Analyze(cur, syms, target, dev, topts)
 	if err != nil {
 		return nil, err
 	}
@@ -101,7 +101,7 @@ func refinePlace(ctx context.Context, f *asm.Func, target *tdl.Target, dev *devi
 				tried++
 				x, y := dev.SliceCoords(id)
 				in.Loc.X, in.Loc.Y = asm.At(int64(x)), asm.At(int64(y))
-				cand, err := sta.Analyze(cur, target, dev, topts)
+				cand, err := sta.Analyze(cur, syms, target, dev, topts)
 				if err != nil {
 					return nil, err
 				}
@@ -122,7 +122,7 @@ func refinePlace(ctx context.Context, f *asm.Func, target *tdl.Target, dev *devi
 		if !improved {
 			break
 		}
-		rep, err = sta.Analyze(cur, target, dev, topts)
+		rep, err = sta.Analyze(cur, syms, target, dev, topts)
 		if err != nil {
 			return nil, err
 		}

@@ -30,7 +30,11 @@ def chain(a:i8, b:i8, c:i8) -> (t3:i8) {
 // paths of each, before and after.
 func refined(t *testing.T, f *asm.Func, dev *device.Device) (res, plain *place.Result, beforeNs, afterNs float64) {
 	t.Helper()
-	res, err := refinePlace(context.Background(), f, ultrascale.Target(), dev, place.Options{})
+	syms, err := asm.Resolve(f, ultrascale.Target())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err = refinePlace(context.Background(), f, syms, ultrascale.Target(), dev, place.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,7 @@ import (
 	"reticle/internal/isel"
 	"reticle/internal/place"
 	"reticle/internal/rerr"
+	"reticle/internal/tdl"
 	"reticle/internal/timing"
 )
 
@@ -35,25 +36,32 @@ func (p *printed) Text() string {
 	return p.text
 }
 
-// parse installs text as *p if it is well-formed assembly.
-func (p *printed) parse(text string) bool {
-	fn, err := asm.Parse(text)
-	if err != nil || fn == nil {
+// parse installs text as *p, and its symbol table as *syms, if it is
+// well-formed assembly that checks against the target.
+func (p *printed) parse(text string, target *tdl.Target, syms *ir.Symbols) bool {
+	fn, s, err := asm.ParseResolved(text, target)
+	if err != nil {
 		return false
 	}
-	*p = printed{fn, text}
+	*p, *syms = printed{fn, text}, s
 	return true
 }
 
 // compilation is the per-call state the rows read and write: the
-// selected (then layout-optimized) program, its placed form, what the
-// output row contributes, and the artifact under construction.
+// selected (then layout-optimized) program, its placed form, their one
+// value table, what the output row contributes, and the artifact under
+// construction.
 type compilation struct {
 	cfg         *Config
 	f           *ir.Func
 	asm, placed printed
-	out         outputEntry
-	art         *Artifact
+	// syms is the symbol table of the check that closed selection, or of
+	// the parse that adopted a row's payload. Layout optimization rewrites
+	// only names and locations and placement only locations, so it is the
+	// table of asm and of placed alike, and no later row resolves a name.
+	syms ir.Symbols
+	out  outputEntry
+	art  *Artifact
 }
 
 // step is one pipeline stage inside a row: its boundary (context-check
@@ -82,20 +90,22 @@ type stage struct {
 }
 
 var stageTable = [...]stage{{
-	tag:     StageSelect,
-	key:     keySelect,
-	input:   func(c *compilation) string { return c.f.String() },
-	adopt:   func(c *compilation, payload []byte) bool { return c.asm.parse(string(payload)) },
+	tag:   StageSelect,
+	key:   keySelect,
+	input: func(c *compilation) string { return c.f.String() },
+	adopt: func(c *compilation, payload []byte) bool {
+		return c.asm.parse(string(payload), c.cfg.Target, &c.syms)
+	},
 	payload: func(c *compilation) ([]byte, error) { return []byte(c.asm.Text()), nil },
 	steps: []step{{
 		label: "selection", fault: FaultSelect,
 		slot: func(t *StageTimes) *time.Duration { return &t.Select },
 		run: func(_ context.Context, c *compilation) error {
-			af, err := isel.SelectWithLibrary(c.f, c.cfg.Lib, isel.Options{Greedy: c.cfg.Greedy})
+			af, syms, err := isel.SelectWithSymbols(c.f, c.cfg.Lib, isel.Options{Greedy: c.cfg.Greedy})
 			if err != nil {
 				return rerr.Wrap(rerr.Permanent, "select_failed", "instruction selection failed", err)
 			}
-			c.asm = printed{fn: af}
+			c.asm, c.syms = printed{fn: af}, syms
 			return nil
 		},
 	}},
@@ -105,7 +115,7 @@ var stageTable = [...]stage{{
 	input: func(c *compilation) string { return c.asm.Text() },
 	adopt: func(c *compilation, payload []byte) bool {
 		chains, text, ok := parseCascadeFrame(payload)
-		if !ok || !c.asm.parse(text) {
+		if !ok || !c.asm.parse(text, c.cfg.Target, &c.syms) {
 			return false
 		}
 		c.art.CascadeChains = chains
@@ -118,7 +128,7 @@ var stageTable = [...]stage{{
 		label: "layout optimization", fault: FaultCascade,
 		slot: func(t *StageTimes) *time.Duration { return &t.Cascade },
 		run: func(_ context.Context, c *compilation) error {
-			opt, st, err := cascade.Apply(c.asm.fn, c.cfg.Target, cascade.Options{
+			opt, st, err := cascade.ApplyWithSymbols(c.asm.fn, c.syms, c.cfg.Target, cascade.Options{
 				Cascades: c.cfg.Cascades,
 				AccPort:  "c",
 				MaxChain: c.cfg.Device.Height,
@@ -142,10 +152,11 @@ var stageTable = [...]stage{{
 	// solve, never to a wrong artifact.
 	adopt: func(c *compilation, payload []byte) bool {
 		var p printed
-		if !p.parse(string(payload)) || place.Verify(c.asm.fn, p.fn, c.cfg.Device) != nil {
+		var syms ir.Symbols
+		if !p.parse(string(payload), c.cfg.Target, &syms) || place.Verify(c.asm.fn, p.fn, c.cfg.Device) != nil {
 			return false
 		}
-		c.placed, c.art.WarmStart = p, "stage"
+		c.placed, c.syms, c.art.WarmStart = p, syms, "stage"
 		return true
 	},
 	payload: func(c *compilation) ([]byte, error) { return []byte(c.placed.Text()), nil },
@@ -165,7 +176,7 @@ var stageTable = [...]stage{{
 		label: "code generation", fault: FaultCodegen,
 		slot: func(t *StageTimes) *time.Duration { return &t.Codegen },
 		run: func(_ context.Context, c *compilation) error {
-			v, stats, err := codegen.Generate(c.placed.fn, c.cfg.Target)
+			v, stats, err := codegen.GenerateWithSymbols(c.placed.fn, c.syms, c.cfg.Target)
 			if err != nil {
 				return rerr.Wrap(rerr.Permanent, "codegen_failed", "code generation failed", err)
 			}
@@ -177,7 +188,7 @@ var stageTable = [...]stage{{
 		label: "timing analysis", fault: FaultTiming,
 		slot: func(t *StageTimes) *time.Duration { return &t.Timing },
 		run: func(_ context.Context, c *compilation) error {
-			rep, err := timing.Analyze(c.placed.fn, c.cfg.Target, c.cfg.Device, timing.DefaultOptions())
+			rep, err := new(timing.Analyzer).Analyze(c.placed.fn, c.syms, c.cfg.Target, c.cfg.Device, timing.DefaultOptions())
 			if err != nil {
 				return rerr.Wrap(rerr.Permanent, "timing_failed", "timing analysis failed", err)
 			}
@@ -203,7 +214,7 @@ func runPlace(ctx context.Context, c *compilation) error {
 	var res *place.Result
 	var err error
 	if cfg.TimingDriven {
-		res, err = refinePlace(ctx, c.asm.fn, cfg.Target, cfg.Device, opts)
+		res, err = refinePlace(ctx, c.asm.fn, c.syms, cfg.Target, cfg.Device, opts)
 	} else {
 		res, err = place.PlaceContext(ctx, c.asm.fn, cfg.Device, opts)
 	}

@@ -19,6 +19,7 @@ import (
 
 	"reticle/internal/asm"
 	"reticle/internal/device"
+	"reticle/internal/ir"
 	"reticle/internal/tdl"
 )
 
@@ -64,33 +65,33 @@ func (r Report) String() string {
 		r.CriticalNs, r.FMaxMHz, strings.Join(r.Path, " -> "))
 }
 
-// Analyzer is Analyze with its symbol table, nodes and nets kept between
-// calls. Timing-driven refinement analyzes one function about a hundred
-// times per compile, a location apart each time, and allocating them
-// afresh reads +38 % B/op on it (BenchmarkAblationTimingDriven/refined)
-// however lean a Node is. The zero value is ready; one Analyzer serves one
-// goroutine, and whoever holds it decides how long the tables live.
+// Analyzer is Analyze with its nodes and nets kept between calls.
+// Timing-driven refinement analyzes one function about a hundred times per
+// compile, a location apart each time, and allocating them afresh reads
+// +38 % B/op on it (BenchmarkAblationTimingDriven/refined) however lean a
+// Node is. The zero value is ready; one Analyzer serves one goroutine, and
+// whoever holds it decides how long the tables live.
 type Analyzer struct {
-	syms  asm.Resolver
 	nodes []Node
 	args  []Arg
 }
 
 // Analyze computes the critical path of a placed assembly function.
 func Analyze(f *asm.Func, target *tdl.Target, dev *device.Device, opts Options) (Report, error) {
-	return new(Analyzer).Analyze(f, target, dev, opts)
-}
-
-// Analyze lays the body out as the node slice Arrivals walks — one node
-// per instruction, found through the symbol table — and names the worst
-// path.
-func (t *Analyzer) Analyze(f *asm.Func, target *tdl.Target, dev *device.Device, opts Options) (Report, error) {
-	if opts.UnitNs == 0 {
-		opts = DefaultOptions()
-	}
-	syms, err := t.syms.Resolve(f, target)
+	syms, err := asm.Resolve(f, target)
 	if err != nil {
 		return Report{}, err
+	}
+	return new(Analyzer).Analyze(f, syms, target, dev, opts)
+}
+
+// Analyze is timing.Analyze on a program already checked against target,
+// syms being the symbol table that check built. It lays the body out as
+// the node slice Arrivals walks — one node per instruction, found through
+// the symbol table — and names the worst path.
+func (t *Analyzer) Analyze(f *asm.Func, syms ir.Symbols, target *tdl.Target, dev *device.Device, opts Options) (Report, error) {
+	if opts.UnitNs == 0 {
+		opts = DefaultOptions()
 	}
 	if !f.Resolved() {
 		return Report{}, fmt.Errorf("timing: function %s has unresolved locations", f.Name)
