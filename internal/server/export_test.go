@@ -31,3 +31,14 @@ func SliceKernels(body []byte) ([]json.RawMessage, bool) { return sliceKernels(b
 // AppendMembers is how a routing tier appends members to a forwarded
 // object.
 func AppendMembers(obj []byte, members string) []byte { return appendMembers(obj, members) }
+
+// ReadCompileRequest is the plain /compile body reader Admit tries before
+// decodeBody.
+func ReadCompileRequest(body []byte) (CompileRequest, bool) {
+	var in CompileRequest
+	ok := readCompileRequest(body, &in)
+	return in, ok
+}
+
+// DecodeBody is the decoder Admit falls back to.
+func DecodeBody(body []byte, dst any) error { return decodeBody(body, dst) }

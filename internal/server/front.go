@@ -302,7 +302,10 @@ func (fs FamilySet) Admit(path string, body []byte, h http.Header) (*Request, er
 	switch path {
 	case "/compile":
 		var in CompileRequest
-		err = decodeBody(body, &in)
+		if !readCompileRequest(body, &in) {
+			in = CompileRequest{}
+			err = decodeBody(body, &in)
+		}
 		family, timeoutMS, kernels = in.Family, in.TimeoutMS, []BatchKernel{{Name: in.Name, IR: in.IR}}
 	case "/explore":
 		var in ExploreRequest

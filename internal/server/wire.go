@@ -3,6 +3,9 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"strconv"
+	"strings"
+	"unicode/utf16"
 	"unicode/utf8"
 )
 
@@ -13,7 +16,8 @@ import (
 // knows the byte layout of those envelopes: AppendJSON writes it,
 // ParseCompileFrame and decodeSummary read it, and both tiers use them.
 // The same reader slices a /batch request's kernels out of its body
-// (sliceKernels), so a router forwards them without a second decode.
+// (sliceKernels), so a router forwards them without a second decode, and
+// reads a plain /compile body (readCompileRequest) without encoding/json.
 
 // appendString appends s as a JSON string, byte-identical to json.Marshal.
 // A string of printable ASCII with nothing to escape (every name, family,
@@ -259,6 +263,176 @@ func (f *frameReader) array() []json.RawMessage {
 	}
 }
 
+// readCompileRequest reads a plain /compile body into dst without
+// encoding/json: one object whose members are "ir", "name", "family" and
+// "timeout_ms", each at most once, the first three strings and the last
+// an integer. ok is false, and the caller decodes instead, on any other
+// shape: a member name that is escaped, a case variant or unknown, a value
+// of another type, a number that is not an integer or overflows, a string
+// with a raw control byte, invalid UTF-8 or an escape unquote does not
+// read, or anything after the object but whitespace. A body it reads
+// decodes to the same request; dst means nothing when ok is false.
+func readCompileRequest(body []byte, dst *CompileRequest) bool {
+	f := frameReader{b: body, ok: true}
+	if !f.tok('{') {
+		return false
+	}
+	var seen [4]bool
+	for members := 0; !f.tok('}'); members++ {
+		if members > 0 && !f.tok(',') {
+			return false
+		}
+		f.space()
+		name := f.str()
+		if !f.ok || !f.tok(':') {
+			return false
+		}
+		var k int
+		var str *string
+		switch string(name) {
+		case "ir":
+			k, str = 0, &dst.IR
+		case "name":
+			k, str = 1, &dst.Name
+		case "family":
+			k, str = 2, &dst.Family
+		case "timeout_ms":
+			k = 3
+		default:
+			return false
+		}
+		if seen[k] {
+			return false
+		}
+		seen[k] = true
+		if f.space(); str == nil {
+			n, ok := jsonInt(f.value())
+			if !f.ok || !ok {
+				return false
+			}
+			dst.TimeoutMS = n
+			continue
+		}
+		if len(f.b) == 0 || f.b[0] != '"' {
+			return false
+		}
+		v, ok := unquote(f.str())
+		if !f.ok || !ok {
+			return false
+		}
+		*str = v
+	}
+	f.space()
+	return f.ok && len(f.b) == 0
+}
+
+// jsonInt reads a JSON number that is an integer in int64's range.
+func jsonInt(b []byte) (int64, bool) {
+	digits := bytes.TrimPrefix(b, []byte("-"))
+	if len(digits) == 0 || len(digits) > 1 && digits[0] == '0' {
+		return 0, false
+	}
+	for _, c := range digits {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+	}
+	n, err := strconv.ParseInt(string(b), 10, 64)
+	return n, err == nil
+}
+
+// unquote decodes the contents of a JSON string, still escaped, to the
+// string encoding/json decodes: the escapes \", \\, \/, \b, \f, \n,
+// \r, \t and \uXXXX, a surrogate pair of those as one rune. ok is false
+// on a raw control byte, invalid UTF-8, a lone surrogate or any other
+// escape — the cases encoding/json refuses or replaces with U+FFFD.
+func unquote(s []byte) (string, bool) {
+	i := 0
+	for i < len(s) && s[i] >= 0x20 && s[i] < utf8.RuneSelf && s[i] != '\\' {
+		i++
+	}
+	if i == len(s) {
+		return string(s), true
+	}
+	var b strings.Builder
+	b.Grow(len(s))
+	b.Write(s[:i])
+	for i < len(s) {
+		switch c := s[i]; {
+		case c < 0x20:
+			return "", false
+		case c >= utf8.RuneSelf:
+			r, n := utf8.DecodeRune(s[i:])
+			if r == utf8.RuneError && n == 1 {
+				return "", false
+			}
+			b.Write(s[i : i+n])
+			i += n
+		case c != '\\':
+			b.WriteByte(c)
+			i++
+		case i+1 == len(s):
+			return "", false
+		default:
+			switch e := s[i+1]; e {
+			case '"', '\\', '/':
+				b.WriteByte(e)
+			case 'b':
+				b.WriteByte('\b')
+			case 'f':
+				b.WriteByte('\f')
+			case 'n':
+				b.WriteByte('\n')
+			case 'r':
+				b.WriteByte('\r')
+			case 't':
+				b.WriteByte('\t')
+			case 'u':
+				r := hex4(s[i+2:])
+				if utf16.IsSurrogate(r) {
+					if i += 6; len(s) < i+2 || s[i] != '\\' || s[i+1] != 'u' {
+						return "", false
+					}
+					if r = utf16.DecodeRune(r, hex4(s[i+2:])); r == utf8.RuneError {
+						return "", false
+					}
+				}
+				if r < 0 {
+					return "", false
+				}
+				b.WriteRune(r)
+				i += 4
+			default:
+				return "", false
+			}
+			i += 2
+		}
+	}
+	return b.String(), true
+}
+
+// hex4 reads the four hex digits of a \u escape, or -1.
+func hex4(s []byte) rune {
+	if len(s) < 4 {
+		return -1
+	}
+	var r rune
+	for _, c := range s[:4] {
+		switch {
+		case '0' <= c && c <= '9':
+			c -= '0'
+		case 'a' <= c && c <= 'f':
+			c -= 'a' - 10
+		case 'A' <= c && c <= 'F':
+			c -= 'A' - 10
+		default:
+			return -1
+		}
+		r = r<<4 | rune(c)
+	}
+	return r
+}
+
 // decodeSummary reads the fixed-size fields off the tail of a rendered
 // artifact: the three program texts in front of them are stepped over, not
 // scanned, and only the short remainder is decoded.
@@ -281,24 +455,25 @@ func decodeSummary(artifact []byte) (sum summary, ok bool) {
 // ParseCompileFrame is the inverse of CompileResponseWire.AppendJSON: the
 // fields of a /compile 200 a relaying tier reads, with the artifact as a
 // slice of body, and the artifact's degraded mark, read on the walk that
-// checks the artifact's layout, so the relay need not walk it again. A
-// body in another layout (a backend of another version), or with a string
-// field that holds an escape, is decoded in full instead and its artifact
-// rendered afresh; ok is false when that fails too.
+// checks the artifact's layout, so the relay need not walk it again. The
+// string fields are unquoted as encoding/json would. A body in another
+// layout (a backend of another version), or with a string field unquote
+// does not read, is decoded in full instead and its artifact rendered
+// afresh; ok is false when that fails too.
 func ParseCompileFrame(body []byte) (r CompileResponseWire, degraded, ok bool) {
 	f := frameReader{b: bytes.TrimSuffix(body, []byte("\n")), ok: true}
-	var fields [4][]byte
+	var fields [4]string
 	for i, lit := range [...]string{`{"name":`, `,"family":`, `,"cache":`, `,"key":`} {
 		f.lit(lit)
-		fields[i] = f.str()
-		f.ok = f.ok && bytes.IndexByte(fields[i], '\\') < 0 && utf8.Valid(fields[i])
+		s, plain := unquote(f.str())
+		fields[i], f.ok = s, f.ok && plain
 	}
 	f.lit(`,"artifact":`)
 	if f.ok && len(f.b) > 0 && f.b[len(f.b)-1] == '}' {
 		artifact := f.b[:len(f.b)-1]
 		if sum, ok := decodeSummary(artifact); ok {
-			return CompileResponseWire{Name: string(fields[0]), Family: string(fields[1]), Cache: string(fields[2]),
-				Key: string(fields[3]), Artifact: artifact}, sum.Degraded, true
+			return CompileResponseWire{Name: fields[0], Family: fields[1], Cache: fields[2],
+				Key: fields[3], Artifact: artifact}, sum.Degraded, true
 		}
 	}
 	var resp CompileResponse

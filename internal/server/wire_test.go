@@ -210,3 +210,27 @@ def wide(a:i32, b:i32) -> (y:i32) {
 	}
 	t.Logf("hit: %d B allocated per request, artifact %d B, request body %d B", perHit, len(artifact), len(body))
 }
+
+// TestParseCompileFrameEscapedName: an answer whose name needs escaping
+// on the wire is still split, not decoded: the artifact comes back as a
+// slice of the body, and the name unquoted.
+func TestParseCompileFrameEscapedName(t *testing.T) {
+	s := newTestServer(t, reticle.ServerOptions{})
+	const name = `re"lay <1>`
+	body := compileBody(t, s, server.CompileRequest{Name: name, IR: maccSrc})
+	frame, _, ok := server.ParseCompileFrame(body)
+	if !ok || frame.Name != name || len(frame.Artifact) == 0 {
+		t.Fatalf("split %v, name %q, %d artifact bytes, from %s", ok, frame.Name, len(frame.Artifact), body)
+	}
+	// A slice of body sees a write to body.
+	at := bytes.Index(body, frame.Artifact)
+	if at < 0 {
+		t.Fatalf("artifact is not in the body")
+	}
+	body[at] ^= 0xff
+	sliced := frame.Artifact[0] == body[at]
+	body[at] ^= 0xff
+	if !sliced {
+		t.Errorf("the artifact of an answer named %q is a copy of the body, not a slice of it", name)
+	}
+}
