@@ -49,21 +49,26 @@ func Apply(f *asm.Func, target *tdl.Target, opts Options) (*asm.Func, Stats, err
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return ApplyWithSymbols(f, syms, target, opts)
+	out := f.Clone()
+	st, err := ApplyWithSymbols(out, syms, target, opts)
+	if err != nil {
+		return nil, st, err
+	}
+	return out, st, nil
 }
 
-// ApplyWithSymbols is Apply on a program already checked against target,
-// syms being the symbol table that check built. The rewrite renames
-// operations and constrains locations, nothing else, so syms is the
-// copy's table too, and only the instructions it rewrote are checked
-// again, against their new definitions.
-func ApplyWithSymbols(f *asm.Func, syms ir.Symbols, target *tdl.Target, opts Options) (*asm.Func, Stats, error) {
+// ApplyWithSymbols is Apply rewriting out itself, a program already
+// checked against target, syms being the symbol table that check built.
+// The rewrite renames operations and constrains locations, nothing else,
+// so syms stays out's table, and only the instructions it rewrote are
+// checked again, against their new definitions. On an error out is left
+// part-rewritten.
+func ApplyWithSymbols(out *asm.Func, syms ir.Symbols, target *tdl.Target, opts Options) (Stats, error) {
 	var st Stats
 	if opts.AccPort == "" {
 		opts.AccPort = "c"
 	}
-	out := f.Clone()
-	nin := int32(len(f.Inputs))
+	nin := int32(len(out.Inputs))
 
 	// accIdx resolves the accumulator argument index of an operation.
 	accIdx := func(name string) int {
@@ -212,8 +217,8 @@ func ApplyWithSymbols(f *asm.Func, syms ir.Symbols, target *tdl.Target, opts Opt
 			continue
 		}
 		if err := asm.CheckDef(out, i, argv, target); err != nil {
-			return nil, st, fmt.Errorf("cascade: rewrite produced invalid assembly: %w", err)
+			return st, fmt.Errorf("cascade: rewrite produced invalid assembly: %w", err)
 		}
 	}
-	return out, st, nil
+	return st, nil
 }

@@ -3,7 +3,9 @@ package pipeline
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"reticle/internal/bench"
@@ -86,9 +88,12 @@ func TestStageAllocBudget(t *testing.T) {
 	}
 }
 
-// stageAllocs returns allocs/op of each row of the stage table on f.
+// stageAllocs returns allocs/op of each row of the stage table on f. Each
+// run starts from a fresh copy of the program the row reads, made outside
+// the count: the cascade row rewrites the selected program in place.
 func stageAllocs(t *testing.T, cfg *Config, f *ir.Func) [len(stageTable)]float64 {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	ctx := context.Background()
 	c := &compilation{cfg: cfg, f: f, art: &Artifact{IR: f}}
 	var out [len(stageTable)]float64
@@ -101,13 +106,26 @@ func stageAllocs(t *testing.T, cfg *Config, f *ir.Func) [len(stageTable)]float64
 		var err error
 		run := func() {
 			*c, *c.art = saved, savedArt
+			if saved.asm.fn != nil {
+				c.asm.fn = saved.asm.fn.Clone()
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			for _, st := range row.steps {
 				if err = st.run(ctx, c); err != nil {
-					return
+					break
 				}
 			}
+			runtime.ReadMemStats(&after)
+			out[i] += float64(after.Mallocs - before.Mallocs)
 		}
-		out[i] = testing.AllocsPerRun(5, run)
+		run() // warm up
+		const runs = 5
+		out[i] = 0
+		for range runs {
+			run()
+		}
+		out[i] = math.Floor(out[i] / runs)
 		if err != nil {
 			t.Fatal(fmt.Errorf("%s row: %w", row.tag, err))
 		}

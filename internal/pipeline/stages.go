@@ -128,7 +128,10 @@ var stageTable = [...]stage{{
 		label: "layout optimization", fault: FaultCascade,
 		slot: func(t *StageTimes) *time.Duration { return &t.Cascade },
 		run: func(_ context.Context, c *compilation) error {
-			opt, st, err := cascade.ApplyWithSymbols(c.asm.fn, c.syms, c.cfg.Target, cascade.Options{
+			// Selection's program is this compile's own and nothing reads
+			// it after this row (its text, if the memo needed it, is
+			// already printed), so it is rewritten where it stands.
+			st, err := cascade.ApplyWithSymbols(c.asm.fn, c.syms, c.cfg.Target, cascade.Options{
 				Cascades: c.cfg.Cascades,
 				AccPort:  "c",
 				MaxChain: c.cfg.Device.Height,
@@ -136,7 +139,7 @@ var stageTable = [...]stage{{
 			if err != nil {
 				return rerr.Wrap(rerr.Permanent, "cascade_failed", "layout optimization failed", err)
 			}
-			c.asm, c.art.CascadeChains = printed{fn: opt}, st.Chains
+			c.asm, c.art.CascadeChains = printed{fn: c.asm.fn}, st.Chains
 			return nil
 		},
 	}},
