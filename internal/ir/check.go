@@ -27,12 +27,19 @@ type Symbols struct {
 func Resolve(f *Func) (Symbols, error) {
 	syms, err := check(f)
 	if err == nil {
-		_, err = topoOrder(f, syms.Args)
+		err = Ordered(f, syms)
 	}
 	if err != nil {
 		return Symbols{}, err
 	}
 	return syms, nil
+}
+
+// Ordered is the well-formedness half of Resolve, on a function Check
+// has passed and the symbol table that check built.
+func Ordered(f *Func, syms Symbols) error {
+	_, err := topoOrder(f, syms.Args)
+	return err
 }
 
 func check(f *Func) (Symbols, error) {

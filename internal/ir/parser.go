@@ -323,18 +323,31 @@ func (p *Parser) parseFunc() (*Func, error) {
 
 // Parse parses a single function from source text and checks it.
 func Parse(src string) (*Func, error) {
-	fns, err := ParseAll(src)
+	f, _, err := ParseSymbols(src)
+	return f, err
+}
+
+// ParseSymbols is Parse handing back the symbol table its check built,
+// for a caller that passes the function on to a stage that would
+// otherwise resolve its names again (pipeline.CompileChecked).
+func ParseSymbols(src string) (*Func, Symbols, error) {
+	var syms Symbols
+	fns, err := parseAll(src, &syms)
 	if err != nil {
-		return nil, err
+		return nil, Symbols{}, err
 	}
 	if len(fns) != 1 {
-		return nil, fmt.Errorf("ir: expected exactly one function, found %d", len(fns))
+		return nil, Symbols{}, fmt.Errorf("ir: expected exactly one function, found %d", len(fns))
 	}
-	return fns[0], nil
+	return fns[0], syms, nil
 }
 
 // ParseAll parses every function in the source text and checks each.
-func ParseAll(src string) ([]*Func, error) {
+func ParseAll(src string) ([]*Func, error) { return parseAll(src, nil) }
+
+// parseAll is ParseAll keeping the first function's symbol table in
+// *first, when first is not nil.
+func parseAll(src string, first *Symbols) ([]*Func, error) {
 	p := NewParser(src)
 	var fns []*Func
 	for !p.AtEOF() {
@@ -342,8 +355,12 @@ func ParseAll(src string) ([]*Func, error) {
 		if err := p.Settle("ir", err); err != nil {
 			return nil, err
 		}
-		if err := Check(f); err != nil {
+		syms, err := check(f)
+		if err != nil {
 			return nil, err
+		}
+		if first != nil && len(fns) == 0 {
+			*first = syms
 		}
 		fns = append(fns, f)
 	}

@@ -53,8 +53,17 @@ type graph struct {
 // ir.Symbols, so the table ir.Resolve returns is the graph's edge list:
 // the nodes, the pointers to them and every Args list are three slabs,
 // filled in one pass.
-func buildGraph(f *ir.Func) (*graph, error) {
-	syms, err := ir.Resolve(f)
+//
+// checked, when not nil, is the table of a check f has already passed,
+// and only the well-formedness half of ir.Resolve runs.
+func buildGraph(f *ir.Func, checked *ir.Symbols) (*graph, error) {
+	var syms ir.Symbols
+	var err error
+	if checked != nil {
+		syms, err = *checked, ir.Ordered(f, *checked)
+	} else {
+		syms, err = ir.Resolve(f)
+	}
 	if err != nil {
 		return nil, err
 	}

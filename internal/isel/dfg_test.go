@@ -15,7 +15,7 @@ func mustGraph(t *testing.T, src string) *graph {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := buildGraph(f)
+	g, err := buildGraph(f, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ def bad(x:bool) -> (t1:i8) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := buildGraph(f); err == nil {
+	if _, err := buildGraph(f, nil); err == nil {
 		t.Error("buildGraph accepted combinational cycle")
 	}
 }
@@ -186,7 +186,7 @@ func TestBuildRejectsHandBuiltFuncs(t *testing.T) {
 			`ir: function f: instruction 0 (y): argument "ghost" is undefined`},
 	}
 	for _, c := range cases {
-		if _, err := buildGraph(c.f); err == nil || err.Error() != c.want {
+		if _, err := buildGraph(c.f, nil); err == nil || err.Error() != c.want {
 			t.Errorf("buildGraph error = %v, want %s", err, c.want)
 		}
 	}
@@ -296,7 +296,7 @@ func TestPartitionInBodyOrder(t *testing.T) {
 		funcs = append(funcs, f)
 	}
 	for _, f := range funcs {
-		g, err := buildGraph(f)
+		g, err := buildGraph(f, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -321,11 +321,11 @@ func TestPartitionInBodyOrder(t *testing.T) {
 func TestBuildAllocationBudget(t *testing.T) {
 	build := func(stages int) (build, partition float64) {
 		f := chain(stages)
-		g, err := buildGraph(f)
+		g, err := buildGraph(f, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return testing.AllocsPerRun(20, func() { buildGraph(f) }), testing.AllocsPerRun(20, func() { g.partition() })
+		return testing.AllocsPerRun(20, func() { buildGraph(f, nil) }), testing.AllocsPerRun(20, func() { g.partition() })
 	}
 	b16, p16 := build(16)
 	b64, p64 := build(64)

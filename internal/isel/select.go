@@ -32,7 +32,7 @@ type Options struct {
 // read-only here: all selection scratch (tree partitions, the shape table)
 // is allocated per call, so concurrent selections may share one library.
 func SelectWithLibrary(f *ir.Func, lib *Library, opts Options) (*asm.Func, error) {
-	af, _, err := SelectWithSymbols(f, lib, opts)
+	af, _, err := SelectWithSymbols(f, nil, lib, opts)
 	return af, err
 }
 
@@ -40,11 +40,13 @@ func SelectWithLibrary(f *ir.Func, lib *Library, opts Options) (*asm.Func, error
 // the check that closes selection (asm.Resolve against the library's
 // target). Layout optimization rewrites only names and locations, and
 // placement only locations, so the table stays valid through timing.
-func SelectWithSymbols(f *ir.Func, lib *Library, opts Options) (*asm.Func, ir.Symbols, error) {
+// checked, when not nil, is the table ir.Check built for f (see
+// ir.ParseSymbols), so f's names are not resolved a second time.
+func SelectWithSymbols(f *ir.Func, checked *ir.Symbols, lib *Library, opts Options) (*asm.Func, ir.Symbols, error) {
 	if opts.Cost == nil {
 		opts.Cost = AreaCost
 	}
-	g, err := buildGraph(f)
+	g, err := buildGraph(f, checked)
 	if err != nil {
 		return nil, ir.Symbols{}, err
 	}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"reticle/internal/asm"
@@ -20,7 +21,7 @@ import (
 // sortedTrees partitions f the way SelectWithLibrary does.
 func sortedTrees(t testing.TB, f *ir.Func) (*graph, []*tree) {
 	t.Helper()
-	g, err := buildGraph(f)
+	g, err := buildGraph(f, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,5 +411,30 @@ lut_mulreg_i8[lut, 1, 1](a:i8, b:i8, en:bool) -> (y:i8) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("selected\n  %q\nwant\n  %q", got, want)
+	}
+}
+
+// TestCheckedTableSelectsAlike: selection from the table ir.ParseSymbols
+// hands back selects what selection that resolves f itself does, and
+// closes with the same assembly table.
+func TestCheckedTableSelectsAlike(t *testing.T) {
+	_, lib := testLib(t)
+	for seed := int64(0); seed < 64; seed++ {
+		g := irgen.Generate(rand.New(rand.NewSource(seed)), irgen.Config{Instrs: 24, WithVectors: seed%2 == 0})
+		f, checked, err := ir.ParseSymbols(g.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, coldSyms, coldErr := SelectWithSymbols(f, nil, lib, Options{})
+		warm, warmSyms, warmErr := SelectWithSymbols(f, &checked, lib, Options{})
+		if (coldErr == nil) != (warmErr == nil) {
+			t.Fatalf("seed %d: errors differ: %v vs %v", seed, coldErr, warmErr)
+		}
+		if coldErr != nil {
+			continue
+		}
+		if cold.String() != warm.String() || !slices.Equal(coldSyms.Args, warmSyms.Args) || !slices.Equal(coldSyms.Outputs, warmSyms.Outputs) {
+			t.Fatalf("seed %d: selection from the checked table differs", seed)
+		}
 	}
 }

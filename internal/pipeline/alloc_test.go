@@ -95,7 +95,12 @@ func stageAllocs(t *testing.T, cfg *Config, f *ir.Func) [len(stageTable)]float64
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	ctx := context.Background()
-	c := &compilation{cfg: cfg, f: f, art: &Artifact{IR: f}}
+	// As the front door hands it over: parsed, with its checked table.
+	f, checked, err := ir.ParseSymbols(f.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &compilation{cfg: cfg, f: f, checked: &checked, art: &Artifact{IR: f}}
 	var out [len(stageTable)]float64
 	for i := range stageTable {
 		row := &stageTable[i]
@@ -103,7 +108,6 @@ func stageAllocs(t *testing.T, cfg *Config, f *ir.Func) [len(stageTable)]float64
 			continue
 		}
 		saved, savedArt := *c, *c.art
-		var err error
 		run := func() {
 			*c, *c.art = saved, savedArt
 			if saved.asm.fn != nil {

@@ -52,8 +52,10 @@ func (p *printed) parse(text string, target *tdl.Target, syms *ir.Symbols) bool 
 // value table, what the output row contributes, and the artifact under
 // construction.
 type compilation struct {
-	cfg         *Config
-	f           *ir.Func
+	cfg *Config
+	f   *ir.Func
+	// checked, when not nil, is the table ir.Check built for f.
+	checked     *ir.Symbols
 	asm, placed printed
 	// syms is the symbol table of the check that closed selection, or of
 	// the parse that adopted a row's payload. Layout optimization rewrites
@@ -101,7 +103,7 @@ var stageTable = [...]stage{{
 		label: "selection", fault: FaultSelect,
 		slot: func(t *StageTimes) *time.Duration { return &t.Select },
 		run: func(_ context.Context, c *compilation) error {
-			af, syms, err := isel.SelectWithSymbols(c.f, c.cfg.Lib, isel.Options{Greedy: c.cfg.Greedy})
+			af, syms, err := isel.SelectWithSymbols(c.f, c.checked, c.cfg.Lib, isel.Options{Greedy: c.cfg.Greedy})
 			if err != nil {
 				return rerr.Wrap(rerr.Permanent, "select_failed", "instruction selection failed", err)
 			}
@@ -250,6 +252,14 @@ func runPlace(ctx context.Context, c *compilation) error {
 // Compile runs the full pipeline on one IR function. It never mutates f,
 // cfg, or anything reachable from them; all scratch state is per-call.
 func Compile(ctx context.Context, cfg *Config, f *ir.Func) (*Artifact, error) {
+	return CompileChecked(ctx, cfg, f, nil)
+}
+
+// CompileChecked is Compile on a function that ir.Check passed, checked
+// being the symbol table that check built (ir.ParseSymbols hands it back),
+// so selection does not resolve f's names again; f must not have changed
+// since. A nil checked is Compile.
+func CompileChecked(ctx context.Context, cfg *Config, f *ir.Func, checked *ir.Symbols) (*Artifact, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -260,7 +270,7 @@ func Compile(ctx context.Context, cfg *Config, f *ir.Func) (*Artifact, error) {
 		ctx = context.Background()
 	}
 	art := &Artifact{IR: f}
-	c := &compilation{cfg: cfg, f: f, art: art}
+	c := &compilation{cfg: cfg, f: f, checked: checked, art: art}
 	sc := cfg.StageCache
 	t0 := time.Now()
 	mark := t0

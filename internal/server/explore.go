@@ -94,7 +94,7 @@ func exploreJobs(requested int) int { return min(requested, explore.HardMaxVaria
 // artifact's recorded counters, which are codegen's own.
 func (s *Server) variantCompiler(subs []Account) explore.CompileFunc {
 	return func(ctx context.Context, vcfg *pipeline.Config, i int, v explore.Variant) (*pipeline.Artifact, bool, error) {
-		ca, lvl, err := s.compileKernel(ctx, &subs[i], vcfg, cache.KeyFor(vcfg, v.Func), v.Func)
+		ca, lvl, err := s.compileKernel(ctx, &subs[i], vcfg, cache.KeyFor(vcfg, v.Func), v.Func, nil)
 		if err != nil {
 			return nil, false, err
 		}

@@ -332,7 +332,9 @@ func (s *Server) within(acct *Account, r *http.Request, q *Request, d time.Durat
 // that ran here its times and counters copied off the artifact, go on
 // acct: the request's account, or the sub-account of the /batch kernel
 // or /explore variant, written on its worker's goroutine only.
-func (s *Server) compileKernel(ctx context.Context, acct *Account, cfg *pipeline.Config, key cache.Key, f *ir.Func) (cachedArtifact, cache.Level, error) {
+//
+// syms, when not nil, is the table the front door's parse built for f.
+func (s *Server) compileKernel(ctx context.Context, acct *Account, cfg *pipeline.Config, key cache.Key, f *ir.Func, syms *ir.Symbols) (cachedArtifact, cache.Level, error) {
 	ca, lvl, err := s.cache.Resolve(ctx, key, func() (cachedArtifact, error) {
 		if onCompileStart != nil {
 			onCompileStart()
@@ -340,7 +342,7 @@ func (s *Server) compileKernel(ctx context.Context, acct *Account, cfg *pipeline
 		acct.N[Kernels]++
 		s.inflight.Add(1)
 		defer s.inflight.Add(-1)
-		art, err := pipeline.Compile(ctx, cfg, f)
+		art, err := pipeline.CompileChecked(ctx, cfg, f, syms)
 		if err != nil {
 			return cachedArtifact{}, err
 		}
@@ -408,7 +410,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	te := textEntry{key: k.Key, name: strings.Clone(k.Name), family: q.Family}
 	s.texts.Add(tk, te)
 	acct.Key = string(te.key)
-	ca, lvl, err := s.compileKernel(ctx, acct, q.Config, te.key, k.Func)
+	ca, lvl, err := s.compileKernel(ctx, acct, q.Config, te.key, k.Func, k.Syms)
 	if err != nil {
 		writeTypedError(w, err, te.name)
 		return
@@ -460,7 +462,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for j, m := range plan.Misses {
 		jobs[j] = batch.Job{Name: m.Name, Func: m.Func,
 			Compile: func(kctx context.Context) (*pipeline.Artifact, error) {
-				ca, _, err := s.compileKernel(kctx, &subs[j], plan.Config, m.Key, m.Func)
+				ca, _, err := s.compileKernel(kctx, &subs[j], plan.Config, m.Key, m.Func, m.Syms)
 				if err != nil {
 					return nil, err
 				}
