@@ -347,34 +347,39 @@ func jsonInt(b []byte) (int64, bool) {
 // on a raw control byte, invalid UTF-8, a lone surrogate or any other
 // escape — the cases encoding/json refuses or replaces with U+FFFD.
 func unquote(s []byte) (string, bool) {
-	i := 0
-	for i < len(s) && s[i] >= 0x20 && s[i] < utf8.RuneSelf && s[i] != '\\' {
-		i++
+	plain := func(s []byte) int {
+		i := 0
+		for i < len(s) && s[i] >= 0x20 && s[i] < utf8.RuneSelf && s[i] != '\\' {
+			i++
+		}
+		return i
 	}
+	i := plain(s)
 	if i == len(s) {
 		return string(s), true
 	}
 	var b strings.Builder
 	b.Grow(len(s))
-	b.Write(s[:i])
-	for i < len(s) {
-		switch c := s[i]; {
+	for {
+		b.Write(s[:i])
+		if s = s[i:]; len(s) == 0 {
+			return b.String(), true
+		}
+		switch c := s[0]; {
 		case c < 0x20:
 			return "", false
 		case c >= utf8.RuneSelf:
-			r, n := utf8.DecodeRune(s[i:])
+			r, n := utf8.DecodeRune(s)
 			if r == utf8.RuneError && n == 1 {
 				return "", false
 			}
-			b.Write(s[i : i+n])
-			i += n
-		case c != '\\':
-			b.WriteByte(c)
-			i++
-		case i+1 == len(s):
+			b.Write(s[:n])
+			s = s[n:]
+		case len(s) == 1:
 			return "", false
 		default:
-			switch e := s[i+1]; e {
+			n := 2
+			switch e := s[1]; e {
 			case '"', '\\', '/':
 				b.WriteByte(e)
 			case 'b':
@@ -388,12 +393,12 @@ func unquote(s []byte) (string, bool) {
 			case 't':
 				b.WriteByte('\t')
 			case 'u':
-				r := hex4(s[i+2:])
-				if utf16.IsSurrogate(r) {
-					if i += 6; len(s) < i+2 || s[i] != '\\' || s[i+1] != 'u' {
+				r := hex4(s[2:])
+				if n = 6; utf16.IsSurrogate(r) {
+					if len(s) < 8 || s[6] != '\\' || s[7] != 'u' {
 						return "", false
 					}
-					if r = utf16.DecodeRune(r, hex4(s[i+2:])); r == utf8.RuneError {
+					if r, n = utf16.DecodeRune(r, hex4(s[8:])), 12; r == utf8.RuneError {
 						return "", false
 					}
 				}
@@ -401,14 +406,13 @@ func unquote(s []byte) (string, bool) {
 					return "", false
 				}
 				b.WriteRune(r)
-				i += 4
 			default:
 				return "", false
 			}
-			i += 2
+			s = s[n:]
 		}
+		i = plain(s)
 	}
-	return b.String(), true
 }
 
 // hex4 reads the four hex digits of a \u escape, or -1.
