@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"reticle/internal/asm"
+	"reticle/internal/device"
 	"reticle/internal/ir"
 )
 
@@ -26,15 +27,25 @@ func membersOverlap(a, b *cluster, av, bv, height int) bool {
 }
 
 // TestFootprintMatchesMembers: for random clusters of 1–8 members on the
-// tiny test device, the difference-set predicate agrees with the
-// member-pair loop at every pair of anchors either cluster's domain holds.
+// tiny test device, and on a taller one whose footprints span several
+// words, the difference-set predicate agrees with the member-pair loop at
+// every pair of anchors either cluster's domain holds.
 func TestFootprintMatchesMembers(t *testing.T) {
-	d := dev4(t)
+	tall, err := device.Standard("tall", 4, 2, 40, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []*device.Device{dev4(t), tall} {
+		footprintsMatch(t, d)
+	}
+}
+
+func footprintsMatch(t *testing.T, d *device.Device) {
 	rng := rand.New(rand.NewSource(1))
 	for round := 0; round < 40; round++ {
 		// Four clusters of one primitive: offsets distinct within each,
 		// inside a box that fits the device (x span < 4 LUT columns,
-		// y span < 8 rows), anchored at shared variables or, for a
+		// y span < the height), anchored at shared variables or, for a
 		// singleton, at wildcards or a variable of its own.
 		f := &asm.Func{Name: "f"}
 		for c := 0; c < 4; c++ {
@@ -42,7 +53,7 @@ func TestFootprintMatchesMembers(t *testing.T) {
 			x0, y0 := -rng.Intn(2), -rng.Intn(3)
 			seen := map[[2]int]bool{}
 			for len(seen) < n {
-				off := [2]int{x0 + rng.Intn(4), y0 + rng.Intn(8)}
+				off := [2]int{x0 + rng.Intn(4), y0 + rng.Intn(d.Height)}
 				if seen[off] {
 					continue
 				}
@@ -74,8 +85,8 @@ func TestFootprintMatchesMembers(t *testing.T) {
 				for _, av := range anchorDomain(d, a.shape(), full) {
 					for _, bv := range anchorDomain(d, b.shape(), full) {
 						if got, want := ds.has(bv-av), membersOverlap(a, b, av, bv, d.Height); got != want {
-							t.Fatalf("round %d: %s at %d, %s at %d: difference set says %v, members say %v",
-								round, a.members[0].dest, av, b.members[0].dest, bv, got, want)
+							t.Fatalf("%s, round %d: %s at %d, %s at %d: difference set says %v, members say %v",
+								d.Name, round, a.members[0].dest, av, b.members[0].dest, bv, got, want)
 						}
 					}
 				}

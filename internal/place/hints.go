@@ -47,30 +47,35 @@ type Anchors struct {
 // placements with equal signatures run the identical deterministic
 // search, so a recorded solution may be adopted as this solve's answer.
 func problemSignature(dev *device.Device, opts Options, clusters []*cluster) string {
+	// Each field is written NUL-terminated, in one buffer flushed to the
+	// hash as it fills.
 	h := sha256.New()
-	buf := make([]byte, 0, 128)
-	emit := func(parts ...string) {
-		buf = buf[:0]
-		for _, p := range parts {
-			buf = append(buf, p...)
-			buf = append(buf, 0)
-		}
-		h.Write(buf)
-	}
-	emit("psig", dev.Name,
-		strconv.Itoa(dev.Height),
-		strconv.Itoa(dev.NumCols(ir.ResLut)),
-		strconv.Itoa(dev.NumCols(ir.ResDsp)),
-		strconv.FormatBool(opts.Shrink),
-		strconv.Itoa(opts.MaxSteps))
+	buf := make([]byte, 0, 4096)
+	str := func(s string) { buf = append(append(buf, s...), 0) }
+	num := func(n int) { buf = append(strconv.AppendInt(buf, int64(n), 10), 0) }
+	str("psig")
+	str(dev.Name)
+	num(dev.Height)
+	num(dev.NumCols(ir.ResLut))
+	num(dev.NumCols(ir.ResDsp))
+	str(strconv.FormatBool(opts.Shrink))
+	num(opts.MaxSteps)
 	for _, c := range clusters {
-		emit("cl", c.prim.String())
+		str("cl")
+		str(c.prim.String())
 		for _, m := range c.members {
-			emit("m",
-				strconv.Itoa(m.xoff), strconv.Itoa(m.yoff),
-				strconv.Itoa(m.xlit), strconv.Itoa(m.ylit))
+			str("m")
+			num(m.xoff)
+			num(m.yoff)
+			num(m.xlit)
+			num(m.ylit)
+		}
+		if len(buf) >= 3072 {
+			h.Write(buf)
+			buf = buf[:0]
 		}
 	}
+	h.Write(buf)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

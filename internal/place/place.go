@@ -863,12 +863,18 @@ func diff(a, b *cluster, words *[]uint64) footprint {
 	if b.foot.n == 1 {
 		return footprint{lo: a.foot.lo - b.foot.lo, n: a.foot.n, bits: a.foot.bits}
 	}
+	// D_ab is the union over b's members of a's footprint shifted down by
+	// id(mb): one shifted OR of a's words per member of b.
 	d := footprint{lo: a.foot.lo - (b.foot.lo + b.foot.n - 1), n: a.foot.n + b.foot.n - 1}
 	d.bits = carve(words, d.n)
-	for _, ma := range a.members {
-		for _, mb := range b.members {
-			k := ma.id - mb.id - d.lo
-			d.bits[k>>6] |= 1 << (k & 63)
+	for _, mb := range b.members {
+		off := a.foot.lo - mb.id - d.lo
+		w, sh := off>>6, uint(off&63)
+		for j, x := range a.foot.bits {
+			d.bits[j+w] |= x << sh
+			if sh != 0 && j+w+1 < len(d.bits) {
+				d.bits[j+w+1] |= x >> (64 - sh)
+			}
 		}
 	}
 	return d
