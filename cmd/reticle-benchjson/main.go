@@ -12,8 +12,8 @@
 // -benchtime=1x -benchmem ./...`), three times over, and overwrites
 // BENCH_baseline.json in the current directory, the one point the tree
 // carries: each PR commits its own over its parent's. ns/op and MB/s are
-// dropped on the way in; allocs/op and B/op keep their minimum over the
-// runs, and every other metric must read the same in all three.
+// dropped on the way in; allocs/op keeps its minimum over the runs and
+// B/op its median, and every other metric must read the same in all three.
 // It also counts each package's non-test statements and declarations on
 // the syntax tree (see countFile), so formatting cannot move the count,
 // and takes the census of exported internal identifiers no production
@@ -45,6 +45,7 @@ import (
 	"os/exec"
 	"path"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -186,10 +187,20 @@ func stripProcSuffix(bs []Benchmark) int {
 // recordRuns is how many times record runs the benchmarks.
 const recordRuns = 3
 
-// noisy are the metrics a single run can read high: the garbage
-// collector and the runtime's own allocations land in whichever
-// iteration they happen to, so record keeps their minimum over its runs.
-var noisy = map[string]bool{"allocs/op": true, "B/op": true}
+// noisy are the metrics a single run can read off, each with how record
+// folds its runs. The garbage collector and the runtime's own allocations
+// land in whichever iteration they happen to, so a run can read allocs/op
+// high, and record keeps the minimum. B/op strays both ways (one run of
+// BenchmarkRouterBatch read 314 kB where reruns read 341–345 kB, and a
+// minimum kept that outlier), so record keeps the median.
+var noisy = map[string]func([]float64) float64{"allocs/op": slices.Min[[]float64], "B/op": median}
+
+// median is the middle of the values, the upper one of an even count.
+func median(vs []float64) float64 {
+	s := slices.Clone(vs)
+	slices.Sort(s)
+	return s[len(s)/2]
+}
 
 // record runs the module's benchmarks recordRuns times, each run its own
 // `go test` process, and writes the point for HEAD.
@@ -241,8 +252,8 @@ func record(stdout, stderr io.Writer) error {
 }
 
 // mergeRuns folds runs of the same benchmarks into the first: each noisy
-// metric keeps its minimum, and every other metric must read the same in
-// every run. A benchmark or metric one run lacks fails it too.
+// metric is folded as noisy says, and every other metric must read the
+// same in every run. A benchmark or metric one run lacks fails it too.
 func mergeRuns(runs []*Baseline) (*Baseline, error) {
 	base := runs[0]
 	for k, run := range runs[1:] {
@@ -259,11 +270,21 @@ func mergeRuns(runs []*Baseline) (*Baseline, error) {
 				switch {
 				case !ok:
 					return nil, fmt.Errorf("%s %s: run %d reported %s, run 1 did not", b.Pkg, b.Name, k+2, metric)
-				case noisy[metric]:
-					into.Metrics[metric] = math.Min(was, v)
+				case noisy[metric] != nil:
 				case v != was:
 					return nil, fmt.Errorf("%s %s: %s read %v in run 1 and %v in run %d", b.Pkg, b.Name, metric, was, v, k+2)
 				}
+			}
+		}
+	}
+	for i, into := range base.Benchmarks {
+		for metric := range into.Metrics {
+			if fold := noisy[metric]; fold != nil {
+				vs := make([]float64, len(runs))
+				for k, run := range runs {
+					vs[k] = run.Benchmarks[i].Metrics[metric]
+				}
+				into.Metrics[metric] = fold(vs)
 			}
 		}
 	}

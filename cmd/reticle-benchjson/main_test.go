@@ -161,15 +161,15 @@ func runOf(allocs, bytes, steps float64) *Baseline {
 	}}
 }
 
-// record keeps the least allocs/op and B/op of its runs, whichever run
-// read each, and every other metric as the runs agree on it.
+// record keeps the least allocs/op and the median B/op of its runs,
+// whichever run read each, and every other metric as the runs agree on it.
 func TestMergeRunsKeepsMinimum(t *testing.T) {
 	got, err := mergeRuns([]*Baseline{runOf(34, 9000, 10), runOf(28, 9100, 10), runOf(30, 8800, 10)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m := got.Benchmarks[0].Metrics; m["allocs/op"] != 28 || m["B/op"] != 8800 {
-		t.Errorf("merged %v, want allocs/op 28 and B/op 8800", m)
+	if m := got.Benchmarks[0].Metrics; m["allocs/op"] != 28 || m["B/op"] != 9000 {
+		t.Errorf("merged %v, want allocs/op 28 (the minimum) and B/op 9000 (the median)", m)
 	}
 	if m := got.Benchmarks[1].Metrics; m["solver-steps"] != 10 {
 		t.Errorf("merged %v, want solver-steps 10", m)
