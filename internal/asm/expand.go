@@ -22,12 +22,7 @@ func CheckTarget(f *Func, target *tdl.Target) error {
 // numbers an IR function's values. Stages after selection read names
 // through it instead of indexing them again.
 func Resolve(f *Func, target *tdl.Target) (ir.Symbols, error) {
-	return new(Resolver).Resolve(f, target)
-}
-
-// Resolve is Resolve reusing r's tables.
-func (r *Resolver) Resolve(f *Func, target *tdl.Target) (ir.Symbols, error) {
-	syms, err := r.check(f)
+	syms, err := check(f)
 	if err != nil {
 		return ir.Symbols{}, err
 	}

@@ -2,7 +2,6 @@ package asm
 
 import (
 	"fmt"
-	"slices"
 
 	"reticle/internal/ir"
 	"reticle/internal/tdl"
@@ -217,32 +216,19 @@ func parseCoord(p *ir.Parser) (Coord, error) {
 // resolved argument names, and typed outputs. Operation signatures against
 // a target are validated separately by CheckTarget.
 func Check(f *Func) error {
-	_, err := new(Resolver).check(f)
+	_, err := check(f)
 	return err
-}
-
-// Resolver is Resolve with its name index and symbol table kept between
-// calls, for a caller that resolves one function over and over (timing
-// analysis under timing-driven refinement). The zero value is ready; the
-// table a call returns is valid until the next call.
-type Resolver struct {
-	index map[string]int32
-	refs  []int32
 }
 
 // check is Check numbering the values as ir.Check does, and handing back
 // the symbol table it resolved so that CheckTarget does not resolve the
 // names a second time.
-func (r *Resolver) check(f *Func) (ir.Symbols, error) {
+func check(f *Func) (ir.Symbols, error) {
 	if len(f.Outputs) == 0 {
 		return ir.Symbols{}, fmt.Errorf("asm: function %s has no outputs", f.Name)
 	}
 	nin, nargs := len(f.Inputs), 0
-	if r.index == nil {
-		r.index = make(map[string]int32, nin+len(f.Body))
-	}
-	clear(r.index)
-	index := r.index
+	index := make(map[string]int32, nin+len(f.Body))
 	for i, p := range f.Inputs {
 		if _, dup := index[p.Name]; dup {
 			return ir.Symbols{}, fmt.Errorf("asm: function %s: duplicate input %q", f.Name, p.Name)
@@ -257,7 +243,7 @@ func (r *Resolver) check(f *Func) (ir.Symbols, error) {
 		index[in.Dest] = int32(nin + i)
 		nargs += len(in.Args)
 	}
-	refs := slices.Grow(r.refs[:0], nargs+len(f.Outputs))
+	refs := make([]int32, 0, nargs+len(f.Outputs))
 	for i := range f.Body {
 		for _, a := range f.Body[i].Args {
 			v, ok := index[a]
@@ -269,7 +255,6 @@ func (r *Resolver) check(f *Func) (ir.Symbols, error) {
 		}
 	}
 	refs, err := ir.CheckOutputs(f.Inputs, f.Outputs, index, f.ValueType, refs)
-	r.refs = refs
 	if err != nil {
 		return ir.Symbols{}, fmt.Errorf("asm: function %s: %w", f.Name, err)
 	}

@@ -534,11 +534,12 @@ func makeCluster(c *cluster, body []asm.Instr, dev *device.Device, words *[]uint
 		c.minX, c.maxX = min(c.minX, m.xoff), max(c.maxX, m.xoff)
 		c.minY, c.maxY = min(c.minY, m.yoff), max(c.maxY, m.yoff)
 	}
-	if c.maxX-c.minX >= dev.NumCols(c.prim) || c.maxY-c.minY >= dev.Height {
-		return checkDistinct(ms)
+	if err := checkDistinct(ms); err != nil {
+		return err
 	}
-	// Within a box that fits the device, id is one-to-one on offsets, so
-	// a repeated offset is a repeated bit.
+	if c.maxX-c.minX >= dev.NumCols(c.prim) || c.maxY-c.minY >= dev.Height {
+		return nil
+	}
 	lo, hi := ms[0].id, ms[0].id
 	for _, m := range ms[1:] {
 		lo, hi = min(lo, m.id), max(hi, m.id)
@@ -548,22 +549,15 @@ func makeCluster(c *cluster, body []asm.Instr, dev *device.Device, words *[]uint
 		return nil
 	}
 	c.foot = footprint{lo: lo, n: hi - lo + 1, bits: carve(words, hi-lo+1)}
-	for j, m := range ms {
-		if c.foot.has(m.id) {
-			for _, p := range ms[:j] {
-				if p.id == m.id {
-					return sameSlice(p, m)
-				}
-			}
-		}
+	for _, m := range ms {
 		d := m.id - lo
 		c.foot.bits[d>>6] |= 1 << (d & 63)
 	}
 	return nil
 }
 
-// checkDistinct is the offset check of a cluster too large for the
-// device: the first member, in member order, whose offsets repeat an
+// checkDistinct refuses a cluster two of whose members sit at the same
+// offsets: the first member, in member order, whose offsets repeat an
 // earlier member's is refused with that earlier member.
 func checkDistinct(ms []member) error {
 	if len(ms) < 2 {
@@ -576,8 +570,9 @@ func checkDistinct(ms []member) error {
 	slices.SortFunc(ord, func(a, b int) int {
 		return cmp.Or(cmp.Compare(ms[a].xoff, ms[b].xoff), cmp.Compare(ms[a].yoff, ms[b].yoff), cmp.Compare(a, b))
 	})
-	// A run of equal offsets repeats at its second member; the refusal
-	// names the run whose second member comes first.
+	// Sorted by offsets, then member order: a run of equal offsets
+	// repeats at its second member, and the refusal names the run whose
+	// second member comes first.
 	dup := -1
 	for k := 1; k < len(ord); k++ {
 		a, b := ms[ord[k-1]], ms[ord[k]]
