@@ -69,14 +69,6 @@ func (in Instr) appendTo(b []byte) []byte {
 	return append(b, ';')
 }
 
-// Clone returns a deep copy of the instruction.
-func (in Instr) Clone() Instr {
-	out := in
-	out.Attrs = append([]int64(nil), in.Attrs...)
-	out.Args = append([]string(nil), in.Args...)
-	return out
-}
-
 // WireInstr wraps an IR wire instruction as an assembly-program instruction.
 func WireInstr(in ir.Instr) Instr {
 	if !in.Op.IsWire() {
@@ -118,7 +110,7 @@ type Func struct {
 // Clone returns a deep copy of the function. The copies' Attrs and Args
 // are carved from one slab each, capacity-clamped so that an append to
 // one instruction's slice cannot reach its neighbour's; an empty one is
-// nil, as Instr.Clone leaves it.
+// nil, as append([]T(nil), ...) leaves it.
 func (f *Func) Clone() *Func {
 	out := &Func{
 		Name:    f.Name,

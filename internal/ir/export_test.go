@@ -11,6 +11,13 @@ var (
 	MutateStructure  = mutateStructure
 )
 
+// ParseAll parses every function in the source text and checks each, for
+// the parser's reference tests.
+func ParseAll(src string) ([]*Func, error) {
+	var first Symbols
+	return parseAll(src, &first)
+}
+
 // NewLexer returns a lexer over src, for the token-stream tests.
 func NewLexer(src string) *Lexer {
 	return &Lexer{src: src, line: 1}

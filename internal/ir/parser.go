@@ -342,11 +342,8 @@ func ParseSymbols(src string) (*Func, Symbols, error) {
 	return fns[0], syms, nil
 }
 
-// ParseAll parses every function in the source text and checks each.
-func ParseAll(src string) ([]*Func, error) { return parseAll(src, nil) }
-
-// parseAll is ParseAll keeping the first function's symbol table in
-// *first, when first is not nil.
+// parseAll parses every function in the source text and checks each,
+// keeping the first one's symbol table in *first.
 func parseAll(src string, first *Symbols) ([]*Func, error) {
 	p := NewParser(src)
 	var fns []*Func
@@ -359,7 +356,7 @@ func parseAll(src string, first *Symbols) ([]*Func, error) {
 		if err != nil {
 			return nil, err
 		}
-		if first != nil && len(fns) == 0 {
+		if len(fns) == 0 {
 			*first = syms
 		}
 		fns = append(fns, f)
