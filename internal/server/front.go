@@ -207,7 +207,7 @@ type Kernel struct {
 	Name string
 	Func *ir.Func
 	// Syms is the symbol table the parse's check built for Func.
-	Syms *ir.Symbols
+	Syms ir.Symbols
 	Key  cache.Key
 	Err  error
 }
@@ -366,7 +366,7 @@ func (fs FamilySet) kernel(cfg *pipeline.Config, k BatchKernel) Kernel {
 	if err != nil {
 		return Kernel{Name: k.Name, Err: err}
 	}
-	return Kernel{Name: cmp.Or(k.Name, f.Name), Func: f, Syms: &syms, Key: cache.KeyFor(cfg, f)}
+	return Kernel{Name: cmp.Or(k.Name, f.Name), Func: f, Syms: syms, Key: cache.KeyFor(cfg, f)}
 }
 
 // errTooLarge is the 413 of a body past maxBodyBytes.
@@ -617,7 +617,7 @@ func PlanBatch(w http.ResponseWriter, r *http.Request, fs FamilySet,
 		case !queued:
 			j = len(p.Misses)
 			byKey[k.Key] = j
-			p.Misses = append(p.Misses, BatchMiss{Name: res.Name, Func: k.Func, Syms: k.Syms, Key: k.Key, Index: i})
+			p.Misses = append(p.Misses, BatchMiss{Name: res.Name, Func: k.Func, Syms: &q.Kernels[i].Syms, Key: k.Key, Index: i})
 		case res.Name == "" && p.Misses[j].Name != "":
 			// Only a routing tier, which does not parse, admits a kernel
 			// with no name. Sent unnamed, the miss is answered with the

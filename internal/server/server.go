@@ -410,7 +410,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	te := textEntry{key: k.Key, name: strings.Clone(k.Name), family: q.Family}
 	s.texts.Add(tk, te)
 	acct.Key = string(te.key)
-	ca, lvl, err := s.compileKernel(ctx, acct, q.Config, te.key, k.Func, k.Syms)
+	ca, lvl, err := s.compileKernel(ctx, acct, q.Config, te.key, k.Func, &q.Kernels[0].Syms)
 	if err != nil {
 		writeTypedError(w, err, te.name)
 		return
