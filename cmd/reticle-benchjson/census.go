@@ -19,7 +19,8 @@ import (
 )
 
 // Census sorts the exported identifiers of the module's internal packages
-// by who refers to them (see takeCensus). Nothing gates on it.
+// by who refers to them (see takeCensus). compare fails on a dead entry
+// its base lacks; nothing else here gates.
 type Census struct {
 	// Dead names the identifiers that no non-test file refers to, and no
 	// test file outside their own package either.
@@ -480,12 +481,13 @@ func recvType(e ast.Expr) string {
 
 // printCensus prints, when both points carry a census, the entries that
 // moved between them: dead and test-only identifiers, the internal-only
-// count and the import edges. Nothing gates on them.
-func printCensus(w io.Writer, base, head *Baseline) {
+// count and the import edges. It returns the dead exports head has and
+// base lacks, the one move that fails the compare.
+func printCensus(w io.Writer, base, head *Baseline) (newDead []string) {
 	if base.Census == nil || head.Census == nil {
-		return
+		return nil
 	}
-	fmt.Fprintln(w, "census: exported internal identifiers and import edges (not gated)")
+	fmt.Fprintln(w, "census: exported internal identifiers and import edges (a new dead export fails)")
 	list := func(label string, b, h []string) {
 		for _, e := range diffSorted(h, b) {
 			fmt.Fprintf(w, "   - %-10s %s\n", label, e)
@@ -508,6 +510,7 @@ func printCensus(w io.Writer, base, head *Baseline) {
 	} {
 		fmt.Fprintf(w, "   %-12s %6d -> %6d  (%+d)\n", n.label, n.b, n.h, n.h-n.b)
 	}
+	return diffSorted(base.Census.Dead, head.Census.Dead)
 }
 
 // diffSorted returns the entries of b that a lacks, in b's order.

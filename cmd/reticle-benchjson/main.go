@@ -23,9 +23,10 @@
 // head defaults to BENCH_baseline.json — and fails when a gated metric
 // (see gated) grew past the threshold on any benchmark present in both.
 // When both files carry code counts it prints their per-package deltas
-// too, and the census entries and import edges that moved; nothing gates
-// on them. Exit status: 0 no regression, 1 regression
-// or nothing to compare, 2 usage or unreadable input.
+// too, and the census entries and import edges that moved; of these only
+// a dead export head has and base lacks fails the compare. Exit status:
+// 0 no regression, 1 regression, a new dead export or nothing to compare,
+// 2 usage or unreadable input.
 package main
 
 import (
@@ -486,13 +487,16 @@ func runCompare(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "-- %-44s gated in base, absent from head\n", name)
 	}
 	printCode(stdout, base.Code, head.Code)
-	printCensus(stdout, base, head)
+	newDead := printCensus(stdout, base, head)
 	switch {
 	case len(deltas) == 0:
 		fmt.Fprintln(stdout, "benchjson: FAIL: no gated metric is present on both sides; the gate compared nothing")
 		return 1
 	case regressions > 0:
 		fmt.Fprintf(stdout, "benchjson: FAIL: %d gated metric(s) regressed > %.0f%%\n", regressions, 100**threshold)
+		return 1
+	case len(newDead) > 0:
+		fmt.Fprintf(stdout, "benchjson: FAIL: %d new dead export(s): %s\n", len(newDead), strings.Join(newDead, ", "))
 		return 1
 	}
 	fmt.Fprintln(stdout, "benchjson: OK")

@@ -505,24 +505,52 @@ func TestCensus(t *testing.T) {
 	}
 }
 
-// compare prints the census entries and edges that moved, and a point
-// that gained dead exports still passes.
+// compare prints the census entries and edges that moved; a dead export
+// gone, test-only and internal-only moves and edges fail nothing.
 func TestCompareCensusMoves(t *testing.T) {
 	base, head := baselines()
 	base.Census = &Census{Dead: []string{"p.A", "p.B"}, TestOnly: []string{"p.T [q]"}, InternalOnly: 9}
-	head.Census = &Census{Dead: []string{"p.B", "p.C", "p.D"}, TestOnly: []string{}, InternalOnly: 7}
-	base.Edges, head.Edges = []string{"a -> b", "a -> c"}, []string{"a -> c"}
+	head.Census = &Census{Dead: []string{"p.B"}, TestOnly: []string{"p.U [r]"}, InternalOnly: 7}
+	base.Edges, head.Edges = []string{"a -> b", "a -> c"}, []string{"a -> c", "a -> d"}
 	var out bytes.Buffer
 	if code := compareFiles(t, base, head, &out); code != 0 {
 		t.Fatalf("census moves failed the compare (exit %d)\n%s", code, out.String())
 	}
-	for _, want := range []string{"- dead       p.A", "+ dead       p.C", "+ dead       p.D", "- test_only  p.T [q]", "- edge       a -> b",
-		"dead              2 ->      3  (+1)", "internal          9 ->      7  (-2)", "edges             2 ->      1  (-1)"} {
+	for _, want := range []string{"- dead       p.A", "- test_only  p.T [q]", "+ test_only  p.U [r]", "- edge       a -> b", "+ edge       a -> d",
+		"dead              2 ->      1  (-1)", "internal          9 ->      7  (-2)", "edges             2 ->      2  (+0)"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output lacks %q:\n%s", want, out.String())
 		}
 	}
 	if strings.Contains(out.String(), "p.B") {
 		t.Errorf("an unmoved entry was printed:\n%s", out.String())
+	}
+}
+
+// A dead export the base lacks fails the compare and is named; one the
+// base already had does not, and a point without a census gates nothing.
+func TestCompareFailsOnNewDeadExport(t *testing.T) {
+	base, head := baselines()
+	base.Census = &Census{Dead: []string{"p.A", "p.B"}}
+	head.Census = &Census{Dead: []string{"p.B", "p.C", "p.D"}}
+	var out bytes.Buffer
+	if code := compareFiles(t, base, head, &out); code != 1 {
+		t.Fatalf("new dead exports exited %d, want 1\n%s", code, out.String())
+	}
+	for _, want := range []string{"+ dead       p.C", "+ dead       p.D", "dead              2 ->      3  (+1)", "FAIL: 2 new dead export(s): p.C, p.D"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output lacks %q:\n%s", want, out.String())
+		}
+	}
+	head.Census.Dead = []string{"p.B"}
+	out.Reset()
+	if code := compareFiles(t, base, head, &out); code != 0 {
+		t.Errorf("an old dead export failed the compare (exit %d)\n%s", code, out.String())
+	}
+	base.Census = nil
+	head.Census.Dead = []string{"p.C"}
+	out.Reset()
+	if code := compareFiles(t, base, head, &out); code != 0 {
+		t.Errorf("a base without a census gated the compare (exit %d)\n%s", code, out.String())
 	}
 }
