@@ -196,10 +196,18 @@ func TestRouterStreamBatch(t *testing.T) {
 	}
 }
 
-// TestRouterHealthz reports per-backend liveness.
+// TestRouterHealthz reports per-backend liveness on the router's
+// /healthz; a backend's carries no backends member at all.
 func TestRouterHealthz(t *testing.T) {
 	backends, urls := newBackends(t, 3)
 	rt := newRouter(t, reticle.ShardOptions{Backends: urls})
+	var own map[string]json.RawMessage
+	if code := get(t, backends[0].Config.Handler, "/healthz", &own); code != http.StatusOK {
+		t.Fatalf("backend /healthz: %d", code)
+	}
+	if _, ok := own["backends"]; ok || own["status"] == nil {
+		t.Fatalf("backend /healthz body %v: want status and no backends member", own)
+	}
 	var hr struct {
 		Status   string `json:"status"`
 		Backends []struct {

@@ -190,3 +190,46 @@ func TestShardBatchClientGoneLeavesNoGoroutine(t *testing.T) {
 		t.Errorf("%d of %d kernels reached a backend for a client that left after the first", compiled, n)
 	}
 }
+
+// TestExploreTiersAgree: an /explore earns the same status and the same
+// bytes, measured members aside, from a router and straight from its
+// backend — a sweep in either framing, and each refusal: IR that does not
+// parse, an unknown family, a negative max_variants and a spent deadline.
+func TestExploreTiersAgree(t *testing.T) {
+	backends, urls := newBackends(t, 1)
+	backend := backends[0].Config.Handler
+	router := newRouter(t, reticle.ShardOptions{Backends: urls})
+
+	ir := strconv.Quote(maccSrc)
+	spent := strconv.FormatInt(time.Now().Add(-time.Second).UnixMilli(), 10)
+	for _, tc := range []struct {
+		name, body, deadline string
+		status               int
+	}{
+		{"sweep", `{"ir":` + ir + `,"jobs":1,"max_variants":4}`, "", http.StatusOK},
+		{"sweep-stream", `{"ir":` + ir + `,"jobs":1,"max_variants":4,"stream":true}`, "", http.StatusOK},
+		{"unparseable", `{"ir":"def broken( {"}`, "", http.StatusBadRequest},
+		{"unknown-family", `{"ir":` + ir + `,"family":"stratix"}`, "", http.StatusBadRequest},
+		{"negative-max-variants", `{"ir":` + ir + `,"max_variants":-1}`, "", http.StatusBadRequest},
+		{"spent-deadline", `{"ir":` + ir + `}`, spent, http.StatusGatewayTimeout},
+	} {
+		answer := func(h http.Handler) (int, string) {
+			r := httptest.NewRequest("POST", "/explore", strings.NewReader(tc.body))
+			if tc.deadline != "" {
+				r.Header.Set(server.DeadlineHeader, tc.deadline)
+			}
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, r)
+			return w.Code, string(measured.ReplaceAll(w.Body.Bytes(), nil))
+		}
+		answer(backend) // warm: the sweep's variants are hits below, on both tiers
+		bCode, bBody := answer(backend)
+		rCode, rBody := answer(router)
+		if bCode != tc.status {
+			t.Errorf("%s: backend status %d, want %d: %s", tc.name, bCode, tc.status, bBody)
+		}
+		if rCode != bCode || rBody != bBody {
+			t.Errorf("%s: the tiers disagree\nbackend %d %s\nrouter  %d %s", tc.name, bCode, bBody, rCode, rBody)
+		}
+	}
+}
