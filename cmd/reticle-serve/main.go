@@ -13,6 +13,7 @@
 //	POST /compile  {"ir": "def f(...) ...", "family": "ultrascale"}
 //	POST /batch    {"kernels": [{"ir": "..."}, ...], "jobs": 4}
 //	POST /explore  {"ir": "def f(...) ...", "max_variants": 16}
+//	POST /scrub
 //	GET  /healthz
 //	GET  /stats
 //

@@ -1,10 +1,13 @@
 // Command reticle-shard is the distributed compile tier's router: it
-// fronts N reticle-serve backends, consistent-hashing each kernel's
-// content-addressed cache key so the same kernel always lands on the
-// same backend (keeping every backend's artifact LRU hot for its slice
-// of the key space), health-checks the backends, re-hashes requests
+// fronts N reticle-serve backends, consistent-hashing each kernel's text
+// key (pipeline.TextKeyFor, the IR text under the family config's
+// fingerprint; the router never parses) so the same text always lands on
+// the same backend (keeping every backend's artifact LRU hot for its
+// slice of the key space; alpha-renamed or re-spaced copies may land on
+// different backends), health-checks the backends, re-hashes requests
 // off dead peers, and optionally keeps a router-local persistent disk
-// cache that serves repeat kernels without any network traffic.
+// cache, keyed the same way, that serves repeat kernels without any
+// network traffic.
 //
 // Usage:
 //
@@ -13,9 +16,10 @@
 //	              [-disk-bytes N] [-hedge-after 300ms] [-scrub-on-start]
 //	              [-pprof ADDR]
 //
-// The endpoint surface is identical to reticle-serve (POST /compile,
-// POST /batch with buffered or NDJSON-streaming framing, GET /healthz,
-// GET /stats), so clients point at the router unchanged. The backend
+// The endpoint surface is reticle-serve's own — both run one edge, route
+// table and handler set (POST /compile, POST /batch with buffered or
+// NDJSON-streaming framing, POST /explore, POST /scrub, GET /healthz,
+// GET /stats) — so clients point at the router unchanged. The backend
 // list's ORDER is identity on the hash ring: keep it stable across
 // router restarts and every backend keeps its keys. Request bodies are
 // bounded at 1 MiB, the limit every backend runs, so the router never

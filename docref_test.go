@@ -254,3 +254,71 @@ func TestDocFlags(t *testing.T) {
 		}
 	}
 }
+
+// endpointRow is a row of README.md's endpoint table: `POST /compile`.
+var endpointRow = regexp.MustCompile("(?m)^\\| `((?:GET|POST) /[a-z]*)`")
+
+// TestDocEndpoints checks README.md's endpoint table against the route
+// table both tiers serve: every pattern registered through HandleFunc in
+// the module's non-test code has a row, every row names a registered
+// pattern, and one file registers them all.
+func TestDocEndpoints(t *testing.T) {
+	routes := map[string]bool{}
+	files := map[string]bool{}
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); p != "." && (name == "testdata" || strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) == 0 {
+				return true
+			}
+			if sel, ok := call.Fun.(*ast.SelectorExpr); !ok || sel.Sel.Name != "HandleFunc" {
+				return true
+			}
+			if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				if pattern, err := strconv.Unquote(lit.Value); err == nil {
+					routes[pattern], files[p] = true, true
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 1 {
+		t.Errorf("routes are registered in %d files, want one route table: %v", len(files), files)
+	}
+	data, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string]bool{}
+	for _, m := range endpointRow.FindAllStringSubmatch(string(data), -1) {
+		rows[m[1]] = true
+		if !routes[m[1]] {
+			t.Errorf("README.md: the endpoint table names `%s`, which no route registers", m[1])
+		}
+	}
+	for pattern := range routes {
+		if !rows[pattern] {
+			t.Errorf("README.md: the endpoint table has no row for `%s`", pattern)
+		}
+	}
+}

@@ -11,43 +11,24 @@ import (
 	"reticle/internal/rerr"
 )
 
-// handleExplore sweeps one kernel's variant lattice through the batch
-// pool, with every variant routed through the server's full cache
-// hierarchy (memory LRU, disk, hint cache) — variants sharing a
-// canonical subtree with each other, a previous sweep, or any /compile
-// traffic are served, not recompiled. Variants leave in lattice order
-// through one loop, in either framing (see Frame). Each variant fills a
-// sub-account on its worker; they join the request's once the sweep has
-// finished, and a finished sweep adds its totals.
-func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
-	acct := AccountOf(w)
-	release, err := s.admit(r.Context())
-	if err != nil {
-		WriteTypedError(w, err)
-		return
-	}
-	defer release()
-	if err := FaultExplore.Fire(r.Context()); err != nil {
-		WriteTypedError(w, err)
-		return
-	}
-	q, ok := s.Door(w, r)
-	if !ok {
-		return
-	}
-	ctx, cancel, err := s.within(acct, r, q, q.Timeout)
-	if err != nil {
-		WriteTypedError(w, err)
-		return
-	}
-	defer cancel()
-
-	maxVariants := exploreVariantCap(q.MaxVariants)
+// Explore sweeps one kernel's variant lattice through the batch pool,
+// with every variant routed through the backend's full cache hierarchy
+// (memory LRU, disk, hint cache) — variants sharing a canonical subtree
+// with each other, a previous sweep, or any /compile traffic are served,
+// not recompiled. Variants leave in lattice order through one loop, in
+// either framing (see Frame). Each variant fills a sub-account on its
+// worker; they join the request's once the sweep has finished, and a
+// finished sweep adds its totals.
+func (b *backend) Explore(ctx context.Context, cancel context.CancelFunc, w http.ResponseWriter, acct *Account, q *Request) {
+	// max_variants 0 takes the lattice default, and an oversized ask is
+	// clamped to the hard cap; so is jobs (0: the batch pool's default), so
+	// a huge value cannot spawn idle workers.
+	maxVariants := min(cmp.Or(q.MaxVariants, explore.DefaultMaxVariants), explore.HardMaxVariants)
 	subs := make([]Account, maxVariants) // [i] is written by variant i's worker
 	sw, err := explore.Begin(ctx, q.Config, q.Kernels[0].Func, explore.Options{
 		MaxVariants: maxVariants,
-		Jobs:        exploreJobs(q.Jobs),
-		Compile:     s.variantCompiler(subs),
+		Jobs:        min(q.Jobs, explore.HardMaxVariants),
+		Compile:     b.variantCompiler(subs),
 	})
 	if err != nil {
 		WriteTypedError(w, err)
@@ -77,24 +58,13 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	frame.Close("frontier", res.Frontier, "partial", res.Partial, "stats", exploreStatsJSON(res.Stats, acct.N[StagesSkipped]))
 }
 
-// exploreVariantCap resolves a request's max_variants: 0 takes the
-// lattice default, oversized asks are clamped to the hard cap.
-func exploreVariantCap(requested int) int {
-	return min(cmp.Or(requested, explore.DefaultMaxVariants), explore.HardMaxVariants)
-}
-
-// exploreJobs resolves a request's worker bound (0: the batch pool's
-// default); the lattice ceiling also bounds fan-out, so a huge jobs value
-// cannot spawn idle workers.
-func exploreJobs(requested int) int { return min(requested, explore.HardMaxVariants) }
-
 // variantCompiler routes one variant through compileKernel — the same
 // cache-checked, coalesced path /compile and /batch use — into its
 // sub-account, subs[i]. The variant is scored from the rendered
 // artifact's recorded counters, which are codegen's own.
-func (s *Server) variantCompiler(subs []Account) explore.CompileFunc {
+func (b *backend) variantCompiler(subs []Account) explore.CompileFunc {
 	return func(ctx context.Context, vcfg *pipeline.Config, i int, v explore.Variant) (*pipeline.Artifact, bool, error) {
-		ca, lvl, err := s.compileKernel(ctx, &subs[i], vcfg, cache.KeyFor(vcfg, v.Func), v.Func, nil)
+		ca, lvl, err := b.compileKernel(ctx, &subs[i], vcfg, cache.KeyFor(vcfg, v.Func), v.Func, nil)
 		if err != nil {
 			return nil, false, err
 		}

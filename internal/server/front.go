@@ -23,15 +23,13 @@ import (
 	"reticle/internal/rerr"
 )
 
-// The HTTP front end the compile service and the shard router share:
-// family resolution, body decoding, panic isolation, the JSON and typed
-// error writers, the disk tier's operator surface, and the /batch plan
-// and framings. The router serves the same endpoint surface as a backend, so
-// it uses these rather than keeping copies.
+// The parts of the edge its handlers share: family resolution, body
+// decoding, panic isolation, the JSON and typed error writers, the disk
+// tier's operator surface, the /batch plan and the framings.
 
 // FamilySet is the configured family → pipeline config table and the
 // default applied when a request names none. A routing tier's admits
-// kernels unparsed (RouteOnText).
+// kernels unparsed (NewRouting).
 type FamilySet struct {
 	configs map[string]*pipeline.Config
 	def     string
@@ -61,13 +59,6 @@ func NewFamilySet(configs map[string]*pipeline.Config, def string) (FamilySet, e
 	return FamilySet{configs: configs, def: def}, nil
 }
 
-// RouteOnText makes the front door a routing tier's: every check but the
-// parse runs, and each kernel is admitted unparsed, keyed by
-// pipeline.TextKeyFor. The backend it is forwarded to parses it, through
-// the same front door, and refuses it if it does not parse. A routing
-// tier calls it once, before serving.
-func (fs *FamilySet) RouteOnText() { fs.routing = true }
-
 // Families lists the configured family names, sorted.
 func (fs FamilySet) Families() []string {
 	out := make([]string, 0, len(fs.configs))
@@ -93,52 +84,25 @@ func (fs FamilySet) Family(name string) (string, *pipeline.Config, error) {
 	return name, cfg, nil
 }
 
-// DiskTier is the operator surface of a persistent artifact disk cache:
-// the handle /stats reads, the -scrub-on-start walk, and POST /scrub.
-// The zero value is "no disk tier configured".
-type DiskTier struct{ disk *cache.Disk }
-
-// OpenDiskTier opens the disk cache rooted at dir, or returns the zero
-// tier when dir is empty.
-func OpenDiskTier(dir string, maxBytes int64) (DiskTier, error) {
-	if dir == "" {
-		return DiskTier{}, nil
-	}
-	disk, err := cache.OpenDisk(dir, maxBytes)
-	if err != nil {
-		return DiskTier{}, fmt.Errorf("disk cache: %w", err)
-	}
-	return DiskTier{disk: disk}, nil
-}
-
-// Disk exposes the persistent cache (nil when disabled).
-func (t DiskTier) Disk() *cache.Disk { return t.disk }
-
-// Close releases the disk cache's files (see cache.Disk.Close); the zero
-// tier has none.
-func (t DiskTier) Close() error {
-	if t.disk == nil {
-		return nil
-	}
-	return t.disk.Close()
-}
+// Disk exposes the tier's persistent cache (nil when disabled).
+func (s *Server) Disk() *cache.Disk { return s.disk }
 
 // ScrubDisk runs one integrity walk over the disk cache at the scrub's
 // fixed I/O rate, quarantining corrupt entries exactly as a corrupt Get
-// would. It reports ok=false without walking when no disk tier is
-// configured.
-func (t DiskTier) ScrubDisk(ctx context.Context) (cache.ScrubReport, bool, error) {
-	if t.disk == nil {
+// would: the -scrub-on-start walk and POST /scrub. It reports ok=false
+// without walking when no disk tier is configured.
+func (s *Server) ScrubDisk(ctx context.Context) (cache.ScrubReport, bool, error) {
+	if s.disk == nil {
 		return cache.ScrubReport{}, false, nil
 	}
-	rep, err := t.disk.Scrub(ctx)
+	rep, err := s.disk.Scrub(ctx)
 	return rep, true, err
 }
 
-// HandleScrub is POST /scrub: a synchronous integrity walk, 404 when no
+// handleScrub is POST /scrub: a synchronous integrity walk, 404 when no
 // disk tier is configured, otherwise the walk's report.
-func (t DiskTier) HandleScrub(w http.ResponseWriter, r *http.Request) {
-	rep, ok, err := t.ScrubDisk(r.Context())
+func (s *Server) handleScrub(w http.ResponseWriter, r *http.Request) {
+	rep, ok, err := s.ScrubDisk(r.Context())
 	if !ok {
 		WriteError(w, http.StatusNotFound, "no disk cache configured")
 		return
@@ -154,32 +118,14 @@ func (t DiskTier) HandleScrub(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// Recovered wraps a handler with panic isolation: a panic becomes a 500
-// JSON error response instead of a dead connection, the same "one bad
-// kernel never takes down the process" semantics the batch tier gives
-// each worker. The body carries only the stable typed message — the
-// panic value and stack stay in the process, never on the wire.
-func Recovered(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				WriteTypedError(w, rerr.Wrap(rerr.Permanent, "internal_panic",
-					"internal panic while handling the request",
-					fmt.Errorf("panic: %v", rec)))
-			}
-		}()
-		h(w, r)
-	}
-}
-
 // The front door (DESIGN.md §8): every endpoint that reads a body, on
 // either tier, admits it through Admit, which either returns the
 // validated Request or the one refusal WriteRefusal renders. Admission
-// control, fault points and the backend's raw-body memo stay with their
-// tier, in front of it. The checks run in one order, so the first failing
-// one answers whichever tier it reaches: size limit, decode (unknown
-// fields and trailing data refused), family, timeout_ms, the endpoint's
-// own fields, parse (per kernel and non-fatal on /batch), deadline header.
+// control, the fault points and the resolver's raw-body memo come before
+// it. The checks run in one order, so the first failing one answers
+// whichever tier it reaches: size limit, decode (unknown fields and
+// trailing data refused), family, timeout_ms, the endpoint's own fields,
+// parse (per kernel and non-fatal on /batch), deadline header.
 
 // Request is a request the front door admitted.
 type Request struct {
@@ -265,11 +211,11 @@ func readBody(r *http.Request) (*bytes.Buffer, error) {
 	return body, nil
 }
 
-// Door reads and admits r, writing the refusal itself: false means the
+// door reads and admits r, writing the refusal itself: false means the
 // response is written. An admitted body's buffer is not returned to the
 // pool: it is the request body a routing tier forwards, and a cancelled
 // attempt's transport may still be reading it after the walk returns.
-func (fs FamilySet) Door(w http.ResponseWriter, r *http.Request) (*Request, bool) {
+func (fs FamilySet) door(w http.ResponseWriter, r *http.Request) (*Request, bool) {
 	body, err := readBody(r)
 	if err == nil {
 		var q *Request
@@ -486,31 +432,113 @@ func appendMembers(obj []byte, members string) []byte {
 
 // WriteJSON writes v as the whole response body: every response of
 // either tier, success or failure, is JSON. It serves the small bodies;
-// anything carrying an artifact leaves through WriteFrame.
+// anything carrying an artifact leaves through writeFrame.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(v)
 }
 
-// WriteFrame writes body, a complete JSON document assembled by its
-// caller, as the whole response: its length announced, one Write.
-func WriteFrame(w http.ResponseWriter, code int, body []byte) {
-	frameHeader(w, code, len(body))
+// writeFrame writes body, a complete document of content type ct
+// assembled by its caller, as the whole response: its length announced,
+// one Write.
+func writeFrame(w http.ResponseWriter, ct []string, code int, body []byte) {
+	frameHeader(w, ct, code, len(body))
 	w.Write(body)
 }
 
 // frameHeader announces a frame of n bytes and writes the status line.
-func frameHeader(w http.ResponseWriter, code, n int) {
+func frameHeader(w http.ResponseWriter, ct []string, code, n int) {
 	h := w.Header()
-	h["Content-Type"] = jsonContentType
+	h["Content-Type"] = ct
 	h.Set("Content-Length", strconv.Itoa(n))
 	w.WriteHeader(code)
 }
 
-// jsonContentType is the one value every frame's Content-Type carries;
-// headers are read and cloned, never edited in place, so frames share it.
-var jsonContentType = []string{"application/json"}
+// jsonContentType and ndjsonContentType are the values a frame's
+// Content-Type carries; headers are read and cloned, never edited in
+// place, so frames share them.
+var (
+	jsonContentType   = []string{"application/json"}
+	ndjsonContentType = []string{NDJSONContentType}
+)
+
+// Outcome is how a tier resolved one kernel: the artifact's wire bytes,
+// the name, family, key and cache mark they are served with, and the
+// degraded mark; or the typed failure that answers instead; or, from a
+// routing tier, its backend's answer to pass on as it stands.
+type Outcome struct {
+	CompileResponseWire
+	Degraded bool
+	Err      error
+	// Status, when not zero, is a relayed backend answer's, written with
+	// its Body and Retry-After.
+	Status     int
+	Body       []byte
+	RetryAfter string
+	// Buf, when not nil, is the RelayBuffer Body and Artifact are slices
+	// of; it goes back once they are written.
+	Buf *bytes.Buffer
+}
+
+// Write answers a one-kernel request with o — a failure typed, naming
+// the kernel name; a relayed answer as its backend wrote it, NDJSON when
+// stream and a 200; else the /compile frame — and puts o's buffer back.
+func (o Outcome) Write(w http.ResponseWriter, name string, stream bool) {
+	switch {
+	case o.Err != nil:
+		writeTypedError(w, o.Err, name)
+	case o.Status != 0:
+		if o.RetryAfter != "" {
+			w.Header().Set("Retry-After", o.RetryAfter)
+		}
+		ct := jsonContentType
+		if stream && o.Status == http.StatusOK {
+			ct = ndjsonContentType
+		}
+		writeFrame(w, ct, o.Status, o.Body)
+	default:
+		WriteCompileFrame(w, o.CompileResponseWire)
+	}
+	o.release()
+}
+
+// relayBufs is a small free list of the buffers a routing tier reads its
+// backends' answers into (RelayBuffer). A sync.Pool is emptied by every
+// GC, and the router collects often, so under load most answers were read
+// into fresh buffers; this list keeps its buffers across collections. It
+// holds 16, the answers two /batch requests at the router's default of 8
+// proxies hold at once. A kept buffer keeps its capacity and raises the
+// GC's heap goal: on shard-mixed, 8 reused too few answers to matter, and
+// 16 read as much reuse as 32 with less resident memory. A buffer grown
+// past maxPooledRelay is left to the GC instead of kept.
+var relayBufs = make(chan *bytes.Buffer, 16)
+
+// maxPooledRelay is the largest relay buffer kept in relayBufs.
+const maxPooledRelay = 4 << 20
+
+// RelayBuffer takes an empty buffer off the free list, for a backend's
+// answer to be read into and carried as an Outcome's Buf.
+func RelayBuffer() *bytes.Buffer {
+	select {
+	case b := <-relayBufs:
+		return b
+	default:
+		return new(bytes.Buffer)
+	}
+}
+
+// release returns o's buffer, emptied, to the free list unless the list
+// is full; nothing o holds is read after it.
+func (o Outcome) release() {
+	if o.Buf != nil && o.Buf.Cap() <= maxPooledRelay {
+		o.Buf.Reset()
+		select {
+		case relayBufs <- o.Buf:
+		default:
+		}
+	}
+}
 
 // framePool recycles the buffers responses are assembled in, so serving an
 // artifact costs a copy into a warm buffer, not an allocation its size. A
@@ -521,7 +549,7 @@ var framePool = sync.Pool{New: func() any { return new([]byte) }}
 func WriteCompileFrame(w http.ResponseWriter, r CompileResponseWire) {
 	buf := framePool.Get().(*[]byte)
 	*buf = append(r.AppendJSON((*buf)[:0]), '\n')
-	WriteFrame(w, http.StatusOK, *buf)
+	writeFrame(w, jsonContentType, http.StatusOK, *buf)
 	framePool.Put(buf)
 }
 
@@ -569,11 +597,14 @@ type BatchPlan struct {
 	Results []BatchKernelResultWire
 	MissOf  []int       // per kernel: its index in Misses, or -1 when final
 	Misses  []BatchMiss // one per distinct key, in order of first appearance
+	// Subs has one account per miss, [j] written by miss j's worker only;
+	// Answer merges them into the request's once every miss is done.
+	Subs []Account
 }
 
 // BatchMiss is one distinct kernel the local store does not hold, named
 // by the kernel of the request that carries it at Index: the first,
-// unless a routing tier's later one was sent unnamed (see PlanBatch).
+// unless a routing tier's later one was sent unnamed (see planBatch).
 type BatchMiss struct {
 	Name  string
 	Func  *ir.Func
@@ -582,14 +613,13 @@ type BatchMiss struct {
 	Index int
 }
 
-// PlanBatch admits a /batch request through the front door and plans it
-// against the tier's local store (lookup, which answers a hit's artifact
-// and name). A refusal is written, with the same status and body on
-// either tier, and reported as false; a kernel that does not parse never
-// fails the batch.
-func PlanBatch(w http.ResponseWriter, r *http.Request, fs FamilySet,
-	lookup func(context.Context, Kernel) (CompileResponseWire, bool)) (*BatchPlan, bool) {
-	q, ok := fs.Door(w, r)
+// planBatch admits a /batch request through the front door and plans it
+// against the tier's local store (Resolver.Lookup, which answers a hit's
+// artifact and name). A refusal is written, with the same status and body
+// on either tier, and reported as false; a kernel that does not parse
+// never fails the batch.
+func (s *Server) planBatch(w http.ResponseWriter, r *http.Request) (*BatchPlan, bool) {
+	q, ok := s.door(w, r)
 	if !ok {
 		return nil, false
 	}
@@ -607,7 +637,7 @@ func PlanBatch(w http.ResponseWriter, r *http.Request, fs FamilySet,
 			res.Error, res.ErrorCode = fmt.Sprintf("parse: %v", k.Err), "parse_failed"
 			continue
 		}
-		if hit, ok := lookup(r.Context(), k); ok {
+		if hit, ok := s.res.Lookup(r.Context(), k); ok {
 			res.Name, res.OK, res.Cache, res.Artifact = hit.Name, true, "hit", hit.Artifact
 			continue
 		}
@@ -626,13 +656,13 @@ func PlanBatch(w http.ResponseWriter, r *http.Request, fs FamilySet,
 		}
 		p.MissOf[i] = j
 	}
+	p.Subs = make([]Account, len(p.Misses))
 	return p, true
 }
 
 // Answer writes the planned batch out in submission order, in the
 // request's framing, and counts the footer alike on both tiers. Miss j's
-// result is the tier's outcome, resolve(j), which waits for it and reports
-// whether its artifact is degraded. For a miss:
+// result is the tier's outcome, wait(j). For a miss:
 //   - the kernel keeps its own name, if it has one;
 //   - it keeps "cache":"miss" and counts as compiled, once per distinct
 //     kernel, whether it succeeded or failed, unless the tier answers
@@ -643,20 +673,35 @@ func PlanBatch(w http.ResponseWriter, r *http.Request, fs FamilySet,
 // A hit is never degraded: neither tier stores a degraded artifact.
 // finish waits out the tier's workers and fills the footer fields only the
 // tier knows. It runs once: after the last result, or after cancel when
-// the client is gone, and then the footer is dropped.
+// the client is gone, and then the footer is dropped. Then the misses'
+// sub-accounts join the request's, whose skipped stages the footer
+// reports, and the misses' buffers go back: a relayed artifact is written
+// out of its answer's buffer, so not before the frame is closed or the
+// client is gone.
 func (p *BatchPlan) Answer(w http.ResponseWriter, cancel context.CancelFunc,
-	resolve func(j int) (BatchKernelResultWire, bool), finish func(*BatchStatsJSON)) {
+	wait func(j int) Outcome, finish func(*BatchStatsJSON)) {
+	defer func() {
+		for j := range p.Misses {
+			wait(j).release()
+		}
+	}()
+	acct := AccountOf(w)
 	frame := NewFrame(w, p.Stream, "results", "family", p.Family)
 	st := BatchStatsJSON{Kernels: len(p.Results)}
 	for i := range p.Results {
 		res, degraded := &p.Results[i], false
 		if j := p.MissOf[i]; j >= 0 {
-			var out BatchKernelResultWire
-			out, degraded = resolve(j)
+			out := wait(j)
 			res.Name = cmp.Or(res.Name, out.Name)
-			res.OK, res.Error, res.ErrorCode, res.Artifact = out.OK, out.Error, out.ErrorCode, out.Artifact
+			if out.Err != nil {
+				// Failures cross the wire as the typed stable message and
+				// code only — never raw fmt.Errorf chains.
+				res.Error, res.ErrorCode = rerr.Message(out.Err), rerr.CodeOf(out.Err)
+			} else {
+				res.OK, res.Artifact, degraded = true, out.Artifact, out.Degraded
+			}
 			switch {
-			case out.ErrorCode == "parse_failed":
+			case res.ErrorCode == "parse_failed":
 				res.Cache = ""
 			case out.Cache != "":
 				res.Cache = out.Cache
@@ -674,11 +719,13 @@ func (p *BatchPlan) Answer(w http.ResponseWriter, cancel context.CancelFunc,
 		if frame.Item(res) != nil {
 			cancel() // client gone: stop the tier's workers and wait them out
 			finish(&st)
+			acct.Merge(p.Subs...)
 			return
 		}
 	}
 	finish(&st)
-	st.Failed = st.Kernels - st.Succeeded
+	acct.Merge(p.Subs...)
+	st.Failed, st.StagesSkipped = st.Kernels-st.Succeeded, acct.N[StagesSkipped]
 	frame.Close("stats", &st) // by pointer: st escapes to finish, and a copy would be a second allocation
 }
 
@@ -778,7 +825,7 @@ func (f *Frame) Close(tail ...any) {
 		for _, r := range f.refs {
 			n += len(r.artifact)
 		}
-		frameHeader(f.w, http.StatusOK, n)
+		frameHeader(f.w, jsonContentType, http.StatusOK, n)
 		bw := spliceWriters.Get().(*bufio.Writer)
 		bw.Reset(f.w)
 		at := 0

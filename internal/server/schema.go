@@ -206,11 +206,21 @@ type ErrorResponse struct {
 	Name string `json:"name,omitempty"`
 }
 
-// HealthResponse is the GET /healthz body.
+// HealthResponse is the GET /healthz body. A routing tier's lists its
+// backends' liveness too; a backend's has no backends member.
 type HealthResponse struct {
-	Status   string   `json:"status"`
-	UptimeMS int64    `json:"uptime_ms"`
-	Families []string `json:"families"`
+	Status   string          `json:"status"`
+	UptimeMS int64           `json:"uptime_ms"`
+	Families []string        `json:"families"`
+	Backends []BackendHealth `json:"backends,omitempty"`
+}
+
+// BackendHealth is one backend's liveness as a routing tier sees it, plus
+// its circuit-breaker state ("closed", "open", "half-open").
+type BackendHealth struct {
+	URL     string `json:"url"`
+	Alive   bool   `json:"alive"`
+	Breaker string `json:"breaker"`
 }
 
 // CacheStatsJSON is the cache section of GET /stats.

@@ -64,7 +64,7 @@ func TestTextMemoDoesNotRetainBody(t *testing.T) {
 	}
 	after := live()
 	for i, k := range keys {
-		if te, ok := s.texts.Peek(k); !ok || te.name != fmt.Sprintf("macc%d", i) {
+		if te, ok := s.res.(*backend).texts.Peek(k); !ok || te.name != fmt.Sprintf("macc%d", i) {
 			t.Fatalf("kernel %d: memo entry %+v, %v", i, te, ok)
 		}
 	}

@@ -119,14 +119,14 @@ type proxyWalk struct {
 //
 // The walk's attempts, rehashes, hedges and outcome go on acct; attempt
 // n carries the request id id+".an" downstream.
-func (rt *Router) proxyKernel(ctx context.Context, acct *server.Account, id string, routeKey cache.Key, fwd forward) proxyOutcome {
+func (rt *Router) proxyKernel(ctx context.Context, acct *server.Account, id string, routeKey cache.Key, fwd forward) server.Outcome {
 	rt.proxyCalls.Add(1)
 	if ferr := FaultPick.Fire(ctx); ferr != nil {
-		return proxyOutcome{err: rerr.Wrap(rerr.ClassOf(ferr), "shard_route_failed",
+		return server.Outcome{Err: rerr.Wrap(rerr.ClassOf(ferr), "shard_route_failed",
 			"routing failed before any backend was tried", ferr)}
 	}
 	if err := deadlineBudgetErr(ctx); err != nil {
-		return proxyOutcome{err: err}
+		return server.Outcome{Err: err}
 	}
 	w := &proxyWalk{
 		rt: rt, ctx: ctx, acct: acct, id: id, fwd: fwd,
@@ -179,13 +179,13 @@ func (rt *Router) proxyKernel(ctx context.Context, acct *server.Account, id stri
 	if w.budgetErr != nil {
 		// The deadline ran out mid-walk: a typed 504, not an outage —
 		// the ring may be perfectly healthy.
-		return proxyOutcome{err: w.budgetErr}
+		return server.Outcome{Err: w.budgetErr}
 	}
 	acct.N[server.Outages]++
 	if cerr := ctx.Err(); cerr != nil && w.lastErr == nil {
 		w.lastErr = cerr
 	}
-	return proxyOutcome{err: rerr.Wrap(rerr.Transient, "no_live_backends",
+	return server.Outcome{Err: rerr.Wrap(rerr.Transient, "no_live_backends",
 		"no live backend could serve the request", w.lastErr)}
 }
 
@@ -200,11 +200,11 @@ func (w *proxyWalk) stop() bool {
 // peer — a primary/hedge race. probe marks a half-open breaker grant. A
 // step the deadline budget refuses is not taken, so it is no rehash; a
 // probe its fault fails is, since the last-resort pass gates on it.
-func (w *proxyWalk) attempt(bi int, probe bool) (proxyOutcome, bool) {
+func (w *proxyWalk) attempt(bi int, probe bool) (server.Outcome, bool) {
 	rt := w.rt
 	if err := deadlineBudgetErr(w.ctx); err != nil {
 		w.budgetErr = err
-		return proxyOutcome{}, false
+		return server.Outcome{}, false
 	}
 	if w.attempts > 0 {
 		w.acct.N[server.Rehashes]++
@@ -214,7 +214,7 @@ func (w *proxyWalk) attempt(bi int, probe bool) (proxyOutcome, bool) {
 		if ferr := FaultBreakerProbe.Fire(w.ctx); ferr != nil {
 			rt.backends[bi].br.record(false)
 			w.lastErr = ferr
-			return proxyOutcome{}, false
+			return server.Outcome{}, false
 		}
 	}
 	if w.hedgeOK && !w.raced {
@@ -259,7 +259,7 @@ func (w *proxyWalk) hedgeTarget(primary int) int {
 // authoritative answer wins and the loser is cancelled; a cancelled
 // loser's result is dropped unrecorded. When every launched attempt
 // fails, both failures have been scored and the walk continues.
-func (w *proxyWalk) race(primary, hedgeBi int) (proxyOutcome, bool) {
+func (w *proxyWalk) race(primary, hedgeBi int) (server.Outcome, bool) {
 	rt := w.rt
 	w.raced = true
 	rctx, rcancel := context.WithCancel(w.ctx)
@@ -298,10 +298,10 @@ func (w *proxyWalk) race(primary, hedgeBi int) (proxyOutcome, bool) {
 			go func() { resCh <- rt.postAttempt(rctx, hedgeBi, true, w.fwd, hedgeID) }()
 		case <-w.ctx.Done():
 			w.lastErr = w.ctx.Err()
-			return proxyOutcome{}, false
+			return server.Outcome{}, false
 		}
 	}
-	return proxyOutcome{}, false
+	return server.Outcome{}, false
 }
 
 // hedgeBudgetOK enforces the global hedge budget: hedges stay within
@@ -317,7 +317,7 @@ func (rt *Router) hedgeBudgetOK() bool {
 // liveness mark and breaker, and decides whether it terminates the walk
 // (an authoritative answer) or continues it (transport failure or
 // refusal). Runs only on the walk's own goroutine.
-func (w *proxyWalk) classify(res attemptResult) (proxyOutcome, bool) {
+func (w *proxyWalk) classify(res attemptResult) (server.Outcome, bool) {
 	rt := w.rt
 	b := rt.backends[res.bi]
 	if res.err != nil {
@@ -325,12 +325,12 @@ func (w *proxyWalk) classify(res attemptResult) (proxyOutcome, bool) {
 			// The request died, taking the attempt with it: that is the
 			// client's story, not evidence against the backend.
 			w.lastErr = res.err
-			return proxyOutcome{}, false
+			return server.Outcome{}, false
 		}
 		b.br.record(false)
 		b.alive.Store(false)
 		w.lastErr = res.err
-		return proxyOutcome{}, false
+		return server.Outcome{}, false
 	}
 	if res.ownBudget && backendDeadlineExceeded(res) {
 		// A healthy backend reporting that the budget this router stamped
@@ -340,13 +340,13 @@ func (w *proxyWalk) classify(res attemptResult) (proxyOutcome, bool) {
 		// typed 504.
 		w.budgetErr = rerr.DeadlineBudget("deadline_exhausted",
 			"deadline budget exhausted while a backend was serving the request")
-		return proxyOutcome{}, false
+		return server.Outcome{}, false
 	}
 	if res.status == http.StatusBadGateway || res.status == http.StatusServiceUnavailable ||
 		res.status == http.StatusGatewayTimeout {
 		b.br.record(false)
 		w.lastErr = fmt.Errorf("backend %s answered %d", b.url, res.status)
-		return proxyOutcome{}, false
+		return server.Outcome{}, false
 	}
 	// Authoritative answer: the backend is alive and healthy — including
 	// a 429, which is the admission controller doing its job, not a
@@ -355,10 +355,10 @@ func (w *proxyWalk) classify(res attemptResult) (proxyOutcome, bool) {
 	b.br.record(true)
 	b.alive.Store(true)
 	w.acct.N[server.Proxied]++
-	out := proxyOutcome{status: res.status, body: res.body, buf: res.buf}
+	out := server.Outcome{Status: res.status, Body: res.body, Buf: res.buf}
 	if res.status == http.StatusTooManyRequests {
 		w.acct.N[server.ShedForwarded]++
-		out.retryAfter = res.retryAfter
+		out.RetryAfter = res.retryAfter
 	}
 	return out, true
 }
@@ -378,8 +378,8 @@ func backendDeadlineExceeded(res attemptResult) bool {
 // the attempt's absolute deadline downstream as X-Reticle-Deadline so
 // the backend inherits the remaining budget instead of its own default,
 // and the attempt's request id beside it. The answer is read into a
-// buffer off relayBufs; one that becomes the walk's outcome goes back
-// when its handler releases it, any other (a lost hedge, a refusal, a
+// server.RelayBuffer; one that becomes the walk's outcome goes back
+// once the edge has written it, any other (a lost hedge, a refusal, a
 // failed read) is left to the GC.
 func (rt *Router) postAttempt(ctx context.Context, bi int, hedged bool, fwd forward, id string) attemptResult {
 	res := attemptResult{bi: bi, hedged: hedged}
@@ -424,12 +424,7 @@ func (rt *Router) postAttempt(ctx context.Context, bi int, hedged bool, fwd forw
 	// of being truncated and relayed as a well-formed success. A backend
 	// that announced its length (every /compile 200 does) is read into a
 	// buffer at least that size, not one grown by doubling.
-	var respBody *bytes.Buffer
-	select {
-	case respBody = <-relayBufs:
-	default:
-		respBody = new(bytes.Buffer)
-	}
+	respBody := server.RelayBuffer()
 	if n := resp.ContentLength; n > 0 && n <= maxProxyResponse {
 		respBody.Grow(int(n) + bytes.MinRead)
 	}

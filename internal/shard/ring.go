@@ -1,15 +1,18 @@
-// Package shard is the distributed compile tier's router: it
-// consistent-hashes the content-addressed cache key (the same
-// ir.CanonicalHash + pipeline.ArtifactKeyFor schema the artifact
-// cache pins with golden tests) across N backend reticle-serve
-// processes, health-checks them, re-hashes requests off dead backends,
-// and fronts the whole tier with a router-local persistent disk cache
-// so repeated sweeps never cross the network at all.
+// Package shard is the distributed compile tier's router: a resolver
+// behind the same edge a reticle-serve runs (server.NewRouting). It
+// consistent-hashes each kernel's text key (pipeline.TextKeyFor: the IR
+// text as sent, under the family config's fingerprint — the router never
+// parses) across N backend reticle-serve processes, dedupes /batch
+// kernels and keys its router-local persistent disk cache by the same
+// key, health-checks the backends, and re-hashes requests off dead ones.
+// Alpha-renamed or re-spaced copies of one kernel are different text, so
+// they may land on different backends; each backend's canonical artifact
+// key still compiles it once there.
 //
-// The routing invariant the golden ring test pins: a kernel's key
-// always lands on the same backend for a given backend set, so every
-// backend's in-memory LRU stays hot for its slice of the key space, and
-// adding a backend moves only the keys that now belong to it.
+// The routing invariant the golden ring test pins: a key always lands on
+// the same backend for a given backend set, so every backend's in-memory
+// LRU stays hot for its slice of the key space, and adding a backend
+// moves only the keys that now belong to it.
 package shard
 
 import (

@@ -1,13 +1,10 @@
 package shard
 
 import (
-	"bytes"
 	"cmp"
 	"context"
-	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -56,7 +53,7 @@ type Options struct {
 	// HealthInterval is the active /healthz probe period; 0 disables
 	// active probing (passive failure detection still marks backends
 	// down on proxy errors). Serve launches the prober; tests that drive
-	// the Router as a bare http.Handler can call StartHealthLoop.
+	// the Router as a bare http.Handler can call Start.
 	HealthInterval time.Duration
 	// DiskDir, when non-empty, enables the router-local persistent
 	// artifact cache: checked before any backend is contacted, written
@@ -92,28 +89,24 @@ type backend struct {
 	br    *breaker
 }
 
-// Router is the shard tier front end. It implements http.Handler with
-// the same endpoint surface as a single reticle-serve (POST /compile,
-// POST /batch incl. NDJSON streaming, GET /healthz, GET /stats), so
-// clients cannot tell a router from a backend — except that it scales.
+// Router is the distributed tier's resolver behind the same edge a
+// single reticle-serve runs (server.Server: the same endpoints, front
+// door and handlers), so clients cannot tell a router from a backend —
+// except that it scales. What the edge admits it answers from its
+// text-keyed disk, else across the ring of backends.
 type Router struct {
-	server.FamilySet // the same configs the backends run, so cache keys agree across the tier
-	server.DiskTier  // the router-local persistent cache; zero when disabled
+	*server.Server // the edge: the same configs the backends run, and the router-local disk
 
 	opts     Options
 	ring     *Ring
 	backends []*backend
 	client   *http.Client
-	mux      *http.ServeMux
-	hs       *http.Server // serves the mux on Serve's listener
-	start    time.Time
 
 	healthMu   sync.Mutex
-	stopped    bool           // Shutdown has begun, under healthMu: no prober starts
-	stopHealth chan struct{}  // closed by Shutdown: the probers return
-	probers    sync.WaitGroup // the probe goroutines, waited out by Shutdown
+	stopped    bool           // Stop has run, under healthMu: no prober starts
+	stopHealth chan struct{}  // closed by Stop: the probers return
+	probers    sync.WaitGroup // the probe goroutines, waited out by Stop
 
-	totals server.Totals // the fold of finished requests' accounts: /stats
 	// The hedge budget's two counters, which hedgeBudgetOK reads while
 	// walks are still running, so they cannot wait for a fold.
 	proxyCalls atomic.Int64 // proxyKernel invocations (the hedge-budget denominator)
@@ -121,7 +114,7 @@ type Router struct {
 }
 
 // New builds a Router over one pipeline config per family (the same
-// configs its backends run, so cache keys agree across the tier).
+// configs its backends run, so routing keys agree across the tier).
 func New(opts Options, configs map[string]*pipeline.Config) (*Router, error) {
 	if len(opts.Backends) == 0 {
 		return nil, fmt.Errorf("shard: no backends")
@@ -130,17 +123,13 @@ func New(opts Options, configs map[string]*pipeline.Config) (*Router, error) {
 		opts:       opts,
 		ring:       NewRing(len(opts.Backends), DefaultReplicas),
 		client:     opts.Client,
-		mux:        http.NewServeMux(),
-		start:      time.Now(),
 		stopHealth: make(chan struct{}),
 	}
-	rt.hs = &http.Server{Handler: rt}
 	var err error
-	if rt.FamilySet, err = server.NewFamilySet(configs, opts.DefaultFamily); err != nil {
-		return nil, fmt.Errorf("shard: %w", err)
-	}
-	rt.RouteOnText()
-	if rt.DiskTier, err = server.OpenDiskTier(opts.DiskDir, opts.DiskMaxBytes); err != nil {
+	rt.Server, err = server.NewRouting(server.Options{
+		DefaultFamily: opts.DefaultFamily, DiskDir: opts.DiskDir, DiskMaxBytes: opts.DiskMaxBytes,
+	}, configs, rt)
+	if err != nil {
 		return nil, fmt.Errorf("shard: %w", err)
 	}
 	if rt.client == nil {
@@ -151,40 +140,17 @@ func New(opts Options, configs map[string]*pipeline.Config) (*Router, error) {
 		b.alive.Store(true)
 		rt.backends = append(rt.backends, b)
 	}
-	rt.mux.HandleFunc("POST /compile", server.Recovered(rt.handleCompile))
-	rt.mux.HandleFunc("POST /batch", server.Recovered(rt.handleBatch))
-	rt.mux.HandleFunc("POST /explore", server.Recovered(rt.handleExplore))
-	rt.mux.HandleFunc("POST /scrub", server.Recovered(rt.HandleScrub))
-	rt.mux.HandleFunc("GET /healthz", server.Recovered(rt.handleHealthz))
-	rt.mux.HandleFunc("GET /stats", server.Recovered(rt.handleStats))
 	return rt, nil
 }
 
-// ServeHTTP dispatches to the router mux inside the request's account:
-// opened here, folded into /stats and logged when the handler returns.
-// The router is an edge, so a client id may not carry the suffixes it
-// appends itself.
-func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	t := server.Track(w, r, false)
-	rt.mux.ServeHTTP(t, r)
-	t.Finish(&rt.totals, "route")
-}
-
-// Serve launches the health prober and serves on l until Shutdown, and
-// then returns http.ErrServerClosed; after Shutdown, at once.
-func (rt *Router) Serve(l net.Listener) error {
-	rt.StartHealthLoop()
-	return rt.hs.Serve(l)
-}
-
-// StartHealthLoop launches the active prober (no-op when
-// Options.HealthInterval is 0 or the router is shutting down). Each
+// Start launches the active prober as the edge begins to serve (no-op
+// when Options.HealthInterval is 0 or the router is shutting down). Each
 // backend gets its own probe goroutine with a phase offset spreading
 // the schedule across the interval — on a shared tick, every backend is
 // probed at the same instant, so a recovering ring takes its whole
 // probe load as one synchronized burst (a thundering herd against
 // exactly the peers least able to absorb it).
-func (rt *Router) StartHealthLoop() {
+func (rt *Router) Start() {
 	rt.healthMu.Lock()
 	defer rt.healthMu.Unlock()
 	if rt.opts.HealthInterval <= 0 || rt.stopped {
@@ -247,11 +213,9 @@ func (rt *Router) probeOne(b *backend) {
 	b.alive.Store(resp.StatusCode == http.StatusOK)
 }
 
-// Shutdown stops the health prober and waits it out, gracefully drains
-// the listener (in-flight requests run to completion, bounded by ctx),
-// and then closes the disk tier. Safe to call when the router never
-// served.
-func (rt *Router) Shutdown(ctx context.Context) error {
+// Stop stops the health prober and waits it out, as the edge begins to
+// drain; no prober starts after it.
+func (rt *Router) Stop() {
 	rt.healthMu.Lock()
 	if !rt.stopped {
 		rt.stopped = true
@@ -259,65 +223,24 @@ func (rt *Router) Shutdown(ctx context.Context) error {
 	}
 	rt.healthMu.Unlock()
 	rt.probers.Wait()
-	return errors.Join(rt.hs.Shutdown(ctx), rt.DiskTier.Close())
-}
-
-// proxyOutcome is one routed kernel's terminal proxy result: an HTTP
-// answer from some live backend, or a typed total-outage error. A 429
-// answer carries the backend's Retry-After so the handlers can relay
-// the shed verbatim. body is read into buf, a buffer off relayBufs the
-// handler releases once nothing it wrote or holds refers to body any more.
-type proxyOutcome struct {
-	status     int
-	body       []byte
-	buf        *bytes.Buffer
-	retryAfter string
-	err        error
-}
-
-// relayBufs is a small free list of the buffers backend answers are read
-// into (see postAttempt). A sync.Pool is emptied by every GC, and the
-// router collects often, so under load most answers were read into fresh
-// buffers; this list keeps its buffers across collections. It holds 16,
-// the answers two /batch requests at batchJobs hold at once.
-// A kept buffer keeps its capacity and raises the GC's heap goal: on
-// shard-mixed, 8 reused too few answers to matter, and 16 read as much
-// reuse as 32 with less resident memory. A buffer grown past
-// maxPooledRelay is left to the GC instead of kept.
-var relayBufs = make(chan *bytes.Buffer, 16)
-
-// maxPooledRelay is the largest relay buffer kept in relayBufs.
-const maxPooledRelay = 4 << 20
-
-// release returns the outcome's buffer, emptied, to the free list unless
-// the list is full; body is not read after it. An outcome without a
-// buffer releases nothing.
-func (out proxyOutcome) release() {
-	if out.buf != nil && out.buf.Cap() <= maxPooledRelay {
-		out.buf.Reset()
-		select {
-		case relayBufs <- out.buf:
-		default:
-		}
-	}
 }
 
 // maxProxyResponse bounds how much of a backend response the router
 // buffers (artifacts are large; unbounded trust is still wrong).
 const maxProxyResponse = 64 << 20
 
-// diskGet and diskPut are the router's disk-only tier: there is no
+// Lookup and diskPut are the router's disk-only tier: there is no
 // memory level to promote into, so they read and write cache.Disk
 // directly, under a kernel's text key. A record is the backend's
 // /compile answer less its family and cache mark: the canonical key, the
 // artifact and the name the backend gave it. Failures are counted inside
 // Disk and degrade to a miss or a dropped persist.
 //
-// diskGet answers kernel k from its record, named as a backend would name
+// Lookup answers kernel k from its record, named as a backend would name
 // it: by k's client, else by the parsed name. A record persisted for a
 // kernel its client named holds no parsed name, so it answers only a
 // named kernel; an unnamed one misses, and its forward writes the name.
-func (rt *Router) diskGet(ctx context.Context, k server.Kernel) (rec server.CompileResponseWire, ok bool) {
+func (rt *Router) Lookup(ctx context.Context, k server.Kernel) (rec server.CompileResponseWire, ok bool) {
 	if rt.Disk() == nil {
 		return rec, false
 	}
@@ -344,78 +267,69 @@ func (rt *Router) diskPut(ctx context.Context, k server.Kernel, ans server.Compi
 	_ = rt.Disk().Put(ctx, k.Key, rec.AppendJSON(nil))
 }
 
-func (rt *Router) handleCompile(w http.ResponseWriter, r *http.Request) {
-	acct := server.AccountOf(w)
-	q, ok := rt.Door(w, r)
-	if !ok {
-		return
-	}
-	// One key per kernel, the text key the front door derived without a
-	// parse: it routes the kernel and addresses the router-local disk.
-	k := q.Kernels[0]
-	acct.Key = string(k.Key)
+// Memo misses: the router keeps no raw-body memo; its disk is keyed by
+// the text key the front door derives.
+func (rt *Router) Memo(*server.Account, []byte, http.Header) (server.Outcome, bool) {
+	return server.Outcome{}, false
+}
 
-	// Router-local second level: a persisted artifact is served without
-	// crossing the network, and without showing up in any backend's
-	// counters — /stats aggregation depends on that disjointness.
-	if hit, ok := rt.diskGet(r.Context(), k); ok {
+// Compile answers a /compile from the router-local second level — a
+// persisted artifact is served without crossing the network, and without
+// showing up in any backend's counters (/stats aggregation depends on that
+// disjointness) — else relays it to a backend. The answer is relayed as
+// the bytes the backend sent, a refusal of IR that does not parse among
+// them; only a router with a disk tier of its own looks inside a 200.
+func (rt *Router) Compile(ctx context.Context, acct *server.Account, q *server.Request) server.Outcome {
+	k := q.Kernels[0]
+	if hit, ok := rt.Lookup(ctx, k); ok {
 		acct.Tier = "disk"
 		hit.Family, hit.Cache = q.Family, "hit"
-		server.WriteCompileFrame(w, hit)
-		return
+		return server.Outcome{CompileResponseWire: hit}
 	}
-	out, ok := rt.relay(w, r, q)
-	if !ok {
-		return
-	}
-	defer out.release()
-	// The answer is relayed as the bytes the backend sent, a refusal of IR
-	// that does not parse among them; only a router with a disk tier of
-	// its own looks inside a 200.
-	if out.status == http.StatusOK && rt.Disk() != nil {
-		if ans, degraded, ok := server.ParseCompileFrame(out.body); ok {
-			rt.diskPut(r.Context(), k, ans, degraded)
+	out := rt.forward(ctx, acct, q, "/compile")
+	if out.Status == http.StatusOK && rt.Disk() != nil {
+		if ans, degraded, ok := server.ParseCompileFrame(out.Body); ok {
+			rt.diskPut(ctx, k, ans, degraded)
 		}
 	}
-	server.WriteFrame(w, out.status, out.body)
+	return out
 }
 
-// relay routes an admitted /compile or /explore, for a handler that passes
-// the backend's answer through, by the kernel's text key. The body sent
-// on is the client's own (Request.Forward), with its Accept header. The
-// request's deadline header and timeout_ms bound one context here, so the
-// whole downstream chain — proxy attempts, retries, hedges, and the
-// backend pipeline via the stamped deadline header — shares one budget
-// instead of each tier inventing its own; a relayed shed keeps the
-// backend's Retry-After. A routing failure is answered typed and reported
-// as false. The walk fills the request's account. The handler releases
-// the outcome once it has written it out.
-func (rt *Router) relay(w http.ResponseWriter, r *http.Request, q *server.Request) (proxyOutcome, bool) {
-	ctx, cancel := q.Within(r.Context(), q.Timeout)
-	defer cancel()
-	acct := server.AccountOf(w)
-	acct.Deadline, _ = ctx.Deadline()
-	out := rt.proxyKernel(ctx, acct, acct.ID, q.Kernels[0].Key, forward{r.URL.Path, r.Header.Get("Accept"), q.Forward()})
-	if out.err != nil {
-		server.WriteTypedError(w, out.err)
-		return out, false
-	}
-	if out.retryAfter != "" {
-		w.Header().Set("Retry-After", out.retryAfter)
-	}
-	return out, true
+// Explore relays a design-space sweep to a single backend, routed by the
+// kernel's text key — the same steering /compile uses. Every variant of
+// one kernel shares its canonical subtrees, so the whole sweep lands on
+// one backend, and repeated sweeps of the same kernel, and /compiles of
+// it, keep landing there.
+//
+// The backend's answer — buffered JSON or a complete NDJSON stream —
+// is relayed verbatim; the router never re-scores a sweep. Sweep
+// results are not persisted in the router's disk cache: the backend
+// caches the per-variant artifacts, so a re-sweep is cheap where it
+// matters, and frontier bodies are not addressable by artifact key.
+func (rt *Router) Explore(ctx context.Context, _ context.CancelFunc, w http.ResponseWriter, acct *server.Account, q *server.Request) {
+	rt.forward(ctx, acct, q, "/explore").Write(w, "", q.Stream)
 }
 
-func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	resp := HealthResponse{
-		Status:   "ok",
-		UptimeMS: time.Since(rt.start).Milliseconds(),
-		Families: rt.Families(),
+// forward routes an admitted /compile or /explore to path on a backend
+// by the kernel's text key: the client's own body (Request.Forward),
+// asking for NDJSON when the client did. ctx, bounded at the edge by the
+// request's deadline header and timeout_ms, is the one budget the whole
+// downstream chain shares — proxy attempts, retries, hedges, and the
+// backend pipeline via the stamped deadline header. The walk fills the
+// request's account.
+func (rt *Router) forward(ctx context.Context, acct *server.Account, q *server.Request, path string) server.Outcome {
+	accept := ""
+	if q.Stream {
+		accept = server.NDJSONContentType
 	}
-	for _, b := range rt.backends {
-		resp.Backends = append(resp.Backends, BackendHealth{
-			URL: b.url, Alive: b.alive.Load(), Breaker: b.br.stats().State.String(),
-		})
+	return rt.proxyKernel(ctx, acct, acct.ID, q.Kernels[0].Key, forward{path, accept, q.Forward()})
+}
+
+// Backends reports each backend's liveness mark and breaker state.
+func (rt *Router) Backends() []server.BackendHealth {
+	out := make([]server.BackendHealth, len(rt.backends))
+	for i, b := range rt.backends {
+		out[i] = server.BackendHealth{URL: b.url, Alive: b.alive.Load(), Breaker: b.br.stats().State.String()}
 	}
-	server.WriteJSON(w, http.StatusOK, resp)
+	return out
 }

@@ -11,23 +11,6 @@ import (
 	"reticle/internal/server"
 )
 
-// HealthResponse is the router's GET /healthz body: the usual service
-// fields plus per-backend liveness.
-type HealthResponse struct {
-	Status   string          `json:"status"`
-	UptimeMS int64           `json:"uptime_ms"`
-	Families []string        `json:"families"`
-	Backends []BackendHealth `json:"backends"`
-}
-
-// BackendHealth is one backend's liveness as the router sees it, plus
-// its circuit-breaker state ("closed", "open", "half-open").
-type BackendHealth struct {
-	URL     string `json:"url"`
-	Alive   bool   `json:"alive"`
-	Breaker string `json:"breaker"`
-}
-
 // BreakerStatsJSON is one backend's breaker counters on the /stats wire.
 type BreakerStatsJSON struct {
 	State      string `json:"state"`
@@ -137,20 +120,18 @@ func (rt *Router) pollBackendStats(ctx context.Context, b *backend) BackendStats
 	return out
 }
 
-// handleStats fans GET /stats into every backend and aggregates the
-// tier's counters. Router-local disk hits are reported once, in the
+// Stats fans GET /stats into every backend and aggregates the tier's
+// counters. Router-local disk hits are reported once, in the
 // Aggregate.DiskHits / Router.Disk sections — never folded into the
 // backend cache sums they are disjoint from (the no-double-count
 // invariant stats_shard_test.go pins).
 //
-// The router's own counters are the fold of finished requests (this one
-// included, though it has not ended), but for the hedge budget's two,
-// read from their owners.
-func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
-	requests, sum := rt.totals.Snapshot()
+// The router's own counters are the edge's fold of finished requests,
+// but for the hedge budget's two, read from their owners.
+func (rt *Router) Stats(ctx context.Context, requests int64, sum *server.Account, uptime time.Duration) any {
 	resp := StatsResponse{
-		Requests: requests + 1,
-		UptimeMS: time.Since(rt.start).Milliseconds(),
+		Requests: requests,
+		UptimeMS: uptime.Milliseconds(),
 		Families: rt.Families(),
 		Router: RouterStatsJSON{
 			Proxied:       int64(sum.N[server.Proxied]),
@@ -165,9 +146,9 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	// One poll per backend, all at once; a backend is only skipped when the
 	// client has already gone (or its poll panicked).
 	n := len(rt.backends)
-	resp.Backends = batch.FanOut(r.Context(), n, n, func(i int) BackendStats {
+	resp.Backends = batch.FanOut(ctx, n, n, func(i int) BackendStats {
 		b := rt.backends[i]
-		out := rt.pollBackendStats(r.Context(), b)
+		out := rt.pollBackendStats(ctx, b)
 		bs := b.br.stats()
 		out.Breaker = &BreakerStatsJSON{
 			State: bs.State.String(), Trips: bs.Trips, Recoveries: bs.Recoveries,
@@ -204,5 +185,5 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	resp.Aggregate.TotalHits = resp.Aggregate.BackendCacheHits + resp.Aggregate.DiskHits
 	resp.Mem = server.MemStatsJSONNow()
-	server.WriteJSON(w, http.StatusOK, resp)
+	return resp
 }

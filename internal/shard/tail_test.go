@@ -635,7 +635,7 @@ func TestWedgedBackendTailLatency(t *testing.T) {
 	// A frozen clock: once tripped, the wedged backend stays benched for
 	// the whole test.
 	shard.SetBreakerClock(rt, newFakeClock().now)
-	rt.StartHealthLoop()
+	rt.Start()
 	t.Cleanup(func() { rt.Shutdown(context.Background()) })
 	victim, healthy := primaryOf(t, rt, a, b)
 	victim.set(wedged)

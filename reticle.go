@@ -315,7 +315,7 @@ type (
 	// CacheStats snapshots a CompileCache's counters.
 	CacheStats = cache.Stats
 	// Server is the long-running HTTP compile service (POST /compile,
-	// POST /batch, GET /healthz, GET /stats).
+	// POST /batch, POST /explore, POST /scrub, GET /healthz, GET /stats).
 	Server = server.Server
 	// ServerOptions configures a Server (cache size, default deadline,
 	// default family, admission bound, disk tier).
@@ -423,11 +423,15 @@ func familyConfigs() (map[string]*pipeline.Config, error) {
 // The distributed compile tier, re-exported from internal/shard.
 type (
 	// ShardRouter is the distributed tier's front end: it
-	// consistent-hashes cache keys across N reticle-serve backends,
-	// health-checks them, re-hashes requests off dead peers, and fronts
-	// the tier with an optional persistent disk cache. It serves the
-	// same endpoints as a Server. cmd/reticle-shard is the standalone
-	// daemon.
+	// consistent-hashes each kernel's text key (pipeline.TextKeyFor: the
+	// IR text under the family config's fingerprint, never parsed) across
+	// N reticle-serve backends, so the same text always lands on the same
+	// backend, while alpha-renamed or re-spaced copies of a kernel may land
+	// on different ones. It health-checks the backends, re-hashes requests
+	// off dead peers, and fronts the tier with an optional persistent disk
+	// cache keyed the same way. It is a Server's edge — the same endpoints,
+	// front door and handlers — over a resolver that routes.
+	// cmd/reticle-shard is the standalone daemon.
 	ShardRouter = shard.Router
 	// ShardOptions configures a ShardRouter (backend URLs, proxy
 	// timeout, health-check interval, hedging, disk cache).
@@ -435,8 +439,8 @@ type (
 )
 
 // NewShardRouter builds the shard router over the same two bundled
-// family configs as NewServer, so router-computed cache keys agree
-// with every backend's.
+// family configs as NewServer, so the router's front door resolves
+// families and refuses requests as every backend's does.
 func NewShardRouter(opts ShardOptions) (*ShardRouter, error) {
 	configs, err := familyConfigs()
 	if err != nil {
