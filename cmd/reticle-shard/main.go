@@ -80,7 +80,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	log.Printf("reticle-shard: routing over %d backends", len(backends))
-	if err := server.Run(ctx, "reticle-shard", rt, *addr, *pprofAddr, *scrubOnStart); err != nil {
+	if err := server.Run(ctx, "reticle-shard", rt.Server, *addr, *pprofAddr, *scrubOnStart); err != nil {
 		log.Fatal("reticle-shard: ", err)
 	}
 }

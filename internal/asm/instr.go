@@ -1,10 +1,6 @@
 package asm
 
-import (
-	"strconv"
-
-	"reticle/internal/ir"
-)
+import "reticle/internal/ir"
 
 // Instr is one assembly-program instruction. Assembly programs mix two
 // instruction kinds (Fig. 5b):
@@ -33,38 +29,9 @@ func (in Instr) String() string { return string(in.appendTo(nil)) }
 // fmt-free: the pipeline prints every stage's assembly for its key and
 // payload, so this runs once per instruction per stage.
 func (in Instr) appendTo(b []byte) []byte {
-	b = append(b, in.Dest...)
-	b = append(b, ':')
-	b = in.Type.AppendTo(b)
-	b = append(b, " = "...)
-	if in.IsWire() {
-		b = append(b, in.Op.String()...)
-	} else {
-		b = append(b, in.Name...)
-	}
-	if len(in.Attrs) > 0 {
-		b = append(b, '[')
-		for i, a := range in.Attrs {
-			if i > 0 {
-				b = append(b, ", "...)
-			}
-			b = strconv.AppendInt(b, a, 10)
-		}
-		b = append(b, ']')
-	}
-	if !(in.IsWire() && in.Op == ir.OpConst) {
-		b = append(b, '(')
-		for i, a := range in.Args {
-			if i > 0 {
-				b = append(b, ", "...)
-			}
-			b = append(b, a...)
-		}
-		b = append(b, ')')
-	}
+	b = ir.AppendStmt(b, in.Dest, in.Type, in.Op, in.Name, in.Attrs, in.Args)
 	if !in.IsWire() {
-		b = append(b, " @"...)
-		b = in.Loc.appendTo(b)
+		b = in.Loc.appendTo(append(b, " @"...))
 	}
 	return append(b, ';')
 }
@@ -148,13 +115,7 @@ func carve[T any](slab, src []T) ([]T, []T) {
 // sized for the body up front.
 func (f *Func) String() string {
 	b := make([]byte, 0, 64+16*(len(f.Inputs)+len(f.Outputs))+80*len(f.Body))
-	b = append(b, "def "...)
-	b = append(b, f.Name...)
-	b = append(b, '(')
-	b = ir.AppendPorts(b, f.Inputs)
-	b = append(b, ") -> ("...)
-	b = ir.AppendPorts(b, f.Outputs)
-	b = append(b, ") {\n"...)
+	b = ir.AppendSignature(append(append(b, "def "...), f.Name...), f.Inputs, f.Outputs)
 	for _, in := range f.Body {
 		b = append(b, "    "...)
 		b = in.appendTo(b)

@@ -14,8 +14,8 @@ var (
 // ParseAll parses every function in the source text and checks each, for
 // the parser's reference tests.
 func ParseAll(src string) ([]*Func, error) {
-	var first Symbols
-	return parseAll(src, &first)
+	var syms Symbols
+	return parseAll(src, &syms)
 }
 
 // NewLexer returns a lexer over src, for the token-stream tests.

@@ -52,13 +52,57 @@ type Port struct {
 // String renders the port as "name:type".
 func (p Port) String() string { return p.Name + ":" + p.Type.String() }
 
-// AppendPorts appends a comma-separated port list in source syntax.
-func AppendPorts(b []byte, ports []Port) []byte {
+// appendPorts appends a comma-separated port list in source syntax.
+func appendPorts(b []byte, ports []Port) []byte {
 	for i, p := range ports {
 		if i > 0 {
 			b = append(b, ", "...)
 		}
 		b = p.Type.AppendTo(append(append(b, p.Name...), ':'))
+	}
+	return b
+}
+
+// AppendSignature appends "(inputs) -> (outputs) {" and a newline: the
+// signature every language's definition header prints alike.
+func AppendSignature(b []byte, inputs, outputs []Port) []byte {
+	b = appendPorts(append(b, '('), inputs)
+	b = appendPorts(append(b, ") -> ("...), outputs)
+	return append(b, ") {\n"...)
+}
+
+// AppendStmt appends "dest:type = op[attrs](args)": the statement every
+// language prints alike, before its annotation and ";". The operation's
+// text is name, or op's own when name is empty (an assembly instruction
+// names a target definition; op is OpInvalid then). The attribute list is
+// left out when empty, the argument list only for an op that takes none
+// (const).
+func AppendStmt(b []byte, dest string, typ Type, op Op, name string, attrs []int64, args []string) []byte {
+	b = append(append(b, dest...), ':')
+	b = append(typ.AppendTo(b), " = "...)
+	if name == "" {
+		name = op.String()
+	}
+	b = append(b, name...)
+	if len(attrs) > 0 {
+		b = append(b, '[')
+		for i, a := range attrs {
+			if i > 0 {
+				b = append(b, ", "...)
+			}
+			b = strconv.AppendInt(b, a, 10)
+		}
+		b = append(b, ']')
+	}
+	if op.Arity() != 0 {
+		b = append(b, '(')
+		for i, a := range args {
+			if i > 0 {
+				b = append(b, ", "...)
+			}
+			b = append(b, a...)
+		}
+		b = append(b, ')')
 	}
 	return b
 }
@@ -87,29 +131,7 @@ func (in Instr) String() string {
 
 // appendTo appends the instruction in source syntax.
 func (in *Instr) appendTo(b []byte) []byte {
-	b = append(append(b, in.Dest...), ':')
-	b = append(in.Type.AppendTo(b), " = "...)
-	b = append(b, in.Op.String()...)
-	if len(in.Attrs) > 0 {
-		b = append(b, '[')
-		for i, a := range in.Attrs {
-			if i > 0 {
-				b = append(b, ", "...)
-			}
-			b = strconv.AppendInt(b, a, 10)
-		}
-		b = append(b, ']')
-	}
-	if in.Op.Arity() != 0 {
-		b = append(b, '(')
-		for i, a := range in.Args {
-			if i > 0 {
-				b = append(b, ", "...)
-			}
-			b = append(b, a...)
-		}
-		b = append(b, ')')
-	}
+	b = AppendStmt(b, in.Dest, in.Type, in.Op, "", in.Attrs, in.Args)
 	if in.IsCompute() {
 		b = append(append(b, " @"...), in.Res.String()...)
 	}
@@ -152,10 +174,7 @@ func (f *Func) Clone() *Func {
 // String renders the function in source syntax.
 func (f *Func) String() string {
 	bp := scratch.Get().(*[]byte)
-	b := append(append((*bp)[:0], "def "...), f.Name...)
-	b = AppendPorts(append(b, '('), f.Inputs)
-	b = AppendPorts(append(b, ") -> ("...), f.Outputs)
-	b = append(b, ") {\n"...)
+	b := AppendSignature(append(append((*bp)[:0], "def "...), f.Name...), f.Inputs, f.Outputs)
 	for i := range f.Body {
 		b = append(f.Body[i].appendTo(append(b, "    "...)), '\n')
 	}

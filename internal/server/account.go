@@ -181,9 +181,9 @@ func (t *Tracked) Finish(totals *Totals, msg string) {
 	a.log(msg)
 }
 
-// AccountOf returns the account of the request w answers. A writer that
+// accountOf returns the account of the request w answers. A writer that
 // did not come through Track gets a fresh account nobody folds.
-func AccountOf(w http.ResponseWriter) *Account {
+func accountOf(w http.ResponseWriter) *Account {
 	if t, ok := w.(*Tracked); ok {
 		return &t.Account
 	}

@@ -31,7 +31,7 @@ func (b *backend) Explore(ctx context.Context, cancel context.CancelFunc, w http
 		Compile:     b.variantCompiler(subs),
 	})
 	if err != nil {
-		WriteTypedError(w, err)
+		writeTypedError(w, err, "")
 		return
 	}
 	frame := NewFrame(w, q.Stream, "variants", "name", q.Kernels[0].Name, "family", q.Family)

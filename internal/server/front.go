@@ -27,25 +27,25 @@ import (
 // decoding, panic isolation, the JSON and typed error writers, the disk
 // tier's operator surface, the /batch plan and the framings.
 
-// FamilySet is the configured family → pipeline config table and the
+// familySet is the configured family → pipeline config table and the
 // default applied when a request names none. A routing tier's admits
 // kernels unparsed (NewRouting).
-type FamilySet struct {
+type familySet struct {
 	configs map[string]*pipeline.Config
 	def     string
 	routing bool // kernels are keyed by their text, never parsed
 }
 
-// NewFamilySet validates one pipeline config per family name. At least
+// newFamilySet validates one pipeline config per family name. At least
 // one family is required; an empty def with exactly one family means
 // that family.
-func NewFamilySet(configs map[string]*pipeline.Config, def string) (FamilySet, error) {
+func newFamilySet(configs map[string]*pipeline.Config, def string) (familySet, error) {
 	if len(configs) == 0 {
-		return FamilySet{}, fmt.Errorf("no pipeline configs")
+		return familySet{}, fmt.Errorf("no pipeline configs")
 	}
 	for name, cfg := range configs {
 		if err := cfg.Validate(); err != nil {
-			return FamilySet{}, fmt.Errorf("family %q: %w", name, err)
+			return familySet{}, fmt.Errorf("family %q: %w", name, err)
 		}
 	}
 	if def == "" && len(configs) == 1 {
@@ -54,13 +54,13 @@ func NewFamilySet(configs map[string]*pipeline.Config, def string) (FamilySet, e
 		}
 	}
 	if _, ok := configs[def]; def != "" && !ok {
-		return FamilySet{}, fmt.Errorf("default family %q has no config", def)
+		return familySet{}, fmt.Errorf("default family %q has no config", def)
 	}
-	return FamilySet{configs: configs, def: def}, nil
+	return familySet{configs: configs, def: def}, nil
 }
 
 // Families lists the configured family names, sorted.
-func (fs FamilySet) Families() []string {
+func (fs familySet) Families() []string {
 	out := make([]string, 0, len(fs.configs))
 	for name := range fs.configs {
 		out = append(out, name)
@@ -70,7 +70,7 @@ func (fs FamilySet) Families() []string {
 }
 
 // Family resolves a request's family name to its config.
-func (fs FamilySet) Family(name string) (string, *pipeline.Config, error) {
+func (fs familySet) family(name string) (string, *pipeline.Config, error) {
 	if name == "" {
 		name = fs.def
 	}
@@ -104,15 +104,15 @@ func (s *Server) ScrubDisk(ctx context.Context) (cache.ScrubReport, bool, error)
 func (s *Server) handleScrub(w http.ResponseWriter, r *http.Request) {
 	rep, ok, err := s.ScrubDisk(r.Context())
 	if !ok {
-		WriteError(w, http.StatusNotFound, "no disk cache configured")
+		writeError(w, http.StatusNotFound, "no disk cache configured")
 		return
 	}
 	if err != nil {
-		WriteTypedError(w, rerr.Wrap(rerr.Transient, "scrub_cancelled",
-			"scrub walk cancelled before completion", err))
+		writeTypedError(w, rerr.Wrap(rerr.Transient, "scrub_cancelled",
+			"scrub walk cancelled before completion", err), "")
 		return
 	}
-	WriteJSON(w, http.StatusOK, ScrubResponse{
+	writeJSON(w, http.StatusOK, ScrubResponse{
 		Scanned: rep.Scanned, Corrupt: rep.Corrupt,
 		Bytes: rep.Bytes, ElapsedMS: rep.Elapsed.Milliseconds(),
 	})
@@ -120,7 +120,7 @@ func (s *Server) handleScrub(w http.ResponseWriter, r *http.Request) {
 
 // The front door (DESIGN.md §8): every endpoint that reads a body, on
 // either tier, admits it through Admit, which either returns the
-// validated Request or the one refusal WriteRefusal renders. Admission
+// validated Request or the one refusal writeRefusal renders. Admission
 // control, the fault points and the resolver's raw-body memo come before
 // it. The checks run in one order, so the first failing one answers
 // whichever tier it reaches: size limit, decode (unknown fields and
@@ -142,6 +142,7 @@ type Request struct {
 	Kernels []Kernel
 
 	body          []byte    // as received: what a routing tier forwards
+	memoKey       cache.Key // the /compile body's key in a backend's memo (Resolver.Memo)
 	familyOmitted bool      // the body named no family, or ""
 	deadline      time.Time // the X-Reticle-Deadline header; zero when not sent
 }
@@ -171,15 +172,15 @@ func badRequest(format string, args ...any) error {
 	return &refusal{http.StatusBadRequest, fmt.Sprintf(format, args...)}
 }
 
-// WriteRefusal renders a front-door refusal: a validation failure as its
+// writeRefusal renders a front-door refusal: a validation failure as its
 // status and message, a typed error through the taxonomy.
-func WriteRefusal(w http.ResponseWriter, err error) {
+func writeRefusal(w http.ResponseWriter, err error) {
 	var v *refusal
 	if errors.As(err, &v) {
-		WriteError(w, v.status, v.msg)
+		writeError(w, v.status, v.msg)
 		return
 	}
-	WriteTypedError(w, err)
+	writeTypedError(w, err, "")
 }
 
 // bodyPool recycles the buffers request bodies are read into. Decoding
@@ -215,16 +216,16 @@ func readBody(r *http.Request) (*bytes.Buffer, error) {
 // response is written. An admitted body's buffer is not returned to the
 // pool: it is the request body a routing tier forwards, and a cancelled
 // attempt's transport may still be reading it after the walk returns.
-func (fs FamilySet) door(w http.ResponseWriter, r *http.Request) (*Request, bool) {
+func (fs familySet) door(w http.ResponseWriter, r *http.Request) (*Request, bool) {
 	body, err := readBody(r)
 	if err == nil {
 		var q *Request
-		if q, err = fs.Admit(r.URL.Path, body.Bytes(), r.Header); err == nil {
+		if q, err = fs.admit(r.URL.Path, body.Bytes(), r.Header); err == nil {
 			return q, true
 		}
 		bodyPool.Put(body)
 	}
-	WriteRefusal(w, err)
+	writeRefusal(w, err)
 	return nil, false
 }
 
@@ -233,10 +234,10 @@ const maxTimeoutMS = int64(math.MaxInt64 / time.Millisecond)
 
 // Admit is the front door: it turns a request for path — /compile,
 // /batch or /explore — its body and its headers into a Request, or into
-// the refusal WriteRefusal renders. A body that names no family counts
+// the refusal writeRefusal renders. A body that names no family counts
 // the resolved family's member against maxBodyBytes, so a routing tier's
 // forward of it is admitted downstream too.
-func (fs FamilySet) Admit(path string, body []byte, h http.Header) (*Request, error) {
+func (fs familySet) admit(path string, body []byte, h http.Header) (*Request, error) {
 	if len(body) > maxBodyBytes {
 		return nil, errTooLarge
 	}
@@ -269,7 +270,7 @@ func (fs FamilySet) Admit(path string, body []byte, h http.Header) (*Request, er
 	if err != nil {
 		return nil, badRequest("request: %v", err)
 	}
-	if q.Family, q.Config, err = fs.Family(family); err != nil {
+	if q.Family, q.Config, err = fs.family(family); err != nil {
 		return nil, badRequest("%s", err)
 	}
 	if q.familyOmitted = family == ""; q.familyOmitted && len(body)+len(familyMember(q.Family)) > maxBodyBytes {
@@ -304,7 +305,7 @@ func (fs FamilySet) Admit(path string, body []byte, h http.Header) (*Request, er
 
 // kernel parses one kernel and derives its artifact key, or on a routing
 // tier keys it by its text alone.
-func (fs FamilySet) kernel(cfg *pipeline.Config, k BatchKernel) Kernel {
+func (fs familySet) kernel(cfg *pipeline.Config, k BatchKernel) Kernel {
 	if fs.routing {
 		return Kernel{Name: k.Name, Key: cache.Key(pipeline.TextKeyFor(cfg, k.IR))}
 	}
@@ -430,10 +431,10 @@ func appendMembers(obj []byte, members string) []byte {
 	return append(append(out, members...), '}')
 }
 
-// WriteJSON writes v as the whole response body: every response of
+// writeJSON writes v as the whole response body: every response of
 // either tier, success or failure, is JSON. It serves the small bodies;
 // anything carrying an artifact leaves through writeFrame.
-func WriteJSON(w http.ResponseWriter, code int, v any) {
+func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(v)
@@ -498,7 +499,7 @@ func (o Outcome) Write(w http.ResponseWriter, name string, stream bool) {
 		}
 		writeFrame(w, ct, o.Status, o.Body)
 	default:
-		WriteCompileFrame(w, o.CompileResponseWire)
+		writeCompileFrame(w, o.CompileResponseWire)
 	}
 	o.release()
 }
@@ -545,34 +546,32 @@ func (o Outcome) release() {
 // ResponseWriter does not keep what Write was handed.
 var framePool = sync.Pool{New: func() any { return new([]byte) }}
 
-// WriteCompileFrame writes r as the /compile success body.
-func WriteCompileFrame(w http.ResponseWriter, r CompileResponseWire) {
+// writeCompileFrame writes r as the /compile success body.
+func writeCompileFrame(w http.ResponseWriter, r CompileResponseWire) {
 	buf := framePool.Get().(*[]byte)
 	*buf = append(r.AppendJSON((*buf)[:0]), '\n')
 	writeFrame(w, jsonContentType, http.StatusOK, *buf)
 	framePool.Put(buf)
 }
 
-// WriteError writes an untyped (request validation) failure.
-func WriteError(w http.ResponseWriter, code int, msg string) {
-	WriteJSON(w, code, ErrorResponse{Error: msg, Code: code})
+// writeError writes an untyped (request validation) failure.
+func writeError(w http.ResponseWriter, code int, msg string) {
+	writeJSON(w, code, ErrorResponse{Error: msg, Code: code})
 }
 
-// WriteTypedError renders err through the taxonomy: stable message and
+// writeTypedError renders err through the taxonomy: stable message and
 // machine-readable code only (never internal fmt chains or paths), with
 // Retry-After set on the statuses a client should back off and retry.
-// The code goes on the request's account.
-func WriteTypedError(w http.ResponseWriter, err error) { writeTypedError(w, err, "") }
-
-// writeTypedError is WriteTypedError for an admitted kernel, naming it.
+// The code goes on the request's account; name is the admitted kernel's,
+// or empty.
 func writeTypedError(w http.ResponseWriter, err error, name string) {
 	if rerr.Retryable(err) {
 		w.Header().Set("Retry-After", "1")
 	}
 	status := rerr.HTTPStatus(err)
 	code := rerr.CodeOf(err)
-	AccountOf(w).ErrorCode = code
-	WriteJSON(w, status, ErrorResponse{
+	accountOf(w).ErrorCode = code
+	writeJSON(w, status, ErrorResponse{
 		Error:     rerr.Message(err),
 		Code:      status,
 		ErrorCode: code,
@@ -685,7 +684,7 @@ func (p *BatchPlan) Answer(w http.ResponseWriter, cancel context.CancelFunc,
 			wait(j).release()
 		}
 	}()
-	acct := AccountOf(w)
+	acct := accountOf(w)
 	frame := NewFrame(w, p.Stream, "results", "family", p.Family)
 	st := BatchStatsJSON{Kernels: len(p.Results)}
 	for i := range p.Results {
@@ -858,5 +857,5 @@ func (f *Frame) Fail(err error, tail ...any) {
 		return
 	}
 	framePool.Put(f.buf)
-	WriteTypedError(f.w, err)
+	writeTypedError(f.w, err, "")
 }

@@ -9,30 +9,22 @@ import (
 	_ "net/http/pprof" // Run's pprof side listener serves DefaultServeMux
 	"time"
 
-	"reticle/internal/cache"
 	"reticle/internal/faults"
 )
-
-// Tier is a serving tier as Run drives it: a Server, or a shard Router.
-type Tier interface {
-	Serve(net.Listener) error
-	Shutdown(context.Context) error
-	ScrubDisk(context.Context) (cache.ScrubReport, bool, error)
-	Families() []string
-}
 
 // drainBound is how long Run's shutdown waits for in-flight requests.
 const drainBound = 30 * time.Second
 
 // Run is the lifecycle of a tier's process, the same for reticle-serve and
-// reticle-shard: bind addr, serve t until ctx is done, then drain — the
+// reticle-shard (which passes its router's edge, the Server a
+// shard.Router embeds): bind addr, serve t until ctx is done, then drain — the
 // listener closes, in-flight requests finish within drainBound, and the
 // disk tier closes. Around it, it logs the armed fault points, serves
 // net/http/pprof on the side address pprof when that is set (the tier's
 // own mux is private, so DefaultServeMux carries only the profiler), and
 // with scrub verifies the disk tier in the background. Log lines start
 // with name. It returns nil once drained, or the error that stopped it.
-func Run(ctx context.Context, name string, t Tier, addr, pprof string, scrub bool) error {
+func Run(ctx context.Context, name string, t *Server, addr, pprof string, scrub bool) error {
 	if line := faults.EnvSummary(); line != "" {
 		log.Printf("%s: %s", name, line)
 	}

@@ -48,21 +48,21 @@ import (
 // to force the 429 load-shed path). They fire on a backend only: a
 // routing tier relays its backends' answers instead.
 var (
-	// FaultCompile fires at the top of the /compile handler, after
+	// faultCompile fires at the top of the /compile handler, after
 	// admission.
-	FaultCompile = faults.Register("server/compile", "/compile handler entry, after admission")
-	// FaultBatch fires at the top of the /batch handler, after admission.
-	FaultBatch = faults.Register("server/batch", "/batch handler entry, after admission")
-	// FaultExplore fires at the top of the /explore handler, after
+	faultCompile = faults.Register("server/compile", "/compile handler entry, after admission")
+	// faultBatch fires at the top of the /batch handler, after admission.
+	faultBatch = faults.Register("server/batch", "/batch handler entry, after admission")
+	// faultExplore fires at the top of the /explore handler, after
 	// admission.
-	FaultExplore = faults.Register("server/explore", "/explore handler entry, after admission")
+	faultExplore = faults.Register("server/explore", "/explore handler entry, after admission")
 	// FaultAdmission forces the admission controller to reject, as if the
 	// in-flight limit were reached.
 	FaultAdmission = faults.Register("server/admission", "admission control: force a 429 load-shed")
-	// FaultDeadline forces deadline derivation to behave as if the
+	// faultDeadline forces deadline derivation to behave as if the
 	// cross-tier budget were already exhausted on arrival: a typed 504,
 	// never a started compile.
-	FaultDeadline = faults.Register("server/deadline", "deadline derivation: budget exhausted on arrival")
+	faultDeadline = faults.Register("server/deadline", "deadline derivation: budget exhausted on arrival")
 )
 
 // DeadlineHeader carries the absolute cross-tier deadline — unix
@@ -103,7 +103,7 @@ type Options struct {
 // http.Handler, so tests drive it through httptest directly; Serve and
 // Shutdown run it on a real listener with graceful drain (see Run).
 type Server struct {
-	FamilySet // one pipeline config per family; a routing tier's admits kernels unparsed
+	familySet // one pipeline config per family; a routing tier's admits kernels unparsed
 
 	res    Resolver
 	disk   *cache.Disk // the tier's persistent level; nil when disabled
@@ -121,8 +121,11 @@ type Server struct {
 // answers come back as wire bytes it never parses.
 type Resolver interface {
 	// Memo answers a /compile body byte-identical to one answered before,
-	// ahead of any decode, and reports false when it cannot.
-	Memo(acct *Account, body []byte, h http.Header) (Outcome, bool)
+	// ahead of any decode, and reports false when it cannot. It also hands
+	// back the body's memo key, which the admitted request carries into
+	// Compile so that a miss hashes its body once; a tier without a memo
+	// computes none.
+	Memo(acct *Account, body []byte, h http.Header) (Outcome, cache.Key, bool)
 	// Lookup answers an admitted kernel from the tier's local store,
 	// computing nothing: the hits of a /batch.
 	Lookup(ctx context.Context, k Kernel) (CompileResponseWire, bool)
@@ -194,7 +197,7 @@ func newServer(opts Options, configs map[string]*pipeline.Config, res Resolver, 
 		s.sem = make(chan struct{}, opts.MaxInFlight)
 	}
 	var err error
-	if s.FamilySet, err = NewFamilySet(configs, opts.DefaultFamily); err != nil {
+	if s.familySet, err = newFamilySet(configs, opts.DefaultFamily); err != nil {
 		return nil, err
 	}
 	s.routing = routing
@@ -203,9 +206,9 @@ func newServer(opts Options, configs map[string]*pipeline.Config, res Resolver, 
 			return nil, fmt.Errorf("disk cache: %w", err)
 		}
 	}
-	s.mux.HandleFunc("POST /compile", s.admitted(FaultCompile, s.handleCompile))
-	s.mux.HandleFunc("POST /batch", s.admitted(FaultBatch, s.handleBatch))
-	s.mux.HandleFunc("POST /explore", s.admitted(FaultExplore, s.handleExplore))
+	s.mux.HandleFunc("POST /compile", s.admitted(faultCompile, s.handleCompile))
+	s.mux.HandleFunc("POST /batch", s.admitted(faultBatch, s.handleBatch))
+	s.mux.HandleFunc("POST /explore", s.admitted(faultExplore, s.handleExplore))
 	s.mux.HandleFunc("POST /scrub", s.handleScrub)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /stats", s.handleStats)
@@ -232,8 +235,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	defer t.Finish(&s.totals, msg)
 	defer func() {
 		if rec := recover(); rec != nil {
-			WriteTypedError(t, rerr.Wrap(rerr.Permanent, "internal_panic",
-				"internal panic while handling the request", fmt.Errorf("panic: %v", rec)))
+			writeTypedError(t, rerr.Wrap(rerr.Permanent, "internal_panic",
+				"internal panic while handling the request", fmt.Errorf("panic: %v", rec)), "")
 		}
 	}()
 	s.mux.ServeHTTP(t, r)
@@ -299,7 +302,7 @@ func (s *Server) admitted(p faults.Point, h http.HandlerFunc) http.HandlerFunc {
 			err = s.fire(p, r.Context())
 		}
 		if err != nil {
-			WriteTypedError(w, err)
+			writeTypedError(w, err, "")
 			return
 		}
 		h(w, r)
@@ -312,7 +315,7 @@ func (s *Server) admitted(p faults.Point, h http.HandlerFunc) http.HandlerFunc {
 // client's disconnect and the cross-tier budget both cancel its work. The
 // deadline goes on the request's account.
 func (s *Server) within(acct *Account, r *http.Request, q *Request, d time.Duration) (context.Context, context.CancelFunc, error) {
-	if s.fire(FaultDeadline, r.Context()) != nil {
+	if s.fire(faultDeadline, r.Context()) != nil {
 		return nil, nil, errDeadlineSpent
 	}
 	if d == 0 {
@@ -329,10 +332,10 @@ func (s *Server) within(acct *Account, r *http.Request, q *Request, d time.Durat
 // that refuses a request, so the memo refers a malformed or spent one to
 // the front door, which answers it.
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
-	acct := AccountOf(w)
+	acct := accountOf(w)
 	body, err := readBody(r)
 	if err != nil {
-		WriteRefusal(w, err)
+		writeRefusal(w, err)
 		return
 	}
 	if !s.routing {
@@ -340,15 +343,17 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		// transport may still be reading it after the walk returns.
 		defer bodyPool.Put(body)
 	}
-	if out, ok := s.res.Memo(acct, body.Bytes(), r.Header); ok {
+	out, memoKey, ok := s.res.Memo(acct, body.Bytes(), r.Header)
+	if ok {
 		out.Write(w, "", false)
 		return
 	}
-	q, err := s.Admit("/compile", body.Bytes(), r.Header)
+	q, err := s.admit("/compile", body.Bytes(), r.Header)
 	if err != nil {
-		WriteRefusal(w, err)
+		writeRefusal(w, err)
 		return
 	}
+	q.memoKey = memoKey
 	k := &q.Kernels[0]
 	acct.Key = string(k.Key)
 	ctx, cancel, err := s.within(acct, r, q, q.Timeout)
@@ -365,31 +370,31 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 // deduped by key) and has the resolver resolve the distinct misses and
 // answer through BatchPlan.Answer.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	acct := AccountOf(w)
+	acct := accountOf(w)
 	plan, ok := s.planBatch(w, r)
 	if !ok {
 		return
 	}
 	ctx, cancel, err := s.within(acct, r, plan.Request, 0) // overall deadline: the tier's default
 	if err != nil {
-		WriteTypedError(w, err)
+		writeTypedError(w, err, "")
 		return
 	}
 	defer cancel()
 	if err := s.res.Batch(ctx, cancel, w, acct, plan); err != nil {
-		WriteError(w, http.StatusBadRequest, err.Error())
+		writeError(w, http.StatusBadRequest, err.Error())
 	}
 }
 
 func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
-	acct := AccountOf(w)
+	acct := accountOf(w)
 	q, ok := s.door(w, r)
 	if !ok {
 		return
 	}
 	ctx, cancel, err := s.within(acct, r, q, q.Timeout)
 	if err != nil {
-		WriteTypedError(w, err)
+		writeTypedError(w, err, "")
 		return
 	}
 	defer cancel()
@@ -397,7 +402,7 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, http.StatusOK, HealthResponse{
+	writeJSON(w, http.StatusOK, HealthResponse{
 		Status:   "ok",
 		UptimeMS: time.Since(s.start).Milliseconds(),
 		Families: s.Families(),
@@ -409,7 +414,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // requests; this one has not ended, so it counts itself.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	requests, sum := s.totals.Snapshot()
-	WriteJSON(w, http.StatusOK, s.res.Stats(r.Context(), requests+1, &sum, time.Since(s.start)))
+	writeJSON(w, http.StatusOK, s.res.Stats(r.Context(), requests+1, &sum, time.Since(s.start)))
 }
 
 func cacheStatus(hit bool) string {

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"reticle/internal/cache"
 	"reticle/internal/faults"
 	"reticle/internal/pipeline"
 	"reticle/internal/server"
@@ -269,8 +270,8 @@ func (rt *Router) diskPut(ctx context.Context, k server.Kernel, ans server.Compi
 
 // Memo misses: the router keeps no raw-body memo; its disk is keyed by
 // the text key the front door derives.
-func (rt *Router) Memo(*server.Account, []byte, http.Header) (server.Outcome, bool) {
-	return server.Outcome{}, false
+func (rt *Router) Memo(*server.Account, []byte, http.Header) (server.Outcome, cache.Key, bool) {
+	return server.Outcome{}, "", false
 }
 
 // Compile answers a /compile from the router-local second level — a

@@ -20,8 +20,8 @@ import (
 
 // TestBatchTiersIndistinguishableOnBadInput: a malformed /batch earns the
 // same status and the same JSON body from a bare backend and from a
-// router in front of one — both tiers answer through server.PlanBatch and
-// BatchPlan.Answer, so a client cannot tell them apart by how they refuse,
+// router in front of one — both tiers plan it with the server package's
+// planBatch and answer with BatchPlan.Answer, so a client cannot tell them apart by how they refuse,
 // nor by how a kernel that does not parse or does not compile fails.
 func TestBatchTiersIndistinguishableOnBadInput(t *testing.T) {
 	backend, err := reticle.NewServer(reticle.ServerOptions{})
@@ -110,7 +110,7 @@ func TestShutdownBeforeServe(t *testing.T) {
 	}
 	_, urls := newBackends(t, 1)
 	router := newRouter(t, reticle.ShardOptions{Backends: urls, HealthInterval: time.Millisecond})
-	for name, tier := range map[string]server.Tier{"backend": backend, "router": router} {
+	for name, tier := range map[string]*server.Server{"backend": backend, "router": router.Server} {
 		if err := tier.Shutdown(context.Background()); err != nil {
 			t.Fatalf("%s: Shutdown: %v", name, err)
 		}

@@ -11,7 +11,6 @@ package tdl
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"reticle/internal/ir"
 )
@@ -34,25 +33,14 @@ type Def struct {
 
 // String renders the definition in TDL source syntax.
 func (d *Def) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s[%s, %d, %d](", d.Name, d.Prim, d.Area, d.Latency)
-	for i, p := range d.Inputs {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(p.String())
+	b := fmt.Appendf(nil, "%s[%s, %d, %d]", d.Name, d.Prim, d.Area, d.Latency)
+	b = ir.AppendSignature(b, d.Inputs, []ir.Port{d.Output})
+	for i := range d.Body {
+		in := &d.Body[i]
+		b = ir.AppendStmt(append(b, "    "...), in.Dest, in.Type, in.Op, "", in.Attrs, in.Args)
+		b = append(b, ";\n"...)
 	}
-	fmt.Fprintf(&b, ") -> (%s) {\n", d.Output.String())
-	for _, in := range d.Body {
-		// TDL bodies carry no resource annotation; strip it when printing.
-		in.Res = ir.ResAny
-		s := strings.Replace(in.String(), " @??;", ";", 1)
-		b.WriteString("    ")
-		b.WriteString(s)
-		b.WriteByte('\n')
-	}
-	b.WriteString("}\n")
-	return b.String()
+	return string(append(b, "}\n"...))
 }
 
 // Stateful reports whether the definition's semantics contain a reg.
