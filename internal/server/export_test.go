@@ -1,10 +1,19 @@
 package server
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 
+	"reticle/internal/cache"
 	"reticle/internal/pipeline"
 )
+
+// textKey is the key Memo looks a request body up by and hands to
+// Compile to record it under.
+func textKey(body []byte) cache.Key {
+	sum := sha256.Sum256(body)
+	return cache.Key(sum[:])
+}
 
 // ArtifactJSONOf is what render marshals into the served artifact bytes,
 // for the equal-key property.
