@@ -287,6 +287,25 @@ func TestVfrontErrorPaths(t *testing.T) {
                 if (a) begin q <= a; end else begin q <= a; end
             end
         endmodule`},
+		{"case in clocked block", `module m(input clk, input a, output y);
+            reg q;
+            assign y = q;
+            always @(posedge clk) begin
+                case (a)
+                    1'h0: begin q <= a; end
+                endcase
+            end
+        endmodule`},
+		{"blocking assignment in clocked block", `module m(input clk, input a, output y);
+            reg q;
+            assign y = q;
+            always @(posedge clk) begin q = a; end
+        endmodule`},
+		{"always @* block", `module m(input a, output y);
+            reg q;
+            assign y = q;
+            always @* begin q = a; end
+        endmodule`},
 		{"overlapping slices", `module m(input [7:0] a, output [7:0] y);
             assign y[5:0] = a[5:0];
             assign y[7:4] = a[7:4];
