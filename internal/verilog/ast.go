@@ -1,11 +1,15 @@
-// Package verilog is a Verilog abstract syntax tree and pretty-printer.
-// It plays the role of the standalone Verilog AST library the paper's
-// implementation uses for code generation (§6: 2486 LoC of Rust).
+// Package verilog is the Verilog the repo writes and reads: a streaming
+// writer, a syntax tree with its printer, and a parser. It stands where
+// the paper's implementation uses a general Verilog AST library (§6:
+// 2486 LoC of Rust), but holds only the subset this repo needs.
 //
-// The AST covers the two dialects the compiler emits: structural Verilog —
-// primitive instances with parameters and layout attributes (Fig. 2b/2c) —
-// and the small behavioral subset used by the baseline translation
-// backends (continuous assignments and clocked always blocks).
+// Two dialects make up that subset: structural Verilog — primitive
+// instances with parameters and layout attributes (Fig. 2b/2c), which
+// codegen streams through Writer — and the behavioral subset of the
+// baseline translation backends (package behav), read back by package
+// vfront: wire and reg declarations, continuous assignments, and clocked
+// always blocks of non-blocking assignments, each optionally under an
+// if without else.
 package verilog
 
 // PortDir is a module port direction.
@@ -107,25 +111,11 @@ type AlwaysFF struct {
 	Stmts []Stmt
 }
 
-// AlwaysComb is a combinational process: always @* begin ... end.
-type AlwaysComb struct {
-	Stmts []Stmt
-}
-
-// Comment is a line comment in the module body.
-type Comment string
-
-// Raw is verbatim text, for constructs outside the modeled subset.
-type Raw string
-
-func (Wire) isItem()       {}
-func (Reg) isItem()        {}
-func (Assign) isItem()     {}
-func (Instance) isItem()   {}
-func (AlwaysFF) isItem()   {}
-func (AlwaysComb) isItem() {}
-func (Comment) isItem()    {}
-func (Raw) isItem()        {}
+func (Wire) isItem()     {}
+func (Reg) isItem()      {}
+func (Assign) isItem()   {}
+func (Instance) isItem() {}
+func (AlwaysFF) isItem() {}
 
 // Stmt is a statement inside an always block.
 type Stmt interface{ isStmt() }
@@ -136,36 +126,14 @@ type NonBlocking struct {
 	RHS Expr
 }
 
-// Blocking is LHS = RHS;
-type Blocking struct {
-	LHS Expr
-	RHS Expr
-}
-
-// If is a conditional statement.
+// If is a conditional statement without else: if (Cond) begin Then end.
 type If struct {
 	Cond Expr
 	Then []Stmt
-	Else []Stmt
-}
-
-// Case is a case statement.
-type Case struct {
-	Subject Expr
-	Arms    []CaseArm
-	Default []Stmt
-}
-
-// CaseArm is one case alternative.
-type CaseArm struct {
-	Match Expr
-	Stmts []Stmt
 }
 
 func (NonBlocking) isStmt() {}
-func (Blocking) isStmt()    {}
 func (If) isStmt()          {}
-func (Case) isStmt()        {}
 
 // Expr is a Verilog expression.
 type Expr interface{ isExpr() }

@@ -5,12 +5,13 @@ import (
 	"strings"
 )
 
-// ParseModule parses the structural Verilog subset this package prints:
-// module headers with attributes, wire/reg declarations, continuous
+// ParseModule parses the Verilog subset this package prints: module
+// headers with attributes, wire and reg declarations, continuous
 // assignments, primitive instances with parameters and attributes, and
-// clocked/combinational always blocks with if/case statements. It is the
-// inverse of Module.String for compiler-emitted output, used to round-trip
-// and audit generated netlists.
+// clocked always blocks whose statements are non-blocking assignments and
+// ifs without else. It is the inverse of Module.String: codegen's tests
+// audit emitted netlists through it, and package vfront reads the
+// behavioral baselines back with it.
 func ParseModule(src string) (*Module, error) {
 	p := &vparser{lex: newVlex(src)}
 	p.advanceTok()
@@ -162,36 +163,33 @@ func (p *vparser) port() (Port, error) {
 		port.Reg = true
 		p.advanceTok()
 	}
-	port.Width = 1
-	if p.at("[") {
-		w, err := p.widthRange()
-		if err != nil {
-			return port, err
-		}
-		port.Width = w
-	}
-	port.Name, err = p.expectIdent()
+	port.Width, port.Name, err = p.decl()
 	return port, err
 }
 
-// widthRange parses "[hi:0]" and returns hi+1.
-func (p *vparser) widthRange() (int, error) {
-	if err := p.expect("["); err != nil {
-		return 0, err
+// decl parses the "[n:0] name" a port, wire or reg declaration ends
+// with; without the range the width is 1.
+func (p *vparser) decl() (width int, name string, err error) {
+	width = 1
+	if p.eat("[") {
+		if p.tok.kind != tokNumber {
+			return 0, "", fmt.Errorf("verilog: line %d: expected range bound", p.tok.line)
+		}
+		width += int(p.tok.num)
+		p.advanceTok()
+		if err := p.expect(":"); err != nil {
+			return 0, "", err
+		}
+		if p.tok.kind != tokNumber || p.tok.num != 0 {
+			return 0, "", fmt.Errorf("verilog: line %d: only [n:0] ranges supported", p.tok.line)
+		}
+		p.advanceTok()
+		if err := p.expect("]"); err != nil {
+			return 0, "", err
+		}
 	}
-	if p.tok.kind != tokNumber {
-		return 0, fmt.Errorf("verilog: line %d: expected range bound", p.tok.line)
-	}
-	hi := int(p.tok.num)
-	p.advanceTok()
-	if err := p.expect(":"); err != nil {
-		return 0, err
-	}
-	if p.tok.kind != tokNumber || p.tok.num != 0 {
-		return 0, fmt.Errorf("verilog: line %d: only [n:0] ranges supported", p.tok.line)
-	}
-	p.advanceTok()
-	return hi + 1, p.expect("]")
+	name, err = p.expectIdent()
+	return width, name, err
 }
 
 func (p *vparser) item() (Item, error) {
@@ -200,36 +198,18 @@ func (p *vparser) item() (Item, error) {
 		return nil, err
 	}
 	switch {
-	case p.atIdent("wire"):
+	case p.atIdent("wire") || p.atIdent("reg"):
+		kind := p.tok.text
 		if len(attrs) > 0 {
-			return nil, fmt.Errorf("verilog: attributes on wire declarations unsupported")
+			return nil, fmt.Errorf("verilog: attributes on %s declarations unsupported", kind)
 		}
 		p.advanceTok()
-		w := 1
-		if p.at("[") {
-			if w, err = p.widthRange(); err != nil {
-				return nil, err
-			}
-		}
-		name, err := p.expectIdent()
+		w, name, err := p.decl()
 		if err != nil {
 			return nil, err
 		}
-		return Wire{Name: name, Width: w}, p.expect(";")
-	case p.atIdent("reg"):
-		if len(attrs) > 0 {
-			return nil, fmt.Errorf("verilog: attributes on reg declarations unsupported")
-		}
-		p.advanceTok()
-		w := 1
-		if p.at("[") {
-			if w, err = p.widthRange(); err != nil {
-				return nil, err
-			}
-		}
-		name, err := p.expectIdent()
-		if err != nil {
-			return nil, err
+		if kind == "wire" {
+			return Wire{Name: name, Width: w}, p.expect(";")
 		}
 		r := Reg{Name: name, Width: w}
 		if p.eat("=") {
@@ -247,18 +227,8 @@ func (p *vparser) item() (Item, error) {
 		return r, p.expect(";")
 	case p.atIdent("assign"):
 		p.advanceTok()
-		lhs, err := p.lvalue()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expect("="); err != nil {
-			return nil, err
-		}
-		rhs, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		return Assign{LHS: lhs, RHS: rhs}, p.expect(";")
+		lhs, rhs, err := p.assignment("=")
+		return Assign{LHS: lhs, RHS: rhs}, err
 	case p.atIdent("always"):
 		if len(attrs) > 0 {
 			return nil, fmt.Errorf("verilog: attributes on always blocks unsupported")
@@ -337,13 +307,6 @@ func (p *vparser) always() (Item, error) {
 	if err := p.expect("@"); err != nil {
 		return nil, err
 	}
-	if p.eat("*") {
-		blk, err := p.beginEnd()
-		if err != nil {
-			return nil, err
-		}
-		return AlwaysComb{Stmts: blk}, nil
-	}
 	if err := p.expect("("); err != nil {
 		return nil, err
 	}
@@ -383,124 +346,49 @@ func (p *vparser) beginEnd() ([]Stmt, error) {
 	return out, nil
 }
 
+// stmt parses "if (cond) begin ... end" or "lhs <= rhs;".
 func (p *vparser) stmt() (Stmt, error) {
-	switch {
-	case p.atIdent("if"):
-		p.advanceTok()
-		if err := p.expect("("); err != nil {
-			return nil, err
-		}
-		cond, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expect(")"); err != nil {
-			return nil, err
-		}
-		thenB, elseB, err := p.ifBody()
-		if err != nil {
-			return nil, err
-		}
-		return If{Cond: cond, Then: thenB, Else: elseB}, nil
-	case p.atIdent("case"):
-		p.advanceTok()
-		if err := p.expect("("); err != nil {
-			return nil, err
-		}
-		subj, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expect(")"); err != nil {
-			return nil, err
-		}
-		c := Case{Subject: subj}
-		for !p.atIdent("endcase") {
-			if p.atIdent("default") {
-				p.advanceTok()
-				if err := p.expect(":"); err != nil {
-					return nil, err
-				}
-				c.Default, err = p.beginEnd()
-				if err != nil {
-					return nil, err
-				}
-				continue
-			}
-			match, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expect(":"); err != nil {
-				return nil, err
-			}
-			body, err := p.beginEnd()
-			if err != nil {
-				return nil, err
-			}
-			c.Arms = append(c.Arms, CaseArm{Match: match, Stmts: body})
-		}
-		p.advanceTok()
-		return c, nil
-	default:
-		lhs, err := p.lvalue()
-		if err != nil {
-			return nil, err
-		}
-		if p.eat("<=") {
-			rhs, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			return NonBlocking{LHS: lhs, RHS: rhs}, p.expect(";")
-		}
-		if err := p.expect("="); err != nil {
-			return nil, err
-		}
-		rhs, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		return Blocking{LHS: lhs, RHS: rhs}, p.expect(";")
+	if !p.atIdent("if") {
+		lhs, rhs, err := p.assignment("<=")
+		return NonBlocking{LHS: lhs, RHS: rhs}, err
 	}
-}
-
-// ifBody handles "begin ... end [else begin ... end]" in the printer's
-// shape, where else appears as "end else begin".
-func (p *vparser) ifBody() (thenB, elseB []Stmt, err error) {
-	if err = p.expectKeyword("begin"); err != nil {
-		return nil, nil, err
+	p.advanceTok()
+	if err := p.expect("("); err != nil {
+		return nil, err
 	}
-	for !p.atIdent("end") {
-		if p.tok.kind == tokEOF {
-			return nil, nil, fmt.Errorf("verilog: unexpected end of input in if body")
-		}
-		s, err := p.stmt()
-		if err != nil {
-			return nil, nil, err
-		}
-		thenB = append(thenB, s)
-	}
-	p.advanceTok() // end
-	if p.atIdent("else") {
-		p.advanceTok()
-		elseB, err = p.beginEnd()
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return thenB, elseB, nil
-}
-
-// lvalue parses an assignment target: an identifier with optional index
-// or slice suffixes. Restricting targets keeps "<=" unambiguous between
-// non-blocking assignment and the less-equal operator.
-func (p *vparser) lvalue() (Expr, error) {
-	name, err := p.expectIdent()
+	cond, err := p.expr()
 	if err != nil {
 		return nil, err
 	}
-	return p.maybeSlice(Ref(name))
+	if err := p.expect(")"); err != nil {
+		return nil, err
+	}
+	then, err := p.beginEnd()
+	if err != nil {
+		return nil, err
+	}
+	return If{Cond: cond, Then: then}, nil
+}
+
+// assignment parses "lhs op rhs;". The target is an identifier with
+// optional index or slice suffixes; restricting targets keeps "<="
+// unambiguous between non-blocking assignment and the less-equal
+// operator.
+func (p *vparser) assignment(op string) (lhs, rhs Expr, err error) {
+	name, err := p.expectIdent()
+	if err != nil {
+		return nil, nil, err
+	}
+	if lhs, err = p.maybeSlice(Ref(name)); err != nil {
+		return nil, nil, err
+	}
+	if err := p.expect(op); err != nil {
+		return nil, nil, err
+	}
+	if rhs, err = p.expr(); err != nil {
+		return nil, nil, err
+	}
+	return lhs, rhs, p.expect(";")
 }
 
 // binOps are the infix operators the printer emits.

@@ -401,17 +401,15 @@ func (w *Writer) OpenRepeat(n int) {
 // CloseRepeat closes a replication.
 func (w *Writer) CloseRepeat() { w.str("}}") }
 
-// block writes the statements one level in, then tail (if any) on a line
-// of its own at the outer level.
-func (w *Writer) block(stmts []Stmt, tail string) {
+// block writes the statements one level in, then "end" on a line of its
+// own at the outer level.
+func (w *Writer) block(stmts []Stmt) {
 	w.indent++
 	for _, s := range stmts {
 		w.stmt(s)
 	}
 	w.indent--
-	if tail != "" {
-		w.line(tail)
-	}
+	w.line("end")
 }
 
 func (w *Writer) module(m *Module) {
@@ -457,22 +455,7 @@ func (w *Writer) item(item Item) {
 		w.str(it.Clock)
 		w.str(") begin")
 		w.nl()
-		w.block(it.Stmts, "end")
-	case AlwaysComb:
-		w.line("always @* begin")
-		w.block(it.Stmts, "end")
-	case Comment:
-		w.open()
-		w.str("// ")
-		w.str(string(it))
-		w.nl()
-	case Raw:
-		rest, more := strings.TrimRight(string(it), "\n"), true
-		for more {
-			var ln string
-			ln, rest, more = strings.Cut(rest, "\n")
-			w.line(ln)
-		}
+		w.block(it.Stmts)
 	default:
 		w.line(fmt.Sprintf("// verilog: unknown item %T", item))
 	}
@@ -510,41 +493,13 @@ func (w *Writer) stmt(s Stmt) {
 	case NonBlocking:
 		w.open()
 		w.assign(st.LHS, " <= ", st.RHS)
-	case Blocking:
-		w.open()
-		w.assign(st.LHS, " = ", st.RHS)
 	case If:
 		w.open()
 		w.str("if (")
 		w.expr(st.Cond)
 		w.str(") begin")
 		w.nl()
-		w.block(st.Then, "")
-		if len(st.Else) > 0 {
-			w.line("end else begin")
-			w.block(st.Else, "")
-		}
-		w.line("end")
-	case Case:
-		w.open()
-		w.str("case (")
-		w.expr(st.Subject)
-		w.byte(')')
-		w.nl()
-		w.indent++
-		for _, arm := range st.Arms {
-			w.open()
-			w.expr(arm.Match)
-			w.str(": begin")
-			w.nl()
-			w.block(arm.Stmts, "end")
-		}
-		if len(st.Default) > 0 {
-			w.line("default: begin")
-			w.block(st.Default, "end")
-		}
-		w.indent--
-		w.line("endcase")
+		w.block(st.Then)
 	default:
 		w.line(fmt.Sprintf("// verilog: unknown stmt %T", s))
 	}

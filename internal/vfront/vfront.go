@@ -127,12 +127,10 @@ func (c *conv) run() (*ir.Func, error) {
 					return nil, err
 				}
 			}
-		case verilog.Wire, verilog.Reg, verilog.Comment:
-			// handled or ignorable
+		case verilog.Wire, verilog.Reg:
+			// declared in the first pass
 		case verilog.Instance:
 			return nil, fmt.Errorf("vfront: %s: structural instances are not behavioral code", c.m.Name)
-		case verilog.AlwaysComb:
-			return nil, fmt.Errorf("vfront: %s: always @* blocks unsupported; use assigns", c.m.Name)
 		default:
 			return nil, fmt.Errorf("vfront: %s: unsupported item %T", c.m.Name, item)
 		}
@@ -236,8 +234,8 @@ func (c *conv) mergePartials() error {
 func (c *conv) ffStmt(s verilog.Stmt) error {
 	switch st := s.(type) {
 	case verilog.If:
-		if len(st.Else) != 0 || len(st.Then) == 0 {
-			return fmt.Errorf("vfront: clocked if/else beyond the enable idiom unsupported")
+		if len(st.Then) == 0 {
+			return fmt.Errorf("vfront: clocked if beyond the enable idiom unsupported")
 		}
 		cond, err := c.expr(st.Cond, ir.Bool())
 		if err != nil {
