@@ -10,37 +10,42 @@ import (
 // Parse parses a single assembly function from source text and checks
 // its names (see Resolve).
 func Parse(src string) (*Func, error) {
-	p := ir.NewParser(src)
-	fns, err := ir.ParseEach(p, "asm", "functions", func() (*Func, error) { return parseFunc(p) }, func(f *Func) error {
-		_, err := check(f)
-		return err
-	})
+	f, err := parseOne(src)
 	if err != nil {
 		return nil, err
 	}
-	if len(fns) != 1 {
-		return nil, fmt.Errorf("asm: expected exactly one function, found %d", len(fns))
+	if _, err := check(f); err != nil {
+		return nil, err
 	}
-	return fns[0], nil
+	return f, nil
 }
 
 // ParseResolved is Parse and Resolve in one pass over the names: it
 // parses exactly one function and checks it against the target, handing
 // back the symbol table that check built.
 func ParseResolved(src string, target *tdl.Target) (*Func, ir.Symbols, error) {
-	p := ir.NewParser(src)
-	f, err := parseFunc(p)
-	if err := p.Settle("asm", err); err != nil {
+	f, err := parseOne(src)
+	if err != nil {
 		return nil, ir.Symbols{}, err
-	}
-	if !p.AtEOF() {
-		return nil, ir.Symbols{}, fmt.Errorf("asm: expected exactly one function")
 	}
 	syms, err := Resolve(f, target)
 	if err != nil {
 		return nil, ir.Symbols{}, err
 	}
 	return f, syms, nil
+}
+
+// parseOne parses a source that holds exactly one function, unchecked.
+func parseOne(src string) (*Func, error) {
+	p := ir.NewParser(src)
+	f, err := parseFunc(p)
+	if err := p.Settle("asm", err); err != nil {
+		return nil, err
+	}
+	if !p.AtEOF() {
+		return nil, fmt.Errorf("asm: expected exactly one function")
+	}
+	return f, nil
 }
 
 func parseFunc(p *ir.Parser) (*Func, error) {
