@@ -235,7 +235,7 @@ func (c *conv) ffStmt(s verilog.Stmt) error {
 	switch st := s.(type) {
 	case verilog.If:
 		if len(st.Then) == 0 {
-			return fmt.Errorf("vfront: clocked if beyond the enable idiom unsupported")
+			return fmt.Errorf("vfront: clocked if with an empty body unsupported")
 		}
 		cond, err := c.expr(st.Cond, ir.Bool())
 		if err != nil {
